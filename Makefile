@@ -36,11 +36,15 @@
 #                      the round-trip fixed point and the corpus
 #                      export-reach property
 #   make bench       — every benchmark once (shape assertions, no timing)
-#   make benchgate   — benchmark-regression gate vs bench_baseline.json
+#   make benchgate   — benchmark-regression gate vs bench_baseline.json:
+#                      runs at GOMAXPROCS=1 (the baseline's setting) and
+#                      fails on ns/op beyond BENCH_TOLERANCE or on B/op
+#                      or allocs/op beyond BENCH_ALLOC_TOLERANCE
 #   make fuzz-smoke  — short-budget fuzz pass over all fuzz targets
 #   make coverage    — race tests with a coverage profile; prints
 #                      per-package totals and writes coverage.out
 #   make baseline    — refresh bench_baseline.json on this machine
+#                      (also at GOMAXPROCS=1)
 
 GO ?= go
 FUZZTIME ?= 5s

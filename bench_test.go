@@ -261,12 +261,13 @@ func exploreLargeNet(pipes, stages int) *petri.Net {
 // construction on a 11^5-state net (161051 markings, ~805k edges)
 // three ways: the pre-tracker full-partition scan, the incremental
 // enabled-ECS tracker (serial), and the tracker plus the
-// level-synchronous parallel frontier on GOMAXPROCS workers. The three
+// level-synchronous parallel frontier on two workers. The three
 // produce byte-identical results (pinned by TestExploreWorkersDeterminism);
 // serial-tracked vs serial-fullscan isolates the incremental-enablement
-// win, parallel vs serial-tracked the frontier scaling (GOMAXPROCS >= 4
-// is where the >= 3x target over serial-fullscan is expected; a
-// single-CPU container degenerates to the tracked timing).
+// win, parallel vs serial-tracked the frontier's cost and scaling. The
+// worker count is fixed rather than read from GOMAXPROCS so the
+// frontier path runs under `-cpu 1` too, where its B/op and allocs/op
+// are exact and gated by cmd/benchdiff.
 func BenchmarkExploreLarge(b *testing.B) {
 	const pipes, stages = 5, 11
 	want := 1
@@ -279,7 +280,7 @@ func BenchmarkExploreLarge(b *testing.B) {
 	}{
 		{"serial-fullscan", petri.ExploreOptions{MaxMarkings: want + 1, DisableTracker: true}},
 		{"serial-tracked", petri.ExploreOptions{MaxMarkings: want + 1}},
-		{"parallel", petri.ExploreOptions{MaxMarkings: want + 1, Workers: runtime.GOMAXPROCS(0)}},
+		{"parallel", petri.ExploreOptions{MaxMarkings: want + 1, Workers: 2}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

@@ -1,16 +1,19 @@
 // Command benchdiff is the benchmark-regression gate of the CI
-// pipeline. It runs the tier-1 benchmarks, writes a dated
+// pipeline. It runs the tier-1 benchmarks at GOMAXPROCS=1 (`-cpu 1`,
+// the setting bench_baseline.json is recorded at), writes a dated
 // BENCH_<date>.json snapshot (ns/op, B/op, allocs/op and custom metrics
-// such as corpus apps/s), and compares both ns/op and allocs/op against
-// the committed baseline JSON: a regression beyond the tolerance on
-// either dimension fails the run (and with it `make ci`).
+// such as corpus apps/s), and compares ns/op, B/op and allocs/op
+// against the committed baseline JSON: a regression beyond the
+// tolerance on any of the three fails the run (and with it `make ci`).
+// B/op and allocs/op are exact at a fixed GOMAXPROCS, so they share the
+// -alloc-tolerance gate; ns/op has its own -tolerance.
 //
 // Usage:
 //
 //	go run ./cmd/benchdiff                  # gate against bench_baseline.json
 //	go run ./cmd/benchdiff -update          # rewrite the baseline in place
 //	go run ./cmd/benchdiff -tolerance 0.5   # loosen the time gate
-//	go run ./cmd/benchdiff -alloc-tolerance 0.5  # loosen the alloc gate
+//	go run ./cmd/benchdiff -alloc-tolerance 0.5  # loosen the B/op and allocs/op gate
 //
 // Each benchmark runs -count times and the best (minimum) ns/op is
 // compared, which filters scheduler noise on shared machines the same
@@ -56,7 +59,7 @@ func main() {
 		baseline       = flag.String("baseline", "bench_baseline.json", "committed baseline JSON")
 		out            = flag.String("out", "", "snapshot path (default BENCH_<date>.json)")
 		tolerance      = flag.Float64("tolerance", 0.20, "allowed ns/op regression fraction")
-		allocTolerance = flag.Float64("alloc-tolerance", 0.20, "allowed allocs/op regression fraction")
+		allocTolerance = flag.Float64("alloc-tolerance", 0.20, "allowed B/op and allocs/op regression fraction")
 		update         = flag.Bool("update", false, "rewrite the baseline with this run instead of gating")
 	)
 	flag.Parse()
@@ -100,10 +103,10 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// runBenchmarks shells out to go test and folds repeated runs of the
-// same benchmark to the fastest observation.
+// runBenchmarks shells out to go test at GOMAXPROCS=1 and folds
+// repeated runs of the same benchmark to the fastest observation.
 func runBenchmarks(benchRe, benchtime string, count int, pkg string) (*Snapshot, error) {
-	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem",
+	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem", "-cpu", "1",
 		"-benchtime", benchtime, "-count", strconv.Itoa(count), pkg}
 	fmt.Printf("benchdiff: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
@@ -200,12 +203,12 @@ func readBaseline(path string) (*Snapshot, error) {
 }
 
 // gate prints a comparison table and reports whether any gated
-// benchmark regressed beyond the tolerances. ns/op and allocs/op are
-// failing dimensions (an allocation regression on a hot path is a real
-// regression even when a fast machine hides the time cost); B/op and
-// custom metrics are informational.
+// benchmark regressed beyond the tolerances. ns/op, B/op and allocs/op
+// are failing dimensions (an allocation regression on a hot path is a
+// real regression even when a fast machine hides the time cost); custom
+// metrics are informational.
 func gate(base, cur *Snapshot, tolerance, allocTolerance float64) (failed bool) {
-	fmt.Printf("benchdiff: baseline %s (%s) vs current (%s), tolerance %.0f%% ns/op, %.0f%% allocs/op\n",
+	fmt.Printf("benchdiff: baseline %s (%s) vs current (%s), tolerance %.0f%% ns/op, %.0f%% B/op and allocs/op\n",
 		base.Date, base.GoVersion, cur.GoVersion, tolerance*100, allocTolerance*100)
 	for name, b := range base.Benchmarks {
 		c, ok := cur.Benchmarks[name]
@@ -222,19 +225,28 @@ func gate(base, cur *Snapshot, tolerance, allocTolerance float64) (failed bool) 
 		}
 		fmt.Printf("  %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
 			name, b.NsPerOp, c.NsPerOp, delta*100, status)
-		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
-			adelta := (c.AllocsPerOp - b.AllocsPerOp) / b.AllocsPerOp
+		for _, d := range []struct {
+			unit      string
+			base, cur float64
+		}{
+			{"B/op", b.BytesPerOp, c.BytesPerOp},
+			{"allocs/op", b.AllocsPerOp, c.AllocsPerOp},
+		} {
+			if d.base <= 0 || d.cur <= 0 {
+				continue
+			}
+			adelta := (d.cur - d.base) / d.base
 			astatus := "ok"
 			if adelta > allocTolerance {
 				astatus = "REGRESSION"
 				failed = true
 			}
-			fmt.Printf("  %-40s %12.0f -> %12.0f allocs/op %+6.1f%%  %s\n",
-				"", b.AllocsPerOp, c.AllocsPerOp, adelta*100, astatus)
+			fmt.Printf("  %-40s %12.0f -> %12.0f %-9s %+6.1f%%  %s\n",
+				"", d.base, d.cur, d.unit, adelta*100, astatus)
 		}
 	}
 	if failed {
-		fmt.Println("benchdiff: FAIL — ns/op or allocs/op regressed beyond tolerance (rerun on an idle machine, or refresh the baseline with -update if the change is intended)")
+		fmt.Println("benchdiff: FAIL — ns/op, B/op or allocs/op regressed beyond tolerance (rerun on an idle machine, or refresh the baseline with -update if the change is intended)")
 	} else {
 		fmt.Println("benchdiff: PASS")
 	}

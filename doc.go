@@ -51,11 +51,13 @@
 // frontier level, each search's own state-space exploration fans out
 // across cores (core.Options.ExploreWorkers / sched.Options.
 // ExploreWorkers): petri.RunFrontier explores one BFS level at a time
-// — parallel fire+hash over frontier chunks, parallel per-shard
-// deduplication through the striped petri.ShardedStore, then a cheap
-// sequential merge that assigns dense MarkIDs in first-discovery
-// order — so state numbering, schedules and generated code are
-// byte-identical for every worker count. core wires the two levels
+// — parallel fire+hash over frontier chunks, each successor probed
+// read-only against the search's own petri.MarkingStore so a known
+// marking travels as its MarkID and only a new one as a vector, then a
+// cheap sequential merge that interns the new ones and assigns dense
+// MarkIDs in first-discovery order — so state numbering, schedules and
+// generated code are byte-identical for every worker count, and every
+// explored marking's tokens are stored once. core wires the two levels
 // into one GOMAXPROCS budget: many sources keep the frontier serial, a
 // single-source system gets every core at the frontier. Results are
 // memoized in a content-addressed cache keyed by FlowC source, netlist
@@ -73,9 +75,9 @@
 // or started anywhere as cmd/qssd and dialed in over unix sockets or
 // TCP (dist.Listen, core.Options.DistEndpoint) — through a
 // length-prefixed binary protocol. Workers own contiguous ranges of
-// marking-hash shards (petri.ShardOfHash/ShardOwner, the same
-// top-FNV-bits function the in-process petri.ShardedStore stripes by,
-// so shard ownership maps one-to-one onto the ShardedStore's routing).
+// marking-hash shards (petri.ShardOfHash/ShardOwner: the top FNV bits
+// of the marking hash, independent of the low bits the store's probe
+// table uses, so every process routes a marking the same way).
 // By default replicas are TRIMMED: a worker holds vectors, hashes and
 // enabled bitsets only for its owned shards — per-worker memory scales
 // ~1/N with the pool, which is what takes state spaces beyond one

@@ -1,8 +1,8 @@
 // Package dist shards the level-synchronous frontier exploration
 // across OS processes: a deterministic coordinator in the synthesizing
 // process drives a pool of worker processes, each owning a contiguous
-// range of marking-hash shards (the same top-FNV-bits shard function as
-// petri.ShardedStore), over a length-prefixed binary protocol on unix
+// range of marking-hash shards (the top FNV bits of the marking hash,
+// petri.ShardOfHash), over a length-prefixed binary protocol on unix
 // sockets or TCP.
 //
 // # Determinism contract

@@ -292,16 +292,19 @@ func TestRotatingLogFile(t *testing.T) {
 	}
 }
 
-// TestShardHelpers: the extracted shard functions agree with the
-// ShardedStore's routing and cover every worker.
+// TestShardHelpers: ShardOfHash routes by the top log2(shards) hash
+// bits, and the ownership helpers cover every worker.
 func TestShardHelpers(t *testing.T) {
-	for _, shards := range []int{2, 8, 64, 256} {
-		st := petri.NewShardedStore(4, shards)
+	for logShards, shards := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
 		for i := 0; i < 1000; i++ {
 			m := petri.Marking{i & 3, i >> 2 & 7, i >> 5, 1}
 			h := petri.HashMarking(m)
-			if got, want := petri.ShardOfHash(h, st.NumShards()), st.ShardOf(h); got != want {
-				t.Fatalf("ShardOfHash(%d shards) = %d, ShardedStore says %d", shards, got, want)
+			want := uint32(0)
+			if logShards > 0 {
+				want = uint32(h >> (64 - logShards))
+			}
+			if got := petri.ShardOfHash(h, shards); got != want || int(got) >= shards {
+				t.Fatalf("ShardOfHash(%#x, %d shards) = %d, want top bits %d", h, shards, got, want)
 			}
 		}
 	}

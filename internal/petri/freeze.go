@@ -238,9 +238,9 @@ func (s *MarkingStore) EnableFreeze(cfg FreezeConfig) error {
 // EnableFreeze ignores the call entirely.
 //
 // Callers must only freeze CLOSED states — states whose outgoing edges
-// are fully recorded and that no hot loop still holds an arena view
-// of. Old views stay valid (the hot arena is compacted by copy, never
-// mutated in place), but every later At of a frozen id pays the
+// are fully recorded and that no hot loop still holds a page view of.
+// Old views stay valid (a token page wholly below the new boundary is
+// released, never mutated), but every later At of a frozen id pays the
 // reconstruction walk.
 func (s *MarkingStore) FreezeThrough(end int, prov func(MarkID) FreezeProv) error {
 	fz := s.frozen
@@ -256,8 +256,6 @@ func (s *MarkingStore) FreezeThrough(end int, prov func(MarkID) FreezeProv) erro
 	buf := fz.wbuf[:0]
 	for id := s.frozenEnd; id < end; id++ {
 		fz.offs = append(fz.offs, fz.size+int64(len(buf)))
-		i := (id - s.frozenEnd) * s.places
-		vec := s.tokens[i : i+s.places]
 		p := prov(MarkID(id))
 		if p.Parent != NoMark && int(p.Parent) < id && int(p.Trans) < len(fz.deltas) {
 			buf = append(buf, frozenDelta)
@@ -266,7 +264,7 @@ func (s *MarkingStore) FreezeThrough(end int, prov func(MarkID) FreezeProv) erro
 			continue
 		}
 		buf = append(buf, frozenVerbatim)
-		for _, v := range vec {
+		for _, v := range s.hot(id) {
 			buf = binary.AppendUvarint(buf, uint64(v))
 		}
 	}
@@ -277,14 +275,13 @@ func (s *MarkingStore) FreezeThrough(end int, prov func(MarkID) FreezeProv) erro
 	}
 	fz.size += int64(len(buf))
 	fz.wbuf = buf[:0]
-	// Compact the hot arena: copy the unfrozen tail into a fresh
-	// backing array. Outstanding views into the old array stay valid —
-	// its contents never change — and the old array is collected once
-	// the last view is dropped.
-	tail := s.tokens[(end-s.frozenEnd)*s.places:]
-	nt := make([]int, len(tail))
-	copy(nt, tail)
-	s.tokens = nt
+	// Release every token page wholly below the new boundary; a page
+	// that still holds hot ids stays until a later call frees it.
+	// Outstanding views into a released page stay valid — its contents
+	// never change — and the page is collected once the last view is
+	// dropped.
+	endPage, _ := s.pageOf(end)
+	clear(s.pages[:endPage])
 	s.frozenEnd = end
 	fz.end = end
 	fz.remap()
@@ -372,8 +369,7 @@ func (fz *frozenTier) thaw(s *MarkingStore, id MarkID) Marking {
 	cur := id
 	for {
 		if int(cur) >= fz.end {
-			i := (int(cur) - s.frozenEnd) * s.places
-			base = Marking(s.tokens[i : i+s.places : i+s.places])
+			base = s.hot(int(cur))
 			break
 		}
 		if v, ok := fz.cache[cur]; ok {

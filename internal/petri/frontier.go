@@ -7,25 +7,29 @@ import "sync"
 // whose serial form interleaves three jobs per edge: fire the
 // transition, deduplicate the successor marking, and record the edge
 // under a deterministic state numbering. RunFrontier splits one BFS
-// level into three phases so the first two scale with cores while the
-// numbering stays byte-identical to the serial loop:
+// level into two phases so the expensive part scales with cores while
+// the numbering stays byte-identical to the serial loop:
 //
 //	A (parallel over frontier chunks): fire + prune + hash each
-//	  successor into per-worker candidate buffers, bucketed by the
-//	  shard its hash routes to;
-//	B (parallel over shards): deduplicate each shard's candidates by
-//	  interning into a ShardedStore — each shard is touched by exactly
-//	  one goroutine, so no locks are taken;
+//	  successor and probe the store read-only (LookupHashed). A hit —
+//	  a marking interned before this level — is buffered as its bare
+//	  MarkID; only a miss buffers its token vector, in the worker's
+//	  candidate arena. Nothing is interned, so every worker reads the
+//	  same store state.
 //	C (sequential, cheap): walk the candidates in (parent, emit) order
 //	  — which IS the serial discovery order, because chunks are
-//	  contiguous — and assign dense global MarkIDs on first use of a
-//	  shard ref. Per edge this is a few array reads; the O(|marking|)
-//	  hashing and probing already happened in A and B.
+//	  contiguous — recording hits directly and resolving each miss with
+//	  lookup → Admit → InternHashed, so a marking reached several times
+//	  within the level gets its MarkID at first discovery. Per edge this
+//	  is a few array reads, plus one probe per miss; the O(|marking|)
+//	  firing and hashing already happened in A.
 //
-// Because phase C numbers states in first-discovery order regardless of
-// how phases A and B were chunked, the resulting MarkIDs, edges and
-// everything derived from them are identical for every worker count,
-// including the plain serial loop.
+// The store itself is the only dedup structure: RunFrontier keeps no
+// second copy of any vector beyond one level's misses. Because phase C
+// numbers states in first-discovery order regardless of how phase A
+// was chunked, the resulting MarkIDs, edges and everything derived from
+// them are identical for every worker count, including the plain serial
+// loop.
 
 // MergeHooks are the sequential hooks of a frontier exploration: they
 // run in the deterministic phase-C merge order regardless of how the
@@ -120,75 +124,44 @@ type FrontierRunner interface {
 	RunFrontier(n *Net, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error)
 }
 
-// frontierCand is one edge attempt buffered between phases.
+// frontierCand is one edge attempt buffered between phases A and C.
 type frontierCand struct {
 	parent uint32
 	trans  int32
-	shard  int32 // -1: vetoed by Expand (nil child)
-	local  MarkID
-	off    int32 // child vector offset in the worker's arena
-	hash   uint64
+	child  MarkID // phase-A hit; NoMark for a miss or a veto
+	off    int32  // miss: child vector offset in the worker's arena; -1: vetoed by Expand
+	hash   uint64 // miss: HashMarking of the child
 }
 
 type frontierWorker struct {
-	cands   []frontierCand
-	vecs    []int
-	byShard [][]int32 // shard -> indexes into cands
+	cands []frontierCand
+	vecs  []int
 }
 
 // RunFrontier explores breadth-first from the states already interned
 // in store (the first frontier is [0, store.Len())), appending every
 // admitted successor to store under the deterministic numbering
 // described above. It returns false if a Reject hook aborted the run.
-// workers <= 1 still runs the phased pipeline on the calling goroutine,
-// with identical results.
+// workers <= 1 still runs the phased pipeline, with identical results.
 func RunFrontier(store *MarkingStore, workers int, hooks FrontierHooks) bool {
 	if workers < 1 {
 		workers = 1
 	}
-	nshards := NumFrontierShards(workers)
 	places := store.Places()
-	sh := NewShardedStore(places, nshards)
-	nshards = sh.NumShards()
-	// refGlobal[shard][local] is the global MarkID assigned to a shard
-	// entry, or NoMark while it has none (not yet reached phase C, or
-	// refused by Admit).
-	refGlobal := make([][]MarkID, nshards)
-	ws := make([]*frontierWorker, workers)
-	for i := range ws {
-		ws[i] = &frontierWorker{byShard: make([][]int32, nshards)}
-	}
-	// Seed the dedup store with the states already interned globally
-	// (the roots), so a cycle back to one is recognized rather than
-	// assigned a second MarkID.
-	for id := 0; id < store.Len(); id++ {
-		m := store.At(MarkID(id))
-		h := HashMarking(m)
-		sd := sh.ShardOf(h)
-		local, _ := sh.InternShard(sd, m, h)
-		for len(refGlobal[sd]) <= int(local) {
-			refGlobal[sd] = append(refGlobal[sd], NoMark)
-		}
-		refGlobal[sd][local] = MarkID(id)
-	}
+	ws := make([]frontierWorker, workers)
 
 	for levelStart := 0; levelStart < store.Len(); {
 		levelEnd := store.Len()
 		n := levelEnd - levelStart
-		act := workers
-		if act > n {
-			act = n
-		}
+		act := min(workers, n)
 
-		// Phase A: expand frontier chunks in parallel.
+		// Phase A: expand frontier chunks in parallel against the
+		// read-only store.
 		var wg sync.WaitGroup
 		for w := 0; w < act; w++ {
-			fw := ws[w]
+			fw := &ws[w]
 			fw.cands = fw.cands[:0]
 			fw.vecs = fw.vecs[:0]
-			for s := range fw.byShard {
-				fw.byShard[s] = fw.byShard[s][:0]
-			}
 			lo := levelStart + w*n/act
 			hi := levelStart + (w+1)*n/act
 			wg.Add(1)
@@ -196,51 +169,23 @@ func RunFrontier(store *MarkingStore, workers int, hooks FrontierHooks) bool {
 				defer wg.Done()
 				parent := uint32(0)
 				emit := func(trans int32, child Marking) {
-					if child == nil {
-						fw.cands = append(fw.cands, frontierCand{parent: parent, trans: trans, shard: -1})
-						return
+					c := frontierCand{parent: parent, trans: trans, child: NoMark, off: -1}
+					if child != nil {
+						h := HashMarking(child)
+						if id, ok := store.LookupHashed(child, h); ok {
+							c.child = id
+						} else {
+							c.off, c.hash = int32(len(fw.vecs)), h
+							fw.vecs = append(fw.vecs, child...)
+						}
 					}
-					h := HashMarking(child)
-					sd := sh.ShardOf(h)
-					fw.byShard[sd] = append(fw.byShard[sd], int32(len(fw.cands)))
-					fw.cands = append(fw.cands, frontierCand{
-						parent: parent, trans: trans, shard: int32(sd),
-						off: int32(len(fw.vecs)), hash: h,
-					})
-					fw.vecs = append(fw.vecs, child...)
+					fw.cands = append(fw.cands, c)
 				}
 				for id := lo; id < hi; id++ {
 					parent = uint32(id)
 					hooks.Expand(w, MarkID(id), store.At(MarkID(id)), emit)
 				}
 			}(w, lo, hi, fw)
-		}
-		wg.Wait()
-
-		// Phase B: deduplicate per shard in parallel; shard s is owned
-		// by goroutine s%act, so InternShard needs no lock. Chunks are
-		// walked in worker order so shard-local insertion order is
-		// deterministic for a fixed worker count (the global numbering
-		// below is deterministic for ANY worker count).
-		for w := 0; w < act; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := uint32(w); int(s) < nshards; s += uint32(act) {
-					for _, fw := range ws[:act] {
-						for _, ci := range fw.byShard[s] {
-							c := &fw.cands[ci]
-							v := Marking(fw.vecs[c.off : int(c.off)+places])
-							c.local, _ = sh.InternShard(s, v, c.hash)
-						}
-					}
-					if grown := sh.ShardLen(s); grown > len(refGlobal[s]) {
-						for len(refGlobal[s]) < grown {
-							refGlobal[s] = append(refGlobal[s], NoMark)
-						}
-					}
-				}
-			}(w)
 		}
 		wg.Wait()
 
@@ -255,30 +200,34 @@ func RunFrontier(store *MarkingStore, workers int, hooks FrontierHooks) bool {
 				hooks.BeginState(next)
 			}
 		}
-		for _, fw := range ws[:act] {
+		for w := range ws[:act] {
+			fw := &ws[w]
 			for i := range fw.cands {
 				c := &fw.cands[i]
-				begin(MarkID(c.parent))
-				if c.shard < 0 {
-					if !hooks.Reject(MarkID(c.parent), c.trans, false) {
+				parent := MarkID(c.parent)
+				begin(parent)
+				switch {
+				case c.child != NoMark:
+					hooks.Edge(parent, c.trans, c.child, false)
+				case c.off < 0:
+					if !hooks.Reject(parent, c.trans, false) {
 						return false
 					}
-					continue
-				}
-				g := refGlobal[c.shard][c.local]
-				if g == NoMark {
+				default:
+					v := Marking(fw.vecs[c.off : int(c.off)+places])
+					if g, ok := store.LookupHashed(v, c.hash); ok {
+						hooks.Edge(parent, c.trans, g, false)
+						continue
+					}
 					if hooks.Admit != nil && !hooks.Admit() {
-						if !hooks.Reject(MarkID(c.parent), c.trans, true) {
+						if !hooks.Reject(parent, c.trans, true) {
 							return false
 						}
 						continue
 					}
-					g, _ = store.InternHashed(fw.vecs[c.off:int(c.off)+places], c.hash)
-					refGlobal[c.shard][c.local] = g
-					hooks.Edge(MarkID(c.parent), c.trans, g, true)
-					continue
+					g, _ := store.InternHashed(v, c.hash)
+					hooks.Edge(parent, c.trans, g, true)
 				}
-				hooks.Edge(MarkID(c.parent), c.trans, g, false)
 			}
 		}
 		begin(MarkID(levelEnd - 1))

@@ -1,6 +1,9 @@
 package petri
 
-import "iter"
+import (
+	"iter"
+	"math/bits"
+)
 
 // Hash-consed marking storage. Every hot loop of the scheduler — the
 // marking-graph engine, the EP/EP_ECS tree searches and the bounded
@@ -12,6 +15,13 @@ import "iter"
 // FNV-1a hash over the token vector and an open-addressing table, so
 // identity checks collapse to integer compares and lookups never
 // allocate.
+//
+// Token vectors live in fixed pages that are allocated once and never
+// moved or rewritten: each marking's tokens are copied in exactly once,
+// at intern, and every At view points straight into its page. Page
+// sizes double from a small first page up to a fixed byte cap, so a
+// 100-state search stays small and a large exploration allocates each
+// token byte about once.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -40,15 +50,26 @@ const (
 // search, so the concurrent per-source searches of the PR-1 worker pool
 // never contend on one.
 type MarkingStore struct {
-	places    int
-	tokens    []int    // hot arena; id occupies tokens[(id-frozenEnd)*places:...] for id >= frozenEnd
-	hashes    []uint64 // hash per interned marking, reused on growth; never frozen
-	table     []uint32 // open addressing, entry = id+1, 0 = empty; never frozen
-	mask      uint32
-	aliased   bool        // two distinct interned markings share a 64-bit hash
-	frozenEnd int         // ids [0, frozenEnd) live in the frozen tier, not the arena
-	frozen    *frozenTier // nil until EnableFreeze (see freeze.go)
+	places int
+	// pages hold the token vectors of hot ids (see pageOf for the
+	// layout); a page wholly below frozenEnd is released to nil.
+	pages      [][]int
+	firstShift uint     // page 0 holds 1<<firstShift markings
+	capShift   uint     // pages stop doubling at 1<<capShift markings
+	hashes     []uint64 // hash per interned marking, reused on growth; never frozen
+	table      []uint32 // open addressing, entry = id+1, 0 = empty; never frozen
+	mask       uint32
+	aliased    bool        // two distinct interned markings share a 64-bit hash
+	frozenEnd  int         // ids [0, frozenEnd) live in the frozen tier, not the pages
+	frozen     *frozenTier // nil until EnableFreeze (see freeze.go)
 }
+
+// Page geometry: the first page holds up to 1<<firstPageShift markings
+// and later pages double until one would exceed pageCapBytes.
+const (
+	firstPageShift = 6
+	pageCapBytes   = 64 << 10
+)
 
 // NewMarkingStore returns an empty store for markings over the given
 // number of places.
@@ -62,11 +83,48 @@ func newMarkingStoreCap(places, tableSize int) *MarkingStore {
 	if tableSize < 2 || tableSize&(tableSize-1) != 0 {
 		panic("petri: marking store table size must be a power of two >= 2")
 	}
-	return &MarkingStore{
-		places: places,
-		table:  make([]uint32, tableSize),
-		mask:   uint32(tableSize - 1),
+	capShift := uint(0)
+	for (2<<capShift)*max(places, 1)*8 <= pageCapBytes {
+		capShift++
 	}
+	return &MarkingStore{
+		places:     places,
+		firstShift: min(firstPageShift, capShift),
+		capShift:   capShift,
+		table:      make([]uint32, tableSize),
+		mask:       uint32(tableSize - 1),
+	}
+}
+
+// pageOf maps an id to its token page and its marking offset within
+// that page. Page 0 holds ids [0, F) with F = 1<<firstShift; page k >= 1
+// starts at id F<<(k-1) and holds as many ids as precede it, until
+// pages reach C = 1<<capShift ids; from id C on every page holds C ids.
+// Both branches are a few shifts, so At stays O(1).
+func (s *MarkingStore) pageOf(id int) (page, off int) {
+	if id < 1<<s.capShift {
+		page = bits.Len(uint(id >> s.firstShift))
+		if page == 0 {
+			return 0, id
+		}
+		return page, id - 1<<(s.firstShift+uint(page)-1)
+	}
+	return int(s.capShift-s.firstShift) + id>>s.capShift, id & (1<<s.capShift - 1)
+}
+
+// pageLen returns the number of markings page k holds.
+func (s *MarkingStore) pageLen(k int) int {
+	if k == 0 {
+		return 1 << s.firstShift
+	}
+	return 1 << min(s.firstShift+uint(k)-1, s.capShift)
+}
+
+// hot returns the page view of an id at or above frozenEnd.
+func (s *MarkingStore) hot(id int) Marking {
+	page, off := s.pageOf(id)
+	i := off * s.places
+	return Marking(s.pages[page][i : i+s.places : i+s.places])
 }
 
 // Len returns the number of distinct markings interned.
@@ -76,18 +134,18 @@ func (s *MarkingStore) Len() int { return len(s.hashes) }
 func (s *MarkingStore) Places() int { return s.places }
 
 // At returns the interned marking as a read-only view: callers must not
-// mutate it. Hot ids resolve to a view into the store's arena; frozen
-// ids (below FrozenLen) are reconstructed on demand from the delta
-// segment, memoized by the tier's thaw cache. Either way the view stays
-// valid across later Intern and FreezeThrough calls — growth and
-// freezing retire backing arrays but never mutate retired contents — so
-// it is safe to hold one across further interning.
+// mutate it. Hot ids resolve to a view into the marking's token page;
+// frozen ids (below FrozenLen) are reconstructed on demand from the
+// delta segment, memoized by the tier's thaw cache. Either way the view
+// stays valid across later Intern and FreezeThrough calls — a page is
+// never written again after its markings are interned, and freezing
+// only drops the store's reference to it — so it is safe to hold one
+// across further interning.
 func (s *MarkingStore) At(id MarkID) Marking {
-	i := (int(id) - s.frozenEnd) * s.places
-	if i < 0 {
+	if int(id) < s.frozenEnd {
 		return s.frozen.thaw(s, id)
 	}
-	return Marking(s.tokens[i : i+s.places : i+s.places])
+	return s.hot(int(id))
 }
 
 // HashMarking is FNV-1a folded over the token words — the hash every
@@ -188,7 +246,11 @@ func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 		}
 	}
 	id := MarkID(len(s.hashes))
-	s.tokens = append(s.tokens, m...)
+	page, off := s.pageOf(int(id))
+	if off == 0 {
+		s.pages = append(s.pages, make([]int, s.pageLen(page)*s.places))
+	}
+	copy(s.pages[page][off*s.places:], m)
 	s.hashes = append(s.hashes, h)
 	s.table[slot] = uint32(id) + 1
 	if len(s.hashes)*4 >= len(s.table)*3 {
@@ -198,10 +260,15 @@ func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 }
 
 // grow doubles the table and reinserts every id using the stored
-// hashes; the arena is untouched.
+// hashes; the token pages are untouched. The hash array is reserved up
+// to the new table's load limit here, so it is reallocated once per
+// doubling instead of regrowing on append.
 func (s *MarkingStore) grow() {
 	nt := make([]uint32, len(s.table)*2)
 	mask := uint32(len(nt) - 1)
+	if limit := len(nt) / 4 * 3; cap(s.hashes) < limit {
+		s.hashes = append(make([]uint64, 0, limit), s.hashes...)
+	}
 	for id, h := range s.hashes {
 		slot := uint32(h) & mask
 		for nt[slot] != 0 {
@@ -225,17 +292,6 @@ func (s *MarkingStore) All() iter.Seq2[MarkID, Marking] {
 	}
 }
 
-// MemBytes estimates the store's resident memory footprint: hot arena,
-// hash, table and frozen-offset backing arrays at their capacities.
-// Diagnostics only — gates and cross-process comparison use Mem.
-func (s *MarkingStore) MemBytes() int {
-	n := cap(s.tokens)*8 + cap(s.hashes)*8 + cap(s.table)*4
-	if s.frozen != nil {
-		n += cap(s.frozen.offs) * 8
-	}
-	return n
-}
-
 // Mem is THE store-memory accounting: exact live byte counts at slice
 // lengths, independent of append growth policy. Both figures are pure
 // functions of the interned marking sequence and the frozen boundary,
@@ -246,7 +302,7 @@ func (s *MarkingStore) MemBytes() int {
 // stats) derives from this one method.
 func (s *MarkingStore) Mem() StoreMem {
 	m := StoreMem{
-		HotBytes: int64(len(s.tokens))*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4,
+		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4,
 	}
 	if s.frozen != nil {
 		m.HotBytes += int64(len(s.frozen.offs)) * 8

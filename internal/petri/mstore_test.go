@@ -2,6 +2,7 @@ package petri
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -101,6 +102,80 @@ func TestMarkingStoreViewStability(t *testing.T) {
 	}
 	if !s.At(id).Equal(first) {
 		t.Fatalf("At(%d) corrupted after growth: %v", id, s.At(id))
+	}
+}
+
+// TestMarkingStorePages: the page layout tiles the id space without
+// gaps or overlaps for narrow, typical and wider-than-a-page markings,
+// no page exceeds the byte cap unless one marking does, and every
+// marking round-trips across page boundaries.
+func TestMarkingStorePages(t *testing.T) {
+	for _, places := range []int{1, 7, 60, pageCapBytes/8 + 1} {
+		s := NewMarkingStore(places)
+		count := 3000
+		if places > 1000 {
+			count = 40 // one marking per page; keep the test small
+		}
+		prevPage, prevOff := 0, -1
+		for id := 0; id < count; id++ {
+			page, off := s.pageOf(id)
+			switch {
+			case page == prevPage && off == prevOff+1:
+			case page == prevPage+1 && off == 0 && prevOff+1 == s.pageLen(prevPage):
+			default:
+				t.Fatalf("places=%d: id %d at (%d, %d) does not follow (%d, %d) (page len %d)",
+					places, id, page, off, prevPage, prevOff, s.pageLen(prevPage))
+			}
+			if bytes := s.pageLen(page) * places * 8; bytes > max(pageCapBytes, places*8) {
+				t.Fatalf("places=%d: page %d is %d bytes", places, page, bytes)
+			}
+			prevPage, prevOff = page, off
+			m := make(Marking, places)
+			for j := range m {
+				m[j] = id
+			}
+			if got, isNew := s.Intern(m); !isNew || int(got) != id {
+				t.Fatalf("places=%d: intern %d = (%d, %v)", places, id, got, isNew)
+			}
+		}
+		for id := 0; id < count; id++ {
+			m := s.At(MarkID(id))
+			if len(m) != places || cap(m) != places || m[0] != id || m[places-1] != id {
+				t.Fatalf("places=%d: At(%d) = len %d cap %d [%d ... %d]", places, id, len(m), cap(m), m[0], m[places-1])
+			}
+		}
+	}
+}
+
+// TestMarkingStoreInternBytes: interning copies each token vector once
+// into pages that never regrow, and the hash array grows with the probe
+// table, so a fresh store interning every marking of a 32,768-state
+// ring net allocates at most 1.5x its exact final Mem().HotBytes (an
+// arena regrown by append allocates about 5x).
+func TestMarkingStoreInternBytes(t *testing.T) {
+	r := ringsNet(3, 32).Explore(ExploreOptions{MaxMarkings: 1 << 16})
+	if r.Len() != 32*32*32 || r.Truncated {
+		t.Fatalf("ring net explored %d states (truncated=%v)", r.Len(), r.Truncated)
+	}
+	ms := make([]Marking, 0, r.Len())
+	for _, m := range r.Store.All() {
+		ms = append(ms, m)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewMarkingStore(r.Store.Places())
+	for _, m := range ms {
+		s.Intern(m)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	hot := s.Mem().HotBytes
+	t.Logf("interned %d markings: allocated %dB for %dB hot (%.2fx)", s.Len(), alloc, hot, float64(alloc)/float64(hot))
+	if s.Len() != len(ms) {
+		t.Fatalf("store holds %d of %d markings", s.Len(), len(ms))
+	}
+	if float64(alloc) > 1.5*float64(hot) {
+		t.Fatalf("interning allocated %dB, more than 1.5x the store's %d hot bytes", alloc, hot)
 	}
 }
 

@@ -11,13 +11,15 @@
 //
 // The exploration substrate shared by the reachability utilities and
 // the scheduler's engines also lives here: MarkingStore hash-conses
-// markings behind dense MarkIDs, EnabledTracker maintains per-marking
+// markings behind dense MarkIDs, holding each explored marking's tokens
+// once in pages that never move; EnabledTracker maintains per-marking
 // enabled-ECS bitsets incrementally (firing a transition re-evaluates
 // only the ECSs whose presets intersect the places whose counts
-// changed), and RunFrontier + ShardedStore implement the
-// level-synchronous parallel frontier — the frontier half of the
-// two-level (sources x frontier) parallelism model — with state
-// numbering byte-identical to the serial loops for every worker count.
+// changed); and RunFrontier implements the level-synchronous parallel
+// frontier — the frontier half of the two-level (sources x frontier)
+// parallelism model — deduplicating straight into the caller's store,
+// with state numbering byte-identical to the serial loops for every
+// worker count.
 package petri
 
 import (

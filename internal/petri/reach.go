@@ -102,6 +102,7 @@ func (n *Net) Explore(opt ExploreOptions) *ReachResult {
 	} else {
 		e.exploreSerial()
 	}
+	e.closeRow()
 	return e.res
 }
 
@@ -135,6 +136,7 @@ func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, e
 			e.exploreSerial()
 		}
 	}
+	e.closeRow()
 	return e.res, nil
 }
 
@@ -144,7 +146,7 @@ func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, e
 func newReachExplorer(n *Net, opt ExploreOptions) *reachExplorer {
 	part := n.ECSPartition()
 	tr := NewEnabledTracker(n, part)
-	e := &reachExplorer{net: n, opt: opt, part: part, tracker: tr, stride: tr.Stride()}
+	e := &reachExplorer{net: n, opt: opt, part: part, tracker: tr, stride: tr.Stride(), rowOpen: NoMark}
 	e.res = &ReachResult{Store: NewMarkingStore(len(n.Places))}
 	m0 := n.InitialMarking()
 	e.res.Store.Intern(m0)
@@ -183,6 +185,51 @@ type reachExplorer struct {
 	// fwin buffers per-state provenance for FreezeThrough when
 	// Options.FreezeLevels is active; nil otherwise.
 	fwin *FreezeWindow
+	// Edges rows are carved out of chunked arenas (see addEdge): the
+	// open row of state rowOpen is edgeChunk[rowLo:].
+	edgeChunk []ReachEdge
+	rowLo     int
+	rowOpen   MarkID
+}
+
+// Edge arena chunks start at edgeChunkMin edges and double up to
+// edgeChunkMax (64 KiB of edges).
+const (
+	edgeChunkMin = 64
+	edgeChunkMax = 4096
+)
+
+// addEdge appends one edge to parent's Edges row without a per-state
+// allocation: rows are capped subslices (a[lo:hi:hi]) of chunked edge
+// arenas, so a caller appending to a row copies instead of overwriting
+// a neighbour. Edges arrive grouped by parent in ascending order — the
+// serial loop and the phase-C merge both walk states that way — so a
+// row closes when the parent changes, and closeRow closes the last one
+// once the exploration ends.
+func (e *reachExplorer) addEdge(parent MarkID, edge ReachEdge) {
+	if parent != e.rowOpen {
+		e.closeRow()
+		e.rowOpen, e.rowLo = parent, len(e.edgeChunk)
+	}
+	if len(e.edgeChunk) == cap(e.edgeChunk) {
+		// Move the open row to a fresh chunk; closed rows keep their
+		// views into the old one.
+		row := e.edgeChunk[e.rowLo:]
+		size := min(max(2*cap(e.edgeChunk), edgeChunkMin), edgeChunkMax)
+		e.edgeChunk = append(make([]ReachEdge, 0, max(size, 2*len(row))), row...)
+		e.rowLo = 0
+	}
+	e.edgeChunk = append(e.edgeChunk, edge)
+}
+
+// closeRow publishes the open row into ReachResult.Edges.
+func (e *reachExplorer) closeRow() {
+	if e.rowOpen == NoMark {
+		return
+	}
+	hi := len(e.edgeChunk)
+	e.res.Edges[e.rowOpen] = e.edgeChunk[e.rowLo:hi:hi]
+	e.rowOpen = NoMark
 }
 
 // freezeTo evicts states below end into the store's frozen tier and
@@ -275,7 +322,7 @@ func (e *reachExplorer) exploreSerial() {
 					id, _ = e.res.Store.Intern(scratch)
 					e.admitState(qi, tid, scratch)
 				}
-				e.res.Edges[qi] = append(e.res.Edges[qi], ReachEdge{Trans: tid, To: id})
+				e.addEdge(qi, ReachEdge{Trans: tid, To: id})
 			}
 		})
 	}
@@ -327,7 +374,7 @@ func (e *reachExplorer) mergeHooks() MergeHooks {
 			if isNew {
 				e.admitState(parent, int(trans), e.res.Store.At(child))
 			}
-			e.res.Edges[parent] = append(e.res.Edges[parent], ReachEdge{Trans: int(trans), To: child})
+			e.addEdge(parent, ReachEdge{Trans: int(trans), To: child})
 		},
 		Reject: func(parent MarkID, trans int32, budget bool) bool {
 			e.res.Truncated = true
@@ -339,11 +386,7 @@ func (e *reachExplorer) mergeHooks() MergeHooks {
 }
 
 // levelClosed returns the level-commit freeze hook, or nil when
-// freezing is off (so runners skip the call entirely). Note the
-// in-process RunFrontier path additionally keeps every vector hot in
-// its ShardedStore dedup structure for the run's duration, so its
-// savings are partial; the serial and distributed paths get the full
-// effect.
+// freezing is off (so runners skip the call entirely).
 func (e *reachExplorer) levelClosed() func(int) {
 	if e.fwin == nil {
 		return nil
