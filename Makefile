@@ -9,17 +9,20 @@
 #                      race test suite; this target is the CI job's
 #                      entry point and a focused local repro command)
 #   make dist-memory — the trimmed-replica memory gate: per-worker
-#                      store bytes <= 0.75x the full-replica baseline
-#                      at 2 workers, plus the ~1/N scaling curve
-#                      (exact live byte counts, machine-independent)
+#                      store bytes at 2 workers <= 0.75x the replica
+#                      of a single worker holding every state, plus
+#                      the ~1/N scaling curve (exact live byte counts,
+#                      machine-independent)
 #   make store-frozen— the frozen store tier gate: the 161k-state
 #                      ExploreLarge net byte-identical with closed
 #                      levels frozen to on-disk delta segments, exact
 #                      machine-independent hot-byte accounting with
 #                      hot residency <= 0.35x the all-hot store, plus
 #                      the freeze/thaw unit and determinism suite
-#   make dist-chaos  — the seeded fault-injection matrix: heartbeat
-#                      death detection, kill/sever/delay faults over
+#   make dist-chaos  — the hello handshake (pid round trip, refusal of
+#                      another protocol version) and the seeded
+#                      fault-injection matrix: heartbeat death
+#                      detection, kill/sever/delay faults over
 #                      pipe pools, and a real spawned worker SIGKILLed
 #                      mid-session with respawn + msgRestore recovery —
 #                      all asserting byte-identical output vs serial.
@@ -70,7 +73,7 @@ store-frozen:
 	$(GO) test -race -count=1 -v -run 'TestTokenDeltas|TestFreeze|TestExploreFreezeLevelsDeterminism' ./internal/petri
 
 dist-chaos:
-	$(GO) test -race -count=1 -v -run 'TestHelloPidRoundTrip|TestHeartbeatTimeout|TestChaosPipeMatrix|TestChaosSpawnedKill' ./internal/dist
+	$(GO) test -race -count=1 -v -run 'TestHelloPidRoundTrip|TestHelloVersionMismatch|TestHeartbeatTimeout|TestChaosPipeMatrix|TestChaosSpawnedKill' ./internal/dist
 
 server-smoke:
 	$(GO) test -count=1 -v -run 'TestServerSmoke' ./cmd/qss-server
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/flowc
 	$(GO) test -run='^$$' -fuzz=FuzzExplore -fuzztime=$(FUZZTIME) ./internal/petri
 	$(GO) test -run='^$$' -fuzz=FuzzPNMLParse -fuzztime=$(FUZZTIME) ./internal/pnml
+	$(GO) test -run='^$$' -fuzz=FuzzDistFrames -fuzztime=$(FUZZTIME) ./internal/dist
 
 coverage:
 	$(GO) test -race -coverprofile=coverage.out ./...

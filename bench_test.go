@@ -296,14 +296,15 @@ func BenchmarkExploreLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreDist documents the per-level protocol overhead of
-// cross-process exploration: the same reachability construction as
+// BenchmarkExploreDist documents the session overhead of cross-process
+// exploration: the same reachability construction as
 // BenchmarkExploreLarge (on a smaller 4^4-ring product space so the
 // one-shot CI run stays quick) through internal/dist worker processes
-// at 1 and 2 local workers. Each iteration is a full session — init
-// broadcast, one delta/candidate round trip per BFS level, sequential
-// merge — so ns/op versus the serial variant is precisely the protocol
-// cost; the per-level byte traffic is reported as metrics. Workers are
+// at 1 and 2 local workers. Each iteration is a full session — init,
+// record batches and level commits streamed to the workers, their
+// candidate chunks merged as they arrive — so ns/op versus the serial
+// variant is precisely the protocol cost; the per-level byte traffic
+// is reported as metrics. Workers are
 // spawned once per sub-benchmark (process startup is deployment cost,
 // not per-exploration cost). Results are byte-identical to serial by
 // construction (pinned by the dist determinism matrix), which the loop
@@ -354,82 +355,19 @@ func BenchmarkExploreDist(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreDistTrimmed is the beyond-RAM claim measured: the
-// full 161k-state ExploreLarge reachability construction through
-// trimmed-replica worker processes at 1 and 2 workers. Alongside
-// timing, each sub-benchmark reports the largest worker's replica
-// footprint (store arena + enabled-set bits, exact live bytes) and its
-// end-of-session Go heap: store bytes must scale ~1/N with the worker
-// count — the memory-model property the dist-memory CI gate pins at a
-// strict 0.75x ratio on a smaller net. The boundary-parent cache is
-// reported too; it is bounded by construction and does not grow with
-// the state space.
-func BenchmarkExploreDistTrimmed(b *testing.B) {
-	const pipes, stages = 5, 11
-	want := 1
-	for i := 0; i < pipes; i++ {
-		want *= stages
-	}
-	opt := petri.ExploreOptions{MaxMarkings: want + 1}
-	for _, procs := range []int{1, 2} {
-		b.Run(fmt.Sprintf("procs-%d", procs), func(b *testing.B) {
-			b.ReportAllocs()
-			pool, err := dist.SpawnLocal(procs)
-			if err != nil {
-				b.Fatalf("spawn %d workers: %v", procs, err)
-			}
-			defer pool.Close()
-			n := exploreLargeNet(pipes, stages)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := n.ExploreDist(pool, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Len() != want || r.Truncated {
-					b.Fatalf("explored %d markings (truncated=%v), want %d", r.Len(), r.Truncated, want)
-				}
-			}
-			b.StopTimer()
-			st := pool.LastSessionStats()
-			if !st.Trimmed {
-				b.Fatal("session did not run trimmed replicas")
-			}
-			var storeMax, heapMax, cacheMax int64
-			held := 0
-			for _, wm := range st.Workers {
-				if v := wm.StoreBytes + wm.BitsBytes; v > storeMax {
-					storeMax = v
-				}
-				if wm.HeapBytes > heapMax {
-					heapMax = wm.HeapBytes
-				}
-				if wm.CacheBytes > cacheMax {
-					cacheMax = wm.CacheBytes
-				}
-				held += wm.States
-			}
-			if held != want {
-				b.Fatalf("workers hold %d states in total, want %d", held, want)
-			}
-			b.ReportMetric(float64(storeMax), "workerStoreB")
-			b.ReportMetric(float64(cacheMax), "workerCacheB")
-			b.ReportMetric(float64(heapMax), "workerHeapB")
-			if st.Levels > 0 {
-				b.ReportMetric(float64(st.BytesSent)/float64(st.Levels), "sentB/level")
-			}
-		})
-	}
-}
-
-// BenchmarkExploreDistPipelined measures the protocol-3 pipelined
-// session on the full 161k-state net at 1, 2 and 4 workers: the
-// streaming merge consumes each worker's chunks as they arrive, record
-// batches overlap the next level's expansion with the current level's
-// merge tail, and candNew candidates resolve by shipped hash. Reported
+// BenchmarkExploreDistPipelined measures the dist session on the full
+// 161k-state ExploreLarge net at 1, 2 and 4 workers: the streaming
+// merge consumes each worker's chunks as they arrive, record batches
+// overlap the next level's expansion with the current level's merge
+// tail, and candNew candidates resolve by shipped hash. Reported
 // alongside timing: coordinator fires per session (must equal the
 // states materialized — the no-refire property the unit tests pin),
-// candNew count, chunk count and receive bytes per level.
+// candNew count, chunk count and bytes per level; and the beyond-RAM
+// claim — the largest worker's replica footprint (store + enabled-set
+// bits, exact live bytes), its boundary-parent cache and its
+// end-of-session Go heap. Store bytes must scale ~1/N with the worker
+// count, the property the dist-memory CI gate pins at a strict 0.75x
+// ratio on a smaller net; the cache is bounded by construction.
 func BenchmarkExploreDistPipelined(b *testing.B) {
 	const pipes, stages = 5, 11
 	want := 1
@@ -458,16 +396,34 @@ func BenchmarkExploreDistPipelined(b *testing.B) {
 			}
 			b.StopTimer()
 			st := pool.LastSessionStats()
-			if st.Proto < 3 {
-				b.Fatalf("session ran protocol %d, want the pipelined stream (>= 3)", st.Proto)
-			}
 			if st.CoordFires != int64(want-1) {
 				b.Fatalf("coordinator fired %d times, want one per interned state = %d", st.CoordFires, want-1)
+			}
+			var storeMax, heapMax, cacheMax int64
+			held := 0
+			for _, wm := range st.Workers {
+				if v := wm.StoreBytes + wm.BitsBytes; v > storeMax {
+					storeMax = v
+				}
+				if wm.HeapBytes > heapMax {
+					heapMax = wm.HeapBytes
+				}
+				if wm.CacheBytes > cacheMax {
+					cacheMax = wm.CacheBytes
+				}
+				held += wm.States
+			}
+			if held != want {
+				b.Fatalf("workers hold %d states in total, want %d", held, want)
 			}
 			b.ReportMetric(float64(st.CandNew), "candNew")
 			b.ReportMetric(float64(st.CoordFires), "coordFires")
 			b.ReportMetric(float64(st.Chunks), "chunks")
+			b.ReportMetric(float64(storeMax), "workerStoreB")
+			b.ReportMetric(float64(cacheMax), "workerCacheB")
+			b.ReportMetric(float64(heapMax), "workerHeapB")
 			if st.Levels > 0 {
+				b.ReportMetric(float64(st.BytesSent)/float64(st.Levels), "sentB/level")
 				b.ReportMetric(float64(st.BytesRecv)/float64(st.Levels), "recvB/level")
 			}
 		})

@@ -6,7 +6,7 @@
 //
 //	pfcbench [-fig20] [-table1] [-table2] [-all] [-frames N]
 //	         [-explore-workers N] [-dist-workers N] [-dist-endpoint ep]
-//	         [-dist-full-replicas] [-freeze-levels]
+//	         [-freeze-levels]
 //	         [-cpuprofile f] [-memprofile f]
 //	pfcbench -pnml net.pnml [-pnml ...] [-pnml-max-markings N]
 //	         [-pnml-max-tokens N] [exploration flags]
@@ -15,8 +15,7 @@
 // exploration; -dist-workers instead shards it across worker OS
 // processes (spawned locally, or awaited as external cmd/qssd
 // processes at -dist-endpoint), each holding only its owned hash
-// shards unless -dist-full-replicas restores the full-replica
-// fallback. -freeze-levels moves closed exploration levels to on-disk
+// shards. -freeze-levels moves closed exploration levels to on-disk
 // delta segments (locally and in spawned workers). Results are
 // byte-identical for every value of any of them. -cpuprofile/-memprofile write pprof profiles, so
 // perf regressions can be diagnosed without editing source.
@@ -70,16 +69,15 @@ func (m *multiFlag) Set(v string) error {
 // records which flags the user actually set (from flag.Visit) so mode
 // conflicts distinguish "passed -frames" from "-frames at its default".
 type benchFlags struct {
-	frames           int
-	exploreWorkers   int
-	distWorkers      int
-	distEndpoint     string
-	distFullReplicas bool
-	anyOutput        bool
-	pnml             multiFlag
-	pnmlMaxMarkings  int
-	pnmlMaxTokens    int
-	explicit         map[string]bool
+	frames          int
+	exploreWorkers  int
+	distWorkers     int
+	distEndpoint    string
+	anyOutput       bool
+	pnml            multiFlag
+	pnmlMaxMarkings int
+	pnmlMaxTokens   int
+	explicit        map[string]bool
 }
 
 // evalFlags presuppose the synthesized PFC application and have no
@@ -98,8 +96,6 @@ func (f *benchFlags) validate() error {
 		return fmt.Errorf("-dist-endpoint requires -dist-workers >= 1 (how many workers to await)")
 	case f.distWorkers > 0 && f.exploreWorkers > 1:
 		return fmt.Errorf("-dist-workers and -explore-workers > 1 are contradictory: pick in-process or cross-process exploration")
-	case f.distFullReplicas && f.distWorkers == 0:
-		return fmt.Errorf("-dist-full-replicas requires -dist-workers >= 1 (it selects the worker replica mode)")
 	case f.pnmlMaxMarkings < 0:
 		return fmt.Errorf("-pnml-max-markings must be >= 0 (0 = the explorer's default), got %d", f.pnmlMaxMarkings)
 	case f.pnmlMaxTokens < 0:
@@ -134,7 +130,6 @@ func realMain() (code int) {
 	flag.IntVar(&bf.exploreWorkers, "explore-workers", 0, "goroutines for the schedule-search exploration (0 = auto budget)")
 	flag.IntVar(&bf.distWorkers, "dist-workers", 0, "worker OS processes sharding the exploration (0 = none)")
 	flag.StringVar(&bf.distEndpoint, "dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning")
-	flag.BoolVar(&bf.distFullReplicas, "dist-full-replicas", false, "fall back to full worker replicas instead of trimmed owned-shard ones")
 	freezeLevels := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -173,12 +168,11 @@ func realMain() (code int) {
 		return runPNML(&bf, *freezeLevels)
 	}
 	res, err := apps.SynthesizePFCWith(&core.Options{
-		ExploreWorkers:   bf.exploreWorkers,
-		DistWorkers:      bf.distWorkers,
-		DistEndpoint:     bf.distEndpoint,
-		DistFullReplicas: bf.distFullReplicas,
-		FreezeLevels:     *freezeLevels,
-		DisableCache:     true,
+		ExploreWorkers: bf.exploreWorkers,
+		DistWorkers:    bf.distWorkers,
+		DistEndpoint:   bf.distEndpoint,
+		FreezeLevels:   *freezeLevels,
+		DisableCache:   true,
 	})
 	if err != nil {
 		return fatal(err)
@@ -243,9 +237,6 @@ func runPNML(bf *benchFlags, freeze bool) int {
 			return fatal(err)
 		}
 		defer pool.Close()
-		if bf.distFullReplicas {
-			pool.SetFullReplicas(true)
-		}
 		opt.Dist = pool
 	}
 	code := 0

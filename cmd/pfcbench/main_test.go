@@ -15,14 +15,12 @@ func TestPFCBenchFlagValidation(t *testing.T) {
 		{name: "explore-workers", f: benchFlags{frames: 10, exploreWorkers: 8, anyOutput: true}},
 		{name: "dist", f: benchFlags{frames: 10, distWorkers: 2, anyOutput: true}},
 		{name: "dist-endpoint", f: benchFlags{frames: 1, distWorkers: 1, distEndpoint: "tcp:127.0.0.1:9000", anyOutput: true}},
-		{name: "dist-full-replicas", f: benchFlags{frames: 10, distWorkers: 2, distFullReplicas: true, anyOutput: true}},
 		{name: "no-output", f: benchFlags{frames: 10}, wantErr: true},
 		{name: "zero-frames", f: benchFlags{frames: 0, anyOutput: true}, wantErr: true},
 		{name: "negative-explore", f: benchFlags{frames: 10, exploreWorkers: -1, anyOutput: true}, wantErr: true},
 		{name: "negative-dist", f: benchFlags{frames: 10, distWorkers: -3, anyOutput: true}, wantErr: true},
 		{name: "endpoint-without-workers", f: benchFlags{frames: 10, distEndpoint: "unix:/tmp/q.sock", anyOutput: true}, wantErr: true},
 		{name: "both-strategies", f: benchFlags{frames: 10, distWorkers: 2, exploreWorkers: 4, anyOutput: true}, wantErr: true},
-		{name: "full-replicas-without-dist", f: benchFlags{frames: 10, distFullReplicas: true, anyOutput: true}, wantErr: true},
 
 		// -pnml mode: no evaluation output needed, exploration flags
 		// compose, evaluation flags are rejected when explicitly set.

@@ -10,7 +10,7 @@
 //	qss-server [-listen :9090] [-max-concurrent N] [-max-queue N]
 //	           [-max-nodes N] [-default-timeout 30s] [-max-timeout 2m]
 //	           [-drain-timeout 30s] [-dist-workers N]
-//	           [-dist-endpoint EP] [-dist-full-replicas] [-freeze-levels]
+//	           [-dist-endpoint EP] [-freeze-levels]
 //
 // Endpoints: POST /v1/synthesize (JSON in/out), GET /healthz
 // (liveness), GET /readyz (admission readiness; 503 while draining),
@@ -57,7 +57,6 @@ func realMain() int {
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
 		distWorkers    = flag.Int("dist-workers", 0, "spawn this many persistent local dist worker processes shared by all requests (0 = in-process exploration)")
 		distEndpoint   = flag.String("dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning (requires -dist-workers)")
-		distFull       = flag.Bool("dist-full-replicas", false, "run the dist pool with full worker replicas instead of trimmed owned-shard ones")
 		freezeLevels   = flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments (locally and in spawned workers)")
 	)
 	flag.Parse()
@@ -104,10 +103,7 @@ func realMain() int {
 			logger.Printf("qss-server: dist pool: %v", err)
 			return 1
 		}
-		if *distFull {
-			pool.SetFullReplicas(true)
-		}
-		logger.Printf("qss-server: dist pool ready (%d workers, full-replicas=%v)", pool.NumWorkers(), *distFull)
+		logger.Printf("qss-server: dist pool ready (%d workers)", pool.NumWorkers())
 		cfg.Pool = pool
 	}
 

@@ -18,9 +18,8 @@
 // across that many worker OS processes — spawned locally, or awaited
 // as external cmd/qssd processes at -dist-endpoint — over one shared
 // pool for the whole batch; results are byte-identical either way.
-// Workers hold only their owned hash shards by default (per-worker
-// memory ~1/N of the state space); -dist-full-replicas falls back to
-// full worker replicas rebuilt from delta broadcasts.
+// Workers hold only their owned hash shards (per-worker memory ~1/N
+// of the state space).
 // -freeze-levels moves closed exploration levels to on-disk delta
 // segments (and, with -dist-workers, arms the same tier in spawned
 // workers via QSS_DIST_FREEZE), trading thaw reads for a hot store
@@ -35,7 +34,7 @@
 // imported and explored — reachable states, deadlocks, place bounds
 // and a fingerprint for cross-configuration comparison — instead of
 // generating a corpus. The exploration flags (-explore-workers,
-// -dist-workers, -dist-endpoint, -dist-full-replicas, -freeze-levels)
+// -dist-workers, -dist-endpoint, -freeze-levels)
 // compose with -pnml exactly as they do with synthesis; corpus-shape
 // and synthesis flags do not and are rejected. -pnml-max-markings and
 // -pnml-max-tokens bound the exploration (imported nets may be
@@ -89,17 +88,16 @@ func (m *multiFlag) Set(v string) error {
 // explicit records which flags the user actually set (from flag.Visit)
 // so mode conflicts distinguish "passed -n" from "-n at its default".
 type batchFlags struct {
-	n                int
-	workers          int
-	exploreWorkers   int
-	distWorkers      int
-	distEndpoint     string
-	distFullReplicas bool
-	pnml             multiFlag
-	pnmlMaxMarkings  int
-	pnmlMaxTokens    int
-	emitPNML         string
-	explicit         map[string]bool
+	n               int
+	workers         int
+	exploreWorkers  int
+	distWorkers     int
+	distEndpoint    string
+	pnml            multiFlag
+	pnmlMaxMarkings int
+	pnmlMaxTokens   int
+	emitPNML        string
+	explicit        map[string]bool
 }
 
 // corpusOnlyFlags have no meaning when -pnml switches the command to
@@ -114,7 +112,7 @@ var corpusOnlyFlags = []string{
 // explores, so combining them is a mistake worth flagging.
 var exploreFlags = []string{
 	"compare", "explore-workers", "dist-workers", "dist-endpoint",
-	"dist-full-replicas", "freeze-levels",
+	"freeze-levels",
 }
 
 // validate rejects contradictory or out-of-range combinations with a
@@ -133,8 +131,6 @@ func (f *batchFlags) validate() error {
 		return fmt.Errorf("-dist-endpoint requires -dist-workers >= 1 (how many workers to await)")
 	case f.distWorkers > 0 && f.exploreWorkers > 1:
 		return fmt.Errorf("-dist-workers and -explore-workers > 1 are contradictory: pick in-process or cross-process exploration")
-	case f.distFullReplicas && f.distWorkers == 0:
-		return fmt.Errorf("-dist-full-replicas requires -dist-workers >= 1 (it selects the worker replica mode)")
 	case f.pnmlMaxMarkings < 0:
 		return fmt.Errorf("-pnml-max-markings must be >= 0 (0 = the explorer's default), got %d", f.pnmlMaxMarkings)
 	case f.pnmlMaxTokens < 0:
@@ -171,7 +167,6 @@ func realMain() (code int) {
 	flag.IntVar(&bf.exploreWorkers, "explore-workers", 1, "goroutines per schedule-search exploration (0 = auto budget)")
 	flag.IntVar(&bf.distWorkers, "dist-workers", 0, "worker OS processes sharding each exploration (0 = none)")
 	flag.StringVar(&bf.distEndpoint, "dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning")
-	flag.BoolVar(&bf.distFullReplicas, "dist-full-replicas", false, "fall back to full worker replicas instead of trimmed owned-shard ones")
 	freezeLevels := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	compare := flag.Bool("compare", false, "also run the serial baseline and report the speedup")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -269,9 +264,6 @@ func realMain() (code int) {
 			return 1
 		}
 		defer pool.Close()
-		if bf.distFullReplicas {
-			pool.SetFullReplicas(true)
-		}
 		copt.Dist = pool
 		bf.workers = 1
 	}
@@ -364,9 +356,6 @@ func runPNML(bf *batchFlags, freeze, verbose bool) int {
 			return 1
 		}
 		defer pool.Close()
-		if bf.distFullReplicas {
-			pool.SetFullReplicas(true)
-		}
 		opt.Dist = pool
 	}
 	code := 0

@@ -14,7 +14,6 @@ func TestBatchFlagValidation(t *testing.T) {
 		{distWorkers: 2},
 		{distWorkers: 2, exploreWorkers: 1},
 		{distWorkers: 3, distEndpoint: "unix:/tmp/x.sock"},
-		{distWorkers: 2, distFullReplicas: true},
 	}
 	for i, f := range valid {
 		if !ok(f) {
@@ -30,7 +29,6 @@ func TestBatchFlagValidation(t *testing.T) {
 		{distWorkers: 2, exploreWorkers: 4},        // two exploration strategies
 		{distWorkers: 1, exploreWorkers: 2, n: 10}, // ditto, with other flags set
 		{n: -5, workers: 3, distWorkers: 2, exploreWorkers: 0}, // first failure still reported
-		{distFullReplicas: true},                               // replica mode without a dist pool
 	}
 	for i, f := range invalid {
 		if ok(f) {

@@ -3,25 +3,22 @@
 // -dist-endpoint on cmd/qssbatch or cmd/pfcbench, or any caller of
 // core.Options.DistEndpoint), then serves exploration sessions —
 // holding the marking vectors and enabled sets of the hash shards it
-// owns (or, with -full-replicas, a full replica rebuilt from delta
-// batches) and expanding the frontier states in those shards — until
-// the coordinator closes the connection.
+// owns and expanding the frontier states in those shards — until the
+// coordinator closes the connection.
 //
 // Usage:
 //
 //	qssd -connect unix:/path/to.sock
 //	qssd -connect tcp:host:port [-timeout 30s] [-dial-attempts N]
-//	     [-full-replicas] [-freeze-levels]
+//	     [-freeze-levels]
 //
 // One qssd process is one worker; start as many as the coordinator was
-// told to await. -full-replicas advertises that this worker refuses
-// trimmed sessions: the coordinator falls back to full-replica mode
-// for the whole pool, trading this worker's memory for local successor
-// classification. -freeze-levels moves the vectors of committed levels
-// into an on-disk delta segment, so this worker's resident store cost
-// stops scaling with the marking width (protocol 3+ sessions only).
-// Determinism is the coordinator's job: any number of workers, in
-// either replica mode, frozen or all-hot, on any machines, produces
+// told to await. The worker must be built from the same tree as the
+// coordinator: a wire-protocol mismatch is refused at hello.
+// -freeze-levels moves the vectors of committed levels into an on-disk
+// delta segment, so this worker's resident store cost stops scaling
+// with the marking width. Determinism is the coordinator's job: any
+// number of workers, frozen or all-hot, on any machines, produces
 // byte-identical results.
 package main
 
@@ -42,8 +39,7 @@ func realMain() int {
 	connect := flag.String("connect", "", "coordinator endpoint (unix:/path, tcp:host:port, or a bare unix-socket path)")
 	timeout := flag.Duration("timeout", 30*time.Second, "how long to keep retrying the initial dial")
 	dialAttempts := flag.Int("dial-attempts", 0, "cap the initial-dial retries (exponential backoff with jitter); 0 retries until -timeout expires")
-	fullReplicas := flag.Bool("full-replicas", false, "refuse trimmed sessions; the coordinator falls back to full-replica mode")
-	freezeLevels := flag.Bool("freeze-levels", false, "freeze committed levels to an on-disk delta segment (protocol 3+ sessions)")
+	freezeLevels := flag.Bool("freeze-levels", false, "freeze committed levels to an on-disk delta segment")
 	flag.Parse()
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "qssd: -connect is required")
@@ -55,7 +51,7 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
-	if err := dist.Serve(*connect, *timeout, dist.WorkerOptions{FullReplicas: *fullReplicas, DialAttempts: *dialAttempts, FreezeLevels: *freezeLevels}); err != nil {
+	if err := dist.Serve(*connect, *timeout, dist.WorkerOptions{DialAttempts: *dialAttempts, FreezeLevels: *freezeLevels}); err != nil {
 		fmt.Fprintln(os.Stderr, "qssd:", err)
 		return 1
 	}

@@ -78,7 +78,7 @@
 // marking-hash shards (petri.ShardOfHash/ShardOwner: the top FNV bits
 // of the marking hash, independent of the low bits the store's probe
 // table uses, so every process routes a marking the same way).
-// By default replicas are TRIMMED: a worker holds vectors, hashes and
+// Replicas are TRIMMED: a worker holds vectors, hashes and
 // enabled bitsets only for its owned shards — per-worker memory scales
 // ~1/N with the pool, which is what takes state spaces beyond one
 // machine's RAM — and the coordinator sends it just the per-level
@@ -87,18 +87,13 @@
 // (deduplicated by a bounded LRU both sides run in lockstep, so a hot
 // boundary parent ships once per residency). Successors routing to
 // foreign shards are reported as new and resolved by the coordinator.
-// The full-replica fallback (core.Options.DistFullReplicas,
-// dist.Pool.SetFullReplicas, cmd/qssd -full-replicas) instead
-// broadcasts compact petri.Delta batches (parent MarkID + fired
-// transition — the steady state ships no token vectors) from which
-// every worker rebuilds the whole store, trading memory parity with
-// the coordinator for fully local successor classification. In either
-// mode workers answer with candidate streams classifying each
-// successor as vetoed, known (dense global MarkID) or new — at
-// protocol 3 a new candidate also carries the successor's 64-bit
-// marking hash, which lets the coordinator resolve duplicates by a
-// hash-only store probe instead of re-firing the transition itself
-// (it fires exactly once per state it actually materializes). The
+// Workers answer with candidate streams classifying each successor as
+// vetoed, known (dense global MarkID) or new — a new candidate also
+// carries the successor's 64-bit marking hash, which lets the
+// coordinator resolve duplicates by a hash-only store probe instead of
+// re-firing the transition itself (it fires exactly once per state it
+// actually materializes). Coordinator and workers speak one wire
+// protocol; a worker built from another tree is refused at hello. The
 // session is pipelined rather than barriered: workers push their
 // candidate streams in bounded ack'd chunks as they expand, the
 // coordinator merges each worker's slice of a level while later
@@ -118,16 +113,15 @@
 // which round-trips exactly the structure firing, ECS partitioning and
 // the enabled tracker depend on. The matrix test
 // (internal/dist, `make dist-matrix`, its own CI job) pins generated C
-// across {serial, ExploreWorkers 1/4/8, trimmed worker processes
-// 1/2/4, full-replica processes} plus a 50-app corpus sweep with real
-// spawned processes under -race; `make dist-memory` gates per-worker
-// store bytes at <= 0.75x the full-replica baseline for 2 workers
-// (exact live counts, machine-independent); BenchmarkExploreDist
-// documents the per-level protocol overhead,
-// BenchmarkExploreDistTrimmed the ~1/N per-worker memory curve and
-// BenchmarkExploreDistPipelined the streaming session (coordinator
-// fire counts, chunk counts, received bytes per level) on the
-// 161k-state net.
+// across {serial, ExploreWorkers 1/4/8, worker processes 1/2/4} plus a
+// 50-app corpus sweep with real spawned processes under -race;
+// `make dist-memory` gates per-worker store bytes at <= 0.75x the
+// single-worker replica for 2 workers (exact live counts,
+// machine-independent); BenchmarkExploreDist documents the session
+// overhead on a small net, and BenchmarkExploreDistPipelined the
+// streaming session on the 161k-state net (coordinator fire counts,
+// chunk counts, received bytes per level and the ~1/N per-worker
+// memory curve).
 //
 // # Frozen store tier (beyond-RAM exploration)
 //
@@ -176,11 +170,10 @@
 //
 // Determinism is also what makes worker failure survivable: any
 // correct re-execution produces the same bytes, so the coordinator may
-// freely restart, replace or abandon workers mid-session (dist
-// protocol 4). Liveness is heartbeat-probed (msgPing/msgPong plus
-// read/write deadlines), so a silently dead or wedged worker is
-// unmasked within a bounded interval even while its TCP connection
-// looks healthy. On a death the coordinator pauses at the last
+// freely restart, replace or abandon workers mid-session. Liveness is
+// heartbeat-probed (msgPing/msgPong plus read/write deadlines), so a
+// silently dead or wedged worker is unmasked within a bounded interval
+// even while its TCP connection looks healthy. On a death the coordinator pauses at the last
 // committed BFS level, quiesces the survivors, respawns a replacement
 // process when it can (SpawnLocal pools; bounded retries with
 // exponential backoff and jitter) — rebuilding its trimmed replica by

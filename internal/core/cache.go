@@ -19,12 +19,12 @@ import (
 // interface value (its Name alone does not capture its parameters), so
 // calls carrying one bypass the cache entirely. Options.Workers,
 // Options.ExploreWorkers, Sched.ExploreWorkers and the distributed-
-// exploration knobs (DistWorkers, DistEndpoint, Dist, DistFullReplicas,
-// Sched.Dist) are deliberately not part of the key — every execution
-// strategy of the parallelism model, in-process or cross-process,
-// trimmed or full replicas, produces Results byte-identical to the
-// serial paths. Options.FreezeLevels is in the same class: a frozen
-// store changes where vectors live, never what is computed.
+// exploration knobs (DistWorkers, DistEndpoint, Dist, Sched.Dist) are
+// deliberately not part of the key — every execution strategy of the
+// parallelism model, in-process or cross-process, produces Results
+// byte-identical to the serial paths. Options.FreezeLevels is in the
+// same class: a frozen store changes where vectors live, never what is
+// computed.
 
 // cacheLimit bounds the number of retained entries; eviction is FIFO in
 // insertion order, which is enough for the repeat-synthesis workloads

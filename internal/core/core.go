@@ -69,16 +69,6 @@ type Options struct {
 	// when set it takes precedence over DistWorkers/DistEndpoint and
 	// its lifecycle belongs to the caller.
 	Dist *dist.Pool
-	// DistFullReplicas opts a DistWorkers/DistEndpoint pool out of the
-	// default trimmed-replica protocol: every worker rebuilds the full
-	// marking store from delta broadcasts (memory parity with the
-	// coordinator) instead of holding only its owned hash shards.
-	// Trimming is what lets per-worker memory scale ~1/N with the pool
-	// size; the fallback trades that for local successor
-	// classification and vector-free steady-state traffic. Results are
-	// byte-identical either way. A pre-connected Dist pool carries its
-	// own mode (dist.Pool.SetFullReplicas) and ignores this field.
-	DistFullReplicas bool
 	// DistNoFallback makes a distributed-pool failure (worker death
 	// with recovery exhausted) fail the Synthesize call instead of
 	// transparently rerunning the affected searches in-process. The
@@ -318,9 +308,6 @@ func resolveDistPool(opt *Options) (p *dist.Pool, ownPool bool, err error) {
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("core: distributed exploration: %w", err)
-	}
-	if opt.DistFullReplicas {
-		p.SetFullReplicas(true)
 	}
 	return p, true, nil
 }

@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -30,7 +33,7 @@ func chaosSeed() int64 {
 	return 1
 }
 
-// chaosPool is pipePoolOf without the clean-exit assertion: chaos
+// chaosPool is pipePoolWrapped without the clean-exit assertion: chaos
 // workers are expected to die with transport errors. wrap, when set,
 // interposes on worker i's conn (the shim sees the worker's writes).
 // The worker-side pipe ends are retained so kill-style faults can
@@ -42,8 +45,7 @@ type chaosPool struct {
 
 func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *chaosPool {
 	t.Helper()
-	p := &Pool{logw: newLogWriter("coord")}
-	cp := &chaosPool{Pool: p}
+	cp := &chaosPool{Pool: &Pool{logw: newLogWriter("coord")}}
 	for i := 0; i < n; i++ {
 		cs, ws := net.Pipe()
 		wc := net.Conn(ws)
@@ -53,20 +55,10 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 			}
 		}
 		errc := make(chan error, 1)
-		go func() { errc <- serveConnVer(wc, newLogWriter("worker"), WorkerOptions{}, protoVersion) }()
-		c := newConn(cs)
-		payload, err := c.expect(msgHello)
-		var ver int
-		var flags uint64
-		if err == nil {
-			ver, flags, _, err = checkHello(payload)
+		go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
+		if _, err := addPipeWorker(cp.Pool, cs); err != nil {
+			t.Fatal(err)
 		}
-		if err != nil {
-			t.Fatalf("chaos worker %d handshake: %v", i, err)
-		}
-		p.workers = append(p.workers, c)
-		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
-		p.vers = append(p.vers, ver)
 		cp.wconns = append(cp.wconns, ws)
 		t.Cleanup(func() {
 			cs.Close()
@@ -77,33 +69,75 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 	return cp
 }
 
-// TestHelloPidRoundTrip: the version-4 hello's trailing pid — the
-// SpawnLocal conn-to-process mapping that kill/respawn depends on —
-// survives the wire, and pre-version-4 hellos parse with pid 0.
-// (Regression: the pid was once decoded at the flags offset and came
-// back 0, making every respawn pool think its workers were external.)
+// TestHelloPidRoundTrip: the hello's trailing pid — the SpawnLocal
+// conn-to-process mapping that kill/respawn depends on — survives the
+// wire.
 func TestHelloPidRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		ver, pid, want int
-	}{{2, 0, 0}, {3, 0, 0}, {4, 12345, 12345}, {4, 1, 1}} {
+	for _, want := range []int{12345, 1, 0} {
 		cs, ws := net.Pipe()
-		go func() {
-			newConn(ws).sendHello(tc.ver, helloFullReplicas, tc.pid)
-		}()
-		c := newConn(cs)
-		payload, err := c.expect(msgHello)
-		if err != nil {
-			t.Fatalf("v%d: %v", tc.ver, err)
-		}
-		ver, flags, pid, err := checkHello(payload)
+		go newConn(ws).send(msgHello, appendHello(want))
+		p := &Pool{}
+		pid, err := addPipeWorker(p, cs)
 		cs.Close()
 		ws.Close()
 		if err != nil {
-			t.Fatalf("v%d: checkHello: %v", tc.ver, err)
+			t.Fatalf("pid %d: %v", want, err)
 		}
-		if ver != tc.ver || flags != helloFullReplicas || pid != tc.want {
-			t.Fatalf("v%d pid %d: got ver=%d flags=%d pid=%d", tc.ver, tc.pid, ver, flags, pid)
+		if pid != want {
+			t.Fatalf("pid %d came back as %d", want, pid)
 		}
+	}
+}
+
+// TestHelloVersionMismatch: there is no version negotiation. A worker
+// built from an older tree — a protocol-4 hello: magic, version,
+// capability flags, pid — is refused at handshake by the listener and
+// the pipe-pool handshake alike, with an error naming both versions,
+// and never joins the pool.
+func TestHelloVersionMismatch(t *testing.T) {
+	v4 := binary.AppendUvarint([]byte(protoMagic), 4)
+	v4 = binary.AppendUvarint(v4, 0)    // capability flags
+	v4 = binary.AppendUvarint(v4, 4242) // pid
+	refused := func(label string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: protocol-4 hello accepted", label)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "version 4") || !strings.Contains(msg, fmt.Sprintf("speaks %d", protoVersion)) {
+			t.Fatalf("%s: error does not name versions 4 and %d: %v", label, protoVersion, err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		newConn(nc).send(msgHello, v4)
+		io.Copy(io.Discard, nc) // until the coordinator hangs up
+	}()
+	_, _, err = acceptOne(ln, 10*time.Second)
+	refused("acceptOne", err)
+	<-done
+
+	p := &Pool{}
+	cs, ws := net.Pipe()
+	defer cs.Close()
+	defer ws.Close()
+	go newConn(ws).send(msgHello, v4)
+	_, err = addPipeWorker(p, cs)
+	refused("pipe handshake", err)
+	if len(p.workers) != 0 {
+		t.Fatalf("refused worker joined the pool (%d workers)", len(p.workers))
 	}
 }
 
@@ -123,7 +157,7 @@ func TestHeartbeatTimeout(t *testing.T) {
 	go func() {
 		defer close(done)
 		c := newConn(ws)
-		if err := c.sendHello(protoVersion, 0, os.Getpid()); err != nil {
+		if err := c.send(msgHello, appendHello(os.Getpid())); err != nil {
 			return
 		}
 		for {
@@ -133,22 +167,14 @@ func TestHeartbeatTimeout(t *testing.T) {
 		}
 	}()
 	p := &Pool{logw: newLogWriter("coord")}
-	c := newConn(cs)
-	payload, err := c.expect(msgHello)
-	if err == nil {
-		_, _, _, err = checkHello(payload)
+	if _, err := addPipeWorker(p, cs); err != nil {
+		t.Fatal(err)
 	}
-	if err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	p.workers = append(p.workers, c)
-	p.wantFull = append(p.wantFull, false)
-	p.vers = append(p.vers, protoVersion)
 	t.Cleanup(func() { cs.Close(); ws.Close(); <-done })
 
 	n := ringNet(2, 4)
 	begin := time.Now()
-	_, err = n.ExploreDist(p, petri.ExploreOptions{MaxMarkings: 1000})
+	_, err := n.ExploreDist(p, petri.ExploreOptions{MaxMarkings: 1000})
 	elapsed := time.Since(begin)
 	if err == nil {
 		t.Fatal("session against a silent worker succeeded")

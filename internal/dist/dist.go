@@ -19,35 +19,29 @@
 //
 // # Protocol
 //
-// Per session (one exploration), the coordinator sends the net, the
-// petri.ExpandSpec (fireable-ECS mask + place caps) and the root
-// markings once. Protocol versions are negotiated per connection at
-// hello time and the pool runs every session at the minimum version
-// across its workers.
+// Coordinator and workers speak one wire protocol (protoVersion); a
+// worker built from another tree is refused at hello with an error
+// naming both versions. Per session (one exploration), the coordinator
+// sends the net, the petri.ExpandSpec (fireable-ECS mask + place caps)
+// and the root markings once.
 //
-// At protocol 2 each level is one barriered round trip: the
-// coordinator ships the level's newly discovered states, every worker
-// expands the frontier states whose shard it owns and answers with
-// one result frame classifying each successor as veto, known (dense
-// global MarkID) or new, and the coordinator merges.
-//
-// Protocol 3 replaces the barrier with a pipelined stream in both
-// directions. Workers push their candidate bytes as they expand, cut
-// into chunks at state-group boundaries (msgChunk, ~16KiB target);
-// the coordinator acknowledges each chunk it consumes (msgAck) and a
-// worker keeps at most chunkWindow chunks unacknowledged, so a slow
-// merge applies backpressure instead of buffering without bound. The
-// coordinator merges worker W's slice of a level the moment W's bytes
-// arrive — per-connection reader goroutines feed bounded channels —
-// while other workers' slices are still in flight. Toward the
-// workers, newly admitted states stream mid-merge in small record
-// batches (msgRecords) and an explicit level commit (msgLevel,
-// carrying the level's [start,end) MarkID range) tells workers the
-// records of that level are complete; a worker therefore starts
-// expanding its slice of level L+1 while the coordinator is still
-// merging the tail of L. Because a worker may expand a state before
-// the coordinator has numbered its successors, a protocol-3 candNew
-// additionally carries the successor's 64-bit marking hash: the
+// The session is a pipelined stream in both directions, with no
+// per-level barrier. Workers push their candidate bytes as they
+// expand, cut into chunks at state-group boundaries (msgChunk, ~16KiB
+// target); the coordinator acknowledges each chunk it consumes
+// (msgAck) and a worker keeps at most chunkWindow chunks
+// unacknowledged, so a slow merge applies backpressure instead of
+// buffering without bound. The coordinator merges worker W's slice of
+// a level the moment W's bytes arrive — per-connection reader
+// goroutines feed bounded channels — while other workers' slices are
+// still in flight. Toward the workers, newly admitted states stream
+// mid-merge in small record batches (msgRecords) and an explicit level
+// commit (msgLevel, carrying the level's [start,end) MarkID range)
+// tells workers the records of that level are complete; a worker
+// therefore starts expanding its slice of level L+1 while the
+// coordinator is still merging the tail of L. Because a worker may
+// expand a state before the coordinator has numbered its successors, a
+// candNew candidate carries the successor's 64-bit marking hash: the
 // coordinator resolves already-interned states by a hash-only probe
 // (exact until the store observes a hash alias, then it falls back to
 // vector-exact lookups) and fires a transition only for each state it
@@ -57,25 +51,17 @@
 // function of ownership and committed levels — byte-identical
 // regardless of message timing.
 //
-// In the default trimmed-replica mode each worker holds vectors,
-// hashes and enabled bitsets only for its owned shards — per-worker
-// memory is ~1/N of the state space, which is what takes explorations
-// beyond one machine's RAM. The coordinator sends each worker just the
-// petri.VecDelta records whose child it owns; a record whose parent
-// belongs to another worker carries the parent's token vector (the
-// worker cannot re-fire it locally), deduplicated through a bounded
-// LRU the coordinator and worker run in lockstep, so a hot boundary
-// parent ships once per residency rather than once per child.
-// Successors routing to foreign shards are reported as new and
-// resolved by the coordinator's merge against the authoritative store.
-//
-// The full-replica fallback (Pool.SetFullReplicas, cmd/qssd
-// -full-replicas, core.Options.DistFullReplicas) broadcasts compact
-// petri.Delta batches instead — every worker re-fires to reconstruct
-// all vectors, so steady-state traffic carries no vectors at all and
-// every successor is classified locally, at the price of memory parity
-// with the coordinator in every worker. Results are byte-identical in
-// both modes.
+// Replicas are trimmed: each worker holds vectors, hashes and enabled
+// bitsets only for its owned shards — per-worker memory is ~1/N of the
+// state space, which is what takes explorations beyond one machine's
+// RAM. The coordinator sends each worker just the petri.VecDelta
+// records whose child it owns; a record whose parent belongs to
+// another worker carries the parent's token vector (the worker cannot
+// re-fire it locally), deduplicated through a bounded LRU the
+// coordinator and worker run in lockstep, so a hot boundary parent
+// ships once per residency rather than once per child. Successors
+// routing to foreign shards are reported as new and resolved by the
+// coordinator's merge against the authoritative store.
 //
 // Orthogonally, WorkerOptions.FreezeLevels (cmd/qssd -freeze-levels,
 // or QSS_DIST_FREEZE=1 for spawned workers) moves the vectors of
@@ -87,9 +73,7 @@
 // scales with the marking width. Dedup probes against old states thaw
 // vectors on demand. The coordinator freezes its authoritative store
 // the same way when the caller sets FreezeLevels in its explore
-// options; a full replica asked to restore a mostly-frozen store pays
-// a thaw per shipped state (slow but correct). Results stay
-// byte-identical in every combination.
+// options. Results stay byte-identical either way.
 //
 // # Process management
 //
@@ -105,13 +89,13 @@
 //
 // # Failure model
 //
-// Protocol 4 makes a session survive the loss of workers. Liveness is
-// monitored from both directions: every protocol-4 connection runs
-// per-message write deadlines (sendTimeout) plus a generous worker-side
-// read deadline, and while the coordinator's merge awaits a frame it
-// pings the awaited worker every heartbeatInterval — a worker from
-// which no frame at all arrives within heartbeatTimeout is declared
-// dead even if its TCP connection looks healthy. Any frame (a pong
+// A session survives the loss of workers. Liveness is monitored from
+// both directions: every session runs per-message write deadlines
+// (sendTimeout) plus a generous worker-side read deadline, and while
+// the coordinator's merge awaits a frame it pings the awaited worker
+// every heartbeatInterval — a worker from which no frame at all
+// arrives within heartbeatTimeout is declared dead even if its TCP
+// connection looks healthy. Any frame (a pong
 // included) counts as life; a worker grinding through a huge level is
 // never misdeclared as long as it keeps draining pings.
 //

@@ -9,60 +9,35 @@ import (
 	"repro/internal/petri"
 )
 
-// pipeWorker describes one in-process worker of a pipePoolOf pool.
-type pipeWorker struct {
-	ver  int                     // hello protocol version; 0 means current
-	wopt WorkerOptions           // worker-side options
-	wrap func(net.Conn) net.Conn // optional worker-side conn wrapper (latency injection)
-}
-
 // pipePool builds a Pool whose "workers" are goroutines on the other
 // end of net.Pipe connections — the full protocol stack (framing,
 // encoding, replica, merge) without process spawning, so the unit tests
 // stay fast and debuggable. Process-level coverage lives in the
-// determinism matrix tests (package dist_test). Workers run the
-// default trimmed-replica mode; pass WorkerOptions to exercise the
-// full-replica fallback or capability negotiation.
-func pipePool(t *testing.T, n int, wopt WorkerOptions) *Pool {
+// determinism matrix tests (package dist_test).
+func pipePool(t *testing.T, n int) *Pool {
 	t.Helper()
-	specs := make([]pipeWorker, n)
-	for i := range specs {
-		specs[i].wopt = wopt
-	}
-	return pipePoolOf(t, specs)
+	return pipePoolWrapped(t, n, nil)
 }
 
-// pipePoolOf is pipePool with per-worker protocol versions and conn
-// wrappers, for the downgrade and delayed-stream tests.
-func pipePoolOf(t *testing.T, specs []pipeWorker) *Pool {
+// pipePoolWrapped is pipePool with a worker-side conn wrapper (latency
+// injection); wrap may return nil to leave worker i's conn alone. Every
+// worker must exit cleanly when the test closes its pipe.
+func pipePoolWrapped(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *Pool {
 	t.Helper()
 	p := &Pool{logw: newLogWriter("coord")}
-	for i, spec := range specs {
+	for i := 0; i < n; i++ {
 		cs, ws := net.Pipe()
 		wc := net.Conn(ws)
-		if spec.wrap != nil {
-			wc = spec.wrap(ws)
+		if wrap != nil {
+			if w := wrap(i, ws); w != nil {
+				wc = w
+			}
 		}
-		ver := spec.ver
-		if ver == 0 {
-			ver = protoVersion
-		}
-		wopt := spec.wopt
 		errc := make(chan error, 1)
-		go func() { errc <- serveConnVer(wc, newLogWriter("worker"), wopt, ver) }()
-		c := newConn(cs)
-		payload, err := c.expect(msgHello)
-		var gotVer int
-		var flags uint64
-		if err == nil {
-			gotVer, flags, _, err = checkHello(payload)
+		go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
+		if _, err := addPipeWorker(p, cs); err != nil {
+			t.Fatal(err)
 		}
-		if err != nil {
-			t.Fatalf("pipe worker %d handshake: %v", i, err)
-		}
-		p.workers = append(p.workers, c)
-		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
-		p.vers = append(p.vers, gotVer)
 		t.Cleanup(func() {
 			cs.Close()
 			if err := <-errc; err != nil {
@@ -71,6 +46,21 @@ func pipePoolOf(t *testing.T, specs []pipeWorker) *Pool {
 		})
 	}
 	return p
+}
+
+// addPipeWorker runs the coordinator side of the hello handshake on cs
+// and adds the connection to p, returning the worker's pid.
+func addPipeWorker(p *Pool, cs net.Conn) (pid int, err error) {
+	c := newConn(cs)
+	payload, err := c.expect(msgHello)
+	if err == nil {
+		pid, err = checkHello(payload)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("pipe worker %d handshake: %w", len(p.workers), err)
+	}
+	p.workers = append(p.workers, c)
+	return pid, nil
 }
 
 // ringNet builds `pipes` independent token rings of `stages` places
@@ -146,7 +136,8 @@ func requireSameReach(t *testing.T, label string, want, got *petri.ReachResult) 
 
 // TestExploreDistPipe: distributed exploration over 1..4 pipe workers
 // reproduces the serial ReachResult byte-for-byte on a product-space
-// net, with and without source firing and truncation.
+// net, with and without source firing and truncation, and the workers'
+// trimmed replicas partition the state space.
 func TestExploreDistPipe(t *testing.T) {
 	cases := []struct {
 		name string
@@ -161,43 +152,29 @@ func TestExploreDistPipe(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.net.Explore(tc.opt)
-			for _, mode := range []struct {
-				name string
-				wopt WorkerOptions
-			}{
-				{"trimmed", WorkerOptions{}},
-				{"full", WorkerOptions{FullReplicas: true}},
-			} {
-				for _, workers := range []int{1, 2, 4} {
-					p := pipePool(t, workers, mode.wopt)
-					got, err := tc.net.ExploreDist(p, tc.opt)
-					if err != nil {
-						t.Fatalf("ExploreDist(%d %s workers): %v", workers, mode.name, err)
+			for _, workers := range []int{1, 2, 4} {
+				p := pipePool(t, workers)
+				got, err := tc.net.ExploreDist(p, tc.opt)
+				if err != nil {
+					t.Fatalf("ExploreDist(%d workers): %v", workers, err)
+				}
+				requireSameReach(t, fmt.Sprintf("%d workers", workers), want, got)
+				st := p.LastSessionStats()
+				if st.States != want.Len() || st.Levels == 0 {
+					t.Fatalf("session stats %+v inconsistent with %d states", st, want.Len())
+				}
+				if len(st.Workers) != workers {
+					t.Fatalf("stats carry %d workers, pool has %d", len(st.Workers), workers)
+				}
+				held := 0
+				for w, wm := range st.Workers {
+					if wm.StoreBytes <= 0 {
+						t.Fatalf("worker %d reported no store bytes: %+v", w, wm)
 					}
-					requireSameReach(t, fmt.Sprintf("%d %s workers", workers, mode.name), want, got)
-					st := p.LastSessionStats()
-					if st.States != want.Len() || st.Levels == 0 {
-						t.Fatalf("session stats %+v inconsistent with %d states", st, want.Len())
-					}
-					if wantTrim := !mode.wopt.FullReplicas; st.Trimmed != wantTrim {
-						t.Fatalf("session ran trimmed=%v, worker capability asked %v", st.Trimmed, wantTrim)
-					}
-					if len(st.Workers) != workers {
-						t.Fatalf("stats carry %d workers, pool has %d", len(st.Workers), workers)
-					}
-					held := 0
-					for w, wm := range st.Workers {
-						if wm.StoreBytes <= 0 {
-							t.Fatalf("worker %d reported no store bytes: %+v", w, wm)
-						}
-						if !st.Trimmed && wm.States != want.Len() {
-							t.Fatalf("full-replica worker %d holds %d states, want %d", w, wm.States, want.Len())
-						}
-						held += wm.States
-					}
-					if st.Trimmed && held != want.Len() {
-						t.Fatalf("trimmed workers hold %d states in total, store has %d", held, want.Len())
-					}
+					held += wm.States
+				}
+				if held != want.Len() {
+					t.Fatalf("workers hold %d states in total, store has %d", held, want.Len())
 				}
 			}
 		})
@@ -207,7 +184,7 @@ func TestExploreDistPipe(t *testing.T) {
 // TestPoolSessionReuse: one pool serves several explorations in
 // sequence (the batch drivers synthesize many apps over one pool).
 func TestPoolSessionReuse(t *testing.T) {
-	p := pipePool(t, 2, WorkerOptions{})
+	p := pipePool(t, 2)
 	nets := []*petri.Net{ringNet(2, 3), sourceNet(), ringNet(1, 6)}
 	for i, n := range nets {
 		opt := petri.ExploreOptions{MaxMarkings: 200, MaxTokensPerPlace: 3, FireSources: true}
@@ -228,21 +205,13 @@ func TestPoolPoisoned(t *testing.T) {
 	cs, ws := net.Pipe()
 	go func() {
 		c := newConn(ws)
-		c.sendHello(protoVersion, 0, 0)
+		c.send(msgHello, appendHello(0))
 		c.recv() // init
 		ws.Close()
 	}()
-	c := newConn(cs)
-	payload, err := c.expect(msgHello)
-	if err == nil {
-		_, _, _, err = checkHello(payload)
+	if _, err := addPipeWorker(p, cs); err != nil {
+		t.Fatal(err)
 	}
-	if err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	p.workers = append(p.workers, c)
-	p.wantFull = append(p.wantFull, false)
-	p.vers = append(p.vers, protoVersion)
 	n := ringNet(2, 3)
 	if _, err := n.ExploreDist(p, petri.ExploreOptions{MaxMarkings: 100}); err == nil {
 		t.Fatal("want error from dying worker")

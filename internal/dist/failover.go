@@ -1,11 +1,11 @@
 package dist
 
-// Coordinator-side failover: the protocol-4 session survives worker
-// death. The design leans entirely on the determinism contract — the
-// coordinator's store is authoritative and MarkID assignment never
-// leaves its sequential merge — so a session can be re-attempted from
-// the last committed level with any worker count and any shard layout
-// and still produce byte-identical results:
+// Coordinator-side failover: a session survives worker death. The
+// design leans entirely on the determinism contract — the coordinator's
+// store is authoritative and MarkID assignment never leaves its
+// sequential merge — so a session can be re-attempted from the last
+// committed level with any worker count and any shard layout and still
+// produce byte-identical results:
 //
 //   - detection: every receive the merge blocks on runs through
 //     awaitFrame, which pings the awaited worker each
@@ -13,7 +13,7 @@ package dist
 //     (chunk, pong, stats, error) arrives within heartbeatTimeout.
 //     Sends carry write deadlines (conn.armWrite), so a peer that
 //     stopped reading fails the send instead of wedging the session.
-//   - recovery: runSessionV3 wraps per-attempt state (v3attempt) in a
+//   - recovery: runSession wraps per-attempt state (attempt) in a
 //     restart loop. On a death it quiesces the survivors back to their
 //     serve loops, respawns a replacement process (SpawnLocal pools;
 //     bounded jittered-backoff retries) or drops the dead worker and
@@ -21,7 +21,7 @@ package dist
 //     empty roots and rebuilds each replica with one msgRestore bulk
 //     load streamed from the authoritative store. The merge replays
 //     the interrupted level, discarding the candidates whose hooks
-//     already ran (v3resume counts them), and continues.
+//     already ran (resume counts them), and continues.
 //   - exhaustion: after maxSessionRestarts failed recoveries the
 //     session errors with SessionStats.Degraded set; the pool is
 //     poisoned as before and callers fall back to in-process
@@ -74,11 +74,11 @@ func (e *aliveError) Error() string { return "worker error: " + e.msg }
 
 var errReaderExited = errors.New("reader exited mid-session")
 
-// v3resume is the recovery checkpoint threaded through a session's
+// resume is the recovery checkpoint threaded through a session's
 // attempts: which level the merge was in and how much of it is already
 // processed, so a replay can discard exactly the candidates whose
 // hooks ran before the failure.
-type v3resume struct {
+type resume struct {
 	active     bool // a level has begun; restores are needed on re-init
 	aborted    bool // a Reject hook ended the session; only the finish remains
 	levelStart int  // the level being merged: [levelStart, levelEnd)
@@ -88,20 +88,19 @@ type v3resume struct {
 	levelDone  bool // the level completed and was counted before the failure
 }
 
-// runSessionV3 runs the pipelined session with failover: attempts run
+// runSession runs the pipelined session with failover: attempts run
 // until one succeeds, recovery fails, or the restart budget is spent.
-func (p *Pool) runSessionV3(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
-	proto := p.sessionProto()
-	p.stats = SessionStats{Proto: proto}
-	var rs v3resume
+func (p *Pool) runSession(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
+	p.stats = SessionStats{}
+	var rs resume
 	for {
-		a := &v3attempt{p: p, proto: proto}
+		a := &attempt{p: p}
 		completed, err := a.run(n, store, spec, hooks, &rs)
 		if err == nil {
 			return completed, nil
 		}
 		var wd *workerDeath
-		if !errors.As(err, &wd) || proto < 4 {
+		if !errors.As(err, &wd) {
 			a.abort()
 			return false, err
 		}
@@ -126,7 +125,7 @@ func (p *Pool) runSessionV3(n *petri.Net, store *petri.MarkingStore, spec petri.
 // survivors back to their serve loops, then for each dead worker
 // either respawn a replacement (SpawnLocal pools) or drop it so the
 // next attempt re-shards across the survivors. Callers hold p.mu.
-func (p *Pool) recoverSession(a *v3attempt, wd *workerDeath) error {
+func (p *Pool) recoverSession(a *attempt, wd *workerDeath) error {
 	dead := make([]bool, len(p.workers))
 	if wd.alive {
 		// The worker reported the failure itself: its transport and
@@ -197,7 +196,7 @@ func (p *Pool) respawnWorker(i int) error {
 			lastErr = err
 			continue
 		}
-		c, ver, flags, _, err := acceptOne(p.ln, spawnHandshakeTimeout)
+		c, _, err := acceptOne(p.ln, spawnHandshakeTimeout)
 		if err != nil {
 			lastErr = err
 			p.markDead(cmd)
@@ -205,8 +204,6 @@ func (p *Pool) respawnWorker(i int) error {
 			continue
 		}
 		p.workers[i] = c
-		p.vers[i] = ver
-		p.wantFull[i] = flags&helloFullReplicas != 0
 		p.procs[i] = cmd
 		p.logw.printf("respawned worker %d (pid %d)", i, cmd.Process.Pid)
 		return nil
@@ -242,21 +239,17 @@ func (p *Pool) removeWorkers(gone []int) {
 		rm[i] = true
 	}
 	var ws []*conn
-	var wf []bool
-	var vs []int
 	var procs []*exec.Cmd
 	for i := range p.workers {
 		if rm[i] {
 			continue
 		}
 		ws = append(ws, p.workers[i])
-		wf = append(wf, p.wantFull[i])
-		vs = append(vs, p.vers[i])
 		if p.procs != nil {
 			procs = append(procs, p.procs[i])
 		}
 	}
-	p.workers, p.wantFull, p.vers = ws, wf, vs
+	p.workers = ws
 	if p.procs != nil {
 		p.procs = procs
 	}
@@ -302,32 +295,30 @@ func (p *Pool) KillWorker(i int) error {
 	return p.procs[i].Process.Kill()
 }
 
-// v3attempt is one try at a protocol-3/4 session: the per-attempt
-// reader links, streams and shard layout. A failed attempt's links are
-// drained by recovery; a new attempt starts fresh.
-type v3attempt struct {
+// attempt is one try at a session: the per-attempt reader links,
+// streams and shard layout. A failed attempt's links are drained by
+// recovery; a new attempt starts fresh.
+type attempt struct {
 	p       *Pool
-	proto   int
 	W, S    int
-	trim    bool
 	links   []*workerLink
 	streams []chunkStream
 }
 
 // deathOf wraps a worker failure for the restart loop, detecting the
 // worker-reported (alive) flavor.
-func (a *v3attempt) deathOf(i int, err error) error {
+func (a *attempt) deathOf(i int, err error) error {
 	var ae *aliveError
 	return &workerDeath{idx: i, alive: errors.As(err, &ae), err: err}
 }
 
-func (a *v3attempt) die(i int, err error) (bool, error) {
+func (a *attempt) die(i int, err error) (bool, error) {
 	return false, a.deathOf(i, err)
 }
 
 // drain flushes worker i's reader channel to closure. The reader must
 // be on its way out (terminal frame forwarded or connection closed).
-func (a *v3attempt) drain(i int) {
+func (a *attempt) drain(i int) {
 	if a.links == nil || a.links[i] == nil {
 		return
 	}
@@ -338,7 +329,7 @@ func (a *v3attempt) drain(i int) {
 // abort poisons the attempt: close every connection so workers and
 // readers unwind, then drain the reader channels so no goroutine
 // outlives the session.
-func (a *v3attempt) abort() {
+func (a *attempt) abort() {
 	for _, c := range a.p.workers {
 		c.close()
 	}
@@ -351,7 +342,7 @@ func (a *v3attempt) abort() {
 // send done, consume frames to the terminal stats (or worker error —
 // either way the worker ends at its serve loop awaiting the next
 // init). In-flight chunks are discarded unacked; the session is over.
-func (a *v3attempt) quiesce(i int) error {
+func (a *attempt) quiesce(i int) error {
 	if err := a.p.workers[i].send(msgDone, nil); err != nil {
 		return err
 	}
@@ -380,23 +371,12 @@ func (a *v3attempt) quiesce(i int) error {
 	}
 }
 
-// awaitFrame blocks for worker i's next frame. At protocol 4 it pings
-// the awaited worker every heartbeatInterval — any frame in reply,
-// pong included, proves liveness — and gives up after heartbeatTimeout
-// with no frame at all, bounding how long a silently dead worker can
-// stall the merge.
-func (a *v3attempt) awaitFrame(i int) (frame, error) {
+// awaitFrame blocks for worker i's next frame. It pings the awaited
+// worker every heartbeatInterval — any frame in reply, pong included,
+// proves liveness — and gives up after heartbeatTimeout with no frame
+// at all, bounding how long a silently dead worker can stall the merge.
+func (a *attempt) awaitFrame(i int) (frame, error) {
 	l := a.links[i]
-	if a.proto < 4 {
-		f, ok := <-l.ch
-		if !ok {
-			return frame{}, errReaderExited
-		}
-		if f.err != nil {
-			return frame{}, f.err
-		}
-		return f, nil
-	}
 	deadline := time.NewTimer(heartbeatTimeout)
 	defer deadline.Stop()
 	tick := time.NewTicker(heartbeatInterval)
@@ -433,30 +413,21 @@ func (a *v3attempt) awaitFrame(i int) (frame, error) {
 }
 
 // sendRestores rebuilds every worker's replica from the authoritative
-// store after a recovery re-init: the committed level being replayed
-// plus the uncommitted tail. A trimmed worker receives its owned
-// states at or past the resume point; a full-replica worker the whole
-// store.
-func (a *v3attempt) sendRestores(store *petri.MarkingStore, rs *v3resume) error {
+// store after a recovery re-init: each worker receives its owned states
+// of the committed level being replayed plus the uncommitted tail.
+func (a *attempt) sendRestores(store *petri.MarkingStore, rs *resume) error {
 	bounds := []int{rs.levelStart, rs.levelEnd}
 	var payload []byte
 	for i := range a.p.workers {
-		if a.trim {
-			var gids []petri.MarkID
-			for id := rs.levelStart; id < store.Len(); id++ {
-				if a.owner(store, petri.MarkID(id)) == i {
-					gids = append(gids, petri.MarkID(id))
-				}
+		var gids []petri.MarkID
+		for id := rs.levelStart; id < store.Len(); id++ {
+			if a.owner(store, petri.MarkID(id)) == i {
+				gids = append(gids, petri.MarkID(id))
 			}
-			payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, len(gids))
-			for _, g := range gids {
-				payload = appendRestoreState(payload, g, store.At(g))
-			}
-		} else {
-			payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, store.Len())
-			for id := 0; id < store.Len(); id++ {
-				payload = appendRestoreState(payload, petri.MarkID(id), store.At(petri.MarkID(id)))
-			}
+		}
+		payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, len(gids))
+		for _, g := range gids {
+			payload = appendRestoreState(payload, g, store.At(g))
 		}
 		if err := a.p.workers[i].send(msgRestore, payload); err != nil {
 			return a.deathOf(i, fmt.Errorf("restore: %w", err))
@@ -465,32 +436,28 @@ func (a *v3attempt) sendRestores(store *petri.MarkingStore, rs *v3resume) error 
 	return nil
 }
 
-func (a *v3attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
+func (a *attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
 	return petri.ShardOwner(petri.ShardOfHash(store.HashAt(id), a.S), a.S, a.W)
 }
 
 // run is one session attempt: init (plus restores when resuming), the
 // pipelined merge, and the stats epilogue. See the package comment in
-// pool.go for the merge's shape; this is phase C of petri.RunFrontier
+// dist.go for the merge's shape; this is phase C of petri.RunFrontier
 // consuming each owner's chunk stream as the bytes arrive. All
 // failures return as *workerDeath for the restart loop.
-func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *v3resume) (bool, error) {
+func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *resume) (bool, error) {
 	p := a.p
 	W := len(p.workers)
 	S := petri.NumFrontierShards(W)
-	trim := p.trimmed()
-	a.W, a.S, a.trim = W, S, trim
-	p.stats.Trimmed = trim
+	a.W, a.S = W, S
 	start0 := startBytes(p.workers)
 	defer func() {
 		sent, recvd := sentRecvSince(p.workers, start0)
 		p.stats.BytesSent += sent
 		p.stats.BytesRecv += recvd
 	}()
-	if a.proto >= 4 {
-		for _, c := range p.workers {
-			c.writeTimeout = sendTimeout
-		}
+	for _, c := range p.workers {
+		c.writeTimeout = sendTimeout
 	}
 	// Links start before the inits so that even an init failure leaves
 	// an attempt whose channels recovery can drain.
@@ -513,8 +480,8 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 		}
 	}
 	for i, c := range p.workers {
-		init := &initMsg{proto: a.proto, index: i, workers: W, shards: S, trim: trim, net: n, spec: spec, roots: roots}
-		if err := c.send(msgInit, appendInit(nil, init, p.vers[i])); err != nil {
+		init := &initMsg{index: i, workers: W, shards: S, net: n, spec: spec, roots: roots}
+		if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 			return a.die(i, fmt.Errorf("init: %w", err))
 		}
 	}
@@ -530,18 +497,13 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 		}
 	}
 	var (
-		deltas  []petri.Delta      // full-replica mode: broadcast batches
-		pending [][]petri.VecDelta // trimmed mode: per-worker batches
-		vcaches []*vecCache        // trimmed mode: per-worker cache models
+		pending = make([][]petri.VecDelta, W) // per-worker record batches
+		vcaches = make([]*vecCache, W)        // per-worker cache models
 		scratch petri.Marking
 		payload = make([]byte, 0, 1<<12)
 	)
-	if trim {
-		pending = make([][]petri.VecDelta, W)
-		vcaches = make([]*vecCache, W)
-		for i := range vcaches {
-			vcaches[i] = newVecCache()
-		}
+	for i := range vcaches {
+		vcaches[i] = newVecCache()
 	}
 	// flushRecs ships worker i's pending records. Boundary-parent vector
 	// attachment happens here, at flush time in record order — the same
@@ -565,19 +527,6 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 			return a.deathOf(i, fmt.Errorf("records: %w", err))
 		}
 		pending[i] = recs[:0]
-		return nil
-	}
-	flushDeltas := func() error {
-		if len(deltas) == 0 {
-			return nil
-		}
-		payload = petri.AppendDeltas(payload[:0], deltas)
-		for i, c := range p.workers {
-			if err := c.send(msgRecords, payload); err != nil {
-				return a.deathOf(i, fmt.Errorf("records: %w", err))
-			}
-		}
-		deltas = deltas[:0]
 		return nil
 	}
 	resuming := rs.active
@@ -616,14 +565,8 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 			// since the previous merge discovered them; flush the tails
 			// and commit the range so workers can pin and expand the
 			// whole level.
-			if trim {
-				for i := range p.workers {
-					if err := flushRecs(i); err != nil {
-						return false, err
-					}
-				}
-			} else {
-				if err := flushDeltas(); err != nil {
+			for i := range p.workers {
+				if err := flushRecs(i); err != nil {
 					return false, err
 				}
 			}
@@ -748,32 +691,18 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 					// the one fallible step here, and a death between the
 					// intern and the checkpoint would make the replay
 					// misclassify this discovery as a revisit.
-					flushW := -1
-					if trim {
-						cw := petri.ShardOwner(petri.ShardOfHash(h, S), S, W)
-						pending[cw] = append(pending[cw], petri.VecDelta{
-							Child: g, Parent: petri.MarkID(id), Trans: int32(trans),
-						})
-						if len(pending[cw]) >= recordFlush {
-							flushW = cw
-						}
-					} else {
-						deltas = append(deltas, petri.Delta{Parent: petri.MarkID(id), Trans: int32(trans)})
-					}
+					cw := petri.ShardOwner(petri.ShardOfHash(h, S), S, W)
+					pending[cw] = append(pending[cw], petri.VecDelta{
+						Child: g, Parent: petri.MarkID(id), Trans: int32(trans),
+					})
 					hooks.Edge(petri.MarkID(id), int32(trans), g, true)
 					rs.cands++
-					if flushW >= 0 {
-						if err := flushRecs(flushW); err != nil {
-							return false, err
-						}
-					} else if !trim && len(deltas) >= recordFlush {
-						if err := flushDeltas(); err != nil {
+					if len(pending[cw]) >= recordFlush {
+						if err := flushRecs(cw); err != nil {
 							return false, err
 						}
 					}
 					continue
-				default:
-					return a.die(ow, fmt.Errorf("unknown candidate tag %d", tag))
 				}
 				rs.cands++
 			}
@@ -791,7 +720,7 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 // memory zeroed, its connection closed for the next session's recovery
 // to repair) rather than failing the session; on an aborted one a
 // failure is a regular death.
-func (a *v3attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bool) (bool, error) {
+func (a *attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bool) (bool, error) {
 	p := a.p
 	p.stats.Workers = make([]WorkerMem, a.W)
 	retired := make([]bool, a.W)
@@ -870,7 +799,7 @@ func (a *v3attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bo
 		}
 	}
 	p.stats.States = store.Len()
-	p.logw.printf("session %s: %d levels, %d states, %d candNew (%d fires, %d chunks), %d restarts (proto %d, trimmed=%v, completed=%v)",
-		n.Name, p.stats.Levels, p.stats.States, p.stats.CandNew, p.stats.CoordFires, p.stats.Chunks, p.stats.Restarts, a.proto, a.trim, completed)
+	p.logw.printf("session %s: %d levels, %d states, %d candNew (%d fires, %d chunks), %d restarts (completed=%v)",
+		n.Name, p.stats.Levels, p.stats.States, p.stats.CandNew, p.stats.CoordFires, p.stats.Chunks, p.stats.Restarts, completed)
 	return completed, nil
 }

@@ -19,7 +19,7 @@ import (
 // TestNumWorkersRace: NumWorkers must be safe against a concurrent
 // Close (run under -race; the unlocked read was a data race).
 func TestNumWorkersRace(t *testing.T) {
-	p := pipePool(t, 2, WorkerOptions{})
+	p := pipePool(t, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -70,14 +70,11 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 	cs, ws := net.Pipe()
 	errc := make(chan error, 1)
 	go func() { errc <- ServeConn(ws, newLogWriter("worker"), WorkerOptions{}) }()
-	c := newConn(cs)
-	payload, err := c.expect(msgHello)
-	if err == nil {
-		_, _, _, err = checkHello(payload)
+	p := &Pool{logw: newLogWriter("coord")}
+	if _, err := addPipeWorker(p, cs); err != nil {
+		t.Fatal(err)
 	}
-	if err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
+	c := p.workers[0]
 
 	// A malformed init must fail the session, not the worker.
 	if err := c.send(msgInit, []byte{0xff}); err != nil {
@@ -88,10 +85,6 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 	}
 
 	// The same connection serves a full exploration afterwards.
-	p := &Pool{logw: newLogWriter("coord")}
-	p.workers = append(p.workers, c)
-	p.wantFull = append(p.wantFull, false)
-	p.vers = append(p.vers, protoVersion)
 	n := ringNet(2, 4)
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	want := n.Explore(opt)
@@ -122,8 +115,8 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 
 	// Severing the link mid-session is a transport error: the serve
 	// loop must exit non-nil (the process has nothing left to serve).
-	init := &initMsg{proto: 3, index: 0, workers: 1, shards: petri.NumFrontierShards(1), trim: true, net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
-	if err := c.send(msgInit, appendInit(nil, init, protoVersion)); err != nil {
+	init := &initMsg{index: 0, workers: 1, shards: petri.NumFrontierShards(1), net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
+	if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 		t.Fatal(err)
 	}
 	cs.Close()

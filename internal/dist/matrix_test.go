@@ -63,17 +63,14 @@ var matrixApps = []struct {
 }
 
 // matrixConfig is one execution strategy. procs > 0 spawns that many
-// worker processes (trimmed owned-shard replicas by default; full
-// restores the broadcast full-replica fallback); otherwise ew is the
-// in-process ExploreWorkers value (1 = plain serial). freeze turns on
-// the frozen store tier — on the coordinator via
-// core.Options.FreezeLevels, and in spawned workers via the
-// QSS_DIST_FREEZE environment variable they inherit.
+// worker processes; otherwise ew is the in-process ExploreWorkers value
+// (1 = plain serial). freeze turns on the frozen store tier — on the
+// coordinator via core.Options.FreezeLevels, and in spawned workers
+// via the QSS_DIST_FREEZE environment variable they inherit.
 type matrixConfig struct {
 	name   string
 	ew     int
 	procs  int
-	full   bool
 	freeze bool
 }
 
@@ -86,9 +83,7 @@ var matrixConfigs = []matrixConfig{
 	{name: "dist-procs-1", procs: 1},
 	{name: "dist-procs-2", procs: 2},
 	{name: "dist-procs-4", procs: 4},
-	{name: "dist-procs-2-full-replicas", procs: 2, full: true},
 	{name: "dist-procs-2-frozen", procs: 2, freeze: true},
-	{name: "dist-procs-2-full-replicas-frozen", procs: 2, full: true, freeze: true},
 }
 
 // TestDeterminismMatrix: byte-identical generated C and schedules for
@@ -115,7 +110,6 @@ func TestDeterminismMatrix(t *testing.T) {
 					t.Fatalf("spawn %d workers: %v", cfg.procs, err)
 				}
 				defer pool.Close()
-				pool.SetFullReplicas(cfg.full)
 				opt = &core.Options{Workers: 1, Dist: pool, DisableCache: true, FreezeLevels: cfg.freeze}
 			}
 			for _, app := range matrixApps {

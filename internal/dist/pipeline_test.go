@@ -9,9 +9,8 @@ import (
 	"repro/internal/petri"
 )
 
-// Tests for the protocol-3 pipelined session: streaming merge,
-// candNew-by-hash classification, version downgrade and the mid-level
-// abort path.
+// Tests for the pipelined session: streaming merge, candNew-by-hash
+// classification and the mid-level abort path.
 
 // fullSpec builds the ExpandSpec an unrestricted exploration would use:
 // every ECS fireable, no token caps. For tests that drive RunFrontier
@@ -49,114 +48,45 @@ func TestExploreDistPipelinedDelayedWorker(t *testing.T) {
 	n := ringNet(2, 5)
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	want := n.Explore(opt)
-	for _, mode := range []struct {
-		name string
-		wopt WorkerOptions
-	}{
-		{"trimmed", WorkerOptions{}},
-		{"full", WorkerOptions{FullReplicas: true}},
-	} {
-		for slow := 0; slow < 3; slow++ {
-			specs := make([]pipeWorker, 3)
-			for i := range specs {
-				specs[i].wopt = mode.wopt
-				if i == slow {
-					specs[i].wrap = func(c net.Conn) net.Conn {
-						return &slowConn{Conn: c, delay: time.Millisecond}
-					}
-				}
+	for slow := 0; slow < 3; slow++ {
+		p := pipePoolWrapped(t, 3, func(i int, c net.Conn) net.Conn {
+			if i != slow {
+				return nil
 			}
-			p := pipePoolOf(t, specs)
-			got, err := n.ExploreDist(p, opt)
-			if err != nil {
-				t.Fatalf("%s, worker %d delayed: %v", mode.name, slow, err)
-			}
-			requireSameReach(t, fmt.Sprintf("%s, worker %d delayed", mode.name, slow), want, got)
-			if st := p.LastSessionStats(); st.Proto != 4 {
-				t.Fatalf("session ran protocol %d, want 4", st.Proto)
-			}
+			return &slowConn{Conn: c, delay: time.Millisecond}
+		})
+		got, err := n.ExploreDist(p, opt)
+		if err != nil {
+			t.Fatalf("worker %d delayed: %v", slow, err)
 		}
+		requireSameReach(t, fmt.Sprintf("worker %d delayed", slow), want, got)
 	}
 }
 
-// TestHelloDowngrade: a pool containing a protocol-2 worker downgrades
-// every session to the barrier protocol, with identical results; a pure
-// protocol-3 pool runs pipelined.
-func TestHelloDowngrade(t *testing.T) {
-	n := ringNet(2, 4)
-	opt := petri.ExploreOptions{MaxMarkings: 1000}
-	want := n.Explore(opt)
-
-	mixed := pipePoolOf(t, []pipeWorker{{ver: 2}, {}})
-	got, err := n.ExploreDist(mixed, opt)
-	if err != nil {
-		t.Fatalf("mixed pool: %v", err)
-	}
-	requireSameReach(t, "mixed pool", want, got)
-	if st := mixed.LastSessionStats(); st.Proto != 2 {
-		t.Fatalf("mixed pool ran protocol %d, want downgrade to 2", st.Proto)
-	}
-
-	pure := pipePoolOf(t, []pipeWorker{{}, {}})
-	got, err = n.ExploreDist(pure, opt)
-	if err != nil {
-		t.Fatalf("pure pool: %v", err)
-	}
-	requireSameReach(t, "pure pool", want, got)
-	if st := pure.LastSessionStats(); st.Proto != 4 {
-		t.Fatalf("pure pool ran protocol %d, want 4", st.Proto)
-	}
-}
-
-// TestCandNewNoRefire: at protocol 3 the coordinator resolves candNew
-// candidates by the shipped hash and fires only the states it has to
-// materialize — CoordFires equals the states interned during the
-// session, not the candNew count. At protocol 2 every candNew is a
-// fire. BytesRecv grows by at most one varint (<= 10 bytes) per candNew
-// over the protocol-2 stream, modulo chunk framing.
+// TestCandNewNoRefire: the coordinator resolves candNew candidates by
+// the shipped hash and fires only the states it has to materialize —
+// CoordFires equals the states interned during the session, not the
+// candNew count.
 func TestCandNewNoRefire(t *testing.T) {
 	n := ringNet(3, 4)
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	roots := 1
 
-	p3 := pipePool(t, 2, WorkerOptions{})
-	want, err := n.ExploreDist(p3, opt)
+	p := pipePool(t, 2)
+	want, err := n.ExploreDist(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st3 := p3.LastSessionStats()
-	if st3.Proto != 4 {
-		t.Fatalf("protocol %d, want 4", st3.Proto)
+	st := p.LastSessionStats()
+	if st.CandNew == 0 || st.Chunks == 0 {
+		t.Fatalf("no candNew or chunks recorded: %+v", st)
 	}
-	if st3.CandNew == 0 || st3.Chunks == 0 {
-		t.Fatalf("no candNew or chunks recorded: %+v", st3)
-	}
-	if wantFires := int64(want.Len() - roots); st3.CoordFires != wantFires {
+	if wantFires := int64(want.Len() - roots); st.CoordFires != wantFires {
 		t.Fatalf("coordinator fired %d times, want one per interned state = %d (candNew %d)",
-			st3.CoordFires, wantFires, st3.CandNew)
+			st.CoordFires, wantFires, st.CandNew)
 	}
-	if st3.CoordFires >= st3.CandNew {
-		t.Fatalf("no refires saved: %d fires for %d candNew", st3.CoordFires, st3.CandNew)
-	}
-
-	p2 := pipePoolOf(t, []pipeWorker{{ver: 2}, {ver: 2}})
-	got, err := n.ExploreDist(p2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameReach(t, "v2 vs v3", want, got)
-	st2 := p2.LastSessionStats()
-	if st2.CoordFires != st2.CandNew {
-		t.Fatalf("protocol 2 fired %d times for %d candNew, want equal", st2.CoordFires, st2.CandNew)
-	}
-	// Receive-side growth bound: one hash varint (<= 10B) per candNew,
-	// plus the 5-byte frame header of each chunk; everything else of the
-	// candidate stream is unchanged, and protocol 3 drops the per-level
-	// result frames, so this bound is conservative.
-	bound := st2.BytesRecv + 10*st3.CandNew + 5*st3.Chunks
-	if st3.BytesRecv > bound {
-		t.Fatalf("protocol 3 received %dB, bound %dB (v2 %dB, %d candNew, %d chunks)",
-			st3.BytesRecv, bound, st2.BytesRecv, st3.CandNew, st3.Chunks)
+	if st.CoordFires >= st.CandNew {
+		t.Fatalf("no refires saved: %d fires for %d candNew", st.CoordFires, st.CandNew)
 	}
 }
 
@@ -166,45 +96,39 @@ func TestCandNewNoRefire(t *testing.T) {
 // stays usable for the next session.
 func TestRejectAbortMidLevel(t *testing.T) {
 	n := ringNet(2, 4)
-	spec := fullSpec(n)
-	for _, specs := range [][]pipeWorker{
-		{{}, {}},       // protocol 3
-		{{ver: 2}, {}}, // downgraded to 2
-	} {
-		p := pipePoolOf(t, specs)
-		const admitCap = 3
-		store := petri.NewMarkingStore(len(n.Places))
-		store.Intern(n.InitialMarking())
-		admitted := 0
-		hooks := petri.MergeHooks{
-			Admit: func() bool { return admitted < admitCap },
-			Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
-				if isNew {
-					admitted++
-				}
-			},
-			Reject: func(parent petri.MarkID, trans int32, budget bool) bool {
-				return !budget // abort on the first budget rejection
-			},
-		}
-		completed, err := p.RunFrontier(n, store, spec, hooks)
-		if err != nil {
-			t.Fatalf("aborted session errored: %v", err)
-		}
-		if completed {
-			t.Fatal("session completed despite Reject abort")
-		}
-		if store.Len() != 1+admitCap {
-			t.Fatalf("store holds %d states after abort, want %d", store.Len(), 1+admitCap)
-		}
-		// The pool survives the abort: a fresh full exploration matches
-		// the serial result.
-		opt := petri.ExploreOptions{MaxMarkings: 1000}
-		want := n.Explore(opt)
-		got, err := n.ExploreDist(p, opt)
-		if err != nil {
-			t.Fatalf("session after abort: %v", err)
-		}
-		requireSameReach(t, "session after abort", want, got)
+	p := pipePool(t, 2)
+	const admitCap = 3
+	store := petri.NewMarkingStore(len(n.Places))
+	store.Intern(n.InitialMarking())
+	admitted := 0
+	hooks := petri.MergeHooks{
+		Admit: func() bool { return admitted < admitCap },
+		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
+			if isNew {
+				admitted++
+			}
+		},
+		Reject: func(parent petri.MarkID, trans int32, budget bool) bool {
+			return !budget // abort on the first budget rejection
+		},
 	}
+	completed, err := p.RunFrontier(n, store, fullSpec(n), hooks)
+	if err != nil {
+		t.Fatalf("aborted session errored: %v", err)
+	}
+	if completed {
+		t.Fatal("session completed despite Reject abort")
+	}
+	if store.Len() != 1+admitCap {
+		t.Fatalf("store holds %d states after abort, want %d", store.Len(), 1+admitCap)
+	}
+	// The pool survives the abort: a fresh full exploration matches the
+	// serial result.
+	opt := petri.ExploreOptions{MaxMarkings: 1000}
+	want := n.Explore(opt)
+	got, err := n.ExploreDist(p, opt)
+	if err != nil {
+		t.Fatalf("session after abort: %v", err)
+	}
+	requireSameReach(t, "session after abort", want, got)
 }

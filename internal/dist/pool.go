@@ -21,8 +21,6 @@ import (
 type Pool struct {
 	mu       sync.Mutex
 	workers  []*conn
-	wantFull []bool             // per worker: demanded full replicas in hello
-	vers     []int              // per worker: protocol version from hello
 	cmds     []*exec.Cmd        // every process ever spawned (reaped at Close); empty for Listen pools
 	procs    []*exec.Cmd        // per worker: the process behind the connection (nil entries for external workers)
 	deadCmds map[*exec.Cmd]bool // processes retired mid-session; their exit status is not an error
@@ -30,7 +28,6 @@ type Pool struct {
 	ln       net.Listener       // retained SpawnLocal listener, for respawning replacements
 	self     string             // executable respawned as a replacement worker
 	sock     string             // endpoint replacement workers dial
-	full     bool               // coordinator-side full-replica fallback
 	broken   error              // first infrastructure failure; poisons the pool
 	closed   bool
 	logw     *logWriter
@@ -54,26 +51,21 @@ type Pool struct {
 type SessionStats struct {
 	Levels    int
 	States    int
-	Proto     int   // wire protocol the session spoke (2 for a mixed pool)
-	Trimmed   bool  // replica mode the session actually ran in
 	BytesSent int64 // coordinator -> workers (init, records, commits, acks)
 	BytesRecv int64 // workers -> coordinator (candidate streams)
-	// CandNew counts candNew candidates across the session's merge. At
-	// protocol 3 each contributes one extra varint (the successor hash)
-	// to BytesRecv and the coordinator resolves it by hash probe;
-	// CoordFires counts the transitions the coordinator actually
-	// re-fired — at protocol 3 only the genuinely new states it has to
-	// materialize (plus the rare hash-alias fallback), at protocol 2
-	// every candNew. Chunks counts protocol-3 candidate chunks received.
+	// CandNew counts candNew candidates across the session's merge; each
+	// carries the successor hash the coordinator resolves it by.
+	// CoordFires counts the transitions the coordinator actually fired:
+	// only the genuinely new states it has to materialize (plus the rare
+	// hash-alias fallback). Chunks counts candidate chunks received.
 	CandNew    int64
 	CoordFires int64
 	Chunks     int64
-	// Failover accounting (protocol 4). Restarts counts recovery rounds
-	// the session needed, Redistributed the shards moved from dead
-	// workers onto survivors when no replacement could be spawned, and
-	// Degraded reports that the session ultimately failed — recovery
-	// exhausted — and the caller should fall back to in-process
-	// exploration.
+	// Failover accounting. Restarts counts recovery rounds the session
+	// needed, Redistributed the shards moved from dead workers onto
+	// survivors when no replacement could be spawned, and Degraded
+	// reports that the session ultimately failed — recovery exhausted —
+	// and the caller should fall back to in-process exploration.
 	Restarts      int
 	Redistributed int
 	Degraded      bool
@@ -189,50 +181,48 @@ func Listen(endpoint string, n int) (*Pool, error) {
 
 // acceptOne accepts a single worker from the listener and runs the
 // hello handshake under the given deadline.
-func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, ver int, flags uint64, pid int, err error) {
+func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, pid int, err error) {
 	type deadliner interface{ SetDeadline(time.Time) error }
 	if d, ok := ln.(deadliner); ok {
 		if err := d.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("dist: arm accept deadline: %w", err)
+			return nil, 0, fmt.Errorf("dist: arm accept deadline: %w", err)
 		}
 	}
 	nc, err := ln.Accept()
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, err
 	}
 	c = newConn(nc)
 	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
 		nc.Close()
-		return nil, 0, 0, 0, fmt.Errorf("dist: arm handshake deadline: %w", err)
+		return nil, 0, fmt.Errorf("dist: arm handshake deadline: %w", err)
 	}
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		ver, flags, pid, err = checkHello(payload)
+		pid, err = checkHello(payload)
 	}
 	if err == nil {
 		err = nc.SetDeadline(time.Time{})
 	}
 	if err != nil {
 		nc.Close()
-		return nil, 0, 0, 0, fmt.Errorf("dist: worker handshake: %w", err)
+		return nil, 0, fmt.Errorf("dist: worker handshake: %w", err)
 	}
-	return c, ver, flags, pid, nil
+	return c, pid, nil
 }
 
 // accept gathers n hello-ing workers from the listener and returns
-// their self-reported pids (zero for pre-version-4 workers). The
-// deadline applies per worker (reset before each Accept), so a slowly
-// assembled external pool is not cut off by the earlier arrivals' wait.
+// their self-reported pids. The deadline applies per worker (reset
+// before each Accept), so a slowly assembled external pool is not cut
+// off by the earlier arrivals' wait.
 func (p *Pool) accept(ln net.Listener, n int, timeout time.Duration) ([]int, error) {
 	var pids []int
 	for len(p.workers) < n {
-		c, ver, flags, pid, err := acceptOne(ln, timeout)
+		c, pid, err := acceptOne(ln, timeout)
 		if err != nil {
 			return nil, fmt.Errorf("dist: waiting for worker %d/%d: %w", len(p.workers)+1, n, err)
 		}
 		p.workers = append(p.workers, c)
-		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
-		p.vers = append(p.vers, ver)
 		pids = append(pids, pid)
 	}
 	return pids, nil
@@ -243,33 +233,6 @@ func (p *Pool) NumWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.workers)
-}
-
-// SetFullReplicas switches the pool's later sessions to the
-// full-replica fallback: every worker rebuilds the whole store from
-// broadcast delta batches (memory parity with the coordinator) instead
-// of holding only its owned shards. Results are byte-identical either
-// way; full replicas trade worker memory for local successor
-// classification. A worker that demanded full replicas in its hello
-// (cmd/qssd -full-replicas) forces the fallback regardless.
-func (p *Pool) SetFullReplicas(full bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.full = full
-}
-
-// trimmed reports the replica mode the next session will use. Callers
-// hold p.mu.
-func (p *Pool) trimmed() bool {
-	if p.full {
-		return false
-	}
-	for _, wf := range p.wantFull {
-		if wf {
-			return false
-		}
-	}
-	return true
 }
 
 // Err reports the infrastructure failure that poisoned the pool, or
@@ -385,214 +348,12 @@ func (p *Pool) RunFrontier(n *petri.Net, store *petri.MarkingStore, spec petri.E
 	if p.broken != nil {
 		return false, fmt.Errorf("dist: pool failed earlier: %w", p.broken)
 	}
-	if p.sessionProto() >= 3 {
-		completed, err = p.runSessionV3(n, store, spec, hooks)
-	} else {
-		completed, err = p.runSessionV2(n, store, spec, hooks)
-	}
+	completed, err = p.runSession(n, store, spec, hooks)
 	if err != nil {
 		p.broken = err
 		p.logw.printf("session failed: %v", err)
 	}
 	return completed, err
-}
-
-// sessionProto picks the wire protocol for the next session: the
-// minimum hello version across the pool, so one old worker downgrades
-// every session to the barrier protocol it speaks. Callers hold p.mu.
-func (p *Pool) sessionProto() int {
-	v := protoVersion
-	for _, wv := range p.vers {
-		if wv < v {
-			v = wv
-		}
-	}
-	return v
-}
-
-// runSessionV2 is the protocol-2 session: per level, ship the record
-// batch, gather every worker's complete candidate stream, merge. Kept
-// for pools containing a version-2 worker.
-func (p *Pool) runSessionV2(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
-	W := len(p.workers)
-	S := petri.NumFrontierShards(W)
-	trim := p.trimmed()
-	roots := make([]petri.Marking, store.Len())
-	for i := range roots {
-		roots[i] = store.At(petri.MarkID(i))
-	}
-	start0 := startBytes(p.workers)
-	for i, c := range p.workers {
-		init := &initMsg{proto: 2, index: i, workers: W, shards: S, trim: trim, net: n, spec: spec, roots: roots}
-		if err := c.send(msgInit, appendInit(nil, init, p.vers[i])); err != nil {
-			return false, fmt.Errorf("dist: init worker %d: %w", i, err)
-		}
-	}
-	p.stats = SessionStats{Trimmed: trim, Proto: 2}
-	// owner maps an interned state to the worker owning its shard — the
-	// shared pure-function partitioning every side agrees on.
-	owner := func(id petri.MarkID) int {
-		return petri.ShardOwner(petri.ShardOfHash(store.HashAt(id), S), S, W)
-	}
-	var (
-		deltas  []petri.Delta      // full-replica mode: broadcast batch
-		pending [][]petri.VecDelta // trimmed mode: per-worker batches
-		vcaches []*vecCache        // trimmed mode: per-worker cache models
-		scratch petri.Marking
-		payload = make([]byte, 0, 1<<12)
-		streams = make([]resultStream, W)
-	)
-	if trim {
-		pending = make([][]petri.VecDelta, W)
-		vcaches = make([]*vecCache, W)
-		for i := range vcaches {
-			vcaches[i] = newVecCache()
-		}
-	}
-	finish := func(completed bool) (bool, error) {
-		for i, c := range p.workers {
-			if err := c.send(msgDone, nil); err != nil {
-				return false, fmt.Errorf("dist: finish worker %d: %w", i, err)
-			}
-		}
-		p.stats.Workers = make([]WorkerMem, W)
-		for i, c := range p.workers {
-			buf, err := c.expect(msgStats)
-			if err != nil {
-				return false, fmt.Errorf("dist: stats from worker %d: %w", i, err)
-			}
-			if p.stats.Workers[i], err = decodeStats(buf); err != nil {
-				return false, fmt.Errorf("dist: stats from worker %d: %w", i, err)
-			}
-		}
-		p.stats.States = store.Len()
-		p.stats.BytesSent, p.stats.BytesRecv = sentRecvSince(p.workers, start0)
-		p.logw.printf("session %s: %d levels, %d states, %dB sent, %dB received (trimmed=%v, completed=%v)",
-			n.Name, p.stats.Levels, p.stats.States, p.stats.BytesSent, p.stats.BytesRecv, trim, completed)
-		return completed, nil
-	}
-	for levelStart := 0; ; {
-		levelEnd := store.Len()
-		if levelStart == levelEnd {
-			return finish(true)
-		}
-		if trim {
-			// Per-worker batches: each worker receives only the records
-			// whose child it owns. Vector attachment mirrors the
-			// worker's cache in lockstep (see vcache.go): owned parents
-			// never ship, boundary parents ship on cache miss.
-			for i, c := range p.workers {
-				recs := pending[i]
-				for k := range recs {
-					if owner(recs[k].Parent) == i {
-						continue
-					}
-					if !vcaches[i].hit(recs[k].Parent) {
-						recs[k].ParentVec = store.At(recs[k].Parent)
-					}
-				}
-				payload = appendExpandTrim(payload[:0], levelStart, levelEnd, recs)
-				if err := c.send(msgExpand, payload); err != nil {
-					return false, fmt.Errorf("dist: expand to worker %d: %w", i, err)
-				}
-				pending[i] = recs[:0]
-			}
-		} else {
-			payload = appendExpand(payload[:0], levelStart, levelEnd, deltas)
-			for i, c := range p.workers {
-				if err := c.send(msgExpand, payload); err != nil {
-					return false, fmt.Errorf("dist: expand to worker %d: %w", i, err)
-				}
-			}
-		}
-		// Gather every stream before merging: the merge interleaves them
-		// by state ownership. Reads are sequential — the workers compute
-		// concurrently regardless, since the broadcast already happened.
-		for i, c := range p.workers {
-			buf, err := c.expect(msgResult)
-			if err != nil {
-				return false, fmt.Errorf("dist: result from worker %d: %w", i, err)
-			}
-			if err := streams[i].reset(buf); err != nil {
-				return false, fmt.Errorf("dist: result from worker %d: %w", i, err)
-			}
-		}
-		// Sequential first-discovery merge, exactly phase C of
-		// petri.RunFrontier.
-		deltas = deltas[:0]
-		for id := levelStart; id < levelEnd; id++ {
-			ow := owner(petri.MarkID(id))
-			cands, err := streams[ow].nextState(id)
-			if err != nil {
-				return false, fmt.Errorf("dist: worker %d stream: %w", ow, err)
-			}
-			if hooks.BeginState != nil {
-				hooks.BeginState(petri.MarkID(id))
-			}
-			for k := 0; k < cands; k++ {
-				tag, trans, known, err := streams[ow].nextCand()
-				if err != nil {
-					return false, fmt.Errorf("dist: worker %d stream: %w", ow, err)
-				}
-				if trans < 0 || trans >= len(n.Transitions) {
-					return false, fmt.Errorf("dist: worker %d: candidate transition %d out of range", ow, trans)
-				}
-				switch tag {
-				case candVeto:
-					if !hooks.Reject(petri.MarkID(id), int32(trans), false) {
-						return finish(false)
-					}
-				case candKnown:
-					if int(known) >= levelEnd {
-						return false, fmt.Errorf("dist: worker %d: known state %d beyond frontier %d", ow, known, levelEnd)
-					}
-					hooks.Edge(petri.MarkID(id), int32(trans), known, false)
-				case candNew:
-					p.stats.CandNew++
-					p.stats.CoordFires++
-					t := n.Transitions[trans]
-					m := store.At(petri.MarkID(id))
-					if !m.Enabled(t) {
-						return false, fmt.Errorf("dist: worker %d: candidate fires disabled %s at state %d", ow, t.Name, id)
-					}
-					scratch = m.FireInto(scratch, t)
-					if spec.Veto(scratch) {
-						return false, fmt.Errorf("dist: worker %d: new candidate of state %d via %s exceeds the place caps — worker/coordinator spec mismatch", ow, id, t.Name)
-					}
-					h := petri.HashMarking(scratch)
-					if g, ok := store.LookupHashed(scratch, h); ok {
-						hooks.Edge(petri.MarkID(id), int32(trans), g, false)
-						continue
-					}
-					if hooks.Admit != nil && !hooks.Admit() {
-						if !hooks.Reject(petri.MarkID(id), int32(trans), true) {
-							return finish(false)
-						}
-						continue
-					}
-					g, _ := store.InternHashed(scratch, h)
-					if trim {
-						cw := petri.ShardOwner(petri.ShardOfHash(h, S), S, W)
-						pending[cw] = append(pending[cw], petri.VecDelta{
-							Child: g, Parent: petri.MarkID(id), Trans: int32(trans),
-						})
-					} else {
-						deltas = append(deltas, petri.Delta{Parent: petri.MarkID(id), Trans: int32(trans)})
-					}
-					hooks.Edge(petri.MarkID(id), int32(trans), g, true)
-				default:
-					return false, fmt.Errorf("dist: worker %d: unknown candidate tag %d", ow, tag)
-				}
-			}
-		}
-		for i := range streams {
-			if err := streams[i].done(); err != nil {
-				return false, fmt.Errorf("dist: worker %d stream: %w", i, err)
-			}
-		}
-		p.stats.Levels++
-		levelStart = levelEnd
-	}
 }
 
 // frame is one message forwarded by a per-connection reader goroutine.
@@ -604,7 +365,7 @@ type frame struct {
 
 // workerLink is a connection with its reader goroutine's frame channel.
 // The channel holds a full credit window plus a terminal frame and a
-// little slack for protocol-4 pong replies — the most a conforming
+// little slack for pong replies — the most a conforming
 // worker ever has in flight — so the reader never blocks on a slow
 // merge and worker-side sends always drain.
 type workerLink struct {
@@ -634,14 +395,14 @@ func startLink(c *conn) *workerLink {
 	return l
 }
 
-// chunkStream is the merge-side cursor over one worker's protocol-3
-// candidate stream. Chunks are cut at state-group boundaries, so a
+// chunkStream is the merge-side cursor over one worker's candidate
+// stream. Chunks are cut at state-group boundaries, so a
 // refill happens only between states; each chunk pulled off the reader
 // channel is acknowledged immediately, returning the credit that lets
 // the worker keep expanding ahead of the merge.
 type chunkStream struct {
 	link   *workerLink
-	await  func() (frame, error) // session-supplied receive (heartbeats at protocol 4)
+	await  func() (frame, error) // session-supplied receive (heartbeats while waiting)
 	buf    []byte
 	cands  int // candidates left within the current state group
 	chunks int
@@ -689,12 +450,15 @@ func (s *chunkStream) nextState(want int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("candidate count: %w", err)
 	}
+	if n > uint64(len(rest)) { // every candidate needs >= 1 byte of this chunk
+		return 0, fmt.Errorf("candidate count %d exceeds chunk", n)
+	}
 	s.buf, s.cands = rest, int(n)
 	return int(n), nil
 }
 
 // nextCand decodes one candidate; candNew candidates carry the
-// successor's 64-bit hash at protocol 3.
+// successor's 64-bit hash.
 func (s *chunkStream) nextCand() (tag int, trans int, known petri.MarkID, h uint64, err error) {
 	if s.cands == 0 {
 		return 0, 0, 0, 0, fmt.Errorf("no candidates left in state")
@@ -705,9 +469,13 @@ func (s *chunkStream) nextCand() (tag int, trans int, known petri.MarkID, h uint
 	}
 	tag, trans = int(v&3), int(v>>2)
 	switch tag {
+	case candVeto:
 	case candKnown:
 		var g uint64
 		g, rest, err = decodeUvarint(rest)
+		if err == nil && g >= uint64(petri.NoMark) {
+			err = fmt.Errorf("%d out of range", g)
+		}
 		if err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("known id: %w", err)
 		}
@@ -717,6 +485,8 @@ func (s *chunkStream) nextCand() (tag int, trans int, known petri.MarkID, h uint
 		if err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("candidate hash: %w", err)
 		}
+	default:
+		return 0, 0, 0, 0, fmt.Errorf("unknown candidate tag %d", tag)
 	}
 	s.buf, s.cands = rest, s.cands-1
 	return tag, trans, known, h, nil
@@ -733,74 +503,4 @@ func startBytes(ws []*conn) (totals [2]int64) {
 func sentRecvSince(ws []*conn, start [2]int64) (sent, recv int64) {
 	now := startBytes(ws)
 	return now[0] - start[0], now[1] - start[1]
-}
-
-// resultStream is a cursor over one worker's per-level candidate
-// payload.
-type resultStream struct {
-	buf       []byte
-	remaining int // owned states left
-	cands     int // candidates left within the current state
-}
-
-func (s *resultStream) reset(buf []byte) error {
-	n, rest, err := decodeUvarint(buf)
-	if err != nil {
-		return fmt.Errorf("state count: %w", err)
-	}
-	s.buf, s.remaining, s.cands = rest, int(n), 0
-	return nil
-}
-
-// nextState positions the stream at the given owned state and returns
-// its candidate count.
-func (s *resultStream) nextState(want int) (int, error) {
-	if s.cands != 0 {
-		return 0, fmt.Errorf("previous state has %d unread candidates", s.cands)
-	}
-	if s.remaining == 0 {
-		return 0, fmt.Errorf("stream exhausted before state %d", want)
-	}
-	id, rest, err := decodeUvarint(s.buf)
-	if err != nil {
-		return 0, fmt.Errorf("state id: %w", err)
-	}
-	if int(id) != want {
-		return 0, fmt.Errorf("stream has state %d, merge expects %d", id, want)
-	}
-	n, rest, err := decodeUvarint(rest)
-	if err != nil {
-		return 0, fmt.Errorf("candidate count: %w", err)
-	}
-	s.buf, s.remaining, s.cands = rest, s.remaining-1, int(n)
-	return int(n), nil
-}
-
-func (s *resultStream) nextCand() (tag int, trans int, known petri.MarkID, err error) {
-	if s.cands == 0 {
-		return 0, 0, 0, fmt.Errorf("no candidates left in state")
-	}
-	v, rest, err := decodeUvarint(s.buf)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("candidate: %w", err)
-	}
-	tag, trans = int(v&3), int(v>>2)
-	if tag == candKnown {
-		var g uint64
-		g, rest, err = decodeUvarint(rest)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("known id: %w", err)
-		}
-		known = petri.MarkID(g)
-	}
-	s.buf, s.cands = rest, s.cands-1
-	return tag, trans, known, nil
-}
-
-// done verifies the level's stream was fully consumed.
-func (s *resultStream) done() error {
-	if s.remaining != 0 || s.cands != 0 || len(s.buf) != 0 {
-		return fmt.Errorf("stream not fully consumed (%d states, %d candidates, %d bytes left)", s.remaining, s.cands, len(s.buf))
-	}
-	return nil
 }

@@ -17,70 +17,54 @@ import (
 
 // Length-prefixed binary framing. Every message is a 4-byte
 // little-endian payload length, a 1-byte type, and the payload —
-// varint-encoded via the petri wire helpers. At protocol 2 the exchange
-// is strictly coordinator-driven (workers speak only when spoken to:
-// hello on connect, one result per expand). Protocol 3 pipelines: the
-// coordinator streams record batches and level commits while workers
-// stream candidate chunks back, with a credit window (msgAck) bounding
-// the chunks in flight — the coordinator's per-connection reader
-// goroutine plus that window is what keeps both directions draining
-// and rules out write-write deadlock.
+// varint-encoded via the petri wire helpers. The session is pipelined:
+// the coordinator streams record batches and level commits while
+// workers stream candidate chunks back, with a credit window (msgAck)
+// bounding the chunks in flight — the coordinator's per-connection
+// reader goroutine plus that window is what keeps both directions
+// draining and rules out write-write deadlock.
 
 const (
 	protoMagic = "qssd"
-	// Version 3: candidate streams travel as flow-controlled chunks
-	// (msgChunk/msgAck) instead of one result per level, store records
-	// stream during the previous level's merge (msgRecords) with an
-	// explicit level commit (msgLevel), and every candNew candidate
-	// carries the successor's 64-bit hash so the coordinator classifies
-	// without re-firing. Workers hello with the highest version they
-	// speak; the coordinator picks the pool minimum per session and
-	// announces it in a leading init field (version-3 init layout only).
-	//
-	// Version 4: failover. Liveness is probed with msgPing/msgPong and
-	// read/write deadlines, and a session survives worker death: the
-	// coordinator re-inits the pool with empty roots, rebuilds each
-	// replica by a msgRestore bulk load (the states at or past the
-	// failed level, streamed from the authoritative store), and resumes
-	// the merge at the last committed level. The session wire layout is
-	// otherwise identical to version 3.
-	protoVersion = 4
-	// protoVersionMin is the oldest worker hello still accepted.
-	// Version 2: per-level barrier (msgExpand/msgResult round trips),
-	// hash-less candNew. A mixed pool downgrades every session to 2.
-	protoVersionMin = 2
-	// maxFrame bounds a single message payload; a protocol-2 level
-	// candidate stream is the largest message and stays far below this
-	// for any exploration that fits in memory.
+	// protoVersion is the one wire protocol both sides speak; a hello
+	// naming any other version is refused, there is no negotiation.
+	// Candidate streams travel as flow-controlled chunks
+	// (msgChunk/msgAck), store records stream during the previous
+	// level's merge (msgRecords) with an explicit level commit
+	// (msgLevel), and every candNew candidate carries the successor's
+	// 64-bit hash so the coordinator classifies without re-firing.
+	// Liveness is probed with msgPing/msgPong and read/write deadlines,
+	// and a session survives worker death: the coordinator re-inits the
+	// pool with empty roots, rebuilds each replica by a msgRestore bulk
+	// load, and resumes the merge at the last committed level. Bump it
+	// with any change to a frame layout.
+	protoVersion = 5
+	// maxFrame bounds a single message payload; a restore bulk load is
+	// the largest message and stays far below this for any exploration
+	// that fits in memory.
 	maxFrame = 1 << 30
 )
 
 // Message types.
 const (
-	msgHello  byte = 1 // worker -> coordinator, on connect
-	msgInit   byte = 2 // coordinator -> worker, session start
-	msgExpand byte = 3 // coordinator -> worker, one level (protocol 2)
-	msgResult byte = 4 // worker -> coordinator, one level's candidates (protocol 2)
-	msgDone   byte = 5 // coordinator -> worker, session end
-	msgStats  byte = 7 // worker -> coordinator, reply to done
-	msgError  byte = 6 // either direction, carries a message string
-
-	// Protocol 3: the pipelined session.
+	msgHello   byte = 1  // worker -> coordinator, on connect
+	msgInit    byte = 2  // coordinator -> worker, session start
+	msgDone    byte = 5  // coordinator -> worker, session end
+	msgStats   byte = 7  // worker -> coordinator, reply to done
+	msgError   byte = 6  // either direction, carries a message string
 	msgRecords byte = 8  // coordinator -> worker, store records of the level being built (streamed mid-merge)
 	msgLevel   byte = 9  // coordinator -> worker, commits the recorded level's [start, end) id range
 	msgAck     byte = 10 // coordinator -> worker, returns chunk credits consumed by the merge
 	msgChunk   byte = 11 // worker -> coordinator, a slice of the candidate stream
-
-	// Protocol 4: failover.
 	msgPing    byte = 12 // coordinator -> worker, liveness probe while awaiting a frame
 	msgPong    byte = 13 // worker -> coordinator, reply to ping
 	msgRestore byte = 14 // coordinator -> worker, bulk replica rebuild after a re-init
 )
 
-// Protocol-3 pipelining parameters. Both sides hard-code them: the
-// worker enforces the chunk target and window on its sends, the
-// coordinator sizes its per-connection reader channel so a conforming
-// worker's frames never block the reader.
+// Pipelining parameters. Both sides hard-code them: the worker enforces
+// the chunk target and window on its sends, the coordinator sizes its
+// per-connection reader channel so a conforming worker's frames never
+// block the reader.
 const (
 	// chunkTarget is the worker-side flush threshold for candidate
 	// chunks. A worker also flushes a smaller partial chunk whenever it
@@ -98,10 +82,10 @@ const (
 	recordFlush = 256
 )
 
-// Protocol-4 liveness parameters. Vars, not consts, so the failover
-// tests can shrink them to milliseconds; production sessions run the
-// defaults. Liveness means "the peer still answers", not "the peer
-// makes progress": any received frame (a pong included) resets the
+// Liveness parameters. Vars, not consts, so the failover tests can
+// shrink them to milliseconds; production sessions run the defaults.
+// Liveness means "the peer still answers", not "the peer makes
+// progress": any received frame (a pong included) resets the
 // coordinator's patience, so a worker legitimately grinding through a
 // huge level is never declared dead as long as its serve loop drains
 // pings between pumps.
@@ -112,35 +96,27 @@ var (
 	// heartbeatTimeout declares the awaited worker dead when no frame
 	// at all (chunk, pong, stats, error) arrives within it.
 	heartbeatTimeout = 20 * time.Second
-	// sendTimeout is the per-message write deadline on protocol-4
-	// connections: a peer that stopped reading (socket buffer full)
-	// fails the send instead of blocking the session forever.
+	// sendTimeout is the per-message write deadline within a session:
+	// a peer that stopped reading (socket buffer full) fails the send
+	// instead of blocking the session forever.
 	sendTimeout = 60 * time.Second
 	// workerIdleTimeout is the worker-side read deadline within a
-	// protocol-4 session — generous, because a coordinator merging a
+	// session — generous, because a coordinator merging a
 	// huge level may legitimately go quiet toward a parked worker. It
 	// is cleared at session end so an idle qssd worker survives
 	// arbitrarily long gaps between sessions.
 	workerIdleTimeout = 10 * time.Minute
 )
 
-// Hello capability flags.
-const (
-	// helloFullReplicas: the worker insists on full-replica sessions
-	// (cmd/qssd -full-replicas); the coordinator downgrades the whole
-	// pool, which changes memory and traffic but never results.
-	helloFullReplicas = 1 << 0
-)
-
 // Candidate tags within a result stream.
 const (
 	candVeto  = 0 // successor beyond the spec caps
 	candKnown = 1 // successor already interned in the replica
-	candNew   = 2 // successor unknown to the replica; coordinator resolves
+	candNew   = 2 // successor unknown to the replica; coordinator resolves by its hash
 )
 
-// deadliner is the subset of net.Conn the protocol-4 liveness layer
-// needs; in-memory test transports without deadline support simply run
+// deadliner is the subset of net.Conn the liveness layer needs;
+// in-memory test transports without deadline support simply run
 // without deadlines.
 type deadliner interface {
 	SetReadDeadline(time.Time) error
@@ -149,8 +125,9 @@ type deadliner interface {
 
 // conn wraps a net.Conn with buffered framing and traffic accounting.
 // readTimeout/writeTimeout, when non-zero, arm a per-operation deadline
-// before every recv/send (protocol 4 only; a zero value leaves the
-// connection deadline-free, which is the protocol <= 3 behavior).
+// before every recv/send on transports that support deadlines. A worker
+// sets both for the length of a session only, so an idle connection
+// between sessions stays deadline-free.
 type conn struct {
 	rw           io.ReadWriteCloser
 	br           *bufio.Reader
@@ -198,7 +175,7 @@ func (c *conn) armWrite() {
 }
 
 // clearWrite drops any armed write deadline at session end, so a stale
-// absolute deadline cannot fail a later deadline-free session's writes.
+// absolute deadline cannot fail a write between sessions.
 func (c *conn) clearWrite() {
 	c.writeTimeout = 0
 	if c.d != nil {
@@ -285,73 +262,51 @@ func (c *conn) expect(typ byte) ([]byte, error) {
 	return payload, nil
 }
 
-// sendHello greets the coordinator. Version-4 hellos append the
-// worker's pid, which lets a SpawnLocal pool map each accepted
+// appendHello encodes a worker's greeting: magic, protocol version, and
+// the worker's pid, which lets a SpawnLocal pool map each accepted
 // connection to the process behind it — the bookkeeping worker-kill
 // fault injection and respawn recovery depend on.
-func (c *conn) sendHello(version int, flags uint64, pid int) error {
-	payload := binary.AppendUvarint([]byte(protoMagic), uint64(version))
-	payload = binary.AppendUvarint(payload, flags)
-	if version >= 4 {
-		payload = binary.AppendUvarint(payload, uint64(pid))
-	}
-	return c.send(msgHello, payload)
+func appendHello(pid int) []byte {
+	payload := binary.AppendUvarint([]byte(protoMagic), protoVersion)
+	return binary.AppendUvarint(payload, uint64(pid))
 }
 
-func checkHello(payload []byte) (version int, flags uint64, pid int, err error) {
+// checkHello validates a worker's hello and returns its pid. A worker
+// built from another tree speaks another version and is refused here,
+// before any session traffic.
+func checkHello(payload []byte) (pid int, err error) {
 	if len(payload) < len(protoMagic) || string(payload[:len(protoMagic)]) != protoMagic {
-		return 0, 0, 0, fmt.Errorf("dist: bad hello magic")
+		return 0, fmt.Errorf("dist: bad hello magic")
 	}
-	buf := payload[len(protoMagic):]
-	v, n := binary.Uvarint(buf)
-	if n <= 0 || v < protoVersionMin || v > protoVersion {
-		return 0, 0, 0, fmt.Errorf("dist: protocol version %d (supported %d..%d)", v, protoVersionMin, protoVersion)
+	v, buf, err := decodeUvarint(payload[len(protoMagic):])
+	if err != nil {
+		return 0, fmt.Errorf("dist: hello version: %w", err)
 	}
-	off := n
-	var m int
-	flags, m = binary.Uvarint(buf[off:])
-	if m <= 0 {
-		return 0, 0, 0, fmt.Errorf("dist: hello flags missing")
+	if v != protoVersion {
+		return 0, fmt.Errorf("dist: worker speaks protocol version %d, coordinator speaks %d", v, protoVersion)
 	}
-	off += m
-	if v >= 4 {
-		p, m := binary.Uvarint(buf[off:])
-		if m <= 0 {
-			return 0, 0, 0, fmt.Errorf("dist: hello pid missing")
-		}
-		pid = int(p)
+	p, buf, err := decodeUvarint(buf)
+	if err != nil {
+		return 0, fmt.Errorf("dist: hello pid: %w", err)
 	}
-	return int(v), flags, pid, nil
+	if len(buf) != 0 {
+		return 0, fmt.Errorf("dist: hello has %d trailing bytes", len(buf))
+	}
+	return int(p), nil
 }
 
-// initMsg is the decoded session-start payload. proto is the wire
-// protocol this session speaks — a version-3 worker in a mixed pool is
-// told 2 and runs the barrier session path of its older peers.
+// initMsg is the decoded session-start payload.
 type initMsg struct {
-	proto                  int
 	index, workers, shards int
-	trim                   bool
 	net                    *petri.Net
 	spec                   petri.ExpandSpec
 	roots                  []petri.Marking
 }
 
-// appendInit encodes a session init in the layout the worker's hello
-// version expects: version 3 adds a leading session-protocol field
-// (the coordinator may pick protocol 2 for a mixed pool); a version-2
-// worker gets the unchanged version-2 layout.
-func appendInit(dst []byte, m *initMsg, helloVer int) []byte {
-	if helloVer >= 3 {
-		dst = binary.AppendUvarint(dst, uint64(m.proto))
-	}
+func appendInit(dst []byte, m *initMsg) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.index))
 	dst = binary.AppendUvarint(dst, uint64(m.workers))
 	dst = binary.AppendUvarint(dst, uint64(m.shards))
-	trim := uint64(0)
-	if m.trim {
-		trim = 1
-	}
-	dst = binary.AppendUvarint(dst, trim)
 	dst = petri.AppendNet(dst, m.net)
 	dst = binary.AppendUvarint(dst, uint64(len(m.spec.Mask)))
 	for _, w := range m.spec.Mask {
@@ -369,10 +324,8 @@ func appendInit(dst []byte, m *initMsg, helloVer int) []byte {
 	return dst
 }
 
-// decodeInit decodes a session init sent to a worker that helloed
-// helloVer (see appendInit for the layout difference).
-func decodeInit(buf []byte, helloVer int) (*initMsg, error) {
-	m := &initMsg{proto: 2}
+func decodeInit(buf []byte) (*initMsg, error) {
+	m := &initMsg{}
 	var err error
 	u := func() uint64 {
 		var v uint64
@@ -381,14 +334,7 @@ func decodeInit(buf []byte, helloVer int) (*initMsg, error) {
 		}
 		return v
 	}
-	if helloVer >= 3 {
-		m.proto = int(u())
-		if err == nil && (m.proto < protoVersionMin || m.proto > protoVersion) {
-			err = fmt.Errorf("session protocol %d out of range", m.proto)
-		}
-	}
 	m.index, m.workers, m.shards = int(u()), int(u()), int(u())
-	m.trim = u() != 0
 	if err != nil {
 		return nil, fmt.Errorf("dist: init header: %w", err)
 	}
@@ -400,7 +346,8 @@ func decodeInit(buf []byte, helloVer int) (*initMsg, error) {
 		return nil, err
 	}
 	nm := u()
-	if err == nil && nm*8 > uint64(len(buf)) {
+	// Divide rather than multiply: nm*8 wraps for nm >= 2^61.
+	if err == nil && nm > uint64(len(buf))/8 {
 		err = fmt.Errorf("mask length %d exceeds payload", nm)
 	}
 	if err != nil {
@@ -437,62 +384,18 @@ func decodeInit(buf []byte, helloVer int) (*initMsg, error) {
 		}
 		m.roots = append(m.roots, r)
 	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("dist: init payload has %d trailing bytes", len(buf))
+	}
 	return m, nil
 }
 
-// expandMsg is the decoded per-level payload: the frontier id range and
-// the batch creating it (empty on the first level, whose states arrived
-// as init roots). Full-replica sessions broadcast one Delta batch to
-// every worker; trimmed sessions send each worker only the VecDelta
-// records whose child it owns.
-type expandMsg struct {
-	start, end int
-	deltas     []petri.Delta
-	recs       []petri.VecDelta
-}
-
-func appendExpand(dst []byte, start, end int, deltas []petri.Delta) []byte {
-	dst = binary.AppendUvarint(dst, uint64(start))
-	dst = binary.AppendUvarint(dst, uint64(end))
-	return petri.AppendDeltas(dst, deltas)
-}
-
-func appendExpandTrim(dst []byte, start, end int, recs []petri.VecDelta) []byte {
-	dst = binary.AppendUvarint(dst, uint64(start))
-	dst = binary.AppendUvarint(dst, uint64(end))
-	return petri.AppendVecDeltas(dst, recs)
-}
-
-func decodeExpand(buf []byte, trim bool, deltas []petri.Delta, recs []petri.VecDelta) (*expandMsg, []petri.Delta, []petri.VecDelta, error) {
-	s, buf, err := decodeUvarint(buf)
-	if err != nil {
-		return nil, deltas, recs, fmt.Errorf("dist: expand start: %w", err)
-	}
-	e, buf, err := decodeUvarint(buf)
-	if err != nil {
-		return nil, deltas, recs, fmt.Errorf("dist: expand end: %w", err)
-	}
-	if trim {
-		recs, _, err = petri.DecodeVecDeltas(recs[:0], buf)
-		if err != nil {
-			return nil, deltas, recs, err
-		}
-		return &expandMsg{start: int(s), end: int(e), recs: recs}, deltas, recs, nil
-	}
-	deltas, _, err = petri.DecodeDeltas(deltas[:0], buf)
-	if err != nil {
-		return nil, deltas, recs, err
-	}
-	return &expandMsg{start: int(s), end: int(e), deltas: deltas}, deltas, recs, nil
-}
-
-// Protocol-3 payload helpers. msgRecords carries a bare record batch
-// (petri.AppendVecDeltas for trimmed sessions — children named by
-// global id — or petri.AppendDeltas for full replicas, children
-// implicit in store order); msgChunk carries raw candidate-stream
-// bytes, cut only at state-group boundaries; msgLevel commits the
-// [start, end) global-id range of the level whose records finished
-// streaming; msgAck returns consumed chunk credits.
+// Session payload helpers. msgRecords carries a bare
+// petri.AppendVecDeltas record batch (children named by global id);
+// msgChunk carries raw candidate-stream bytes, cut only at state-group
+// boundaries; msgLevel commits the [start, end) global-id range of the
+// level whose records finished streaming; msgAck returns consumed chunk
+// credits.
 
 func appendLevel(dst []byte, start, end int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(start))
@@ -504,20 +407,22 @@ func decodeLevel(buf []byte) (start, end int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("dist: level start: %w", err)
 	}
-	e, _, err := decodeUvarint(buf)
+	e, buf, err := decodeUvarint(buf)
 	if err != nil {
 		return 0, 0, fmt.Errorf("dist: level end: %w", err)
+	}
+	if len(buf) != 0 {
+		return 0, 0, fmt.Errorf("dist: level commit has %d trailing bytes", len(buf))
 	}
 	return int(s), int(e), nil
 }
 
-// restoreMsg is the protocol-4 replica rebuild sent right after a
-// recovery re-init (whose roots are empty): resumeFrom is the start of
-// the level the merge will replay, bounds are the committed level
-// starts plus the uncommitted level's start (the worker's pin table),
-// and states are (global id, vector) pairs in ascending id order — a
-// trimmed worker receives its owned states at or past resumeFrom, a
-// full-replica worker the entire store.
+// restoreMsg is the replica rebuild sent right after a recovery re-init
+// (whose roots are empty): resumeFrom is the start of the level the
+// merge will replay, bounds are the committed level starts plus the
+// uncommitted level's start (the worker's pin table), and states are
+// the worker's owned (global id, vector) pairs at or past resumeFrom,
+// in ascending id order.
 type restoreMsg struct {
 	resumeFrom int
 	bounds     []int
@@ -570,6 +475,9 @@ func decodeRestore(buf []byte) (*restoreMsg, error) {
 	}
 	for i := uint64(0); i < ns; i++ {
 		g := u()
+		if err == nil && g >= uint64(petri.NoMark) {
+			err = fmt.Errorf("id %d out of range", g)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("dist: restore state %d: %w", i, err)
 		}
@@ -590,20 +498,19 @@ func decodeRestore(buf []byte) (*restoreMsg, error) {
 // WorkerMem is one worker's end-of-session replica accounting, shipped
 // in the msgStats reply to done. Store, bits and cache bytes are exact
 // live counts — pure functions of the interned sequence, comparable
-// across processes and machines — which is what lets CI gate trimmed
-// against full replicas with strict byte ratios. HeapBytes is the Go
+// across processes and machines — which is what lets CI gate per-worker
+// replica memory with strict byte ratios. HeapBytes is the Go
 // runtime's live-heap figure at session end: machine-dependent,
 // informational only.
 type WorkerMem struct {
 	States     int   // markings held in the worker's store
-	StoreBytes int64 // hot store bytes (MarkingStore.Mem().HotBytes) + the local->global id table (4B per held state when trimmed)
+	StoreBytes int64 // hot store bytes (MarkingStore.Mem().HotBytes) + the local->global id table (4B per held state)
 	BitsBytes  int64 // enabled-set arena (len * 8)
 	CacheBytes int64 // boundary-parent vector cache payload
 	HeapBytes  int64 // runtime.MemStats.HeapAlloc (informational)
 	// FrozenBytes is the worker store's on-disk delta segment
 	// (MarkingStore.Mem().FrozenBytes); 0 unless the worker runs with
-	// WorkerOptions.FreezeLevels. Wire-optional: a worker predating the
-	// frozen tier simply omits the field and decodes as 0.
+	// WorkerOptions.FreezeLevels.
 	FrozenBytes int64
 }
 
@@ -632,11 +539,12 @@ func decodeStats(buf []byte) (WorkerMem, error) {
 	m.BitsBytes = int64(u())
 	m.CacheBytes = int64(u())
 	m.HeapBytes = int64(u())
-	if len(buf) > 0 { // optional trailing field (older workers omit it)
-		m.FrozenBytes = int64(u())
-	}
+	m.FrozenBytes = int64(u())
 	if err != nil {
 		return WorkerMem{}, fmt.Errorf("dist: stats: %w", err)
+	}
+	if len(buf) != 0 {
+		return WorkerMem{}, fmt.Errorf("dist: stats have %d trailing bytes", len(buf))
 	}
 	return m, nil
 }

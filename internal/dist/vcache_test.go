@@ -68,7 +68,7 @@ func TestExploreDistPipeTinyCache(t *testing.T) {
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	want := n.Explore(opt)
 	for _, workers := range []int{2, 4} {
-		p := pipePool(t, workers, WorkerOptions{})
+		p := pipePool(t, workers)
 		got, err := n.ExploreDist(p, opt)
 		if err != nil {
 			t.Fatalf("ExploreDist(%d workers, cap 2): %v", workers, err)

@@ -13,34 +13,24 @@ import (
 	"repro/internal/petri"
 )
 
-// Worker side: a replica of the exploration state plus the serve loop.
+// Worker side: a trimmed replica of the exploration state plus the
+// serve loop.
 //
-// In the default trimmed mode a worker holds marking vectors, hashes
-// and enabled bitsets ONLY for the hash shards it owns: the coordinator
-// sends it just the VecDelta records whose child lands in those shards,
-// attaching the parent's token vector when the parent belongs to
-// another worker (the worker can no longer re-fire from a full local
-// replica). Per-worker memory therefore scales with owned states,
-// ~1/N of the state space — the property that takes explorations past
-// one machine's RAM. In the full-replica fallback every worker rebuilds
-// the whole store from the broadcast Delta batches, trading memory
-// parity with the coordinator for coordinator-side work: a full replica
-// classifies every successor locally, while a trimmed one reports
-// successors of foreign shards as new and leaves resolution to the
-// coordinator's merge.
+// A worker holds marking vectors, hashes and enabled bitsets ONLY for
+// the hash shards it owns: the coordinator sends it just the VecDelta
+// records whose child lands in those shards, attaching the parent's
+// token vector when the parent belongs to another worker. Per-worker
+// memory therefore scales with owned states, ~1/N of the state space —
+// the property that takes explorations past one machine's RAM.
 //
-// Either way the worker expands exactly the frontier states whose shard
-// it owns and classifies each successor as veto / known / new; ordering
-// decisions stay with the coordinator, so results are byte-identical
-// across modes and worker counts.
+// The worker expands exactly the frontier states it holds and
+// classifies each successor as veto / known / new, reporting successors
+// of foreign shards as new and leaving their resolution to the
+// coordinator's merge; ordering decisions stay with the coordinator, so
+// results are byte-identical across worker counts.
 
 // WorkerOptions configures a worker's serve loop.
 type WorkerOptions struct {
-	// FullReplicas advertises (via hello) that this worker refuses
-	// trimmed sessions; the coordinator downgrades the pool to
-	// full-replica mode. For memory-rich workers that prefer local
-	// successor classification over coordinator-side resolution.
-	FullReplicas bool
 	// DialAttempts caps the initial-dial retries of Serve (cmd/qssd
 	// -dial-attempts): 0 retries until the dial budget expires, n > 0
 	// gives up after n attempts even with budget left.
@@ -51,7 +41,7 @@ type WorkerOptions struct {
 	// it can never again be record parents or expansion sources, so
 	// only their hashes and segment offsets stay resident. Shrinks the
 	// per-worker footprint on top of what trimming already saves.
-	// Protocol-3+ sessions only; results are byte-identical either way.
+	// Results are byte-identical either way.
 	FreezeLevels bool
 }
 
@@ -66,17 +56,14 @@ type replica struct {
 	bits    []uint64
 	scratch petri.Marking
 
-	// Trimmed-mode state: gids maps the store's dense local ids to the
-	// coordinator's global MarkIDs (strictly ascending, so the inverse
-	// is a binary search), vcache holds boundary-parent vectors in
-	// lockstep with the coordinator, and nextStart/levels validate that
-	// expand messages arrive in frontier order.
-	trim      bool
+	// gids maps the store's dense local ids to the coordinator's global
+	// MarkIDs (strictly ascending, so the inverse is a binary search),
+	// vcache holds boundary-parent vectors in lockstep with the
+	// coordinator, and rootCount is the number of init roots, owned or
+	// not — the first level's global-id range.
 	gids      []petri.MarkID
 	vcache    *vecCache
 	rootCount int
-	nextStart int
-	levels    int
 
 	// fwin buffers per-local-state provenance for the store's frozen
 	// tier (WorkerOptions.FreezeLevels); nil when freezing is off.
@@ -97,7 +84,6 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 	r := &replica{
 		net:     m.net,
 		spec:    m.spec,
-		trim:    m.trim,
 		index:   m.index,
 		workers: m.workers,
 		shards:  m.shards,
@@ -112,9 +98,7 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 	if len(m.spec.Caps) != len(r.net.Places) {
 		return nil, fmt.Errorf("dist: spec caps cover %d places, net has %d", len(m.spec.Caps), len(r.net.Places))
 	}
-	if r.trim {
-		r.vcache = newVecCache()
-	}
+	r.vcache = newVecCache()
 	if freeze {
 		if err := r.store.EnableFreeze(petri.FreezeConfig{Deltas: r.net.TokenDeltas()}); err == nil {
 			r.fwin = &petri.FreezeWindow{}
@@ -126,20 +110,14 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 			return nil, fmt.Errorf("dist: root %d has %d places, net has %d", i, len(root), len(r.net.Places))
 		}
 		h := petri.HashMarking(root)
-		if r.trim && !r.ownsHash(h) {
+		if !r.ownsHash(h) {
 			continue
 		}
-		id, isNew := r.store.InternHashed(root, h)
-		if !isNew {
+		if _, isNew := r.store.InternHashed(root, h); !isNew {
 			return nil, fmt.Errorf("dist: duplicate root %d", i)
 		}
-		if !r.trim && int(id) != i {
-			return nil, fmt.Errorf("dist: root %d interned as %d", i, id)
-		}
 		r.appendProv(petri.FreezeProv{Parent: petri.NoMark}) // roots: verbatim
-		if r.trim {
-			r.gids = append(r.gids, petri.MarkID(i))
-		}
+		r.gids = append(r.gids, petri.MarkID(i))
 		base := len(r.bits)
 		r.bits = append(r.bits, make([]uint64, r.stride)...)
 		r.tracker.Init(r.bits[base:base+r.stride], root)
@@ -154,30 +132,9 @@ func (r *replica) ownsHash(h uint64) bool {
 	return petri.ShardOwner(sh, r.shards, r.workers) == r.index
 }
 
-// owns reports whether this worker's shard range contains state id
-// (a local store id).
-func (r *replica) owns(id petri.MarkID) bool {
-	return r.ownsHash(r.store.HashAt(id))
-}
-
-// gid maps a local store id to the coordinator's global MarkID — the
-// identity in full-replica mode.
-func (r *replica) gid(local petri.MarkID) petri.MarkID {
-	if !r.trim {
-		return local
-	}
-	return r.gids[local]
-}
-
-// localOf inverts gid: binary search over the ascending gids table in
-// trimmed mode, a bounds check otherwise.
+// localOf maps a global MarkID to the local store id holding it: a
+// binary search over the ascending gids table.
 func (r *replica) localOf(g petri.MarkID) (petri.MarkID, bool) {
-	if !r.trim {
-		if int(g) >= r.store.Len() {
-			return petri.NoMark, false
-		}
-		return g, true
-	}
 	i := sort.Search(len(r.gids), func(i int) bool { return r.gids[i] >= g })
 	if i < len(r.gids) && r.gids[i] == g {
 		return petri.MarkID(i), true
@@ -185,41 +142,13 @@ func (r *replica) localOf(g petri.MarkID) (petri.MarkID, bool) {
 	return petri.NoMark, false
 }
 
-// applyDelta re-fires one (parent, trans) discovery of a full-replica
-// session, growing the store and the enabled-set arena exactly as the
-// coordinator's merge did.
-func (r *replica) applyDelta(d petri.Delta) error {
-	if int(d.Parent) >= r.store.Len() {
-		return fmt.Errorf("dist: delta parent %d beyond store (%d states)", d.Parent, r.store.Len())
-	}
-	if int(d.Trans) < 0 || int(d.Trans) >= len(r.net.Transitions) {
-		return fmt.Errorf("dist: delta transition %d out of range", d.Trans)
-	}
-	t := r.net.Transitions[d.Trans]
-	m := r.store.At(d.Parent)
-	if !m.Enabled(t) {
-		return fmt.Errorf("dist: delta fires disabled transition %s at state %d", t.Name, d.Parent)
-	}
-	r.scratch = m.FireInto(r.scratch, t)
-	id, isNew := r.store.Intern(r.scratch)
-	if !isNew {
-		return fmt.Errorf("dist: delta (%d, %s) re-discovers state %d", d.Parent, t.Name, id)
-	}
-	r.appendProv(petri.FreezeProv{Parent: d.Parent, Trans: d.Trans}) // full replica: local id == global
-	base := len(r.bits)
-	r.bits = append(r.bits, make([]uint64, r.stride)...)
-	r.tracker.Update(r.bits[base:base+r.stride],
-		r.bits[int(d.Parent)*r.stride:(int(d.Parent)+1)*r.stride], int(d.Trans), r.store.At(id))
-	return nil
-}
-
-// applyRec interns one owned child of a trimmed session. The parent
-// vector comes from the owned store, from the record itself, or from
-// the boundary-parent cache (whose state mirrors the coordinator's; a
-// miss is a protocol failure, not a recoverable condition). A child
-// derived from a shipped or cached vector gets its enabled set from
-// tracker.Init — the incremental Update needs the parent's bitset,
-// which only owned parents have. Init and Update agree bit-for-bit.
+// applyRec interns one owned child. The parent vector comes from the
+// owned store, from the record itself, or from the boundary-parent
+// cache (whose state mirrors the coordinator's; a miss is a protocol
+// failure, not a recoverable condition). A child derived from a
+// shipped or cached vector gets its enabled set from tracker.Init —
+// the incremental Update needs the parent's bitset, which only owned
+// parents have. Init and Update agree bit-for-bit.
 func (r *replica) applyRec(rec petri.VecDelta) error {
 	if int(rec.Trans) < 0 || int(rec.Trans) >= len(r.net.Transitions) {
 		return fmt.Errorf("dist: record transition %d out of range", rec.Trans)
@@ -256,7 +185,7 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	}
 	id, isNew := r.store.InternHashed(r.scratch, h)
 	if !isNew {
-		return fmt.Errorf("dist: record (%d, %s) re-discovers state %d", rec.Parent, t.Name, r.gid(id))
+		return fmt.Errorf("dist: record (%d, %s) re-discovers state %d", rec.Parent, t.Name, r.gids[id])
 	}
 	if n := len(r.gids); n > 0 && r.gids[n-1] >= rec.Child {
 		return fmt.Errorf("dist: record child %d not ascending (last %d)", rec.Child, r.gids[n-1])
@@ -276,15 +205,14 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	return nil
 }
 
-// applyRestore rebuilds a fresh replica from a protocol-4 bulk load
-// (see restoreMsg): every shipped state is interned in ascending global
-// id order with its enabled set recomputed from scratch (tracker.Init
-// and the incremental Update agree bit-for-bit). A trimmed replica
-// receives only owned states at or past the resume point — the states
-// it may still have to expand or route records through; everything
-// older was fully merged before the failure and can only come back as
-// a candNew the coordinator resolves by hash. A full replica receives
-// the dense store prefix.
+// applyRestore rebuilds a fresh replica from a bulk load (see
+// restoreMsg): every shipped state is interned in ascending global id
+// order with its enabled set recomputed from scratch (tracker.Init and
+// the incremental Update agree bit-for-bit). The replica receives only
+// owned states at or past the resume point — the states it may still
+// have to expand or route records through; everything older was fully
+// merged before the failure and can only come back as a candNew the
+// coordinator resolves by hash.
 func (r *replica) applyRestore(m *restoreMsg) error {
 	if r.store.Len() != 0 || len(r.gids) != 0 {
 		return fmt.Errorf("dist: restore into a non-empty replica (%d states)", r.store.Len())
@@ -303,27 +231,21 @@ func (r *replica) applyRestore(m *restoreMsg) error {
 			return fmt.Errorf("dist: restore state %d has %d places, net has %d", g, len(vec), len(r.net.Places))
 		}
 		h := petri.HashMarking(vec)
-		if r.trim {
-			if !r.ownsHash(h) {
-				return fmt.Errorf("dist: restore state %d routes outside this worker's shards", g)
-			}
-			if int(g) < m.resumeFrom {
-				return fmt.Errorf("dist: restore state %d below resume point %d", g, m.resumeFrom)
-			}
-			if n := len(r.gids); n > 0 && r.gids[n-1] >= g {
-				return fmt.Errorf("dist: restore state %d not ascending (last %d)", g, r.gids[n-1])
-			}
-		} else if int(g) != i {
-			return fmt.Errorf("dist: restore state %d at position %d — a full replica needs the dense prefix", g, i)
+		if !r.ownsHash(h) {
+			return fmt.Errorf("dist: restore state %d routes outside this worker's shards", g)
+		}
+		if int(g) < m.resumeFrom {
+			return fmt.Errorf("dist: restore state %d below resume point %d", g, m.resumeFrom)
+		}
+		if n := len(r.gids); n > 0 && r.gids[n-1] >= g {
+			return fmt.Errorf("dist: restore state %d not ascending (last %d)", g, r.gids[n-1])
 		}
 		id, isNew := r.store.InternHashed(vec, h)
 		if !isNew {
 			return fmt.Errorf("dist: restore re-interns state %d as local %d", g, id)
 		}
 		r.appendProv(petri.FreezeProv{Parent: petri.NoMark}) // restored: verbatim
-		if r.trim {
-			r.gids = append(r.gids, g)
-		}
+		r.gids = append(r.gids, g)
 		base := len(r.bits)
 		r.bits = append(r.bits, make([]uint64, r.stride)...)
 		r.tracker.Init(r.bits[base:base+r.stride], r.store.At(id))
@@ -331,84 +253,21 @@ func (r *replica) applyRestore(m *restoreMsg) error {
 	return nil
 }
 
-// expandLevel applies the level's batch and expands the owned frontier
-// states, appending the result payload to dst.
-func (r *replica) expandLevel(dst []byte, msg *expandMsg) ([]byte, error) {
-	if r.trim {
-		return r.expandLevelTrim(dst, msg)
-	}
-	// The deltas must create exactly the frontier [start, end) on top of
-	// the current replica — except on the first level, whose frontier is
-	// the roots that arrived with init (no deltas).
-	firstLevel := len(msg.deltas) == 0 && msg.start == 0 && msg.end == r.store.Len()
-	if !firstLevel && (msg.start != r.store.Len() || len(msg.deltas) != msg.end-msg.start) {
-		return nil, fmt.Errorf("dist: expand range [%d,%d) with %d deltas does not extend store of %d states",
-			msg.start, msg.end, len(msg.deltas), r.store.Len())
-	}
-	for _, d := range msg.deltas {
-		if err := r.applyDelta(d); err != nil {
-			return nil, err
-		}
-	}
-	if msg.end != r.store.Len() {
-		return nil, fmt.Errorf("dist: frontier end %d, store has %d states after deltas", msg.end, r.store.Len())
-	}
-	// Count owned states first: the payload leads with the count.
-	owned := 0
-	for id := msg.start; id < msg.end; id++ {
-		if r.owns(petri.MarkID(id)) {
-			owned++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(owned))
-	for id := msg.start; id < msg.end; id++ {
-		if !r.owns(petri.MarkID(id)) {
-			continue
-		}
-		dst = r.expandState(dst, petri.MarkID(id))
-	}
-	return dst, nil
-}
-
-// expandLevelTrim is expandLevel for a trimmed session: the batch holds
-// only this worker's owned children, so the new frontier slice is
-// exactly the locals the records intern.
-func (r *replica) expandLevelTrim(dst []byte, msg *expandMsg) ([]byte, error) {
-	if r.levels == 0 {
-		if msg.start != 0 || msg.end != r.rootCount || len(msg.recs) != 0 {
-			return nil, fmt.Errorf("dist: first expand [%d,%d) with %d records does not match %d roots",
-				msg.start, msg.end, len(msg.recs), r.rootCount)
-		}
-	} else if msg.start != r.nextStart || msg.end < msg.start {
-		return nil, fmt.Errorf("dist: expand range [%d,%d) does not extend frontier at %d", msg.start, msg.end, r.nextStart)
-	}
-	levelLo := r.store.Len()
-	if r.levels == 0 {
-		levelLo = 0 // the roots interned at init are the first frontier
-	}
-	for _, rec := range msg.recs {
-		if int(rec.Child) < msg.start || int(rec.Child) >= msg.end {
-			return nil, fmt.Errorf("dist: record child %d outside frontier [%d,%d)", rec.Child, msg.start, msg.end)
-		}
-		if err := r.applyRec(rec); err != nil {
-			return nil, err
-		}
-	}
-	r.nextStart = msg.end
-	r.levels++
-	owned := r.store.Len() - levelLo
-	dst = binary.AppendUvarint(dst, uint64(owned))
-	for local := levelLo; local < r.store.Len(); local++ {
-		dst = r.expandState(dst, petri.MarkID(local))
-	}
-	return dst, nil
-}
-
 // expandState emits one owned state's candidate stream: the fireable
 // enabled ECSs in partition order, members in ascending transition
 // order — the serial loop's emit order, which the coordinator's merge
 // depends on. id is a LOCAL store id; the stream names global ids.
-func (r *replica) expandState(dst []byte, id petri.MarkID) []byte {
+//
+// Classification is pinned: a successor resolving to a global id at or
+// beyond pin — the expanded state's own level start — is emitted
+// candNew (with its 64-bit hash) instead of candKnown. Workers expand a
+// state whenever its record arrives, so the replica may or may not
+// already hold same-level or next-level successors at that moment; the
+// pin makes the emitted bytes a pure function of the state, not of how
+// far the record stream happened to have progressed, preserving the
+// byte-identical determinism contract. The coordinator resolves every
+// candNew by the shipped hash without re-firing.
+func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	m := r.store.At(id)
 	bits := r.bits[int(id)*r.stride : (int(id)+1)*r.stride]
 	// First pass counts candidates (the stream is length-prefixed);
@@ -417,43 +276,7 @@ func (r *replica) expandState(dst []byte, id petri.MarkID) []byte {
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		cands += len(r.part[ei].Trans)
 	})
-	dst = binary.AppendUvarint(dst, uint64(r.gid(id)))
-	dst = binary.AppendUvarint(dst, uint64(cands))
-	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
-		for _, tid := range r.part[ei].Trans {
-			r.scratch = m.FireInto(r.scratch, r.net.Transitions[tid])
-			switch gid, _, ok := r.classify(); {
-			case !ok:
-				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candVeto)
-			case gid != petri.NoMark:
-				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candKnown)
-				dst = binary.AppendUvarint(dst, uint64(gid))
-			default:
-				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candNew)
-			}
-		}
-	})
-	return dst
-}
-
-// expandStateV3 is expandState under the protocol-3 classification pin:
-// a successor resolving to a global id at or beyond pin — the expanded
-// state's own level start — is emitted candNew (with its 64-bit hash,
-// one extra varint) instead of candKnown. Pipelined workers expand a
-// state whenever its record arrives, so the replica may or may not
-// already hold same-level or next-level successors at that moment; the
-// pin makes the emitted bytes a pure function of the state, not of how
-// far the record stream happened to have progressed, preserving the
-// byte-identical determinism contract. The coordinator resolves every
-// candNew by the shipped hash without re-firing.
-func (r *replica) expandStateV3(dst []byte, id, pin petri.MarkID) []byte {
-	m := r.store.At(id)
-	bits := r.bits[int(id)*r.stride : (int(id)+1)*r.stride]
-	cands := 0
-	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
-		cands += len(r.part[ei].Trans)
-	})
-	dst = binary.AppendUvarint(dst, uint64(r.gid(id)))
+	dst = binary.AppendUvarint(dst, uint64(r.gids[id]))
 	dst = binary.AppendUvarint(dst, uint64(cands))
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		for _, tid := range r.part[ei].Trans {
@@ -475,21 +298,20 @@ func (r *replica) expandStateV3(dst []byte, id, pin petri.MarkID) []byte {
 
 // classify resolves the scratch successor: ok=false for a cap veto,
 // otherwise the replica-known global MarkID (or NoMark for a successor
-// this worker cannot resolve — a first sighting, or in trimmed mode any
-// successor routing to another worker's shards) plus the successor's
-// hash, which protocol 3 ships with candNew candidates so the
-// coordinator's merge resolves them against the authoritative store
-// without re-firing.
+// this worker cannot resolve — a first sighting, or any successor
+// routing to another worker's shards) plus the successor's hash, which
+// candNew candidates carry so the coordinator's merge resolves them
+// against the authoritative store without re-firing.
 func (r *replica) classify() (petri.MarkID, uint64, bool) {
 	if r.spec.Veto(r.scratch) {
 		return petri.NoMark, 0, false
 	}
 	h := petri.HashMarking(r.scratch)
-	if r.trim && !r.ownsHash(h) {
+	if !r.ownsHash(h) {
 		return petri.NoMark, h, true
 	}
 	if local, ok := r.store.LookupHashed(r.scratch, h); ok {
-		return r.gid(local), h, true
+		return r.gids[local], h, true
 	}
 	return petri.NoMark, h, true
 }
@@ -505,10 +327,7 @@ func (r *replica) freezeCommitted(start int, cursor petri.MarkID) {
 	if r.fwin == nil {
 		return
 	}
-	floor := start // full replica: local id == global id
-	if r.trim {
-		floor = sort.Search(len(r.gids), func(i int) bool { return int(r.gids[i]) >= start })
-	}
+	floor := sort.Search(len(r.gids), func(i int) bool { return int(r.gids[i]) >= start })
 	if int(cursor) < floor {
 		floor = int(cursor)
 	}
@@ -521,20 +340,17 @@ func (r *replica) freezeCommitted(start int, cursor petri.MarkID) {
 
 // memStats summarizes the replica's memory for the end-of-session
 // stats reply. Store accounting derives from the single
-// petri.MarkingStore.Mem helper — plus the gids translation table
-// (4 bytes per owned state in trimmed mode) — so this figure, the
-// dist-memory CI gate and the server's worker-memory gauge can never
-// silently diverge.
+// petri.MarkingStore.Mem helper — plus the gids translation table (4
+// bytes per owned state) — so this figure, the dist-memory CI gate and
+// the server's worker-memory gauge can never silently diverge.
 func (r *replica) memStats() WorkerMem {
 	sm := r.store.Mem()
 	m := WorkerMem{
 		States:      r.store.Len(),
 		StoreBytes:  sm.HotBytes + int64(len(r.gids))*4,
 		BitsBytes:   int64(len(r.bits)) * 8,
+		CacheBytes:  int64(r.vcache.bytes()),
 		FrozenBytes: sm.FrozenBytes,
-	}
-	if r.vcache != nil {
-		m.CacheBytes = int64(r.vcache.bytes())
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -571,19 +387,8 @@ func transportErr(err error) error {
 // an externally started cmd/qssd worker stays available for the next
 // session instead of dying on the first bad one.
 func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
-	return serveConnVer(nc, logw, opt, protoVersion)
-}
-
-// serveConnVer is ServeConn with an explicit hello version; tests use
-// it to stand up a protocol-2 worker against a newer coordinator and
-// exercise the downgrade path.
-func serveConnVer(nc net.Conn, logw *logWriter, opt WorkerOptions, ver int) error {
 	c := newConn(nc)
-	var flags uint64
-	if opt.FullReplicas {
-		flags |= helloFullReplicas
-	}
-	if err := c.sendHello(ver, flags, os.Getpid()); err != nil {
+	if err := c.send(msgHello, appendHello(os.Getpid())); err != nil {
 		return err
 	}
 	// draining: a session failed and its msgError went out; skip frames
@@ -609,16 +414,9 @@ func serveConnVer(nc net.Conn, logw *logWriter, opt WorkerOptions, ver int) erro
 			continue
 		}
 		draining = false
-		init, err := decodeInit(payload, ver)
-		if err == nil && init.trim && opt.FullReplicas {
-			err = fmt.Errorf("dist: trimmed session offered to a full-replicas-only worker")
-		}
+		init, err := decodeInit(payload)
 		if err == nil {
-			if init.proto >= 3 {
-				err = serveSessionV3(c, init, logw, opt)
-			} else {
-				err = serveSession(c, init, logw)
-			}
+			err = serveSession(c, init, logw, opt)
 		}
 		if err != nil {
 			var te *transportError
@@ -631,89 +429,31 @@ func serveConnVer(nc net.Conn, logw *logWriter, opt WorkerOptions, ver int) erro
 	}
 }
 
-// serveSession runs one protocol-2 exploration: apply each level's
-// batch, expand the owned slice of the frontier, reply, until done.
-func serveSession(c *conn, init *initMsg, logw *logWriter) error {
-	r, err := newReplica(init, false) // freezing needs the v3 level commits
-	if err != nil {
-		return err
-	}
-	mode := "full-replica"
-	if r.trim {
-		mode = "trimmed"
-	}
-	shardLo, shardHi := petri.OwnedShardRange(r.index, r.shards, r.workers)
-	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d (%s), %d roots (%d owned)",
-		r.net.Name, len(r.net.Places), len(r.net.Transitions), r.index, r.workers,
-		shardLo, shardHi, r.shards, mode, r.rootCount, r.store.Len())
-	levels := 0
-	var deltas []petri.Delta
-	var recs []petri.VecDelta
-	var out []byte
-	for {
-		typ, payload, err := c.recv()
-		if err != nil {
-			return transportErr(err)
-		}
-		switch typ {
-		case msgDone:
-			mem := r.memStats()
-			logw.printf("session end: %d levels, %d states held, %dB store, %dB bits, %dB cache",
-				levels, mem.States, mem.StoreBytes, mem.BitsBytes, mem.CacheBytes)
-			return transportErr(c.send(msgStats, appendStats(nil, mem)))
-		case msgExpand:
-			var msg *expandMsg
-			msg, deltas, recs, err = decodeExpand(payload, r.trim, deltas, recs)
-			if err != nil {
-				return err
-			}
-			out, err = r.expandLevel(out[:0], msg)
-			if err != nil {
-				return err
-			}
-			if err := c.send(msgResult, out); err != nil {
-				return transportErr(err)
-			}
-			levels++
-		case msgError:
-			return fmt.Errorf("dist: coordinator error: %s", payload)
-		default:
-			return fmt.Errorf("dist: unexpected message type %d in session", typ)
-		}
-	}
-}
-
-// serveSessionV3 runs one pipelined exploration. The coordinator
+// serveSession runs one pipelined exploration. The coordinator
 // streams store records (msgRecords) as its merge produces them and
 // commits each finished level's id range (msgLevel); the worker expands
 // every owned state as soon as it is interned, pinning classification
-// at the state's level start (see expandStateV3), and streams the
+// at the state's level start (see expandState), and streams the
 // candidate bytes back as flow-controlled chunks. Expansion parks when
 // the credit window is exhausted and resumes on msgAck; a partial chunk
 // is flushed whenever the worker has expanded everything it holds, so
 // the coordinator's merge never waits on buffered bytes.
-func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) error {
+func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) error {
 	r, err := newReplica(init, opt.FreezeLevels)
 	if err != nil {
 		return err
 	}
-	if init.proto >= 4 {
-		// Liveness deadlines live for the session only: a coordinator
-		// that goes silent mid-session is dead (it would at least ping),
-		// but a qssd worker idling between sessions must keep waiting.
-		c.readTimeout = workerIdleTimeout
-		c.writeTimeout = sendTimeout
-		defer c.clearRead()
-		defer c.clearWrite()
-	}
-	mode := "full-replica"
-	if r.trim {
-		mode = "trimmed"
-	}
+	// Liveness deadlines live for the session only: a coordinator that
+	// goes silent mid-session is dead (it would at least ping), but a
+	// qssd worker idling between sessions must keep waiting.
+	c.readTimeout = workerIdleTimeout
+	c.writeTimeout = sendTimeout
+	defer c.clearRead()
+	defer c.clearWrite()
 	shardLo, shardHi := petri.OwnedShardRange(r.index, r.shards, r.workers)
-	logw.printf("session start (proto 3): net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d (%s), %d roots (%d owned)",
+	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d, %d roots (%d owned)",
 		r.net.Name, len(r.net.Places), len(r.net.Transitions), r.index, r.workers,
-		shardLo, shardHi, r.shards, mode, r.rootCount, r.store.Len())
+		shardLo, shardHi, r.shards, r.rootCount, r.store.Len())
 
 	// bounds holds the committed level starts plus, at bounds[len-1],
 	// the start of the level records are currently building. Records
@@ -729,7 +469,6 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 	virgin := true // no session traffic yet; a restore must come first
 
 	var buf []byte
-	var deltas []petri.Delta
 	var recs []petri.VecDelta
 
 	flush := func() error {
@@ -749,15 +488,11 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 			if unacked >= chunkWindow {
 				return nil // parked; the next ack resumes expansion
 			}
-			if !r.trim && !r.owns(cursor) {
-				cursor++
-				continue
-			}
-			g := int(r.gid(cursor))
+			g := int(r.gids[cursor])
 			for pinIdx+1 < len(bounds) && g >= bounds[pinIdx+1] {
 				pinIdx++
 			}
-			buf = r.expandStateV3(buf, cursor, petri.MarkID(bounds[pinIdx]))
+			buf = r.expandState(buf, cursor, petri.MarkID(bounds[pinIdx]))
 			cursor++
 			if len(buf) >= chunkTarget {
 				if err := flush(); err != nil {
@@ -792,9 +527,6 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 				return transportErr(err)
 			}
 		case msgRestore:
-			if init.proto < 4 {
-				return fmt.Errorf("dist: restore on a protocol-%d session", init.proto)
-			}
 			if !virgin {
 				return fmt.Errorf("dist: restore after session traffic")
 			}
@@ -809,12 +541,6 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 			bounds = append(bounds[:0], m.bounds...)
 			pinIdx = 0
 			cursor = 0
-			if !r.trim {
-				// The dense prefix below the resume point was fully merged
-				// and expanded before the failure; only re-expand from the
-				// replayed level on.
-				cursor = petri.MarkID(m.resumeFrom)
-			}
 			logw.printf("restored %d states (resume at %d, %d bounds)", r.store.Len(), m.resumeFrom, len(m.bounds))
 			if err := pump(); err != nil {
 				return err
@@ -822,31 +548,20 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 		case msgRecords:
 			virgin = false
 			lo := bounds[len(bounds)-1]
-			if r.trim {
-				recs, _, err = petri.DecodeVecDeltas(recs[:0], payload)
-				if err != nil {
+			var rest []byte
+			recs, rest, err = petri.DecodeVecDeltas(recs[:0], payload)
+			if err != nil {
+				return err
+			}
+			if len(rest) != 0 {
+				return fmt.Errorf("dist: record batch has %d trailing bytes", len(rest))
+			}
+			for _, rec := range recs {
+				if int(rec.Child) < lo {
+					return fmt.Errorf("dist: record child %d below uncommitted level start %d", rec.Child, lo)
+				}
+				if err := r.applyRec(rec); err != nil {
 					return err
-				}
-				for _, rec := range recs {
-					if int(rec.Child) < lo {
-						return fmt.Errorf("dist: record child %d below uncommitted level start %d", rec.Child, lo)
-					}
-					if err := r.applyRec(rec); err != nil {
-						return err
-					}
-				}
-			} else {
-				deltas, _, err = petri.DecodeDeltas(deltas[:0], payload)
-				if err != nil {
-					return err
-				}
-				for _, d := range deltas {
-					if r.store.Len() < lo {
-						return fmt.Errorf("dist: delta arrives with store at %d, below uncommitted level start %d", r.store.Len(), lo)
-					}
-					if err := r.applyDelta(d); err != nil {
-						return err
-					}
 				}
 			}
 			if err := pump(); err != nil {
@@ -861,12 +576,8 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 			if start != bounds[len(bounds)-1] || end < start {
 				return fmt.Errorf("dist: level commit [%d,%d) does not extend bounds at %d", start, end, bounds[len(bounds)-1])
 			}
-			if r.trim {
-				if n := len(r.gids); n > 0 && int(r.gids[n-1]) >= end {
-					return fmt.Errorf("dist: level commit [%d,%d) but record child %d already interned", start, end, r.gids[n-1])
-				}
-			} else if r.store.Len() != end {
-				return fmt.Errorf("dist: level commit [%d,%d) but replica holds %d states", start, end, r.store.Len())
+			if n := len(r.gids); n > 0 && int(r.gids[n-1]) >= end {
+				return fmt.Errorf("dist: level commit [%d,%d) but record child %d already interned", start, end, r.gids[n-1])
 			}
 			bounds = append(bounds, end)
 			r.freezeCommitted(start, cursor)

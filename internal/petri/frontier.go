@@ -108,9 +108,8 @@ func (s *ExpandSpec) Veto(m Marking) bool {
 // level-synchronous frontier exploration. The in-process RunFrontier
 // fans expansion out over goroutines; a distributed runner (package
 // internal/dist) ships the net and spec to worker processes owning
-// hash ranges of the marking space — holding either a full replica
-// rebuilt from Delta batches or, by default, only their owned shards
-// fed by VecDelta batches — and feeds their candidate streams
+// hash ranges of the marking space — each holding only its owned
+// shards, fed by VecDelta batches — and feeds their candidate streams
 // through the same sequential merge, pipelined so workers expand one
 // level ahead of the merge and new candidates resolve by shipped
 // marking hash (LookupHash) instead of a coordinator re-fire.

@@ -190,8 +190,8 @@ func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
 // LookupHash resolves a bare 64-bit HashMarking value to the interned
 // marking carrying it, without the vector compare Lookup performs — the
 // distributed coordinator's fast path for classifying a successor whose
-// hash a worker shipped (dist protocol 3), saving the re-fire that
-// producing the vector would cost. The probe trusts hash equality, so
+// hash a worker shipped (a dist candNew candidate), saving the re-fire
+// that producing the vector would cost. The probe trusts hash equality, so
 // it is exact only while HashAliased is false: callers must fall back
 // to vector-exact resolution once the store is known to hold two
 // distinct markings with one hash, and accept the ~len·2⁻⁶⁴ per-probe

@@ -222,7 +222,7 @@ func TestMarkingStoreConcurrentReads(t *testing.T) {
 }
 
 // TestLookupHashAliased: the hash-only probe backing the dist
-// protocol-3 candNew fast path resolves interned markings by bare hash,
+// candNew fast path resolves interned markings by bare hash,
 // and interning two distinct vectors under one hash flips HashAliased —
 // the signal that callers must fall back to vector-exact lookups.
 func TestLookupHashAliased(t *testing.T) {

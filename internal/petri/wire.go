@@ -3,21 +3,20 @@ package petri
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Wire (de)serialization for cross-process exploration. A distributed
 // frontier ships three kinds of payload between coordinator and worker
 // processes: the net itself (once per session), full token vectors (the
-// root states seeding a session), and per-level delta batches — compact
-// (parent, transition) pairs from which a replica derives each newly
-// discovered marking by re-firing. Full-replica sessions broadcast
-// plain Delta batches and ship no vectors in steady state; trimmed
-// sessions (workers holding only their owned hash shards) ship VecDelta
-// batches, which additionally name the discovered child's global id and
-// optionally carry the parent's token vector when the receiving worker
-// does not own the parent and so cannot re-fire from local state.
-// Everything is length-checked varint encoding: deterministic,
-// endian-free, and append-only so encoders can reuse buffers.
+// root states seeding a session), and per-level VecDelta batches —
+// compact (child, parent, transition) records from which a worker
+// holding only its owned hash shards derives each newly discovered
+// marking by re-firing, optionally carrying the parent's token vector
+// when the receiving worker does not own the parent and so cannot
+// re-fire from local state. Everything is length-checked varint
+// encoding: deterministic, endian-free, and append-only so encoders
+// can reuse buffers.
 //
 // The net encoding carries exactly the structure exploration needs —
 // names, kinds, initial markings, bounds, labels and the weighted arc
@@ -27,17 +26,6 @@ import (
 // decoded net therefore produces the identical ECSPartition,
 // EnabledTracker and firing semantics, which is all the determinism
 // contract requires of a worker.
-
-// Delta is one state-discovery record of a level-synchronous
-// exploration: the new state is the marking obtained by firing Trans at
-// the already-known state Parent. A level's new states, transmitted as
-// deltas in discovery order, let a replica reconstruct vectors, dense
-// MarkIDs and incremental enabled sets without receiving any of them
-// explicitly.
-type Delta struct {
-	Parent MarkID
-	Trans  int32
-}
 
 // AppendMarking appends m's varint encoding (length prefix + token
 // counts) to dst.
@@ -71,48 +59,14 @@ func DecodeMarking(buf []byte) (Marking, []byte, error) {
 	return m, buf, nil
 }
 
-// AppendDeltas appends a delta batch (count prefix + pairs) to dst.
-func AppendDeltas(dst []byte, ds []Delta) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ds)))
-	for _, d := range ds {
-		dst = binary.AppendUvarint(dst, uint64(d.Parent))
-		dst = binary.AppendUvarint(dst, uint64(d.Trans))
-	}
-	return dst
-}
-
-// DecodeDeltas decodes a batch encoded by AppendDeltas from the front
-// of buf, appending to ds, and returns the batch and remaining bytes.
-func DecodeDeltas(ds []Delta, buf []byte) ([]Delta, []byte, error) {
-	n, buf, err := decodeUvarint(buf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("petri: delta count: %w", err)
-	}
-	if n > uint64(len(buf)) { // every delta needs >= 2 bytes
-		return nil, nil, fmt.Errorf("petri: delta count %d exceeds payload", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var p, t uint64
-		p, buf, err = decodeUvarint(buf)
-		if err == nil {
-			t, buf, err = decodeUvarint(buf)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("petri: delta %d: %w", i, err)
-		}
-		ds = append(ds, Delta{Parent: MarkID(p), Trans: int32(t)})
-	}
-	return ds, buf, nil
-}
-
-// VecDelta is one state-discovery record of a trimmed-replica
-// exploration: worker processes holding only their owned hash shards
-// receive exactly the records whose Child they own, so the record names
-// the child's global id explicitly (the dense numbering is no longer
-// implied by batch position) and, when the receiver does not hold
-// Parent either, carries the parent's token vector so the child can
-// still be derived by re-firing. ParentVec == nil means the receiver
-// already has the parent — in its owned store, or in its
+// VecDelta is one state-discovery record of a distributed exploration:
+// the new state Child is the marking obtained by firing Trans at the
+// already-known state Parent. Worker processes holding only their owned
+// hash shards receive exactly the records whose Child they own, so the
+// record names the child's global id explicitly and, when the receiver
+// does not hold Parent either, carries the parent's token vector so the
+// child can still be derived by re-firing. ParentVec == nil means the
+// receiver already has the parent — in its owned store, or in its
 // boundary-parent cache from an earlier record.
 type VecDelta struct {
 	Child     MarkID
@@ -121,11 +75,11 @@ type VecDelta struct {
 	ParentVec Marking
 }
 
-// AppendVecDeltas appends a trimmed-replica delta batch to dst. Child
-// ids must be strictly ascending (they are discovery-ordered global
-// ids); they are gap-encoded against the previous record so a level's
-// batch costs about one byte per record over the (parent, transition)
-// pair, plus the vectors actually attached.
+// AppendVecDeltas appends a record batch to dst. Child ids must be
+// strictly ascending (they are discovery-ordered global ids); they are
+// gap-encoded against the previous record so a level's batch costs
+// about one byte per record over the (parent, transition) pair, plus
+// the vectors actually attached.
 func AppendVecDeltas(dst []byte, ds []VecDelta) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ds)))
 	prev := uint64(0)
@@ -147,7 +101,9 @@ func AppendVecDeltas(dst []byte, ds []VecDelta) []byte {
 
 // DecodeVecDeltas decodes a batch encoded by AppendVecDeltas from the
 // front of buf, appending to ds, and returns the batch and remaining
-// bytes. Attached vectors are freshly allocated (a receiver caches
+// bytes. Ids must fit a MarkID, children must ascend and transitions
+// must fit an int32; anything else is an error, never a silent
+// truncation. Attached vectors are freshly allocated (a receiver caches
 // boundary-parent vectors beyond the life of the read buffer).
 func DecodeVecDeltas(ds []VecDelta, buf []byte) ([]VecDelta, []byte, error) {
 	n, buf, err := decodeUvarint(buf)
@@ -169,6 +125,14 @@ func DecodeVecDeltas(ds []VecDelta, buf []byte) ([]VecDelta, []byte, error) {
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("petri: vec-delta %d: %w", i, err)
+		}
+		switch {
+		case i > 0 && gap == 0:
+			return nil, nil, fmt.Errorf("petri: vec-delta %d: child ids not ascending", i)
+		case gap >= uint64(NoMark)-prev, pv>>1 >= uint64(NoMark):
+			return nil, nil, fmt.Errorf("petri: vec-delta %d: id out of range", i)
+		case t > math.MaxInt32:
+			return nil, nil, fmt.Errorf("petri: vec-delta %d: transition %d out of range", i, t)
 		}
 		d := VecDelta{Child: MarkID(prev + gap), Parent: MarkID(pv >> 1), Trans: int32(t)}
 		prev += gap

@@ -113,8 +113,8 @@ func TestNetWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMarkingWireRoundTrip: markings and delta batches survive the
-// varint encoding, including batched concatenation.
+// TestMarkingWireRoundTrip: markings survive the varint encoding,
+// including batched concatenation.
 func TestMarkingWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf []byte
@@ -141,18 +141,6 @@ func TestMarkingWireRoundTrip(t *testing.T) {
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d bytes left over", len(rest))
-	}
-
-	ds := []Delta{{0, 3}, {7, 0}, {1 << 20, 255}}
-	enc := AppendDeltas(nil, ds)
-	got, rest, err := DecodeDeltas(nil, enc)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("DecodeDeltas: %v (%d left)", err, len(rest))
-	}
-	for i := range ds {
-		if got[i] != ds[i] {
-			t.Fatalf("delta %d: %+v != %+v", i, got[i], ds[i])
-		}
 	}
 }
 
@@ -220,9 +208,6 @@ func TestWireErrorPaths(t *testing.T) {
 		{"marking/length-exceeds-payload", decodeMarkingErr, binary.AppendUvarint(nil, 1000)},
 		{"marking/truncated-tokens", decodeMarkingErr, binary.AppendUvarint(nil, 3)[:1]},
 		{"marking/token-overlong", decodeMarkingErr, append(binary.AppendUvarint(nil, 2), overlong...)},
-		{"deltas/empty", decodeDeltasErr, nil},
-		{"deltas/count-exceeds-payload", decodeDeltasErr, binary.AppendUvarint(nil, 1<<40)},
-		{"deltas/truncated-pair", decodeDeltasErr, binary.AppendUvarint(nil, 2)},
 		{"vecdeltas/empty", decodeVecDeltasErr, nil},
 		{"vecdeltas/count-exceeds-payload", decodeVecDeltasErr, binary.AppendUvarint(nil, 1<<40)},
 		{"vecdeltas/truncated-record", decodeVecDeltasErr, binary.AppendUvarint(nil, 1)},
@@ -263,7 +248,6 @@ func TestWireErrorPaths(t *testing.T) {
 }
 
 func decodeMarkingErr(b []byte) error   { _, _, err := DecodeMarking(b); return err }
-func decodeDeltasErr(b []byte) error    { _, _, err := DecodeDeltas(nil, b); return err }
 func decodeVecDeltasErr(b []byte) error { _, _, err := DecodeVecDeltas(nil, b); return err }
 func decodeNetErr(b []byte) error       { _, _, err := DecodeNet(b); return err }
 
