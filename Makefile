@@ -33,8 +33,8 @@
 #                      byte-identical to the golden files
 #   make pnml-suite  — the PNML conformance matrix: every vendored
 #                      interchange net under internal/pnml/testdata
-#                      explored serial / parallel-frontier / spawned
-#                      worker processes / frozen store, asserting
+#                      explored serial / spawned worker processes /
+#                      frozen store, asserting
 #                      byte-identical ReachResult fingerprints, plus
 #                      the round-trip fixed point and the corpus
 #                      export-reach property

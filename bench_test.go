@@ -258,42 +258,29 @@ func exploreLargeNet(pipes, stages int) *petri.Net {
 }
 
 // BenchmarkExploreLarge measures cold single-net reachability
-// construction on a 11^5-state net (161051 markings, ~805k edges)
-// three ways: the pre-tracker full-partition scan, the incremental
-// enabled-ECS tracker (serial), and the tracker plus the
-// level-synchronous parallel frontier on two workers. The three
-// produce byte-identical results (pinned by TestExploreWorkersDeterminism);
-// serial-tracked vs serial-fullscan isolates the incremental-enablement
-// win, parallel vs serial-tracked the frontier's cost and scaling. The
-// worker count is fixed rather than read from GOMAXPROCS so the
-// frontier path runs under `-cpu 1` too, where its B/op and allocs/op
-// are exact and gated by cmd/benchdiff.
+// construction on a 11^5-state net (161051 markings, ~805k edges) by
+// the in-process explorer: the incremental enabled-ECS tracker and the
+// inline driver, hashing each successor once. Results match the
+// reference explorer of the petri tests byte for byte
+// (TestExploreMatchesReference). Under `-cpu 1` its B/op and
+// allocs/op are exact and gated by cmd/benchdiff.
 func BenchmarkExploreLarge(b *testing.B) {
 	const pipes, stages = 5, 11
 	want := 1
 	for i := 0; i < pipes; i++ {
 		want *= stages
 	}
-	variants := []struct {
-		name string
-		opt  petri.ExploreOptions
-	}{
-		{"serial-fullscan", petri.ExploreOptions{MaxMarkings: want + 1, DisableTracker: true}},
-		{"serial-tracked", petri.ExploreOptions{MaxMarkings: want + 1}},
-		{"parallel", petri.ExploreOptions{MaxMarkings: want + 1, Workers: 2}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			n := exploreLargeNet(pipes, stages)
-			for i := 0; i < b.N; i++ {
-				r := n.Explore(v.opt)
-				if r.Len() != want || r.Truncated {
-					b.Fatalf("explored %d markings (truncated=%v), want %d", r.Len(), r.Truncated, want)
-				}
+	b.Run("serial-tracked", func(b *testing.B) {
+		b.ReportAllocs()
+		n := exploreLargeNet(pipes, stages)
+		opt := petri.ExploreOptions{MaxMarkings: want + 1}
+		for i := 0; i < b.N; i++ {
+			r := n.Explore(opt)
+			if r.Len() != want || r.Truncated {
+				b.Fatalf("explored %d markings (truncated=%v), want %d", r.Len(), r.Truncated, want)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkExploreDist documents the session overhead of cross-process

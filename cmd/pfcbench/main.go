@@ -5,20 +5,20 @@
 // Usage:
 //
 //	pfcbench [-fig20] [-table1] [-table2] [-all] [-frames N]
-//	         [-explore-workers N] [-dist-workers N] [-dist-endpoint ep]
-//	         [-freeze-levels]
+//	         [-dist-workers N] [-dist-endpoint ep] [-freeze-levels]
 //	         [-cpuprofile f] [-memprofile f]
 //	pfcbench -pnml net.pnml [-pnml ...] [-pnml-max-markings N]
 //	         [-pnml-max-tokens N] [exploration flags]
 //
-// -explore-workers parallelizes the schedule search's state-space
-// exploration; -dist-workers instead shards it across worker OS
+// The schedule search explores serially in-process; -dist-workers
+// instead shards its state-space exploration across worker OS
 // processes (spawned locally, or awaited as external cmd/qssd
 // processes at -dist-endpoint), each holding only its owned hash
 // shards. -freeze-levels moves closed exploration levels to on-disk
 // delta segments (locally and in spawned workers). Results are
-// byte-identical for every value of any of them. -cpuprofile/-memprofile write pprof profiles, so
-// perf regressions can be diagnosed without editing source.
+// byte-identical for every value of either. -cpuprofile/-memprofile
+// write pprof profiles, so perf regressions can be diagnosed without
+// editing source.
 // -pnml switches to interchange-net analysis: each named PNML document
 // (ISO/IEC 15909-2 P/T subset, see internal/pnml and docs/PNML.md) is
 // imported and explored under the same exploration flags, reporting
@@ -28,9 +28,8 @@
 // -pnml.
 //
 // Contradictory flag combinations (negative counts, -dist-endpoint
-// without -dist-workers, both exploration strategies at once, -pnml
-// with evaluation flags) are rejected with a usage error rather than
-// silently clamped.
+// without -dist-workers, -pnml with evaluation flags) are rejected
+// with a usage error rather than silently clamped.
 package main
 
 import (
@@ -70,7 +69,6 @@ func (m *multiFlag) Set(v string) error {
 // conflicts distinguish "passed -frames" from "-frames at its default".
 type benchFlags struct {
 	frames          int
-	exploreWorkers  int
 	distWorkers     int
 	distEndpoint    string
 	anyOutput       bool
@@ -88,14 +86,10 @@ var evalFlags = []string{"fig20", "table1", "table2", "all", "frames"}
 // descriptive error instead of silently clamping.
 func (f *benchFlags) validate() error {
 	switch {
-	case f.exploreWorkers < 0:
-		return fmt.Errorf("-explore-workers must be >= 0 (0 = auto budget), got %d", f.exploreWorkers)
 	case f.distWorkers < 0:
 		return fmt.Errorf("-dist-workers must be >= 0 (0 = no worker processes), got %d", f.distWorkers)
 	case f.distEndpoint != "" && f.distWorkers == 0:
 		return fmt.Errorf("-dist-endpoint requires -dist-workers >= 1 (how many workers to await)")
-	case f.distWorkers > 0 && f.exploreWorkers > 1:
-		return fmt.Errorf("-dist-workers and -explore-workers > 1 are contradictory: pick in-process or cross-process exploration")
 	case f.pnmlMaxMarkings < 0:
 		return fmt.Errorf("-pnml-max-markings must be >= 0 (0 = the explorer's default), got %d", f.pnmlMaxMarkings)
 	case f.pnmlMaxTokens < 0:
@@ -127,7 +121,6 @@ func realMain() (code int) {
 	table2 := flag.Bool("table2", false, "regenerate Table 2 (code size)")
 	all := flag.Bool("all", false, "regenerate everything")
 	flag.IntVar(&bf.frames, "frames", 10, "frames for Figure 20")
-	flag.IntVar(&bf.exploreWorkers, "explore-workers", 0, "goroutines for the schedule-search exploration (0 = auto budget)")
 	flag.IntVar(&bf.distWorkers, "dist-workers", 0, "worker OS processes sharding the exploration (0 = none)")
 	flag.StringVar(&bf.distEndpoint, "dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning")
 	freezeLevels := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
@@ -168,11 +161,10 @@ func realMain() (code int) {
 		return runPNML(&bf, *freezeLevels)
 	}
 	res, err := apps.SynthesizePFCWith(&core.Options{
-		ExploreWorkers: bf.exploreWorkers,
-		DistWorkers:    bf.distWorkers,
-		DistEndpoint:   bf.distEndpoint,
-		FreezeLevels:   *freezeLevels,
-		DisableCache:   true,
+		DistWorkers:  bf.distWorkers,
+		DistEndpoint: bf.distEndpoint,
+		FreezeLevels: *freezeLevels,
+		DisableCache: true,
 	})
 	if err != nil {
 		return fatal(err)
@@ -219,7 +211,6 @@ func runPNML(bf *benchFlags, freeze bool) int {
 	opt := pnml.AnalyzeOptions{
 		MaxMarkings:       bf.pnmlMaxMarkings,
 		MaxTokensPerPlace: bf.pnmlMaxTokens,
-		Workers:           bf.exploreWorkers,
 		FreezeLevels:      freeze,
 	}
 	if bf.distWorkers > 0 {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	qssbatch [-n apps] [-seed N] [-workers N] [-explore-workers N]
+//	qssbatch [-n apps] [-seed N] [-workers N]
 //	         [-dist-workers N] [-dist-endpoint ep] [-freeze-levels]
 //	         [-compare] [-cpuprofile f] [-memprofile f] [shape flags] [-v]
 //	qssbatch -pnml net.pnml [-pnml ...] [-pnml-max-markings N]
@@ -12,12 +12,11 @@
 //	qssbatch -emit-pnml dir [-n apps] [-seed N] [shape flags]
 //
 // -workers bounds the number of concurrent app syntheses (0 =
-// GOMAXPROCS); -explore-workers additionally parallelizes each
-// schedule search's state-space exploration (the second level of the
-// parallelism model). -dist-workers instead shards each exploration
-// across that many worker OS processes — spawned locally, or awaited
-// as external cmd/qssd processes at -dist-endpoint — over one shared
-// pool for the whole batch; results are byte-identical either way.
+// GOMAXPROCS); each schedule search explores serially on its app's
+// goroutine. -dist-workers instead shards each exploration across that
+// many worker OS processes — spawned locally, or awaited as external
+// cmd/qssd processes at -dist-endpoint — over one shared pool for the
+// whole batch; results are byte-identical either way.
 // Workers hold only their owned hash shards (per-worker memory ~1/N
 // of the state space).
 // -freeze-levels moves closed exploration levels to on-disk delta
@@ -33,21 +32,20 @@
 // (ISO/IEC 15909-2 P/T subset, see internal/pnml and docs/PNML.md) is
 // imported and explored — reachable states, deadlocks, place bounds
 // and a fingerprint for cross-configuration comparison — instead of
-// generating a corpus. The exploration flags (-explore-workers,
-// -dist-workers, -dist-endpoint, -freeze-levels)
-// compose with -pnml exactly as they do with synthesis; corpus-shape
-// and synthesis flags do not and are rejected. -pnml-max-markings and
-// -pnml-max-tokens bound the exploration (imported nets may be
-// unbounded; a truncated report is the unboundedness witness).
+// generating a corpus. The exploration flags (-dist-workers,
+// -dist-endpoint, -freeze-levels) compose with -pnml exactly as they
+// do with synthesis; corpus-shape and synthesis flags do not and are
+// rejected. -pnml-max-markings and -pnml-max-tokens bound the
+// exploration (imported nets may be unbounded; a truncated report is
+// the unboundedness witness).
 //
 // -emit-pnml generates the corpus and writes each app's linked system
 // net as a PNML document into the given directory — the interchange
 // producer side — without synthesizing schedules.
 //
 // Contradictory flag combinations (negative counts, -dist-endpoint
-// without -dist-workers, -dist-workers together with -explore-workers
-// parallelism, -pnml with corpus flags) are rejected with a usage
-// error rather than silently clamped.
+// without -dist-workers, -pnml with corpus flags) are rejected with a
+// usage error rather than silently clamped.
 package main
 
 import (
@@ -90,7 +88,6 @@ func (m *multiFlag) Set(v string) error {
 type batchFlags struct {
 	n               int
 	workers         int
-	exploreWorkers  int
 	distWorkers     int
 	distEndpoint    string
 	pnml            multiFlag
@@ -111,8 +108,7 @@ var corpusOnlyFlags = []string{
 // exploreFlags configure state-space exploration; -emit-pnml never
 // explores, so combining them is a mistake worth flagging.
 var exploreFlags = []string{
-	"compare", "explore-workers", "dist-workers", "dist-endpoint",
-	"freeze-levels",
+	"compare", "dist-workers", "dist-endpoint", "freeze-levels",
 }
 
 // validate rejects contradictory or out-of-range combinations with a
@@ -123,14 +119,10 @@ func (f *batchFlags) validate() error {
 		return fmt.Errorf("-n must be >= 0, got %d", f.n)
 	case f.workers < 0:
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", f.workers)
-	case f.exploreWorkers < 0:
-		return fmt.Errorf("-explore-workers must be >= 0 (0 = auto budget), got %d", f.exploreWorkers)
 	case f.distWorkers < 0:
 		return fmt.Errorf("-dist-workers must be >= 0 (0 = no worker processes), got %d", f.distWorkers)
 	case f.distEndpoint != "" && f.distWorkers == 0:
 		return fmt.Errorf("-dist-endpoint requires -dist-workers >= 1 (how many workers to await)")
-	case f.distWorkers > 0 && f.exploreWorkers > 1:
-		return fmt.Errorf("-dist-workers and -explore-workers > 1 are contradictory: pick in-process or cross-process exploration")
 	case f.pnmlMaxMarkings < 0:
 		return fmt.Errorf("-pnml-max-markings must be >= 0 (0 = the explorer's default), got %d", f.pnmlMaxMarkings)
 	case f.pnmlMaxTokens < 0:
@@ -164,7 +156,6 @@ func realMain() (code int) {
 	flag.IntVar(&bf.n, "n", 20, "number of corpus apps to generate")
 	seed := flag.Int64("seed", 1, "master corpus seed")
 	flag.IntVar(&bf.workers, "workers", 0, "concurrent app syntheses (0 = GOMAXPROCS)")
-	flag.IntVar(&bf.exploreWorkers, "explore-workers", 1, "goroutines per schedule-search exploration (0 = auto budget)")
 	flag.IntVar(&bf.distWorkers, "dist-workers", 0, "worker OS processes sharding each exploration (0 = none)")
 	flag.StringVar(&bf.distEndpoint, "dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning")
 	freezeLevels := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
@@ -238,9 +229,8 @@ func realMain() (code int) {
 	}()
 
 	// The batch scales out over apps; the per-app source pool stays
-	// serial so the app level and the frontier level are the only two
-	// pools contending for cores.
-	copt := &core.Options{Workers: 1, ExploreWorkers: bf.exploreWorkers, DisableCache: true, FreezeLevels: *freezeLevels}
+	// serial so the app pool is the only one contending for cores.
+	copt := &core.Options{Workers: 1, DisableCache: true, FreezeLevels: *freezeLevels}
 	if bf.distWorkers > 0 {
 		if *freezeLevels {
 			// Spawned workers inherit the environment; externally
@@ -274,9 +264,9 @@ func realMain() (code int) {
 
 	var serial *corpus.BatchResult
 	if *compare {
-		// The -compare baseline is fully serial: no app pool, no
-		// in-process frontier workers, no dist pool.
-		serial = run(1, &core.Options{Workers: 1, ExploreWorkers: 1, DisableCache: true})
+		// The -compare baseline is fully serial: no app pool, no dist
+		// pool.
+		serial = run(1, &core.Options{Workers: 1, DisableCache: true})
 		report("serial", serial, *verbose)
 	}
 	br := run(bf.workers, copt)
@@ -332,7 +322,6 @@ func runPNML(bf *batchFlags, freeze, verbose bool) int {
 	opt := pnml.AnalyzeOptions{
 		MaxMarkings:       bf.pnmlMaxMarkings,
 		MaxTokensPerPlace: bf.pnmlMaxTokens,
-		Workers:           bf.exploreWorkers,
 		FreezeLevels:      freeze,
 	}
 	if bf.distWorkers > 0 {

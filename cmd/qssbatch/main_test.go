@@ -9,10 +9,8 @@ func TestBatchFlagValidation(t *testing.T) {
 	ok := func(f batchFlags) bool { return f.validate() == nil }
 	valid := []batchFlags{
 		{},
-		{n: 50, workers: 4, exploreWorkers: 4},
-		{n: 1, exploreWorkers: 0},
+		{n: 50, workers: 4},
 		{distWorkers: 2},
-		{distWorkers: 2, exploreWorkers: 1},
 		{distWorkers: 3, distEndpoint: "unix:/tmp/x.sock"},
 	}
 	for i, f := range valid {
@@ -23,12 +21,9 @@ func TestBatchFlagValidation(t *testing.T) {
 	invalid := []batchFlags{
 		{n: -1},
 		{workers: -2},
-		{exploreWorkers: -1},
 		{distWorkers: -1},
-		{distEndpoint: "unix:/tmp/x.sock"},         // endpoint without workers
-		{distWorkers: 2, exploreWorkers: 4},        // two exploration strategies
-		{distWorkers: 1, exploreWorkers: 2, n: 10}, // ditto, with other flags set
-		{n: -5, workers: 3, distWorkers: 2, exploreWorkers: 0}, // first failure still reported
+		{distEndpoint: "unix:/tmp/x.sock"},  // endpoint without workers
+		{n: -5, workers: 3, distWorkers: 2}, // first failure still reported
 	}
 	for i, f := range invalid {
 		if ok(f) {
@@ -60,8 +55,6 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 			explicit: set("pnml", "pnml-max-markings", "pnml-max-tokens")}},
 		{name: "pnml-with-dist", f: batchFlags{pnml: multiFlag{"net.pnml"}, distWorkers: 2,
 			explicit: set("pnml", "dist-workers")}},
-		{name: "pnml-with-explore-workers", f: batchFlags{pnml: multiFlag{"net.pnml"}, exploreWorkers: 4,
-			explicit: set("pnml", "explore-workers")}},
 		{name: "pnml-with-freeze", f: batchFlags{pnml: multiFlag{"net.pnml"},
 			explicit: set("pnml", "freeze-levels")}},
 		{name: "emit-pnml", f: batchFlags{n: 10, emitPNML: "/tmp/out", explicit: set("n", "emit-pnml")}},
@@ -84,8 +77,6 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 			explicit: set("pnml", "pnml-max-markings")}, wantErr: true},
 		{name: "negative-max-tokens", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxTokens: -1,
 			explicit: set("pnml", "pnml-max-tokens")}, wantErr: true},
-		{name: "pnml-both-strategies", f: batchFlags{pnml: multiFlag{"net.pnml"}, distWorkers: 2, exploreWorkers: 4,
-			explicit: set("pnml", "dist-workers", "explore-workers")}, wantErr: true},
 		{name: "emit-pnml-vs-dist", f: batchFlags{emitPNML: "/tmp/out", distWorkers: 2,
 			explicit: set("emit-pnml", "dist-workers")}, wantErr: true},
 		{name: "emit-pnml-vs-compare", f: batchFlags{emitPNML: "/tmp/out",

@@ -36,39 +36,34 @@
 // that with incremental maintenance: a once-per-net place->ECS reverse
 // index identifies the few ECSs whose presets intersect the places a
 // firing actually changes, and per-state enabled sets are bitsets
-// derived from the parent state's. The reachability explorer
-// (petri.Explore), the scheduler's marking-graph engine and the EP/
-// EP_ECS tree engines all expand states by iterating their enabled-set
-// bits instead of scanning the partition.
+// derived from the parent state's. The exploration driver (petri.Drive,
+// behind petri.Explore and the scheduler's marking-graph engine) and
+// the EP/EP_ECS tree engines all expand states by iterating their
+// enabled-set bits instead of scanning the partition.
 //
 // # Concurrency and caching
 //
-// Parallelism is two-level: sources x frontier. At the source level,
-// the per-source schedule searches of one system run on a bounded
-// worker pool (core.Options.Workers) with deterministic result
-// ordering and first-error cancellation via context
-// (core.SynthesizeContext, core.SynthesizeSystemContext). At the
-// frontier level, each search's own state-space exploration fans out
-// across cores (core.Options.ExploreWorkers / sched.Options.
-// ExploreWorkers): petri.RunFrontier explores one BFS level at a time
-// — parallel fire+hash over frontier chunks, each successor probed
-// read-only against the search's own petri.MarkingStore so a known
-// marking travels as its MarkID and only a new one as a vector, then a
-// cheap sequential merge that interns the new ones and assigns dense
-// MarkIDs in first-discovery order — so state numbering, schedules and
-// generated code are byte-identical for every worker count, and every
-// explored marking's tokens are stored once. core wires the two levels
-// into one GOMAXPROCS budget: many sources keep the frontier serial, a
-// single-source system gets every core at the frontier. Results are
-// memoized in a content-addressed cache keyed by FlowC source, netlist
-// and options (worker counts excluded — they cannot change the
-// result), so repeated synthesis of an unchanged app costs a hash and
-// a map lookup (core.Stats reports hit rates; core.ResetCache empties
-// it).
+// In-process concurrency has one level: the per-source schedule
+// searches of one system run on a bounded worker pool
+// (core.Options.Workers) with deterministic result ordering and
+// first-error cancellation via context (core.SynthesizeContext,
+// core.SynthesizeSystemContext). Each search itself is serial:
+// petri.Drive, the one level-synchronous exploration driver, expands a
+// state and merges each successor at once — fire into a scratch
+// buffer, hash once, probe the search's own petri.MarkingStore, intern
+// a new marking under the next dense MarkID — with no goroutines and
+// no candidate buffers, so every explored marking's tokens are stored
+// once. There is no per-level goroutine fan-out: one lost to the serial
+// search in every measurement (CPU, wall time and bytes, at GOMAXPROCS
+// 1 and 2). Results are memoized in a content-addressed cache keyed by
+// FlowC source, netlist and options (worker counts excluded — they
+// cannot change the result), so repeated synthesis of an unchanged app
+// costs a hash and a map lookup (core.Stats reports hit rates;
+// core.ResetCache empties it).
 //
 // # Distributed exploration
 //
-// The third execution strategy takes the frontier across process
+// The other execution strategy takes the frontier across process
 // boundaries (internal/dist): a deterministic coordinator in the
 // synthesizing process drives worker OS processes — spawned locally by
 // re-executing the current binary (dist.SpawnLocal + dist.MaybeWorker)
@@ -101,19 +96,18 @@
 // explicit level-commit message let workers start expanding level L+1
 // while the coordinator is still merging the tail of L. None of this
 // moves the determinism contract: the coordinator's merge
-// is petri.RunFrontier's sequential phase C verbatim (one shared
+// is petri.Drive's sequential merge verbatim (one shared
 // petri.MergeHooks definition), walking states in MarkID order and
 // candidates in the serial emit order, so dense MarkID assignment —
 // and therefore ReachResult ordering, schedules and generated C — is
-// byte-identical for every process count, every in-process worker
-// count, and the plain serial loop, no matter how late any worker's
-// stream arrives. Exploration semantics travel as a
+// byte-identical for every process count and the in-process search,
+// no matter how late any worker's stream arrives. Exploration semantics travel as a
 // self-contained petri.ExpandSpec (fireable-ECS mask + place caps) and
 // the net itself crosses the wire through petri.AppendNet/DecodeNet,
 // which round-trips exactly the structure firing, ECS partitioning and
 // the enabled tracker depend on. The matrix test
 // (internal/dist, `make dist-matrix`, its own CI job) pins generated C
-// across {serial, ExploreWorkers 1/4/8, worker processes 1/2/4} plus a
+// across {serial, frozen store, worker processes 1/2/4} plus a
 // 50-app corpus sweep with real spawned processes under -race;
 // `make dist-memory` gates per-worker store bytes at <= 0.75x the
 // single-worker replica for 2 workers (exact live counts,
@@ -151,8 +145,8 @@
 // FrozenBytes — exact, machine-independent counts; the single source
 // for sched.SearchStats.StoreHotBytes/StoreFrozenBytes,
 // dist.WorkerMem and the server's qss_store_hot_bytes /
-// qss_store_frozen_bytes gauges). The serial explorer, the graph
-// engine and RunFrontier freeze at each level commit
+// qss_store_frozen_bytes gauges). petri.Drive freezes at each level
+// commit, inline or on a dist coordinator
 // (petri.MergeHooks.LevelClosed); dist workers freeze their replicas
 // below each committed level, and the whole thing composes with
 // trimmed replicas — per-worker hot memory scales ~1/N AND sheds its

@@ -1,9 +1,11 @@
 package apps
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 )
 
@@ -71,6 +73,26 @@ func TestPFCSynthesis(t *testing.T) {
 	}
 	t.Logf("schedule nodes: %d (explored %d)", len(r.Schedules[0].Nodes), r.Schedules[0].Stats.NodesCreated)
 	t.Logf("segments: %d", len(r.Tasks[0].Segments))
+}
+
+// pfcStates is the number of states PFC's single schedule search
+// explores.
+const pfcStates = 23984
+
+// TestPFCBudgetEdge pins the search budget at its edge: a MaxNodes
+// equal to PFC's state count succeeds, one less fails with ErrBudget.
+func TestPFCBudgetEdge(t *testing.T) {
+	r, err := SynthesizePFCWith(&core.Options{MaxNodes: pfcStates, DisableCache: true})
+	if err != nil {
+		t.Fatalf("MaxNodes %d: %v", pfcStates, err)
+	}
+	if got := r.Schedules[0].Stats.NodesCreated; len(r.Schedules) != 1 || got != pfcStates {
+		t.Fatalf("%d searches, %d states; want 1 search of %d", len(r.Schedules), got, pfcStates)
+	}
+	_, err = SynthesizePFCWith(&core.Options{MaxNodes: pfcStates - 1, DisableCache: true})
+	if !errors.Is(err, sched.ErrBudget) {
+		t.Fatalf("MaxNodes %d: err = %v, want ErrBudget", pfcStates-1, err)
+	}
 }
 
 func TestMultiRateSynthesis(t *testing.T) {

@@ -17,12 +17,11 @@ import (
 // Only options whose effect on the output can be fingerprinted are
 // cacheable: a custom sched.Termination or sched.ECSOrder is an opaque
 // interface value (its Name alone does not capture its parameters), so
-// calls carrying one bypass the cache entirely. Options.Workers,
-// Options.ExploreWorkers, Sched.ExploreWorkers and the distributed-
-// exploration knobs (DistWorkers, DistEndpoint, Dist, Sched.Dist) are
-// deliberately not part of the key — every execution strategy of the
-// parallelism model, in-process or cross-process, produces Results
-// byte-identical to the serial paths. Options.FreezeLevels is in the
+// calls carrying one bypass the cache entirely. Options.Workers and
+// the distributed-exploration knobs (DistWorkers, DistEndpoint, Dist,
+// Sched.Dist) are deliberately not part of the key — every execution
+// strategy, the source-level pool or worker processes, produces Results
+// byte-identical to the serial path. Options.FreezeLevels is in the
 // same class: a frozen store changes where vectors live, never what is
 // computed.
 

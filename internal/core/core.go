@@ -33,32 +33,24 @@ type Options struct {
 	// Workers bounds the number of concurrent per-source schedule
 	// searches. 0 uses GOMAXPROCS, 1 forces the serial path. Every
 	// search is deterministic and independent of the others, so the
-	// result is byte-identical regardless of Workers. A custom
-	// Sched.Term or Sched.Order is shared across searches and must be
-	// safe for concurrent use when Workers > 1; the defaults are built
-	// fresh per search and always are.
+	// result is byte-identical regardless of Workers. This pool is the
+	// only in-process concurrency: each search itself runs serially on
+	// its pool goroutine. A custom Sched.Term or Sched.Order is shared
+	// across searches and must be safe for concurrent use when
+	// Workers > 1; the defaults are built fresh per search and always
+	// are.
 	Workers int
-	// ExploreWorkers bounds the goroutines each schedule search may use
-	// for its own state-space exploration — the frontier level of the
-	// two-level parallelism model (sources x frontier). 0 derives a
-	// value from GOMAXPROCS and the source-level pool so the two levels
-	// share one core budget (a single-source system gets all cores at
-	// the frontier; many sources leave the frontier serial); 1 forces
-	// serial exploration. Results are byte-identical for every value.
-	// An explicit Sched.ExploreWorkers takes precedence.
-	ExploreWorkers int
 	// DistWorkers > 0 shards each schedule search's frontier
-	// exploration across that many worker OS processes (internal/dist)
-	// instead of in-process goroutines. By default the processes are
-	// spawned locally by re-executing the current binary, which must
-	// call dist.MaybeWorker first thing in main; set DistEndpoint to
-	// await externally started cmd/qssd workers instead. The pool lives
-	// for one Synthesize call; callers amortizing a pool across many
-	// calls pass a pre-connected one via Dist. Schedules and generated
-	// code are byte-identical to the serial path for every process
-	// count; the source-level pool is forced serial while a dist pool
-	// is active (the pool is a sequential resource). Contradicts
-	// ExploreWorkers > 1 — callers choose one exploration strategy.
+	// exploration across that many worker OS processes (internal/dist).
+	// By default the processes are spawned locally by re-executing the
+	// current binary, which must call dist.MaybeWorker first thing in
+	// main; set DistEndpoint to await externally started cmd/qssd
+	// workers instead. The pool lives for one Synthesize call; callers
+	// amortizing a pool across many calls pass a pre-connected one via
+	// Dist. Schedules and generated code are byte-identical to the
+	// in-process search for every process count; the source-level pool
+	// is forced serial while a dist pool is active (the pool is a
+	// sequential resource).
 	DistWorkers int
 	// DistEndpoint, with DistWorkers > 0, listens at this endpoint
 	// ("unix:/path", "tcp:host:port", or a bare unix-socket path) and
@@ -329,7 +321,7 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 		// queue on it, so keep the source level serial.
 		workers = 1
 	}
-	schedOpt := wireExploreWorkers(opt, workers)
+	schedOpt := opt.Sched
 	if distPool != nil {
 		so := sched.Options{}
 		if schedOpt != nil {
@@ -337,7 +329,6 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 		}
 		so.Dist = distPool
 		so.DistFallback = !opt.DistNoFallback
-		so.ExploreWorkers = 0
 		schedOpt = &so
 	}
 	out := make([]*sched.Schedule, len(sources))
@@ -410,35 +401,6 @@ func withFreezeLevels(opt *Options) *Options {
 	so.FreezeLevels = true
 	o.Sched = &so
 	return &o
-}
-
-// wireExploreWorkers resolves the frontier-level worker count of the
-// two-level parallelism budget and returns the sched options to use:
-// with srcWorkers searches running concurrently, each search gets
-// GOMAXPROCS/srcWorkers exploration goroutines unless the caller chose
-// explicitly (Options.ExploreWorkers, or a pre-set Sched.ExploreWorkers
-// which always wins). The caller's Options are never mutated.
-func wireExploreWorkers(opt *Options, srcWorkers int) *sched.Options {
-	if opt.Sched != nil && opt.Sched.ExploreWorkers != 0 {
-		return opt.Sched
-	}
-	ew := opt.ExploreWorkers
-	if ew == 0 {
-		if srcWorkers < 1 {
-			srcWorkers = 1
-		}
-		ew = runtime.GOMAXPROCS(0) / srcWorkers
-	}
-	if ew <= 1 {
-		// Serial exploration is the zero value; no copy needed.
-		return opt.Sched
-	}
-	so := sched.Options{}
-	if opt.Sched != nil {
-		so = *opt.Sched
-	}
-	so.ExploreWorkers = ew
-	return &so
 }
 
 // sharedChannels finds channel places touched (with token flow) by more

@@ -43,7 +43,7 @@ func spawnChaosRounds() int {
 
 func TestChaosSpawnedKill(t *testing.T) {
 	seed, rounds := spawnChaosSeed(), spawnChaosRounds()
-	serial, err := core.Synthesize(apps.PFC, apps.PFCSpec, &core.Options{Workers: 1, ExploreWorkers: 1, DisableCache: true})
+	serial, err := core.Synthesize(apps.PFC, apps.PFCSpec, &core.Options{Workers: 1, DisableCache: true})
 	if err != nil {
 		t.Fatalf("serial baseline: %v", err)
 	}

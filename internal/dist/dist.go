@@ -8,14 +8,13 @@
 // # Determinism contract
 //
 // The coordinator performs the exact sequential first-discovery merge
-// of petri.RunFrontier's phase C: frontier states are walked in dense
-// MarkID order and each state's candidate edges in the emit order of
-// the serial loop, so dense MarkID assignment — and with it state
-// numbering, schedules and generated C — is byte-identical for every
-// worker-process count, including the in-process parallel and plain
-// serial paths. Workers only ever move the phase-A work (firing,
-// hashing, known-state resolution) out of the coordinator; they never
-// influence ordering.
+// of petri.Drive's inline mode: frontier states are walked in dense
+// MarkID order and each state's candidate edges in the inline emit
+// order, so dense MarkID assignment — and with it state numbering,
+// schedules and generated C — is byte-identical for every
+// worker-process count and the in-process search. Workers only ever
+// move the expansion work (firing, hashing, known-state resolution)
+// out of the coordinator; they never influence ordering.
 //
 // # Protocol
 //

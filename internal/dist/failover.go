@@ -442,7 +442,7 @@ func (a *attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
 
 // run is one session attempt: init (plus restores when resuming), the
 // pipelined merge, and the stats epilogue. See the package comment in
-// dist.go for the merge's shape; this is phase C of petri.RunFrontier
+// dist.go for the merge's shape; this is petri.Drive's sequential merge
 // consuming each owner's chunk stream as the bytes arrive. All
 // failures return as *workerDeath for the restart loop.
 func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *resume) (bool, error) {
@@ -588,9 +588,8 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 			}
 		}
 		p.fireLevelHook(p.stats.Levels)
-		// Sequential first-discovery merge, exactly phase C of
-		// petri.RunFrontier — consuming each owner's chunk stream as the
-		// bytes arrive. On a replay, candidates up to the checkpoint are
+		// Sequential first-discovery merge, exactly petri.Drive's —
+		// consuming each owner's chunk stream as the bytes arrive. On a replay, candidates up to the checkpoint are
 		// consumed and discarded: their hooks ran before the failure and
 		// every side effect (stats, records, interned states) survives
 		// in the coordinator.

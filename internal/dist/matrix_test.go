@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -12,10 +13,11 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/petri"
+	"repro/internal/sched"
 )
 
 // The determinism matrix: every execution strategy of the exploration —
-// serial, in-process frontier goroutines, and real spawned worker
+// in-process, with the frozen store tier, and real spawned worker
 // processes — must produce byte-identical schedules, generated C and
 // reachability results. These tests spawn actual OS processes
 // (dist.SpawnLocal re-executes this test binary; TestMain routes the
@@ -63,23 +65,19 @@ var matrixApps = []struct {
 }
 
 // matrixConfig is one execution strategy. procs > 0 spawns that many
-// worker processes; otherwise ew is the in-process ExploreWorkers value
-// (1 = plain serial). freeze turns on the frozen store tier — on the
-// coordinator via core.Options.FreezeLevels, and in spawned workers
-// via the QSS_DIST_FREEZE environment variable they inherit.
+// worker processes; otherwise the search runs in-process. freeze turns
+// on the frozen store tier — on the coordinator via
+// core.Options.FreezeLevels, and in spawned workers via the
+// QSS_DIST_FREEZE environment variable they inherit.
 type matrixConfig struct {
 	name   string
-	ew     int
 	procs  int
 	freeze bool
 }
 
 var matrixConfigs = []matrixConfig{
-	{name: "serial", ew: 1},
-	{name: "explore-workers-1", ew: 1},
-	{name: "explore-workers-4", ew: 4},
-	{name: "explore-workers-8", ew: 8},
-	{name: "serial-frozen", ew: 1, freeze: true},
+	{name: "serial"},
+	{name: "serial-frozen", freeze: true},
 	{name: "dist-procs-1", procs: 1},
 	{name: "dist-procs-2", procs: 2},
 	{name: "dist-procs-4", procs: 4},
@@ -87,12 +85,12 @@ var matrixConfigs = []matrixConfig{
 }
 
 // TestDeterminismMatrix: byte-identical generated C and schedules for
-// every example app across {serial, ExploreWorkers in {1,4,8}, worker
-// processes in {1,2,4}}.
+// every example app across {serial, frozen store, worker processes in
+// {1,2,4}}.
 func TestDeterminismMatrix(t *testing.T) {
 	want := make(map[string]string, len(matrixApps))
 	for _, app := range matrixApps {
-		r, err := core.Synthesize(app.flowc, app.spec, &core.Options{Workers: 1, ExploreWorkers: 1, DisableCache: true})
+		r, err := core.Synthesize(app.flowc, app.spec, &core.Options{Workers: 1, DisableCache: true})
 		if err != nil {
 			t.Fatalf("serial %s: %v", app.name, err)
 		}
@@ -100,7 +98,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	for _, cfg := range matrixConfigs[1:] {
 		t.Run(cfg.name, func(t *testing.T) {
-			opt := &core.Options{Workers: 1, ExploreWorkers: cfg.ew, DisableCache: true, FreezeLevels: cfg.freeze}
+			opt := &core.Options{Workers: 1, DisableCache: true, FreezeLevels: cfg.freeze}
 			if cfg.procs > 0 {
 				if cfg.freeze {
 					t.Setenv(dist.EnvFreeze, "1")
@@ -110,7 +108,7 @@ func TestDeterminismMatrix(t *testing.T) {
 					t.Fatalf("spawn %d workers: %v", cfg.procs, err)
 				}
 				defer pool.Close()
-				opt = &core.Options{Workers: 1, Dist: pool, DisableCache: true, FreezeLevels: cfg.freeze}
+				opt.Dist = pool
 			}
 			for _, app := range matrixApps {
 				r, err := core.Synthesize(app.flowc, app.spec, opt)
@@ -126,6 +124,28 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 }
 
+// TestPFCBudgetEdgeDist: the search budget binds at the same edge when
+// a worker pool expands the search — MaxNodes one below PFC's state
+// count fails with ErrBudget, MaxNodes equal to it succeeds — and an
+// over-budget session leaves the pool usable.
+func TestPFCBudgetEdgeDist(t *testing.T) {
+	const states = 23984 // PFC's single search
+	pool := dist.PipePool(t, 2)
+	opt := func(maxNodes int) *core.Options {
+		return &core.Options{Workers: 1, Dist: pool, DistNoFallback: true, MaxNodes: maxNodes, DisableCache: true}
+	}
+	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt(states-1)); !errors.Is(err, sched.ErrBudget) {
+		t.Fatalf("MaxNodes %d: err = %v, want ErrBudget", states-1, err)
+	}
+	r, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt(states))
+	if err != nil {
+		t.Fatalf("MaxNodes %d: %v", states, err)
+	}
+	if got := r.Schedules[0].Stats.NodesCreated; got != states {
+		t.Fatalf("explored %d states, want %d", got, states)
+	}
+}
+
 // firstDiff locates the first differing line for a readable failure.
 func firstDiff(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
@@ -138,8 +158,8 @@ func firstDiff(want, got string) string {
 }
 
 // TestReachMatrix: petri-level ReachResult ordering — markings, edges,
-// clip flags — is byte-identical across serial, in-process parallel
-// and worker-process exploration, including under budget truncation.
+// clip flags — is byte-identical across in-process and worker-process
+// exploration, including under budget truncation.
 func TestReachMatrix(t *testing.T) {
 	nets := []struct {
 		name string
@@ -153,11 +173,6 @@ func TestReachMatrix(t *testing.T) {
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.net.Explore(tc.opt)
-			for _, w := range []int{1, 4, 8} {
-				opt := tc.opt
-				opt.Workers = w
-				assertSameReach(t, fmt.Sprintf("workers=%d", w), want, tc.net.Explore(opt))
-			}
 			for _, procs := range []int{1, 2, 4} {
 				pool, err := dist.SpawnLocal(procs)
 				if err != nil {
@@ -254,7 +269,7 @@ func TestCorpusSweepDist(t *testing.T) {
 		t.Fatalf("spawn workers: %v", err)
 	}
 	defer pool.Close()
-	serialOpt := &core.Options{Workers: 1, ExploreWorkers: 1, DisableCache: true}
+	serialOpt := &core.Options{Workers: 1, DisableCache: true}
 	distOpt := &core.Options{Workers: 1, Dist: pool, DisableCache: true}
 	for i, app := range appsList {
 		want, serr := core.Synthesize(app.FlowC, app.Spec, serialOpt)
@@ -281,8 +296,8 @@ func TestCorpusSweepDist(t *testing.T) {
 // versus the all-hot serial baseline.
 func TestCorpusSweepFrozen(t *testing.T) {
 	appsList := corpus.GenerateCorpus(1234, 50, sweepConfig())
-	serialOpt := &core.Options{Workers: 1, ExploreWorkers: 1, DisableCache: true}
-	frozenOpt := &core.Options{Workers: 1, ExploreWorkers: 1, DisableCache: true, FreezeLevels: true}
+	serialOpt := &core.Options{Workers: 1, DisableCache: true}
+	frozenOpt := &core.Options{Workers: 1, DisableCache: true, FreezeLevels: true}
 	for i, app := range appsList {
 		want, serr := core.Synthesize(app.FlowC, app.Spec, serialOpt)
 		got, ferr := core.Synthesize(app.FlowC, app.Spec, frozenOpt)

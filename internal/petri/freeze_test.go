@@ -1,7 +1,6 @@
 package petri
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -276,8 +275,8 @@ func TestFreezeConcurrentThaw(t *testing.T) {
 
 // TestExploreFreezeLevelsDeterminism: FreezeLevels must not change a
 // single byte of the ReachResult — state numbering, edges, clip flags —
-// for the serial loop, every worker count, and budget/cap-clipped
-// explorations; and the frozen run must actually have frozen everything.
+// for full and budget/cap-clipped explorations; and the frozen run must
+// actually have frozen everything.
 func TestExploreFreezeLevelsDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -291,24 +290,72 @@ func TestExploreFreezeLevelsDeterminism(t *testing.T) {
 	}
 	for _, c := range cases {
 		baseline := c.net.Explore(c.opt)
-		for _, w := range []int{0, 1, 4, 8} {
-			opt := c.opt
-			opt.Workers = w
-			opt.FreezeLevels = true
-			got := c.net.Explore(opt)
-			assertSameReach(t, fmt.Sprintf("%s/frozen-workers=%d", c.name, w), baseline, got)
-			if w <= 1 {
-				if !got.Store.FreezeEnabled() {
-					t.Fatalf("%s: freezing not enabled", c.name)
-				}
-				if got.Store.FrozenLen() != got.Store.Len() {
-					t.Fatalf("%s: FrozenLen = %d of %d after serial frozen explore",
-						c.name, got.Store.FrozenLen(), got.Store.Len())
-				}
-				if m := got.Store.Mem(); m.FrozenBytes == 0 && got.Store.Len() > 0 {
-					t.Fatalf("%s: no frozen bytes after full freeze", c.name)
-				}
-			}
+		opt := c.opt
+		opt.FreezeLevels = true
+		got := c.net.Explore(opt)
+		assertSameReach(t, c.name+"/frozen", baseline, got)
+		if !got.Store.FreezeEnabled() {
+			t.Fatalf("%s: freezing not enabled", c.name)
+		}
+		if got.Store.FrozenLen() != got.Store.Len() {
+			t.Fatalf("%s: FrozenLen = %d of %d after frozen explore",
+				c.name, got.Store.FrozenLen(), got.Store.Len())
+		}
+		if m := got.Store.Mem(); m.FrozenBytes == 0 && got.Store.Len() > 0 {
+			t.Fatalf("%s: no frozen bytes after full freeze", c.name)
 		}
 	}
+}
+
+// TestFreezeWriteFailureReverts: a segment write failure in the middle
+// of an exploration reverts it to all-hot. The segment file is closed
+// once the second level has committed, so the third level's
+// FreezeThrough fails: the run must still complete, nothing later may
+// freeze, the states frozen before the failure must read back intact,
+// and the ReachResult must equal the all-hot run.
+func TestFreezeWriteFailureReverts(t *testing.T) {
+	n := ringsNet(3, 4)
+	opt := ExploreOptions{MaxMarkings: 1000, FreezeLevels: true}
+	allHot := n.Explore(ExploreOptions{MaxMarkings: opt.MaxMarkings})
+	part := n.ECSPartition()
+	var (
+		e         *reachExplorer
+		store     *MarkingStore
+		commits   int
+		frozenEnd int
+	)
+	ok, err := Drive(n, part, reachSpec(n, part, opt), true, nil, false, func(s *MarkingStore) MergeHooks {
+		store = s
+		e = newReachExplorer(s, opt.MaxMarkings)
+		h := e.mergeHooks()
+		h.LevelClosed = func(end int) {
+			commits++
+			if commits == 2 {
+				frozenEnd = s.FrozenLen()
+				if s.frozen.data == nil {
+					t.Skip("reading a closed segment back needs the mmap'd tier")
+				}
+				s.frozen.f.Close()
+			} else if commits > 2 && s.FrozenLen() != frozenEnd {
+				t.Fatalf("level %d froze through %d after the write failure at %d", commits, s.FrozenLen(), frozenEnd)
+			}
+		}
+		return h
+	})
+	if !ok || err != nil {
+		t.Fatalf("Drive = %v, %v; want a completed run", ok, err)
+	}
+	e.closeRow()
+	if commits <= 3 {
+		t.Fatalf("only %d level commits; the net is too shallow to test a mid-run failure", commits)
+	}
+	if frozenEnd == 0 || store.FrozenLen() != frozenEnd {
+		t.Fatalf("FrozenLen = %d, want it stuck at the second commit's %d", store.FrozenLen(), frozenEnd)
+	}
+	for id := 0; id < frozenEnd; id++ {
+		if got, want := store.At(MarkID(id)), allHot.MarkingAt(MarkID(id)); !got.Equal(want) {
+			t.Fatalf("frozen state %d reads back %v, want %v", id, got, want)
+		}
+	}
+	assertSameReach(t, "write-failure", allHot, e.res)
 }

@@ -1,41 +1,35 @@
 package petri
 
-import "sync"
+import "slices"
 
-// Level-synchronous parallel frontier. Both bounded reachability
-// (Net.Explore) and the scheduler's marking-graph engine are BFS loops
-// whose serial form interleaves three jobs per edge: fire the
-// transition, deduplicate the successor marking, and record the edge
-// under a deterministic state numbering. RunFrontier splits one BFS
-// level into two phases so the expensive part scales with cores while
-// the numbering stays byte-identical to the serial loop:
+// The exploration driver. Bounded reachability (Net.Explore,
+// ExploreDist) and the scheduler's marking-graph engine are the same
+// level-synchronous BFS: fire every fireable transition of every
+// frontier state, deduplicate each successor marking, and record the
+// edge under a deterministic state numbering. Drive is that BFS, the
+// only one outside internal/dist; the explorers supply MergeHooks that
+// record what it finds.
 //
-//	A (parallel over frontier chunks): fire + prune + hash each
-//	  successor and probe the store read-only (LookupHashed). A hit —
-//	  a marking interned before this level — is buffered as its bare
-//	  MarkID; only a miss buffers its token vector, in the worker's
-//	  candidate arena. Nothing is interned, so every worker reads the
-//	  same store state.
-//	C (sequential, cheap): walk the candidates in (parent, emit) order
-//	  — which IS the serial discovery order, because chunks are
-//	  contiguous — recording hits directly and resolving each miss with
-//	  lookup → Admit → InternHashed, so a marking reached several times
-//	  within the level gets its MarkID at first discovery. Per edge this
-//	  is a few array reads, plus one probe per miss; the O(|marking|)
-//	  firing and hashing already happened in A.
+// The driver owns everything the explorers share: the MarkingStore,
+// the EnabledTracker bitset arena, expansion of an ExpandSpec, the
+// frozen tier's FreezeWindow, level-boundary detection and the
+// DistFallback rerun. It has two modes:
 //
-// The store itself is the only dedup structure: RunFrontier keeps no
-// second copy of any vector beyond one level's misses. Because phase C
-// numbers states in first-discovery order regardless of how phase A
-// was chunked, the resulting MarkIDs, edges and everything derived from
-// them are identical for every worker count, including the plain serial
-// loop.
+//	inline: expand one state, then merge each of its edges at once —
+//	  fire, veto, hash once, LookupHashed, Admit, InternHashed, Edge.
+//	  No goroutines and no candidate buffers.
+//	runner: a FrontierRunner (the worker processes of internal/dist)
+//	  expands under the same ExpandSpec and calls the same MergeHooks.
+//
+// Dense MarkIDs are assigned only in the merge, in first-discovery
+// order, so the numbering, the edges and everything derived from them
+// are byte-identical in both modes and for every runner.
 
-// MergeHooks are the sequential hooks of a frontier exploration: they
-// run in the deterministic phase-C merge order regardless of how the
-// expansion was parallelized (goroutines in RunFrontier, or worker
-// processes behind a FrontierRunner), which is what makes state
-// numbering byte-identical across every execution strategy.
+// MergeHooks are the sequential hooks of an exploration: they run in
+// the deterministic merge order — states ascending, edges in expansion
+// order within a state — whichever mode or runner expands, which is
+// what makes state numbering byte-identical across every execution
+// strategy.
 type MergeHooks struct {
 	// BeginState is called for every frontier state in MarkID order,
 	// before any of its Edge/Reject calls. May be nil.
@@ -48,40 +42,21 @@ type MergeHooks struct {
 	// order. isNew is true when child was interned by this call, in
 	// which case child == store.Len()-1.
 	Edge func(parent MarkID, trans int32, child MarkID, isNew bool)
-	// Reject is called for emitted-nil successors (budget=false) and
+	// Reject is called for vetoed successors (budget=false) and
 	// Admit-refused ones (budget=true). Returning false aborts the
-	// whole exploration; RunFrontier then returns false.
+	// whole exploration; the run then reports false.
 	Reject func(parent MarkID, trans int32, budget bool) bool
 	// LevelClosed is called after each level commits — every state
 	// below end has had all its edges recorded and will never be
 	// expanded again — and runs sequentially, between levels. The
-	// frozen-tier explorers use it to FreezeThrough(end); the final
-	// call has end == store.Len(). May be nil.
+	// final call has end == store.Len(). May be nil.
 	LevelClosed func(end int)
-}
-
-// FrontierHooks supplies the exploration-specific behaviour of a
-// RunFrontier run. Expand is called concurrently; the embedded
-// MergeHooks are called sequentially from phase C in deterministic
-// order.
-type FrontierHooks struct {
-	// Expand generates the successors of one frontier state. It is
-	// called once per state, concurrently across states, with a worker
-	// index for scratch-buffer affinity. emit must be called once per
-	// outgoing edge attempt, in a deterministic per-state order; the
-	// child marking is copied during the call, so a reused scratch
-	// buffer may be passed. Emit a nil child for a successor vetoed by
-	// the caller (e.g. beyond a token cap): it surfaces as a Reject
-	// with budget=false.
-	Expand func(worker int, id MarkID, m Marking, emit func(trans int32, child Marking))
-	MergeHooks
 }
 
 // ExpandSpec is a self-contained, serializable description of how to
 // expand one frontier state: which ECSs of the net's partition may
-// fire, and the per-place token caps that veto successors. It captures
-// everything the in-process explorers' Expand closures know, so a
-// worker process holding only the net and the spec reproduces the
+// fire, and the per-place token caps that veto successors. A worker
+// process holding only the net and the spec reproduces the driver's
 // exact emit sequence (ECSs in partition order, members in ascending
 // transition order, out-of-cap successors vetoed).
 type ExpandSpec struct {
@@ -104,136 +79,203 @@ func (s *ExpandSpec) Veto(m Marking) bool {
 	return false
 }
 
-// FrontierRunner abstracts who performs the phase-A expansion of a
-// level-synchronous frontier exploration. The in-process RunFrontier
-// fans expansion out over goroutines; a distributed runner (package
-// internal/dist) ships the net and spec to worker processes owning
-// hash ranges of the marking space — each holding only its owned
-// shards, fed by VecDelta batches — and feeds their candidate streams
-// through the same sequential merge, pipelined so workers expand one
-// level ahead of the merge and new candidates resolve by shipped
-// marking hash (LookupHash) instead of a coordinator re-fire.
-// Implementations must invoke the
-// MergeHooks in exactly the serial discovery order (states ascending,
-// emit order within a state), so results are byte-identical to the
-// serial loop. The returned bool is false when a Reject hook aborted
-// the run; a non-nil error reports an infrastructure failure (a worker
-// died, the protocol broke) rather than an exploration outcome.
+// FrontierRunner abstracts who expands the frontier of a
+// level-synchronous exploration in Drive's runner mode. A distributed
+// runner (package internal/dist) ships the net and spec to worker
+// processes owning hash ranges of the marking space — each holding
+// only its owned shards, fed by VecDelta batches — and feeds their
+// candidate streams through the sequential merge, pipelined so workers
+// expand one level ahead of the merge and new candidates resolve by
+// shipped marking hash (LookupHash) instead of a coordinator re-fire.
+// Implementations explore from the states already in store (the first
+// frontier is [0, store.Len())) and must invoke the MergeHooks in
+// exactly the serial discovery order (states ascending, emit order
+// within a state), so results are byte-identical to the inline mode.
+// The returned bool is false when a Reject hook aborted the run; a
+// non-nil error reports an infrastructure failure (a worker died, the
+// protocol broke) rather than an exploration outcome.
 type FrontierRunner interface {
 	RunFrontier(n *Net, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error)
 }
 
-// frontierCand is one edge attempt buffered between phases A and C.
-type frontierCand struct {
-	parent uint32
-	trans  int32
-	child  MarkID // phase-A hit; NoMark for a miss or a veto
-	off    int32  // miss: child vector offset in the worker's arena; -1: vetoed by Expand
-	hash   uint64 // miss: HashMarking of the child
+// Drive explores n breadth-first from its initial marking under spec,
+// whose Mask indexes part (n's ECSPartition). start is called with a
+// fresh store holding only the root, MarkID 0, and returns the hooks
+// that record the exploration; Drive interns every admitted successor
+// into that store.
+//
+// With a nil runner the exploration runs inline on the calling
+// goroutine. Otherwise r expands it; if r fails and fallback is set,
+// Drive calls start again with a new store and reruns the exploration
+// inline — the determinism contract makes the result identical to what
+// the runner would have produced — and the error is swallowed.
+//
+// freeze evicts the token vectors of closed levels into the store's
+// frozen tier (see MarkingStore.FreezeThrough). If the segment cannot
+// be created or written, the exploration silently continues all-hot;
+// levels frozen before a write failure stay readable.
+//
+// The bool is false when a Reject hook aborted the exploration; the
+// error reports a runner failure that was not recovered.
+func Drive(n *Net, part []*ECS, spec ExpandSpec, freeze bool, r FrontierRunner, fallback bool, start func(*MarkingStore) MergeHooks) (bool, error) {
+	d := &driver{
+		net:    n,
+		part:   part,
+		spec:   spec,
+		capped: slices.ContainsFunc(spec.Caps, func(c int) bool { return c >= 0 }),
+	}
+	if r != nil {
+		d.begin(freeze, start)
+		ok, err := r.RunFrontier(n, d.store, spec, d.runnerHooks())
+		if err == nil || !fallback {
+			return ok, err
+		}
+	}
+	d.begin(freeze, start)
+	return d.runInline(), nil
 }
 
-type frontierWorker struct {
-	cands []frontierCand
-	vecs  []int
+// driver is the state of one Drive call.
+type driver struct {
+	net  *Net
+	part []*ECS
+	spec ExpandSpec
+	// capped is false when every cap is negative: the per-place Veto
+	// scan is then skipped, which keeps uncapped reachability
+	// (Net.Explore without MaxTokensPerPlace) at full speed.
+	capped bool
+	store  *MarkingStore
+	hooks  MergeHooks
+	// fwin buffers per-state provenance for FreezeThrough; nil when
+	// freezing is off or reverted after a write failure.
+	fwin *FreezeWindow
+	// Inline mode only: bits is the per-state enabled-ECS arena (state
+	// id's set is bits[id*stride : (id+1)*stride]), derived from the
+	// parent's set when a state is interned; scratch is the firing
+	// buffer reused across the whole exploration.
+	tracker *EnabledTracker
+	stride  int
+	bits    []uint64
+	scratch Marking
 }
 
-// RunFrontier explores breadth-first from the states already interned
-// in store (the first frontier is [0, store.Len())), appending every
-// admitted successor to store under the deterministic numbering
-// described above. It returns false if a Reject hook aborted the run.
-// workers <= 1 still runs the phased pipeline, with identical results.
-func RunFrontier(store *MarkingStore, workers int, hooks FrontierHooks) bool {
-	if workers < 1 {
-		workers = 1
+// begin starts one attempt: a store holding only the root, its frozen
+// tier when asked for, and the caller's hooks for that store.
+func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
+	d.store = NewMarkingStore(len(d.net.Places))
+	d.store.Intern(d.net.InitialMarking())
+	d.fwin = nil
+	if freeze {
+		if err := d.store.EnableFreeze(FreezeConfig{Deltas: d.net.TokenDeltas()}); err == nil {
+			d.fwin = &FreezeWindow{}
+			d.fwin.Append(FreezeProv{Parent: NoMark}) // root: verbatim
+		}
 	}
-	places := store.Places()
-	ws := make([]frontierWorker, workers)
+	d.hooks = start(d.store)
+}
 
-	for levelStart := 0; levelStart < store.Len(); {
-		levelEnd := store.Len()
-		n := levelEnd - levelStart
-		act := min(workers, n)
-
-		// Phase A: expand frontier chunks in parallel against the
-		// read-only store.
-		var wg sync.WaitGroup
-		for w := 0; w < act; w++ {
-			fw := &ws[w]
-			fw.cands = fw.cands[:0]
-			fw.vecs = fw.vecs[:0]
-			lo := levelStart + w*n/act
-			hi := levelStart + (w+1)*n/act
-			wg.Add(1)
-			go func(w, lo, hi int, fw *frontierWorker) {
-				defer wg.Done()
-				parent := uint32(0)
-				emit := func(trans int32, child Marking) {
-					c := frontierCand{parent: parent, trans: trans, child: NoMark, off: -1}
-					if child != nil {
-						h := HashMarking(child)
-						if id, ok := store.LookupHashed(child, h); ok {
-							c.child = id
-						} else {
-							c.off, c.hash = int32(len(fw.vecs)), h
-							fw.vecs = append(fw.vecs, child...)
-						}
-					}
-					fw.cands = append(fw.cands, c)
-				}
-				for id := lo; id < hi; id++ {
-					parent = uint32(id)
-					hooks.Expand(w, MarkID(id), store.At(MarkID(id)), emit)
-				}
-			}(w, lo, hi, fw)
+// levelClosed freezes the states below end, drops their buffered
+// provenance and passes the commit on to the caller's hook. A write
+// failure reverts the rest of the exploration to all-hot.
+func (d *driver) levelClosed(end int) {
+	if d.fwin != nil {
+		if err := d.store.FreezeThrough(end, d.fwin.Prov); err != nil {
+			d.fwin = nil
+		} else {
+			d.fwin.Drop(end)
 		}
-		wg.Wait()
-
-		// Phase C: sequential merge in serial discovery order.
-		next := MarkID(levelStart)
-		begin := func(through MarkID) {
-			if hooks.BeginState == nil {
-				next = through + 1
-				return
-			}
-			for ; next <= through; next++ {
-				hooks.BeginState(next)
-			}
-		}
-		for w := range ws[:act] {
-			fw := &ws[w]
-			for i := range fw.cands {
-				c := &fw.cands[i]
-				parent := MarkID(c.parent)
-				begin(parent)
-				switch {
-				case c.child != NoMark:
-					hooks.Edge(parent, c.trans, c.child, false)
-				case c.off < 0:
-					if !hooks.Reject(parent, c.trans, false) {
-						return false
-					}
-				default:
-					v := Marking(fw.vecs[c.off : int(c.off)+places])
-					if g, ok := store.LookupHashed(v, c.hash); ok {
-						hooks.Edge(parent, c.trans, g, false)
-						continue
-					}
-					if hooks.Admit != nil && !hooks.Admit() {
-						if !hooks.Reject(parent, c.trans, true) {
-							return false
-						}
-						continue
-					}
-					g, _ := store.InternHashed(v, c.hash)
-					hooks.Edge(parent, c.trans, g, true)
-				}
-			}
-		}
-		begin(MarkID(levelEnd - 1))
-		if hooks.LevelClosed != nil {
-			hooks.LevelClosed(levelEnd)
-		}
-		levelStart = levelEnd
 	}
+	if d.hooks.LevelClosed != nil {
+		d.hooks.LevelClosed(end)
+	}
+}
+
+// runnerHooks returns the caller's hooks with the freeze bookkeeping
+// folded in, for a runner that merges into d.store.
+func (d *driver) runnerHooks() MergeHooks {
+	h := d.hooks
+	if d.fwin == nil {
+		return h
+	}
+	h.Edge = func(parent MarkID, trans int32, child MarkID, isNew bool) {
+		if isNew && d.fwin != nil {
+			d.fwin.Append(FreezeProv{Parent: parent, Trans: trans})
+		}
+		d.hooks.Edge(parent, trans, child, isNew)
+	}
+	h.LevelClosed = d.levelClosed
+	return h
+}
+
+// runInline is the inline mode. The queue crosses a level boundary
+// exactly when it reaches the store length observed at the previous
+// boundary: every state below it is then fully expanded, i.e. closed.
+func (d *driver) runInline() bool {
+	d.tracker = NewEnabledTracker(d.net, d.part)
+	d.stride = d.tracker.Stride()
+	d.bits = make([]uint64, d.stride)
+	d.tracker.Init(d.bits, d.store.At(0))
+	levelEnd := d.store.Len()
+	for id := 0; id < d.store.Len(); id++ {
+		if id == levelEnd {
+			d.levelClosed(levelEnd)
+			levelEnd = d.store.Len()
+		}
+		if !d.expand(MarkID(id)) {
+			return false
+		}
+	}
+	d.levelClosed(d.store.Len())
+	return true
+}
+
+// expand fires the fireable enabled ECSs of one state in partition
+// order, members in ascending transition order, merging each successor
+// before firing the next. It reports false when a Reject hook aborted
+// the exploration.
+func (d *driver) expand(id MarkID) bool {
+	if d.hooks.BeginState != nil {
+		d.hooks.BeginState(id)
+	}
+	m := d.store.At(id)
+	ok := true
+	// Interning appends to d.bits, possibly moving it; this view of the
+	// state's own words stays valid either way.
+	ForEachMaskedBit(d.bits[int(id)*d.stride:(int(id)+1)*d.stride], d.spec.Mask, func(ei int) {
+		for _, tid := range d.part[ei].Trans {
+			if ok {
+				ok = d.merge(id, m, tid)
+			}
+		}
+	})
+	return ok
+}
+
+// merge fires tid at m, the marking of parent, and records the
+// successor: a veto, an edge to a known state, a budget rejection, or
+// an edge to a newly interned one.
+func (d *driver) merge(parent MarkID, m Marking, tid int) bool {
+	d.scratch = m.FireInto(d.scratch, d.net.Transitions[tid])
+	if d.capped && d.spec.Veto(d.scratch) {
+		return d.hooks.Reject(parent, int32(tid), false)
+	}
+	h := HashMarking(d.scratch)
+	if child, ok := d.store.LookupHashed(d.scratch, h); ok {
+		d.hooks.Edge(parent, int32(tid), child, false)
+		return true
+	}
+	if d.hooks.Admit != nil && !d.hooks.Admit() {
+		return d.hooks.Reject(parent, int32(tid), true)
+	}
+	child, _ := d.store.InternHashed(d.scratch, h)
+	if d.fwin != nil {
+		d.fwin.Append(FreezeProv{Parent: parent, Trans: int32(tid)})
+	}
+	base := len(d.bits)
+	for range d.stride {
+		d.bits = append(d.bits, 0)
+	}
+	d.tracker.Update(d.bits[base:], d.bits[int(parent)*d.stride:(int(parent)+1)*d.stride], tid, d.scratch)
+	d.hooks.Edge(parent, int32(tid), child, true)
 	return true
 }

@@ -59,8 +59,8 @@ func netFromBytes(data []byte) *Net {
 // FuzzExplore checks the bounded-reachability contract on arbitrary
 // small nets: exploration never panics, never retains more markings
 // than MaxMarkings, never retains a non-initial marking violating
-// MaxTokensPerPlace, and — when it did not truncate — records edges
-// only between retained markings.
+// MaxTokensPerPlace, records edges only between retained markings, and
+// matches the reference explorer exactly.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
 	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(3), true)
@@ -120,27 +120,8 @@ func FuzzExplore(f *testing.F) {
 				}
 			}
 		}
-		// The parallel frontier must reproduce the serial result
-		// byte-for-byte: same numbering, edges and clip flags.
-		popt := opt
-		popt.Workers = 3
-		pres := n.Explore(popt)
-		if pres.Len() != res.Len() || pres.Truncated != res.Truncated {
-			t.Fatalf("parallel explore: %d markings truncated=%v, serial %d/%v",
-				pres.Len(), pres.Truncated, res.Len(), res.Truncated)
-		}
-		for id, m := range res.Store.All() {
-			if !pres.MarkingAt(id).Equal(m) {
-				t.Fatalf("parallel explore numbered marking %d differently", id)
-			}
-			if len(pres.Edges[id]) != len(res.Edges[id]) || pres.Clipped[id] != res.Clipped[id] {
-				t.Fatalf("parallel explore edges/clip differ at marking %d", id)
-			}
-			for j, e := range res.Edges[id] {
-				if pres.Edges[id][j] != e {
-					t.Fatalf("parallel explore edge %d/%d differs", id, j)
-				}
-			}
-		}
+		// The independent reference explorer must agree byte for byte:
+		// same numbering, edges and clip flags.
+		assertSameSnapshot(t, "reference", referenceExplore(n, opt), snapshotReach(res))
 	})
 }

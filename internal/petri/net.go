@@ -15,11 +15,9 @@
 // once in pages that never move; EnabledTracker maintains per-marking
 // enabled-ECS bitsets incrementally (firing a transition re-evaluates
 // only the ECSs whose presets intersect the places whose counts
-// changed); and RunFrontier implements the level-synchronous parallel
-// frontier — the frontier half of the two-level (sources x frontier)
-// parallelism model — deduplicating straight into the caller's store,
-// with state numbering byte-identical to the serial loops for every
-// worker count.
+// changed); and Drive is the one level-synchronous exploration driver,
+// run inline or on a FrontierRunner (worker processes), with state
+// numbering byte-identical either way.
 package petri
 
 import (

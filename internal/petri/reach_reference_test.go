@@ -1,0 +1,163 @@
+package petri
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// ringsNet builds `pipes` independent token rings of `stages` places
+// each: the reachable space is the product of the ring positions
+// (stages^pipes states), a scalable shape spanning many BFS levels.
+func ringsNet(pipes, stages int) *Net {
+	n := New(fmt.Sprintf("rings-%dx%d", pipes, stages))
+	for p := 0; p < pipes; p++ {
+		var ps []*Place
+		for s := 0; s < stages; s++ {
+			init := 0
+			if s == 0 {
+				init = 1
+			}
+			ps = append(ps, n.AddPlace(fmt.Sprintf("r%d_%d", p, s), PlaceInternal, init))
+		}
+		for s := 0; s < stages; s++ {
+			t := n.AddTransition(fmt.Sprintf("t%d_%d", p, s), TransNormal)
+			n.AddArc(ps[s], t, 1)
+			n.AddArcTP(t, ps[(s+1)%stages], 1)
+		}
+	}
+	return n
+}
+
+// reachSnapshot is a flattened exploration result for exact
+// comparison: markings in MarkID order, edge rows, clip flags.
+type reachSnapshot struct {
+	markings  []Marking
+	edges     [][]ReachEdge
+	clipped   []bool
+	truncated bool
+}
+
+func snapshotReach(r *ReachResult) reachSnapshot {
+	s := reachSnapshot{edges: r.Edges, clipped: r.Clipped, truncated: r.Truncated}
+	for _, m := range r.Store.All() {
+		s.markings = append(s.markings, m.Clone())
+	}
+	return s
+}
+
+// referenceExplore is the oracle the explorer is checked against, kept
+// independent of the code under test: a map-keyed BFS (Marking.Key)
+// that tests ECS.Enabled for the whole partition at every state and
+// records edges in partition order, members ascending. It uses neither
+// Drive, nor an EnabledTracker, nor a MarkingStore.
+func referenceExplore(n *Net, opt ExploreOptions) reachSnapshot {
+	if opt.MaxMarkings == 0 {
+		opt.MaxMarkings = 10000
+	}
+	var r reachSnapshot
+	ids := map[string]MarkID{}
+	add := func(m Marking) MarkID {
+		id := MarkID(len(r.markings))
+		ids[m.Key()] = id
+		r.markings = append(r.markings, m)
+		r.edges = append(r.edges, nil)
+		r.clipped = append(r.clipped, false)
+		return id
+	}
+	add(n.InitialMarking())
+	part := n.ECSPartition()
+	for qi := 0; qi < len(r.markings); qi++ {
+		m := r.markings[qi]
+		for _, E := range part {
+			if !opt.FireSources && E.IsSourceECS(n) || !E.Enabled(n, m) {
+				continue
+			}
+			for _, tid := range E.Trans {
+				next := m.Fire(n.Transitions[tid])
+				clip := false
+				for _, v := range next {
+					clip = clip || opt.MaxTokensPerPlace > 0 && v > opt.MaxTokensPerPlace
+				}
+				id, seen := ids[next.Key()]
+				if !clip && !seen {
+					if len(r.markings) >= opt.MaxMarkings {
+						clip = true
+					} else {
+						id = add(next)
+					}
+				}
+				if clip {
+					r.truncated = true
+					r.clipped[qi] = true
+					continue
+				}
+				r.edges[qi] = append(r.edges[qi], ReachEdge{Trans: tid, To: id})
+			}
+		}
+	}
+	return r
+}
+
+func assertSameSnapshot(t *testing.T, name string, want, got reachSnapshot) {
+	t.Helper()
+	if !reflect.DeepEqual(want.markings, got.markings) {
+		t.Fatalf("%s: marking numbering differs (%d vs %d states)", name, len(want.markings), len(got.markings))
+	}
+	if !reflect.DeepEqual(want.edges, got.edges) {
+		t.Fatalf("%s: edges differ", name)
+	}
+	if !reflect.DeepEqual(want.clipped, got.clipped) || want.truncated != got.truncated {
+		t.Fatalf("%s: clip flags differ (truncated %v vs %v)", name, want.truncated, got.truncated)
+	}
+}
+
+func assertSameReach(t *testing.T, name string, want, got *ReachResult) {
+	t.Helper()
+	assertSameSnapshot(t, name, snapshotReach(want), snapshotReach(got))
+}
+
+// TestExploreMatchesReference: Explore must reproduce the reference
+// explorer exactly — same state numbering, same edges, same clip
+// flags — on full explorations, budget-clipped ones and token-capped
+// ones, with and without frozen levels.
+func TestExploreMatchesReference(t *testing.T) {
+	cases := []struct {
+		name string
+		net  *Net
+		opt  ExploreOptions
+	}{
+		{"rings-full", ringsNet(3, 4), ExploreOptions{MaxMarkings: 1000}},
+		{"rings-budget", ringsNet(3, 5), ExploreOptions{MaxMarkings: 60}},
+		{"simple-capped", simpleNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 4}},
+		{"choice", choiceNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 3}},
+	}
+	for _, c := range cases {
+		want := referenceExplore(c.net, c.opt)
+		for _, freeze := range []bool{false, true} {
+			opt := c.opt
+			opt.FreezeLevels = freeze
+			assertSameSnapshot(t, fmt.Sprintf("%s/freeze=%v", c.name, freeze), want, snapshotReach(c.net.Explore(opt)))
+		}
+	}
+}
+
+// TestExploreRandomNetsMatchReference sweeps seeded random nets
+// (including source-driven infinite spaces under caps) against the
+// reference explorer, all-hot and with frozen levels.
+func TestExploreRandomNetsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 120; i++ {
+		n := randomNet(rng)
+		opt := ExploreOptions{
+			FireSources:       i%2 == 0,
+			MaxTokensPerPlace: 3 + i%3,
+			MaxMarkings:       200 + i%57,
+		}
+		want := referenceExplore(n, opt)
+		assertSameSnapshot(t, fmt.Sprintf("random-%d", i), want, snapshotReach(n.Explore(opt)))
+		opt.FreezeLevels = true
+		assertSameSnapshot(t, fmt.Sprintf("random-%d/frozen", i), want, snapshotReach(n.Explore(opt)))
+	}
+}

@@ -30,6 +30,18 @@ func TestExploreMaxMarkings(t *testing.T) {
 	}
 }
 
+// TestExploreMaxMarkingsEdge pins the budget at its edge: a budget
+// equal to the state count explores everything, one less truncates.
+func TestExploreMaxMarkingsEdge(t *testing.T) {
+	n := ringsNet(3, 4) // 4^3 = 64 states
+	if r := n.Explore(ExploreOptions{MaxMarkings: 64}); r.Len() != 64 || r.Truncated {
+		t.Fatalf("MaxMarkings 64: %d states, truncated=%v; want 64, false", r.Len(), r.Truncated)
+	}
+	if r := n.Explore(ExploreOptions{MaxMarkings: 63}); r.Len() != 63 || !r.Truncated {
+		t.Fatalf("MaxMarkings 63: %d states, truncated=%v; want 63, true", r.Len(), r.Truncated)
+	}
+}
+
 func TestDeadlockMarkings(t *testing.T) {
 	n := New("dead")
 	p := n.AddPlace("p", PlaceInternal, 1)

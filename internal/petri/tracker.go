@@ -135,10 +135,9 @@ func HasBit(bits []uint64, i int) bool {
 
 // ForEachMaskedBit calls fn with each set bit index of bits&mask in
 // ascending order — the canonical walk over an enabled-ECS bitset
-// filtered by a fireable/allowed mask. The exploration engines keep
-// specialized inlined forms of this loop where a closure per state
-// would show up in their allocation budgets; new consumers (the dist
-// worker's expansion) should use this one.
+// filtered by a fireable/allowed mask. Drive's inline expansion and
+// the dist worker's expansion both use it, so their emit orders agree
+// by construction.
 func ForEachMaskedBit(bits, mask []uint64, fn func(i int)) {
 	for w := range bits {
 		x := bits[w] & mask[w]

@@ -11,8 +11,9 @@ import (
 	"repro/internal/petri"
 )
 
-// AnalyzeOptions selects the exploration strategy for an imported net.
-// The zero value explores serially with the explorer's default budget.
+// AnalyzeOptions bounds the exploration of an imported net and picks
+// where it runs. The zero value explores in-process with the
+// explorer's default budget.
 type AnalyzeOptions struct {
 	// MaxMarkings bounds the number of distinct markings explored
 	// (0 = the explorer's default).
@@ -22,12 +23,8 @@ type AnalyzeOptions struct {
 	// so unbounded nets need the cap to terminate; a truncated result
 	// reports the place that grew as a witness of unboundedness.
 	MaxTokensPerPlace int
-	// Workers >= 2 explores each BFS level with the in-process parallel
-	// frontier.
-	Workers int
 	// Dist shards the exploration across the runner's worker processes
 	// (an *internal/dist.Pool satisfies petri.FrontierRunner).
-	// Contradicts Workers >= 2; callers validate before reaching here.
 	Dist petri.FrontierRunner
 	// FreezeLevels moves closed BFS levels to on-disk delta segments.
 	FreezeLevels bool
@@ -62,7 +59,6 @@ func Analyze(n *petri.Net, opt AnalyzeOptions) (*Analysis, error) {
 		MaxMarkings:       opt.MaxMarkings,
 		MaxTokensPerPlace: opt.MaxTokensPerPlace,
 		FireSources:       true,
-		Workers:           opt.Workers,
 		FreezeLevels:      opt.FreezeLevels,
 	}
 	var (
@@ -99,8 +95,8 @@ func countEdges(r *petri.ReachResult) int {
 // vectors in MarkID order, the edge lists (transition and successor),
 // the per-state clip flags and the truncation bit. Two explorations
 // agree on the fingerprint exactly when they produced byte-identical
-// results — the conformance matrix compares these across serial,
-// parallel-frontier, distributed and frozen runs.
+// results — the conformance matrix compares these across in-process,
+// distributed and frozen runs.
 func Fingerprint(r *petri.ReachResult) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -17,8 +17,8 @@
 // PNML, with the round-trip property that export → import → export is a
 // byte-for-byte fixed point. Analyze runs the reachability and
 // place-bound analysis the qssbatch/pfcbench -pnml modes expose,
-// through the same serial / parallel-frontier / distributed / frozen
-// exploration paths as the FlowC flow, and Fingerprint condenses a
+// through the same in-process / distributed / frozen exploration paths
+// as the FlowC flow, and Fingerprint condenses a
 // ReachResult into the hash the pnml-conformance CI job compares across
 // execution strategies.
 package pnml

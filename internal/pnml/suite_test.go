@@ -47,9 +47,9 @@ func suiteFixtures(t *testing.T) []string {
 }
 
 // TestPNMLSuite is the conformance matrix `make pnml-suite` runs in CI:
-// serial is the baseline; in-process parallel frontier, spawned worker
-// processes and the frozen store tier must reproduce its fingerprint
-// exactly, fixture by fixture.
+// serial is the baseline; spawned worker processes and the frozen
+// store tier must reproduce its fingerprint exactly, fixture by
+// fixture.
 func TestPNMLSuite(t *testing.T) {
 	files := suiteFixtures(t)
 	want := make(map[string]string, len(files))
@@ -67,13 +67,11 @@ func TestPNMLSuite(t *testing.T) {
 
 	configs := []struct {
 		name   string
-		ew     int
 		procs  int
 		freeze bool
 	}{
-		{name: "explore-workers-4", ew: 4},
 		{name: "dist-procs-2", procs: 2},
-		{name: "serial-frozen", ew: 1, freeze: true},
+		{name: "serial-frozen", freeze: true},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -94,7 +92,6 @@ func TestPNMLSuite(t *testing.T) {
 				if opt.MaxMarkings == 0 {
 					opt = defaultSuiteOpts
 				}
-				opt.Workers = cfg.ew
 				opt.FreezeLevels = cfg.freeze
 				if pool != nil {
 					opt.Dist = pool

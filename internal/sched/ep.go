@@ -33,28 +33,29 @@ type Options struct {
 	// (default 2000000; hash-consed states are compact enough that the
 	// budget is search time, not memory).
 	MaxNodes int
-	// ExploreWorkers >= 2 lets the graph engine explore each BFS level
-	// of the marking graph on that many goroutines (the frontier level
-	// of the two-level parallelism model; core.Options.Workers is the
-	// source level). Exploration order, state numbering and the
-	// resulting schedule are byte-identical for every value. 0 or 1
-	// keeps the exploration serial; tree engines ignore it.
+	// ExploreWorkers is ignored.
+	//
+	// Deprecated: the graph engine explores on the calling goroutine,
+	// or on Dist. Its in-process goroutine fan-out lost to the serial
+	// search in every measurement and was removed. The field stays only
+	// because the repository benchmark (qssbench) still sets it; it
+	// goes when that benchmark is next updated.
 	ExploreWorkers int
 	// Dist delegates the graph engine's frontier expansion to an
 	// external runner — a coordinator over worker processes owning hash
-	// ranges of the marking space (internal/dist). It takes precedence
-	// over ExploreWorkers; results stay byte-identical to the serial
-	// path for every process count. Runners serialize explorations
-	// internally, so a shared runner is safe (if sequential) across the
-	// concurrent searches of core's source-level pool. Tree engines
-	// ignore it.
+	// ranges of the marking space (internal/dist) — instead of
+	// expanding on the calling goroutine. Results stay byte-identical
+	// to the in-process search for every process count. Runners
+	// serialize explorations internally, so a shared runner is safe (if
+	// sequential) across the concurrent searches of core's source-level
+	// pool. Tree engines ignore it.
 	Dist petri.FrontierRunner
-	// DistFallback reruns a search in-process (ExploreWorkers-governed)
-	// when the Dist runner fails — worker death with recovery
-	// exhausted, protocol corruption. Determinism makes the fallback
-	// transparent: the schedule and generated code are byte-identical
-	// to what the pool would have produced. Off by default so tests and
-	// health probes observe the infrastructure error.
+	// DistFallback reruns a search in-process when the Dist runner
+	// fails — worker death with recovery exhausted, protocol
+	// corruption. Determinism makes the fallback transparent: the
+	// schedule and generated code are byte-identical to what the pool
+	// would have produced. Off by default so tests and health probes
+	// observe the infrastructure error.
 	DistFallback bool
 	// FreezeLevels makes the graph engine evict the token vectors of
 	// closed BFS levels from its marking store's hot arena into an

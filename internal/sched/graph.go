@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"sort"
 
 	"repro/internal/compile"
@@ -34,12 +33,11 @@ import (
 //     the distance-to-root ranking) and emits the induced sub-graph as
 //     the schedule.
 //
-// Step 1 finds each state's enabled ECSs incrementally (a bitset
-// derived from the parent state's via petri.EnabledTracker, not a
-// partition scan) and, under Options.ExploreWorkers >= 2, fans each
-// BFS level out over the petri.RunFrontier pipeline; the frontier's
-// deterministic merge writes the engine arenas in exactly the serial
-// order, so schedules are byte-identical for every worker count.
+// Step 1 is petri.Drive under the engine's ExpandSpec (allowed ECSs,
+// place caps): inline, or on the Options.Dist runner. The engine only
+// supplies the merge hooks that write its arenas, and the merge runs in
+// the same order either way, so schedules are byte-identical for every
+// execution strategy.
 
 // CapProvider is implemented by termination conditions that can bound
 // the token count of each place for the graph engine.
@@ -126,28 +124,18 @@ type graphEngine struct {
 	part   []*petri.ECS
 	caps   []int
 
-	store   *petri.MarkingStore
-	states  []gstate
-	scratch petri.Marking // firing buffer reused across the whole search
-	over    bool
-	// fwin buffers per-state provenance for the store's frozen tier
-	// when Options.FreezeLevels is active; nil otherwise.
-	fwin *petri.FreezeWindow
+	store  *petri.MarkingStore
+	states []gstate
+	over   bool
 
-	// Incremental enablement (petri.EnabledTracker): bits is a flat
-	// arena of per-state enabled-ECS bitsets (stride words per state),
-	// each computed from its parent's set when the state is interned,
-	// so expanding a state iterates its enabled ECSs directly instead
-	// of re-testing the whole partition. allowedMask filters the sets
-	// down to the ECSs this schedule may fire (uncontrollable sources
-	// other than the schedule's own are excluded in single-source
-	// mode); occDelta is the per-transition channel/port occupancy
-	// delta, making the per-state occ field an O(1) increment.
-	tracker     *petri.EnabledTracker
-	stride      int
+	// allowedMask is the ExpandSpec mask: the ECSs this schedule may
+	// fire (uncontrollable sources other than the schedule's own are
+	// excluded in single-source mode). ecsOf maps a transition to its
+	// ECS index, which is how the merge groups successors into ECSs;
+	// occDelta is the per-transition channel/port occupancy delta,
+	// making the per-state occ field an O(1) increment.
 	allowedMask []uint64
-	bits        []uint64
-	pScratch    []uint64 // stable copy of the expanding state's bitset
+	ecsOf       []int
 	occDelta    []int32
 
 	// Flat adjacency. Entry k of ecsArena is one (state, allowed enabled
@@ -158,7 +146,7 @@ type graphEngine struct {
 	succOff   []int32
 	succArena []int32
 
-	// Reverse adjacency in CSR form, built once after explore: edge e
+	// Reverse adjacency in CSR form, built once after exploration: edge e
 	// lands on target revTo-order with source revSrc[e] via arena entry
 	// revECS[e]. computeRanks filters by the current X set instead of
 	// rebuilding the adjacency every fixpoint round.
@@ -195,22 +183,19 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 		source: source,
 		opt:    opt,
 		part:   n.ECSPartition(),
-		store:  petri.NewMarkingStore(len(n.Places)),
 	}
 	if cp, ok := opt.Term.(CapProvider); ok {
 		ge.caps = cp.Caps(n)
 	} else {
 		ge.caps = NewIrrelevance(n).Caps(n)
 	}
-	ge.tracker = petri.NewEnabledTracker(n, ge.part)
-	ge.stride = ge.tracker.Stride()
-	ge.allowedMask = make([]uint64, ge.stride)
+	ge.allowedMask = make([]uint64, (len(ge.part)+63)/64)
 	for _, E := range ge.part {
 		if ge.allowed(E) {
 			ge.allowedMask[E.Index>>6] |= 1 << (uint(E.Index) & 63)
 		}
 	}
-	ge.pScratch = make([]uint64, ge.stride)
+	ge.ecsOf = petri.ECSIndex(ge.part, len(n.Transitions))
 	ge.occDelta = make([]int32, len(n.Transitions))
 	for _, t := range n.Transitions {
 		d := 0
@@ -228,54 +213,14 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 		}
 		ge.occDelta[t.ID] = int32(d)
 	}
-	if opt.FreezeLevels {
-		if err := ge.store.EnableFreeze(petri.FreezeConfig{Deltas: n.TokenDeltas()}); err == nil {
-			ge.fwin = &petri.FreezeWindow{}
-		}
-	}
 	return ge
-}
-
-// freezeTo evicts states below end into the store's frozen tier and
-// drops their buffered provenance; a write failure permanently reverts
-// the search to all-hot (already-frozen levels stay readable).
-func (ge *graphEngine) freezeTo(end int) {
-	if ge.fwin == nil {
-		return
-	}
-	if err := ge.store.FreezeThrough(end, ge.fwin.Prov); err != nil {
-		ge.fwin = nil
-		return
-	}
-	ge.fwin.Drop(end)
 }
 
 func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error) {
 	ge := newGraphEngine(n, source, opt)
 	st := n.Transitions[source]
-	m0 := n.InitialMarking()
-	rootID := ge.internRoot(m0)
-	switch {
-	case opt.Dist != nil:
-		if err := ge.exploreDist(opt.Dist); err != nil {
-			if !opt.DistFallback {
-				return nil, fmt.Errorf("sched: source %s: distributed exploration: %w", st.Name, err)
-			}
-			// The failed session may have partially populated the
-			// engine; rebuild it and rerun the search in-process. The
-			// result is byte-identical to the distributed one.
-			ge = newGraphEngine(n, source, opt)
-			rootID = ge.internRoot(m0)
-			if opt.ExploreWorkers > 1 {
-				ge.exploreParallel(opt.ExploreWorkers)
-			} else {
-				ge.explore()
-			}
-		}
-	case opt.ExploreWorkers > 1:
-		ge.exploreParallel(opt.ExploreWorkers)
-	default:
-		ge.explore()
+	if err := ge.drive(opt.Dist); err != nil {
+		return nil, fmt.Errorf("sched: source %s: distributed exploration: %w", st.Name, err)
 	}
 	if ge.over {
 		return nil, fmt.Errorf("sched: source %s: %w (graph engine, %d states)", st.Name, ErrBudget, len(ge.states))
@@ -291,53 +236,66 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 	return s, nil
 }
 
-// internRoot hash-conses the initial marking, seeding its enabled set
-// with a full partition scan — the only full scan of the search.
-func (ge *graphEngine) internRoot(m petri.Marking) int {
-	id, _ := ge.store.Intern(m)
-	if ge.fwin != nil {
-		ge.fwin.Append(petri.FreezeProv{Parent: petri.NoMark}) // root: verbatim
-	}
-	ge.states = append(ge.states, gstate{rank: -1, occ: int32(ge.occupancy(m))})
-	base := len(ge.bits)
-	for i := 0; i < ge.stride; i++ {
-		ge.bits = append(ge.bits, 0)
-	}
-	ge.tracker.Init(ge.bits[base:base+ge.stride], m)
-	return int(id)
+// rootID is the initial marking's state: petri.Drive interns it first.
+const rootID = 0
+
+// drive runs the bounded forward BFS (step 1) through petri.Drive:
+// inline when r is nil, on the runner otherwise, with the runner's
+// failure reported unless Options.DistFallback reruns it inline.
+// Budget exhaustion is an exploration outcome and lands in ge.over.
+func (ge *graphEngine) drive(r petri.FrontierRunner) error {
+	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
+	_, err := petri.Drive(ge.net, ge.part, spec, ge.opt.FreezeLevels, r, ge.opt.DistFallback, ge.start)
+	return err
 }
 
-// intern hash-conses m, fired from state parent via transition trans.
-// An already-seen marking costs one hash and one probe, no allocation;
-// a new one is copied once into the store's arena and gains a parallel
-// gstate slot plus an incrementally-derived enabled set.
-func (ge *graphEngine) intern(m petri.Marking, parent, trans int) int {
-	id, isNew := ge.store.Intern(m)
-	if !isNew {
-		return int(id)
+// start resets the engine for one exploration attempt over store,
+// which holds only the root, and returns the merge hooks that write the
+// engine arenas. Each state's successors arrive ECS by ECS (allowed
+// enabled ECSs in partition order, members ascending), one Edge or
+// Reject per member, so the first member of a group names its ECS and
+// the last one closes it. Occupancy is a delta off the parent: O(1) per
+// new state instead of a marking scan.
+func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
+	ge.store, ge.over = store, false
+	ge.states = append(ge.states[:0], gstate{rank: -1, occ: int32(ge.occupancy(store.At(rootID)))})
+	ge.ecsArena, ge.succOff, ge.succArena = ge.ecsArena[:0], ge.succOff[:0], ge.succArena[:0]
+	var E *petri.ECS // the open ECS group
+	mi := 0          // members of E recorded so far
+	advance := func(parent petri.MarkID, trans int32, child int32) {
+		if mi == 0 {
+			E = ge.part[ge.ecsOf[trans]]
+			ge.ecsArena = append(ge.ecsArena, E)
+			ge.succOff = append(ge.succOff, int32(len(ge.succArena)))
+		}
+		ge.succArena = append(ge.succArena, child)
+		if mi++; mi == len(E.Trans) {
+			mi = 0
+			ge.states[parent].ecsEnd = int32(len(ge.ecsArena))
+		}
 	}
-	if int(id) >= ge.opt.MaxNodes {
-		ge.over = true
-		return -1
+	return petri.MergeHooks{
+		BeginState: func(id petri.MarkID) {
+			s := &ge.states[id]
+			s.ecsStart = int32(len(ge.ecsArena))
+			s.ecsEnd = s.ecsStart
+		},
+		Admit: func() bool { return ge.store.Len() < ge.opt.MaxNodes },
+		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
+			if isNew {
+				ge.states = append(ge.states, gstate{rank: -1, occ: ge.states[parent].occ + ge.occDelta[trans]})
+			}
+			advance(parent, trans, int32(child))
+		},
+		Reject: func(parent petri.MarkID, trans int32, budget bool) bool {
+			if budget {
+				ge.over = true
+				return false
+			}
+			advance(parent, trans, -1)
+			return true
+		},
 	}
-	ge.admitState(parent, trans, m)
-	return int(id)
-}
-
-// admitState appends the gstate and enabled set of a freshly interned
-// marking m reached from parent by firing trans. Occupancy and the
-// enabled set are both deltas off the parent: O(1) plus the few ECSs
-// the firing touched, instead of a full marking/partition scan.
-func (ge *graphEngine) admitState(parent, trans int, m petri.Marking) {
-	if ge.fwin != nil {
-		ge.fwin.Append(petri.FreezeProv{Parent: petri.MarkID(parent), Trans: int32(trans)})
-	}
-	ge.states = append(ge.states, gstate{rank: -1, occ: ge.states[parent].occ + ge.occDelta[trans]})
-	base := len(ge.bits)
-	for i := 0; i < ge.stride; i++ {
-		ge.bits = append(ge.bits, 0)
-	}
-	ge.tracker.Update(ge.bits[base:base+ge.stride], ge.bits[parent*ge.stride:(parent+1)*ge.stride], trans, m)
 }
 
 // marking returns the (read-only) token vector of state id.
@@ -351,190 +309,6 @@ func (ge *graphEngine) allowed(E *petri.ECS) bool {
 		return false
 	}
 	return true
-}
-
-func (ge *graphEngine) withinCaps(m petri.Marking) bool {
-	for i, v := range m {
-		if v > ge.caps[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// forEachAllowedEnabled iterates the allowed enabled ECSs of the given
-// bitset in partition order — shared by the serial loop and both
-// phases of the parallel frontier so their arena layouts are identical
-// by construction.
-func (ge *graphEngine) forEachAllowedEnabled(set []uint64, fn func(E *petri.ECS)) {
-	for w := 0; w < ge.stride; w++ {
-		x := set[w] & ge.allowedMask[w]
-		for x != 0 {
-			b := mathbits.TrailingZeros64(x)
-			x &= x - 1
-			fn(ge.part[w*64+b])
-		}
-	}
-}
-
-// explore runs the bounded forward BFS. Firing a transition reuses the
-// engine's scratch buffer and interns through the store, the enabled
-// ECSs of each state come from its incrementally-maintained bitset
-// (no full partition scan), and the adjacency goes into flat arenas,
-// so the per-fired-transition cost is hash + probe with no allocation
-// (arena growth amortizes).
-func (ge *graphEngine) explore() {
-	levelEnd := len(ge.states)
-	for qi := 0; qi < len(ge.states) && !ge.over; qi++ {
-		// The serial queue crosses a BFS level boundary exactly when qi
-		// reaches the state count observed at the previous boundary:
-		// every state below it is fully expanded, i.e. closed.
-		if qi == levelEnd {
-			ge.freezeTo(levelEnd)
-			levelEnd = len(ge.states)
-		}
-		// ge.states and ge.bits may be appended to (and moved) by intern
-		// below, so iterate a stable copy of this state's bitset and
-		// take the element pointer only when writing; the marking view
-		// stays valid across store growth. The bit iteration is inlined
-		// (not via forEachAllowedEnabled) to keep this loop free of
-		// per-state closure allocations.
-		m := ge.marking(qi)
-		copy(ge.pScratch, ge.bits[qi*ge.stride:(qi+1)*ge.stride])
-		start := len(ge.ecsArena)
-		for w := 0; w < ge.stride; w++ {
-			x := ge.pScratch[w] & ge.allowedMask[w]
-			for x != 0 {
-				b := mathbits.TrailingZeros64(x)
-				x &= x - 1
-				E := ge.part[w*64+b]
-				off := len(ge.succArena)
-				for _, tid := range E.Trans {
-					ge.scratch = m.FireInto(ge.scratch, ge.net.Transitions[tid])
-					if !ge.withinCaps(ge.scratch) {
-						ge.succArena = append(ge.succArena, -1)
-						continue
-					}
-					id := ge.intern(ge.scratch, qi, tid)
-					if ge.over {
-						return
-					}
-					ge.succArena = append(ge.succArena, int32(id))
-				}
-				ge.ecsArena = append(ge.ecsArena, E)
-				ge.succOff = append(ge.succOff, int32(off))
-			}
-		}
-		s := &ge.states[qi]
-		s.ecsStart, s.ecsEnd = int32(start), int32(len(ge.ecsArena))
-	}
-	ge.freezeTo(ge.store.Len())
-}
-
-// mergeHooks builds the sequential phase-C hooks writing the engine
-// arenas in exactly the serial order — shared by the in-process
-// parallel frontier and the distributed runner so the two cannot
-// drift. The returned finish must be called once after the frontier
-// run to close the last state's ECS range.
-func (ge *graphEngine) mergeHooks() (hooks petri.MergeHooks, finish func()) {
-	cur := -1
-	var pend []int32 // allowed enabled ECS indexes of cur, in order
-	pi, mi := 0, 0   // pending-ECS and member cursors
-	finish = func() {
-		if cur >= 0 {
-			ge.states[cur].ecsEnd = int32(len(ge.ecsArena))
-		}
-	}
-	// advance records one successor slot of cur, opening the next ECS
-	// group lazily. The emit order of the expansion walks the same
-	// bitset, so the cursors stay aligned by construction.
-	advance := func(child int32) {
-		E := ge.part[pend[pi]]
-		if mi == 0 {
-			ge.ecsArena = append(ge.ecsArena, E)
-			ge.succOff = append(ge.succOff, int32(len(ge.succArena)))
-		}
-		ge.succArena = append(ge.succArena, child)
-		if mi++; mi == len(E.Trans) {
-			pi++
-			mi = 0
-		}
-	}
-	hooks = petri.MergeHooks{
-		BeginState: func(id petri.MarkID) {
-			finish()
-			cur = int(id)
-			ge.states[cur].ecsStart = int32(len(ge.ecsArena))
-			pend = pend[:0]
-			ge.forEachAllowedEnabled(ge.bits[cur*ge.stride:(cur+1)*ge.stride], func(E *petri.ECS) {
-				pend = append(pend, int32(E.Index))
-			})
-			pi, mi = 0, 0
-		},
-		Admit: func() bool { return ge.store.Len() < ge.opt.MaxNodes },
-		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
-			if isNew {
-				ge.admitState(int(parent), int(trans), ge.store.At(child))
-			}
-			advance(int32(child))
-		},
-		Reject: func(parent petri.MarkID, trans int32, budget bool) bool {
-			if budget {
-				ge.over = true
-				return false
-			}
-			advance(-1)
-			return true
-		},
-	}
-	if ge.fwin != nil {
-		hooks.LevelClosed = ge.freezeTo
-	}
-	return hooks, finish
-}
-
-// exploreParallel is explore() over petri.RunFrontier: each BFS level's
-// firing, hashing and deduplication fan out across workers while the
-// phase-C merge writes the arenas in exactly the serial order, so the
-// resulting engine state — and with it the schedule and generated code
-// — is byte-identical to the serial path for every worker count.
-func (ge *graphEngine) exploreParallel(workers int) {
-	scratch := make([]petri.Marking, workers)
-	hooks, finish := ge.mergeHooks()
-	petri.RunFrontier(ge.store, workers, petri.FrontierHooks{
-		Expand: func(worker int, id petri.MarkID, m petri.Marking, emit func(int32, petri.Marking)) {
-			ge.forEachAllowedEnabled(ge.bits[int(id)*ge.stride:(int(id)+1)*ge.stride], func(E *petri.ECS) {
-				for _, tid := range E.Trans {
-					scratch[worker] = m.FireInto(scratch[worker], ge.net.Transitions[tid])
-					if !ge.withinCaps(scratch[worker]) {
-						emit(int32(tid), nil)
-						continue
-					}
-					emit(int32(tid), scratch[worker])
-				}
-			})
-		},
-		MergeHooks: hooks,
-	})
-	finish()
-}
-
-// exploreDist is explore() with the expansion shipped to worker
-// processes: the runner receives the net, the allowed-ECS mask and the
-// place caps — a complete description of this engine's expansion rule —
-// and drives the same merge hooks in serial discovery order, so
-// schedules and generated code are byte-identical to the serial and
-// in-process parallel paths for every process count. Infrastructure
-// failures surface as an error; exploration outcomes (budget
-// exhaustion) land in ge.over exactly as in the other paths.
-func (ge *graphEngine) exploreDist(r petri.FrontierRunner) error {
-	hooks, finish := ge.mergeHooks()
-	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
-	if _, err := r.RunFrontier(ge.net, ge.store, spec, hooks); err != nil {
-		return err
-	}
-	finish()
-	return nil
 }
 
 // buildReverse assembles the CSR reverse adjacency over every explored
@@ -917,8 +691,7 @@ type GraphDiagnosis struct {
 func Diagnose(n *petri.Net, source int, opt *Options) *GraphDiagnosis {
 	eff := opt.withDefaults(n, source)
 	ge := newGraphEngine(n, source, eff)
-	rootID := ge.internRoot(n.InitialMarking())
-	ge.explore()
+	ge.drive(nil) // inline: there is no runner to fail
 	d := &GraphDiagnosis{States: len(ge.states)}
 	const maxSample = 16
 	plainDead := map[int]bool{}

@@ -215,3 +215,46 @@ func TestGraphEngineAllocAmortized(t *testing.T) {
 		t.Fatalf("search allocated %.0f objects for %d states — inner loop is allocating per transition", allocs, states)
 	}
 }
+
+// TestTreeEngineAllocsPerNode pins the allocation behaviour of the EP
+// tree engines the way the graph search is pinned: expansion must not
+// allocate per (node, ECS) pair. Each created node inherently costs a
+// handful of allocations (the treeNode, its kids map entries, the
+// ordering heuristic's scratch); what this test rules out is the old
+// per-node enabled-slice + pass-split behaviour growing with the
+// partition size on top of that.
+func TestTreeEngineAllocsPerNode(t *testing.T) {
+	n := dividerNet(6)
+	n.Warm()
+	for _, eng := range []struct {
+		name string
+		e    Engine
+	}{
+		{"greedy", EngineTreeGreedy},
+		{"exhaustive", EngineTreeExhaustive},
+	} {
+		opt := &Options{Engine: eng.e, NoFallback: true}
+		s, err := FindSchedule(n, 0, opt)
+		if err != nil {
+			t.Fatalf("%s warmup: %v", eng.name, err)
+		}
+		nodes := s.Stats.NodesCreated
+		if nodes < 50 {
+			t.Fatalf("%s: only %d nodes; net too small to be meaningful", eng.name, nodes)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := FindSchedule(n, 0, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perNode := allocs / float64(nodes)
+		// With the T-invariant heuristic active, each expanded node pays
+		// for its treeNode, kids map and the heuristic's promising-vector
+		// math; 40 per node is far below the old additional
+		// O(|partition|) slice churn yet leaves headroom for map resizes.
+		if perNode > 40 {
+			t.Fatalf("%s: %.0f allocs for %d nodes (%.1f/node) — expansion is allocating per (node, ECS)",
+				eng.name, allocs, nodes, perNode)
+		}
+	}
+}

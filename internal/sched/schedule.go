@@ -7,13 +7,13 @@
 //
 // The engines find enabled ECSs through petri.EnabledTracker (per-state
 // bitsets maintained incrementally across firings) rather than by
-// scanning the partition, and the default graph engine's exploration
-// is the frontier half of the two-level parallelism model: with
-// Options.ExploreWorkers >= 2 it fans each BFS level out over
-// petri.RunFrontier while keeping state numbering — and therefore the
-// schedule and generated code — byte-identical to the serial search.
-// The source half (one search per uncontrollable input) is pooled by
-// package core, which also wires the two levels into one core budget.
+// scanning the partition. The default graph engine's exploration is
+// petri.Drive: a serial level-synchronous search on the calling
+// goroutine, or the same search expanded by worker processes
+// (Options.Dist) with state numbering — and therefore the schedule and
+// generated code — byte-identical either way. Concurrency lives one
+// level up: package core runs one search per uncontrollable input on a
+// pool.
 package sched
 
 import (
