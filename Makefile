@@ -34,7 +34,7 @@
 #   make pnml-suite  — the PNML conformance matrix: every vendored
 #                      interchange net under internal/pnml/testdata
 #                      explored serial / spawned worker processes /
-#                      frozen store, asserting
+#                      frozen store / frozen worker processes, asserting
 #                      byte-identical ReachResult fingerprints, plus
 #                      the round-trip fixed point and the corpus
 #                      export-reach property
@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/flowc
 	$(GO) test -run='^$$' -fuzz=FuzzExplore -fuzztime=$(FUZZTIME) ./internal/petri
 	$(GO) test -run='^$$' -fuzz=FuzzPNMLParse -fuzztime=$(FUZZTIME) ./internal/pnml
+	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/link
 	$(GO) test -run='^$$' -fuzz=FuzzDistFrames -fuzztime=$(FUZZTIME) ./internal/dist
 
 coverage:

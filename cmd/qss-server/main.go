@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/server"
+	"repro/internal/strategyflag"
 )
 
 func main() {
@@ -55,9 +56,7 @@ func realMain() int {
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "synthesis deadline for requests naming none")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "cap on request-supplied timeouts")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
-		distWorkers    = flag.Int("dist-workers", 0, "spawn this many persistent local dist worker processes shared by all requests (0 = in-process exploration)")
-		distEndpoint   = flag.String("dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning (requires -dist-workers)")
-		freezeLevels   = flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments (locally and in spawned workers)")
+		sf             = strategyflag.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
@@ -66,12 +65,9 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
-	if *distWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "qss-server: -dist-workers must be >= 0")
-		return 2
-	}
-	if *distEndpoint != "" && *distWorkers == 0 {
-		fmt.Fprintln(os.Stderr, "qss-server: -dist-endpoint requires -dist-workers")
+	if err := sf.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "qss-server:", err)
+		flag.Usage()
 		return 2
 	}
 
@@ -82,27 +78,17 @@ func realMain() int {
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		DrainTimeout:   *drainTimeout,
-		FreezeLevels:   *freezeLevels,
+		FreezeLevels:   sf.Freeze,
 		Log:            logger,
 	}
-	if *distWorkers > 0 {
-		if *freezeLevels {
-			// Spawned workers inherit the environment; externally
-			// started qssd workers take -freeze-levels themselves.
-			os.Setenv(dist.EnvFreeze, "1")
-		}
-		var pool *dist.Pool
-		var err error
-		if *distEndpoint != "" {
-			logger.Printf("qss-server: awaiting %d external workers at %s", *distWorkers, *distEndpoint)
-			pool, err = dist.Listen(*distEndpoint, *distWorkers)
-		} else {
-			pool, err = dist.SpawnLocal(*distWorkers)
-		}
-		if err != nil {
-			logger.Printf("qss-server: dist pool: %v", err)
-			return 1
-		}
+	// The server owns the pool (Drain closes it) and builds each
+	// request's strategy from Pool and FreezeLevels itself.
+	pool, _, err := sf.Open(func(format string, v ...any) { logger.Printf("qss-server: "+format, v...) })
+	if err != nil {
+		logger.Printf("qss-server: %v", err)
+		return 1
+	}
+	if pool != nil {
 		logger.Printf("qss-server: dist pool ready (%d workers)", pool.NumWorkers())
 		cfg.Pool = pool
 	}

@@ -20,13 +20,14 @@
 // Workers hold only their owned hash shards (per-worker memory ~1/N
 // of the state space).
 // -freeze-levels moves closed exploration levels to on-disk delta
-// segments (and, with -dist-workers, arms the same tier in spawned
-// workers via QSS_DIST_FREEZE), trading thaw reads for a hot store
-// that no longer scales with marking width — results are
-// byte-identical. -compare additionally runs the serial baseline and
-// prints the speedup. -cpuprofile/-memprofile write pprof profiles, so perf
-// regressions can be diagnosed without editing source. Shape flags
-// mirror corpus.Config; see internal/corpus.
+// segments (and, with -dist-workers, the workers' replicas follow),
+// trading thaw reads for a hot store that no longer scales with
+// marking width — results are byte-identical. If the pool fails, the
+// exploration reruns in-process. -compare additionally runs the
+// serial baseline and prints the speedup. -cpuprofile/-memprofile
+// write pprof profiles, so perf regressions can be diagnosed without
+// editing source. Shape flags mirror corpus.Config; see
+// internal/corpus.
 //
 // -pnml switches to interchange-net analysis: each named PNML document
 // (ISO/IEC 15909-2 P/T subset, see internal/pnml and docs/PNML.md) is
@@ -52,6 +53,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -60,8 +62,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dist"
+	"repro/internal/petri"
 	"repro/internal/pnml"
 	"repro/internal/profiling"
+	"repro/internal/sched"
+	"repro/internal/strategyflag"
 )
 
 func main() {
@@ -88,8 +93,6 @@ func (m *multiFlag) Set(v string) error {
 type batchFlags struct {
 	n               int
 	workers         int
-	distWorkers     int
-	distEndpoint    string
 	pnml            multiFlag
 	pnmlMaxMarkings int
 	pnmlMaxTokens   int
@@ -119,10 +122,6 @@ func (f *batchFlags) validate() error {
 		return fmt.Errorf("-n must be >= 0, got %d", f.n)
 	case f.workers < 0:
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", f.workers)
-	case f.distWorkers < 0:
-		return fmt.Errorf("-dist-workers must be >= 0 (0 = no worker processes), got %d", f.distWorkers)
-	case f.distEndpoint != "" && f.distWorkers == 0:
-		return fmt.Errorf("-dist-endpoint requires -dist-workers >= 1 (how many workers to await)")
 	case f.pnmlMaxMarkings < 0:
 		return fmt.Errorf("-pnml-max-markings must be >= 0 (0 = the explorer's default), got %d", f.pnmlMaxMarkings)
 	case f.pnmlMaxTokens < 0:
@@ -156,9 +155,7 @@ func realMain() (code int) {
 	flag.IntVar(&bf.n, "n", 20, "number of corpus apps to generate")
 	seed := flag.Int64("seed", 1, "master corpus seed")
 	flag.IntVar(&bf.workers, "workers", 0, "concurrent app syntheses (0 = GOMAXPROCS)")
-	flag.IntVar(&bf.distWorkers, "dist-workers", 0, "worker OS processes sharding each exploration (0 = none)")
-	flag.StringVar(&bf.distEndpoint, "dist-endpoint", "", "await externally started qssd workers at this endpoint instead of spawning")
-	freezeLevels := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
+	sf := strategyflag.Register(flag.CommandLine)
 	compare := flag.Bool("compare", false, "also run the serial baseline and report the speedup")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -181,38 +178,28 @@ func realMain() (code int) {
 
 	bf.explicit = map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { bf.explicit[f.Name] = true })
-	if err := bf.validate(); err != nil {
+	err := sf.Validate()
+	if err == nil {
+		err = bf.validate()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "qssbatch:", err)
 		flag.Usage()
 		return 2
 	}
 
-	if len(bf.pnml) > 0 {
-		stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qssbatch:", err)
-			return 2
-		}
-		defer func() {
-			if err := stopProfiles(); err != nil {
-				fmt.Fprintln(os.Stderr, "qssbatch:", err)
-				if code == 0 {
-					code = 2
-				}
-			}
-		}()
-		return runPNML(&bf, *freezeLevels, *verbose)
-	}
 	if bf.emitPNML != "" {
 		return emitCorpusPNML(bf.emitPNML, *seed, bf.n, cfg)
 	}
-
-	apps := corpus.GenerateCorpus(*seed, bf.n, cfg)
-	procs := 0
-	for _, a := range apps {
-		procs += a.Procs
+	var apps []*corpus.App
+	if len(bf.pnml) == 0 {
+		apps = corpus.GenerateCorpus(*seed, bf.n, cfg)
+		procs := 0
+		for _, a := range apps {
+			procs += a.Procs
+		}
+		fmt.Printf("corpus: %d apps, %d processes (seed %d)\n", len(apps), procs, *seed)
 	}
-	fmt.Printf("corpus: %d apps, %d processes (seed %d)\n", len(apps), procs, *seed)
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -228,35 +215,24 @@ func realMain() (code int) {
 		}
 	}()
 
-	// The batch scales out over apps; the per-app source pool stays
-	// serial so the app pool is the only one contending for cores.
-	copt := &core.Options{Workers: 1, DisableCache: true, FreezeLevels: *freezeLevels}
-	if bf.distWorkers > 0 {
-		if *freezeLevels {
-			// Spawned workers inherit the environment; externally
-			// started qssd workers take -freeze-levels themselves.
-			os.Setenv(dist.EnvFreeze, "1")
-		}
-		// One pool amortized over the whole batch (a dist pool is a
-		// sequential resource, so the batch itself stays serial too).
-		var (
-			pool *dist.Pool
-			err  error
-		)
-		if bf.distEndpoint != "" {
-			fmt.Printf("awaiting %d qssd worker(s) at %s\n", bf.distWorkers, bf.distEndpoint)
-			pool, err = dist.Listen(bf.distEndpoint, bf.distWorkers)
-		} else {
-			pool, err = dist.SpawnLocal(bf.distWorkers)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qssbatch:", err)
-			return 1
-		}
+	// One pool amortized over the whole batch or every -pnml file (a
+	// dist pool is a sequential resource, so the batch itself stays
+	// serial too).
+	pool, st, err := sf.Open(log.New(os.Stdout, "", 0).Printf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qssbatch:", err)
+		return 1
+	}
+	if pool != nil {
 		defer pool.Close()
-		copt.Dist = pool
 		bf.workers = 1
 	}
+	if len(bf.pnml) > 0 {
+		return runPNML(&bf, st, *verbose)
+	}
+	// The batch scales out over apps; the per-app source pool stays
+	// serial so the app pool is the only one contending for cores.
+	copt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Strategy: st}}
 
 	run := func(w int, o *core.Options) *corpus.BatchResult {
 		return corpus.RunBatch(context.Background(), apps, corpus.BatchOptions{Workers: w, Core: o})
@@ -271,8 +247,8 @@ func realMain() (code int) {
 	}
 	br := run(bf.workers, copt)
 	name := fmt.Sprintf("workers=%d", effectiveWorkers(bf.workers))
-	if bf.distWorkers > 0 {
-		name = fmt.Sprintf("dist-workers=%d", bf.distWorkers)
+	if pool != nil {
+		name = fmt.Sprintf("dist-workers=%d", sf.Workers)
 	}
 	report(name, br, *verbose)
 	if serial != nil && br.Elapsed > 0 {
@@ -316,36 +292,13 @@ func sumNodes(r *core.Result) int {
 
 // runPNML analyzes each named interchange net: reachable states,
 // deadlocks, place bounds and the cross-configuration fingerprint.
-// One dist pool (when requested) is shared across all files, like the
-// corpus batch shares its pool across apps.
-func runPNML(bf *batchFlags, freeze, verbose bool) int {
+// All files run under one strategy, sharing its dist pool (when
+// requested) like the corpus batch shares its pool across apps.
+func runPNML(bf *batchFlags, st petri.Strategy, verbose bool) int {
 	opt := pnml.AnalyzeOptions{
 		MaxMarkings:       bf.pnmlMaxMarkings,
 		MaxTokensPerPlace: bf.pnmlMaxTokens,
-		FreezeLevels:      freeze,
-	}
-	if bf.distWorkers > 0 {
-		if freeze {
-			// Spawned workers inherit the environment; externally
-			// started qssd workers take -freeze-levels themselves.
-			os.Setenv(dist.EnvFreeze, "1")
-		}
-		var (
-			pool *dist.Pool
-			err  error
-		)
-		if bf.distEndpoint != "" {
-			fmt.Printf("awaiting %d qssd worker(s) at %s\n", bf.distWorkers, bf.distEndpoint)
-			pool, err = dist.Listen(bf.distEndpoint, bf.distWorkers)
-		} else {
-			pool, err = dist.SpawnLocal(bf.distWorkers)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qssbatch:", err)
-			return 1
-		}
-		defer pool.Close()
-		opt.Dist = pool
+		Strategy:          st,
 	}
 	code := 0
 	for i, path := range bf.pnml {

@@ -4,14 +4,13 @@ import "testing"
 
 // TestBatchFlagValidation: contradictory or out-of-range flag
 // combinations are rejected with a descriptive error instead of being
-// silently clamped.
+// silently clamped. The strategy flags are validated by
+// internal/strategyflag.
 func TestBatchFlagValidation(t *testing.T) {
 	ok := func(f batchFlags) bool { return f.validate() == nil }
 	valid := []batchFlags{
 		{},
 		{n: 50, workers: 4},
-		{distWorkers: 2},
-		{distWorkers: 3, distEndpoint: "unix:/tmp/x.sock"},
 	}
 	for i, f := range valid {
 		if !ok(f) {
@@ -21,9 +20,7 @@ func TestBatchFlagValidation(t *testing.T) {
 	invalid := []batchFlags{
 		{n: -1},
 		{workers: -2},
-		{distWorkers: -1},
-		{distEndpoint: "unix:/tmp/x.sock"},  // endpoint without workers
-		{n: -5, workers: 3, distWorkers: 2}, // first failure still reported
+		{n: -5, workers: 3}, // first failure still reported
 	}
 	for i, f := range invalid {
 		if ok(f) {
@@ -53,7 +50,7 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 		{name: "pnml-two-files", f: batchFlags{pnml: multiFlag{"a.pnml", "b.pnml"}, explicit: set("pnml")}},
 		{name: "pnml-with-caps", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxMarkings: 5000, pnmlMaxTokens: 4,
 			explicit: set("pnml", "pnml-max-markings", "pnml-max-tokens")}},
-		{name: "pnml-with-dist", f: batchFlags{pnml: multiFlag{"net.pnml"}, distWorkers: 2,
+		{name: "pnml-with-dist", f: batchFlags{pnml: multiFlag{"net.pnml"},
 			explicit: set("pnml", "dist-workers")}},
 		{name: "pnml-with-freeze", f: batchFlags{pnml: multiFlag{"net.pnml"},
 			explicit: set("pnml", "freeze-levels")}},
@@ -77,7 +74,7 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 			explicit: set("pnml", "pnml-max-markings")}, wantErr: true},
 		{name: "negative-max-tokens", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxTokens: -1,
 			explicit: set("pnml", "pnml-max-tokens")}, wantErr: true},
-		{name: "emit-pnml-vs-dist", f: batchFlags{emitPNML: "/tmp/out", distWorkers: 2,
+		{name: "emit-pnml-vs-dist", f: batchFlags{emitPNML: "/tmp/out",
 			explicit: set("emit-pnml", "dist-workers")}, wantErr: true},
 		{name: "emit-pnml-vs-compare", f: batchFlags{emitPNML: "/tmp/out",
 			explicit: set("emit-pnml", "compare")}, wantErr: true},

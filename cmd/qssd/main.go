@@ -1,7 +1,7 @@
 // Command qssd is a standalone distributed-exploration worker: it
-// dials a coordinator (a synthesis run started with -dist-workers and
-// -dist-endpoint on cmd/qssbatch or cmd/pfcbench, or any caller of
-// core.Options.DistEndpoint), then serves exploration sessions —
+// dials a coordinator (a run started with -dist-workers and
+// -dist-endpoint on cmd/qssbatch, cmd/pfcbench or cmd/qss-server, or
+// any caller of dist.Listen), then serves exploration sessions —
 // holding the marking vectors and enabled sets of the hash shards it
 // owns and expanding the frontier states in those shards — until the
 // coordinator closes the connection.
@@ -10,16 +10,16 @@
 //
 //	qssd -connect unix:/path/to.sock
 //	qssd -connect tcp:host:port [-timeout 30s] [-dial-attempts N]
-//	     [-freeze-levels]
 //
 // One qssd process is one worker; start as many as the coordinator was
 // told to await. The worker must be built from the same tree as the
-// coordinator: a wire-protocol mismatch is refused at hello.
-// -freeze-levels moves the vectors of committed levels into an on-disk
-// delta segment, so this worker's resident store cost stops scaling
-// with the marking width. Determinism is the coordinator's job: any
-// number of workers, frozen or all-hot, on any machines, produces
-// byte-identical results.
+// coordinator: a wire-protocol mismatch is refused at hello. The
+// worker freezes the vectors of committed levels into an on-disk delta
+// segment exactly when its coordinator freezes its own store (the
+// coordinator's -freeze-levels), so its resident store cost stops
+// scaling with the marking width. Determinism is the coordinator's
+// job: any number of workers, frozen or all-hot, on any machines,
+// produces byte-identical results.
 package main
 
 import (
@@ -39,7 +39,6 @@ func realMain() int {
 	connect := flag.String("connect", "", "coordinator endpoint (unix:/path, tcp:host:port, or a bare unix-socket path)")
 	timeout := flag.Duration("timeout", 30*time.Second, "how long to keep retrying the initial dial")
 	dialAttempts := flag.Int("dial-attempts", 0, "cap the initial-dial retries (exponential backoff with jitter); 0 retries until -timeout expires")
-	freezeLevels := flag.Bool("freeze-levels", false, "freeze committed levels to an on-disk delta segment")
 	flag.Parse()
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "qssd: -connect is required")
@@ -51,7 +50,7 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
-	if err := dist.Serve(*connect, *timeout, dist.WorkerOptions{DialAttempts: *dialAttempts, FreezeLevels: *freezeLevels}); err != nil {
+	if err := dist.Serve(*connect, *timeout, dist.WorkerOptions{DialAttempts: *dialAttempts}); err != nil {
 		fmt.Fprintln(os.Stderr, "qssd:", err)
 		return 1
 	}

@@ -61,6 +61,19 @@
 // costs a hash and a map lookup (core.Stats reports hit rates;
 // core.ResetCache empties it).
 //
+// # Execution strategy
+//
+// Where the frontier expands (inline or on a dist worker pool),
+// whether a failed pool reruns inline, and whether closed levels freeze
+// to disk are one value, petri.Strategy, decided once by the caller.
+// sched.Options, petri.ExploreOptions and pnml.AnalyzeOptions carry it
+// as their Strategy field, and every layer hands it unchanged to
+// petri.Drive; the determinism contract makes the result the same
+// under every strategy, so it is not part of the synthesis cache key.
+// The command-line tools build it from -dist-workers, -dist-endpoint
+// and -freeze-levels through internal/strategyflag; the server builds
+// each request's from its Config.Pool and Config.FreezeLevels.
+//
 // # Distributed exploration
 //
 // The other execution strategy takes the frontier across process
@@ -68,7 +81,7 @@
 // synthesizing process drives worker OS processes — spawned locally by
 // re-executing the current binary (dist.SpawnLocal + dist.MaybeWorker)
 // or started anywhere as cmd/qssd and dialed in over unix sockets or
-// TCP (dist.Listen, core.Options.DistEndpoint) — through a
+// TCP (dist.Listen) — through a
 // length-prefixed binary protocol. Workers own contiguous ranges of
 // marking-hash shards (petri.ShardOfHash/ShardOwner: the top FNV bits
 // of the marking hash, independent of the low bits the store's probe
@@ -122,13 +135,12 @@
 // Level-synchronous exploration gives marking lifetimes a shape the
 // store can exploit: once a BFS level has been merged, its states can
 // be rediscovered (a dedup probe) but never re-expanded, so their
-// token vectors are cold from that moment on. With
-// petri.ExploreOptions.FreezeLevels (core.Options.FreezeLevels,
-// sched.Options.FreezeLevels, -freeze-levels on the cmd tools) the
-// store freezes each closed level out of the hot arena into an
-// append-only on-disk segment of delta records — parent MarkID +
-// fired transition reconstructs a vector from its parent, the same
-// insight the dist wire format exploits; roots and states whose
+// token vectors are cold from that moment on. With petri.Strategy's
+// Freeze (-freeze-levels on the cmd tools) the store freezes each
+// closed level out of the hot arena into an append-only on-disk
+// segment of delta records — parent MarkID + fired transition
+// reconstructs a vector from its parent, the same insight the dist
+// wire format exploits; roots and states whose
 // parent cannot serve as a delta base are stored verbatim. The
 // segment lives in an unlinked temp file and is read back by mmap
 // (with a pread fallback where mmap is unavailable); only the hashes,
@@ -147,7 +159,8 @@
 // dist.WorkerMem and the server's qss_store_hot_bytes /
 // qss_store_frozen_bytes gauges). petri.Drive freezes at each level
 // commit, inline or on a dist coordinator
-// (petri.MergeHooks.LevelClosed); dist workers freeze their replicas
+// (petri.MergeHooks.LevelClosed); dist workers, told by each session
+// init whether the coordinator's store freezes, freeze their replicas
 // below each committed level, and the whole thing composes with
 // trimmed replicas — per-worker hot memory scales ~1/N AND sheds its
 // vectors. Freezing never changes results: `make store-frozen` (its
@@ -176,9 +189,8 @@
 // interrupted level discarding already-merged candidates by count.
 // ReachResult, schedules and generated C stay byte-identical to a
 // fault-free run. When recovery is exhausted the failure degrades
-// rather than propagates: petri.ExploreOptions.DistFallback and
-// sched.Options.DistFallback rerun the exploration in-process (core
-// enables them unless core.Options.DistNoFallback), and
+// rather than propagates: a petri.Strategy with Fallback set reruns
+// the exploration in-process (the cmd tools and the server set it), and
 // dist.SessionStats/Pool.RecoveryStats report restarts, redistributed
 // shards and degradation — surfaced by the server as
 // qss_dist_worker_restarts_total and qss_dist_pool_degraded. The

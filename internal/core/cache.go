@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+
+	"repro/internal/sched"
 )
 
 // The synthesis cache memoizes full pipeline runs, content-addressed by
@@ -18,12 +20,10 @@ import (
 // cacheable: a custom sched.Termination or sched.ECSOrder is an opaque
 // interface value (its Name alone does not capture its parameters), so
 // calls carrying one bypass the cache entirely. Options.Workers and
-// the distributed-exploration knobs (DistWorkers, DistEndpoint, Dist,
-// Sched.Dist) are deliberately not part of the key — every execution
-// strategy, the source-level pool or worker processes, produces Results
-// byte-identical to the serial path. Options.FreezeLevels is in the
-// same class: a frozen store changes where vectors live, never what is
-// computed.
+// Sched.Strategy are deliberately not part of the key — every execution
+// strategy (the source-level pool, worker processes, a frozen store)
+// produces Results byte-identical to the serial path, so a nil Sched
+// and one that differs from it only in Strategy share an entry.
 
 // cacheLimit bounds the number of retained entries; eviction is FIFO in
 // insertion order, which is enough for the repeat-synthesis workloads
@@ -123,18 +123,16 @@ func cacheKey(flowcSrc, specSrc string, opt *Options) (key [32]byte, cacheable b
 	writeStr(flowcSrc)
 	writeStr(specSrc)
 	writeBool(opt.SkipIndependence)
-	// The request-scoped state budget changes what a search can return
-	// (ErrBudget vs a schedule), so it must discriminate entries. Two
-	// calls expressing the same effective budget through different
-	// fields (Options.MaxNodes vs Sched.MaxNodes) hash apart — a missed
-	// share, never a wrong hit.
-	writeInt(int64(opt.MaxNodes))
-	if opt.Sched != nil {
-		writeBool(opt.Sched.MultiSource)
-		writeInt(int64(opt.Sched.MaxNodes))
-		writeInt(int64(opt.Sched.Engine))
-		writeBool(opt.Sched.NoFallback)
+	so := opt.Sched
+	if so == nil {
+		so = &sched.Options{}
 	}
+	// The state budget changes what a search can return (ErrBudget vs a
+	// schedule), so it discriminates entries.
+	writeBool(so.MultiSource)
+	writeInt(int64(so.MaxNodes))
+	writeInt(int64(so.Engine))
+	writeBool(so.NoFallback)
 	copy(key[:], h.Sum(nil))
 	return key, true
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/petri"
+	"repro/internal/sched"
 )
 
 // TestCacheHit: synthesizing the same sources twice returns the
@@ -53,6 +56,15 @@ func TestCacheKey(t *testing.T) {
 	}
 	if r1 != r3 {
 		t.Error("Workers must not be part of the cache key")
+	}
+	// Nor does the execution strategy: a Sched that differs from the
+	// default only in Strategy hits the nil-Sched entry.
+	r5, err := Synthesize(flowcSrc, specSrc, &Options{Sched: &sched.Options{Strategy: petri.Strategy{Freeze: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r5 {
+		t.Error("Sched.Strategy must not be part of the cache key")
 	}
 	// Different source text misses.
 	other, otherSpec := manyTaskApp(3)

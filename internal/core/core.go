@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/compile"
-	"repro/internal/dist"
 	"repro/internal/flowc"
 	"repro/internal/link"
 	"repro/internal/petri"
@@ -23,8 +22,9 @@ import (
 // Options configures the pipeline.
 type Options struct {
 	// Sched configures the schedule search (termination condition,
-	// heuristics); nil uses the paper's defaults (irrelevance criterion
-	// + T-invariant ordering).
+	// heuristics, state budget, execution strategy) and is handed to
+	// every search unchanged; nil uses the paper's defaults
+	// (irrelevance criterion + T-invariant ordering), explored inline.
 	Sched *sched.Options
 	// SkipIndependence disables the independence verification of the
 	// schedule set (Prop. 4.3 makes it redundant for FlowC-derived
@@ -35,59 +35,16 @@ type Options struct {
 	// search is deterministic and independent of the others, so the
 	// result is byte-identical regardless of Workers. This pool is the
 	// only in-process concurrency: each search itself runs serially on
-	// its pool goroutine. A custom Sched.Term or Sched.Order is shared
-	// across searches and must be safe for concurrent use when
-	// Workers > 1; the defaults are built fresh per search and always
-	// are.
+	// its pool goroutine, or on Sched.Strategy.Runner — a runner is a
+	// sequential resource, so the pool is kept serial while one is set.
+	// A custom Sched.Term or Sched.Order is shared across searches and
+	// must be safe for concurrent use when Workers > 1; the defaults
+	// are built fresh per search and always are.
 	Workers int
-	// DistWorkers > 0 shards each schedule search's frontier
-	// exploration across that many worker OS processes (internal/dist).
-	// By default the processes are spawned locally by re-executing the
-	// current binary, which must call dist.MaybeWorker first thing in
-	// main; set DistEndpoint to await externally started cmd/qssd
-	// workers instead. The pool lives for one Synthesize call; callers
-	// amortizing a pool across many calls pass a pre-connected one via
-	// Dist. Schedules and generated code are byte-identical to the
-	// in-process search for every process count; the source-level pool
-	// is forced serial while a dist pool is active (the pool is a
-	// sequential resource).
-	DistWorkers int
-	// DistEndpoint, with DistWorkers > 0, listens at this endpoint
-	// ("unix:/path", "tcp:host:port", or a bare unix-socket path) and
-	// waits for DistWorkers externally started workers rather than
-	// spawning local ones.
-	DistEndpoint string
-	// Dist is a pre-connected worker pool (see internal/dist.Pool);
-	// when set it takes precedence over DistWorkers/DistEndpoint and
-	// its lifecycle belongs to the caller.
-	Dist *dist.Pool
-	// DistNoFallback makes a distributed-pool failure (worker death
-	// with recovery exhausted) fail the Synthesize call instead of
-	// transparently rerunning the affected searches in-process. The
-	// default (fallback on) prefers a slower correct answer over an
-	// infrastructure error: determinism guarantees the local rerun is
-	// byte-identical to what the pool would have produced.
-	DistNoFallback bool
 	// DisableCache bypasses the content-addressed synthesis cache for
 	// this call. Only the textual entry points (Synthesize,
 	// SynthesizeContext) consult the cache; see cache.go.
 	DisableCache bool
-	// MaxNodes bounds the states each schedule search may create, a
-	// request-scoped budget for callers (such as the resident server)
-	// that must stop one huge net from monopolizing the process without
-	// importing the sched package. 0 keeps the sched default; an
-	// explicit Sched.MaxNodes always wins. The value is part of the
-	// cache key — different budgets can legitimately produce different
-	// outcomes (ErrBudget vs a schedule).
-	MaxNodes int
-	// FreezeLevels makes each graph-engine search evict closed BFS
-	// levels of its marking store to an on-disk delta segment
-	// (sched.Options.FreezeLevels), bounding hot memory on huge nets at
-	// the cost of reconstructing cold vectors on later reads. Results
-	// are byte-identical either way, so like the worker knobs it is an
-	// execution-strategy field, not part of the cache key. A pre-set
-	// Sched options struct is copied, never mutated.
-	FreezeLevels bool
 }
 
 // Result is the outcome of the full flow.
@@ -225,8 +182,6 @@ func SynthesizeSystemContext(ctx context.Context, f *flowc.File, spec *link.Spec
 	if opt == nil {
 		opt = &Options{}
 	}
-	opt = withMaxNodes(opt)
-	opt = withFreezeLevels(opt)
 	if err := flowc.CheckFile(f); err != nil {
 		return nil, fmt.Errorf("core: check: %w", err)
 	}
@@ -248,14 +203,7 @@ func SynthesizeSystemContext(ctx context.Context, f *flowc.File, spec *link.Spec
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("core: system %s has no uncontrollable inputs; nothing triggers a task", spec.Name)
 	}
-	distPool, ownPool, err := resolveDistPool(opt)
-	if err != nil {
-		return nil, err
-	}
-	if ownPool {
-		defer distPool.Close()
-	}
-	res.Schedules, err = findSchedules(ctx, sys.Net, sources, opt, distPool)
+	res.Schedules, err = findSchedules(ctx, sys.Net, sources, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -282,33 +230,11 @@ func SynthesizeSystemContext(ctx context.Context, f *flowc.File, spec *link.Spec
 	return res, nil
 }
 
-// resolveDistPool materializes the distributed-exploration pool the
-// options call for: the caller's pre-connected pool, a freshly spawned
-// local set of worker processes, or a listener awaiting external
-// workers. ownPool reports whether this call owns (and must Close) it.
-func resolveDistPool(opt *Options) (p *dist.Pool, ownPool bool, err error) {
-	if opt.Dist != nil {
-		return opt.Dist, false, nil
-	}
-	if opt.DistWorkers <= 0 {
-		return nil, false, nil
-	}
-	if opt.DistEndpoint != "" {
-		p, err = dist.Listen(opt.DistEndpoint, opt.DistWorkers)
-	} else {
-		p, err = dist.SpawnLocal(opt.DistWorkers)
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("core: distributed exploration: %w", err)
-	}
-	return p, true, nil
-}
-
 // findSchedules runs one schedule search per uncontrollable source on a
 // bounded worker pool. Results are ordered by source index regardless of
 // completion order; the first error cancels the dispatch of pending
 // searches, and the lowest-index error is reported for determinism.
-func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Options, distPool *dist.Pool) ([]*sched.Schedule, error) {
+func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Options) ([]*sched.Schedule, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -316,20 +242,10 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 	if workers > len(sources) {
 		workers = len(sources)
 	}
-	if distPool != nil {
-		// The pool serializes sessions; concurrent searches would only
-		// queue on it, so keep the source level serial.
+	if opt.Sched != nil && opt.Sched.Strategy.Runner != nil {
+		// The runner serializes sessions; concurrent searches would
+		// only queue on it, so keep the source level serial.
 		workers = 1
-	}
-	schedOpt := opt.Sched
-	if distPool != nil {
-		so := sched.Options{}
-		if schedOpt != nil {
-			so = *schedOpt
-		}
-		so.Dist = distPool
-		so.DistFallback = !opt.DistNoFallback
-		schedOpt = &so
 	}
 	out := make([]*sched.Schedule, len(sources))
 	if workers <= 1 {
@@ -337,7 +253,7 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
-			s, err := sched.FindSchedule(n, src, schedOpt)
+			s, err := sched.FindSchedule(n, src, opt.Sched)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -350,7 +266,7 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 	n.Warm()
 	errs := make([]error, len(sources))
 	pool.Run(ctx, len(sources), workers, func(i int, cancel context.CancelFunc) {
-		s, err := sched.FindSchedule(n, sources[i], schedOpt)
+		s, err := sched.FindSchedule(n, sources[i], opt.Sched)
 		if err != nil {
 			errs[i] = err
 			cancel() // first error: stop dispatching pending searches
@@ -367,40 +283,6 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return out, nil
-}
-
-// withMaxNodes folds a request-scoped Options.MaxNodes budget into the
-// sched options, copying rather than mutating the caller's structs. An
-// explicit Sched.MaxNodes wins; 0 leaves everything untouched.
-func withMaxNodes(opt *Options) *Options {
-	if opt.MaxNodes <= 0 || (opt.Sched != nil && opt.Sched.MaxNodes != 0) {
-		return opt
-	}
-	o := *opt
-	so := sched.Options{}
-	if opt.Sched != nil {
-		so = *opt.Sched
-	}
-	so.MaxNodes = opt.MaxNodes
-	o.Sched = &so
-	return &o
-}
-
-// withFreezeLevels folds Options.FreezeLevels into the sched options,
-// copying rather than mutating the caller's structs. A Sched struct
-// with the flag already set is left alone.
-func withFreezeLevels(opt *Options) *Options {
-	if !opt.FreezeLevels || (opt.Sched != nil && opt.Sched.FreezeLevels) {
-		return opt
-	}
-	o := *opt
-	so := sched.Options{}
-	if opt.Sched != nil {
-		so = *opt.Sched
-	}
-	so.FreezeLevels = true
-	o.Sched = &so
-	return &o
 }
 
 // sharedChannels finds channel places touched (with token flow) by more

@@ -11,6 +11,8 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/petri"
+	"repro/internal/sched"
 )
 
 // Process-level chaos: kill a real spawned worker at a randomized
@@ -74,7 +76,9 @@ func TestChaosSpawnedKill(t *testing.T) {
 						})
 					}
 				})
-				r, err := core.Synthesize(apps.PFC, apps.PFCSpec, &core.Options{Workers: 1, Dist: pool, DisableCache: true})
+				opt := &core.Options{Workers: 1, DisableCache: true,
+					Sched: &sched.Options{Strategy: petri.Strategy{Runner: pool, Fallback: true}}}
+				r, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt)
 				if err != nil {
 					t.Fatalf("synthesize with worker %d killed at level commit %d: %v", victim, killAt, err)
 				}

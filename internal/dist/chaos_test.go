@@ -55,7 +55,7 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 			}
 		}
 		errc := make(chan error, 1)
-		go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
+		go func() { errc <- ServeConn(wc, newLogWriter("worker")) }()
 		if _, err := addPipeWorker(cp.Pool, cs); err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestChaosPipeMatrix(t *testing.T) {
 	base := petri.ExploreOptions{MaxMarkings: 2000}
 	want := n.Explore(base)
 	opt := base
-	opt.DistFallback = true
+	opt.Strategy.Fallback = true
 
 	for _, W := range []int{1, 2, 4} {
 		for _, mode := range []string{"kill", "sever", "delay"} {

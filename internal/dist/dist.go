@@ -62,17 +62,18 @@
 // routing to foreign shards are reported as new and resolved by the
 // coordinator's merge against the authoritative store.
 //
-// Orthogonally, WorkerOptions.FreezeLevels (cmd/qssd -freeze-levels,
-// or QSS_DIST_FREEZE=1 for spawned workers) moves the vectors of
-// committed levels out of each replica's hot store into an on-disk
+// Orthogonally, the frozen tier follows the coordinator. When the
+// caller's petri.Strategy sets Freeze, petri.Drive freezes the
+// authoritative store, and every session init (resumes included)
+// carries the store's FreezeEnabled flag, so each replica then moves
+// the vectors of committed levels out of its hot store into an on-disk
 // delta segment (the petri.MarkingStore frozen tier): once msgLevel
 // commits a level, states below it can never again be record parents
 // or expansion sources, so only hashes, the probe table and segment
 // offsets stay resident — the remaining per-state hot cost no longer
 // scales with the marking width. Dedup probes against old states thaw
-// vectors on demand. The coordinator freezes its authoritative store
-// the same way when the caller sets FreezeLevels in its explore
-// options. Results stay byte-identical either way.
+// vectors on demand. Workers freeze exactly when their coordinator
+// does. Results stay byte-identical either way.
 //
 // # Process management
 //
@@ -110,12 +111,12 @@
 // byte-identical to a fault-free run. Recovery is bounded
 // (maxSessionRestarts rounds per session); when it is exhausted, or no
 // worker survives, the session error poisons the pool
-// (Pool.Err) and callers fall back: petri.ExploreOptions.DistFallback
-// and sched.Options.DistFallback rerun the exploration in-process
-// (core sets them unless core.Options.DistNoFallback), so synthesis
-// degrades to local execution rather than failing. SessionStats
-// (Restarts, Redistributed, Degraded) and Pool.RecoveryStats surface
-// what happened; the qss-server exports them as metrics.
+// (Pool.Err) and callers fall back: a petri.Strategy with Fallback set
+// reruns the exploration in-process (the command-line tools and the
+// server set it), so synthesis degrades to local execution rather than
+// failing. SessionStats (Restarts, Redistributed, Degraded) and
+// Pool.RecoveryStats surface what happened; the qss-server exports them
+// as metrics.
 package dist
 
 import (
@@ -129,13 +130,10 @@ import (
 
 // Environment variables wiring spawned worker processes to their
 // coordinator (see MaybeWorker) and the optional log directory.
-// EnvFreeze (any non-empty value) arms WorkerOptions.FreezeLevels in
-// spawned workers, which have no command line of their own.
 const (
 	EnvWorker   = "QSS_DIST_WORKER"
 	EnvEndpoint = "QSS_DIST_ENDPOINT"
 	EnvLogDir   = "QSS_DIST_LOGDIR"
-	EnvFreeze   = "QSS_DIST_FREEZE"
 )
 
 // ParseEndpoint splits an endpoint of the form "unix:/path/to.sock",
@@ -196,7 +194,7 @@ func Serve(endpoint string, dialBudget time.Duration, opt WorkerOptions) error {
 		return err
 	}
 	defer conn.Close()
-	return ServeConn(conn, logw, opt)
+	return ServeConn(conn, logw)
 }
 
 // MaybeWorker turns the current process into a dist worker when the
@@ -218,8 +216,7 @@ func MaybeWorker() {
 		logw.printf("%v", err)
 		os.Exit(1)
 	}
-	opt := WorkerOptions{FreezeLevels: os.Getenv(EnvFreeze) != ""}
-	if err := ServeConn(conn, logw, opt); err != nil {
+	if err := ServeConn(conn, logw); err != nil {
 		logw.printf("serve: %v", err)
 		conn.Close()
 		os.Exit(1)

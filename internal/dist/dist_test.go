@@ -38,7 +38,7 @@ func pipePoolWrapped(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn)
 			}
 		}
 		errc := make(chan error, 1)
-		go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
+		go func() { errc <- ServeConn(wc, newLogWriter("worker")) }()
 		if _, err := addPipeWorker(p, cs); err != nil {
 			t.Fatal(err)
 		}

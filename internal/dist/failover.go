@@ -25,7 +25,7 @@ package dist
 //   - exhaustion: after maxSessionRestarts failed recoveries the
 //     session errors with SessionStats.Degraded set; the pool is
 //     poisoned as before and callers fall back to in-process
-//     exploration (petri.ExploreOptions.DistFallback).
+//     exploration (petri.Strategy.Fallback).
 
 import (
 	"errors"
@@ -480,7 +480,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		}
 	}
 	for i, c := range p.workers {
-		init := &initMsg{index: i, workers: W, shards: S, net: n, spec: spec, roots: roots}
+		init := &initMsg{index: i, workers: W, shards: S, net: n, spec: spec, roots: roots, freeze: store.FreezeEnabled()}
 		if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 			return a.die(i, fmt.Errorf("init: %w", err))
 		}

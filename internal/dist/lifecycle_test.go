@@ -69,7 +69,7 @@ func TestPoolCloseBounded(t *testing.T) {
 func TestWorkerSurvivesBadSession(t *testing.T) {
 	cs, ws := net.Pipe()
 	errc := make(chan error, 1)
-	go func() { errc <- ServeConn(ws, newLogWriter("worker"), WorkerOptions{}) }()
+	go func() { errc <- ServeConn(ws, newLogWriter("worker")) }()
 	p := &Pool{logw: newLogWriter("coord")}
 	if _, err := addPipeWorker(p, cs); err != nil {
 		t.Fatal(err)

@@ -66,9 +66,9 @@ var matrixApps = []struct {
 
 // matrixConfig is one execution strategy. procs > 0 spawns that many
 // worker processes; otherwise the search runs in-process. freeze turns
-// on the frozen store tier — on the coordinator via
-// core.Options.FreezeLevels, and in spawned workers via the
-// QSS_DIST_FREEZE environment variable they inherit.
+// on the frozen store tier through petri.Strategy.Freeze — on the
+// coordinator, and in the workers, which learn it from the session
+// init.
 type matrixConfig struct {
 	name   string
 	procs  int
@@ -86,7 +86,9 @@ var matrixConfigs = []matrixConfig{
 
 // TestDeterminismMatrix: byte-identical generated C and schedules for
 // every example app across {serial, frozen store, worker processes in
-// {1,2,4}}.
+// {1,2,4}}. The workers must freeze exactly when the coordinator does:
+// after each dist cell (PFC runs last) every worker's replica holds
+// frozen bytes in the frozen cell and none in the others.
 func TestDeterminismMatrix(t *testing.T) {
 	want := make(map[string]string, len(matrixApps))
 	for _, app := range matrixApps {
@@ -98,17 +100,17 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	for _, cfg := range matrixConfigs[1:] {
 		t.Run(cfg.name, func(t *testing.T) {
-			opt := &core.Options{Workers: 1, DisableCache: true, FreezeLevels: cfg.freeze}
+			so := &sched.Options{Strategy: petri.Strategy{Freeze: cfg.freeze}}
+			opt := &core.Options{Workers: 1, DisableCache: true, Sched: so}
+			var pool *dist.Pool
 			if cfg.procs > 0 {
-				if cfg.freeze {
-					t.Setenv(dist.EnvFreeze, "1")
-				}
-				pool, err := dist.SpawnLocal(cfg.procs)
+				var err error
+				pool, err = dist.SpawnLocal(cfg.procs)
 				if err != nil {
 					t.Fatalf("spawn %d workers: %v", cfg.procs, err)
 				}
 				defer pool.Close()
-				opt.Dist = pool
+				so.Strategy.Runner = pool
 			}
 			for _, app := range matrixApps {
 				r, err := core.Synthesize(app.flowc, app.spec, opt)
@@ -118,6 +120,15 @@ func TestDeterminismMatrix(t *testing.T) {
 				if got := fingerprint(t, r); got != want[app.name] {
 					t.Errorf("%s under %s: output differs from serial\n%s",
 						app.name, cfg.name, firstDiff(want[app.name], got))
+				}
+			}
+			if pool == nil {
+				return
+			}
+			for i, wm := range pool.LastSessionStats().Workers {
+				t.Logf("worker %d: store %d B, frozen %d B", i, wm.StoreBytes, wm.FrozenBytes)
+				if frozen := wm.FrozenBytes > 0; frozen != cfg.freeze {
+					t.Errorf("worker %d under %s: %d frozen bytes, want frozen=%v", i, cfg.name, wm.FrozenBytes, cfg.freeze)
 				}
 			}
 		})
@@ -132,7 +143,8 @@ func TestPFCBudgetEdgeDist(t *testing.T) {
 	const states = 23984 // PFC's single search
 	pool := dist.PipePool(t, 2)
 	opt := func(maxNodes int) *core.Options {
-		return &core.Options{Workers: 1, Dist: pool, DistNoFallback: true, MaxNodes: maxNodes, DisableCache: true}
+		return &core.Options{Workers: 1, DisableCache: true,
+			Sched: &sched.Options{MaxNodes: maxNodes, Strategy: petri.Strategy{Runner: pool}}}
 	}
 	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt(states-1)); !errors.Is(err, sched.ErrBudget) {
 		t.Fatalf("MaxNodes %d: err = %v, want ErrBudget", states-1, err)
@@ -270,7 +282,7 @@ func TestCorpusSweepDist(t *testing.T) {
 	}
 	defer pool.Close()
 	serialOpt := &core.Options{Workers: 1, DisableCache: true}
-	distOpt := &core.Options{Workers: 1, Dist: pool, DisableCache: true}
+	distOpt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Strategy: petri.Strategy{Runner: pool}}}
 	for i, app := range appsList {
 		want, serr := core.Synthesize(app.FlowC, app.Spec, serialOpt)
 		got, derr := core.Synthesize(app.FlowC, app.Spec, distOpt)
@@ -297,7 +309,7 @@ func TestCorpusSweepDist(t *testing.T) {
 func TestCorpusSweepFrozen(t *testing.T) {
 	appsList := corpus.GenerateCorpus(1234, 50, sweepConfig())
 	serialOpt := &core.Options{Workers: 1, DisableCache: true}
-	frozenOpt := &core.Options{Workers: 1, DisableCache: true, FreezeLevels: true}
+	frozenOpt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Strategy: petri.Strategy{Freeze: true}}}
 	for i, app := range appsList {
 		want, serr := core.Synthesize(app.FlowC, app.Spec, serialOpt)
 		got, ferr := core.Synthesize(app.FlowC, app.Spec, frozenOpt)

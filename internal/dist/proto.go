@@ -36,9 +36,10 @@ const (
 	// Liveness is probed with msgPing/msgPong and read/write deadlines,
 	// and a session survives worker death: the coordinator re-inits the
 	// pool with empty roots, rebuilds each replica by a msgRestore bulk
-	// load, and resumes the merge at the last committed level. Bump it
-	// with any change to a frame layout.
-	protoVersion = 5
+	// load, and resumes the merge at the last committed level. Each
+	// init tells the worker whether to freeze its replica's committed
+	// levels. Bump it with any change to a frame layout.
+	protoVersion = 6
 	// maxFrame bounds a single message payload; a restore bulk load is
 	// the largest message and stays far below this for any exploration
 	// that fits in memory.
@@ -295,12 +296,15 @@ func checkHello(payload []byte) (pid int, err error) {
 	return int(p), nil
 }
 
-// initMsg is the decoded session-start payload.
+// initMsg is the decoded session-start payload. freeze is the
+// coordinator store's FreezeEnabled: the replica freezes committed
+// levels exactly when the coordinator does.
 type initMsg struct {
 	index, workers, shards int
 	net                    *petri.Net
 	spec                   petri.ExpandSpec
 	roots                  []petri.Marking
+	freeze                 bool
 }
 
 func appendInit(dst []byte, m *initMsg) []byte {
@@ -321,7 +325,11 @@ func appendInit(dst []byte, m *initMsg) []byte {
 	for _, r := range m.roots {
 		dst = petri.AppendMarking(dst, r)
 	}
-	return dst
+	freeze := uint64(0)
+	if m.freeze {
+		freeze = 1
+	}
+	return binary.AppendUvarint(dst, freeze)
 }
 
 func decodeInit(buf []byte) (*initMsg, error) {
@@ -384,6 +392,14 @@ func decodeInit(buf []byte) (*initMsg, error) {
 		}
 		m.roots = append(m.roots, r)
 	}
+	freeze := u()
+	if err == nil && freeze > 1 {
+		err = fmt.Errorf("flag %d is not 0 or 1", freeze)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dist: init freeze: %w", err)
+	}
+	m.freeze = freeze == 1
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("dist: init payload has %d trailing bytes", len(buf))
 	}
@@ -509,8 +525,8 @@ type WorkerMem struct {
 	CacheBytes int64 // boundary-parent vector cache payload
 	HeapBytes  int64 // runtime.MemStats.HeapAlloc (informational)
 	// FrozenBytes is the worker store's on-disk delta segment
-	// (MarkingStore.Mem().FrozenBytes); 0 unless the worker runs with
-	// WorkerOptions.FreezeLevels.
+	// (MarkingStore.Mem().FrozenBytes); 0 unless the session's
+	// coordinator freezes its own store.
 	FrozenBytes int64
 }
 

@@ -35,14 +35,6 @@ type WorkerOptions struct {
 	// -dial-attempts): 0 retries until the dial budget expires, n > 0
 	// gives up after n attempts even with budget left.
 	DialAttempts int
-	// FreezeLevels makes the replica evict committed levels of its
-	// local store into an on-disk delta segment (petri.MarkingStore
-	// freeze tier): once the coordinator commits a level, states below
-	// it can never again be record parents or expansion sources, so
-	// only their hashes and segment offsets stay resident. Shrinks the
-	// per-worker footprint on top of what trimming already saves.
-	// Results are byte-identical either way.
-	FreezeLevels bool
 }
 
 // replica is one session's worker-side state.
@@ -66,7 +58,11 @@ type replica struct {
 	rootCount int
 
 	// fwin buffers per-local-state provenance for the store's frozen
-	// tier (WorkerOptions.FreezeLevels); nil when freezing is off.
+	// tier; nil when freezing is off. The init's freeze flag turns the
+	// tier on: once the coordinator commits a level, states below it can
+	// never again be record parents or expansion sources, so only their
+	// hashes and segment offsets stay resident — the per-worker
+	// footprint shrinks on top of what trimming already saves.
 	fwin *petri.FreezeWindow
 
 	index, workers, shards int
@@ -80,7 +76,7 @@ func (r *replica) appendProv(p petri.FreezeProv) {
 	}
 }
 
-func newReplica(m *initMsg, freeze bool) (*replica, error) {
+func newReplica(m *initMsg) (*replica, error) {
 	r := &replica{
 		net:     m.net,
 		spec:    m.spec,
@@ -99,7 +95,7 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 		return nil, fmt.Errorf("dist: spec caps cover %d places, net has %d", len(m.spec.Caps), len(r.net.Places))
 	}
 	r.vcache = newVecCache()
-	if freeze {
+	if m.freeze {
 		if err := r.store.EnableFreeze(petri.FreezeConfig{Deltas: r.net.TokenDeltas()}); err == nil {
 			r.fwin = &petri.FreezeWindow{}
 		}
@@ -321,7 +317,7 @@ func (r *replica) classify() (petri.MarkID, uint64, bool) {
 // records can only name parents inside the committed level, and
 // expansion never revisits a state, so nothing hot-path reads their
 // vectors again (dedup probes and candKnown resolution thaw on
-// demand). No-op unless WorkerOptions.FreezeLevels armed the store; a
+// demand). No-op unless the session's init armed the store; a
 // segment write failure permanently reverts the session to all-hot.
 func (r *replica) freezeCommitted(start int, cursor petri.MarkID) {
 	if r.fwin == nil {
@@ -386,7 +382,7 @@ func transportErr(err error) error {
 // drains the remainder of the doomed session quietly and keeps serving:
 // an externally started cmd/qssd worker stays available for the next
 // session instead of dying on the first bad one.
-func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
+func ServeConn(nc net.Conn, logw *logWriter) error {
 	c := newConn(nc)
 	if err := c.send(msgHello, appendHello(os.Getpid())); err != nil {
 		return err
@@ -416,7 +412,7 @@ func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
 		draining = false
 		init, err := decodeInit(payload)
 		if err == nil {
-			err = serveSession(c, init, logw, opt)
+			err = serveSession(c, init, logw)
 		}
 		if err != nil {
 			var te *transportError
@@ -438,8 +434,8 @@ func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
 // the credit window is exhausted and resumes on msgAck; a partial chunk
 // is flushed whenever the worker has expanded everything it holds, so
 // the coordinator's merge never waits on buffered bytes.
-func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) error {
-	r, err := newReplica(init, opt.FreezeLevels)
+func serveSession(c *conn, init *initMsg, logw *logWriter) error {
+	r, err := newReplica(init)
 	if err != nil {
 		return err
 	}

@@ -200,18 +200,37 @@ output r.res -> res rate=2
 	if spec.Channels[0].Bound != 3 || spec.Inputs[1].Rate != 2 || !spec.Inputs[1].Controllable {
 		t.Errorf("parsed spec wrong: %+v", spec)
 	}
-	var sb strings.Builder
-	if err := FormatSpec(spec, &sb); err != nil {
-		t.Fatal(err)
+	// Long lines must round-trip too: the 65,515-byte name sits just
+	// under bufio.Scanner's default 64 KiB token limit, and atLimit is
+	// exactly maxSpecLine bytes long.
+	long := "system s\ninput " + strings.Repeat("n", 65515) + " -> p.q\n"
+	atLimit := "system s\noutput " + strings.Repeat("n", maxSpecLine-len("output  -> o")) + " -> o"
+	for _, text := range []string{text, long, atLimit} {
+		spec, err := ParseSpec(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("ParseSpec: %v", err)
+		}
+		var sb strings.Builder
+		if err := FormatSpec(spec, &sb); err != nil {
+			t.Fatal(err)
+		}
+		spec2, err := ParseSpec(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("reparse: %v", err)
+		}
+		var sb2 strings.Builder
+		FormatSpec(spec2, &sb2)
+		if sb.String() != sb2.String() {
+			t.Errorf("spec format not a fixed point:\n%.200s\nvs\n%.200s", sb.String(), sb2.String())
+		}
 	}
-	spec2, err := ParseSpec(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, sb.String())
-	}
-	var sb2 strings.Builder
-	FormatSpec(spec2, &sb2)
-	if sb.String() != sb2.String() {
-		t.Errorf("spec format not a fixed point:\n%s\nvs\n%s", sb.String(), sb2.String())
+	// One byte past the limit is refused with its line number, with or
+	// without a trailing newline.
+	for _, tail := range []string{"", "\n"} {
+		_, err := ParseSpec(strings.NewReader(atLimit + "x" + tail))
+		if err == nil || !strings.HasPrefix(err.Error(), "line 2: ") {
+			t.Errorf("over-long line (tail %q): err = %v, want a line 2 error", tail, err)
+		}
 	}
 }
 

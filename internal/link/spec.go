@@ -16,13 +16,21 @@ import (
 //	output <proc.port> -> <name> [rate=N]
 //
 // '#' starts a comment. Inputs default to uncontrollable (they trigger
-// tasks); rates default to 1.
+// tasks); rates default to 1. A line may be up to maxSpecLine bytes
+// long.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxSpecLine+1) // the line plus its newline
+	tooLong := func(lineno int) error {
+		return fmt.Errorf("line %d: longer than %d bytes", lineno, maxSpecLine)
+	}
 	spec := &Spec{}
 	lineno := 0
 	for sc.Scan() {
 		lineno++
+		if len(sc.Bytes()) > maxSpecLine {
+			return nil, tooLong(lineno)
+		}
 		line := strings.TrimSpace(sc.Text())
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = strings.TrimSpace(line[:i])
@@ -97,7 +105,9 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 			return nil, fmt.Errorf("line %d: unknown directive %q", lineno, f[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err == bufio.ErrTooLong {
+		return nil, tooLong(lineno + 1)
+	} else if err != nil {
 		return nil, err
 	}
 	if spec.Name == "" {
@@ -106,7 +116,14 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	return spec, nil
 }
 
-// FormatSpec renders the spec back in the textual system format.
+// maxSpecLine bounds one netlist line: the resident server's 8 MiB
+// request-body cap, so no netlist it accepts is refused here.
+const maxSpecLine = 8 << 20
+
+// FormatSpec renders the spec back in the textual system format,
+// omitting default attributes (bound 0, uncontrollable, rate 1). A
+// rendered line is then never longer than the line it was parsed from,
+// so ParseSpec reads back everything it accepted.
 func FormatSpec(spec *Spec, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "system %s\n", spec.Name)
@@ -121,8 +138,6 @@ func FormatSpec(spec *Spec, w io.Writer) error {
 		fmt.Fprintf(bw, "input %s -> %s", in.Name, in.To)
 		if in.Controllable {
 			fmt.Fprint(bw, " controllable")
-		} else {
-			fmt.Fprint(bw, " uncontrollable")
 		}
 		if in.Rate > 1 {
 			fmt.Fprintf(bw, " rate=%d", in.Rate)

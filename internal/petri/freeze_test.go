@@ -273,7 +273,7 @@ func TestFreezeConcurrentThaw(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExploreFreezeLevelsDeterminism: FreezeLevels must not change a
+// TestExploreFreezeLevelsDeterminism: Strategy.Freeze must not change a
 // single byte of the ReachResult — state numbering, edges, clip flags —
 // for full and budget/cap-clipped explorations; and the frozen run must
 // actually have frozen everything.
@@ -291,7 +291,7 @@ func TestExploreFreezeLevelsDeterminism(t *testing.T) {
 	for _, c := range cases {
 		baseline := c.net.Explore(c.opt)
 		opt := c.opt
-		opt.FreezeLevels = true
+		opt.Strategy.Freeze = true
 		got := c.net.Explore(opt)
 		assertSameReach(t, c.name+"/frozen", baseline, got)
 		if !got.Store.FreezeEnabled() {
@@ -315,7 +315,7 @@ func TestExploreFreezeLevelsDeterminism(t *testing.T) {
 // and the ReachResult must equal the all-hot run.
 func TestFreezeWriteFailureReverts(t *testing.T) {
 	n := ringsNet(3, 4)
-	opt := ExploreOptions{MaxMarkings: 1000, FreezeLevels: true}
+	opt := ExploreOptions{MaxMarkings: 1000, Strategy: Strategy{Freeze: true}}
 	allHot := n.Explore(ExploreOptions{MaxMarkings: opt.MaxMarkings})
 	part := n.ECSPartition()
 	var (
@@ -324,7 +324,7 @@ func TestFreezeWriteFailureReverts(t *testing.T) {
 		commits   int
 		frozenEnd int
 	)
-	ok, err := Drive(n, part, reachSpec(n, part, opt), true, nil, false, func(s *MarkingStore) MergeHooks {
+	ok, err := Drive(n, part, reachSpec(n, part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
 		store = s
 		e = newReachExplorer(s, opt.MaxMarkings)
 		h := e.mergeHooks()

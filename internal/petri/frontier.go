@@ -13,7 +13,7 @@ import "slices"
 // The driver owns everything the explorers share: the MarkingStore,
 // the EnabledTracker bitset arena, expansion of an ExpandSpec, the
 // frozen tier's FreezeWindow, level-boundary detection and the
-// DistFallback rerun. It has two modes:
+// Strategy's fallback rerun. It has two modes:
 //
 //	inline: expand one state, then merge each of its edges at once —
 //	  fire, veto, hash once, LookupHashed, Admit, InternHashed, Edge.
@@ -98,40 +98,62 @@ type FrontierRunner interface {
 	RunFrontier(n *Net, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error)
 }
 
+// Strategy is how an exploration executes: where the frontier
+// expands, whether a failed runner reruns inline, and whether closed
+// levels freeze. None of it changes what is explored or in what order —
+// the result is byte-identical under every strategy — so callers set it
+// once and every layer hands it unchanged to Drive. The zero value
+// explores inline, all-hot.
+type Strategy struct {
+	// Runner expands the frontier (the worker processes of
+	// internal/dist); nil expands it inline on the calling goroutine.
+	Runner FrontierRunner
+	// Fallback reruns the exploration inline when Runner fails — worker
+	// death with recovery exhausted, protocol corruption. Determinism
+	// makes the rerun's result identical to what the runner would have
+	// produced, so a failed pool degrades to local exploration instead
+	// of a lost request. Off, the runner's error is returned, which is
+	// what tests and pool health probes want to observe.
+	Fallback bool
+	// Freeze evicts the token vectors of closed levels into the store's
+	// frozen tier (see MarkingStore.FreezeThrough), trading
+	// reconstruction on later reads for a hot footprint that no longer
+	// grows with the vectors of the explored space. A runner's workers
+	// freeze their replicas exactly when the store it is handed does.
+	// If the segment cannot be created or written, the exploration
+	// silently continues all-hot; levels frozen before a write failure
+	// stay readable.
+	Freeze bool
+}
+
 // Drive explores n breadth-first from its initial marking under spec,
-// whose Mask indexes part (n's ECSPartition). start is called with a
-// fresh store holding only the root, MarkID 0, and returns the hooks
-// that record the exploration; Drive interns every admitted successor
-// into that store.
+// whose Mask indexes part (n's ECSPartition), executing as st says.
+// start is called with a fresh store holding only the root, MarkID 0,
+// and returns the hooks that record the exploration; Drive interns
+// every admitted successor into that store.
 //
-// With a nil runner the exploration runs inline on the calling
-// goroutine. Otherwise r expands it; if r fails and fallback is set,
-// Drive calls start again with a new store and reruns the exploration
-// inline — the determinism contract makes the result identical to what
-// the runner would have produced — and the error is swallowed.
-//
-// freeze evicts the token vectors of closed levels into the store's
-// frozen tier (see MarkingStore.FreezeThrough). If the segment cannot
-// be created or written, the exploration silently continues all-hot;
-// levels frozen before a write failure stay readable.
+// With a nil st.Runner the exploration runs inline on the calling
+// goroutine. Otherwise the runner expands it; if it fails and
+// st.Fallback is set, Drive calls start again with a new store and
+// reruns the exploration inline, and the error is swallowed.
 //
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure that was not recovered.
-func Drive(n *Net, part []*ECS, spec ExpandSpec, freeze bool, r FrontierRunner, fallback bool, start func(*MarkingStore) MergeHooks) (bool, error) {
+func Drive(n *Net, part []*ECS, spec ExpandSpec, st Strategy, start func(*MarkingStore) MergeHooks) (bool, error) {
 	d := &driver{
 		net:    n,
 		part:   part,
 		spec:   spec,
 		capped: slices.ContainsFunc(spec.Caps, func(c int) bool { return c >= 0 }),
 	}
-	if r != nil {
-		d.begin(freeze, start)
-		ok, err := r.RunFrontier(n, d.store, spec, d.runnerHooks())
-		if err == nil || !fallback {
+	if st.Runner != nil {
+		d.begin(st.Freeze, start)
+		ok, err := st.Runner.RunFrontier(n, d.store, spec, d.runnerHooks())
+		if err == nil || !st.Fallback {
 			return ok, err
 		}
 	}
-	d.begin(freeze, start)
+	d.begin(st.Freeze, start)
 	return d.runInline(), nil
 }
 

@@ -17,18 +17,18 @@ func (dyingRunner) RunFrontier(n *Net, store *MarkingStore, spec ExpandSpec, hoo
 	return false, errWorkerDied
 }
 
-// TestExploreDistFallback: a runner failure surfaces as an error unless
-// DistFallback is set; then the exploration reruns inline from a fresh
+// TestExploreRunnerFallback: a runner failure surfaces as an error unless
+// Strategy.Fallback is set; then the exploration reruns inline from a fresh
 // store and hooks, and the result equals the in-process one.
-func TestExploreDistFallback(t *testing.T) {
+func TestExploreRunnerFallback(t *testing.T) {
 	n := ringsNet(3, 4)
 	for _, freeze := range []bool{false, true} {
-		opt := ExploreOptions{MaxMarkings: 1000, FreezeLevels: freeze}
+		opt := ExploreOptions{MaxMarkings: 1000, Strategy: Strategy{Freeze: freeze}}
 		want := n.Explore(opt)
 		if _, err := n.ExploreDist(dyingRunner{}, opt); !errors.Is(err, errWorkerDied) {
 			t.Fatalf("freeze=%v: err = %v, want the runner's failure", freeze, err)
 		}
-		opt.DistFallback = true
+		opt.Strategy.Fallback = true
 		got, err := n.ExploreDist(dyingRunner{}, opt)
 		if err != nil {
 			t.Fatalf("freeze=%v: fallback returned %v", freeze, err)
@@ -38,4 +38,17 @@ func TestExploreDistFallback(t *testing.T) {
 			t.Fatalf("fallback froze %d of %d states", got.Store.FrozenLen(), got.Len())
 		}
 	}
+}
+
+// TestExploreRejectsRunner: Explore has no error return to report a
+// runner's failure with, so a Strategy carrying a Runner is a caller
+// bug it refuses loudly instead of exploring inline behind the
+// caller's back.
+func TestExploreRejectsRunner(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Explore accepted a Strategy with a Runner")
+		}
+	}()
+	ringsNet(2, 3).Explore(ExploreOptions{Strategy: Strategy{Runner: dyingRunner{}}})
 }

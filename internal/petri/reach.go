@@ -10,7 +10,7 @@ import "fmt"
 // hash-consed: Store assigns each distinct visited marking a dense
 // MarkID, and Edges is indexed by it. The numbering, edges and flags
 // are byte-identical whether Explore runs the search in-process or
-// ExploreDist hands it to a runner, and with or without FreezeLevels.
+// ExploreDist hands it to a runner, under every Strategy.
 type ReachResult struct {
 	// Store interns every distinct marking visited; MarkID 0 is the
 	// initial marking.
@@ -51,21 +51,9 @@ type ExploreOptions struct {
 	// FireSources includes source transitions in the exploration when
 	// true; otherwise only internal behaviour is explored.
 	FireSources bool
-	// DistFallback makes ExploreDist rerun the exploration in-process
-	// when the distributed runner fails (worker death with recovery
-	// exhausted). The result is byte-identical to the distributed one,
-	// so a failed pool degrades to local exploration instead of a lost
-	// request. Off by default: callers that want to observe the
-	// infrastructure failure (tests, pool health probes) see the error.
-	DistFallback bool
-	// FreezeLevels evicts the token vectors of closed BFS levels from
-	// the hot arena into an on-disk delta segment (see MarkingStore
-	// freeze.go), trading reconstruction cost on later reads for a hot
-	// footprint that no longer grows with the vectors of the explored
-	// space. The result is byte-identical either way — freezing happens
-	// strictly after dense MarkID assignment. If the segment cannot be
-	// created or written the exploration silently continues all-hot.
-	FreezeLevels bool
+	// Strategy executes the exploration (see Strategy). Explore
+	// rejects a Runner; ExploreDist supplies its own.
+	Strategy Strategy
 }
 
 // Explore performs a breadth-first bounded exploration from the initial
@@ -74,36 +62,40 @@ type ExploreOptions struct {
 // transition only re-evaluates the ECSs whose presets it disturbs),
 // successors are hash-consed through the result store, and the inner
 // loop reuses one scratch vector, so firing a transition allocates only
-// when it discovers a new marking.
+// when it discovers a new marking. Explore panics when
+// opt.Strategy.Runner is set: it has no error return to report the
+// runner's failure with.
 func (n *Net) Explore(opt ExploreOptions) *ReachResult {
-	res, _ := n.explore(nil, opt)
+	if opt.Strategy.Runner != nil {
+		panic("petri: Explore cannot run on a FrontierRunner; use ExploreDist")
+	}
+	res, _ := n.explore(opt)
 	return res
 }
 
-// ExploreDist is Explore with the frontier expansion delegated to the
-// given runner — typically a pool of worker processes owning hash
-// ranges of the marking space (internal/dist). The runner feeds the
-// same sequential merge, so the ReachResult — numbering, edges, flags —
-// is byte-identical to Explore's for every worker-process count. The
-// error reports an infrastructure failure (worker death, protocol
-// corruption), never an exploration outcome — unless
-// Options.DistFallback is set, in which case the exploration reruns
-// in-process and the error is swallowed: the determinism contract
-// guarantees the local result matches what the pool would have
-// produced.
+// ExploreDist is Explore with the frontier expansion delegated to r —
+// typically a pool of worker processes owning hash ranges of the
+// marking space (internal/dist) — under the rest of opt.Strategy. The
+// runner feeds the same sequential merge, so the ReachResult —
+// numbering, edges, flags — is byte-identical to Explore's for every
+// worker-process count. The error reports an infrastructure failure
+// (worker death, protocol corruption), never an exploration outcome —
+// unless opt.Strategy.Fallback is set, in which case the exploration
+// reruns in-process and the error is swallowed. A nil r explores
+// inline.
 func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, error) {
-	return n.explore(r, opt)
+	opt.Strategy.Runner = r
+	return n.explore(opt)
 }
 
-// explore runs Drive with a reachExplorer's hooks; a nil runner
-// explores inline.
-func (n *Net) explore(r FrontierRunner, opt ExploreOptions) (*ReachResult, error) {
+// explore runs Drive with a reachExplorer's hooks under opt.Strategy.
+func (n *Net) explore(opt ExploreOptions) (*ReachResult, error) {
 	if opt.MaxMarkings == 0 {
 		opt.MaxMarkings = 10000
 	}
 	part := n.ECSPartition()
 	var e *reachExplorer
-	_, err := Drive(n, part, reachSpec(n, part, opt), opt.FreezeLevels, r, opt.DistFallback, func(s *MarkingStore) MergeHooks {
+	_, err := Drive(n, part, reachSpec(n, part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
 		e = newReachExplorer(s, opt.MaxMarkings)
 		return e.mergeHooks()
 	})

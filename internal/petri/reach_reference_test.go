@@ -137,7 +137,7 @@ func TestExploreMatchesReference(t *testing.T) {
 		want := referenceExplore(c.net, c.opt)
 		for _, freeze := range []bool{false, true} {
 			opt := c.opt
-			opt.FreezeLevels = freeze
+			opt.Strategy.Freeze = freeze
 			assertSameSnapshot(t, fmt.Sprintf("%s/freeze=%v", c.name, freeze), want, snapshotReach(c.net.Explore(opt)))
 		}
 	}
@@ -157,7 +157,7 @@ func TestExploreRandomNetsMatchReference(t *testing.T) {
 		}
 		want := referenceExplore(n, opt)
 		assertSameSnapshot(t, fmt.Sprintf("random-%d", i), want, snapshotReach(n.Explore(opt)))
-		opt.FreezeLevels = true
+		opt.Strategy.Freeze = true
 		assertSameSnapshot(t, fmt.Sprintf("random-%d/frozen", i), want, snapshotReach(n.Explore(opt)))
 	}
 }

@@ -23,11 +23,12 @@ type AnalyzeOptions struct {
 	// so unbounded nets need the cap to terminate; a truncated result
 	// reports the place that grew as a witness of unboundedness.
 	MaxTokensPerPlace int
-	// Dist shards the exploration across the runner's worker processes
-	// (an *internal/dist.Pool satisfies petri.FrontierRunner).
-	Dist petri.FrontierRunner
-	// FreezeLevels moves closed BFS levels to on-disk delta segments.
-	FreezeLevels bool
+	// Strategy executes the exploration: a Runner (an
+	// *internal/dist.Pool) shards it across worker processes, Fallback
+	// reruns it inline if the runner fails, and Freeze moves closed BFS
+	// levels to on-disk delta segments. The Analysis is the same under
+	// every strategy.
+	Strategy petri.Strategy
 }
 
 // Analysis is the reachability and bound report for one imported net.
@@ -59,19 +60,11 @@ func Analyze(n *petri.Net, opt AnalyzeOptions) (*Analysis, error) {
 		MaxMarkings:       opt.MaxMarkings,
 		MaxTokensPerPlace: opt.MaxTokensPerPlace,
 		FireSources:       true,
-		FreezeLevels:      opt.FreezeLevels,
+		Strategy:          opt.Strategy,
 	}
-	var (
-		r   *petri.ReachResult
-		err error
-	)
-	if opt.Dist != nil {
-		r, err = n.ExploreDist(opt.Dist, eopt)
-		if err != nil {
-			return nil, fmt.Errorf("pnml: distributed exploration: %w", err)
-		}
-	} else {
-		r = n.Explore(eopt)
+	r, err := n.ExploreDist(opt.Strategy.Runner, eopt)
+	if err != nil {
+		return nil, fmt.Errorf("pnml: distributed exploration: %w", err)
 	}
 	return &Analysis{
 		Net:         n,

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/petri"
 	"repro/internal/pnml"
 )
 
@@ -72,14 +74,12 @@ func TestPNMLSuite(t *testing.T) {
 	}{
 		{name: "dist-procs-2", procs: 2},
 		{name: "serial-frozen", freeze: true},
+		{name: "dist-procs-2-frozen", procs: 2, freeze: true},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			var pool *dist.Pool
 			if cfg.procs > 0 {
-				if cfg.freeze {
-					t.Setenv(dist.EnvFreeze, "1")
-				}
 				var err error
 				pool, err = dist.SpawnLocal(cfg.procs)
 				if err != nil {
@@ -92,9 +92,9 @@ func TestPNMLSuite(t *testing.T) {
 				if opt.MaxMarkings == 0 {
 					opt = defaultSuiteOpts
 				}
-				opt.FreezeLevels = cfg.freeze
+				opt.Strategy.Freeze = cfg.freeze
 				if pool != nil {
-					opt.Dist = pool
+					opt.Strategy.Runner = pool
 				}
 				a, err := pnml.AnalyzeFile(f, opt)
 				if err != nil {
@@ -106,6 +106,38 @@ func TestPNMLSuite(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAnalyzeFallback: PNML analysis follows its Strategy's fallback
+// policy like synthesis does. On a closed pool, Analyze without
+// Fallback reports the pool's error; with Fallback it reruns inline and
+// returns the serial fingerprint.
+func TestAnalyzeFallback(t *testing.T) {
+	f := filepath.Join("testdata", "suite", "philosophers-4.pnml")
+	want, err := pnml.AnalyzeFile(f, defaultSuiteOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := dist.SpawnLocal(1)
+	if err != nil {
+		t.Fatalf("spawn worker: %v", err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opt := defaultSuiteOpts
+	opt.Strategy = petri.Strategy{Runner: pool}
+	if _, err := pnml.AnalyzeFile(f, opt); err == nil || !strings.Contains(err.Error(), "pool is closed") {
+		t.Fatalf("closed pool without Fallback: err = %v, want the pool-is-closed error", err)
+	}
+	opt.Strategy.Fallback = true
+	got, err := pnml.AnalyzeFile(f, opt)
+	if err != nil {
+		t.Fatalf("closed pool with Fallback: %v", err)
+	}
+	if got.Fingerprint != want.Fingerprint {
+		t.Fatalf("fallback fingerprint %s, serial %s", got.Fingerprint, want.Fingerprint)
 	}
 }
 

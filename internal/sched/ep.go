@@ -36,36 +36,22 @@ type Options struct {
 	// ExploreWorkers is ignored.
 	//
 	// Deprecated: the graph engine explores on the calling goroutine,
-	// or on Dist. Its in-process goroutine fan-out lost to the serial
-	// search in every measurement and was removed. The field stays only
-	// because the repository benchmark (qssbench) still sets it; it
-	// goes when that benchmark is next updated.
+	// or on Strategy.Runner. Its in-process goroutine fan-out lost to
+	// the serial search in every measurement and was removed. The field
+	// stays only because the repository benchmark (qssbench) still sets
+	// it; it goes when that benchmark is next updated.
 	ExploreWorkers int
-	// Dist delegates the graph engine's frontier expansion to an
-	// external runner — a coordinator over worker processes owning hash
-	// ranges of the marking space (internal/dist) — instead of
-	// expanding on the calling goroutine. Results stay byte-identical
-	// to the in-process search for every process count. Runners
+	// Strategy executes the graph engine's exploration: inline or on a
+	// runner — worker processes owning hash ranges of the marking space
+	// (internal/dist) — with or without an inline fallback, all-hot or
+	// with closed levels frozen to disk. The engine hands it to
+	// petri.Drive unchanged. Schedules and generated code are
+	// byte-identical under every strategy; freezing costs
+	// reconstruction on later reads (schedule extraction). Runners
 	// serialize explorations internally, so a shared runner is safe (if
 	// sequential) across the concurrent searches of core's source-level
-	// pool. Tree engines ignore it.
-	Dist petri.FrontierRunner
-	// DistFallback reruns a search in-process when the Dist runner
-	// fails — worker death with recovery exhausted, protocol
-	// corruption. Determinism makes the fallback transparent: the
-	// schedule and generated code are byte-identical to what the pool
-	// would have produced. Off by default so tests and health probes
-	// observe the infrastructure error.
-	DistFallback bool
-	// FreezeLevels makes the graph engine evict the token vectors of
-	// closed BFS levels from its marking store's hot arena into an
-	// on-disk delta segment (petri.MarkingStore freeze tier), so the hot
-	// footprint of huge explorations stops growing with the vectors.
-	// Schedules and generated code are byte-identical either way; the
-	// cost is reconstruction on later reads (schedule extraction,
-	// diagnostics). Tree engines ignore it — their DFS is not
-	// level-synchronous, so no level ever closes.
-	FreezeLevels bool
+	// pool. Tree engines ignore it: their DFS is not level-synchronous.
+	Strategy petri.Strategy
 	// Engine selects the search engine (default EngineGraph).
 	Engine Engine
 	// NoFallback disables the automatic exhaustive-tree retry after a

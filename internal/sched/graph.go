@@ -34,7 +34,7 @@ import (
 //     the schedule.
 //
 // Step 1 is petri.Drive under the engine's ExpandSpec (allowed ECSs,
-// place caps): inline, or on the Options.Dist runner. The engine only
+// place caps) and Options.Strategy. The engine only
 // supplies the merge hooks that write its arenas, and the merge runs in
 // the same order either way, so schedules are byte-identical for every
 // execution strategy.
@@ -219,7 +219,7 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error) {
 	ge := newGraphEngine(n, source, opt)
 	st := n.Transitions[source]
-	if err := ge.drive(opt.Dist); err != nil {
+	if err := ge.drive(opt.Strategy); err != nil {
 		return nil, fmt.Errorf("sched: source %s: distributed exploration: %w", st.Name, err)
 	}
 	if ge.over {
@@ -239,13 +239,12 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 // rootID is the initial marking's state: petri.Drive interns it first.
 const rootID = 0
 
-// drive runs the bounded forward BFS (step 1) through petri.Drive:
-// inline when r is nil, on the runner otherwise, with the runner's
-// failure reported unless Options.DistFallback reruns it inline.
+// drive runs the bounded forward BFS (step 1) through petri.Drive
+// under st; the error is a runner failure st did not fall back from.
 // Budget exhaustion is an exploration outcome and lands in ge.over.
-func (ge *graphEngine) drive(r petri.FrontierRunner) error {
+func (ge *graphEngine) drive(st petri.Strategy) error {
 	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
-	_, err := petri.Drive(ge.net, ge.part, spec, ge.opt.FreezeLevels, r, ge.opt.DistFallback, ge.start)
+	_, err := petri.Drive(ge.net, ge.part, spec, st, ge.start)
 	return err
 }
 
@@ -691,7 +690,7 @@ type GraphDiagnosis struct {
 func Diagnose(n *petri.Net, source int, opt *Options) *GraphDiagnosis {
 	eff := opt.withDefaults(n, source)
 	ge := newGraphEngine(n, source, eff)
-	ge.drive(nil) // inline: there is no runner to fail
+	ge.drive(petri.Strategy{}) // inline: there is no runner to fail
 	d := &GraphDiagnosis{States: len(ge.states)}
 	const maxSample = 16
 	plainDead := map[int]bool{}

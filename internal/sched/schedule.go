@@ -10,7 +10,7 @@
 // scanning the partition. The default graph engine's exploration is
 // petri.Drive: a serial level-synchronous search on the calling
 // goroutine, or the same search expanded by worker processes
-// (Options.Dist) with state numbering — and therefore the schedule and
+// (Options.Strategy) with state numbering — and therefore the schedule and
 // generated code — byte-identical either way. Concurrency lives one
 // level up: package core runs one search per uncontrollable input on a
 // pool.
@@ -67,7 +67,7 @@ type SearchStats struct {
 	// StoreHotBytes/StoreFrozenBytes split the search store's exact live
 	// footprint (petri.MarkingStore.Mem) between resident memory and the
 	// frozen on-disk delta segment. FrozenBytes is 0 unless
-	// Options.FreezeLevels was active; both are pure functions of the
+	// Options.Strategy.Freeze was active; both are pure functions of the
 	// interned marking sequence, so they compare across machines.
 	StoreHotBytes    int64
 	StoreFrozenBytes int64

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 // synthesizeRequest is the POST /v1/synthesize body. FlowC and Net are
@@ -102,7 +103,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opt, timeout := s.requestOptions(&req)
+	opt, pool, timeout := s.requestOptions(&req)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
@@ -110,7 +111,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	res, hit, err := s.synthesize(ctx, &req, opt)
 	elapsed := time.Since(start)
 	s.metrics.observe(s.metrics.latency, elapsed.Seconds())
-	s.checkPool(opt.Dist)
+	s.checkPool(pool)
 	s.recordCacheState()
 	if err != nil {
 		status, outcome := classifyError(ctx, err)
@@ -125,7 +126,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			s.metrics.addCounter(&s.metrics.cacheMisses, 1)
 		}
 	}
-	s.recordWork(res, opt)
+	s.recordWork(res, pool)
 	s.metrics.incOutcome(outcomeOK)
 	writeJSON(w, http.StatusOK, buildResponse(res, opt, hit, elapsed))
 }
@@ -140,7 +141,7 @@ func buildResponse(res *core.Result, opt *core.Options, hit bool, elapsed time.D
 		Code:        res.Code,
 		Bounds:      map[string]int{},
 		CacheHit:    hit,
-		MaxNodes:    opt.MaxNodes,
+		MaxNodes:    opt.Sched.MaxNodes,
 		SynthesisUS: elapsed.Microseconds(),
 	}
 	for i, t := range res.Tasks {
@@ -165,7 +166,7 @@ func buildResponse(res *core.Result, opt *core.Options, hit bool, elapsed time.D
 // distinct markings explored, the hot/frozen store residency of the
 // request's searches, and — when the request ran on the dist pool —
 // the per-worker replica bytes of the session.
-func (s *Server) recordWork(res *core.Result, opt *core.Options) {
+func (s *Server) recordWork(res *core.Result, pool *dist.Pool) {
 	states := 0
 	var hot, frozen int64
 	for _, sc := range res.Schedules {
@@ -176,12 +177,12 @@ func (s *Server) recordWork(res *core.Result, opt *core.Options) {
 	s.metrics.addCounter(&s.metrics.statesExplored, float64(states))
 	s.metrics.setGauge(&s.metrics.storeHotBytes, float64(hot))
 	s.metrics.setGauge(&s.metrics.storeFrozenBytes, float64(frozen))
-	if opt.Dist != nil {
-		for i, wm := range opt.Dist.LastSessionStats().Workers {
+	if pool != nil {
+		for i, wm := range pool.LastSessionStats().Workers {
 			s.metrics.setLabeledGauge(s.metrics.distWorkerMem, fmt.Sprintf("%d", i),
 				float64(wm.StoreBytes+wm.BitsBytes+wm.CacheBytes))
 		}
-		restarts, _ := opt.Dist.RecoveryStats()
+		restarts, _ := pool.RecoveryStats()
 		s.metrics.setCounter(&s.metrics.distRestarts, float64(restarts))
 	}
 }

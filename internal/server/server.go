@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/petri"
 	"repro/internal/sched"
 )
 
@@ -72,9 +73,9 @@ type Config struct {
 	// Drain closes it exactly once.
 	Pool *dist.Pool
 	// FreezeLevels freezes closed exploration levels to on-disk delta
-	// segments for every request (petri.ExploreOptions.FreezeLevels),
-	// bounding the hot store's growth at the price of thaw reads.
-	// Results are byte-identical either way.
+	// segments for every request (petri.Strategy.Freeze), on the Pool's
+	// workers too, bounding the hot store's growth at the price of thaw
+	// reads. Results are byte-identical either way.
 	FreezeLevels bool
 	// Log receives operational one-liners; nil uses the stdlib default
 	// logger.
@@ -366,24 +367,26 @@ func defaultSynthesize(ctx context.Context, req *synthesizeRequest, opt *core.Op
 }
 
 // requestOptions translates one request's budgets into core options,
-// clamping against the server caps.
-func (s *Server) requestOptions(req *synthesizeRequest) (*core.Options, time.Duration) {
-	opt := &core.Options{DisableCache: req.DisableCache, FreezeLevels: s.cfg.FreezeLevels}
-	opt.MaxNodes = s.cfg.MaxNodes
-	if req.MaxNodes > 0 && req.MaxNodes < opt.MaxNodes {
-		opt.MaxNodes = req.MaxNodes
+// clamping against the server caps, and builds the request's execution
+// strategy from the deployment's: the shared pool when one is live
+// (falling back in-process if it fails) and the freeze setting. pool is
+// the Runner, or nil when the request explores in-process.
+func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, pool *dist.Pool, timeout time.Duration) {
+	so := &sched.Options{MaxNodes: s.cfg.MaxNodes, Strategy: petri.Strategy{Fallback: true, Freeze: s.cfg.FreezeLevels}}
+	if req.MaxNodes > 0 && req.MaxNodes < so.MaxNodes {
+		so.MaxNodes = req.MaxNodes
 	}
-	timeout := s.cfg.DefaultTimeout
+	timeout = s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		if timeout > s.cfg.MaxTimeout {
 			timeout = s.cfg.MaxTimeout
 		}
 	}
-	if p := s.acquirePool(); p != nil {
-		opt.Dist = p
+	if pool = s.acquirePool(); pool != nil {
+		so.Strategy.Runner = pool
 	}
-	return opt, timeout
+	return &core.Options{DisableCache: req.DisableCache, Sched: so}, pool, timeout
 }
 
 // classifyError maps a synthesis failure to an HTTP status and an

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,15 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/dist"
 )
+
+func TestMain(m *testing.M) {
+	// A Config.Pool spawned by dist.SpawnLocal re-executes this test
+	// binary as its worker processes.
+	dist.MaybeWorker()
+	os.Exit(m.Run())
+}
 
 // postSynth sends one synthesis request and decodes the response.
 func postSynth(t *testing.T, url string, req *synthesizeRequest) (int, *synthesizeResponse, *errorResponse) {
@@ -437,19 +446,43 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestResponseMatchesCLI pins the service contract the smoke test
-// checks end to end: the code map of a /v1/synthesize response is
-// byte-identical to what the library path produces.
+// checks end to end: the code map and bounds of a /v1/synthesize
+// response are byte-identical to what the library path produces, both
+// in-process and on a frozen dist pool — where /metrics must then show
+// the worker's replica bytes.
 func TestResponseMatchesCLI(t *testing.T) {
-	core.ResetCache()
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
 	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, &core.Options{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, got, _ := postSynth(t, ts.URL, &synthesizeRequest{FlowC: apps.MultiRate, Net: apps.MultiRateSpec})
+	t.Run("in-process", func(t *testing.T) {
+		core.ResetCache()
+		srv := New(Config{})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		assertResponseMatches(t, ts.URL, want)
+	})
+	t.Run("dist-pool-frozen", func(t *testing.T) {
+		core.ResetCache()
+		pool, err := dist.SpawnLocal(1)
+		if err != nil {
+			t.Fatalf("spawn worker: %v", err)
+		}
+		srv := New(Config{Pool: pool, FreezeLevels: true})
+		defer srv.Drain(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		assertResponseMatches(t, ts.URL, want)
+		_, body := getBody(t, ts.URL+"/metrics")
+		assertMetricMin(t, body, `qss_dist_worker_mem_bytes{worker="0"}`, 1)
+	})
+}
+
+// assertResponseMatches posts the multirate app and compares the
+// response with the library path's result.
+func assertResponseMatches(t *testing.T, url string, want *core.Result) {
+	t.Helper()
+	status, got, _ := postSynth(t, url, &synthesizeRequest{FlowC: apps.MultiRate, Net: apps.MultiRateSpec})
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}

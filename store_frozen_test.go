@@ -27,7 +27,7 @@ func TestStoreFrozenGate(t *testing.T) {
 	}
 
 	fopt := opt
-	fopt.FreezeLevels = true
+	fopt.Strategy.Freeze = true
 	frozen := n.Explore(fopt)
 	if frozen.Len() != want || frozen.Truncated {
 		t.Fatalf("frozen explored %d markings (truncated=%v), want %d", frozen.Len(), frozen.Truncated, want)
@@ -56,7 +56,7 @@ func TestStoreFrozenGate(t *testing.T) {
 	// The serial explorer freezes every closed level and then the final
 	// partial level, so the whole store must be frozen.
 	if !frozen.Store.FreezeEnabled() {
-		t.Fatal("FreezeLevels run did not enable the frozen tier")
+		t.Fatal("Strategy.Freeze run did not enable the frozen tier")
 	}
 	if fl := frozen.Store.FrozenLen(); fl != want {
 		t.Fatalf("frozen states = %d, want all %d", fl, want)
