@@ -38,6 +38,11 @@
 #                      byte-identical ReachResult fingerprints, plus
 #                      the round-trip fixed point and the corpus
 #                      export-reach property
+#   make qssbench-selftest
+#                    — the benchmark harness's own tests (qssbench/ is a
+#                      nested module, so `go test ./...` never builds
+#                      it): catches a change to an API it calls before
+#                      the next benchmark run does
 #   make bench       — every benchmark once (shape assertions, no timing)
 #   make benchgate   — benchmark-regression gate vs bench_baseline.json:
 #                      runs at GOMAXPROCS=1 (the baseline's setting) and
@@ -54,9 +59,9 @@ FUZZTIME ?= 5s
 BENCH_TOLERANCE ?= 0.20
 BENCH_ALLOC_TOLERANCE ?= 0.20
 
-.PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen server-smoke pnml-suite bench benchgate baseline fuzz-smoke coverage
+.PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
 
-ci: build vet test server-smoke pnml-suite bench benchgate fuzz-smoke
+ci: build vet test server-smoke pnml-suite qssbench-selftest bench benchgate fuzz-smoke
 
 pnml-suite:
 	$(GO) test -race -count=1 -v -run 'TestPNMLSuite|TestPNMLRoundTrip' ./internal/pnml
@@ -77,6 +82,9 @@ dist-chaos:
 
 server-smoke:
 	$(GO) test -count=1 -v -run 'TestServerSmoke' ./cmd/qss-server
+
+qssbench-selftest:
+	cd qssbench && $(GO) test -count=1 ./...
 
 build:
 	$(GO) build ./...

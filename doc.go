@@ -17,11 +17,17 @@
 //
 // Every schedule-search engine keys its visited set by marking. Marking
 // identity is hash-consed: petri.MarkingStore interns each distinct
-// token vector once behind a dense uint32 petri.MarkID (FNV-1a over the
-// vector, open-addressing table), and the engines fire transitions into
-// a reused scratch buffer (petri.Marking.FireInto), so the inner loop
-// of a search performs zero allocations per fired transition —
-// revisiting a known marking costs a hash and a table probe. A MarkID
+// token vector once behind a dense uint32 petri.MarkID (an additive
+// hash Σ m[p]·w(p) over the vector with fixed pseudo-random place
+// weights, and an open-addressing table probed from a finalizer of
+// that hash), and the engines fire transitions into a reused scratch
+// buffer (petri.Marking.FireInto), so the inner loop of a search
+// performs zero allocations per fired transition — revisiting a known
+// marking costs a hash and a table probe. Because the hash is additive,
+// petri.Drive and the dist workers never rehash a successor: its hash
+// is the parent's plus the transition's constant increment, and its
+// cap check looks only at the places the transition adds tokens to
+// (petri.FiringTable). A MarkID
 // is meaningful only relative to the store that issued it and is valid
 // for the store's lifetime; markings returned by MarkingStore.At are
 // read-only views that survive later interning. Replacing the previous
@@ -83,9 +89,10 @@
 // or started anywhere as cmd/qssd and dialed in over unix sockets or
 // TCP (dist.Listen) — through a
 // length-prefixed binary protocol. Workers own contiguous ranges of
-// marking-hash shards (petri.ShardOfHash/ShardOwner: the top FNV bits
-// of the marking hash, independent of the low bits the store's probe
-// table uses, so every process routes a marking the same way).
+// marking-hash shards (petri.ShardOfHash/ShardOwner: the top bits of
+// the marking hash, while the store's probe table takes its slots from
+// a finalizer of the whole hash; every process routes a marking the
+// same way).
 // Replicas are TRIMMED: a worker holds vectors, hashes and
 // enabled bitsets only for its owned shards — per-worker memory scales
 // ~1/N with the pool, which is what takes state spaces beyond one

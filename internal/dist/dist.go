@@ -1,9 +1,9 @@
 // Package dist shards the level-synchronous frontier exploration
 // across OS processes: a deterministic coordinator in the synthesizing
 // process drives a pool of worker processes, each owning a contiguous
-// range of marking-hash shards (the top FNV bits of the marking hash,
-// petri.ShardOfHash), over a length-prefixed binary protocol on unix
-// sockets or TCP.
+// range of marking-hash shards (the top bits of the additive marking
+// hash petri.HashMarking, petri.ShardOfHash), over a length-prefixed
+// binary protocol on unix sockets or TCP.
 //
 // # Determinism contract
 //
@@ -44,7 +44,17 @@
 // coordinator resolves already-interned states by a hash-only probe
 // (exact until the store observes a hash alias, then it falls back to
 // vector-exact lookups) and fires a transition only for each state it
-// actually materializes. A worker classifies against its last
+// actually materializes. This is hash compaction, with its caveat: a
+// successor that is NOT yet in the store is taken for a known one if
+// its hash equals a stored marking's, a chance of about len·2⁻⁶⁴ per
+// probe for a store of len markings. The estimate rests on
+// HashMarking's fixed pseudo-random odd place weights, under which two
+// distinct markings of small token counts share a hash with
+// probability about 2⁻⁶⁴. Workers derive each successor's hash from
+// its parent's (petri.FiringTable), and the coordinator still checks
+// every new candidate's shipped hash against its own parent's stored
+// hash plus the transition's increment, and vetoes it by the full cap
+// scan. A worker classifies against its last
 // committed level ("pin"): successors at or past the pin are reported
 // new even if locally known, which keeps the candidate stream a pure
 // function of ownership and committed levels — byte-identical

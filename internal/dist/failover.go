@@ -501,6 +501,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		vcaches = make([]*vecCache, W)        // per-worker cache models
 		scratch petri.Marking
 		payload = make([]byte, 0, 1<<12)
+		fires   = petri.NewFiringTable(n, spec)
 	)
 	for i := range vcaches {
 		vcaches[i] = newVecCache()
@@ -673,7 +674,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 					if spec.Veto(scratch) {
 						return a.die(ow, fmt.Errorf("new candidate of state %d exceeds the place caps — worker/coordinator spec mismatch", id))
 					}
-					if hv := petri.HashMarking(scratch); hv != h {
+					if hv := fires.Hash(store.HashAt(petri.MarkID(id)), trans); hv != h {
 						return a.die(ow, fmt.Errorf("candidate hash %#x, coordinator computes %#x — replica drift", h, hv))
 					}
 					if hooks.Admit != nil && !hooks.Admit() {

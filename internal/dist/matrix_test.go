@@ -171,7 +171,8 @@ func firstDiff(want, got string) string {
 
 // TestReachMatrix: petri-level ReachResult ordering — markings, edges,
 // clip flags — is byte-identical across in-process and worker-process
-// exploration, including under budget truncation.
+// exploration, including under budget truncation and from a root that
+// starts over its token cap.
 func TestReachMatrix(t *testing.T) {
 	nets := []struct {
 		name string
@@ -181,6 +182,7 @@ func TestReachMatrix(t *testing.T) {
 		{"product-space", productNet(3, 4), petri.ExploreOptions{MaxMarkings: 200}},
 		{"pfc-capped", linkedPFCNet(t), petri.ExploreOptions{MaxMarkings: 3000, MaxTokensPerPlace: 2, FireSources: true}},
 		{"pfc-truncated", linkedPFCNet(t), petri.ExploreOptions{MaxMarkings: 111, MaxTokensPerPlace: 2, FireSources: true}},
+		{"root-over-cap", overCapRootNet(), petri.ExploreOptions{MaxTokensPerPlace: 2}},
 	}
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,6 +246,26 @@ func productNet(pipes, stages int) *petri.Net {
 			n.AddArcTP(t, ps[(s+1)%stages], 1)
 		}
 	}
+	return n
+}
+
+// overCapRootNet starts over its cap: the initial marking holds 5
+// tokens at place a, and move shifts b's token to c without touching a,
+// so under a cap of 2 the root's move successor is still over the cap
+// at a and must be vetoed, although move adds tokens only to c. drain
+// takes a back within the cap, and from there move is admitted.
+func overCapRootNet() *petri.Net {
+	n := petri.New("over-cap-root")
+	a := n.AddPlace("a", petri.PlaceChannel, 5)
+	b := n.AddPlace("b", petri.PlaceInternal, 1)
+	c := n.AddPlace("c", petri.PlaceInternal, 0)
+	d := n.AddPlace("d", petri.PlaceChannel, 0)
+	move := n.AddTransition("move", petri.TransNormal)
+	n.AddArc(b, move, 1)
+	n.AddArcTP(move, c, 1)
+	drain := n.AddTransition("drain", petri.TransNormal)
+	n.AddArc(a, drain, 3)
+	n.AddArcTP(drain, d, 1)
 	return n
 }
 

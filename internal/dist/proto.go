@@ -38,8 +38,10 @@ const (
 	// pool with empty roots, rebuilds each replica by a msgRestore bulk
 	// load, and resumes the merge at the last committed level. Each
 	// init tells the worker whether to freeze its replica's committed
-	// levels. Bump it with any change to a frame layout.
-	protoVersion = 6
+	// levels. candNew hashes and shard routing use petri.HashMarking,
+	// so a change of that hash is a protocol change too. Bump it with
+	// any change to a frame layout or to the hash.
+	protoVersion = 7
 	// maxFrame bounds a single message payload; a restore bulk load is
 	// the largest message and stays far below this for any exploration
 	// that fits in memory.

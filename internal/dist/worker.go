@@ -44,6 +44,7 @@ type replica struct {
 	tracker *petri.EnabledTracker
 	stride  int
 	spec    petri.ExpandSpec
+	fires   petri.FiringTable
 	store   *petri.MarkingStore
 	bits    []uint64
 	scratch petri.Marking
@@ -94,6 +95,7 @@ func newReplica(m *initMsg) (*replica, error) {
 	if len(m.spec.Caps) != len(r.net.Places) {
 		return nil, fmt.Errorf("dist: spec caps cover %d places, net has %d", len(m.spec.Caps), len(r.net.Places))
 	}
+	r.fires = petri.NewFiringTable(r.net, r.spec)
 	r.vcache = newVecCache()
 	if m.freeze {
 		if err := r.store.EnableFreeze(petri.FreezeConfig{Deltas: r.net.TokenDeltas()}); err == nil {
@@ -263,8 +265,14 @@ func (r *replica) applyRestore(m *restoreMsg) error {
 // far the record stream happened to have progressed, preserving the
 // byte-identical determinism contract. The coordinator resolves every
 // candNew by the shipped hash without re-firing.
+//
+// Pin 0 is the root level: only a root can be over a cap, so only
+// there does the worker check the state itself and, if it is, veto its
+// successors by the full cap scan (see petri.FiringTable.Veto).
 func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	m := r.store.At(id)
+	ph := r.store.HashAt(id)
+	full := pin == 0 && r.spec.Veto(m)
 	bits := r.bits[int(id)*r.stride : (int(id)+1)*r.stride]
 	// First pass counts candidates (the stream is length-prefixed);
 	// enabled-set iteration is two bit scans, firing happens once.
@@ -277,7 +285,7 @@ func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		for _, tid := range r.part[ei].Trans {
 			r.scratch = m.FireInto(r.scratch, r.net.Transitions[tid])
-			switch gid, h, ok := r.classify(); {
+			switch gid, h, ok := r.classify(ph, tid, full); {
 			case !ok:
 				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candVeto)
 			case gid != petri.NoMark && gid < pin:
@@ -292,17 +300,18 @@ func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	return dst
 }
 
-// classify resolves the scratch successor: ok=false for a cap veto,
-// otherwise the replica-known global MarkID (or NoMark for a successor
-// this worker cannot resolve — a first sighting, or any successor
-// routing to another worker's shards) plus the successor's hash, which
-// candNew candidates carry so the coordinator's merge resolves them
-// against the authoritative store without re-firing.
-func (r *replica) classify() (petri.MarkID, uint64, bool) {
-	if r.spec.Veto(r.scratch) {
+// classify resolves the scratch successor, reached by firing tid at a
+// state hashed ph: ok=false for a cap veto, otherwise the
+// replica-known global MarkID (or NoMark for a successor this worker
+// cannot resolve — a first sighting, or any successor routing to
+// another worker's shards) plus the successor's hash, which candNew
+// candidates carry so the coordinator's merge resolves them against
+// the authoritative store without re-firing.
+func (r *replica) classify(ph uint64, tid int, full bool) (petri.MarkID, uint64, bool) {
+	if r.fires.Veto(r.scratch, tid, full) {
 		return petri.NoMark, 0, false
 	}
-	h := petri.HashMarking(r.scratch)
+	h := r.fires.Hash(ph, tid)
 	if !r.ownsHash(h) {
 		return petri.NoMark, h, true
 	}

@@ -1,7 +1,5 @@
 package petri
 
-import "slices"
-
 // The exploration driver. Bounded reachability (Net.Explore,
 // ExploreDist) and the scheduler's marking-graph engine are the same
 // level-synchronous BFS: fire every fireable transition of every
@@ -16,7 +14,10 @@ import "slices"
 // Strategy's fallback rerun. It has two modes:
 //
 //	inline: expand one state, then merge each of its edges at once —
-//	  fire, veto, hash once, LookupHashed, Admit, InternHashed, Edge.
+//	  fire, veto, hash, LookupHashed, Admit, InternHashed, Edge. The
+//	  veto checks only the places the transition adds tokens to, and
+//	  the hash is the parent's plus the transition's constant
+//	  increment (FiringTable), so neither pass scans the marking.
 //	  No goroutines and no candidate buffers.
 //	runner: a FrontierRunner (the worker processes of internal/dist)
 //	  expands under the same ExpandSpec and calls the same MergeHooks.
@@ -73,6 +74,86 @@ type ExpandSpec struct {
 func (s *ExpandSpec) Veto(m Marking) bool {
 	for i, v := range m {
 		if c := s.Caps[i]; c >= 0 && v > c {
+			return true
+		}
+	}
+	return false
+}
+
+// FiringTable is what an explorer needs per transition, beyond the
+// firing itself, to classify a successor in time proportional to the
+// firing rather than to the net. It is built once per exploration from
+// the net and the ExpandSpec, and both Drive's inline merge and every
+// dist worker use it.
+//
+//   - Δ(t): HashMarking is additive, so the successor of a marking
+//     hashed h under t hashes to h + Δ(t), exactly.
+//   - The rise list of t: the capped places t adds tokens to. A
+//     successor of a marking within its caps can leave them only
+//     there, so checking those places is the whole Veto.
+//
+// A marking that is itself over a cap (only a root can be: every other
+// state passed a veto) takes the full ExpandSpec.Veto instead; see
+// Veto's full flag.
+type FiringTable struct {
+	spec  ExpandSpec
+	trans []firingEntry
+	rise  []int32 // every transition's rise list, concatenated
+}
+
+// firingEntry is one transition's hash increment and rise list
+// (rise[lo:hi]).
+type firingEntry struct {
+	delta  uint64
+	lo, hi int32
+}
+
+// NewFiringTable builds the table of n's transitions under spec.
+func NewFiringTable(n *Net, spec ExpandSpec) FiringTable {
+	rises := 0
+	for _, t := range n.Transitions {
+		for _, a := range t.Out {
+			if spec.Caps[a.Place] >= 0 {
+				rises++
+			}
+		}
+	}
+	f := FiringTable{spec: spec, trans: make([]firingEntry, len(n.Transitions)), rise: make([]int32, 0, rises)}
+	for ti, t := range n.Transitions {
+		e := &f.trans[ti]
+		for _, a := range t.In {
+			e.delta -= uint64(a.Weight) * placeWeight(a.Place)
+		}
+		e.lo = int32(len(f.rise))
+		// AddArc and AddArcTP merge parallel arcs, so each place has at
+		// most one arc each way.
+		for _, a := range t.Out {
+			e.delta += uint64(a.Weight) * placeWeight(a.Place)
+			if spec.Caps[a.Place] >= 0 && a.Weight > t.Weight(a.Place) {
+				f.rise = append(f.rise, int32(a.Place))
+			}
+		}
+		e.hi = int32(len(f.rise))
+	}
+	return f
+}
+
+// Hash returns the HashMarking value of the successor of firing
+// transition t at a marking whose HashMarking value is h.
+func (f *FiringTable) Hash(h uint64, t int) uint64 { return h + f.trans[t].delta }
+
+// Veto reports whether child, the successor of firing transition t,
+// exceeds the spec's caps. Unless full is set, its parent must have
+// been within every cap, and only t's rise list is checked; full runs
+// the whole ExpandSpec.Veto scan, for the successors of a marking that
+// is itself over a cap.
+func (f *FiringTable) Veto(child Marking, t int, full bool) bool {
+	if full {
+		return f.spec.Veto(child)
+	}
+	e := f.trans[t]
+	for _, p := range f.rise[e.lo:e.hi] {
+		if child[p] > f.spec.Caps[p] {
 			return true
 		}
 	}
@@ -140,12 +221,7 @@ type Strategy struct {
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure that was not recovered.
 func Drive(n *Net, part []*ECS, spec ExpandSpec, st Strategy, start func(*MarkingStore) MergeHooks) (bool, error) {
-	d := &driver{
-		net:    n,
-		part:   part,
-		spec:   spec,
-		capped: slices.ContainsFunc(spec.Caps, func(c int) bool { return c >= 0 }),
-	}
+	d := &driver{net: n, part: part, spec: spec}
 	if st.Runner != nil {
 		d.begin(st.Freeze, start)
 		ok, err := st.Runner.RunFrontier(n, d.store, spec, d.runnerHooks())
@@ -159,26 +235,24 @@ func Drive(n *Net, part []*ECS, spec ExpandSpec, st Strategy, start func(*Markin
 
 // driver is the state of one Drive call.
 type driver struct {
-	net  *Net
-	part []*ECS
-	spec ExpandSpec
-	// capped is false when every cap is negative: the per-place Veto
-	// scan is then skipped, which keeps uncapped reachability
-	// (Net.Explore without MaxTokensPerPlace) at full speed.
-	capped bool
-	store  *MarkingStore
-	hooks  MergeHooks
+	net   *Net
+	part  []*ECS
+	spec  ExpandSpec
+	store *MarkingStore
+	hooks MergeHooks
 	// fwin buffers per-state provenance for FreezeThrough; nil when
 	// freezing is off or reverted after a write failure.
 	fwin *FreezeWindow
 	// Inline mode only: bits is the per-state enabled-ECS arena (state
 	// id's set is bits[id*stride : (id+1)*stride]), derived from the
 	// parent's set when a state is interned; scratch is the firing
-	// buffer reused across the whole exploration.
+	// buffer reused across the whole exploration; fires classifies
+	// each successor from its parent's hash and the transition.
 	tracker *EnabledTracker
 	stride  int
 	bits    []uint64
 	scratch Marking
+	fires   FiringTable
 }
 
 // begin starts one attempt: a store holding only the root, its frozen
@@ -234,6 +308,7 @@ func (d *driver) runnerHooks() MergeHooks {
 // boundary: every state below it is then fully expanded, i.e. closed.
 func (d *driver) runInline() bool {
 	d.tracker = NewEnabledTracker(d.net, d.part)
+	d.fires = NewFiringTable(d.net, d.spec)
 	d.stride = d.tracker.Stride()
 	d.bits = make([]uint64, d.stride)
 	d.tracker.Init(d.bits, d.store.At(0))
@@ -260,28 +335,32 @@ func (d *driver) expand(id MarkID) bool {
 		d.hooks.BeginState(id)
 	}
 	m := d.store.At(id)
+	h := d.store.HashAt(id)
+	// Only the root can be over a cap: every later state passed a veto.
+	full := id == 0 && d.spec.Veto(m)
 	ok := true
 	// Interning appends to d.bits, possibly moving it; this view of the
 	// state's own words stays valid either way.
 	ForEachMaskedBit(d.bits[int(id)*d.stride:(int(id)+1)*d.stride], d.spec.Mask, func(ei int) {
 		for _, tid := range d.part[ei].Trans {
 			if ok {
-				ok = d.merge(id, m, tid)
+				ok = d.merge(id, m, h, tid, full)
 			}
 		}
 	})
 	return ok
 }
 
-// merge fires tid at m, the marking of parent, and records the
-// successor: a veto, an edge to a known state, a budget rejection, or
-// an edge to a newly interned one.
-func (d *driver) merge(parent MarkID, m Marking, tid int) bool {
+// merge fires tid at m, the marking of parent (hashed ph), and records
+// the successor: a veto, an edge to a known state, a budget rejection,
+// or an edge to a newly interned one. full runs the whole cap scan
+// (see FiringTable.Veto).
+func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) bool {
 	d.scratch = m.FireInto(d.scratch, d.net.Transitions[tid])
-	if d.capped && d.spec.Veto(d.scratch) {
+	if d.fires.Veto(d.scratch, tid, full) {
 		return d.hooks.Reject(parent, int32(tid), false)
 	}
-	h := HashMarking(d.scratch)
+	h := d.fires.Hash(ph, tid)
 	if child, ok := d.store.LookupHashed(d.scratch, h); ok {
 		d.hooks.Edge(parent, int32(tid), child, false)
 		return true

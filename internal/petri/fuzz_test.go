@@ -59,8 +59,9 @@ func netFromBytes(data []byte) *Net {
 // FuzzExplore checks the bounded-reachability contract on arbitrary
 // small nets: exploration never panics, never retains more markings
 // than MaxMarkings, never retains a non-initial marking violating
-// MaxTokensPerPlace, records edges only between retained markings, and
-// matches the reference explorer exactly.
+// MaxTokensPerPlace, records edges only between retained markings,
+// stores every marking's HashMarking value, and matches the reference
+// explorer exactly.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
 	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(3), true)
@@ -120,6 +121,7 @@ func FuzzExplore(f *testing.F) {
 				}
 			}
 		}
+		assertStoredHashes(t, "fuzz", res)
 		// The independent reference explorer must agree byte for byte:
 		// same numbering, edges and clip flags.
 		assertSameSnapshot(t, "reference", referenceExplore(n, opt), snapshotReach(res))

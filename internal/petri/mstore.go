@@ -12,9 +12,12 @@ import (
 // marking a fresh formatted string (the dominant cost of a cold
 // synthesis, ~60% of CPU in profiles); the MarkingStore instead interns
 // each distinct marking exactly once behind a compact MarkID, using an
-// FNV-1a hash over the token vector and an open-addressing table, so
-// identity checks collapse to integer compares and lookups never
-// allocate.
+// additive hash over the token vector (see HashMarking) and an
+// open-addressing table, so identity checks collapse to integer
+// compares and lookups never allocate. Because the hash is a linear
+// sum, its low bits are structured; the table therefore takes its
+// linear-probe home slot from a 64-bit finalizer of the hash
+// (probeHash), never from the raw low bits.
 //
 // Token vectors live in fixed pages that are allocated once and never
 // moved or rewritten: each marking's tokens are copied in exactly once,
@@ -31,11 +34,6 @@ type MarkID uint32
 // NoMark is the sentinel for "no marking" in APIs that may fail to
 // resolve one.
 const NoMark = MarkID(^uint32(0))
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
 
 // MarkingStore interns token vectors of a fixed length (one slot per
 // place of the net). The zero value is not usable — construct with
@@ -148,18 +146,72 @@ func (s *MarkingStore) At(id MarkID) Marking {
 	return s.hot(int(id))
 }
 
-// HashMarking is FNV-1a folded over the token words — the hash every
-// marking store (plain and sharded) keys on. Deterministic across
+// HashMarking is the hash every marking store keys on: the additive
+// sum Σ m[p]·w(p) mod 2⁶⁴, with w(p) a fixed odd pseudo-random weight
+// per place index (splitmix64 of the index). It is deterministic across
 // processes, so interning order (and everything derived from it) is
-// reproducible. Exposed so pipelines that shard or batch markings can
-// hash once and hand the value to InternHashed/LookupHashed.
+// reproducible, and it is linear: firing a transition t changes it by
+// a constant Δ(t), so an explorer derives a successor's hash from its
+// parent's in O(1) (see FiringTable) and never rehashes the vector.
+// Two distinct markings collide only when their difference vector d
+// satisfies Σ d[p]·w(p) ≡ 0 mod 2⁶⁴, which for pseudo-random odd
+// weights and small token counts has probability about 2⁻⁶⁴ per pair.
+// Exposed so pipelines that shard or batch markings can hash once and
+// hand the value to InternHashed/LookupHashed.
 func HashMarking(m Marking) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range m {
-		h ^= uint64(v)
-		h *= fnvPrime64
+	var h uint64
+	n := min(len(m), len(placeWeights))
+	w := placeWeights[:n]
+	for i, v := range m[:n] {
+		h += uint64(v) * w[i]
+	}
+	for i := n; i < len(m); i++ {
+		h += uint64(m[i]) * placeWeight(i)
 	}
 	return h
+}
+
+// placeWeights holds the hash weight of the first places, filled at
+// package init, so that HashMarking is a multiply-add per token word;
+// wider markings compute the weights of the remaining places per call.
+var placeWeights [1 << 12]uint64
+
+func init() {
+	for p := range placeWeights {
+		placeWeights[p] = splitmix64(uint64(p)) | 1
+	}
+}
+
+// placeWeight returns the HashMarking weight of place p.
+func placeWeight(p int) uint64 {
+	if p < len(placeWeights) {
+		return placeWeights[p]
+	}
+	return splitmix64(uint64(p)) | 1
+}
+
+// splitmix64 is the SplitMix64 output function: a bijective 64-bit
+// mixer whose outputs look independent for consecutive inputs.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// probeHash is the finalizer (MurmurHash3's fmix64) the probe table
+// takes its home slots from, as the low bits of the result.
+// HashMarking's low bits depend only on the low bits of the weights and
+// token counts, so the markings of a structured net cluster there; the
+// finalizer spreads every bit of the hash over the slot bits.
+// ShardOfHash keeps the raw hash's top bits.
+func probeHash(h uint64) uint32 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return uint32(h)
 }
 
 // HashAt returns the stored HashMarking value of an interned marking —
@@ -175,7 +227,7 @@ func (s *MarkingStore) Lookup(m Marking) (MarkID, bool) {
 
 // LookupHashed is Lookup with a caller-precomputed HashMarking value.
 func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
-	for slot := uint32(h) & s.mask; ; slot = (slot + 1) & s.mask {
+	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
 		if e == 0 {
 			return NoMark, false
@@ -195,10 +247,11 @@ func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
 // it is exact only while HashAliased is false: callers must fall back
 // to vector-exact resolution once the store is known to hold two
 // distinct markings with one hash, and accept the ~len·2⁻⁶⁴ per-probe
-// chance that a marking NOT in the store aliases one that is (the
-// hash-compaction caveat documented in package internal/dist).
+// chance, resting on HashMarking's pseudo-random place weights, that a
+// marking NOT in the store aliases one that is (the hash-compaction
+// caveat documented in package internal/dist).
 func (s *MarkingStore) LookupHash(h uint64) (MarkID, bool) {
-	for slot := uint32(h) & s.mask; ; slot = (slot + 1) & s.mask {
+	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
 		if e == 0 {
 			return NoMark, false
@@ -231,7 +284,7 @@ func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 	if len(m) != s.places {
 		panic("petri: marking length does not match store")
 	}
-	slot := uint32(h) & s.mask
+	slot := probeHash(h) & s.mask
 	for ; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
 		if e == 0 {
@@ -270,7 +323,7 @@ func (s *MarkingStore) grow() {
 		s.hashes = append(make([]uint64, 0, limit), s.hashes...)
 	}
 	for id, h := range s.hashes {
-		slot := uint32(h) & mask
+		slot := probeHash(h) & mask
 		for nt[slot] != 0 {
 			slot = (slot + 1) & mask
 		}

@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -322,5 +323,48 @@ func TestZeroAllocFiringAndIntern(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fire+intern of a seen marking allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestProbeSpread: HashMarking is a linear sum whose low bits are
+// structured, so the probe table takes its home slots from a finalizer
+// (probeHash). After exploring two structured nets — the 9⁵ ring
+// product and four counters capped at 14 (15⁴ states) — the mean
+// linear-probe displacement of the interned states must stay within
+// 1.15x of uniform hashing's ½(1+1/(1−α))−1 at the table's load α.
+func TestProbeSpread(t *testing.T) {
+	counters := New("counters-4")
+	for i := 0; i < 4; i++ {
+		p := counters.AddPlace(fmt.Sprintf("c%d", i), PlaceChannel, 0)
+		inc := counters.AddTransition(fmt.Sprintf("inc%d", i), TransSourceCtl)
+		counters.AddArcTP(inc, p, 1)
+	}
+	cases := []struct {
+		name   string
+		net    *Net
+		opt    ExploreOptions
+		states int
+	}{
+		{"rings-9^5", ringsNet(5, 9), ExploreOptions{MaxMarkings: 1 << 17}, 59049},
+		{"counters-15^4", counters, ExploreOptions{MaxMarkings: 1 << 17, MaxTokensPerPlace: 14, FireSources: true}, 50625},
+	}
+	for _, c := range cases {
+		s := c.net.Explore(c.opt).Store
+		if s.Len() != c.states {
+			t.Fatalf("%s: %d states, want %d", c.name, s.Len(), c.states)
+		}
+		disp := 0
+		for slot, e := range s.table {
+			if e != 0 {
+				disp += int((uint32(slot) - probeHash(s.hashes[e-1])) & s.mask)
+			}
+		}
+		alpha := float64(s.Len()) / float64(len(s.table))
+		mean := float64(disp) / float64(s.Len())
+		uniform := (1+1/(1-alpha))/2 - 1
+		t.Logf("%s: load %.3f, mean displacement %.3f, uniform %.3f (%.2fx)", c.name, alpha, mean, uniform, mean/uniform)
+		if mean > 1.15*uniform {
+			t.Errorf("%s: mean probe displacement %.3f exceeds 1.15x uniform (%.3f)", c.name, mean, uniform)
+		}
 	}
 }

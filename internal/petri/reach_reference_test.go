@@ -113,6 +113,39 @@ func assertSameSnapshot(t *testing.T, name string, want, got reachSnapshot) {
 	}
 }
 
+// assertStoredHashes: every stored hash equals the from-scratch
+// HashMarking of its marking. The explorers derive a successor's hash
+// from its parent's (FiringTable.Hash), and the dist coordinator relies
+// on the stored values when it compares worker-shipped hashes with them.
+func assertStoredHashes(t *testing.T, name string, r *ReachResult) {
+	t.Helper()
+	for id, m := range r.Store.All() {
+		if got, want := r.Store.HashAt(id), HashMarking(m); got != want {
+			t.Fatalf("%s: state %d stores hash %#x, HashMarking gives %#x", name, id, got, want)
+		}
+	}
+}
+
+// overCapRootNet starts over its cap: the initial marking holds 5
+// tokens at place a, and move shifts b's token to c without touching a,
+// so under a cap of 2 the root's move successor is still over the cap
+// at a and must be vetoed, although move adds tokens only to c. drain
+// takes a back within the cap, and from there move is admitted.
+func overCapRootNet() *Net {
+	n := New("over-cap-root")
+	a := n.AddPlace("a", PlaceChannel, 5)
+	b := n.AddPlace("b", PlaceInternal, 1)
+	c := n.AddPlace("c", PlaceInternal, 0)
+	d := n.AddPlace("d", PlaceChannel, 0)
+	move := n.AddTransition("move", TransNormal)
+	n.AddArc(b, move, 1)
+	n.AddArcTP(move, c, 1)
+	drain := n.AddTransition("drain", TransNormal)
+	n.AddArc(a, drain, 3)
+	n.AddArcTP(drain, d, 1)
+	return n
+}
+
 func assertSameReach(t *testing.T, name string, want, got *ReachResult) {
 	t.Helper()
 	assertSameSnapshot(t, name, snapshotReach(want), snapshotReach(got))
@@ -121,7 +154,8 @@ func assertSameReach(t *testing.T, name string, want, got *ReachResult) {
 // TestExploreMatchesReference: Explore must reproduce the reference
 // explorer exactly — same state numbering, same edges, same clip
 // flags — on full explorations, budget-clipped ones and token-capped
-// ones, with and without frozen levels.
+// ones (one whose root starts over its cap), with and without frozen
+// levels.
 func TestExploreMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -132,6 +166,7 @@ func TestExploreMatchesReference(t *testing.T) {
 		{"rings-budget", ringsNet(3, 5), ExploreOptions{MaxMarkings: 60}},
 		{"simple-capped", simpleNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 4}},
 		{"choice", choiceNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 3}},
+		{"root-over-cap", overCapRootNet(), ExploreOptions{MaxTokensPerPlace: 2}},
 	}
 	for _, c := range cases {
 		want := referenceExplore(c.net, c.opt)
@@ -145,7 +180,8 @@ func TestExploreMatchesReference(t *testing.T) {
 
 // TestExploreRandomNetsMatchReference sweeps seeded random nets
 // (including source-driven infinite spaces under caps) against the
-// reference explorer, all-hot and with frozen levels.
+// reference explorer, all-hot and with frozen levels, and checks every
+// stored hash against HashMarking.
 func TestExploreRandomNetsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 120; i++ {
@@ -156,8 +192,12 @@ func TestExploreRandomNetsMatchReference(t *testing.T) {
 			MaxMarkings:       200 + i%57,
 		}
 		want := referenceExplore(n, opt)
-		assertSameSnapshot(t, fmt.Sprintf("random-%d", i), want, snapshotReach(n.Explore(opt)))
-		opt.Strategy.Freeze = true
-		assertSameSnapshot(t, fmt.Sprintf("random-%d/frozen", i), want, snapshotReach(n.Explore(opt)))
+		for _, freeze := range []bool{false, true} {
+			opt.Strategy.Freeze = freeze
+			name := fmt.Sprintf("random-%d/freeze=%v", i, freeze)
+			got := n.Explore(opt)
+			assertSameSnapshot(t, name, want, snapshotReach(got))
+			assertStoredHashes(t, name, got)
+		}
 	}
 }

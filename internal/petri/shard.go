@@ -11,8 +11,11 @@ import "math/bits"
 
 // ShardOfHash returns the shard a marking with HashMarking value h
 // lands in, out of a power-of-two shard count: the top bits of the
-// hash (the store's open-addressing table probes by the low bits, so
-// the two selections stay independent).
+// hash. Carries from every place's weighted count reach the top bits
+// of the additive hash, so they spread markings over the shards; the
+// store's open-addressing table takes its slots from a finalizer of
+// the whole hash instead (probeHash), so the two selections stay
+// independent.
 func ShardOfHash(h uint64, shards int) uint32 {
 	return uint32(h >> uint(64-bits.TrailingZeros(uint(shards))))
 }
