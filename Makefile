@@ -19,6 +19,12 @@
 #                      machine-independent hot-byte accounting with
 #                      hot residency <= 0.35x the all-hot store, plus
 #                      the freeze/thaw unit and determinism suite
+#   make bytes-gates — the allocation gates of the two searches: serial
+#                      reachability of the 161k-state ExploreLarge net
+#                      allocates <= 1.6x its store's hot bytes, and one
+#                      cold PFC synthesis <= 2.5x its search store's hot
+#                      bytes (exact, machine-independent counts; -v prints
+#                      both ratios)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of
 #                      another protocol version) and the seeded
 #                      fault-injection matrix: heartbeat death
@@ -59,7 +65,7 @@ FUZZTIME ?= 5s
 BENCH_TOLERANCE ?= 0.20
 BENCH_ALLOC_TOLERANCE ?= 0.20
 
-.PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
+.PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen bytes-gates server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
 
 ci: build vet test server-smoke pnml-suite qssbench-selftest bench benchgate fuzz-smoke
 
@@ -76,6 +82,9 @@ dist-memory:
 store-frozen:
 	$(GO) test -race -count=1 -v -run 'TestStoreFrozenGate' .
 	$(GO) test -race -count=1 -v -run 'TestTokenDeltas|TestFreeze|TestExploreFreezeLevelsDeterminism' ./internal/petri
+
+bytes-gates:
+	$(GO) test -count=1 -v -run 'TestExploreLargeBytes|TestPFCSearchBytes' .
 
 dist-chaos:
 	$(GO) test -race -count=1 -v -run 'TestHelloPidRoundTrip|TestHelloVersionMismatch|TestHeartbeatTimeout|TestChaosPipeMatrix|TestChaosSpawnedKill' ./internal/dist

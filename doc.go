@@ -47,6 +47,23 @@
 // the EP/EP_ECS tree engines all expand states by iterating their
 // enabled-set bits instead of scanning the partition.
 //
+// # Search tables
+//
+// Beside the store, a search keeps flat tables that gain one entry per
+// interned state or per recorded edge: the driver's enabled-bit arena,
+// a ReachResult's Edges headers and Clipped flags, the graph engine's
+// state table and adjacency arenas, and a dist worker's gids and bits.
+// All of them grow by one rule, petri.Grow: capacity at least doubles
+// when it runs out, so a table allocates about twice its final
+// capacity in all, where append's ~1.25x growth of large slices costs
+// about five times. The graph engine's tables hold partition and state
+// indices, never pointers, so the garbage collector never scans them
+// and copying them needs no write barriers. Together the two cut a
+// cold PFC synthesis from 25.9 to 17.7 MB allocated and its CPU time
+// by over a fifth; `make bytes-gates` bounds what the PFC search and
+// serial ExploreLarge allocate at 2.5x and 1.6x their stores' hot
+// bytes.
+//
 // # Concurrency and caching
 //
 // In-process concurrency has one level: the per-source schedule

@@ -69,12 +69,19 @@ type replica struct {
 	index, workers, shards int
 }
 
-// appendProv records the provenance of the local state just interned;
-// every intern site must call it exactly once, in intern order.
-func (r *replica) appendProv(p petri.FreezeProv) {
+// interned records the local state just interned — its global id g and
+// its freeze provenance p — and returns its enabled-set words for the
+// caller to fill with tracker.Init or Update. Every intern site calls
+// it exactly once, in intern order. gids and bits grow by petri.Grow's
+// doubling rule.
+func (r *replica) interned(g petri.MarkID, p petri.FreezeProv) []uint64 {
 	if r.fwin != nil {
 		r.fwin.Append(p)
 	}
+	r.gids = append(petri.Grow(r.gids, 1), g)
+	base := len(r.bits)
+	r.bits = petri.Grow(r.bits, r.stride)[:base+r.stride]
+	return r.bits[base:]
 }
 
 func newReplica(m *initMsg) (*replica, error) {
@@ -114,11 +121,8 @@ func newReplica(m *initMsg) (*replica, error) {
 		if _, isNew := r.store.InternHashed(root, h); !isNew {
 			return nil, fmt.Errorf("dist: duplicate root %d", i)
 		}
-		r.appendProv(petri.FreezeProv{Parent: petri.NoMark}) // roots: verbatim
-		r.gids = append(r.gids, petri.MarkID(i))
-		base := len(r.bits)
-		r.bits = append(r.bits, make([]uint64, r.stride)...)
-		r.tracker.Init(r.bits[base:base+r.stride], root)
+		// Roots freeze verbatim.
+		r.tracker.Init(r.interned(petri.MarkID(i), petri.FreezeProv{Parent: petri.NoMark}), root)
 	}
 	return r, nil
 }
@@ -190,15 +194,11 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	}
 	// Provenance is in LOCAL ids: a non-owned parent (shipped or cached
 	// vector) has none, so the child freezes verbatim.
-	r.appendProv(petri.FreezeProv{Parent: parentLocal, Trans: rec.Trans})
-	r.gids = append(r.gids, rec.Child)
-	base := len(r.bits)
-	r.bits = append(r.bits, make([]uint64, r.stride)...)
+	bits := r.interned(rec.Child, petri.FreezeProv{Parent: parentLocal, Trans: rec.Trans})
 	if parentLocal != petri.NoMark {
-		r.tracker.Update(r.bits[base:base+r.stride],
-			r.bits[int(parentLocal)*r.stride:(int(parentLocal)+1)*r.stride], int(rec.Trans), r.store.At(id))
+		r.tracker.Update(bits, r.bits[int(parentLocal)*r.stride:(int(parentLocal)+1)*r.stride], int(rec.Trans), r.store.At(id))
 	} else {
-		r.tracker.Init(r.bits[base:base+r.stride], r.store.At(id))
+		r.tracker.Init(bits, r.store.At(id))
 	}
 	return nil
 }
@@ -242,11 +242,8 @@ func (r *replica) applyRestore(m *restoreMsg) error {
 		if !isNew {
 			return fmt.Errorf("dist: restore re-interns state %d as local %d", g, id)
 		}
-		r.appendProv(petri.FreezeProv{Parent: petri.NoMark}) // restored: verbatim
-		r.gids = append(r.gids, g)
-		base := len(r.bits)
-		r.bits = append(r.bits, make([]uint64, r.stride)...)
-		r.tracker.Init(r.bits[base:base+r.stride], r.store.At(id))
+		// Restored states freeze verbatim.
+		r.tracker.Init(r.interned(g, petri.FreezeProv{Parent: petri.NoMark}), r.store.At(id))
 	}
 	return nil
 }

@@ -245,9 +245,10 @@ type driver struct {
 	fwin *FreezeWindow
 	// Inline mode only: bits is the per-state enabled-ECS arena (state
 	// id's set is bits[id*stride : (id+1)*stride]), derived from the
-	// parent's set when a state is interned; scratch is the firing
-	// buffer reused across the whole exploration; fires classifies
-	// each successor from its parent's hash and the transition.
+	// parent's set when a state is interned and grown by Grow's rule;
+	// scratch is the firing buffer reused across the whole exploration;
+	// fires classifies each successor from its parent's hash and the
+	// transition.
 	tracker *EnabledTracker
 	stride  int
 	bits    []uint64
@@ -372,10 +373,9 @@ func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) 
 	if d.fwin != nil {
 		d.fwin.Append(FreezeProv{Parent: parent, Trans: int32(tid)})
 	}
+	// Update writes every word of the new state's set.
 	base := len(d.bits)
-	for range d.stride {
-		d.bits = append(d.bits, 0)
-	}
+	d.bits = Grow(d.bits, d.stride)[:base+d.stride]
 	d.tracker.Update(d.bits[base:], d.bits[int(parent)*d.stride:(int(parent)+1)*d.stride], tid, d.scratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true

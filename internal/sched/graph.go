@@ -109,6 +109,15 @@ func (a Any) Caps(n *petri.Net) []int {
 // ecsEnd) — per-state slice headers would be one allocation per
 // (state, ECS) pair, which at hundreds of thousands of states is most
 // of the search's allocation bill.
+//
+// Every per-state and per-edge table (states, the three arenas, the
+// reverse CSR, usable, dist) holds indices, never pointers: an ECS is
+// its partition index, resolved through graphEngine.part. A pointer
+// per (state, ECS) pair would put one heap pointer per entry into a
+// table the garbage collector then marks on every cycle, and each copy
+// on growth would need write barriers. Pointer-free tables are never
+// scanned and are copied by a plain memmove. The tables the merge
+// appends to grow by petri.Grow's doubling rule.
 type gstate struct {
 	ecsStart, ecsEnd int32
 
@@ -139,10 +148,11 @@ type graphEngine struct {
 	occDelta    []int32
 
 	// Flat adjacency. Entry k of ecsArena is one (state, allowed enabled
-	// ECS) pair; its successor states occupy
-	// succArena[succOff[k] : succOff[k]+len(ecsArena[k].Trans)], with -1
-	// marking a successor beyond the caps (making the ECS unusable).
-	ecsArena  []*petri.ECS
+	// ECS) pair, the ECS as its index into part; its successor states
+	// occupy succArena[succOff[k] : succOff[k]+len(part[ecsArena[k]].Trans)],
+	// with -1 marking a successor beyond the caps (making the ECS
+	// unusable).
+	ecsArena  []int32
 	succOff   []int32
 	succArena []int32
 
@@ -169,12 +179,12 @@ func (ge *graphEngine) ecsCount(s *gstate) int { return int(s.ecsEnd - s.ecsStar
 func (ge *graphEngine) succOf(s *gstate, i int) []int32 {
 	k := int(s.ecsStart) + i
 	off := ge.succOff[k]
-	return ge.succArena[off : off+int32(len(ge.ecsArena[k].Trans))]
+	return ge.succArena[off : off+int32(len(ge.part[ge.ecsArena[k]].Trans))]
 }
 
 // ecsAt returns the i-th allowed enabled ECS of s.
 func (ge *graphEngine) ecsAt(s *gstate, i int) *petri.ECS {
-	return ge.ecsArena[int(s.ecsStart)+i]
+	return ge.part[ge.ecsArena[int(s.ecsStart)+i]]
 }
 
 func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
@@ -259,16 +269,17 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	ge.store, ge.over = store, false
 	ge.states = append(ge.states[:0], gstate{rank: -1, occ: int32(ge.occupancy(store.At(rootID)))})
 	ge.ecsArena, ge.succOff, ge.succArena = ge.ecsArena[:0], ge.succOff[:0], ge.succArena[:0]
-	var E *petri.ECS // the open ECS group
-	mi := 0          // members of E recorded so far
+	members := 0 // size of the open ECS group
+	mi := 0      // members of the group recorded so far
 	advance := func(parent petri.MarkID, trans int32, child int32) {
 		if mi == 0 {
-			E = ge.part[ge.ecsOf[trans]]
-			ge.ecsArena = append(ge.ecsArena, E)
-			ge.succOff = append(ge.succOff, int32(len(ge.succArena)))
+			ei := ge.ecsOf[trans]
+			members = len(ge.part[ei].Trans)
+			ge.ecsArena = append(petri.Grow(ge.ecsArena, 1), int32(ei))
+			ge.succOff = append(petri.Grow(ge.succOff, 1), int32(len(ge.succArena)))
 		}
-		ge.succArena = append(ge.succArena, child)
-		if mi++; mi == len(E.Trans) {
+		ge.succArena = append(petri.Grow(ge.succArena, 1), child)
+		if mi++; mi == members {
 			mi = 0
 			ge.states[parent].ecsEnd = int32(len(ge.ecsArena))
 		}
@@ -282,7 +293,7 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 		Admit: func() bool { return ge.store.Len() < ge.opt.MaxNodes },
 		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
 			if isNew {
-				ge.states = append(ge.states, gstate{rank: -1, occ: ge.states[parent].occ + ge.occDelta[trans]})
+				ge.states = append(petri.Grow(ge.states, 1), gstate{rank: -1, occ: ge.states[parent].occ + ge.occDelta[trans]})
 			}
 			advance(parent, trans, int32(child))
 		},

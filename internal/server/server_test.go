@@ -445,6 +445,45 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBudgetEdge pins the request-body budget at its edge:
+// a valid request padded with JSON whitespace to exactly
+// maxRequestBody bytes is synthesized, and one byte more is refused
+// with 400 before the body is decoded.
+func TestRequestBodyBudgetEdge(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	app, err := json.Marshal(&synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(app, bytes.Repeat([]byte{' '}, maxRequestBody-len(app))...)
+	post := func(b []byte) (int, errorResponse) {
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("decode error body (status %d): %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, e
+	}
+
+	if status, e := post(body); status != http.StatusOK {
+		t.Fatalf("%d-byte body: status %d (%s), want 200", len(body), status, e.Error)
+	}
+	over := append(body, ' ')
+	status, e := post(over)
+	if status != http.StatusBadRequest || !strings.Contains(e.Error, "body exceeds 8388608 bytes") {
+		t.Fatalf("%d-byte body: status %d (%q), want 400 naming the 8388608-byte budget", len(over), status, e.Error)
+	}
+}
+
 // TestResponseMatchesCLI pins the service contract the smoke test
 // checks end to end: the code map and bounds of a /v1/synthesize
 // response are byte-identical to what the library path produces, both
