@@ -30,8 +30,9 @@
 #                      fault-injection matrix: heartbeat death
 #                      detection, kill/sever/delay faults over
 #                      pipe pools, and a real spawned worker SIGKILLed
-#                      mid-session with respawn + msgRestore recovery —
-#                      all asserting byte-identical output vs serial.
+#                      mid-session with respawn + re-init recovery (the
+#                      init reseeds the replica) — all asserting
+#                      byte-identical output vs serial.
 #                      QSS_CHAOS_SEED/QSS_CHAOS_ROUNDS widen the sweep
 #   make server-smoke— build the real qss-server binary, start it, and
 #                      exercise /healthz, /readyz, /metrics and a real

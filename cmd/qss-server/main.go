@@ -103,7 +103,10 @@ func realMain() int {
 	// scripts) parse it to find the server.
 	logger.Printf("qss-server: listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Request headers must arrive within 10 s, so a client that never
+	// finishes them cannot hold a connection; the handler bounds the
+	// body read itself, once the request has a synthesis slot.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

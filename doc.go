@@ -95,7 +95,12 @@
 // under every strategy, so it is not part of the synthesis cache key.
 // The command-line tools build it from -dist-workers, -dist-endpoint
 // and -freeze-levels through internal/strategyflag; the server builds
-// each request's from its Config.Pool and Config.FreezeLevels.
+// each request's from its Config.Pool and Config.FreezeLevels. Whoever
+// expands, every new state enters the store through one call,
+// petri.MarkingStore.InternChild, which names its parent and
+// transition, and every level commit is one FreezeThrough on that
+// store: inline, Drive makes both calls; on a pool, the dist
+// coordinator makes them in its own merge.
 //
 // # Distributed exploration
 //
@@ -165,7 +170,11 @@
 // segment of delta records — parent MarkID + fired transition
 // reconstructs a vector from its parent, the same insight the dist
 // wire format exploits; roots and states whose
-// parent cannot serve as a delta base are stored verbatim. The
+// parent cannot serve as a delta base are stored verbatim. The tier
+// is the store's own business: it records each state's provenance
+// when the state is interned (InternChild), keeps it only until the
+// state freezes, and freezes through a callback-free
+// FreezeThrough(end). The
 // segment lives in an unlinked temp file and is read back by mmap
 // (with a pread fallback where mmap is unavailable); only the hashes,
 // the open-addressing probe table and one segment offset per state
@@ -182,8 +191,8 @@
 // for sched.SearchStats.StoreHotBytes/StoreFrozenBytes,
 // dist.WorkerMem and the server's qss_store_hot_bytes /
 // qss_store_frozen_bytes gauges). petri.Drive freezes at each level
-// commit, inline or on a dist coordinator
-// (petri.MergeHooks.LevelClosed); dist workers, told by each session
+// commit inline, and a dist coordinator at its own level commits;
+// dist workers, told by each session
 // init whether the coordinator's store freezes, freeze their replicas
 // below each committed level, and the whole thing composes with
 // trimmed replicas — per-worker hot memory scales ~1/N AND sheds its
@@ -192,9 +201,11 @@
 // ExploreLarge net with hot residency gated at <= 0.35x the all-hot
 // store by exact byte accounting, the determinism matrix and a 50-app
 // corpus sweep run frozen configurations, and a nightly beyond-RAM
-// sweep freezes the heavy corpus end to end. Failures (temp-file or
-// write errors) silently revert to all-hot — identical results,
-// larger residency. Tree engines (EP/EP_ECS) are not
+// sweep freezes the heavy corpus end to end. Failures are handled in
+// one place, the store: without a temp file it never freezes, and a
+// segment write failure stops it freezing for good while the levels
+// frozen before stay readable — identical results, larger residency.
+// Tree engines (EP/EP_ECS) are not
 // level-synchronous and ignore the option.
 //
 // # Failure model
@@ -207,9 +218,11 @@
 // even while its TCP connection looks healthy. On a death the coordinator pauses at the last
 // committed BFS level, quiesces the survivors, respawns a replacement
 // process when it can (SpawnLocal pools; bounded retries with
-// exponential backoff and jitter) — rebuilding its trimmed replica by
-// streaming the owned store slice over msgRestore — or redistributes
-// the dead worker's shards across the survivors, then replays the
+// exponential backoff and jitter) or redistributes the dead worker's
+// shards across the survivors, re-inits the pool — each init seeds a
+// trimmed replica with the worker's owned states from the interrupted
+// level on, the same message that seeds a fresh session with its
+// roots — then replays the
 // interrupted level discarding already-merged candidates by count.
 // ReachResult, schedules and generated C stay byte-identical to a
 // fault-free run. When recovery is exhausted the failure degrades

@@ -16,11 +16,11 @@ import (
 )
 
 // Process-level chaos: kill a real spawned worker at a randomized
-// level commit and require the coordinator to respawn it, rebuild its
-// replica over msgRestore, and finish with generated C byte-identical
+// level commit and require the coordinator to respawn it, reseed its
+// replica with the re-init, and finish with generated C byte-identical
 // to the serial run. The pipe-pool matrix (package dist) covers the
 // redistribution path; this test is the respawn path end to end —
-// SIGKILL, re-exec, handshake, restore, resume.
+// SIGKILL, re-exec, handshake, re-init, resume.
 
 // spawnChaosSeed/spawnChaosRounds parameterize the kill points. CI
 // runs the pinned defaults; the nightly sweep randomizes the seed

@@ -21,8 +21,12 @@
 // Coordinator and workers speak one wire protocol (protoVersion); a
 // worker built from another tree is refused at hello with an error
 // naming both versions. Per session (one exploration), the coordinator
-// sends the net, the petri.ExpandSpec (fireable-ECS mask + place caps)
-// and the root markings once.
+// sends each worker one init, the only message that seeds a replica:
+// the net, the petri.ExpandSpec (fireable-ECS mask + place caps), the
+// bounds of the level the worker starts in, and just the worker's
+// owned (global id, vector) pairs from that level on — the roots of a
+// fresh session, or the replayed level and its successors after a
+// failover.
 //
 // The session is a pipelined stream in both directions, with no
 // per-level barrier. Workers push their candidate bytes as they
@@ -73,17 +77,19 @@
 // coordinator's merge against the authoritative store.
 //
 // Orthogonally, the frozen tier follows the coordinator. When the
-// caller's petri.Strategy sets Freeze, petri.Drive freezes the
-// authoritative store, and every session init (resumes included)
-// carries the store's FreezeEnabled flag, so each replica then moves
-// the vectors of committed levels out of its hot store into an on-disk
-// delta segment (the petri.MarkingStore frozen tier): once msgLevel
-// commits a level, states below it can never again be record parents
-// or expansion sources, so only hashes, the probe table and segment
-// offsets stay resident — the remaining per-state hot cost no longer
-// scales with the marking width. Dedup probes against old states thaw
-// vectors on demand. Workers freeze exactly when their coordinator
-// does. Results stay byte-identical either way.
+// caller's petri.Strategy sets Freeze, petri.Drive hands the session a
+// store with a frozen tier. The coordinator interns every new state
+// with its parent and transition (petri.MarkingStore.InternChild) and
+// freezes the store at its own level commits (FreezeThrough), and
+// every session init (resumes included) carries the store's
+// FreezeEnabled flag, so each replica does the same with its local
+// ids: once msgLevel commits a level, states below it can never again
+// be record parents or expansion sources, so only hashes, the probe
+// table and segment offsets stay resident — the remaining per-state
+// hot cost no longer scales with the marking width. Dedup probes
+// against old states thaw vectors on demand. Workers freeze exactly
+// when their coordinator does. Results stay byte-identical either
+// way.
 //
 // # Process management
 //
@@ -112,8 +118,9 @@
 // On a death the coordinator pauses at the last committed level,
 // quiesces the survivors, and rebuilds the pool: a SpawnLocal pool
 // re-execs a replacement process (bounded retries, exponential backoff
-// with jitter) and reloads its trimmed replica by streaming the owned
-// post-level store slice over msgRestore; a pool that cannot respawn
+// with jitter), and the re-init seeds every trimmed replica with its
+// owned slice of the store from the replayed level on; a pool that
+// cannot respawn
 // (external workers) redistributes the dead worker's shards across the
 // survivors instead. The session then replays the interrupted level
 // against the authoritative store — replayed candidates are discarded

@@ -17,11 +17,12 @@ package dist
 //     restart loop. On a death it quiesces the survivors back to their
 //     serve loops, respawns a replacement process (SpawnLocal pools;
 //     bounded jittered-backoff retries) or drops the dead worker and
-//     re-shards across the survivors, then re-inits everyone with
-//     empty roots and rebuilds each replica with one msgRestore bulk
-//     load streamed from the authoritative store. The merge replays
-//     the interrupted level, discarding the candidates whose hooks
-//     already ran (resume counts them), and continues.
+//     re-shards across the survivors, then re-inits everyone: each
+//     init seeds its worker's replica with the owned states of the
+//     interrupted level and after, read from the authoritative store.
+//     The merge replays the interrupted level, discarding the
+//     candidates whose hooks already ran (resume counts them), and
+//     continues.
 //   - exhaustion: after maxSessionRestarts failed recoveries the
 //     session errors with SessionStats.Degraded set; the pool is
 //     poisoned as before and callers fall back to in-process
@@ -79,7 +80,7 @@ var errReaderExited = errors.New("reader exited mid-session")
 // processed, so a replay can discard exactly the candidates whose
 // hooks ran before the failure.
 type resume struct {
-	active     bool // a level has begun; restores are needed on re-init
+	active     bool // a level has begun; a re-init seeds from levelStart
 	aborted    bool // a Reject hook ended the session; only the finish remains
 	levelStart int  // the level being merged: [levelStart, levelEnd)
 	levelEnd   int
@@ -169,7 +170,7 @@ func (p *Pool) recoverSession(a *attempt, wd *workerDeath) error {
 	}
 	// The dropped workers' shards move to the survivors implicitly:
 	// the next attempt re-inits with a fresh shard count for the
-	// smaller pool, and restores rebuild every replica under the new
+	// smaller pool, and the inits seed every replica under the new
 	// layout. Only the accounting happens here.
 	for _, i := range gone {
 		lo, hi := petri.OwnedShardRange(i, a.S, a.W)
@@ -412,36 +413,12 @@ func (a *attempt) awaitFrame(i int) (frame, error) {
 	}
 }
 
-// sendRestores rebuilds every worker's replica from the authoritative
-// store after a recovery re-init: each worker receives its owned states
-// of the committed level being replayed plus the uncommitted tail.
-func (a *attempt) sendRestores(store *petri.MarkingStore, rs *resume) error {
-	bounds := []int{rs.levelStart, rs.levelEnd}
-	var payload []byte
-	for i := range a.p.workers {
-		var gids []petri.MarkID
-		for id := rs.levelStart; id < store.Len(); id++ {
-			if a.owner(store, petri.MarkID(id)) == i {
-				gids = append(gids, petri.MarkID(id))
-			}
-		}
-		payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, len(gids))
-		for _, g := range gids {
-			payload = appendRestoreState(payload, g, store.At(g))
-		}
-		if err := a.p.workers[i].send(msgRestore, payload); err != nil {
-			return a.deathOf(i, fmt.Errorf("restore: %w", err))
-		}
-	}
-	return nil
-}
-
 func (a *attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
 	return petri.ShardOwner(petri.ShardOfHash(store.HashAt(id), a.S), a.S, a.W)
 }
 
-// run is one session attempt: init (plus restores when resuming), the
-// pipelined merge, and the stats epilogue. See the package comment in
+// run is one session attempt: the inits, the pipelined merge, and the
+// stats epilogue. See the package comment in
 // dist.go for the merge's shape; this is petri.Drive's sequential merge
 // consuming each owner's chunk stream as the bytes arrive. All
 // failures return as *workerDeath for the restart loop.
@@ -470,37 +447,36 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		a.streams[i].link = a.links[i]
 		a.streams[i].await = func() (frame, error) { return a.awaitFrame(i) }
 	}
-	// A resumed attempt re-inits with empty roots: the replicas are
-	// rebuilt by restore streams instead.
-	var roots []petri.Marking
-	if !rs.active {
-		roots = make([]petri.Marking, store.Len())
-		for i := range roots {
-			roots[i] = store.At(petri.MarkID(i))
-		}
+	// Each init seeds its worker with the owned states of the level it
+	// starts in and after: the roots of a fresh session, or, resuming,
+	// the interrupted level plus the uncommitted tail the merge already
+	// interned. A session a Reject hook already ended seeds nothing:
+	// only its epilogue was interrupted.
+	lo, hi := 0, store.Len()
+	if rs.active {
+		lo, hi = rs.levelStart, rs.levelEnd
 	}
+	var payload []byte
 	for i, c := range p.workers {
-		init := &initMsg{index: i, workers: W, shards: S, net: n, spec: spec, roots: roots, freeze: store.FreezeEnabled()}
-		if err := c.send(msgInit, appendInit(nil, init)); err != nil {
+		init := &initMsg{index: i, workers: W, shards: S, freeze: store.FreezeEnabled(), lo: lo, hi: hi, net: n, spec: spec}
+		for id := lo; id < store.Len() && !rs.aborted; id++ {
+			if g := petri.MarkID(id); a.owner(store, g) == i {
+				init.gids = append(init.gids, g)
+				init.vecs = append(init.vecs, store.At(g))
+			}
+		}
+		payload = appendInit(payload[:0], init)
+		if err := c.send(msgInit, payload); err != nil {
 			return a.die(i, fmt.Errorf("init: %w", err))
 		}
 	}
 	if rs.aborted {
-		// A Reject hook already ended the exploration; only the
-		// epilogue was interrupted. No restores: the workers have
-		// nothing to expand.
 		return a.finish(n, store, false)
-	}
-	if rs.active {
-		if err := a.sendRestores(store, rs); err != nil {
-			return false, err
-		}
 	}
 	var (
 		pending = make([][]petri.VecDelta, W) // per-worker record batches
 		vcaches = make([]*vecCache, W)        // per-worker cache models
 		scratch petri.Marking
-		payload = make([]byte, 0, 1<<12)
 		fires   = petri.NewFiringTable(n, spec)
 	)
 	for i := range vcaches {
@@ -554,11 +530,8 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		}
 		if levelStart == levelEnd {
 			// Exploration complete: every state is closed. Freeze the
-			// tail for parity with the in-process paths (no-op unless
-			// the store has a frozen tier).
-			if hooks.LevelClosed != nil {
-				hooks.LevelClosed(levelEnd)
-			}
+			// tail for parity with the inline mode.
+			a.freeze(store, levelEnd)
 			return a.finish(n, store, true)
 		}
 		if levelStart > 0 && !first {
@@ -584,9 +557,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 			// [levelStart, levelEnd) plus thaw-tolerant lookups. A
 			// replayed level skips this — the pre-failure attempt
 			// already froze it (FreezeThrough is idempotent anyway).
-			if hooks.LevelClosed != nil {
-				hooks.LevelClosed(levelStart)
-			}
+			a.freeze(store, levelStart)
 		}
 		p.fireLevelHook(p.stats.Levels)
 		// Sequential first-discovery merge, exactly petri.Drive's —
@@ -685,7 +656,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 						rs.cands++
 						continue
 					}
-					g, _ = store.InternHashed(scratch, h)
+					g, _ = store.InternChild(scratch, h, petri.MarkID(id), int32(trans))
 					// The record is buffered now but flushed only after the
 					// candidate completes (Edge + checkpoint): the flush is
 					// the one fallible step here, and a death between the
@@ -712,6 +683,15 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		}
 		rs.levelDone = true
 		levelStart = levelEnd
+	}
+}
+
+// freeze freezes the coordinator's store below end at a level commit.
+// After a segment write failure the store stays all-hot, and a later
+// re-init tells the workers to stop freezing too.
+func (a *attempt) freeze(store *petri.MarkingStore, end int) {
+	if err := store.FreezeThrough(end); err != nil {
+		a.p.logw.printf("%v; the store continues all-hot", err)
 	}
 }
 

@@ -115,7 +115,8 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 
 	// Severing the link mid-session is a transport error: the serve
 	// loop must exit non-nil (the process has nothing left to serve).
-	init := &initMsg{index: 0, workers: 1, shards: petri.NumFrontierShards(1), net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
+	init := &initMsg{index: 0, workers: 1, shards: petri.NumFrontierShards(1), hi: 1, net: n, spec: fullSpec(n),
+		gids: []petri.MarkID{0}, vecs: []petri.Marking{n.InitialMarking()}}
 	if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 		t.Fatal(err)
 	}

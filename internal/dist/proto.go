@@ -35,23 +35,26 @@ const (
 	// 64-bit hash so the coordinator classifies without re-firing.
 	// Liveness is probed with msgPing/msgPong and read/write deadlines,
 	// and a session survives worker death: the coordinator re-inits the
-	// pool with empty roots, rebuilds each replica by a msgRestore bulk
-	// load, and resumes the merge at the last committed level. Each
-	// init tells the worker whether to freeze its replica's committed
-	// levels. candNew hashes and shard routing use petri.HashMarking,
-	// so a change of that hash is a protocol change too. Bump it with
-	// any change to a frame layout or to the hash.
-	protoVersion = 7
-	// maxFrame bounds a single message payload; a restore bulk load is
-	// the largest message and stays far below this for any exploration
-	// that fits in memory.
+	// pool and resumes the merge at the last committed level. The init
+	// is the one message that seeds a replica: it carries the bounds of
+	// the level the worker starts in and only the worker's owned
+	// (global id, vector) pairs — the roots of a fresh session, or the
+	// states from the replayed level on after a failover — and tells
+	// the worker whether to freeze its replica's committed levels.
+	// candNew hashes and shard routing use petri.HashMarking, so a
+	// change of that hash is a protocol change too. Bump it with any
+	// change to a frame layout or to the hash.
+	protoVersion = 8
+	// maxFrame bounds a single message payload; the init that reseeds a
+	// replica after a failover is the largest message and stays far
+	// below this for any exploration that fits in memory.
 	maxFrame = 1 << 30
 )
 
 // Message types.
 const (
 	msgHello   byte = 1  // worker -> coordinator, on connect
-	msgInit    byte = 2  // coordinator -> worker, session start
+	msgInit    byte = 2  // coordinator -> worker, session start; alone seeds the replica
 	msgDone    byte = 5  // coordinator -> worker, session end
 	msgStats   byte = 7  // worker -> coordinator, reply to done
 	msgError   byte = 6  // either direction, carries a message string
@@ -61,7 +64,6 @@ const (
 	msgChunk   byte = 11 // worker -> coordinator, a slice of the candidate stream
 	msgPing    byte = 12 // coordinator -> worker, liveness probe while awaiting a frame
 	msgPong    byte = 13 // worker -> coordinator, reply to ping
-	msgRestore byte = 14 // coordinator -> worker, bulk replica rebuild after a re-init
 )
 
 // Pipelining parameters. Both sides hard-code them: the worker enforces
@@ -298,21 +300,32 @@ func checkHello(payload []byte) (pid int, err error) {
 	return int(p), nil
 }
 
-// initMsg is the decoded session-start payload. freeze is the
-// coordinator store's FreezeEnabled: the replica freezes committed
-// levels exactly when the coordinator does.
+// initMsg is the decoded session-start payload, and all a replica is
+// seeded with. [lo, hi) is the level the worker starts in: the roots
+// of a fresh session, or the level a failover replays. gids and vecs
+// are the worker's owned states from lo on, in ascending global id
+// order; after a failover they run past hi into the states the
+// interrupted merge had already interned. freeze is the coordinator
+// store's FreezeEnabled: the replica freezes committed levels exactly
+// when the coordinator does.
 type initMsg struct {
 	index, workers, shards int
+	freeze                 bool
+	lo, hi                 int
 	net                    *petri.Net
 	spec                   petri.ExpandSpec
-	roots                  []petri.Marking
-	freeze                 bool
+	gids                   []petri.MarkID
+	vecs                   []petri.Marking
 }
 
 func appendInit(dst []byte, m *initMsg) []byte {
-	dst = binary.AppendUvarint(dst, uint64(m.index))
-	dst = binary.AppendUvarint(dst, uint64(m.workers))
-	dst = binary.AppendUvarint(dst, uint64(m.shards))
+	freeze := uint64(0)
+	if m.freeze {
+		freeze = 1
+	}
+	for _, v := range []uint64{uint64(m.index), uint64(m.workers), uint64(m.shards), freeze, uint64(m.lo), uint64(m.hi)} {
+		dst = binary.AppendUvarint(dst, v)
+	}
 	dst = petri.AppendNet(dst, m.net)
 	dst = binary.AppendUvarint(dst, uint64(len(m.spec.Mask)))
 	for _, w := range m.spec.Mask {
@@ -323,15 +336,12 @@ func appendInit(dst []byte, m *initMsg) []byte {
 		// Caps are >= -1; shift by one so "unbounded" encodes as 0.
 		dst = binary.AppendUvarint(dst, uint64(cp+1))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.roots)))
-	for _, r := range m.roots {
-		dst = petri.AppendMarking(dst, r)
+	dst = binary.AppendUvarint(dst, uint64(len(m.gids)))
+	for i, g := range m.gids {
+		dst = binary.AppendUvarint(dst, uint64(g))
+		dst = petri.AppendMarking(dst, m.vecs[i])
 	}
-	freeze := uint64(0)
-	if m.freeze {
-		freeze = 1
-	}
-	return binary.AppendUvarint(dst, freeze)
+	return dst
 }
 
 func decodeInit(buf []byte) (*initMsg, error) {
@@ -345,11 +355,13 @@ func decodeInit(buf []byte) (*initMsg, error) {
 		return v
 	}
 	m.index, m.workers, m.shards = int(u()), int(u()), int(u())
+	freeze := u()
+	m.freeze, m.lo, m.hi = freeze == 1, int(u()), int(u())
 	if err != nil {
 		return nil, fmt.Errorf("dist: init header: %w", err)
 	}
-	if m.workers < 1 || m.index < 0 || m.index >= m.workers || m.shards < 1 {
-		return nil, fmt.Errorf("dist: init header out of range (index %d, workers %d, shards %d)", m.index, m.workers, m.shards)
+	if m.workers < 1 || m.index < 0 || m.index >= m.workers || m.shards < 1 || freeze > 1 || m.lo < 0 || m.lo > m.hi {
+		return nil, fmt.Errorf("dist: init header out of range (index %d, workers %d, shards %d, freeze %d, level [%d,%d))", m.index, m.workers, m.shards, freeze, m.lo, m.hi)
 	}
 	m.net, buf, err = petri.DecodeNet(buf)
 	if err != nil {
@@ -379,29 +391,29 @@ func decodeInit(buf []byte) (*initMsg, error) {
 	for i := range m.spec.Caps {
 		m.spec.Caps[i] = int(u()) - 1
 	}
-	nr := u()
-	if err == nil && nr > uint64(len(buf)) {
-		err = fmt.Errorf("root count %d exceeds payload", nr)
+	ns := u()
+	if err == nil && ns > uint64(len(buf)) {
+		err = fmt.Errorf("state count %d exceeds payload", ns)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("dist: init roots: %w", err)
+		return nil, fmt.Errorf("dist: init states: %w", err)
 	}
-	for i := uint64(0); i < nr; i++ {
-		var r petri.Marking
-		r, buf, err = petri.DecodeMarking(buf)
-		if err != nil {
-			return nil, fmt.Errorf("dist: init root %d: %w", i, err)
+	for i := uint64(0); i < ns; i++ {
+		g := u()
+		if err == nil && g >= uint64(petri.NoMark) {
+			err = fmt.Errorf("id %d out of range", g)
 		}
-		m.roots = append(m.roots, r)
+		if err != nil {
+			return nil, fmt.Errorf("dist: init state %d: %w", i, err)
+		}
+		var vec petri.Marking
+		vec, buf, err = petri.DecodeMarking(buf)
+		if err != nil {
+			return nil, fmt.Errorf("dist: init state %d: %w", i, err)
+		}
+		m.gids = append(m.gids, petri.MarkID(g))
+		m.vecs = append(m.vecs, vec)
 	}
-	freeze := u()
-	if err == nil && freeze > 1 {
-		err = fmt.Errorf("flag %d is not 0 or 1", freeze)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dist: init freeze: %w", err)
-	}
-	m.freeze = freeze == 1
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("dist: init payload has %d trailing bytes", len(buf))
 	}
@@ -433,84 +445,6 @@ func decodeLevel(buf []byte) (start, end int, err error) {
 		return 0, 0, fmt.Errorf("dist: level commit has %d trailing bytes", len(buf))
 	}
 	return int(s), int(e), nil
-}
-
-// restoreMsg is the replica rebuild sent right after a recovery re-init
-// (whose roots are empty): resumeFrom is the start of the level the
-// merge will replay, bounds are the committed level starts plus the
-// uncommitted level's start (the worker's pin table), and states are
-// the worker's owned (global id, vector) pairs at or past resumeFrom,
-// in ascending id order.
-type restoreMsg struct {
-	resumeFrom int
-	bounds     []int
-	gids       []petri.MarkID
-	vecs       []petri.Marking
-}
-
-func appendRestoreHeader(dst []byte, resumeFrom int, bounds []int, states int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(resumeFrom))
-	dst = binary.AppendUvarint(dst, uint64(len(bounds)))
-	for _, b := range bounds {
-		dst = binary.AppendUvarint(dst, uint64(b))
-	}
-	return binary.AppendUvarint(dst, uint64(states))
-}
-
-func appendRestoreState(dst []byte, gid petri.MarkID, vec petri.Marking) []byte {
-	dst = binary.AppendUvarint(dst, uint64(gid))
-	return petri.AppendMarking(dst, vec)
-}
-
-func decodeRestore(buf []byte) (*restoreMsg, error) {
-	m := &restoreMsg{}
-	var err error
-	u := func() uint64 {
-		var v uint64
-		if err == nil {
-			v, buf, err = decodeUvarint(buf)
-		}
-		return v
-	}
-	m.resumeFrom = int(u())
-	nb := u()
-	if err == nil && nb > uint64(len(buf)) {
-		err = fmt.Errorf("bound count %d exceeds payload", nb)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dist: restore header: %w", err)
-	}
-	m.bounds = make([]int, nb)
-	for i := range m.bounds {
-		m.bounds[i] = int(u())
-	}
-	ns := u()
-	if err == nil && ns > uint64(len(buf)) {
-		err = fmt.Errorf("state count %d exceeds payload", ns)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dist: restore bounds: %w", err)
-	}
-	for i := uint64(0); i < ns; i++ {
-		g := u()
-		if err == nil && g >= uint64(petri.NoMark) {
-			err = fmt.Errorf("id %d out of range", g)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dist: restore state %d: %w", i, err)
-		}
-		var vec petri.Marking
-		vec, buf, err = petri.DecodeMarking(buf)
-		if err != nil {
-			return nil, fmt.Errorf("dist: restore state %d: %w", i, err)
-		}
-		m.gids = append(m.gids, petri.MarkID(g))
-		m.vecs = append(m.vecs, vec)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("dist: restore payload has %d trailing bytes", len(buf))
-	}
-	return m, nil
 }
 
 // WorkerMem is one worker's end-of-session replica accounting, shipped

@@ -20,6 +20,9 @@ func hugeMaskInit() []byte {
 	b := binary.AppendUvarint(nil, 0) // index
 	b = binary.AppendUvarint(b, 1)    // workers
 	b = binary.AppendUvarint(b, 1)    // shards
+	b = binary.AppendUvarint(b, 0)    // freeze
+	b = binary.AppendUvarint(b, 0)    // level start
+	b = binary.AppendUvarint(b, 1)    // level end
 	b = petri.AppendNet(b, ringNet(1, 2))
 	return binary.AppendUvarint(b, 1<<61)
 }
@@ -84,17 +87,6 @@ var frameDecoders = map[byte]func([]byte) ([]byte, error){
 		start, end, err := decodeLevel(b)
 		return appendLevel(nil, start, end), err
 	},
-	msgRestore: func(b []byte) ([]byte, error) {
-		m, err := decodeRestore(b)
-		if err != nil {
-			return nil, err
-		}
-		enc := appendRestoreHeader(nil, m.resumeFrom, m.bounds, len(m.gids))
-		for i, g := range m.gids {
-			enc = appendRestoreState(enc, g, m.vecs[i])
-		}
-		return enc, nil
-	},
 	msgStats: func(b []byte) ([]byte, error) {
 		m, err := decodeStats(b)
 		return appendStats(nil, m), err
@@ -139,7 +131,7 @@ func decodeChunk(b []byte) ([]byte, error) {
 // FuzzDistFrames feeds arbitrary (type, payload) frames to every
 // decoder that runs on bytes from a peer — the coordinator's hello
 // check, candidate-chunk cursor and stats decoder, and the worker's
-// init, record, level-commit and restore decoders. No input may panic,
+// init, record and level-commit decoders. No input may panic,
 // and every malformed one must be rejected: an accepted payload must
 // re-encode to a canonical form that decodes to itself and is no longer
 // than the input (only padded varints may shrink), and strict prefixes

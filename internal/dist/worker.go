@@ -51,39 +51,34 @@ type replica struct {
 
 	// gids maps the store's dense local ids to the coordinator's global
 	// MarkIDs (strictly ascending, so the inverse is a binary search),
-	// vcache holds boundary-parent vectors in lockstep with the
-	// coordinator, and rootCount is the number of init roots, owned or
-	// not — the first level's global-id range.
-	gids      []petri.MarkID
-	vcache    *vecCache
-	rootCount int
-
-	// fwin buffers per-local-state provenance for the store's frozen
-	// tier; nil when freezing is off. The init's freeze flag turns the
-	// tier on: once the coordinator commits a level, states below it can
-	// never again be record parents or expansion sources, so only their
-	// hashes and segment offsets stay resident — the per-worker
-	// footprint shrinks on top of what trimming already saves.
-	fwin *petri.FreezeWindow
+	// and vcache holds boundary-parent vectors in lockstep with the
+	// coordinator.
+	gids   []petri.MarkID
+	vcache *vecCache
 
 	index, workers, shards int
 }
 
-// interned records the local state just interned — its global id g and
-// its freeze provenance p — and returns its enabled-set words for the
-// caller to fill with tracker.Init or Update. Every intern site calls
-// it exactly once, in intern order. gids and bits grow by petri.Grow's
-// doubling rule.
-func (r *replica) interned(g petri.MarkID, p petri.FreezeProv) []uint64 {
-	if r.fwin != nil {
-		r.fwin.Append(p)
-	}
+// interned records the global id g of the local state just interned
+// and returns its enabled-set words for the caller to fill with
+// tracker.Init or Update. Every intern site calls it exactly once, in
+// intern order. gids and bits grow by petri.Grow's doubling rule.
+func (r *replica) interned(g petri.MarkID) []uint64 {
 	r.gids = append(petri.Grow(r.gids, 1), g)
 	base := len(r.bits)
 	r.bits = petri.Grow(r.bits, r.stride)[:base+r.stride]
 	return r.bits[base:]
 }
 
+// newReplica builds a session's replica from its init alone: the
+// worker's owned states from the init's level on, interned in
+// ascending global id order with their enabled sets computed from
+// scratch (tracker.Init and the incremental Update agree bit for bit).
+// With the init's freeze flag set, the store's frozen tier is on: once
+// the coordinator commits a level, states below it can never again be
+// record parents or expansion sources, so only their hashes and segment
+// offsets stay resident — the per-worker footprint shrinks on top of
+// what trimming already saves.
 func newReplica(m *initMsg) (*replica, error) {
 	r := &replica{
 		net:     m.net,
@@ -105,24 +100,30 @@ func newReplica(m *initMsg) (*replica, error) {
 	r.fires = petri.NewFiringTable(r.net, r.spec)
 	r.vcache = newVecCache()
 	if m.freeze {
-		if err := r.store.EnableFreeze(petri.FreezeConfig{Deltas: r.net.TokenDeltas()}); err == nil {
-			r.fwin = &petri.FreezeWindow{}
-		}
+		// Without a segment file the replica runs all-hot.
+		_ = r.store.EnableFreeze(r.net.TokenDeltas())
 	}
-	r.rootCount = len(m.roots)
-	for i, root := range m.roots {
-		if len(root) != len(r.net.Places) {
-			return nil, fmt.Errorf("dist: root %d has %d places, net has %d", i, len(root), len(r.net.Places))
+	for i, vec := range m.vecs {
+		g := m.gids[i]
+		if len(vec) != len(r.net.Places) {
+			return nil, fmt.Errorf("dist: init state %d has %d places, net has %d", g, len(vec), len(r.net.Places))
 		}
-		h := petri.HashMarking(root)
+		if int(g) < m.lo {
+			return nil, fmt.Errorf("dist: init state %d below level start %d", g, m.lo)
+		}
+		if n := len(r.gids); n > 0 && r.gids[n-1] >= g {
+			return nil, fmt.Errorf("dist: init state %d not ascending (last %d)", g, r.gids[n-1])
+		}
+		h := petri.HashMarking(vec)
 		if !r.ownsHash(h) {
-			continue
+			return nil, fmt.Errorf("dist: init state %d routes outside this worker's shards", g)
 		}
-		if _, isNew := r.store.InternHashed(root, h); !isNew {
-			return nil, fmt.Errorf("dist: duplicate root %d", i)
+		id, isNew := r.store.InternHashed(vec, h)
+		if !isNew {
+			return nil, fmt.Errorf("dist: init state %d duplicates state %d", g, r.gids[id])
 		}
-		// Roots freeze verbatim.
-		r.tracker.Init(r.interned(petri.MarkID(i), petri.FreezeProv{Parent: petri.NoMark}), root)
+		// Seeded states freeze verbatim.
+		r.tracker.Init(r.interned(g), r.store.At(id))
 	}
 	return r, nil
 }
@@ -185,65 +186,20 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	if !r.ownsHash(h) {
 		return fmt.Errorf("dist: record child %d routes outside this worker's shards", rec.Child)
 	}
-	id, isNew := r.store.InternHashed(r.scratch, h)
+	// Provenance is in LOCAL ids: a non-owned parent (shipped or cached
+	// vector) has none (NoMark), so the child freezes verbatim.
+	id, isNew := r.store.InternChild(r.scratch, h, parentLocal, rec.Trans)
 	if !isNew {
 		return fmt.Errorf("dist: record (%d, %s) re-discovers state %d", rec.Parent, t.Name, r.gids[id])
 	}
 	if n := len(r.gids); n > 0 && r.gids[n-1] >= rec.Child {
 		return fmt.Errorf("dist: record child %d not ascending (last %d)", rec.Child, r.gids[n-1])
 	}
-	// Provenance is in LOCAL ids: a non-owned parent (shipped or cached
-	// vector) has none, so the child freezes verbatim.
-	bits := r.interned(rec.Child, petri.FreezeProv{Parent: parentLocal, Trans: rec.Trans})
+	bits := r.interned(rec.Child)
 	if parentLocal != petri.NoMark {
 		r.tracker.Update(bits, r.bits[int(parentLocal)*r.stride:(int(parentLocal)+1)*r.stride], int(rec.Trans), r.store.At(id))
 	} else {
 		r.tracker.Init(bits, r.store.At(id))
-	}
-	return nil
-}
-
-// applyRestore rebuilds a fresh replica from a bulk load (see
-// restoreMsg): every shipped state is interned in ascending global id
-// order with its enabled set recomputed from scratch (tracker.Init and
-// the incremental Update agree bit-for-bit). The replica receives only
-// owned states at or past the resume point — the states it may still
-// have to expand or route records through; everything older was fully
-// merged before the failure and can only come back as a candNew the
-// coordinator resolves by hash.
-func (r *replica) applyRestore(m *restoreMsg) error {
-	if r.store.Len() != 0 || len(r.gids) != 0 {
-		return fmt.Errorf("dist: restore into a non-empty replica (%d states)", r.store.Len())
-	}
-	if len(m.bounds) < 2 || m.bounds[0] != m.resumeFrom {
-		return fmt.Errorf("dist: restore bounds %v do not start at resume point %d", m.bounds, m.resumeFrom)
-	}
-	for i := 1; i < len(m.bounds); i++ {
-		if m.bounds[i] < m.bounds[i-1] {
-			return fmt.Errorf("dist: restore bounds %v not ascending", m.bounds)
-		}
-	}
-	for i, vec := range m.vecs {
-		g := m.gids[i]
-		if len(vec) != len(r.net.Places) {
-			return fmt.Errorf("dist: restore state %d has %d places, net has %d", g, len(vec), len(r.net.Places))
-		}
-		h := petri.HashMarking(vec)
-		if !r.ownsHash(h) {
-			return fmt.Errorf("dist: restore state %d routes outside this worker's shards", g)
-		}
-		if int(g) < m.resumeFrom {
-			return fmt.Errorf("dist: restore state %d below resume point %d", g, m.resumeFrom)
-		}
-		if n := len(r.gids); n > 0 && r.gids[n-1] >= g {
-			return fmt.Errorf("dist: restore state %d not ascending (last %d)", g, r.gids[n-1])
-		}
-		id, isNew := r.store.InternHashed(vec, h)
-		if !isNew {
-			return fmt.Errorf("dist: restore re-interns state %d as local %d", g, id)
-		}
-		// Restored states freeze verbatim.
-		r.tracker.Init(r.interned(g, petri.FreezeProv{Parent: petri.NoMark}), r.store.At(id))
 	}
 	return nil
 }
@@ -323,21 +279,12 @@ func (r *replica) classify(ph uint64, tid int, full bool) (petri.MarkID, uint64,
 // records can only name parents inside the committed level, and
 // expansion never revisits a state, so nothing hot-path reads their
 // vectors again (dedup probes and candKnown resolution thaw on
-// demand). No-op unless the session's init armed the store; a
-// segment write failure permanently reverts the session to all-hot.
-func (r *replica) freezeCommitted(start int, cursor petri.MarkID) {
-	if r.fwin == nil {
-		return
-	}
+// demand). No-op unless the session's init armed the store; a segment
+// write failure, reported once, leaves the replica all-hot from there
+// on.
+func (r *replica) freezeCommitted(start int, cursor petri.MarkID) error {
 	floor := sort.Search(len(r.gids), func(i int) bool { return int(r.gids[i]) >= start })
-	if int(cursor) < floor {
-		floor = int(cursor)
-	}
-	if err := r.store.FreezeThrough(floor, r.fwin.Prov); err != nil {
-		r.fwin = nil
-		return
-	}
-	r.fwin.Drop(r.store.FrozenLen())
+	return r.store.FreezeThrough(min(floor, int(cursor)))
 }
 
 // memStats summarizes the replica's memory for the end-of-session
@@ -453,9 +400,9 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 	defer c.clearRead()
 	defer c.clearWrite()
 	shardLo, shardHi := petri.OwnedShardRange(r.index, r.shards, r.workers)
-	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d, %d roots (%d owned)",
+	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d, level [%d,%d), %d states seeded",
 		r.net.Name, len(r.net.Places), len(r.net.Transitions), r.index, r.workers,
-		shardLo, shardHi, r.shards, r.rootCount, r.store.Len())
+		shardLo, shardHi, r.shards, init.lo, init.hi, r.store.Len())
 
 	// bounds holds the committed level starts plus, at bounds[len-1],
 	// the start of the level records are currently building. Records
@@ -463,12 +410,11 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 	// expandable state — the largest bound at or below its global id —
 	// is already final when the state arrives, whatever the stream
 	// timing: that is what keeps the emitted bytes deterministic.
-	bounds := []int{0, r.rootCount}
+	bounds := []int{init.lo, init.hi}
 	pinIdx := 0
 	cursor := petri.MarkID(0) // next local store id to expand
 	unacked := 0              // chunks in flight, bounded by chunkWindow
 	chunks := 0
-	virgin := true // no session traffic yet; a restore must come first
 
 	var buf []byte
 	var recs []petri.VecDelta
@@ -507,7 +453,7 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 		}
 		return nil
 	}
-	if err := pump(); err != nil { // the roots are expandable immediately
+	if err := pump(); err != nil { // the seeded states are expandable immediately
 		return err
 	}
 
@@ -528,27 +474,7 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 			if err := c.send(msgPong, nil); err != nil {
 				return transportErr(err)
 			}
-		case msgRestore:
-			if !virgin {
-				return fmt.Errorf("dist: restore after session traffic")
-			}
-			virgin = false
-			m, err := decodeRestore(payload)
-			if err != nil {
-				return err
-			}
-			if err := r.applyRestore(m); err != nil {
-				return err
-			}
-			bounds = append(bounds[:0], m.bounds...)
-			pinIdx = 0
-			cursor = 0
-			logw.printf("restored %d states (resume at %d, %d bounds)", r.store.Len(), m.resumeFrom, len(m.bounds))
-			if err := pump(); err != nil {
-				return err
-			}
 		case msgRecords:
-			virgin = false
 			lo := bounds[len(bounds)-1]
 			var rest []byte
 			recs, rest, err = petri.DecodeVecDeltas(recs[:0], payload)
@@ -570,7 +496,6 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 				return err
 			}
 		case msgLevel:
-			virgin = false
 			start, end, err := decodeLevel(payload)
 			if err != nil {
 				return err
@@ -582,7 +507,9 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 				return fmt.Errorf("dist: level commit [%d,%d) but record child %d already interned", start, end, r.gids[n-1])
 			}
 			bounds = append(bounds, end)
-			r.freezeCommitted(start, cursor)
+			if err := r.freezeCommitted(start, cursor); err != nil {
+				logw.printf("%v; the replica continues all-hot", err)
+			}
 			if err := pump(); err != nil {
 				return err
 			}

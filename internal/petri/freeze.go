@@ -16,10 +16,12 @@ import (
 // the scaling wall of large explorations. FreezeThrough evicts the
 // vectors of closed levels into an append-only, delta-compressed
 // segment file — one record per state, holding either the verbatim
-// vector (roots, or states whose provenance the caller cannot name) or
+// vector (roots, or states interned without a nameable parent) or
 // just (parent-id gap, transition): the child vector is the parent's
 // plus the transition's net token effect, the same reconstruction
-// insight the dist wire format exploits. Hot memory for a frozen state
+// insight the dist wire format exploits. The store records that
+// provenance itself when a successor is interned (InternChild) and
+// keeps it only until the state freezes. Hot memory for a frozen state
 // is its hash (8B), probe-table slot (4B) and segment offset (8B) —
 // independent of the number of places.
 //
@@ -71,57 +73,13 @@ func (n *Net) TokenDeltas() [][]PlaceDelta {
 	return out
 }
 
-// FreezeProv names the provenance of one interned state for delta
-// encoding: the state's vector equals At(Parent) plus the token deltas
-// of Trans. Parent == NoMark (or a parent that is not an earlier id)
-// stores the vector verbatim instead — roots, and states whose
-// first-discovery parent the caller no longer knows.
-type FreezeProv struct {
-	Parent MarkID
-	Trans  int32
-}
-
-// FreezeConfig configures a store's frozen tier.
-type FreezeConfig struct {
-	// Deltas is the per-transition sparse token effect, as returned by
-	// Net.TokenDeltas on the net whose markings the store interns.
-	// Required: reconstruction applies these without consulting the net.
-	Deltas [][]PlaceDelta
-	// Dir is where the segment file is created ("" = os.TempDir()). On
-	// platforms that allow it the file is unlinked immediately after
-	// creation, so it never outlives the process.
-	Dir string
-	// ThawCap bounds the thawed-vector cache (0 = 256 entries).
-	ThawCap int
-}
-
-// FreezeWindow buffers per-state provenance between level commits: the
-// explorer appends one FreezeProv per interned state (in MarkID order)
-// and drops everything below the frozen boundary after each
-// FreezeThrough, so the window's footprint is the unfrozen tail, not
-// the whole exploration.
-type FreezeWindow struct {
-	base int
-	prov []FreezeProv
-}
-
-// Append records the provenance of the next interned state.
-func (w *FreezeWindow) Append(p FreezeProv) { w.prov = append(w.prov, p) }
-
-// Prov returns the provenance of state id; id must be at or above the
-// last Drop boundary.
-func (w *FreezeWindow) Prov(id MarkID) FreezeProv { return w.prov[int(id)-w.base] }
-
-// Drop releases the provenance of states below end (typically the new
-// frozen boundary).
-func (w *FreezeWindow) Drop(end int) {
-	if end <= w.base {
-		return
-	}
-	keep := w.prov[end-w.base:]
-	nw := make([]FreezeProv, len(keep))
-	copy(nw, keep)
-	w.prov, w.base = nw, end
+// prov is the provenance of one unfrozen state for delta encoding:
+// its vector is the vector gap ids below it plus the token deltas of
+// trans. gap 0 stores the vector verbatim instead — roots, and states
+// whose parent the interning caller could not name as an earlier id.
+type prov struct {
+	gap   uint32
+	trans int32
 }
 
 // StoreMem is the unified store-memory accounting: exact live byte
@@ -130,7 +88,8 @@ func (w *FreezeWindow) Drop(end int) {
 // and machines (the property CI's memory gates rely on).
 type StoreMem struct {
 	// HotBytes is everything resident: the hot token arena, all hashes,
-	// the probe table, and the frozen tier's per-state segment offsets.
+	// the probe table, and the frozen tier's per-state segment offsets
+	// and the provenance it keeps for unfrozen states.
 	HotBytes int64
 	// FrozenBytes is the length of the on-disk delta segment.
 	FrozenBytes int64
@@ -151,6 +110,9 @@ const (
 // chain's verbatim root.
 const thawCacheStride = 16
 
+// thawCap bounds the thawed-vector cache, in vectors.
+const thawCap = 256
+
 // frozenTier is the cold half of a MarkingStore (see the file comment).
 type frozenTier struct {
 	end    int // ids [0, end) are frozen; mirrors MarkingStore.frozenEnd
@@ -162,6 +124,12 @@ type frozenTier struct {
 	data   []byte // mmap of [0, size); nil = pread fallback
 	noMmap bool
 	wbuf   []byte // encode buffer reused across FreezeThrough calls
+	// prov holds the provenance of the unfrozen ids: prov[i] is id
+	// end+i's, recorded at intern and dropped once the id freezes.
+	prov []prov
+	// failed is set by a segment write failure: the tier stops freezing
+	// and recording provenance, and serves the ids it froze before.
+	failed bool
 
 	// mu guards the thaw path: At on a frozen id is safe from any
 	// number of goroutines (unlike interning and FreezeThrough, which
@@ -170,7 +138,6 @@ type frozenTier struct {
 	cache   map[MarkID]Marking
 	fifo    []MarkID
 	head    int
-	cap     int
 	scratch []byte // pread buffer
 }
 
@@ -188,34 +155,33 @@ func (fz *frozenTier) release() {
 	}
 }
 
-// FreezeEnabled reports whether EnableFreeze has been called.
-func (s *MarkingStore) FreezeEnabled() bool { return s.frozen != nil }
+// FreezeEnabled reports whether the store freezes: EnableFreeze
+// succeeded and no segment write has failed since.
+func (s *MarkingStore) FreezeEnabled() bool { return s.frozen != nil && !s.frozen.failed }
 
 // FrozenLen returns the number of frozen states (ids [0, FrozenLen())
 // live in the segment, the rest in the hot arena).
 func (s *MarkingStore) FrozenLen() int { return s.frozenEnd }
 
-// EnableFreeze attaches a frozen tier to the store. Call before
-// exploration (the tier must see every FreezeThrough from id 0);
-// freezing an already-populated store is supported as long as nothing
-// was frozen yet. Enabling costs one temp file; no state moves until
-// FreezeThrough.
-func (s *MarkingStore) EnableFreeze(cfg FreezeConfig) error {
+// EnableFreeze attaches a frozen tier to the store; deltas is the
+// per-transition sparse token effect (Net.TokenDeltas of the net whose
+// markings the store interns), which reconstruction applies without
+// consulting the net. Call it before anything freezes; states interned
+// before it freeze verbatim. Enabling costs one temp file; no state
+// moves until FreezeThrough.
+func (s *MarkingStore) EnableFreeze(deltas [][]PlaceDelta) error {
 	if s.frozen != nil {
 		return fmt.Errorf("petri: freeze already enabled")
 	}
-	f, err := os.CreateTemp(cfg.Dir, "qss-frozen-*.seg")
+	f, err := os.CreateTemp("", "qss-frozen-*.seg")
 	if err != nil {
 		return fmt.Errorf("petri: freeze segment: %w", err)
 	}
 	fz := &frozenTier{
-		deltas: cfg.Deltas,
+		deltas: deltas,
 		f:      f,
+		prov:   make([]prov, s.Len()),
 		cache:  map[MarkID]Marking{},
-		cap:    cfg.ThawCap,
-	}
-	if fz.cap <= 0 {
-		fz.cap = 256
 	}
 	// Unlink immediately where the OS allows reading an unlinked open
 	// file, so a killed process leaks nothing; keep the path (and let
@@ -229,38 +195,35 @@ func (s *MarkingStore) EnableFreeze(cfg FreezeConfig) error {
 }
 
 // FreezeThrough evicts states [FrozenLen(), end) from the hot arena
-// into the segment. prov names each state's provenance (see
-// FreezeProv); it is consulted once per newly frozen id, in order. The
-// call is a mutation like Intern: serialize it against interning AND
-// against concurrent readers. end is clamped to Len(); an end at or
-// below the current boundary is a no-op, so level-commit call sites
-// need no idempotence bookkeeping of their own. A store without
-// EnableFreeze ignores the call entirely.
+// into the segment, each as a delta off the parent it was interned
+// with (InternChild) or verbatim. The call is a mutation like Intern:
+// serialize it against interning AND against concurrent readers. end
+// is clamped to Len(); an end at or below the current boundary is a
+// no-op, so level-commit call sites need no idempotence bookkeeping of
+// their own. A store without a working frozen tier ignores the call.
+//
+// A segment write failure is returned once, and the store then stops
+// freezing for good: the rest of the exploration runs all-hot, and the
+// ids frozen before the failure stay readable.
 //
 // Callers must only freeze CLOSED states — states whose outgoing edges
 // are fully recorded and that no hot loop still holds a page view of.
 // Old views stay valid (a token page wholly below the new boundary is
 // released, never mutated), but every later At of a frozen id pays the
 // reconstruction walk.
-func (s *MarkingStore) FreezeThrough(end int, prov func(MarkID) FreezeProv) error {
+func (s *MarkingStore) FreezeThrough(end int) error {
 	fz := s.frozen
-	if fz == nil {
-		return nil
-	}
-	if end > s.Len() {
-		end = s.Len()
-	}
-	if end <= s.frozenEnd {
+	end = min(end, s.Len())
+	if !s.FreezeEnabled() || end <= s.frozenEnd {
 		return nil
 	}
 	buf := fz.wbuf[:0]
 	for id := s.frozenEnd; id < end; id++ {
 		fz.offs = append(fz.offs, fz.size+int64(len(buf)))
-		p := prov(MarkID(id))
-		if p.Parent != NoMark && int(p.Parent) < id && int(p.Trans) < len(fz.deltas) {
+		if p := fz.prov[id-s.frozenEnd]; p.gap != 0 && uint(p.trans) < uint(len(fz.deltas)) {
 			buf = append(buf, frozenDelta)
-			buf = binary.AppendUvarint(buf, uint64(id-int(p.Parent)))
-			buf = binary.AppendUvarint(buf, uint64(p.Trans))
+			buf = binary.AppendUvarint(buf, uint64(p.gap))
+			buf = binary.AppendUvarint(buf, uint64(p.trans))
 			continue
 		}
 		buf = append(buf, frozenVerbatim)
@@ -268,13 +231,14 @@ func (s *MarkingStore) FreezeThrough(end int, prov func(MarkID) FreezeProv) erro
 			buf = binary.AppendUvarint(buf, uint64(v))
 		}
 	}
+	fz.wbuf = buf[:0]
 	if _, err := fz.f.WriteAt(buf, fz.size); err != nil {
 		fz.offs = fz.offs[:s.frozenEnd]
-		fz.wbuf = buf[:0]
+		fz.prov, fz.failed = nil, true
 		return fmt.Errorf("petri: freeze segment write: %w", err)
 	}
 	fz.size += int64(len(buf))
-	fz.wbuf = buf[:0]
+	fz.prov = append([]prov(nil), fz.prov[end-s.frozenEnd:]...)
 	// Release every token page wholly below the new boundary; a page
 	// that still holds hot ids stays until a later call frees it.
 	// Outstanding views into a released page stay valid — its contents
@@ -335,11 +299,11 @@ func (fz *frozenTier) insert(id MarkID, v Marking) {
 	if _, ok := fz.cache[id]; ok {
 		return
 	}
-	if len(fz.cache) >= fz.cap {
+	if len(fz.cache) >= thawCap {
 		old := fz.fifo[fz.head]
 		delete(fz.cache, old)
 		fz.fifo[fz.head] = id
-		fz.head = (fz.head + 1) % fz.cap
+		fz.head = (fz.head + 1) % thawCap
 	} else {
 		fz.fifo = append(fz.fifo, id)
 	}

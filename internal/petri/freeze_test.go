@@ -39,18 +39,18 @@ func TestTokenDeltas(t *testing.T) {
 }
 
 // freezeChainStore builds a store holding a root plus a delta chain of
-// markings (alternating two synthetic transitions), returning the
-// store, the expected vectors, and the provenance function the chain
-// implies. Token values exceed one uvarint byte to exercise multi-byte
-// verbatim encoding.
-func freezeChainStore(t *testing.T, states int) (*MarkingStore, []Marking, func(MarkID) FreezeProv) {
+// markings (alternating two synthetic transitions), each successor
+// interned with its parent and transition, and returns the store and
+// the expected vectors. Token values exceed one uvarint byte to
+// exercise multi-byte verbatim encoding.
+func freezeChainStore(t *testing.T, states int) (*MarkingStore, []Marking) {
 	t.Helper()
 	deltas := [][]PlaceDelta{
 		{{Place: 0, Delta: 1}, {Place: 2, Delta: -1}},
 		{{Place: 1, Delta: 3}, {Place: 2, Delta: 2}},
 	}
 	s := NewMarkingStore(3)
-	if err := s.EnableFreeze(FreezeConfig{Deltas: deltas, ThawCap: 8}); err != nil {
+	if err := s.EnableFreeze(deltas); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)
 	}
 	vecs := []Marking{{200, 0, 500}}
@@ -63,17 +63,11 @@ func freezeChainStore(t *testing.T, states int) (*MarkingStore, []Marking, func(
 		vecs = append(vecs, next)
 	}
 	for i, v := range vecs {
-		if id, isNew := s.Intern(v); !isNew || int(id) != i {
+		if id, isNew := s.InternChild(v, HashMarking(v), MarkID(i-1), int32(i%2)); !isNew || int(id) != i {
 			t.Fatalf("intern %d = (%d, %v)", i, id, isNew)
 		}
 	}
-	prov := func(id MarkID) FreezeProv {
-		if id == 0 {
-			return FreezeProv{Parent: NoMark}
-		}
-		return FreezeProv{Parent: id - 1, Trans: int32(id % 2)}
-	}
-	return s, vecs, prov
+	return s, vecs
 }
 
 // TestFreezeThawRoundTrip: freeze in waves, read everything back —
@@ -81,11 +75,11 @@ func freezeChainStore(t *testing.T, states int) (*MarkingStore, []Marking, func(
 // (vector-exact and hash-only) resolve across the boundary, and views
 // taken before a freeze stay valid after it.
 func TestFreezeThawRoundTrip(t *testing.T) {
-	const states = 100
-	s, vecs, prov := freezeChainStore(t, states)
+	const states = 4 * thawCap
+	s, vecs := freezeChainStore(t, states)
 	earlyView := s.At(3)
 	for _, end := range []int{1, 7, 7, 5, 40, states} { // repeats and regressions are no-ops
-		if err := s.FreezeThrough(end, prov); err != nil {
+		if err := s.FreezeThrough(end); err != nil {
 			t.Fatalf("FreezeThrough(%d): %v", end, err)
 		}
 	}
@@ -106,8 +100,8 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 			t.Fatalf("LookupHash of state %d = (%d, %v)", i, id, ok)
 		}
 	}
-	// Random access pattern: thaw-cache eviction (cap 8, chain 100)
-	// must never change what At returns.
+	// Random access pattern: thaw-cache eviction (a chain four times
+	// the cache) must never change what At returns.
 	rng := rand.New(rand.NewSource(7))
 	for r := 0; r < 400; r++ {
 		i := rng.Intn(states)
@@ -131,19 +125,22 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 // vector verbatim and still round-trips.
 func TestFreezeVerbatimFallback(t *testing.T) {
 	s := NewMarkingStore(2)
-	if err := s.EnableFreeze(FreezeConfig{Deltas: [][]PlaceDelta{{{Place: 0, Delta: 1}}}}); err != nil {
+	if err := s.EnableFreeze([][]PlaceDelta{{{Place: 0, Delta: 1}}}); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)
 	}
 	vecs := []Marking{{1000, 0}, {3, 128}, {0, 0}}
-	for _, v := range vecs {
-		s.Intern(v)
+	parents := []struct {
+		id    MarkID
+		trans int32
+	}{
+		{NoMark, 0}, // no parent
+		{5, 0},      // parent not earlier than id
+		{0, 999999}, // transition out of range
 	}
-	provs := []FreezeProv{
-		{Parent: NoMark},           // no parent
-		{Parent: 5, Trans: 0},      // parent not earlier than id
-		{Parent: 0, Trans: 999999}, // transition out of range
+	for i, v := range vecs {
+		s.InternChild(v, HashMarking(v), parents[i].id, parents[i].trans)
 	}
-	if err := s.FreezeThrough(3, func(id MarkID) FreezeProv { return provs[id] }); err != nil {
+	if err := s.FreezeThrough(3); err != nil {
 		t.Fatalf("FreezeThrough: %v", err)
 	}
 	for i, v := range vecs {
@@ -158,19 +155,21 @@ func TestFreezeVerbatimFallback(t *testing.T) {
 // the encoded segment; ArenaBytes stays consistent with it.
 func TestFreezeMemAccounting(t *testing.T) {
 	const states = 64
-	s, _, prov := freezeChainStore(t, states)
+	s, _ := freezeChainStore(t, states)
 	allHot := s.Mem()
 	if allHot.FrozenBytes != 0 {
 		t.Fatalf("unfrozen store reports FrozenBytes = %d", allHot.FrozenBytes)
 	}
-	wantHot := int64(states*s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4
+	// Tokens, hashes, the table, and 8 bytes of provenance per state
+	// not yet frozen.
+	wantHot := int64(states*s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4 + int64(states)*8
 	if allHot.HotBytes != wantHot {
 		t.Fatalf("HotBytes = %d, want %d", allHot.HotBytes, wantHot)
 	}
 	if s.ArenaBytes() != int(wantHot) {
-		t.Fatalf("ArenaBytes = %d, want %d (all-hot compatibility)", s.ArenaBytes(), wantHot)
+		t.Fatalf("ArenaBytes = %d, want %d", s.ArenaBytes(), wantHot)
 	}
-	if err := s.FreezeThrough(states, prov); err != nil {
+	if err := s.FreezeThrough(states); err != nil {
 		t.Fatalf("FreezeThrough: %v", err)
 	}
 	frozen := s.Mem()
@@ -180,7 +179,7 @@ func TestFreezeMemAccounting(t *testing.T) {
 	if frozen.FrozenBytes != wantFrozen {
 		t.Fatalf("FrozenBytes = %d, want %d", frozen.FrozenBytes, wantFrozen)
 	}
-	wantHot = int64(len(s.hashes))*8 + int64(len(s.table))*4 + int64(states)*8 // tokens empty, offs resident
+	wantHot = int64(len(s.hashes))*8 + int64(len(s.table))*4 + int64(states)*8 // tokens and provenance empty, offs resident
 	if frozen.HotBytes != wantHot {
 		t.Fatalf("frozen HotBytes = %d, want %d", frozen.HotBytes, wantHot)
 	}
@@ -200,7 +199,7 @@ func TestFreezeMemAccounting(t *testing.T) {
 // of reading a hot-arena view.
 func TestFreezeAliasAfterFreeze(t *testing.T) {
 	s := newMarkingStoreCap(3, 2) // tiny table: forces probe runs through the alias
-	if err := s.EnableFreeze(FreezeConfig{Deltas: nil}); err != nil {
+	if err := s.EnableFreeze(nil); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)
 	}
 	var ms []Marking
@@ -211,7 +210,7 @@ func TestFreezeAliasAfterFreeze(t *testing.T) {
 	}
 	// Freeze the whole "level" holding every interned marking (nil
 	// deltas: everything verbatim).
-	if err := s.FreezeThrough(s.Len(), func(MarkID) FreezeProv { return FreezeProv{Parent: NoMark} }); err != nil {
+	if err := s.FreezeThrough(s.Len()); err != nil {
 		t.Fatalf("FreezeThrough: %v", err)
 	}
 	if s.HashAliased() {
@@ -239,7 +238,7 @@ func TestFreezeAliasAfterFreeze(t *testing.T) {
 		t.Fatalf("exact lookup of hot alias = (%d, %v), want (%d, true)", got, ok, id)
 	}
 	// And again with the alias frozen too.
-	if err := s.FreezeThrough(s.Len(), func(MarkID) FreezeProv { return FreezeProv{Parent: NoMark} }); err != nil {
+	if err := s.FreezeThrough(s.Len()); err != nil {
 		t.Fatalf("second FreezeThrough: %v", err)
 	}
 	if got, ok := s.LookupHashed(alias, h0); !ok || got != id {
@@ -251,9 +250,9 @@ func TestFreezeAliasAfterFreeze(t *testing.T) {
 // goroutines once mutations stop (run under -race via the Makefile);
 // cache eviction churn must not corrupt returned vectors.
 func TestFreezeConcurrentThaw(t *testing.T) {
-	const states = 80
-	s, vecs, prov := freezeChainStore(t, states)
-	if err := s.FreezeThrough(states, prov); err != nil {
+	const states = 2 * thawCap
+	s, vecs := freezeChainStore(t, states)
+	if err := s.FreezeThrough(states); err != nil {
 		t.Fatalf("FreezeThrough: %v", err)
 	}
 	var wg sync.WaitGroup
@@ -307,12 +306,55 @@ func TestExploreFreezeLevelsDeterminism(t *testing.T) {
 	}
 }
 
+// TestFreezeThroughWriteFailure: a segment write failure is the
+// store's own business. The failing FreezeThrough reports it once; from
+// then on the store neither freezes nor records provenance, interning
+// goes on all-hot, and the ids frozen before the failure read back.
+func TestFreezeThroughWriteFailure(t *testing.T) {
+	const states = 40
+	s, vecs := freezeChainStore(t, states)
+	if err := s.FreezeThrough(10); err != nil {
+		t.Fatalf("FreezeThrough(10): %v", err)
+	}
+	if s.frozen.data == nil {
+		t.Skip("reading a closed segment back needs the mmap'd tier")
+	}
+	s.frozen.f.Close()
+	if err := s.FreezeThrough(20); err == nil {
+		t.Fatal("FreezeThrough on a closed segment reported no error")
+	}
+	if s.FreezeEnabled() {
+		t.Fatal("store still reports freezing after the write failure")
+	}
+	if err := s.FreezeThrough(30); err != nil {
+		t.Fatalf("FreezeThrough after the failure: %v, want a silent no-op", err)
+	}
+	if s.FrozenLen() != 10 {
+		t.Fatalf("FrozenLen = %d, want it stuck at 10", s.FrozenLen())
+	}
+	fresh := Marking{9, 9, 9}
+	if id, isNew := s.InternChild(fresh, HashMarking(fresh), states-1, 0); !isNew || int(id) != states {
+		t.Fatalf("intern after the failure = (%d, %v), want (%d, true)", id, isNew, states)
+	}
+	vecs = append(vecs, fresh)
+	for i, v := range vecs {
+		if got := s.At(MarkID(i)); !got.Equal(v) {
+			t.Fatalf("At(%d) = %v, want %v", i, got, v)
+		}
+	}
+	m := s.Mem()
+	if want := int64(len(vecs)-10)*int64(s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4 + 10*8; m.HotBytes != want {
+		t.Fatalf("HotBytes = %d, want %d (no provenance kept after the failure)", m.HotBytes, want)
+	}
+}
+
 // TestFreezeWriteFailureReverts: a segment write failure in the middle
 // of an exploration reverts it to all-hot. The segment file is closed
-// once the second level has committed, so the third level's
-// FreezeThrough fails: the run must still complete, nothing later may
-// freeze, the states frozen before the failure must read back intact,
-// and the ReachResult must equal the all-hot run.
+// once the second level has committed, as the first state of the third
+// level begins, so the third level's FreezeThrough fails: the run must
+// still complete, nothing later may freeze, the states frozen before
+// the failure must read back intact, and the ReachResult must equal
+// the all-hot run.
 func TestFreezeWriteFailureReverts(t *testing.T) {
 	n := ringsNet(3, 4)
 	opt := ExploreOptions{MaxMarkings: 1000, Strategy: Strategy{Freeze: true}}
@@ -328,16 +370,25 @@ func TestFreezeWriteFailureReverts(t *testing.T) {
 		store = s
 		e = newReachExplorer(s, opt.MaxMarkings)
 		h := e.mergeHooks()
-		h.LevelClosed = func(end int) {
-			commits++
-			if commits == 2 {
-				frozenEnd = s.FrozenLen()
-				if s.frozen.data == nil {
-					t.Skip("reading a closed segment back needs the mmap'd tier")
+		begin, levelEnd := h.BeginState, 1
+		// Drive freezes a level as the next one begins: at the first
+		// state of each level, every earlier level has committed.
+		h.BeginState = func(id MarkID) {
+			if int(id) == levelEnd {
+				commits++
+				levelEnd = s.Len()
+				if commits == 2 {
+					frozenEnd = s.FrozenLen()
+					if s.frozen.data == nil {
+						t.Skip("reading a closed segment back needs the mmap'd tier")
+					}
+					s.frozen.f.Close()
+				} else if commits > 2 && s.FrozenLen() != frozenEnd {
+					t.Fatalf("level %d froze through %d after the write failure at %d", commits, s.FrozenLen(), frozenEnd)
 				}
-				s.frozen.f.Close()
-			} else if commits > 2 && s.FrozenLen() != frozenEnd {
-				t.Fatalf("level %d froze through %d after the write failure at %d", commits, s.FrozenLen(), frozenEnd)
+			}
+			if begin != nil {
+				begin(id)
 			}
 		}
 		return h

@@ -8,13 +8,14 @@ package petri
 // only one outside internal/dist; the explorers supply MergeHooks that
 // record what it finds.
 //
-// The driver owns everything the explorers share: the MarkingStore,
-// the EnabledTracker bitset arena, expansion of an ExpandSpec, the
-// frozen tier's FreezeWindow, level-boundary detection and the
-// Strategy's fallback rerun. It has two modes:
+// Drive owns everything the explorers share: the MarkingStore
+// (with its frozen tier, which records each state's provenance as it
+// is interned), the EnabledTracker bitset arena, expansion of an
+// ExpandSpec, level-boundary detection and the Strategy's fallback
+// rerun. It has two modes:
 //
 //	inline: expand one state, then merge each of its edges at once —
-//	  fire, veto, hash, LookupHashed, Admit, InternHashed, Edge. The
+//	  fire, veto, hash, LookupHashed, Admit, InternChild, Edge. The
 //	  veto checks only the places the transition adds tokens to, and
 //	  the hash is the parent's plus the transition's constant
 //	  increment (FiringTable), so neither pass scans the marking.
@@ -47,11 +48,6 @@ type MergeHooks struct {
 	// Admit-refused ones (budget=true). Returning false aborts the
 	// whole exploration; the run then reports false.
 	Reject func(parent MarkID, trans int32, budget bool) bool
-	// LevelClosed is called after each level commits — every state
-	// below end has had all its edges recorded and will never be
-	// expanded again — and runs sequentially, between levels. The
-	// final call has end == store.Len(). May be nil.
-	LevelClosed func(end int)
 }
 
 // ExpandSpec is a self-contained, serializable description of how to
@@ -172,6 +168,11 @@ func (f *FiringTable) Veto(child Marking, t int, full bool) bool {
 // frontier is [0, store.Len())) and must invoke the MergeHooks in
 // exactly the serial discovery order (states ascending, emit order
 // within a state), so results are byte-identical to the inline mode.
+// Like the inline mode, they intern every admitted successor with
+// store.InternChild (naming its parent and transition) and call
+// store.FreezeThrough at each level commit with the start of the
+// level about to merge, and once more with store.Len() when the
+// exploration completes; both are no-ops unless the store freezes.
 // The returned bool is false when a Reject hook aborted the run; a
 // non-nil error reports an infrastructure failure (a worker died, the
 // protocol broke) rather than an exploration outcome.
@@ -201,9 +202,9 @@ type Strategy struct {
 	// reconstruction on later reads for a hot footprint that no longer
 	// grows with the vectors of the explored space. A runner's workers
 	// freeze their replicas exactly when the store it is handed does.
-	// If the segment cannot be created or written, the exploration
-	// silently continues all-hot; levels frozen before a write failure
-	// stay readable.
+	// If the segment cannot be created or written, the store stops
+	// freezing and the exploration silently continues all-hot; levels
+	// frozen before a write failure stay readable.
 	Freeze bool
 }
 
@@ -224,7 +225,7 @@ func Drive(n *Net, part []*ECS, spec ExpandSpec, st Strategy, start func(*Markin
 	d := &driver{net: n, part: part, spec: spec}
 	if st.Runner != nil {
 		d.begin(st.Freeze, start)
-		ok, err := st.Runner.RunFrontier(n, d.store, spec, d.runnerHooks())
+		ok, err := st.Runner.RunFrontier(n, d.store, spec, d.hooks)
 		if err == nil || !st.Fallback {
 			return ok, err
 		}
@@ -240,9 +241,6 @@ type driver struct {
 	spec  ExpandSpec
 	store *MarkingStore
 	hooks MergeHooks
-	// fwin buffers per-state provenance for FreezeThrough; nil when
-	// freezing is off or reverted after a write failure.
-	fwin *FreezeWindow
 	// Inline mode only: bits is the per-state enabled-ECS arena (state
 	// id's set is bits[id*stride : (id+1)*stride]), derived from the
 	// parent's set when a state is interned and grown by Grow's rule;
@@ -260,53 +258,19 @@ type driver struct {
 // tier when asked for, and the caller's hooks for that store.
 func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
 	d.store = NewMarkingStore(len(d.net.Places))
-	d.store.Intern(d.net.InitialMarking())
-	d.fwin = nil
 	if freeze {
-		if err := d.store.EnableFreeze(FreezeConfig{Deltas: d.net.TokenDeltas()}); err == nil {
-			d.fwin = &FreezeWindow{}
-			d.fwin.Append(FreezeProv{Parent: NoMark}) // root: verbatim
-		}
+		// Without a segment file the exploration runs all-hot.
+		_ = d.store.EnableFreeze(d.net.TokenDeltas())
 	}
+	d.store.Intern(d.net.InitialMarking())
 	d.hooks = start(d.store)
-}
-
-// levelClosed freezes the states below end, drops their buffered
-// provenance and passes the commit on to the caller's hook. A write
-// failure reverts the rest of the exploration to all-hot.
-func (d *driver) levelClosed(end int) {
-	if d.fwin != nil {
-		if err := d.store.FreezeThrough(end, d.fwin.Prov); err != nil {
-			d.fwin = nil
-		} else {
-			d.fwin.Drop(end)
-		}
-	}
-	if d.hooks.LevelClosed != nil {
-		d.hooks.LevelClosed(end)
-	}
-}
-
-// runnerHooks returns the caller's hooks with the freeze bookkeeping
-// folded in, for a runner that merges into d.store.
-func (d *driver) runnerHooks() MergeHooks {
-	h := d.hooks
-	if d.fwin == nil {
-		return h
-	}
-	h.Edge = func(parent MarkID, trans int32, child MarkID, isNew bool) {
-		if isNew && d.fwin != nil {
-			d.fwin.Append(FreezeProv{Parent: parent, Trans: trans})
-		}
-		d.hooks.Edge(parent, trans, child, isNew)
-	}
-	h.LevelClosed = d.levelClosed
-	return h
 }
 
 // runInline is the inline mode. The queue crosses a level boundary
 // exactly when it reaches the store length observed at the previous
-// boundary: every state below it is then fully expanded, i.e. closed.
+// boundary: every state below it is then fully expanded, i.e. closed,
+// and freezes. A segment write failure leaves the store all-hot from
+// there on, which changes nothing the exploration computes.
 func (d *driver) runInline() bool {
 	d.tracker = NewEnabledTracker(d.net, d.part)
 	d.fires = NewFiringTable(d.net, d.spec)
@@ -316,14 +280,14 @@ func (d *driver) runInline() bool {
 	levelEnd := d.store.Len()
 	for id := 0; id < d.store.Len(); id++ {
 		if id == levelEnd {
-			d.levelClosed(levelEnd)
+			_ = d.store.FreezeThrough(levelEnd)
 			levelEnd = d.store.Len()
 		}
 		if !d.expand(MarkID(id)) {
 			return false
 		}
 	}
-	d.levelClosed(d.store.Len())
+	_ = d.store.FreezeThrough(d.store.Len())
 	return true
 }
 
@@ -369,10 +333,7 @@ func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) 
 	if d.hooks.Admit != nil && !d.hooks.Admit() {
 		return d.hooks.Reject(parent, int32(tid), true)
 	}
-	child, _ := d.store.InternHashed(d.scratch, h)
-	if d.fwin != nil {
-		d.fwin.Append(FreezeProv{Parent: parent, Trans: int32(tid)})
-	}
+	child, _ := d.store.InternChild(d.scratch, h, parent, int32(tid))
 	// Update writes every word of the new state's set.
 	base := len(d.bits)
 	d.bits = Grow(d.bits, d.stride)[:base+d.stride]

@@ -61,11 +61,15 @@ func netFromBytes(data []byte) *Net {
 // than MaxMarkings, never retains a non-initial marking violating
 // MaxTokensPerPlace, records edges only between retained markings,
 // stores every marking's HashMarking value, and matches the reference
-// explorer exactly.
+// explorer exactly. The high bit of maxTokens, which the cap does not
+// read, runs the exploration with Strategy.Freeze: the frozen store
+// must meet the same contract, read back through thawing, and end with
+// every state frozen.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
 	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(3), true)
 	f.Add([]byte{1, 0, 2, 2, 1, 0, 0, 1, 0, 1}, uint8(0), uint8(0), false)
+	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(0x83), true)
 	f.Fuzz(func(t *testing.T, data []byte, maxMarkings, maxTokens uint8, fireSources bool) {
 		n := netFromBytes(data)
 		if err := n.Validate(); err != nil {
@@ -76,8 +80,12 @@ func FuzzExplore(f *testing.F) {
 			MaxMarkings:       int(maxMarkings % 128),
 			MaxTokensPerPlace: int(maxTokens % 8),
 			FireSources:       fireSources,
+			Strategy:          Strategy{Freeze: maxTokens&0x80 != 0},
 		}
 		res := n.Explore(opt)
+		if opt.Strategy.Freeze && (!res.Store.FreezeEnabled() || res.Store.FrozenLen() != res.Len()) {
+			t.Fatalf("frozen run froze %d of %d states (freezing on: %v)", res.Store.FrozenLen(), res.Len(), res.Store.FreezeEnabled())
+		}
 		limit := opt.MaxMarkings
 		if limit == 0 {
 			limit = 10000

@@ -281,6 +281,16 @@ func (s *MarkingStore) Intern(m Marking) (MarkID, bool) {
 // the batched exploration pipeline hashes each successor once on a
 // worker and interns it later without rehashing.
 func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
+	return s.InternChild(m, h, NoMark, 0)
+}
+
+// InternChild is InternHashed for a successor: m, hashed h, is the
+// marking reached by firing transition trans at parent. Every explorer
+// interns its successors through it, so a store with a frozen tier
+// learns each new state's provenance here and keeps it until the state
+// freezes (see FreezeThrough). A parent of NoMark, or one that is not
+// an earlier id, freezes the vector verbatim.
+func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int32) (MarkID, bool) {
 	if len(m) != s.places {
 		panic("petri: marking length does not match store")
 	}
@@ -306,6 +316,13 @@ func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 	copy(s.pages[page][off*s.places:], m)
 	s.hashes = append(s.hashes, h)
 	s.table[slot] = uint32(id) + 1
+	if s.FreezeEnabled() {
+		var p prov
+		if parent < id {
+			p = prov{gap: uint32(id - parent), trans: trans}
+		}
+		s.frozen.prov = append(s.frozen.prov, p)
+	}
 	if len(s.hashes)*4 >= len(s.table)*3 {
 		s.grow()
 	}
@@ -358,7 +375,7 @@ func (s *MarkingStore) Mem() StoreMem {
 		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4,
 	}
 	if s.frozen != nil {
-		m.HotBytes += int64(len(s.frozen.offs)) * 8
+		m.HotBytes += int64(len(s.frozen.offs))*8 + int64(len(s.frozen.prov))*8
 		m.FrozenBytes = s.frozen.size
 	}
 	return m

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compile"
@@ -236,8 +237,7 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 		return nil, fmt.Errorf("sched: source %s: %w (graph engine, %d states)", st.Name, ErrBudget, len(ge.states))
 	}
 	if !ge.solve(rootID) {
-		return nil, fmt.Errorf("sched: source %s under %s: %w (graph engine, %d states)",
-			st.Name, ge.opt.Term.Name(), ErrNoSchedule, len(ge.states))
+		return nil, ge.noSchedule()
 	}
 	s := ge.build(rootID)
 	if err := s.Validate(); err != nil {
@@ -679,68 +679,71 @@ func (ge *graphEngine) build(rootID int) *Schedule {
 	return s
 }
 
-// GraphDiagnosis reports why the graph engine rejected a net — which
-// markings deadlock (no allowed ECS enabled) or are cap-dead (every
-// enabled ECS has a successor beyond the place caps), and which states
-// survived the fixpoint. It is a debugging aid for specification
-// authors chasing false paths (Section 7.2).
-type GraphDiagnosis struct {
-	States    int
-	Deadlocks []petri.Marking // no allowed ECS enabled at all
-	CapDead   []petri.Marking // every ECS escapes the caps
-	RootInX   bool
-	Solved    bool
-	// FirstRemoved lists sample markings removed by the fixpoint's
-	// first closure round excluding the plain dead ones — the frontier
-	// of the poisoning cascade.
+// NoScheduleError is the graph engine's "no schedule" verdict with the
+// evidence of the search that reached it: which markings deadlock (no
+// allowed ECS enabled), which are cap-dead (every enabled ECS has a
+// successor beyond the place caps), and which states the fixpoint
+// removed on top of those — the frontier of the poisoning cascade. It
+// is a debugging aid for specification authors chasing false paths
+// (Section 7.2). It wraps ErrNoSchedule.
+type NoScheduleError struct {
+	Source string // the uncontrollable source transition
+	Term   string // the termination condition's name
+	States int    // states the search explored
+	// RootInX reports whether the initial marking stayed in the
+	// fixpoint set: if so, it kept a closed, root-reaching ECS but not
+	// one that fires the source.
+	RootInX bool
+	// Up to maxSamples markings of each kind, in state order.
+	Deadlocks    []petri.Marking
+	CapDead      []petri.Marking
 	FirstRemoved []petri.Marking
 }
 
-// Diagnose runs the graph engine's exploration and fixpoint and reports
-// the failure structure. The sample lists are truncated to 16 entries.
-func Diagnose(n *petri.Net, source int, opt *Options) *GraphDiagnosis {
-	eff := opt.withDefaults(n, source)
-	ge := newGraphEngine(n, source, eff)
-	ge.drive(petri.Strategy{}) // inline: there is no runner to fail
-	d := &GraphDiagnosis{States: len(ge.states)}
-	const maxSample = 16
-	plainDead := map[int]bool{}
+func (e *NoScheduleError) Error() string {
+	return fmt.Sprintf("sched: source %s under %s: %v (graph engine, %d states)", e.Source, e.Term, ErrNoSchedule, e.States)
+}
+
+func (e *NoScheduleError) Unwrap() error { return ErrNoSchedule }
+
+// maxSamples bounds each sample list of a NoScheduleError.
+const maxSamples = 16
+
+// noSchedule builds the error of a search whose fixpoint just failed,
+// from the engine's own arenas and X set.
+func (ge *graphEngine) noSchedule() *NoScheduleError {
+	e := &NoScheduleError{
+		Source:  ge.net.Transitions[ge.source].Name,
+		Term:    ge.opt.Term.Name(),
+		States:  len(ge.states),
+		RootInX: ge.states[rootID].inX,
+	}
+	sample := func(list *[]petri.Marking, id int) {
+		if len(*list) < maxSamples {
+			*list = append(*list, ge.marking(id).Clone())
+		}
+	}
 	for id := range ge.states {
 		s := &ge.states[id]
-		if ge.ecsCount(s) == 0 {
-			plainDead[id] = true
-			if len(d.Deadlocks) < maxSample {
-				d.Deadlocks = append(d.Deadlocks, ge.marking(id).Clone())
-			}
-			continue
-		}
-		usable := false
-		for i := 0; i < ge.ecsCount(s); i++ {
-			ok := true
-			for _, t := range ge.succOf(s, i) {
-				if t < 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				usable = true
-				break
-			}
-		}
-		if !usable {
-			plainDead[id] = true
-			if len(d.CapDead) < maxSample {
-				d.CapDead = append(d.CapDead, ge.marking(id).Clone())
-			}
+		switch {
+		case ge.ecsCount(s) == 0:
+			sample(&e.Deadlocks, id)
+		case !ge.anyInCaps(s):
+			sample(&e.CapDead, id)
+		case !s.inX:
+			sample(&e.FirstRemoved, id)
 		}
 	}
-	d.Solved = ge.solve(rootID)
-	d.RootInX = ge.states[rootID].inX
-	for id := range ge.states {
-		if !ge.states[id].inX && !plainDead[id] && len(d.FirstRemoved) < maxSample {
-			d.FirstRemoved = append(d.FirstRemoved, ge.marking(id).Clone())
+	return e
+}
+
+// anyInCaps reports whether some allowed enabled ECS of s keeps every
+// successor within the place caps.
+func (ge *graphEngine) anyInCaps(s *gstate) bool {
+	for i := 0; i < ge.ecsCount(s); i++ {
+		if !slices.Contains(ge.succOf(s, i), -1) {
+			return true
 		}
 	}
-	return d
+	return false
 }

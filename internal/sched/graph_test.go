@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/petri"
@@ -124,20 +126,36 @@ func TestDepthLimitTermination(t *testing.T) {
 	}
 }
 
+// TestDiagnose: the graph engine says why a net is unschedulable in
+// the error of the search that failed. For fig4b the root leaves the
+// fixpoint set, and the error carries the explored state count and
+// wraps ErrNoSchedule under today's message.
 func TestDiagnose(t *testing.T) {
-	// Unschedulable net: diagnosis must show the root leaving X.
 	n := fig4bNet(petri.TransSourceUnc)
-	d := Diagnose(n, 0, nil)
-	if d.Solved || d.RootInX {
-		t.Errorf("fig4b diagnosis: solved=%v rootInX=%v, want false/false", d.Solved, d.RootInX)
+	_, err := FindSchedule(n, 0, nil)
+	var ne *NoScheduleError
+	if !errors.As(err, &ne) {
+		t.Fatalf("fig4b: error %v is not a *NoScheduleError", err)
 	}
-	if d.States == 0 {
-		t.Error("diagnosis should report explored states")
+	if !errors.Is(err, ErrNoSchedule) || !strings.Contains(err.Error(), ErrNoSchedule.Error()) {
+		t.Errorf("fig4b: error %q does not wrap ErrNoSchedule", err)
 	}
-	// Schedulable net: solved.
-	d = Diagnose(fig5Net(t), 0, nil)
-	if !d.Solved {
-		t.Error("fig5 should diagnose as solvable")
+	if ne.RootInX {
+		t.Error("fig4b: root stayed in the fixpoint set")
+	}
+	if ne.States == 0 {
+		t.Error("fig4b: no explored states reported")
+	}
+	for _, list := range [][]petri.Marking{ne.Deadlocks, ne.CapDead, ne.FirstRemoved} {
+		if len(list) > maxSamples {
+			t.Errorf("fig4b: %d sample markings, want at most %d", len(list), maxSamples)
+		}
+	}
+	if len(ne.Deadlocks)+len(ne.CapDead)+len(ne.FirstRemoved) == 0 {
+		t.Error("fig4b: no sample markings explain the failure")
+	}
+	if _, err := FindSchedule(fig5Net(t), 0, nil); err != nil {
+		t.Errorf("fig5 should be schedulable: %v", err)
 	}
 }
 

@@ -77,6 +77,12 @@ type errorResponse struct {
 // is orders of magnitude above any real system description.
 const maxRequestBody = 8 << 20
 
+// bodyReadTimeout bounds reading the request body once the request
+// holds a synthesis slot, so a client that stalls mid-body frees the
+// slot instead of keeping it for as long as its connection stays open.
+// A var only so tests can shrink it.
+var bodyReadTimeout = 10 * time.Second
+
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	release, status, outcome := s.admit(r.Context())
 	if release == nil {
@@ -87,7 +93,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	var req synthesizeRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	body, err := readBody(w, r)
 	if err == nil && len(body) > maxRequestBody {
 		err = fmt.Errorf("body exceeds %d bytes", maxRequestBody)
 	}
@@ -129,6 +135,25 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.recordWork(res, pool)
 	s.metrics.incOutcome(outcomeOK)
 	writeJSON(w, http.StatusOK, buildResponse(res, opt, hit, elapsed))
+}
+
+// readBody reads at most maxRequestBody+1 bytes of the request body
+// under bodyReadTimeout. A complete read clears the deadline, so a
+// keep-alive connection's next request is unaffected. A failed one
+// leaves it expired: the server's own attempt to drain the unread body
+// then fails at once, and it closes the connection after the reply
+// instead of waiting on the stalled client. Transports without
+// deadline support read without one.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rc := http.NewResponseController(w)
+	armed := rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)) == nil
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	if armed && err == nil {
+		// The server re-arms the deadline before the connection's next
+		// request, so a failed clear changes nothing.
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	return body, err
 }
 
 // buildResponse renders a Result into the wire shape. The generated C

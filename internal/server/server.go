@@ -206,6 +206,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach the connection beneath.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool {
 	s.mu.Lock()

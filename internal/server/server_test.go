@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -481,6 +483,56 @@ func TestRequestBodyBudgetEdge(t *testing.T) {
 	status, e := post(over)
 	if status != http.StatusBadRequest || !strings.Contains(e.Error, "body exceeds 8388608 bytes") {
 		t.Fatalf("%d-byte body: status %d (%q), want 400 naming the 8388608-byte budget", len(over), status, e.Error)
+	}
+}
+
+// TestStalledBodyFreesSlot: a client that sends its headers and one
+// byte of body, then stalls, holds the only synthesis slot for at most
+// bodyReadTimeout. It is then answered 400, and the request queued
+// behind it is served.
+func TestStalledBodyFreesSlot(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 200 * time.Millisecond
+	srv := New(Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	stalled, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "POST /v1/synthesize HTTP/1.1\r\nHost: qss\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	waitGauge(t, srv, func(m *metrics) float64 { return m.inFlight.v }, 1)
+
+	body, err := json.Marshal(&synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("request behind the stalled one: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request behind the stalled one: status %d, want 200", resp.StatusCode)
+	}
+
+	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sresp, err := http.ReadResponse(bufio.NewReader(stalled), nil)
+	if err != nil {
+		t.Fatalf("stalled request: %v", err)
+	}
+	defer sresp.Body.Close()
+	var e errorResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&e); err != nil {
+		t.Fatalf("stalled request: decode error body (status %d): %v", sresp.StatusCode, err)
+	}
+	if sresp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "timeout") {
+		t.Fatalf("stalled request: status %d (%q), want 400 naming the timeout", sresp.StatusCode, e.Error)
 	}
 }
 
