@@ -1,6 +1,6 @@
 # CI entry points for the quasi-static synthesis repro.
 #
-#   make ci          — everything below, in order
+#   make ci          — everything below through fuzz-smoke, in order
 #   make build       — compile all packages
 #   make vet         — static analysis
 #   make test        — unit, property and determinism tests under -race
@@ -68,7 +68,7 @@ BENCH_ALLOC_TOLERANCE ?= 0.20
 
 .PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen bytes-gates server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
 
-ci: build vet test server-smoke pnml-suite qssbench-selftest bench benchgate fuzz-smoke
+ci: build vet test dist-matrix dist-memory store-frozen bytes-gates dist-chaos server-smoke pnml-suite qssbench-selftest bench benchgate fuzz-smoke
 
 pnml-suite:
 	$(GO) test -race -count=1 -v -run 'TestPNMLSuite|TestPNMLRoundTrip' ./internal/pnml
@@ -82,7 +82,7 @@ dist-memory:
 
 store-frozen:
 	$(GO) test -race -count=1 -v -run 'TestStoreFrozenGate' .
-	$(GO) test -race -count=1 -v -run 'TestTokenDeltas|TestFreeze|TestExploreFreezeLevelsDeterminism' ./internal/petri
+	$(GO) test -race -count=1 -v -run 'TestAppendDeltas|TestFreeze|TestExploreFreezeLevelsDeterminism' ./internal/petri
 
 bytes-gates:
 	$(GO) test -count=1 -v -run 'TestExploreLargeBytes|TestPFCSearchBytes' .

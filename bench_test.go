@@ -1,8 +1,9 @@
 package repro
 
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation (Section 8), plus ablations of the design choices called
-// out in DESIGN.md. Run with:
+// evaluation (Section 8), plus ablations of the design choices: the
+// graph engine, whose completeness the internal/sched package doc
+// argues, and the T-invariant ordering. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -233,8 +234,8 @@ func BenchmarkTaskPerFrame(b *testing.B) {
 // positions (stages^pipes markings) — big enough that reachability
 // construction, not setup, dominates. Each ring transition also holds
 // a self-loop on a per-ring fuel place, widening every preset the way
-// multi-input joins do, so the full-partition scan the tracker
-// replaces has a realistic per-ECS cost.
+// multi-input joins do, so the full-partition scan the firing table's
+// incremental enabled sets replace has a realistic per-ECS cost.
 func exploreLargeNet(pipes, stages int) *petri.Net {
 	n := petri.New(fmt.Sprintf("explore-%dx%d", pipes, stages))
 	for p := 0; p < pipes; p++ {
@@ -259,8 +260,8 @@ func exploreLargeNet(pipes, stages int) *petri.Net {
 
 // BenchmarkExploreLarge measures cold single-net reachability
 // construction on a 11^5-state net (161051 markings, ~805k edges) by
-// the in-process explorer: the incremental enabled-ECS tracker and the
-// inline driver, hashing each successor once. Results match the
+// the in-process explorer: the firing table's incremental enabled-ECS
+// sets and the inline driver, hashing each successor once. Results match the
 // reference explorer of the petri tests byte for byte
 // (TestExploreMatchesReference). Under `-cpu 1` its B/op and
 // allocs/op are exact and gated by cmd/benchdiff.

@@ -21,7 +21,7 @@
 // hash Σ m[p]·w(p) over the vector with fixed pseudo-random place
 // weights, and an open-addressing table probed from a finalizer of
 // that hash), and the engines fire transitions into a reused scratch
-// buffer (petri.Marking.FireInto), so the inner loop of a search
+// buffer (petri.FiringTable.Fire), so the inner loop of a search
 // performs zero allocations per fired transition — revisiting a known
 // marking costs a hash and a table probe. Because the hash is additive,
 // petri.Drive and the dist workers never rehash a successor: its hash
@@ -38,14 +38,18 @@
 // # Incremental enablement
 //
 // Exploration loops used to re-test the entire equal-conflict
-// partition at every visited marking. petri.EnabledTracker replaces
-// that with incremental maintenance: a once-per-net place->ECS reverse
-// index identifies the few ECSs whose presets intersect the places a
-// firing actually changes, and per-state enabled sets are bitsets
-// derived from the parent state's. The exploration driver (petri.Drive,
-// behind petri.Explore and the scheduler's marking-graph engine) and
-// the EP/EP_ECS tree engines all expand states by iterating their
-// enabled-set bits instead of scanning the partition.
+// partition at every visited marking. The search's petri.FiringTable
+// replaces that with incremental maintenance: for each transition it
+// lists the few ECSs whose presets intersect the places the firing
+// actually changes, and per-state enabled sets are bitsets derived
+// from the parent state's. The table is built once per search from
+// each transition's token effect (petri.Transition.AppendDeltas, the
+// one definition of what a firing does) and passed down to whoever
+// fires: the exploration driver (petri.Drive, behind petri.Explore and
+// the scheduler's marking-graph engine), a dist coordinator, the
+// frozen store tier and the EP/EP_ECS tree engines. Each dist worker
+// builds its own from the net it decodes. They all expand states by
+// iterating their enabled-set bits instead of scanning the partition.
 //
 // # Search tables
 //
@@ -147,7 +151,7 @@
 // self-contained petri.ExpandSpec (fireable-ECS mask + place caps) and
 // the net itself crosses the wire through petri.AppendNet/DecodeNet,
 // which round-trips exactly the structure firing, ECS partitioning and
-// the enabled tracker depend on. The matrix test
+// the firing table depend on. The matrix test
 // (internal/dist, `make dist-matrix`, its own CI job) pins generated C
 // across {serial, frozen store, worker processes 1/2/4} plus a
 // 50-app corpus sweep with real spawned processes under -race;

@@ -319,17 +319,11 @@ func buildSegTree(task *Task, quot map[int]*quotNode, isRoot map[int]bool, e int
 // different continuations.
 func selectStateVars(s *sched.Schedule, quot map[int]*quotNode, isRoot map[int]bool, srcECS int) []int {
 	updated := map[int]bool{}
+	var ds []petri.PlaceDelta
 	for _, tid := range s.InvolvedTransitions() {
-		t := s.Net.Transitions[tid]
-		for _, a := range t.In {
-			if t.OutWeight(a.Place) != a.Weight {
-				updated[a.Place] = true
-			}
-		}
-		for _, a := range t.Out {
-			if t.Weight(a.Place) != a.Weight {
-				updated[a.Place] = true
-			}
+		ds = s.Net.Transitions[tid].AppendDeltas(ds[:0])
+		for _, d := range ds {
+			updated[int(d.Place)] = true
 		}
 	}
 	needed := map[int]bool{}
@@ -372,6 +366,7 @@ func computeUpdates(task *Task) {
 	for _, p := range task.StateVars {
 		sv[p] = true
 	}
+	var ds []petri.PlaceDelta
 	for _, seg := range task.Segments {
 		var walk func(n *SegNode, delta map[int]int)
 		walk = func(n *SegNode, delta map[int]int) {
@@ -380,15 +375,10 @@ func computeUpdates(task *Task) {
 				for k, v := range delta {
 					d[k] = v
 				}
-				t := task.Net.Transitions[e.Trans]
-				for _, a := range t.In {
-					if sv[a.Place] {
-						d[a.Place] -= a.Weight
-					}
-				}
-				for _, a := range t.Out {
-					if sv[a.Place] {
-						d[a.Place] += a.Weight
+				ds = task.Net.Transitions[e.Trans].AppendDeltas(ds[:0])
+				for _, pd := range ds {
+					if p := int(pd.Place); sv[p] {
+						d[p] += pd.Delta
 					}
 				}
 				if e.Child != nil {

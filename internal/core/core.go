@@ -120,13 +120,9 @@ func SynthesizeCachedContext(ctx context.Context, flowcSrc, specSrc string, opt 
 			return r, true, nil
 		}
 	}
-	f, err := flowc.ParseFile(flowcSrc)
+	f, spec, err := parse(flowcSrc, specSrc)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: parse FlowC: %w", err)
-	}
-	spec, err := link.ParseSpec(strings.NewReader(specSrc))
-	if err != nil {
-		return nil, false, fmt.Errorf("core: parse netlist: %w", err)
+		return nil, false, err
 	}
 	res, err := SynthesizeSystemContext(ctx, f, spec, opt)
 	if err != nil {
@@ -138,40 +134,54 @@ func SynthesizeCachedContext(ctx context.Context, flowcSrc, specSrc string, opt 
 	return res, false, nil
 }
 
-// SynthesizeSystem runs the flow on parsed inputs.
-func SynthesizeSystem(f *flowc.File, spec *link.Spec, opt *Options) (*Result, error) {
-	return SynthesizeSystemContext(context.Background(), f, spec, opt)
-}
-
 // SystemNet parses, checks, compiles and links the sources and returns
 // the linked system net without running the schedule search — the front
 // half of the flow, for callers that only need the net itself (the
 // corpus PNML exporter, structural analyses).
 func SystemNet(flowcSrc, specSrc string) (*petri.Net, error) {
+	f, spec, err := parse(flowcSrc, specSrc)
+	if err != nil {
+		return nil, err
+	}
+	_, sys, err := linkSystem(f, spec)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Net, nil
+}
+
+// parse parses the FlowC sources and the netlist.
+func parse(flowcSrc, specSrc string) (*flowc.File, *link.Spec, error) {
 	f, err := flowc.ParseFile(flowcSrc)
 	if err != nil {
-		return nil, fmt.Errorf("core: parse FlowC: %w", err)
+		return nil, nil, fmt.Errorf("core: parse FlowC: %w", err)
 	}
 	spec, err := link.ParseSpec(strings.NewReader(specSrc))
 	if err != nil {
-		return nil, fmt.Errorf("core: parse netlist: %w", err)
+		return nil, nil, fmt.Errorf("core: parse netlist: %w", err)
 	}
+	return f, spec, nil
+}
+
+// linkSystem checks and compiles every process of f and links them
+// under spec into the system net.
+func linkSystem(f *flowc.File, spec *link.Spec) ([]*compile.CompiledProcess, *link.System, error) {
 	if err := flowc.CheckFile(f); err != nil {
-		return nil, fmt.Errorf("core: check: %w", err)
+		return nil, nil, fmt.Errorf("core: check: %w", err)
 	}
 	procs := make([]*compile.CompiledProcess, 0, len(f.Processes))
 	for _, p := range f.Processes {
 		cp, err := compile.CompileProcess(p)
 		if err != nil {
-			return nil, fmt.Errorf("core: compile: %w", err)
+			return nil, nil, fmt.Errorf("core: compile: %w", err)
 		}
 		procs = append(procs, cp)
 	}
 	sys, err := link.Link(procs, spec)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	return sys.Net, nil
+	return procs, sys, nil
 }
 
 // SynthesizeSystemContext runs the flow on parsed inputs with
@@ -182,22 +192,11 @@ func SynthesizeSystemContext(ctx context.Context, f *flowc.File, spec *link.Spec
 	if opt == nil {
 		opt = &Options{}
 	}
-	if err := flowc.CheckFile(f); err != nil {
-		return nil, fmt.Errorf("core: check: %w", err)
-	}
-	res := &Result{File: f, Code: map[string]string{}}
-	for _, p := range f.Processes {
-		cp, err := compile.CompileProcess(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: compile: %w", err)
-		}
-		res.Procs = append(res.Procs, cp)
-	}
-	sys, err := link.Link(res.Procs, spec)
+	procs, sys, err := linkSystem(f, spec)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	res.Sys = sys
+	res := &Result{File: f, Procs: procs, Sys: sys, Code: map[string]string{}}
 
 	sources := sys.Net.UncontrollableSources()
 	if len(sources) == 0 {
@@ -293,24 +292,15 @@ func sharedChannels(sys *link.System, set []*sched.Schedule) map[int]bool {
 		return out
 	}
 	users := map[int]int{}
+	var ds []petri.PlaceDelta
 	for _, s := range set {
 		seen := map[int]bool{}
 		for _, tid := range s.InvolvedTransitions() {
-			t := sys.Net.Transitions[tid]
-			touch := func(pid int) {
-				if sys.Net.Places[pid].Kind == petri.PlaceChannel && !seen[pid] {
-					seen[pid] = true
-					users[pid]++
-				}
-			}
-			for _, a := range t.In {
-				if t.OutWeight(a.Place) != a.Weight {
-					touch(a.Place)
-				}
-			}
-			for _, a := range t.Out {
-				if t.Weight(a.Place) != a.Weight {
-					touch(a.Place)
+			ds = sys.Net.Transitions[tid].AppendDeltas(ds[:0])
+			for _, d := range ds {
+				if p := int(d.Place); sys.Net.Places[p].Kind == petri.PlaceChannel && !seen[p] {
+					seen[p] = true
+					users[p]++
 				}
 			}
 		}

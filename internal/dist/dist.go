@@ -26,7 +26,9 @@
 // bounds of the level the worker starts in, and just the worker's
 // owned (global id, vector) pairs from that level on — the roots of a
 // fresh session, or the replayed level and its successors after a
-// failover.
+// failover. Each worker builds its own petri.FiringTable from the net
+// it decodes; the coordinator fires through the one petri.Drive hands
+// to RunFrontier.
 //
 // The session is a pipelined stream in both directions, with no
 // per-level barrier. Workers push their candidate bytes as they
@@ -55,7 +57,7 @@
 // HashMarking's fixed pseudo-random odd place weights, under which two
 // distinct markings of small token counts share a hash with
 // probability about 2⁻⁶⁴. Workers derive each successor's hash from
-// its parent's (petri.FiringTable), and the coordinator still checks
+// its parent's (petri.FiringTable.Hash), and the coordinator still checks
 // every new candidate's shipped hash against its own parent's stored
 // hash plus the transition's increment, and vetoes it by the full cap
 // scan. A worker classifies against its last

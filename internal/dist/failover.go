@@ -91,12 +91,12 @@ type resume struct {
 
 // runSession runs the pipelined session with failover: attempts run
 // until one succeeds, recovery fails, or the restart budget is spent.
-func (p *Pool) runSession(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
+func (p *Pool) runSession(ft *petri.FiringTable, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
 	p.stats = SessionStats{}
 	var rs resume
 	for {
 		a := &attempt{p: p}
-		completed, err := a.run(n, store, spec, hooks, &rs)
+		completed, err := a.run(ft, store, spec, hooks, &rs)
 		if err == nil {
 			return completed, nil
 		}
@@ -420,10 +420,11 @@ func (a *attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
 // run is one session attempt: the inits, the pipelined merge, and the
 // stats epilogue. See the package comment in
 // dist.go for the merge's shape; this is petri.Drive's sequential merge
-// consuming each owner's chunk stream as the bytes arrive. All
-// failures return as *workerDeath for the restart loop.
-func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *resume) (bool, error) {
-	p := a.p
+// consuming each owner's chunk stream as the bytes arrive, firing and
+// hashing through the caller's ft. All failures return as
+// *workerDeath for the restart loop.
+func (a *attempt) run(ft *petri.FiringTable, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *resume) (bool, error) {
+	p, n := a.p, ft.Net()
 	W := len(p.workers)
 	S := petri.NumFrontierShards(W)
 	a.W, a.S = W, S
@@ -477,7 +478,6 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		pending = make([][]petri.VecDelta, W) // per-worker record batches
 		vcaches = make([]*vecCache, W)        // per-worker cache models
 		scratch petri.Marking
-		fires   = petri.NewFiringTable(n, spec)
 	)
 	for i := range vcaches {
 		vcaches[i] = newVecCache()
@@ -610,42 +610,36 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 				case candNew:
 					p.stats.CandNew++
 					var g petri.MarkID
-					var found, fired bool
-					if !store.HashAliased() {
+					found := false
+					aliased := store.HashAliased()
+					if !aliased {
 						g, found = store.LookupHash(h)
-					} else {
-						// Two interned markings share a hash: the bare
-						// probe is ambiguous, fall back to firing for the
-						// vector-exact lookup.
+					}
+					if !found {
+						// Fire once: to materialize a genuinely new vector,
+						// or, once two interned markings share a hash and
+						// the bare probe is ambiguous, for the vector-exact
+						// lookup.
 						t := n.Transitions[trans]
-						if m := store.At(petri.MarkID(id)); m.Enabled(t) {
-							scratch = m.FireInto(scratch, t)
-						} else {
+						m := store.At(petri.MarkID(id))
+						if !m.Enabled(t) {
 							return a.die(ow, fmt.Errorf("candidate fires disabled %s at state %d", t.Name, id))
 						}
+						scratch = ft.Fire(scratch, m, trans)
 						p.stats.CoordFires++
-						fired = true
-						g, found = store.LookupHashed(scratch, h)
+						if aliased {
+							g, found = store.LookupHashed(scratch, h)
+						}
 					}
 					if found {
 						hooks.Edge(petri.MarkID(id), int32(trans), g, false)
 						rs.cands++
 						continue
 					}
-					// Genuinely new: fire once to materialize the vector.
-					if !fired {
-						t := n.Transitions[trans]
-						m := store.At(petri.MarkID(id))
-						if !m.Enabled(t) {
-							return a.die(ow, fmt.Errorf("candidate fires disabled %s at state %d", t.Name, id))
-						}
-						scratch = m.FireInto(scratch, t)
-						p.stats.CoordFires++
-					}
 					if spec.Veto(scratch) {
 						return a.die(ow, fmt.Errorf("new candidate of state %d exceeds the place caps — worker/coordinator spec mismatch", id))
 					}
-					if hv := fires.Hash(store.HashAt(petri.MarkID(id)), trans); hv != h {
+					if hv := ft.Hash(store.HashAt(petri.MarkID(id)), trans); hv != h {
 						return a.die(ow, fmt.Errorf("candidate hash %#x, coordinator computes %#x — replica drift", h, hv))
 					}
 					if hooks.Admit != nil && !hooks.Admit() {

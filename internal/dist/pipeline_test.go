@@ -17,8 +17,7 @@ import (
 // directly with hand-rolled hooks.
 func fullSpec(n *petri.Net) petri.ExpandSpec {
 	part := n.ECSPartition()
-	stride := petri.NewEnabledTracker(n, part).Stride()
-	mask := make([]uint64, stride)
+	mask := make([]uint64, (len(part)+63)/64)
 	for ei := range part {
 		mask[ei/64] |= 1 << (ei % 64)
 	}
@@ -112,7 +111,7 @@ func TestRejectAbortMidLevel(t *testing.T) {
 			return !budget // abort on the first budget rejection
 		},
 	}
-	completed, err := p.RunFrontier(n, store, fullSpec(n), hooks)
+	completed, err := p.RunFrontier(petri.NewFiringTable(n, n.ECSPartition()), store, fullSpec(n), hooks)
 	if err != nil {
 		t.Fatalf("aborted session errored: %v", err)
 	}

@@ -330,8 +330,8 @@ func (p *Pool) reapSpawned() error {
 }
 
 // RunFrontier implements petri.FrontierRunner: one exploration session
-// over the pool. The coordinator broadcasts the net, spec and roots,
-// then streams each level's record batch to the owning workers while
+// over the pool. The coordinator broadcasts ft's net, the spec and the
+// roots, then streams each level's record batch to the owning workers while
 // merging their candidate streams as the bytes arrive — the sequential
 // first-discovery merge walks frontier states in MarkID order and each
 // state's candidates in the serial emit order, so the hooks observe
@@ -339,7 +339,7 @@ func (p *Pool) reapSpawned() error {
 // byte-identical for every worker count. Returns false when a Reject
 // hook aborted; a non-nil error is an infrastructure failure and
 // poisons the pool.
-func (p *Pool) RunFrontier(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (completed bool, err error) {
+func (p *Pool) RunFrontier(ft *petri.FiringTable, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (completed bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -348,7 +348,7 @@ func (p *Pool) RunFrontier(n *petri.Net, store *petri.MarkingStore, spec petri.E
 	if p.broken != nil {
 		return false, fmt.Errorf("dist: pool failed earlier: %w", p.broken)
 	}
-	completed, err = p.runSession(n, store, spec, hooks)
+	completed, err = p.runSession(ft, store, spec, hooks)
 	if err != nil {
 		p.broken = err
 		p.logw.printf("session failed: %v", err)

@@ -41,10 +41,9 @@ type WorkerOptions struct {
 type replica struct {
 	net     *petri.Net
 	part    []*petri.ECS
-	tracker *petri.EnabledTracker
+	fires   *petri.FiringTable
 	stride  int
 	spec    petri.ExpandSpec
-	fires   petri.FiringTable
 	store   *petri.MarkingStore
 	bits    []uint64
 	scratch petri.Marking
@@ -61,7 +60,7 @@ type replica struct {
 
 // interned records the global id g of the local state just interned
 // and returns its enabled-set words for the caller to fill with
-// tracker.Init or Update. Every intern site calls it exactly once, in
+// fires.Init or Update. Every intern site calls it exactly once, in
 // intern order. gids and bits grow by petri.Grow's doubling rule.
 func (r *replica) interned(g petri.MarkID) []uint64 {
 	r.gids = append(petri.Grow(r.gids, 1), g)
@@ -73,7 +72,8 @@ func (r *replica) interned(g petri.MarkID) []uint64 {
 // newReplica builds a session's replica from its init alone: the
 // worker's owned states from the init's level on, interned in
 // ascending global id order with their enabled sets computed from
-// scratch (tracker.Init and the incremental Update agree bit for bit).
+// scratch (fires.Init and the incremental Update agree bit for bit).
+// The replica builds its own FiringTable from the decoded net.
 // With the init's freeze flag set, the store's frozen tier is on: once
 // the coordinator commits a level, states below it can never again be
 // record parents or expansion sources, so only their hashes and segment
@@ -89,19 +89,18 @@ func newReplica(m *initMsg) (*replica, error) {
 		store:   petri.NewMarkingStore(len(m.net.Places)),
 	}
 	r.part = r.net.ECSPartition()
-	r.tracker = petri.NewEnabledTracker(r.net, r.part)
-	r.stride = r.tracker.Stride()
+	r.fires = petri.NewFiringTable(r.net, r.part)
+	r.stride = r.fires.Stride()
 	if len(m.spec.Mask) != r.stride {
 		return nil, fmt.Errorf("dist: spec mask has %d words, partition needs %d — net round-trip mismatch", len(m.spec.Mask), r.stride)
 	}
 	if len(m.spec.Caps) != len(r.net.Places) {
 		return nil, fmt.Errorf("dist: spec caps cover %d places, net has %d", len(m.spec.Caps), len(r.net.Places))
 	}
-	r.fires = petri.NewFiringTable(r.net, r.spec)
 	r.vcache = newVecCache()
 	if m.freeze {
 		// Without a segment file the replica runs all-hot.
-		_ = r.store.EnableFreeze(r.net.TokenDeltas())
+		_ = r.store.EnableFreeze(r.fires)
 	}
 	for i, vec := range m.vecs {
 		g := m.gids[i]
@@ -123,7 +122,7 @@ func newReplica(m *initMsg) (*replica, error) {
 			return nil, fmt.Errorf("dist: init state %d duplicates state %d", g, r.gids[id])
 		}
 		// Seeded states freeze verbatim.
-		r.tracker.Init(r.interned(g), r.store.At(id))
+		r.fires.Init(r.interned(g), r.store.At(id))
 	}
 	return r, nil
 }
@@ -149,7 +148,7 @@ func (r *replica) localOf(g petri.MarkID) (petri.MarkID, bool) {
 // owned store, from the record itself, or from the boundary-parent
 // cache (whose state mirrors the coordinator's; a miss is a protocol
 // failure, not a recoverable condition). A child derived from a
-// shipped or cached vector gets its enabled set from tracker.Init —
+// shipped or cached vector gets its enabled set from fires.Init —
 // the incremental Update needs the parent's bitset, which only owned
 // parents have. Init and Update agree bit-for-bit.
 func (r *replica) applyRec(rec petri.VecDelta) error {
@@ -181,7 +180,7 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	if !pv.Enabled(t) {
 		return fmt.Errorf("dist: record fires disabled transition %s at parent %d", t.Name, rec.Parent)
 	}
-	r.scratch = pv.FireInto(r.scratch, t)
+	r.scratch = r.fires.Fire(r.scratch, pv, int(rec.Trans))
 	h := petri.HashMarking(r.scratch)
 	if !r.ownsHash(h) {
 		return fmt.Errorf("dist: record child %d routes outside this worker's shards", rec.Child)
@@ -197,9 +196,9 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	}
 	bits := r.interned(rec.Child)
 	if parentLocal != petri.NoMark {
-		r.tracker.Update(bits, r.bits[int(parentLocal)*r.stride:(int(parentLocal)+1)*r.stride], int(rec.Trans), r.store.At(id))
+		r.fires.Update(bits, r.bits[int(parentLocal)*r.stride:(int(parentLocal)+1)*r.stride], int(rec.Trans), r.store.At(id))
 	} else {
-		r.tracker.Init(bits, r.store.At(id))
+		r.fires.Init(bits, r.store.At(id))
 	}
 	return nil
 }
@@ -221,7 +220,7 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 //
 // Pin 0 is the root level: only a root can be over a cap, so only
 // there does the worker check the state itself and, if it is, veto its
-// successors by the full cap scan (see petri.FiringTable.Veto).
+// successors by the full cap scan (petri.FiringTable.Veto's full flag).
 func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	m := r.store.At(id)
 	ph := r.store.HashAt(id)
@@ -237,7 +236,7 @@ func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(cands))
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		for _, tid := range r.part[ei].Trans {
-			r.scratch = m.FireInto(r.scratch, r.net.Transitions[tid])
+			r.scratch = r.fires.Fire(r.scratch, m, tid)
 			switch gid, h, ok := r.classify(ph, tid, full); {
 			case !ok:
 				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candVeto)
@@ -261,7 +260,7 @@ func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 // candidates carry so the coordinator's merge resolves them against
 // the authoritative store without re-firing.
 func (r *replica) classify(ph uint64, tid int, full bool) (petri.MarkID, uint64, bool) {
-	if r.fires.Veto(r.scratch, tid, full) {
+	if r.fires.Veto(&r.spec, r.scratch, tid, full) {
 		return petri.NoMark, 0, false
 	}
 	h := r.fires.Hash(ph, tid)

@@ -133,12 +133,11 @@ func (n *Net) IncidenceMatrix() [][]int {
 	for i := range c {
 		c[i] = make([]int, len(n.Transitions))
 	}
+	var ds []PlaceDelta
 	for j, t := range n.Transitions {
-		for _, a := range t.In {
-			c[a.Place][j] -= a.Weight
-		}
-		for _, a := range t.Out {
-			c[a.Place][j] += a.Weight
+		ds = t.AppendDeltas(ds[:0])
+		for _, d := range ds {
+			c[d.Place][j] = d.Delta
 		}
 	}
 	return c

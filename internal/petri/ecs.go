@@ -150,7 +150,7 @@ func EnabledECSInto(dst []*ECS, n *Net, part []*ECS, m Marking) []*ECS {
 
 // EnabledECS returns the ECSs of the partition enabled at m, in
 // partition order. Hot loops use EnabledECSInto with a scratch slice,
-// or an EnabledTracker to skip the full scan entirely.
+// or a FiringTable's bitsets to skip the full scan entirely.
 func EnabledECS(n *Net, part []*ECS, m Marking) []*ECS {
 	return EnabledECSInto(nil, n, part, m)
 }

@@ -1,0 +1,219 @@
+package petri
+
+import (
+	mathbits "math/bits"
+	"slices"
+)
+
+// PlaceDelta is one entry of a transition's token effect: firing the
+// transition changes place Place by Delta tokens.
+type PlaceDelta struct {
+	Place int32
+	Delta int
+}
+
+// AppendDeltas appends t's token effect to dst and returns the extended
+// slice: column t of the incidence matrix C in M' = M + C·e_t, as one
+// entry per place whose count firing t changes, postset weight minus
+// preset weight. A self-loop cancels and leaves no entry. It is the one
+// definition of what firing t does: the FiringTable, the incidence
+// matrix and code generation all derive the effect from it. It relies
+// on each place carrying at most one arc each way, which AddArc and
+// AddArcTP guarantee and Net.Validate checks.
+func (t *Transition) AppendDeltas(dst []PlaceDelta) []PlaceDelta {
+	for _, a := range t.In {
+		if d := t.OutWeight(a.Place) - a.Weight; d != 0 {
+			dst = append(dst, PlaceDelta{Place: int32(a.Place), Delta: d})
+		}
+	}
+	for _, a := range t.Out {
+		if t.Weight(a.Place) == 0 {
+			dst = append(dst, PlaceDelta{Place: int32(a.Place), Delta: a.Weight})
+		}
+	}
+	return dst
+}
+
+// FiringTable is what a search needs per transition to fire it and to
+// classify the successor in time proportional to the firing rather than
+// to the net. It depends only on the net and its ECS partition: a
+// search builds one and passes it down, to Drive, to a FrontierRunner
+// and to the store's frozen tier. Per transition t it holds, in flat
+// pointer-free arrays:
+//
+//   - the deltas of t (AppendDeltas), its positive ones first — the rise
+//     list: a successor of a marking within its caps can leave them only
+//     at those places;
+//   - Δ(t): HashMarking is additive, so the successor of a marking
+//     hashed h hashes to h + Δ(t), exactly;
+//   - the index of t's ECS;
+//   - the touched ECSs, whose enablement firing t can change: those with
+//     a preset place among t's deltas. A child's enabled-ECS bitset is
+//     its parent's with only those re-evaluated.
+//
+// Enabled-ECS bitsets are []uint64 slices of Stride() words; bit i is
+// ECS i of the partition. A table is immutable once built and safe for
+// concurrent use.
+type FiringTable struct {
+	net     *Net
+	part    []*ECS
+	stride  int
+	trans   []firingEntry
+	deltas  []PlaceDelta
+	touched []int32
+}
+
+// firingEntry is one transition's row: deltas[lo:hi], of which
+// deltas[lo:rise] are positive, and touched[tlo:thi], ascending.
+type firingEntry struct {
+	hash         uint64
+	lo, rise, hi int32
+	tlo, thi     int32
+	ecs          int32
+}
+
+// NewFiringTable builds the table of n's transitions under part, n's
+// ECSPartition.
+func NewFiringTable(n *Net, part []*ECS) *FiringTable {
+	f := &FiringTable{net: n, part: part, stride: (len(part) + 63) / 64, trans: make([]firingEntry, len(n.Transitions))}
+	placeECS := make([][]int32, len(n.Places))
+	for _, e := range part {
+		for _, t := range e.Trans {
+			f.trans[t].ecs = int32(e.Index)
+		}
+		// Equal conflict: one member's preset is every member's.
+		for _, a := range n.Transitions[e.Trans[0]].In {
+			placeECS[a.Place] = append(placeECS[a.Place], int32(e.Index))
+		}
+	}
+	seen := make([]bool, len(part))
+	var ds []PlaceDelta
+	for ti, t := range n.Transitions {
+		e := &f.trans[ti]
+		ds = t.AppendDeltas(ds[:0])
+		e.lo = int32(len(f.deltas))
+		for _, d := range ds {
+			if d.Delta > 0 {
+				f.deltas = append(f.deltas, d)
+			}
+		}
+		e.rise = int32(len(f.deltas))
+		for _, d := range ds {
+			if d.Delta < 0 {
+				f.deltas = append(f.deltas, d)
+			}
+		}
+		e.hi = int32(len(f.deltas))
+		e.tlo = int32(len(f.touched))
+		for _, d := range ds {
+			e.hash += uint64(d.Delta) * placeWeight(int(d.Place))
+			for _, ei := range placeECS[d.Place] {
+				if !seen[ei] {
+					seen[ei] = true
+					f.touched = append(f.touched, ei)
+				}
+			}
+		}
+		e.thi = int32(len(f.touched))
+		for _, ei := range f.touched[e.tlo:] {
+			seen[ei] = false
+		}
+		slices.Sort(f.touched[e.tlo:])
+	}
+	return f
+}
+
+// Net returns the net the table was built from.
+func (f *FiringTable) Net() *Net { return f.net }
+
+// Stride returns the enabled-ECS bitset length in uint64 words.
+func (f *FiringTable) Stride() int { return f.stride }
+
+// ECSOf returns the partition index of transition t's ECS.
+func (f *FiringTable) ECSOf(t int) int { return int(f.trans[t].ecs) }
+
+// Deltas returns transition t's token effect, positive deltas first.
+// Callers must not mutate it.
+func (f *FiringTable) Deltas(t int) []PlaceDelta {
+	e := &f.trans[t]
+	return f.deltas[e.lo:e.hi]
+}
+
+// Fire writes the successor of m under transition t into dst, reusing
+// its storage when it has room, and returns it; dst may be m itself.
+// Like Marking.FireInto it does not check that t is enabled at m.
+func (f *FiringTable) Fire(dst, m Marking, t int) Marking {
+	dst = append(dst[:0], m...)
+	e := &f.trans[t]
+	for _, d := range f.deltas[e.lo:e.hi] {
+		dst[d.Place] += d.Delta
+	}
+	return dst
+}
+
+// Hash returns the HashMarking value of the successor of firing
+// transition t at a marking whose HashMarking value is h.
+func (f *FiringTable) Hash(h uint64, t int) uint64 { return h + f.trans[t].hash }
+
+// Veto reports whether child, the successor of firing transition t,
+// exceeds spec's caps. Unless full is set, its parent must have been
+// within every cap, and only t's rise list is checked; full runs the
+// whole ExpandSpec.Veto scan, for the successors of a marking that is
+// itself over a cap (only a root can be: every other state passed a
+// veto).
+func (f *FiringTable) Veto(spec *ExpandSpec, child Marking, t int, full bool) bool {
+	if full {
+		return spec.Veto(child)
+	}
+	e := &f.trans[t]
+	for _, d := range f.deltas[e.lo:e.rise] {
+		if c := spec.Caps[d.Place]; c >= 0 && child[d.Place] > c {
+			return true
+		}
+	}
+	return false
+}
+
+// Init writes the enabled-ECS set of m into bits with a full partition
+// scan — the seeding of an exploration root.
+func (f *FiringTable) Init(bits []uint64, m Marking) {
+	clear(bits[:f.stride])
+	for _, e := range f.part {
+		if e.Enabled(f.net, m) {
+			bits[e.Index>>6] |= 1 << (uint(e.Index) & 63)
+		}
+	}
+}
+
+// Update writes the enabled-ECS set of m into dst, where m was reached
+// from a marking with set src by firing transition t: only the ECSs t
+// touches are re-evaluated, and the result equals Init's. dst and src
+// must not overlap.
+func (f *FiringTable) Update(dst, src []uint64, t int, m Marking) {
+	copy(dst[:f.stride], src[:f.stride])
+	e := &f.trans[t]
+	for _, ei := range f.touched[e.tlo:e.thi] {
+		w, b := ei>>6, uint64(1)<<(uint(ei)&63)
+		if f.part[ei].Enabled(f.net, m) {
+			dst[w] |= b
+		} else {
+			dst[w] &^= b
+		}
+	}
+}
+
+// ForEachMaskedBit calls fn with each set bit index of bits&mask in
+// ascending order — the canonical walk over an enabled-ECS bitset
+// filtered by a fireable/allowed mask. Drive's inline expansion, the
+// dist worker's expansion and the EP engine all use it, so their emit
+// orders agree by construction.
+func ForEachMaskedBit(bits, mask []uint64, fn func(i int)) {
+	for w := range bits {
+		x := bits[w] & mask[w]
+		for x != 0 {
+			b := mathbits.TrailingZeros64(x)
+			x &= x - 1
+			fn(w*64 + b)
+		}
+	}
+}

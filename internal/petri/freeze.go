@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -18,7 +17,7 @@ import (
 // segment file — one record per state, holding either the verbatim
 // vector (roots, or states interned without a nameable parent) or
 // just (parent-id gap, transition): the child vector is the parent's
-// plus the transition's net token effect, the same reconstruction
+// fired through the search's FiringTable, the same reconstruction
 // insight the dist wire format exploits. The store records that
 // provenance itself when a successor is interned (InternChild) and
 // keeps it only until the state freezes. Hot memory for a frozen state
@@ -27,7 +26,7 @@ import (
 //
 // Reads go through At unchanged: a frozen id is thawed on demand by
 // walking the parent chain down to a hot state, a cached vector or a
-// verbatim record, then replaying the transition deltas forward. A
+// verbatim record, then replaying the firings forward. A
 // small FIFO-evicted cache of thawed vectors (plus every
 // thawCacheStride-th ancestor of a long walk) keeps repeated probes of
 // the same cold region cheap. Thawed views are ordinary heap slices:
@@ -37,41 +36,6 @@ import (
 // Freezing happens strictly after dense MarkID assignment, so state
 // numbering — and everything derived from it — is byte-identical with
 // and without the tier.
-
-// PlaceDelta is one entry of a transition's sparse token effect: firing
-// the transition changes place Place by Delta tokens.
-type PlaceDelta struct {
-	Place int32
-	Delta int32
-}
-
-// TokenDeltas returns, per transition, the net token effect of one
-// firing as a sparse place list (postset minus preset, self-loops
-// cancelled), ascending by place. child = parent + deltas[trans] for
-// any firing, which is what lets a frozen segment reconstruct a state
-// from (parent, transition) alone.
-func (n *Net) TokenDeltas() [][]PlaceDelta {
-	out := make([][]PlaceDelta, len(n.Transitions))
-	acc := map[int]int{}
-	for ti, t := range n.Transitions {
-		clear(acc)
-		for _, a := range t.In {
-			acc[a.Place] -= a.Weight
-		}
-		for _, a := range t.Out {
-			acc[a.Place] += a.Weight
-		}
-		var ds []PlaceDelta
-		for p, d := range acc {
-			if d != 0 {
-				ds = append(ds, PlaceDelta{Place: int32(p), Delta: int32(d)})
-			}
-		}
-		sort.Slice(ds, func(i, j int) bool { return ds[i].Place < ds[j].Place })
-		out[ti] = ds
-	}
-	return out
-}
 
 // prov is the provenance of one unfrozen state for delta encoding:
 // its vector is the vector gap ids below it plus the token deltas of
@@ -116,7 +80,7 @@ const thawCap = 256
 // frozenTier is the cold half of a MarkingStore (see the file comment).
 type frozenTier struct {
 	end    int // ids [0, end) are frozen; mirrors MarkingStore.frozenEnd
-	deltas [][]PlaceDelta
+	ft     *FiringTable
 	offs   []int64 // offs[id] = segment offset of id's record
 	size   int64   // segment length
 	f      *os.File
@@ -163,13 +127,12 @@ func (s *MarkingStore) FreezeEnabled() bool { return s.frozen != nil && !s.froze
 // live in the segment, the rest in the hot arena).
 func (s *MarkingStore) FrozenLen() int { return s.frozenEnd }
 
-// EnableFreeze attaches a frozen tier to the store; deltas is the
-// per-transition sparse token effect (Net.TokenDeltas of the net whose
-// markings the store interns), which reconstruction applies without
-// consulting the net. Call it before anything freezes; states interned
-// before it freeze verbatim. Enabling costs one temp file; no state
-// moves until FreezeThrough.
-func (s *MarkingStore) EnableFreeze(deltas [][]PlaceDelta) error {
+// EnableFreeze attaches a frozen tier to the store; ft is the
+// FiringTable of the net whose markings the store interns, through
+// which reconstruction replays firings. Call it before anything
+// freezes; states interned before it freeze verbatim. Enabling costs
+// one temp file; no state moves until FreezeThrough.
+func (s *MarkingStore) EnableFreeze(ft *FiringTable) error {
 	if s.frozen != nil {
 		return fmt.Errorf("petri: freeze already enabled")
 	}
@@ -178,10 +141,10 @@ func (s *MarkingStore) EnableFreeze(deltas [][]PlaceDelta) error {
 		return fmt.Errorf("petri: freeze segment: %w", err)
 	}
 	fz := &frozenTier{
-		deltas: deltas,
-		f:      f,
-		prov:   make([]prov, s.Len()),
-		cache:  map[MarkID]Marking{},
+		ft:    ft,
+		f:     f,
+		prov:  make([]prov, s.Len()),
+		cache: map[MarkID]Marking{},
 	}
 	// Unlink immediately where the OS allows reading an unlinked open
 	// file, so a killed process leaks nothing; keep the path (and let
@@ -220,7 +183,7 @@ func (s *MarkingStore) FreezeThrough(end int) error {
 	buf := fz.wbuf[:0]
 	for id := s.frozenEnd; id < end; id++ {
 		fz.offs = append(fz.offs, fz.size+int64(len(buf)))
-		if p := fz.prov[id-s.frozenEnd]; p.gap != 0 && uint(p.trans) < uint(len(fz.deltas)) {
+		if p := fz.prov[id-s.frozenEnd]; p.gap != 0 && uint(p.trans) < uint(len(fz.ft.trans)) {
 			buf = append(buf, frozenDelta)
 			buf = binary.AppendUvarint(buf, uint64(p.gap))
 			buf = binary.AppendUvarint(buf, uint64(p.trans))
@@ -318,7 +281,7 @@ type thawLink struct {
 
 // thaw reconstructs a frozen state's vector: walk the provenance chain
 // down until a hot state, a cached vector or a verbatim record, then
-// replay the transition deltas forward, caching the result (and, on
+// replay the firings forward, caching the result (and, on
 // long walks, periodic ancestors). Corruption of the segment — which
 // the process itself wrote this session — panics like any other store
 // invariant violation.
@@ -367,18 +330,15 @@ func (fz *frozenTier) thaw(s *MarkingStore, id MarkID) Marking {
 			panic(fmt.Sprintf("petri: corrupt delta record for state %d", cur))
 		}
 		trans, n2 := binary.Uvarint(b[n:])
-		if n2 <= 0 || int(trans) >= len(fz.deltas) {
+		if n2 <= 0 || trans >= uint64(len(fz.ft.trans)) {
 			panic(fmt.Sprintf("petri: corrupt delta record for state %d", cur))
 		}
 		chain = append(chain, thawLink{id: cur, trans: int32(trans)})
 		cur -= MarkID(gap)
 	}
-	buf := make(Marking, s.places)
-	copy(buf, base)
+	buf := base.Clone()
 	for i := len(chain) - 1; i >= 0; i-- {
-		for _, d := range fz.deltas[chain[i].trans] {
-			buf[d.Place] += int(d.Delta)
-		}
+		buf = fz.ft.Fire(buf, buf, int(chain[i].trans))
 		if depth := len(chain) - 1 - i; i == 0 || depth%thawCacheStride == thawCacheStride-1 {
 			v := make(Marking, s.places)
 			copy(v, buf)

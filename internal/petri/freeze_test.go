@@ -6,38 +6,6 @@ import (
 	"testing"
 )
 
-// TestTokenDeltas: the sparse per-transition effect must match what
-// FireInto does to a vector, with self-loops cancelled.
-func TestTokenDeltas(t *testing.T) {
-	n := New("deltas")
-	p := n.AddPlace("p", PlaceChannel, 3)
-	q := n.AddPlace("q", PlaceChannel, 0)
-	r := n.AddPlace("r", PlaceChannel, 1)
-	tr := n.AddTransition("t", TransNormal)
-	n.AddArc(p, tr, 2)
-	n.AddArcTP(tr, q, 3)
-	n.AddArc(r, tr, 1) // self-loop on r:
-	n.AddArcTP(tr, r, 1)
-	ds := n.TokenDeltas()
-	if len(ds) != 1 {
-		t.Fatalf("TokenDeltas returned %d transitions, want 1", len(ds))
-	}
-	m := n.InitialMarking()
-	want := m.Fire(tr)
-	got := m.Clone()
-	for _, d := range ds[0] {
-		got[d.Place] += int(d.Delta)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("delta application = %v, want %v", got, want)
-	}
-	for _, d := range ds[0] {
-		if d.Delta == 0 {
-			t.Fatalf("zero delta retained for place %d (self-loop not cancelled)", d.Place)
-		}
-	}
-}
-
 // freezeChainStore builds a store holding a root plus a delta chain of
 // markings (alternating two synthetic transitions), each successor
 // interned with its parent and transition, and returns the store and
@@ -45,22 +13,21 @@ func TestTokenDeltas(t *testing.T) {
 // exercise multi-byte verbatim encoding.
 func freezeChainStore(t *testing.T, states int) (*MarkingStore, []Marking) {
 	t.Helper()
-	deltas := [][]PlaceDelta{
-		{{Place: 0, Delta: 1}, {Place: 2, Delta: -1}},
-		{{Place: 1, Delta: 3}, {Place: 2, Delta: 2}},
-	}
+	// t0 moves a token from c to a; t1 adds 3 tokens to b and 2 to c.
+	n := New("chain")
+	a, b, c := n.AddPlace("a", PlaceChannel, 200), n.AddPlace("b", PlaceChannel, 0), n.AddPlace("c", PlaceChannel, 500)
+	t0, t1 := n.AddTransition("t0", TransNormal), n.AddTransition("t1", TransNormal)
+	n.AddArc(c, t0, 1)
+	n.AddArcTP(t0, a, 1)
+	n.AddArcTP(t1, b, 3)
+	n.AddArcTP(t1, c, 2)
 	s := NewMarkingStore(3)
-	if err := s.EnableFreeze(deltas); err != nil {
+	if err := s.EnableFreeze(NewFiringTable(n, n.ECSPartition())); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)
 	}
-	vecs := []Marking{{200, 0, 500}}
+	vecs := []Marking{n.InitialMarking()}
 	for i := 1; i < states; i++ {
-		prev := vecs[i-1]
-		next := prev.Clone()
-		for _, d := range deltas[i%2] {
-			next[d.Place] += int(d.Delta)
-		}
-		vecs = append(vecs, next)
+		vecs = append(vecs, vecs[i-1].FireInto(nil, n.Transitions[i%2]))
 	}
 	for i, v := range vecs {
 		if id, isNew := s.InternChild(v, HashMarking(v), MarkID(i-1), int32(i%2)); !isNew || int(id) != i {
@@ -124,8 +91,11 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 // parent, a non-earlier parent, an out-of-range transition — stores the
 // vector verbatim and still round-trips.
 func TestFreezeVerbatimFallback(t *testing.T) {
+	n := New("one")
+	n.AddArcTP(n.AddTransition("t", TransNormal), n.AddPlace("p", PlaceChannel, 0), 1)
+	n.AddPlace("q", PlaceChannel, 0)
 	s := NewMarkingStore(2)
-	if err := s.EnableFreeze([][]PlaceDelta{{{Place: 0, Delta: 1}}}); err != nil {
+	if err := s.EnableFreeze(NewFiringTable(n, n.ECSPartition())); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)
 	}
 	vecs := []Marking{{1000, 0}, {3, 128}, {0, 0}}
@@ -199,7 +169,8 @@ func TestFreezeMemAccounting(t *testing.T) {
 // of reading a hot-arena view.
 func TestFreezeAliasAfterFreeze(t *testing.T) {
 	s := newMarkingStoreCap(3, 2) // tiny table: forces probe runs through the alias
-	if err := s.EnableFreeze(nil); err != nil {
+	// A net without transitions: every record freezes verbatim.
+	if err := s.EnableFreeze(NewFiringTable(New("none"), nil)); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)
 	}
 	var ms []Marking
@@ -208,8 +179,7 @@ func TestFreezeAliasAfterFreeze(t *testing.T) {
 		ms = append(ms, m)
 		s.Intern(m)
 	}
-	// Freeze the whole "level" holding every interned marking (nil
-	// deltas: everything verbatim).
+	// Freeze the whole "level" holding every interned marking.
 	if err := s.FreezeThrough(s.Len()); err != nil {
 		t.Fatalf("FreezeThrough: %v", err)
 	}
@@ -359,14 +329,14 @@ func TestFreezeWriteFailureReverts(t *testing.T) {
 	n := ringsNet(3, 4)
 	opt := ExploreOptions{MaxMarkings: 1000, Strategy: Strategy{Freeze: true}}
 	allHot := n.Explore(ExploreOptions{MaxMarkings: opt.MaxMarkings})
-	part := n.ECSPartition()
+	ft := NewFiringTable(n, n.ECSPartition())
 	var (
 		e         *reachExplorer
 		store     *MarkingStore
 		commits   int
 		frozenEnd int
 	)
-	ok, err := Drive(n, part, reachSpec(n, part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
+	ok, err := Drive(ft, reachSpec(n, ft.part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
 		store = s
 		e = newReachExplorer(s, opt.MaxMarkings)
 		h := e.mergeHooks()

@@ -10,15 +10,16 @@ package petri
 //
 // Drive owns everything the explorers share: the MarkingStore
 // (with its frozen tier, which records each state's provenance as it
-// is interned), the EnabledTracker bitset arena, expansion of an
+// is interned), the enabled-ECS bitset arena, expansion of an
 // ExpandSpec, level-boundary detection and the Strategy's fallback
-// rerun. It has two modes:
+// rerun. The caller's FiringTable fires every transition. Drive has
+// two modes:
 //
 //	inline: expand one state, then merge each of its edges at once —
 //	  fire, veto, hash, LookupHashed, Admit, InternChild, Edge. The
 //	  veto checks only the places the transition adds tokens to, and
 //	  the hash is the parent's plus the transition's constant
-//	  increment (FiringTable), so neither pass scans the marking.
+//	  increment, so neither pass scans the marking.
 //	  No goroutines and no candidate buffers.
 //	runner: a FrontierRunner (the worker processes of internal/dist)
 //	  expands under the same ExpandSpec and calls the same MergeHooks.
@@ -76,86 +77,6 @@ func (s *ExpandSpec) Veto(m Marking) bool {
 	return false
 }
 
-// FiringTable is what an explorer needs per transition, beyond the
-// firing itself, to classify a successor in time proportional to the
-// firing rather than to the net. It is built once per exploration from
-// the net and the ExpandSpec, and both Drive's inline merge and every
-// dist worker use it.
-//
-//   - Δ(t): HashMarking is additive, so the successor of a marking
-//     hashed h under t hashes to h + Δ(t), exactly.
-//   - The rise list of t: the capped places t adds tokens to. A
-//     successor of a marking within its caps can leave them only
-//     there, so checking those places is the whole Veto.
-//
-// A marking that is itself over a cap (only a root can be: every other
-// state passed a veto) takes the full ExpandSpec.Veto instead; see
-// Veto's full flag.
-type FiringTable struct {
-	spec  ExpandSpec
-	trans []firingEntry
-	rise  []int32 // every transition's rise list, concatenated
-}
-
-// firingEntry is one transition's hash increment and rise list
-// (rise[lo:hi]).
-type firingEntry struct {
-	delta  uint64
-	lo, hi int32
-}
-
-// NewFiringTable builds the table of n's transitions under spec.
-func NewFiringTable(n *Net, spec ExpandSpec) FiringTable {
-	rises := 0
-	for _, t := range n.Transitions {
-		for _, a := range t.Out {
-			if spec.Caps[a.Place] >= 0 {
-				rises++
-			}
-		}
-	}
-	f := FiringTable{spec: spec, trans: make([]firingEntry, len(n.Transitions)), rise: make([]int32, 0, rises)}
-	for ti, t := range n.Transitions {
-		e := &f.trans[ti]
-		for _, a := range t.In {
-			e.delta -= uint64(a.Weight) * placeWeight(a.Place)
-		}
-		e.lo = int32(len(f.rise))
-		// AddArc and AddArcTP merge parallel arcs, so each place has at
-		// most one arc each way.
-		for _, a := range t.Out {
-			e.delta += uint64(a.Weight) * placeWeight(a.Place)
-			if spec.Caps[a.Place] >= 0 && a.Weight > t.Weight(a.Place) {
-				f.rise = append(f.rise, int32(a.Place))
-			}
-		}
-		e.hi = int32(len(f.rise))
-	}
-	return f
-}
-
-// Hash returns the HashMarking value of the successor of firing
-// transition t at a marking whose HashMarking value is h.
-func (f *FiringTable) Hash(h uint64, t int) uint64 { return h + f.trans[t].delta }
-
-// Veto reports whether child, the successor of firing transition t,
-// exceeds the spec's caps. Unless full is set, its parent must have
-// been within every cap, and only t's rise list is checked; full runs
-// the whole ExpandSpec.Veto scan, for the successors of a marking that
-// is itself over a cap.
-func (f *FiringTable) Veto(child Marking, t int, full bool) bool {
-	if full {
-		return f.spec.Veto(child)
-	}
-	e := f.trans[t]
-	for _, p := range f.rise[e.lo:e.hi] {
-		if child[p] > f.spec.Caps[p] {
-			return true
-		}
-	}
-	return false
-}
-
 // FrontierRunner abstracts who expands the frontier of a
 // level-synchronous exploration in Drive's runner mode. A distributed
 // runner (package internal/dist) ships the net and spec to worker
@@ -177,7 +98,7 @@ func (f *FiringTable) Veto(child Marking, t int, full bool) bool {
 // non-nil error reports an infrastructure failure (a worker died, the
 // protocol broke) rather than an exploration outcome.
 type FrontierRunner interface {
-	RunFrontier(n *Net, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error)
+	RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error)
 }
 
 // Strategy is how an exploration executes: where the frontier
@@ -208,8 +129,8 @@ type Strategy struct {
 	Freeze bool
 }
 
-// Drive explores n breadth-first from its initial marking under spec,
-// whose Mask indexes part (n's ECSPartition), executing as st says.
+// Drive explores ft's net breadth-first from its initial marking under
+// spec, whose Mask indexes ft's partition, executing as st says.
 // start is called with a fresh store holding only the root, MarkID 0,
 // and returns the hooks that record the exploration; Drive interns
 // every admitted successor into that store.
@@ -221,11 +142,11 @@ type Strategy struct {
 //
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure that was not recovered.
-func Drive(n *Net, part []*ECS, spec ExpandSpec, st Strategy, start func(*MarkingStore) MergeHooks) (bool, error) {
-	d := &driver{net: n, part: part, spec: spec}
+func Drive(ft *FiringTable, spec ExpandSpec, st Strategy, start func(*MarkingStore) MergeHooks) (bool, error) {
+	d := &driver{ft: ft, spec: spec}
 	if st.Runner != nil {
 		d.begin(st.Freeze, start)
-		ok, err := st.Runner.RunFrontier(n, d.store, spec, d.hooks)
+		ok, err := st.Runner.RunFrontier(ft, d.store, spec, d.hooks)
 		if err == nil || !st.Fallback {
 			return ok, err
 		}
@@ -236,33 +157,27 @@ func Drive(n *Net, part []*ECS, spec ExpandSpec, st Strategy, start func(*Markin
 
 // driver is the state of one Drive call.
 type driver struct {
-	net   *Net
-	part  []*ECS
+	ft    *FiringTable
 	spec  ExpandSpec
 	store *MarkingStore
 	hooks MergeHooks
 	// Inline mode only: bits is the per-state enabled-ECS arena (state
 	// id's set is bits[id*stride : (id+1)*stride]), derived from the
 	// parent's set when a state is interned and grown by Grow's rule;
-	// scratch is the firing buffer reused across the whole exploration;
-	// fires classifies each successor from its parent's hash and the
-	// transition.
-	tracker *EnabledTracker
-	stride  int
+	// scratch is the firing buffer reused across the whole exploration.
 	bits    []uint64
 	scratch Marking
-	fires   FiringTable
 }
 
 // begin starts one attempt: a store holding only the root, its frozen
 // tier when asked for, and the caller's hooks for that store.
 func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
-	d.store = NewMarkingStore(len(d.net.Places))
+	d.store = NewMarkingStore(len(d.ft.net.Places))
 	if freeze {
 		// Without a segment file the exploration runs all-hot.
-		_ = d.store.EnableFreeze(d.net.TokenDeltas())
+		_ = d.store.EnableFreeze(d.ft)
 	}
-	d.store.Intern(d.net.InitialMarking())
+	d.store.Intern(d.ft.net.InitialMarking())
 	d.hooks = start(d.store)
 }
 
@@ -272,11 +187,8 @@ func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
 // and freezes. A segment write failure leaves the store all-hot from
 // there on, which changes nothing the exploration computes.
 func (d *driver) runInline() bool {
-	d.tracker = NewEnabledTracker(d.net, d.part)
-	d.fires = NewFiringTable(d.net, d.spec)
-	d.stride = d.tracker.Stride()
-	d.bits = make([]uint64, d.stride)
-	d.tracker.Init(d.bits, d.store.At(0))
+	d.bits = make([]uint64, d.ft.stride)
+	d.ft.Init(d.bits, d.store.At(0))
 	levelEnd := d.store.Len()
 	for id := 0; id < d.store.Len(); id++ {
 		if id == levelEnd {
@@ -306,8 +218,9 @@ func (d *driver) expand(id MarkID) bool {
 	ok := true
 	// Interning appends to d.bits, possibly moving it; this view of the
 	// state's own words stays valid either way.
-	ForEachMaskedBit(d.bits[int(id)*d.stride:(int(id)+1)*d.stride], d.spec.Mask, func(ei int) {
-		for _, tid := range d.part[ei].Trans {
+	stride := d.ft.stride
+	ForEachMaskedBit(d.bits[int(id)*stride:(int(id)+1)*stride], d.spec.Mask, func(ei int) {
+		for _, tid := range d.ft.part[ei].Trans {
 			if ok {
 				ok = d.merge(id, m, h, tid, full)
 			}
@@ -321,11 +234,11 @@ func (d *driver) expand(id MarkID) bool {
 // or an edge to a newly interned one. full runs the whole cap scan
 // (see FiringTable.Veto).
 func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) bool {
-	d.scratch = m.FireInto(d.scratch, d.net.Transitions[tid])
-	if d.fires.Veto(d.scratch, tid, full) {
+	d.scratch = d.ft.Fire(d.scratch, m, tid)
+	if d.ft.Veto(&d.spec, d.scratch, tid, full) {
 		return d.hooks.Reject(parent, int32(tid), false)
 	}
-	h := d.fires.Hash(ph, tid)
+	h := d.ft.Hash(ph, tid)
 	if child, ok := d.store.LookupHashed(d.scratch, h); ok {
 		d.hooks.Edge(parent, int32(tid), child, false)
 		return true
@@ -335,9 +248,9 @@ func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) 
 	}
 	child, _ := d.store.InternChild(d.scratch, h, parent, int32(tid))
 	// Update writes every word of the new state's set.
-	base := len(d.bits)
-	d.bits = Grow(d.bits, d.stride)[:base+d.stride]
-	d.tracker.Update(d.bits[base:], d.bits[int(parent)*d.stride:(int(parent)+1)*d.stride], tid, d.scratch)
+	base, stride := len(d.bits), d.ft.stride
+	d.bits = Grow(d.bits, stride)[:base+stride]
+	d.ft.Update(d.bits[base:], d.bits[int(parent)*stride:(int(parent)+1)*stride], tid, d.scratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true
 }

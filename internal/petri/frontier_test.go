@@ -12,7 +12,7 @@ type dyingRunner struct{}
 
 var errWorkerDied = errors.New("worker died")
 
-func (dyingRunner) RunFrontier(n *Net, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
+func (dyingRunner) RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
 	hooks.Reject(0, 0, false)
 	return false, errWorkerDied
 }

@@ -100,21 +100,15 @@ func (m Marking) Fire(t *Transition) Marking {
 	if !m.Enabled(t) {
 		panic(fmt.Sprintf("petri: firing disabled transition %s at %v", t.Name, []int(m)))
 	}
-	r := m.Clone()
-	for _, a := range t.In {
-		r[a.Place] -= a.Weight
-	}
-	for _, a := range t.Out {
-		r[a.Place] += a.Weight
-	}
-	return r
+	return m.FireInto(nil, t)
 }
 
 // FireInto writes the result of firing t at m into dst, growing dst as
-// needed, and returns it. Unlike Fire it does not allocate when dst has
-// capacity, which is what keeps the schedule-search inner loops
-// allocation-free: callers thread one scratch buffer through the whole
-// search. The caller must have checked Enabled; FireInto does not.
+// needed, and returns it; it does not allocate when dst has capacity.
+// It is the firing rule read straight off t's arcs, needing no
+// FiringTable; searches fire through FiringTable.Fire, which tests
+// check against it. The caller must have checked Enabled; FireInto
+// does not.
 func (m Marking) FireInto(dst Marking, t *Transition) Marking {
 	if cap(dst) < len(m) {
 		dst = make(Marking, len(m))

@@ -152,7 +152,7 @@ func (s *MarkingStore) At(id MarkID) Marking {
 // processes, so interning order (and everything derived from it) is
 // reproducible, and it is linear: firing a transition t changes it by
 // a constant Δ(t), so an explorer derives a successor's hash from its
-// parent's in O(1) (see FiringTable) and never rehashes the vector.
+// parent's in O(1) (FiringTable.Hash) and never rehashes the vector.
 // Two distinct markings collide only when their difference vector d
 // satisfies Σ d[p]·w(p) ≡ 0 mod 2⁶⁴, which for pseudo-random odd
 // weights and small token counts has probability about 2⁻⁶⁴ per pair.

@@ -12,12 +12,14 @@
 // The exploration substrate shared by the reachability utilities and
 // the scheduler's engines also lives here: MarkingStore hash-conses
 // markings behind dense MarkIDs, holding each explored marking's tokens
-// once in pages that never move; EnabledTracker maintains per-marking
-// enabled-ECS bitsets incrementally (firing a transition re-evaluates
-// only the ECSs whose presets intersect the places whose counts
-// changed); and Drive is the one level-synchronous exploration driver,
-// run inline or on a FrontierRunner (worker processes), with state
-// numbering byte-identical either way.
+// once in pages that never move; a FiringTable, built once per search
+// from each transition's token effect (Transition.AppendDeltas), fires
+// transitions, hashes successors in O(1), vetoes them against the caps
+// and maintains per-marking enabled-ECS bitsets incrementally (firing
+// a transition re-evaluates only the ECSs whose presets intersect the
+// places whose counts changed); and Drive is the one level-synchronous
+// exploration driver, run inline or on a FrontierRunner (worker
+// processes), with state numbering byte-identical either way.
 package petri
 
 import (
@@ -312,8 +314,10 @@ func (t *Transition) IsSource() bool {
 func (t *Transition) IsUncontrollable() bool { return t.Kind == TransSourceUnc }
 
 // Validate checks structural invariants: arc endpoints in range, positive
-// weights, positive initial markings, and source kinds consistent with
-// presets. It returns the first violation found.
+// weights, at most one arc each way between a place and a transition
+// (AddArc merges parallel arcs; Transition.AppendDeltas relies on it),
+// positive initial markings, and source kinds consistent with presets.
+// It returns the first violation found.
 func (n *Net) Validate() error {
 	for _, p := range n.Places {
 		if p.Initial < 0 {
@@ -323,13 +327,23 @@ func (n *Net) Validate() error {
 			return fmt.Errorf("place %s: negative bound %d", p.Name, p.Bound)
 		}
 	}
-	for _, t := range n.Transitions {
-		for _, a := range append(append([]Arc{}, t.In...), t.Out...) {
-			if a.Place < 0 || a.Place >= len(n.Places) {
-				return fmt.Errorf("transition %s: arc references place %d out of range", t.Name, a.Place)
-			}
-			if a.Weight <= 0 {
-				return fmt.Errorf("transition %s: non-positive arc weight %d", t.Name, a.Weight)
+	// seen[p] is the stamp of the last (transition, direction) with an
+	// arc on p.
+	seen := make([]int, len(n.Places))
+	for ti, t := range n.Transitions {
+		for dir, arcs := range [2][]Arc{t.In, t.Out} {
+			for _, a := range arcs {
+				if a.Place < 0 || a.Place >= len(n.Places) {
+					return fmt.Errorf("transition %s: arc references place %d out of range", t.Name, a.Place)
+				}
+				if a.Weight <= 0 {
+					return fmt.Errorf("transition %s: non-positive arc weight %d", t.Name, a.Weight)
+				}
+				stamp := 2*ti + dir + 1
+				if seen[a.Place] == stamp {
+					return fmt.Errorf("transition %s: two %s arcs on place %s", t.Name, [2]string{"input", "output"}[dir], n.Places[a.Place].Name)
+				}
+				seen[a.Place] = stamp
 			}
 		}
 		if (t.Kind == TransSourceUnc || t.Kind == TransSourceCtl) && len(t.In) != 0 {

@@ -58,7 +58,7 @@ type ExploreOptions struct {
 
 // Explore performs a breadth-first bounded exploration from the initial
 // marking on the calling goroutine (Drive's inline mode). Enabled
-// transitions are found by an incremental EnabledTracker (firing a
+// transitions are tracked incrementally through a FiringTable (firing a
 // transition only re-evaluates the ECSs whose presets it disturbs),
 // successors are hash-consed through the result store, and the inner
 // loop reuses one scratch vector, so firing a transition allocates only
@@ -93,9 +93,9 @@ func (n *Net) explore(opt ExploreOptions) (*ReachResult, error) {
 	if opt.MaxMarkings == 0 {
 		opt.MaxMarkings = 10000
 	}
-	part := n.ECSPartition()
+	ft := NewFiringTable(n, n.ECSPartition())
 	var e *reachExplorer
-	_, err := Drive(n, part, reachSpec(n, part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
+	_, err := Drive(ft, reachSpec(n, ft.part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
 		e = newReachExplorer(s, opt.MaxMarkings)
 		return e.mergeHooks()
 	})

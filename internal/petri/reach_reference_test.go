@@ -51,7 +51,7 @@ func snapshotReach(r *ReachResult) reachSnapshot {
 // independent of the code under test: a map-keyed BFS (Marking.Key)
 // that tests ECS.Enabled for the whole partition at every state and
 // records edges in partition order, members ascending. It uses neither
-// Drive, nor an EnabledTracker, nor a MarkingStore.
+// Drive, nor a FiringTable, nor a MarkingStore.
 func referenceExplore(n *Net, opt ExploreOptions) reachSnapshot {
 	if opt.MaxMarkings == 0 {
 		opt.MaxMarkings = 10000

@@ -23,9 +23,9 @@ import (
 // lists in declaration order — and deliberately drops the compiler
 // payloads (Place.Cond, Transition.Code, process attribution): those
 // drive code generation in the coordinator, never firing rules. A
-// decoded net therefore produces the identical ECSPartition,
-// EnabledTracker and firing semantics, which is all the determinism
-// contract requires of a worker.
+// decoded net therefore produces the identical ECSPartition and
+// FiringTable, which is all the determinism contract requires of a
+// worker.
 
 // AppendMarking appends m's varint encoding (length prefix + token
 // counts) to dst.
@@ -53,6 +53,9 @@ func DecodeMarking(buf []byte) (Marking, []byte, error) {
 		v, buf, err = decodeUvarint(buf)
 		if err != nil {
 			return nil, nil, fmt.Errorf("petri: marking token %d: %w", i, err)
+		}
+		if v > math.MaxInt {
+			return nil, nil, fmt.Errorf("petri: marking token %d: count %d out of range", i, v)
 		}
 		m[i] = int(v)
 	}
@@ -171,8 +174,7 @@ func AppendNet(dst []byte, n *Net) []byte {
 
 // DecodeNet decodes a net encoded by AppendNet from the front of buf,
 // returning the net and the remaining bytes. The decoded net validates
-// and reproduces the original's ECS partition, enabled-tracker indexes
-// and firing behaviour exactly.
+// and reproduces the original's ECS partition and firing table exactly.
 func DecodeNet(buf []byte) (*Net, []byte, error) {
 	name, buf, err := decodeString(buf)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -31,8 +33,8 @@ func wireTestNet() *Net {
 }
 
 // TestNetWireRoundTrip: the decoded net reproduces structure, firing
-// semantics, the ECS partition and the tracker's touched sets — the
-// full determinism contract a worker process depends on.
+// semantics, the ECS partition and the firing table — the full
+// determinism contract a worker process depends on.
 func TestNetWireRoundTrip(t *testing.T) {
 	orig := wireTestNet()
 	buf := AppendNet(nil, orig)
@@ -88,17 +90,9 @@ func TestNetWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	otr, dtr := NewEnabledTracker(orig, op), NewEnabledTracker(dec, dp)
-	for _, tr := range orig.Transitions {
-		ot, dt := otr.Touched(tr.ID), dtr.Touched(tr.ID)
-		if len(ot) != len(dt) {
-			t.Fatalf("touched(%s) sizes differ", tr.Name)
-		}
-		for k := range ot {
-			if ot[k] != dt[k] {
-				t.Fatalf("touched(%s)[%d] differs", tr.Name, k)
-			}
-		}
+	of, df := NewFiringTable(orig, op), NewFiringTable(dec, dp)
+	if !slices.Equal(of.trans, df.trans) || !slices.Equal(of.deltas, df.deltas) || !slices.Equal(of.touched, df.touched) {
+		t.Fatal("firing tables differ")
 	}
 	// Exploration of both nets must agree state for state.
 	ro := orig.Explore(ExploreOptions{MaxMarkings: 200, MaxTokensPerPlace: 6, FireSources: true})
@@ -278,5 +272,19 @@ func TestWireDecodeCorrupt(t *testing.T) {
 		if err := dec.Validate(); err != nil {
 			t.Fatalf("mutation %d decoded an invalid net: %v", i, err)
 		}
+	}
+	// Bytes no firing rule means: a transition with two input arcs on
+	// one place (AddArc would have merged them), and a token count of
+	// 2^63, which does not fit an int.
+	n := New("dup")
+	p := n.AddPlace("p", PlaceChannel, 1)
+	tr := n.AddTransition("t", TransNormal)
+	tr.In = []Arc{{Place: p.ID, Weight: 1}, {Place: p.ID, Weight: 1}}
+	if _, _, err := DecodeNet(AppendNet(nil, n)); err == nil || !strings.Contains(err.Error(), "two input arcs on place p") {
+		t.Fatalf("DecodeNet of a repeated input arc: err = %v", err)
+	}
+	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{2}, 1), 1<<63)
+	if m, _, err := DecodeMarking(huge); err == nil {
+		t.Fatalf("DecodeMarking accepted a 2^63 token count as %v", m)
 	}
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	mathbits "math/bits"
 
 	"repro/internal/petri"
 )
@@ -138,16 +137,17 @@ type engine struct {
 	// octx is the reusable ordering context handed to ECSOrder.Sort.
 	octx OrderContext
 
-	// Incremental enablement along the DFS path: bitsStack holds one
-	// enabled-ECS bitset (stride words) per node on the path, pushed by
-	// ep from the parent's set via the tracker, so enabledECS reads the
-	// top of the stack instead of scanning the partition. allowedMask
-	// filters out uncontrollable sources other than the schedule's own
+	// ft fires every transition of the search. Enablement is
+	// incremental along the DFS path: bitsStack holds one enabled-ECS
+	// bitset (stride words) per node on the path, pushed by ep from the
+	// parent's set via ft.Update, so enabledECS reads the top of the
+	// stack instead of scanning the partition. allowedMask filters out
+	// uncontrollable sources other than the schedule's own
 	// (single-source mode). ecsStack is a stack arena for the enabled
 	// slices handed to the ordering heuristic — frames are pushed by
 	// epExpand and popped on return, so expansion allocates no per-node
 	// slice.
-	tracker     *petri.EnabledTracker
+	ft          *petri.FiringTable
 	stride      int
 	allowedMask []uint64
 	bitsStack   []uint64
@@ -176,8 +176,8 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 		store:  petri.NewMarkingStore(len(n.Places)),
 		fired:  make([]int, len(n.Transitions)),
 	}
-	e.tracker = petri.NewEnabledTracker(n, e.part)
-	e.stride = e.tracker.Stride()
+	e.ft = petri.NewFiringTable(n, e.part)
+	e.stride = e.ft.Stride()
 	e.allowedMask = make([]uint64, e.stride)
 	for _, E := range e.part {
 		if e.opt.MultiSource || !E.IsUncontrollable(n) || E.Trans[0] == source {
@@ -196,7 +196,7 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 	e.ancStack = append(e.ancStack, root.marking)
 	e.pushBits(root)
 	e.fired[source]++
-	root.chosenECS = e.ecsOf(source)
+	root.chosenECS = e.part[e.ft.ECSOf(source)]
 	root.kids = map[int][]*treeNode{root.chosenECS.Index: {child}}
 	got := e.ep(child, root)
 	if e.over {
@@ -234,17 +234,6 @@ func FindAll(n *petri.Net, opt *Options) ([]*Schedule, error) {
 	return out, nil
 }
 
-func (e *engine) ecsOf(trans int) *petri.ECS {
-	for _, E := range e.part {
-		for _, t := range E.Trans {
-			if t == trans {
-				return E
-			}
-		}
-	}
-	return nil
-}
-
 // newNode creates a tree node for marking m, hash-consing the vector:
 // m may be (and in the hot path is) the engine's scratch buffer — the
 // store copies it only if the marking is new.
@@ -277,7 +266,7 @@ func isAncEq(u, x *treeNode) bool {
 }
 
 // pushBits computes the enabled-ECS set of node v — from its parent's
-// set (the current stack top) via the tracker, or by a full scan at the
+// set (the current stack top) via ft.Update, or by a full scan at the
 // root — and pushes it onto the bits stack.
 func (e *engine) pushBits(v *treeNode) {
 	base := len(e.bitsStack)
@@ -286,10 +275,10 @@ func (e *engine) pushBits(v *treeNode) {
 	}
 	slot := e.bitsStack[base : base+e.stride]
 	if v.parent == nil {
-		e.tracker.Init(slot, v.marking)
+		e.ft.Init(slot, v.marking)
 		return
 	}
-	e.tracker.Update(slot, e.bitsStack[base-e.stride:base], v.inTrans, v.marking)
+	e.ft.Update(slot, e.bitsStack[base-e.stride:base], v.inTrans, v.marking)
 }
 
 func (e *engine) popBits() {
@@ -393,8 +382,7 @@ func (e *engine) epECS(E *petri.ECS, v, target *treeNode) *treeNode {
 	curTarget := target
 	var kids []*treeNode
 	for _, tid := range E.Trans {
-		t := e.net.Transitions[tid]
-		e.scratch = v.marking.FireInto(e.scratch, t)
+		e.scratch = e.ft.Fire(e.scratch, v.marking, tid)
 		w := e.newNode(v, tid, e.scratch)
 		if e.over {
 			return nil
@@ -428,15 +416,9 @@ func (e *engine) epECS(E *petri.ECS, v, target *treeNode) *treeNode {
 // past the expansion.
 func (e *engine) enabledECS() []*petri.ECS {
 	base := len(e.ecsStack)
-	top := e.bitsStack[len(e.bitsStack)-e.stride:]
-	for w := 0; w < e.stride; w++ {
-		x := top[w] & e.allowedMask[w]
-		for x != 0 {
-			b := mathbits.TrailingZeros64(x)
-			x &= x - 1
-			e.ecsStack = append(e.ecsStack, e.part[w*64+b])
-		}
-	}
+	petri.ForEachMaskedBit(e.bitsStack[len(e.bitsStack)-e.stride:], e.allowedMask, func(ei int) {
+		e.ecsStack = append(e.ecsStack, e.part[ei])
+	})
 	return e.ecsStack[base:len(e.ecsStack):len(e.ecsStack)]
 }
 

@@ -17,8 +17,8 @@ import (
 // the reachability *graph* instead: schedules are positional objects
 // ("which ECS do I fire at this marking"), and a tree schedule whose
 // markings lie inside the explored space always induces a positional
-// one, so nothing is lost (see DESIGN.md for the argument; the paper
-// itself leaves the exactness of its pruning open).
+// one, so nothing is lost (the package doc gives the argument; the
+// paper itself leaves the exactness of its pruning open).
 //
 // The engine:
 //  1. enumerates the markings reachable under per-place caps derived
@@ -138,14 +138,15 @@ type graphEngine struct {
 	states []gstate
 	over   bool
 
-	// allowedMask is the ExpandSpec mask: the ECSs this schedule may
-	// fire (uncontrollable sources other than the schedule's own are
-	// excluded in single-source mode). ecsOf maps a transition to its
-	// ECS index, which is how the merge groups successors into ECSs;
-	// occDelta is the per-transition channel/port occupancy delta,
-	// making the per-state occ field an O(1) increment.
+	// ft fires the exploration and maps a transition to its ECS index,
+	// which is how the merge groups successors into ECSs. allowedMask
+	// is the ExpandSpec mask: the ECSs this schedule may fire
+	// (uncontrollable sources other than the schedule's own are
+	// excluded in single-source mode). occDelta is the per-transition
+	// channel/port occupancy delta, making the per-state occ field an
+	// O(1) increment.
+	ft          *petri.FiringTable
 	allowedMask []uint64
-	ecsOf       []int
 	occDelta    []int32
 
 	// Flat adjacency. Entry k of ecsArena is one (state, allowed enabled
@@ -206,23 +207,15 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 			ge.allowedMask[E.Index>>6] |= 1 << (uint(E.Index) & 63)
 		}
 	}
-	ge.ecsOf = petri.ECSIndex(ge.part, len(n.Transitions))
+	ge.ft = petri.NewFiringTable(n, ge.part)
 	ge.occDelta = make([]int32, len(n.Transitions))
-	for _, t := range n.Transitions {
-		d := 0
-		for _, a := range t.Out {
-			switch n.Places[a.Place].Kind {
+	for t := range ge.occDelta {
+		for _, d := range ge.ft.Deltas(t) {
+			switch n.Places[d.Place].Kind {
 			case petri.PlaceChannel, petri.PlacePort:
-				d += a.Weight
+				ge.occDelta[t] += int32(d.Delta)
 			}
 		}
-		for _, a := range t.In {
-			switch n.Places[a.Place].Kind {
-			case petri.PlaceChannel, petri.PlacePort:
-				d -= a.Weight
-			}
-		}
-		ge.occDelta[t.ID] = int32(d)
 	}
 	return ge
 }
@@ -254,7 +247,7 @@ const rootID = 0
 // Budget exhaustion is an exploration outcome and lands in ge.over.
 func (ge *graphEngine) drive(st petri.Strategy) error {
 	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
-	_, err := petri.Drive(ge.net, ge.part, spec, st, ge.start)
+	_, err := petri.Drive(ge.ft, spec, st, ge.start)
 	return err
 }
 
@@ -273,7 +266,7 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	mi := 0      // members of the group recorded so far
 	advance := func(parent petri.MarkID, trans int32, child int32) {
 		if mi == 0 {
-			ei := ge.ecsOf[trans]
+			ei := ge.ft.ECSOf(int(trans))
 			members = len(ge.part[ei].Trans)
 			ge.ecsArena = append(petri.Grow(ge.ecsArena, 1), int32(ei))
 			ge.succOff = append(petri.Grow(ge.succOff, 1), int32(len(ge.succArena)))

@@ -5,15 +5,36 @@
 // survives every resolution of data-dependent choices and always returns
 // to the initial marking, firing environment sources only at await nodes.
 //
-// The engines find enabled ECSs through petri.EnabledTracker (per-state
-// bitsets maintained incrementally across firings) rather than by
-// scanning the partition. The default graph engine's exploration is
-// petri.Drive: a serial level-synchronous search on the calling
-// goroutine, or the same search expanded by worker processes
-// (Options.Strategy) with state numbering — and therefore the schedule and
-// generated code — byte-identical either way. Concurrency lives one
-// level up: package core runs one search per uncontrollable input on a
-// pool.
+// Each engine builds one petri.FiringTable per search; it fires the
+// transitions and keeps per-state enabled-ECS bitsets incrementally
+// across firings, so no engine scans the partition. The default graph
+// engine's exploration is petri.Drive: a serial level-synchronous
+// search on the calling goroutine, or the same search expanded by
+// worker processes (Options.Strategy) with state numbering — and
+// therefore the schedule and generated code — byte-identical either
+// way. Concurrency lives one level up: package core runs one search
+// per uncontrollable input on a pool.
+//
+// # Completeness of the graph engine
+//
+// The graph engine finds a schedule whenever some tree schedule (EP's,
+// say) keeps all its markings within the engine's place caps. Let S be
+// the set of markings of such a schedule's nodes.
+//
+//   - Each marking of S is reached from the root by the schedule's own
+//     firings, of allowed ECSs and within the caps, so the exploration
+//     interns it (or runs out of budget and reports ErrBudget).
+//   - Each marking of S has an allowed ECS whose successors all lie in
+//     S: the ECS the schedule fires at a node carrying it.
+//   - Each marking of S reaches the root inside S: every schedule node
+//     reaches the root (property 5 of a schedule), firing such ECSs only.
+//
+// solve computes the greatest set X of explored markings in which each
+// marking keeps an ECS with every successor in X and reaches the root
+// inside X; it only removes markings that break one of the two rules.
+// S obeys both within itself, so none of its markings is ever removed
+// and S lies inside X. The root is in S and its source ECS keeps its
+// successor in S, so solve succeeds and build extracts a schedule.
 package sched
 
 import (
