@@ -21,8 +21,8 @@
 #                      the freeze/thaw unit and determinism suite
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
-#                      allocates <= 1.6x its store's hot bytes, and one
-#                      cold PFC synthesis <= 2.5x its search store's hot
+#                      allocates <= 1.85x its store's hot bytes, and one
+#                      cold PFC synthesis <= 3.3x its search store's hot
 #                      bytes (exact, machine-independent counts; -v prints
 #                      both ratios)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of
@@ -52,9 +52,11 @@
 #                      the next benchmark run does
 #   make bench       — every benchmark once (shape assertions, no timing)
 #   make benchgate   — benchmark-regression gate vs bench_baseline.json:
-#                      runs at GOMAXPROCS=1 (the baseline's setting) and
-#                      fails on ns/op beyond BENCH_TOLERANCE or on B/op
-#                      or allocs/op beyond BENCH_ALLOC_TOLERANCE
+#                      five runs at GOMAXPROCS=1 (the baseline's
+#                      setting); fails on B/op or allocs/op beyond twice
+#                      the runs' spread (0.5% at least, 5% at most).
+#                      ns/op is written to BENCH_<date>.json, not gated.
+#                      Run it on the baseline's Go release
 #   make fuzz-smoke  — short-budget fuzz pass over all fuzz targets
 #   make coverage    — race tests with a coverage profile; prints
 #                      per-package totals and writes coverage.out
@@ -63,8 +65,6 @@
 
 GO ?= go
 FUZZTIME ?= 5s
-BENCH_TOLERANCE ?= 0.20
-BENCH_ALLOC_TOLERANCE ?= 0.20
 
 .PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen bytes-gates server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
 
@@ -109,7 +109,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 benchgate:
-	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE)
+	$(GO) run ./cmd/benchdiff
 
 baseline:
 	$(GO) run ./cmd/benchdiff -update

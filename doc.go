@@ -35,6 +35,26 @@
 // ~49ms/4k allocs per run on the reference container (5.1x / 253x) and
 // is what allows the corpus generator to double its per-edge burst cap.
 //
+// # Token width
+//
+// A token count is four bytes: petri.Marking is a []int32, so a store
+// page, a thawed vector and the dist vector cache hold
+// petri.TokenBytes per place, and petri.MaxTokens (2,147,483,647) is
+// the largest count a place holds. Every way a count enters is
+// range-checked: Net.Validate (initial markings, bounds and arc weights,
+// after AddArc has merged repeated arcs; compile, link, the text
+// format, PNML and DecodeNet all call it), the FlowC checker (item
+// counts and array sizes, so the server answers 422), the netlist's
+// bound= and rate=, PNML's initialMarking and inscription (a
+// *pnml.ParseError with line and column) and petri.DecodeMarking. No
+// search stores a wrapped count. The cap check compares counts as
+// uint32, so a capped place vetoes a successor whose count wrapped,
+// and a place no cap bounds (Net.Explore without MaxTokensPerPlace,
+// the EP tree engines) ends the search with an error wrapping
+// petri.ErrTokenOverflow that names the place. Hashes, MarkIDs, wire
+// bytes, frozen segments and PNML fingerprints did not change with the
+// width: each encodes a count by value.
+//
 // # Incremental enablement
 //
 // Exploration loops used to re-test the entire equal-conflict
@@ -65,8 +85,9 @@
 // and copying them needs no write barriers. Together the two cut a
 // cold PFC synthesis from 25.9 to 17.7 MB allocated and its CPU time
 // by over a fifth; `make bytes-gates` bounds what the PFC search and
-// serial ExploreLarge allocate at 2.5x and 1.6x their stores' hot
-// bytes.
+// serial ExploreLarge allocate at 3.3x and 1.85x their stores' hot
+// bytes (with four-byte tokens the stores are half as large, so these
+// ratios allow fewer bytes than the 2.5x and 1.6x of eight-byte ones).
 //
 // # Concurrency and caching
 //

@@ -34,7 +34,7 @@ void task_go_ISR(void)
   src_p0 = src_p0 - 1;
   goto snk_t0;
   snk_t0:
-  { int k_; for (k_ = 0; k_ < 1; k_++) { snk_v[k_] = BUF_Line[BUF_Line_r]; BUF_Line_r = (BUF_Line_r + 1) % 10; } }
+  snk_v = BUF_Line[BUF_Line_r]; BUF_Line_r = (BUF_Line_r + 1) % 10;
   WRITE_DATA(out, (snk_v * snk_v), 1);
   /* deliver out to the environment */
   Line = Line - 1;

@@ -331,12 +331,39 @@ func (em *emitter) emitRead(r *flowc.Read, proc string) {
 		return
 	}
 	name := em.bufName(pid)
-	if sz == 1 {
+	itemwise := em.itemwise(r.Dest, proc, r.NItems)
+	switch {
+	case !itemwise && sz == 1:
 		em.p("%s = %s;", dest, name)
-		return
+	case !itemwise:
+		em.p("%s = %s[%s_r]; %s_r = (%s_r + 1) %% %d;", dest, name, name, name, name, sz)
+	case sz == 1:
+		em.p("%s[0] = %s;", dest, name)
+	default:
+		em.p("{ int k_; for (k_ = 0; k_ < %d; k_++) { %s[k_] = %s[%s_r]; %s_r = (%s_r + 1) %% %d; } }",
+			r.NItems, dest, name, name, name, name, sz)
 	}
-	em.p("{ int k_; for (k_ = 0; k_ < %d; k_++) { %s[k_] = %s[%s_r]; %s_r = (%s_r + 1) %% %d; } }",
-		r.NItems, dest, name, name, name, name, sz)
+}
+
+// itemwise reports whether a READ_DATA destination or WRITE_DATA source
+// of proc moves its items through an index: it carries more than one
+// item, or it names an array. Otherwise it is a scalar, and its one
+// item moves by a plain assignment, whatever the channel buffer's size.
+func (em *emitter) itemwise(e flowc.Expr, proc string, nitems int) bool {
+	if nitems > 1 {
+		return true
+	}
+	id, ok := e.(*flowc.Ident)
+	if !ok {
+		return false
+	}
+	for _, cp := range em.opt.Sys.Procs {
+		if cp.Proc.Name == proc {
+			_, arr := cp.Arrays[id.Name]
+			return arr
+		}
+	}
+	return false
 }
 
 func (em *emitter) emitWrite(w *flowc.Write, proc string) {
@@ -352,12 +379,18 @@ func (em *emitter) emitWrite(w *flowc.Write, proc string) {
 		return
 	}
 	name := em.bufName(pid)
-	if sz == 1 {
+	itemwise := em.itemwise(w.Src, proc, w.NItems)
+	switch {
+	case !itemwise && sz == 1:
 		em.p("%s = %s;", name, src)
-		return
+	case !itemwise:
+		em.p("%s[%s_w] = %s; %s_w = (%s_w + 1) %% %d;", name, name, src, name, name, sz)
+	case sz == 1:
+		em.p("%s = %s[0];", name, src)
+	default:
+		em.p("{ int k_; for (k_ = 0; k_ < %d; k_++) { %s[%s_w] = %s[k_]; %s_w = (%s_w + 1) %% %d; } }",
+			w.NItems, name, name, src, name, name, sz)
 	}
-	em.p("{ int k_; for (k_ = 0; k_ < %d; k_++) { %s[%s_w] = %s[k_]; %s_w = (%s_w + 1) %% %d; } }",
-		w.NItems, name, name, src, name, name, sz)
 }
 
 // emitLeaf writes the update and jump sections of a code segment leaf.

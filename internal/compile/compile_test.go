@@ -117,7 +117,7 @@ func TestDivisorsNetStructure(t *testing.T) {
 		count := 0
 		for i, pl := range n.Places {
 			if pl.Kind == petri.PlaceInternal && m[i] > 0 {
-				count += m[i]
+				count += int(m[i])
 			}
 		}
 		if count != 1 {

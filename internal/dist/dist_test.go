@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/petri"
@@ -185,6 +187,30 @@ func TestExploreDistPipe(t *testing.T) {
 	}
 }
 
+// TestExploreDistTokenOverflow: a worker vetoes a successor whose count
+// wrapped past petri.MaxTokens, and Drive turns that veto on a place no
+// cap bounds into the ErrTokenOverflow the inline explorer returns,
+// naming the place; one firing fewer explores to MaxTokens.
+func TestExploreDistTokenOverflow(t *testing.T) {
+	for _, fuel := range []int{1, 2} {
+		n := petri.New("overflow")
+		f := n.AddPlace("fuel", petri.PlaceInternal, fuel)
+		p := n.AddPlace("p", petri.PlaceChannel, petri.MaxTokens-1)
+		tr := n.AddTransition("t", petri.TransNormal)
+		n.AddArc(f, tr, 1)
+		n.AddArcTP(tr, p, 1)
+		for _, workers := range []int{1, 2} {
+			r, err := n.ExploreDist(pipePool(t, workers), petri.ExploreOptions{})
+			if fuel == 1 && (err != nil || r.Len() != 2 || r.MarkingAt(1)[1] != petri.MaxTokens) {
+				t.Fatalf("%d workers, one firing: %v", workers, err)
+			}
+			if fuel == 2 && (!errors.Is(err, petri.ErrTokenOverflow) || !strings.Contains(err.Error(), "place p:")) {
+				t.Fatalf("%d workers, two firings: err = %v, want ErrTokenOverflow at p", workers, err)
+			}
+		}
+	}
+}
+
 // TestPoolSessionReuse: one pool serves several explorations in
 // sequence (the batch drivers synthesize many apps over one pool).
 func TestPoolSessionReuse(t *testing.T) {
@@ -270,7 +296,7 @@ func TestRotatingLogFile(t *testing.T) {
 func TestShardHelpers(t *testing.T) {
 	for logShards, shards := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
 		for i := 0; i < 1000; i++ {
-			m := petri.Marking{i & 3, i >> 2 & 7, i >> 5, 1}
+			m := petri.Marking{int32(i & 3), int32(i >> 2 & 7), int32(i >> 5), 1}
 			h := petri.HashMarking(m)
 			want := uint32(0)
 			if logShards > 0 {

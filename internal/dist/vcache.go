@@ -49,7 +49,7 @@ func (c *vecCache) len() int { return len(c.entries) }
 func (c *vecCache) bytes() int {
 	n := 0
 	for _, e := range c.entries {
-		n += len(e.vec) * 8
+		n += len(e.vec) * petri.TokenBytes
 	}
 	return n
 }

@@ -14,7 +14,7 @@ import (
 func TestVecCacheLockstep(t *testing.T) {
 	coord := &vecCache{cap: 3, entries: map[petri.MarkID]*vecEntry{}}
 	work := &vecCache{cap: 3, entries: map[petri.MarkID]*vecEntry{}}
-	vec := func(id petri.MarkID) petri.Marking { return petri.Marking{int(id), 1} }
+	vec := func(id petri.MarkID) petri.Marking { return petri.Marking{int32(id), 1} }
 	// Repeats, interleavings and more distinct ids than capacity.
 	seq := []petri.MarkID{1, 2, 1, 3, 4, 2, 4, 5, 6, 1, 6, 5, 5, 7, 8, 9, 7}
 	for i, id := range seq {

@@ -1,6 +1,10 @@
 package flowc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/petri"
+)
 
 // Check performs semantic validation of a process:
 //
@@ -9,7 +13,9 @@ import "fmt"
 //     arms follow the operation in their body, defaulting to In);
 //   - variables are declared before use and not redeclared;
 //   - scalar destinations receive nitems == 1, array destinations must be
-//     at least nitems long.
+//     at least nitems long;
+//   - no item count or array size exceeds petri.MaxTokens: an item count
+//     becomes an arc weight, and a token count is four bytes.
 func Check(p *Process) error {
 	c := &checker{
 		proc:   p,
@@ -33,8 +39,19 @@ func (c *checker) declare(v VarDecl) error {
 		return fmt.Errorf("%v: variable %s shadows a port", v.Pos, v.Name)
 	}
 	c.vars[v.Name] = true
+	if err := count("array size", v.ArraySize, v.Pos); err != nil {
+		return err
+	}
 	if v.ArraySize > 0 {
 		c.arrays[v.Name] = v.ArraySize
+	}
+	return nil
+}
+
+// count rejects an item count or array size above petri.MaxTokens.
+func count(what string, n int, pos Pos) error {
+	if n > petri.MaxTokens {
+		return fmt.Errorf("%v: %s %d above %d", pos, what, n, petri.MaxTokens)
 	}
 	return nil
 }
@@ -105,6 +122,9 @@ func (c *checker) stmt(s Stmt) error {
 		if err := c.port(x.Port, PortIn, x.Pos); err != nil {
 			return err
 		}
+		if err := count("item count", x.NItems, x.Pos); err != nil {
+			return err
+		}
 		if err := c.expr(x.Dest); err != nil {
 			return err
 		}
@@ -119,6 +139,9 @@ func (c *checker) stmt(s Stmt) error {
 		}
 	case *Write:
 		if err := c.port(x.Port, PortOut, x.Pos); err != nil {
+			return err
+		}
+		if err := count("item count", x.NItems, x.Pos); err != nil {
 			return err
 		}
 		if err := c.expr(x.Src); err != nil {
@@ -140,6 +163,9 @@ func (c *checker) stmt(s Stmt) error {
 			// SELECT can watch both directions; the port must exist.
 			if c.proc.PortByName(a.Port) == nil {
 				return fmt.Errorf("%v: undeclared port %s in SELECT", a.Pos, a.Port)
+			}
+			if err := count("item count", a.NItems, a.Pos); err != nil {
+				return err
 			}
 			for _, st := range a.Body {
 				if err := c.stmt(st); err != nil {

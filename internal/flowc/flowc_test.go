@@ -1,6 +1,7 @@
 package flowc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -155,6 +156,33 @@ func TestCheckErrors(t *testing.T) {
 		}
 		if err := Check(p); err == nil {
 			t.Errorf("%s: Check should fail", c.name)
+		}
+	}
+}
+
+// TestCheckTokenLimit: an item count or array size of exactly
+// petri.MaxTokens checks; one more is an error at the statement's or
+// declaration's position.
+func TestCheckTokenLimit(t *testing.T) {
+	for _, c := range []struct{ src, pos string }{
+		{`PROCESS p (In DPORT i) { int b[%d]; READ_DATA(i, b, 1); }`, "1:30"},
+		{`PROCESS p (In DPORT i) { int b[2147483647]; READ_DATA(i, b, %d); }`, "1:45"},
+		{`PROCESS p (Out DPORT o) { int b[2147483647]; WRITE_DATA(o, b, %d); }`, "1:46"},
+		{`PROCESS p (In DPORT i) { switch (SELECT(i, %d)) { case 0: break; } }`, "1:41"},
+	} {
+		for _, n := range []int{2147483647, 2147483648} {
+			src := fmt.Sprintf(c.src, n)
+			p, err := ParseProcess(src)
+			if err != nil {
+				t.Fatalf("%s: parse failed: %v", src, err)
+			}
+			err = Check(p)
+			if n == 2147483647 && err != nil {
+				t.Errorf("%s: %v", src, err)
+			}
+			if n == 2147483648 && (err == nil || !strings.HasPrefix(err.Error(), c.pos+": ") || !strings.Contains(err.Error(), "above 2147483647")) {
+				t.Errorf("%s: Check = %v, want an error at %s naming the limit", src, err, c.pos)
+			}
 		}
 	}
 }

@@ -242,10 +242,18 @@ func TestSpecParseErrors(t *testing.T) {
 		"system s\nchannel C a.b -> c.d bound=-1",
 		"system s\nbogus",
 		"system s\ninput x -> a.b rate=0",
+		"system s\nchannel C a.b -> c.d bound=2147483648",
+		"system s\ninput x -> a.b rate=2147483648",
+		"system s\noutput a.b -> y rate=2147483648",
 	}
 	for _, src := range cases {
 		if _, err := ParseSpec(strings.NewReader(src)); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", src)
 		}
+	}
+	// A bound or rate of exactly petri.MaxTokens is a valid token count.
+	ok := "system s\nchannel C a.b -> c.d bound=2147483647\ninput x -> a.b rate=2147483647\noutput a.b -> y rate=2147483647"
+	if _, err := ParseSpec(strings.NewReader(ok)); err != nil {
+		t.Errorf("ParseSpec(%q): %v", ok, err)
 	}
 }

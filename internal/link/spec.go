@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/petri"
 )
 
 // ParseSpec reads a netlist in the textual system format:
@@ -16,8 +18,8 @@ import (
 //	output <proc.port> -> <name> [rate=N]
 //
 // '#' starts a comment. Inputs default to uncontrollable (they trigger
-// tasks); rates default to 1. A line may be up to maxSpecLine bytes
-// long.
+// tasks); rates default to 1. A bound or rate is a token count, at most
+// petri.MaxTokens. A line may be up to maxSpecLine bytes long.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxSpecLine+1) // the line plus its newline
@@ -56,7 +58,7 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 					return nil, fmt.Errorf("line %d: unknown channel attribute %q", lineno, kv)
 				}
 				b, err := strconv.Atoi(v)
-				if err != nil || b < 0 {
+				if err != nil || b < 0 || b > petri.MaxTokens {
 					return nil, fmt.Errorf("line %d: bad bound %q", lineno, v)
 				}
 				ch.Bound = b
@@ -75,7 +77,7 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 					in.Controllable = false
 				case strings.HasPrefix(attr, "rate="):
 					rv, err := strconv.Atoi(strings.TrimPrefix(attr, "rate="))
-					if err != nil || rv <= 0 {
+					if err != nil || rv <= 0 || rv > petri.MaxTokens {
 						return nil, fmt.Errorf("line %d: bad rate %q", lineno, attr)
 					}
 					in.Rate = rv
@@ -92,7 +94,7 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 			for _, attr := range f[4:] {
 				if strings.HasPrefix(attr, "rate=") {
 					rv, err := strconv.Atoi(strings.TrimPrefix(attr, "rate="))
-					if err != nil || rv <= 0 {
+					if err != nil || rv <= 0 || rv > petri.MaxTokens {
 						return nil, fmt.Errorf("line %d: bad rate %q", lineno, attr)
 					}
 					out.Rate = rv

@@ -179,9 +179,7 @@ func (r *ReachResult) PlaceBounds() []int {
 	bounds := make([]int, r.Store.Places())
 	for _, m := range r.Store.All() {
 		for p, v := range m {
-			if v > bounds[p] {
-				bounds[p] = v
-			}
+			bounds[p] = max(bounds[p], int(v))
 		}
 	}
 	return bounds

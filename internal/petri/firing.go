@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"fmt"
 	mathbits "math/bits"
 	"slices"
 )
@@ -146,7 +147,7 @@ func (f *FiringTable) Fire(dst, m Marking, t int) Marking {
 	dst = append(dst[:0], m...)
 	e := &f.trans[t]
 	for _, d := range f.deltas[e.lo:e.hi] {
-		dst[d.Place] += d.Delta
+		dst[d.Place] += int32(d.Delta)
 	}
 	return dst
 }
@@ -156,22 +157,40 @@ func (f *FiringTable) Fire(dst, m Marking, t int) Marking {
 func (f *FiringTable) Hash(h uint64, t int) uint64 { return h + f.trans[t].hash }
 
 // Veto reports whether child, the successor of firing transition t,
-// exceeds spec's caps. Unless full is set, its parent must have been
-// within every cap, and only t's rise list is checked; full runs the
-// whole ExpandSpec.Veto scan, for the successors of a marking that is
-// itself over a cap (only a root can be: every other state passed a
-// veto).
+// exceeds spec's caps or wrapped past MaxTokens (see ExpandSpec.Veto).
+// Unless full is set, its parent must have been within every cap, and
+// only t's rise list is checked; full runs the whole ExpandSpec.Veto
+// scan, for the successors of a marking that is itself over a cap (only
+// a root can be: every other state passed a veto).
 func (f *FiringTable) Veto(spec *ExpandSpec, child Marking, t int, full bool) bool {
 	if full {
 		return spec.Veto(child)
 	}
 	e := &f.trans[t]
 	for _, d := range f.deltas[e.lo:e.rise] {
-		if c := spec.Caps[d.Place]; c >= 0 && child[d.Place] > c {
+		if uint32(child[d.Place]) > ceiling(spec.Caps[d.Place]) {
 			return true
 		}
 	}
 	return false
+}
+
+// Overflow reports whether child, the successor of firing t at a
+// marking within MaxTokens, wrapped a count past MaxTokens: it returns
+// an error wrapping ErrTokenOverflow that names the first such place of
+// t's rise list, or nil. A parent count plus a delta of at most
+// MaxTokens stays below 2³², so a wrapped count reads negative. A
+// non-nil spec limits the check to the places it leaves unbounded (see
+// ExpandSpec.Caps): past a cap, a wrapped count is a veto.
+// Searches call it only on a veto or, without caps, per firing.
+func (f *FiringTable) Overflow(spec *ExpandSpec, child Marking, t int) error {
+	e := &f.trans[t]
+	for _, d := range f.deltas[e.lo:e.rise] {
+		if child[d.Place] < 0 && (spec == nil || spec.unbounded(int(d.Place))) {
+			return fmt.Errorf("petri: place %s: %w", f.net.Places[d.Place].Name, ErrTokenOverflow)
+		}
+	}
+	return nil
 }
 
 // Init writes the enabled-ECS set of m into bits with a full partition

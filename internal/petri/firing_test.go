@@ -103,7 +103,7 @@ func TestAppendDeltas(t *testing.T) {
 	got := m.Clone()
 	seen := map[int32]bool{}
 	for _, d := range ds {
-		got[d.Place] += d.Delta
+		got[d.Place] += int32(d.Delta)
 		if d.Delta == 0 || seen[d.Place] {
 			t.Fatalf("deltas %v: zero or repeated entry for place %d", ds, d.Place)
 		}

@@ -171,6 +171,9 @@ func Parse(r io.Reader) (*Net, error) {
 				if err != nil {
 					return nil, fmt.Errorf("line %d: w: %v", lineno, err)
 				}
+				if iv < 1 {
+					return nil, fmt.Errorf("line %d: w: non-positive weight %d", lineno, iv)
+				}
 				w = iv
 			}
 			from, to := fields[1], fields[3]

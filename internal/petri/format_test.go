@@ -52,18 +52,37 @@ func TestParseFormatRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"place",                  // missing name
-		"arc a -> b",             // unknown endpoints
-		"place p init=x",         // bad integer
-		"trans t kind=bogus",     // bad kind
-		"wibble",                 // unknown directive
-		"place p\narc p -> p",    // place-to-place
-		"place p kind=nope",      // bad place kind
-		"place p init=1 extra=1", // unknown attribute
+		"place",                            // missing name
+		"arc a -> b",                       // unknown endpoints
+		"place p init=x",                   // bad integer
+		"trans t kind=bogus",               // bad kind
+		"wibble",                           // unknown directive
+		"place p\narc p -> p",              // place-to-place
+		"place p kind=nope",                // bad place kind
+		"place p init=1 extra=1",           // unknown attribute
+		"place p\ntrans t\narc p -> t w=0", // non-positive weight
 	}
 	for _, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// TestParseTokenLimit: init=, bound= and w= accept exactly MaxTokens
+// and reject one more, as do two arcs whose weights merge past it.
+func TestParseTokenLimit(t *testing.T) {
+	for _, c := range []struct{ ok, bad string }{
+		{"place p init=2147483647", "place p init=2147483648"},
+		{"place p bound=2147483647", "place p bound=2147483648"},
+		{"place p\ntrans t\narc p -> t w=2147483647", "place p\ntrans t\narc p -> t w=2147483648"},
+		{"place p\ntrans t\narc t -> p w=2147483646\narc t -> p", "place p\ntrans t\narc t -> p w=2147483647\narc t -> p"},
+	} {
+		if _, err := Parse(strings.NewReader(c.ok)); err != nil {
+			t.Errorf("Parse(%q): %v", c.ok, err)
+		}
+		if _, err := Parse(strings.NewReader(c.bad)); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("Parse(%q) = %v, want an error naming the limit", c.bad, err)
 		}
 	}
 }

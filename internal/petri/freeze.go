@@ -315,7 +315,7 @@ func (fz *frozenTier) thaw(s *MarkingStore, id MarkID) Marking {
 				if n <= 0 {
 					panic(fmt.Sprintf("petri: corrupt verbatim record for state %d", cur))
 				}
-				v[i], b = int(t), b[n:]
+				v[i], b = int32(t), b[n:]
 			}
 			fz.insert(cur, v)
 			if cur == id {

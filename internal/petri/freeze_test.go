@@ -122,7 +122,7 @@ func TestFreezeVerbatimFallback(t *testing.T) {
 
 // TestFreezeMemAccounting: Mem() is exact and machine-independent —
 // hot bytes are a closed-form function of lengths, frozen bytes equal
-// the encoded segment; ArenaBytes stays consistent with it.
+// the encoded segment.
 func TestFreezeMemAccounting(t *testing.T) {
 	const states = 64
 	s, _ := freezeChainStore(t, states)
@@ -132,12 +132,9 @@ func TestFreezeMemAccounting(t *testing.T) {
 	}
 	// Tokens, hashes, the table, and 8 bytes of provenance per state
 	// not yet frozen.
-	wantHot := int64(states*s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4 + int64(states)*8
+	wantHot := int64(states*s.places)*TokenBytes + int64(len(s.hashes))*8 + int64(len(s.table))*4 + int64(states)*8
 	if allHot.HotBytes != wantHot {
 		t.Fatalf("HotBytes = %d, want %d", allHot.HotBytes, wantHot)
-	}
-	if s.ArenaBytes() != int(wantHot) {
-		t.Fatalf("ArenaBytes = %d, want %d", s.ArenaBytes(), wantHot)
 	}
 	if err := s.FreezeThrough(states); err != nil {
 		t.Fatalf("FreezeThrough: %v", err)
@@ -175,7 +172,7 @@ func TestFreezeAliasAfterFreeze(t *testing.T) {
 	}
 	var ms []Marking
 	for i := 0; i < 40; i++ {
-		m := Marking{i, i % 4, i / 7}
+		m := Marking{int32(i), int32(i % 4), int32(i / 7)}
 		ms = append(ms, m)
 		s.Intern(m)
 	}
@@ -313,7 +310,7 @@ func TestFreezeThroughWriteFailure(t *testing.T) {
 		}
 	}
 	m := s.Mem()
-	if want := int64(len(vecs)-10)*int64(s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4 + 10*8; m.HotBytes != want {
+	if want := int64(len(vecs)-10)*int64(s.places)*TokenBytes + int64(len(s.hashes))*8 + int64(len(s.table))*4 + 10*8; m.HotBytes != want {
 		t.Fatalf("HotBytes = %d, want %d (no provenance kept after the failure)", m.HotBytes, want)
 	}
 }

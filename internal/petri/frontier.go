@@ -1,5 +1,10 @@
 package petri
 
+import (
+	"cmp"
+	"errors"
+)
+
 // The exploration driver. Bounded reachability (Net.Explore,
 // ExploreDist) and the scheduler's marking-graph engine are the same
 // level-synchronous BFS: fire every fireable transition of every
@@ -63,14 +68,32 @@ type ExpandSpec struct {
 	// single-source filtering).
 	Mask []uint64
 	// Caps holds the per-place token cap; a successor marking any
-	// place beyond its cap is vetoed. A negative cap means unbounded.
+	// place beyond its cap is vetoed. A negative cap, or one above
+	// MaxTokens, leaves the place unbounded: its ceiling is MaxTokens,
+	// and a successor beyond it ends the exploration with
+	// ErrTokenOverflow (see Drive).
 	Caps []int
 }
 
-// Veto reports whether the marking exceeds the spec's place caps.
+// ErrTokenOverflow is wrapped by the error that ends an exploration
+// when firing would put more than MaxTokens tokens on a place no cap
+// bounds; the error names the place.
+var ErrTokenOverflow = errors.New("token count exceeds MaxTokens")
+
+// ceiling is the largest count a place with cap c may hold: c itself,
+// or MaxTokens for an unbounded place.
+func ceiling(c int) uint32 { return uint32(min(uint(c), MaxTokens)) }
+
+// unbounded reports whether place p has no cap at or below MaxTokens.
+func (s *ExpandSpec) unbounded(p int) bool { return uint(s.Caps[p]) > MaxTokens }
+
+// Veto reports whether the marking exceeds the spec's place caps, or
+// the MaxTokens ceiling of an unbounded place. Counts compare as
+// uint32, so a count that wrapped past MaxTokens exceeds every ceiling:
+// a capped place vetoes such a successor instead of storing it.
 func (s *ExpandSpec) Veto(m Marking) bool {
 	for i, v := range m {
-		if c := s.Caps[i]; c >= 0 && v > c {
+		if uint32(v) > ceiling(s.Caps[i]) {
 			return true
 		}
 	}
@@ -140,19 +163,27 @@ type Strategy struct {
 // st.Fallback is set, Drive calls start again with a new store and
 // reruns the exploration inline, and the error is swallowed.
 //
+// A successor over the MaxTokens ceiling of a place spec leaves
+// unbounded is not a veto: it ends the exploration, which then returns
+// false and an error wrapping ErrTokenOverflow that names the place.
+//
 // The bool is false when a Reject hook aborted the exploration; the
-// error reports a runner failure that was not recovered.
+// error reports a runner failure that was not recovered, or an
+// overflow.
 func Drive(ft *FiringTable, spec ExpandSpec, st Strategy, start func(*MarkingStore) MergeHooks) (bool, error) {
 	d := &driver{ft: ft, spec: spec}
+	for p := range spec.Caps {
+		d.unbounded = d.unbounded || spec.unbounded(p)
+	}
 	if st.Runner != nil {
 		d.begin(st.Freeze, start)
 		ok, err := st.Runner.RunFrontier(ft, d.store, spec, d.hooks)
 		if err == nil || !st.Fallback {
-			return ok, err
+			return ok, cmp.Or(err, d.overflow)
 		}
 	}
 	d.begin(st.Freeze, start)
-	return d.runInline(), nil
+	return d.runInline(), d.overflow
 }
 
 // driver is the state of one Drive call.
@@ -167,6 +198,12 @@ type driver struct {
 	// scratch is the firing buffer reused across the whole exploration.
 	bits    []uint64
 	scratch Marking
+	// unbounded is set when spec leaves some place unbounded; the
+	// Reject hook then tells an overflow from a veto, re-firing into
+	// refire, and overflow is the error that ended the attempt.
+	unbounded bool
+	refire    Marking
+	overflow  error
 }
 
 // begin starts one attempt: a store holding only the root, its frozen
@@ -179,6 +216,18 @@ func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
 	}
 	d.store.Intern(d.ft.net.InitialMarking())
 	d.hooks = start(d.store)
+	d.overflow = nil
+	if reject := d.hooks.Reject; d.unbounded {
+		d.hooks.Reject = func(parent MarkID, trans int32, budget bool) bool {
+			if !budget {
+				d.refire = d.ft.Fire(d.refire, d.store.At(parent), int(trans))
+				if d.overflow = d.ft.Overflow(&d.spec, d.refire, int(trans)); d.overflow != nil {
+					return false
+				}
+			}
+			return reject(parent, trans, budget)
+		}
+	}
 }
 
 // runInline is the inline mode. The queue crosses a level boundary

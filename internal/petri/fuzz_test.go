@@ -109,7 +109,7 @@ func FuzzExplore(f *testing.F) {
 			}
 			if opt.MaxTokensPerPlace > 0 && !m.Equal(m0) {
 				for p, v := range m {
-					if v > opt.MaxTokensPerPlace {
+					if int(v) > opt.MaxTokensPerPlace {
 						t.Fatalf("retained marking exceeds token cap at place %d: %d > %d", p, v, opt.MaxTokensPerPlace)
 					}
 				}

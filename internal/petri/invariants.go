@@ -30,13 +30,3 @@ func (n *Net) PInvariants() []linalg.Vector {
 	}
 	return linalg.TInvariantBasis(ct)
 }
-
-// InvariantValue returns the weighted token sum Σ y(p)·m(p) of a
-// P-invariant at a marking.
-func InvariantValue(y linalg.Vector, m Marking) int {
-	s := 0
-	for i, w := range y {
-		s += w * m[i]
-	}
-	return s
-}

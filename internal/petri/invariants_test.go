@@ -1,6 +1,10 @@
 package petri
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/linalg"
+)
 
 func TestTInvariantsOnNet(t *testing.T) {
 	// fig8-style net has T-invariants (cycles) but no P-invariants
@@ -71,4 +75,14 @@ func TestPInvariantConservation(t *testing.T) {
 			t.Errorf("marking %s violates the invariant", m.Key())
 		}
 	}
+}
+
+// InvariantValue returns the weighted token sum Σ y(p)·m(p) of a
+// P-invariant at a marking.
+func InvariantValue(y linalg.Vector, m Marking) int {
+	s := 0
+	for i, w := range y {
+		s += w * int(m[i])
+	}
+	return s
 }

@@ -62,7 +62,7 @@ func IrrelevantAgainst(m, anc Marking, degrees []int) bool {
 		}
 		if m[i] > anc[i] {
 			strictSomewhere = true
-			if anc[i] < degrees[i] {
+			if int(anc[i]) < degrees[i] {
 				return false
 			}
 		}
@@ -85,7 +85,7 @@ func IrrelevantAgainst(m, anc Marking, degrees []int) bool {
 func Irrelevant(m Marking, ancestors []Marking, degrees []int) bool {
 	over := false
 	for i, v := range m {
-		if v > degrees[i] {
+		if int(v) > degrees[i] {
 			over = true
 			break
 		}

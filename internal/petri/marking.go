@@ -2,14 +2,26 @@ package petri
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
 
 // Marking is a token count per place, indexed by place ID. Markings are
 // value-like: mutating methods operate in place, functional ones return
-// fresh slices.
-type Marking []int
+// fresh slices. A count takes TokenBytes bytes, so it is at most
+// MaxTokens; every way a count enters the program (Net.Validate, the
+// parsers, DecodeMarking) rejects a larger one, and an exploration that
+// would exceed it stops with ErrTokenOverflow.
+type Marking []int32
+
+// MaxTokens is the largest token count a place can hold, and so the
+// largest initial marking, bound and arc weight Net.Validate accepts.
+const MaxTokens = math.MaxInt32
+
+// TokenBytes is the size of one token count in a Marking. Every byte
+// account of stored token vectors derives from it.
+const TokenBytes = 4
 
 // Clone returns a copy of m.
 func (m Marking) Clone() Marking {
@@ -31,24 +43,11 @@ func (m Marking) Equal(o Marking) bool {
 	return true
 }
 
-// Covers reports whether m(p) >= o(p) for every place p.
-func (m Marking) Covers(o Marking) bool {
-	if len(m) != len(o) {
-		return false
-	}
-	for i := range m {
-		if m[i] < o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Total returns the total number of tokens.
 func (m Marking) Total() int {
 	s := 0
 	for _, v := range m {
-		s += v
+		s += int(v)
 	}
 	return s
 }
@@ -72,7 +71,7 @@ func (m Marking) Key() string {
 func (m Marking) Format(n *Net) string {
 	var names []string
 	for i, v := range m {
-		for k := 0; k < v; k++ {
+		for range v {
 			names = append(names, n.Places[i].Name)
 		}
 	}
@@ -87,7 +86,7 @@ func (m Marking) Format(n *Net) string {
 // for every place p. Source transitions are always enabled.
 func (m Marking) Enabled(t *Transition) bool {
 	for _, a := range t.In {
-		if m[a.Place] < a.Weight {
+		if int(m[a.Place]) < a.Weight {
 			return false
 		}
 	}
@@ -98,7 +97,7 @@ func (m Marking) Enabled(t *Transition) bool {
 // not enabled; callers are expected to have checked Enabled.
 func (m Marking) Fire(t *Transition) Marking {
 	if !m.Enabled(t) {
-		panic(fmt.Sprintf("petri: firing disabled transition %s at %v", t.Name, []int(m)))
+		panic(fmt.Sprintf("petri: firing disabled transition %s at %v", t.Name, []int32(m)))
 	}
 	return m.FireInto(nil, t)
 }
@@ -116,10 +115,10 @@ func (m Marking) FireInto(dst Marking, t *Transition) Marking {
 	dst = dst[:len(m)]
 	copy(dst, m)
 	for _, a := range t.In {
-		dst[a.Place] -= a.Weight
+		dst[a.Place] -= int32(a.Weight)
 	}
 	for _, a := range t.Out {
-		dst[a.Place] += a.Weight
+		dst[a.Place] += int32(a.Weight)
 	}
 	return dst
 }
@@ -143,46 +142,4 @@ func (m Marking) Compare(o Marking) int {
 		}
 	}
 	return 0
-}
-
-// FireSeq fires a sequence of transitions from m, returning the final
-// marking, or an error naming the first disabled transition.
-func (m Marking) FireSeq(seq []*Transition) (Marking, error) {
-	cur := m
-	for i, t := range seq {
-		if !cur.Enabled(t) {
-			return nil, fmt.Errorf("petri: transition %s (position %d) not enabled", t.Name, i)
-		}
-		cur = cur.Fire(t)
-	}
-	return cur, nil
-}
-
-// Fireable reports whether the sequence is fireable from m.
-func (m Marking) Fireable(seq []*Transition) bool {
-	_, err := m.FireSeq(seq)
-	return err == nil
-}
-
-// EnabledTransitions returns the IDs of all transitions of n enabled at
-// m, in ascending order. Source transitions are included.
-func (n *Net) EnabledTransitions(m Marking) []int {
-	var out []int
-	for _, t := range n.Transitions {
-		if m.Enabled(t) {
-			out = append(out, t.ID)
-		}
-	}
-	return out
-}
-
-// RespectsBounds reports whether the marking respects every
-// user-specified place bound (Bound == 0 means unbounded).
-func (n *Net) RespectsBounds(m Marking) bool {
-	for i, p := range n.Places {
-		if p.Bound > 0 && m[i] > p.Bound {
-			return false
-		}
-	}
-	return true
 }

@@ -19,12 +19,6 @@ func TestMarkingBasics(t *testing.T) {
 	if m.Equal(Marking{1, 0}) {
 		t.Error("Equal with different lengths should be false")
 	}
-	if !(Marking{2, 0, 2}).Covers(m) {
-		t.Error("Covers failed")
-	}
-	if (Marking{0, 0, 2}).Covers(m) {
-		t.Error("Covers should fail when below")
-	}
 	if m.Total() != 3 {
 		t.Errorf("Total = %d, want 3", m.Total())
 	}
@@ -65,26 +59,6 @@ func TestFirePanicsWhenDisabled(t *testing.T) {
 	m.Fire(b)
 }
 
-func TestFireSeq(t *testing.T) {
-	n := simpleNet(t)
-	a := n.TransitionByName("a")
-	b := n.TransitionByName("b")
-	m := n.InitialMarking()
-	final, err := m.FireSeq([]*Transition{a, b})
-	if err != nil {
-		t.Fatalf("FireSeq: %v", err)
-	}
-	if !final.Equal(Marking{1, 0}) {
-		t.Errorf("final = %v, want [1 0]", final)
-	}
-	if _, err := m.FireSeq([]*Transition{b, b}); err == nil {
-		t.Error("FireSeq of disabled sequence should fail")
-	}
-	if m.Fireable([]*Transition{b}) {
-		t.Error("b should not be fireable at the initial marking")
-	}
-}
-
 // TestFireConservation (property): firing changes each place by exactly
 // the incidence column of the fired transition.
 func TestFireConservation(t *testing.T) {
@@ -94,7 +68,7 @@ func TestFireConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seedRaw))
 		m := make(Marking, len(n.Places))
 		for i := range m {
-			m[i] = rng.Intn(5)
+			m[i] = int32(rng.Intn(5))
 		}
 		for _, tr := range n.Transitions {
 			if !m.Enabled(tr) {
@@ -102,7 +76,7 @@ func TestFireConservation(t *testing.T) {
 			}
 			after := m.Fire(tr)
 			for p := range m {
-				if after[p]-m[p] != c[p][tr.ID] {
+				if int(after[p]-m[p]) != c[p][tr.ID] {
 					return false
 				}
 			}
@@ -123,8 +97,8 @@ func TestEnabledMonotone(t *testing.T) {
 		m := make(Marking, len(n.Places))
 		bigger := make(Marking, len(n.Places))
 		for i := range m {
-			m[i] = rng.Intn(4)
-			bigger[i] = m[i] + rng.Intn(3)
+			m[i] = int32(rng.Intn(4))
+			bigger[i] = m[i] + int32(rng.Intn(3))
 		}
 		for _, tr := range n.Transitions {
 			if m.Enabled(tr) && !bigger.Enabled(tr) {
@@ -135,27 +109,5 @@ func TestEnabledMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRespectsBounds(t *testing.T) {
-	n := New("b")
-	p := n.AddPlace("p", PlaceChannel, 0)
-	p.Bound = 2
-	n.AddPlace("q", PlaceChannel, 0) // unbounded
-	if !n.RespectsBounds(Marking{2, 99}) {
-		t.Error("marking within bounds rejected")
-	}
-	if n.RespectsBounds(Marking{3, 0}) {
-		t.Error("marking beyond bound accepted")
-	}
-}
-
-func TestEnabledTransitions(t *testing.T) {
-	n := simpleNet(t)
-	got := n.EnabledTransitions(n.InitialMarking())
-	// Only the source a is enabled initially.
-	if len(got) != 1 || n.Transitions[got[0]].Name != "a" {
-		t.Errorf("EnabledTransitions = %v", got)
 	}
 }

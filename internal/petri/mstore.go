@@ -19,12 +19,12 @@ import (
 // linear-probe home slot from a 64-bit finalizer of the hash
 // (probeHash), never from the raw low bits.
 //
-// Token vectors live in fixed pages that are allocated once and never
-// moved or rewritten: each marking's tokens are copied in exactly once,
-// at intern, and every At view points straight into its page. Page
-// sizes double from a small first page up to a fixed byte cap, so a
-// 100-state search stays small and a large exploration allocates each
-// token byte about once.
+// Token vectors live in fixed pages of TokenBytes-wide counts, allocated
+// once and never moved or rewritten: each marking's tokens are copied
+// in exactly once, at intern, and every At view points straight into
+// its page. Page sizes double from a small first page up to a fixed
+// byte cap, so a 100-state search stays small and a large exploration
+// allocates each token byte about once.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -51,7 +51,7 @@ type MarkingStore struct {
 	places int
 	// pages hold the token vectors of hot ids (see pageOf for the
 	// layout); a page wholly below frozenEnd is released to nil.
-	pages      [][]int
+	pages      [][]int32
 	firstShift uint     // page 0 holds 1<<firstShift markings
 	capShift   uint     // pages stop doubling at 1<<capShift markings
 	hashes     []uint64 // hash per interned marking, reused on growth; never frozen
@@ -63,7 +63,8 @@ type MarkingStore struct {
 }
 
 // Page geometry: the first page holds up to 1<<firstPageShift markings
-// and later pages double until one would exceed pageCapBytes.
+// and later pages double until one would exceed pageCapBytes of
+// TokenBytes-wide counts.
 const (
 	firstPageShift = 6
 	pageCapBytes   = 64 << 10
@@ -82,7 +83,7 @@ func newMarkingStoreCap(places, tableSize int) *MarkingStore {
 		panic("petri: marking store table size must be a power of two >= 2")
 	}
 	capShift := uint(0)
-	for (2<<capShift)*max(places, 1)*8 <= pageCapBytes {
+	for (2<<capShift)*max(places, 1)*TokenBytes <= pageCapBytes {
 		capShift++
 	}
 	return &MarkingStore{
@@ -311,7 +312,7 @@ func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int
 	id := MarkID(len(s.hashes))
 	page, off := s.pageOf(int(id))
 	if off == 0 {
-		s.pages = append(s.pages, make([]int, s.pageLen(page)*s.places))
+		s.pages = append(s.pages, make([]int32, s.pageLen(page)*s.places))
 	}
 	copy(s.pages[page][off*s.places:], m)
 	s.hashes = append(s.hashes, h)
@@ -372,19 +373,11 @@ func (s *MarkingStore) All() iter.Seq2[MarkID, Marking] {
 // stats) derives from this one method.
 func (s *MarkingStore) Mem() StoreMem {
 	m := StoreMem{
-		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*8 + int64(len(s.hashes))*8 + int64(len(s.table))*4,
+		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*TokenBytes + int64(len(s.hashes))*8 + int64(len(s.table))*4,
 	}
 	if s.frozen != nil {
 		m.HotBytes += int64(len(s.frozen.offs))*8 + int64(len(s.frozen.prov))*8
 		m.FrozenBytes = s.frozen.size
 	}
 	return m
-}
-
-// ArenaBytes returns Mem().HotBytes — the store's live resident byte
-// count. For an all-hot store this is the historical arena+hashes+table
-// figure; with a frozen tier it excludes the evicted vectors (counted
-// in Mem().FrozenBytes) and includes the segment-offset table.
-func (s *MarkingStore) ArenaBytes() int {
-	return int(s.Mem().HotBytes)
 }

@@ -19,7 +19,7 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m := make(Marking, places)
 		for j := range m {
-			m[j] = rng.Intn(4)
+			m[j] = int32(rng.Intn(4))
 		}
 		id, isNew := s.Intern(m)
 		if prev, ok := seen[m.Key()]; ok {
@@ -66,7 +66,7 @@ func TestMarkingStoreCollisions(t *testing.T) {
 	s := newMarkingStoreCap(places, 2)
 	var ms []Marking
 	for i := 0; i < 64; i++ {
-		m := Marking{i, i % 5, i / 3}
+		m := Marking{int32(i), int32(i % 5), int32(i / 3)}
 		ms = append(ms, m)
 		if id, isNew := s.Intern(m); !isNew || int(id) != i {
 			t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
@@ -96,7 +96,7 @@ func TestMarkingStoreViewStability(t *testing.T) {
 	id, _ := s.Intern(first)
 	view := s.At(id)
 	for i := 0; i < 10000; i++ {
-		s.Intern(Marking{i, i + 1, i + 2, i + 3})
+		s.Intern(Marking{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)})
 	}
 	if !view.Equal(first) {
 		t.Fatalf("early view corrupted after growth: %v", view)
@@ -111,7 +111,7 @@ func TestMarkingStoreViewStability(t *testing.T) {
 // no page exceeds the byte cap unless one marking does, and every
 // marking round-trips across page boundaries.
 func TestMarkingStorePages(t *testing.T) {
-	for _, places := range []int{1, 7, 60, pageCapBytes/8 + 1} {
+	for _, places := range []int{1, 7, 60, pageCapBytes/TokenBytes + 1} {
 		s := NewMarkingStore(places)
 		count := 3000
 		if places > 1000 {
@@ -127,13 +127,13 @@ func TestMarkingStorePages(t *testing.T) {
 				t.Fatalf("places=%d: id %d at (%d, %d) does not follow (%d, %d) (page len %d)",
 					places, id, page, off, prevPage, prevOff, s.pageLen(prevPage))
 			}
-			if bytes := s.pageLen(page) * places * 8; bytes > max(pageCapBytes, places*8) {
+			if bytes := s.pageLen(page) * places * TokenBytes; bytes > max(pageCapBytes, places*TokenBytes) {
 				t.Fatalf("places=%d: page %d is %d bytes", places, page, bytes)
 			}
 			prevPage, prevOff = page, off
 			m := make(Marking, places)
 			for j := range m {
-				m[j] = id
+				m[j] = int32(id)
 			}
 			if got, isNew := s.Intern(m); !isNew || int(got) != id {
 				t.Fatalf("places=%d: intern %d = (%d, %v)", places, id, got, isNew)
@@ -141,7 +141,7 @@ func TestMarkingStorePages(t *testing.T) {
 		}
 		for id := 0; id < count; id++ {
 			m := s.At(MarkID(id))
-			if len(m) != places || cap(m) != places || m[0] != id || m[places-1] != id {
+			if len(m) != places || cap(m) != places || int(m[0]) != id || int(m[places-1]) != id {
 				t.Fatalf("places=%d: At(%d) = len %d cap %d [%d ... %d]", places, id, len(m), cap(m), m[0], m[places-1])
 			}
 		}
@@ -188,7 +188,7 @@ func TestMarkingStoreConcurrentReads(t *testing.T) {
 	s := NewMarkingStore(places)
 	var ms []Marking
 	for i := 0; i < 200; i++ {
-		m := Marking{i, i % 7, i % 3, i % 11, i % 2}
+		m := Marking{int32(i), int32(i % 7), int32(i % 3), int32(i % 11), int32(i % 2)}
 		ms = append(ms, m)
 		s.Intern(m)
 	}
@@ -230,7 +230,7 @@ func TestLookupHashAliased(t *testing.T) {
 	s := newMarkingStoreCap(3, 2) // tiny table: forces probe runs and growth
 	var ms []Marking
 	for i := 0; i < 40; i++ {
-		m := Marking{i, i % 4, i / 7}
+		m := Marking{int32(i), int32(i % 4), int32(i / 7)}
 		ms = append(ms, m)
 		s.Intern(m)
 	}

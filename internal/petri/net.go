@@ -7,7 +7,10 @@
 // equal-conflict-set (ECS) computation, choice-place classification
 // (equal / unique choice, the UCPN test), place degrees and the
 // irrelevant-marking criterion of Section 4.4 of the paper, incidence
-// matrices, a textual exchange format and DOT export.
+// matrices, a textual exchange format and DOT export. A marking holds
+// one four-byte count per place, at most MaxTokens: Validate, the
+// parsers and the wire decoder reject larger counts, and an exploration
+// that would exceed it fails with ErrTokenOverflow.
 //
 // The exploration substrate shared by the reachability utilities and
 // the scheduler's engines also lives here: MarkingStore hash-conses
@@ -275,7 +278,7 @@ func (n *Net) TransitionByName(name string) *Transition {
 func (n *Net) InitialMarking() Marking {
 	m := make(Marking, len(n.Places))
 	for i, p := range n.Places {
-		m[i] = p.Initial
+		m[i] = int32(p.Initial)
 	}
 	return m
 }
@@ -316,15 +319,16 @@ func (t *Transition) IsUncontrollable() bool { return t.Kind == TransSourceUnc }
 // Validate checks structural invariants: arc endpoints in range, positive
 // weights, at most one arc each way between a place and a transition
 // (AddArc merges parallel arcs; Transition.AppendDeltas relies on it),
-// positive initial markings, and source kinds consistent with presets.
-// It returns the first violation found.
+// non-negative initial markings and bounds, every count, bound and
+// weight at most MaxTokens (checked after AddArc's merge), and source
+// kinds consistent with presets. It returns the first violation found.
 func (n *Net) Validate() error {
 	for _, p := range n.Places {
-		if p.Initial < 0 {
-			return fmt.Errorf("place %s: negative initial marking %d", p.Name, p.Initial)
+		if p.Initial < 0 || p.Initial > MaxTokens {
+			return fmt.Errorf("place %s: initial marking %d out of range [0, %d]", p.Name, p.Initial, MaxTokens)
 		}
-		if p.Bound < 0 {
-			return fmt.Errorf("place %s: negative bound %d", p.Name, p.Bound)
+		if p.Bound < 0 || p.Bound > MaxTokens {
+			return fmt.Errorf("place %s: bound %d out of range [0, %d]", p.Name, p.Bound, MaxTokens)
 		}
 	}
 	// seen[p] is the stamp of the last (transition, direction) with an
@@ -336,8 +340,8 @@ func (n *Net) Validate() error {
 				if a.Place < 0 || a.Place >= len(n.Places) {
 					return fmt.Errorf("transition %s: arc references place %d out of range", t.Name, a.Place)
 				}
-				if a.Weight <= 0 {
-					return fmt.Errorf("transition %s: non-positive arc weight %d", t.Name, a.Weight)
+				if a.Weight <= 0 || a.Weight > MaxTokens {
+					return fmt.Errorf("transition %s: arc weight %d out of range [1, %d]", t.Name, a.Weight, MaxTokens)
 				}
 				stamp := 2*ti + dir + 1
 				if seen[a.Place] == stamp {

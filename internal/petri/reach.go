@@ -29,9 +29,10 @@ type ReachResult struct {
 	Truncated bool
 }
 
-// ReachEdge is one edge of the explored reachability graph.
+// ReachEdge is one edge of the explored reachability graph: 8 bytes,
+// the transition's index and the successor's id.
 type ReachEdge struct {
-	Trans int
+	Trans int32
 	To    MarkID
 }
 
@@ -46,7 +47,9 @@ type ExploreOptions struct {
 	// MaxMarkings limits the number of distinct markings (default 10000).
 	MaxMarkings int
 	// MaxTokensPerPlace prunes markings where any place exceeds this
-	// count (0 = no pruning). Keeps nets with sources finite.
+	// count (0 = no pruning). Keeps nets with sources finite. Without
+	// it, or above MaxTokens, a count past MaxTokens ends the
+	// exploration with ErrTokenOverflow.
 	MaxTokensPerPlace int
 	// FireSources includes source transitions in the exploration when
 	// true; otherwise only internal behaviour is explored.
@@ -62,14 +65,18 @@ type ExploreOptions struct {
 // transition only re-evaluates the ECSs whose presets it disturbs),
 // successors are hash-consed through the result store, and the inner
 // loop reuses one scratch vector, so firing a transition allocates only
-// when it discovers a new marking. Explore panics when
-// opt.Strategy.Runner is set: it has no error return to report the
-// runner's failure with.
+// when it discovers a new marking. Explore has no error return, so it
+// panics when opt.Strategy.Runner is set and when a count of a place
+// MaxTokensPerPlace leaves unbounded would exceed MaxTokens
+// (ErrTokenOverflow); ExploreDist with a nil runner returns that error.
 func (n *Net) Explore(opt ExploreOptions) *ReachResult {
 	if opt.Strategy.Runner != nil {
 		panic("petri: Explore cannot run on a FrontierRunner; use ExploreDist")
 	}
-	res, _ := n.explore(opt)
+	res, err := n.explore(opt)
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
@@ -79,10 +86,11 @@ func (n *Net) Explore(opt ExploreOptions) *ReachResult {
 // runner feeds the same sequential merge, so the ReachResult —
 // numbering, edges, flags — is byte-identical to Explore's for every
 // worker-process count. The error reports an infrastructure failure
-// (worker death, protocol corruption), never an exploration outcome —
-// unless opt.Strategy.Fallback is set, in which case the exploration
-// reruns in-process and the error is swallowed. A nil r explores
-// inline.
+// (worker death, protocol corruption) — unless opt.Strategy.Fallback is
+// set, in which case the exploration reruns in-process and the error is
+// swallowed — or a count of an unbounded place that would exceed
+// MaxTokens (ErrTokenOverflow); no other exploration outcome is an
+// error. A nil r explores inline.
 func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, error) {
 	opt.Strategy.Runner = r
 	return n.explore(opt)
@@ -197,7 +205,7 @@ func (e *reachExplorer) mergeHooks() MergeHooks {
 				e.res.Edges = append(Grow(e.res.Edges, 1), nil)
 				e.res.Clipped = append(Grow(e.res.Clipped, 1), false)
 			}
-			e.addEdge(parent, ReachEdge{Trans: int(trans), To: child})
+			e.addEdge(parent, ReachEdge{Trans: trans, To: child})
 		},
 		Reject: func(parent MarkID, trans int32, budget bool) bool {
 			e.res.Truncated = true

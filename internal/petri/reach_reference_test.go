@@ -78,7 +78,7 @@ func referenceExplore(n *Net, opt ExploreOptions) reachSnapshot {
 				next := m.Fire(n.Transitions[tid])
 				clip := false
 				for _, v := range next {
-					clip = clip || opt.MaxTokensPerPlace > 0 && v > opt.MaxTokensPerPlace
+					clip = clip || opt.MaxTokensPerPlace > 0 && int(v) > opt.MaxTokensPerPlace
 				}
 				id, seen := ids[next.Key()]
 				if !clip && !seen {
@@ -93,7 +93,7 @@ func referenceExplore(n *Net, opt ExploreOptions) reachSnapshot {
 					r.clipped[qi] = true
 					continue
 				}
-				r.edges[qi] = append(r.edges[qi], ReachEdge{Trans: tid, To: id})
+				r.edges[qi] = append(r.edges[qi], ReachEdge{Trans: int32(tid), To: id})
 			}
 		}
 	}

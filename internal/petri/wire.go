@@ -54,10 +54,10 @@ func DecodeMarking(buf []byte) (Marking, []byte, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("petri: marking token %d: %w", i, err)
 		}
-		if v > math.MaxInt {
+		if v > MaxTokens {
 			return nil, nil, fmt.Errorf("petri: marking token %d: count %d out of range", i, v)
 		}
-		m[i] = int(v)
+		m[i] = int32(v)
 	}
 	return m, buf, nil
 }

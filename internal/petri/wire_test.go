@@ -116,7 +116,7 @@ func TestMarkingWireRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m := make(Marking, rng.Intn(12))
 		for j := range m {
-			m[j] = rng.Intn(1 << rng.Intn(20))
+			m[j] = int32(rng.Intn(1 << rng.Intn(20)))
 		}
 		want = append(want, m)
 		buf = AppendMarking(buf, m)
@@ -274,8 +274,8 @@ func TestWireDecodeCorrupt(t *testing.T) {
 		}
 	}
 	// Bytes no firing rule means: a transition with two input arcs on
-	// one place (AddArc would have merged them), and a token count of
-	// 2^63, which does not fit an int.
+	// one place (AddArc would have merged them), and token counts above
+	// MaxTokens, which do not fit a Marking: 2^31 and 2^63.
 	n := New("dup")
 	p := n.AddPlace("p", PlaceChannel, 1)
 	tr := n.AddTransition("t", TransNormal)
@@ -283,8 +283,36 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	if _, _, err := DecodeNet(AppendNet(nil, n)); err == nil || !strings.Contains(err.Error(), "two input arcs on place p") {
 		t.Fatalf("DecodeNet of a repeated input arc: err = %v", err)
 	}
-	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{2}, 1), 1<<63)
-	if m, _, err := DecodeMarking(huge); err == nil {
-		t.Fatalf("DecodeMarking accepted a 2^63 token count as %v", m)
+	for _, v := range []uint64{1 << 31, 1 << 63} {
+		huge := binary.AppendUvarint(binary.AppendUvarint([]byte{2}, 1), v)
+		if m, _, err := DecodeMarking(huge); err == nil {
+			t.Fatalf("DecodeMarking accepted a %d token count as %v", v, m)
+		}
+	}
+	edge := binary.AppendUvarint(binary.AppendUvarint([]byte{2}, 1), MaxTokens)
+	if m, _, err := DecodeMarking(edge); err != nil || !m.Equal(Marking{1, MaxTokens}) {
+		t.Fatalf("DecodeMarking of a MaxTokens count = %v, %v", m, err)
+	}
+	// A net whose initial marking, bound or arc weight is 2^31 fails
+	// Validate; exactly MaxTokens decodes.
+	for _, v := range []int{MaxTokens, MaxTokens + 1} {
+		for field := range 3 {
+			n := New("limit")
+			p := n.AddPlace("p", PlaceChannel, 0)
+			tr := n.AddTransition("t", TransNormal)
+			n.AddArc(p, tr, 1)
+			switch field {
+			case 0:
+				p.Initial = v
+			case 1:
+				p.Bound = v
+			case 2:
+				tr.In[0].Weight = v
+			}
+			_, _, err := DecodeNet(AppendNet(nil, n))
+			if (err == nil) != (v == MaxTokens) {
+				t.Fatalf("DecodeNet with field %d = %d: err = %v", field, v, err)
+			}
+		}
 	}
 }

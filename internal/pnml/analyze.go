@@ -65,7 +65,7 @@ func Analyze(n *petri.Net, opt AnalyzeOptions) (*Analysis, error) {
 	}
 	r, err := n.ExploreDist(opt.Strategy.Runner, eopt)
 	if err != nil {
-		return nil, fmt.Errorf("pnml: distributed exploration: %w", err)
+		return nil, fmt.Errorf("pnml: exploration: %w", err)
 	}
 	return &Analysis{
 		Net:         n,
@@ -101,12 +101,12 @@ func Fingerprint(r *petri.ReachResult) string {
 		m, es := r.MarkingAt(petri.MarkID(id)), r.Edges[id]
 		w.reserve(len(m) + 2 + 2*len(es))
 		for _, v := range m {
-			w.put(v)
+			w.put(int(v))
 		}
 		w.putBool(r.Clipped[id])
 		w.put(len(es))
 		for _, e := range es {
-			w.put(e.Trans)
+			w.put(int(e.Trans))
 			w.put(int(e.To))
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/petri"
 )
 
 // TestParseMalformed: every out-of-subset or broken document is
@@ -117,6 +119,21 @@ func TestParseMalformed(t *testing.T) {
 			"negative initial marking",
 		},
 		{
+			"initial marking above MaxTokens",
+			`<pnml><net id="n" type="ptnet"><place id="p"><initialMarking><text>2147483648</text></initialMarking></place></net></pnml>`,
+			"initial marking 2147483648 above 2147483647",
+		},
+		{
+			"arc weight above MaxTokens",
+			`<pnml><net id="n" type="ptnet"><place id="p"/><transition id="t"/><arc id="a" source="p" target="t"><inscription><text>2147483648</text></inscription></arc></net></pnml>`,
+			"weight 2147483648 above 2147483647",
+		},
+		{
+			"repeated arcs summing above MaxTokens",
+			`<pnml><net id="n" type="ptnet"><place id="p"/><transition id="t"/><arc id="a" source="t" target="p"><inscription><text>2147483647</text></inscription></arc><arc id="b" source="t" target="p"/></net></pnml>`,
+			"repeated weights sum to 2147483648",
+		},
+		{
 			"non-integer initial marking",
 			`<pnml><net id="n" type="ptnet"><place id="p"><initialMarking><text>many</text></initialMarking></place></net></pnml>`,
 			"not an integer",
@@ -211,6 +228,36 @@ func TestParseMalformed(t *testing.T) {
 				t.Errorf("error %q carries no position", err)
 			}
 		})
+	}
+}
+
+// TestParseTokenLimit: a count of exactly petri.MaxTokens imports, as
+// an initial marking and as an arc weight; one more is a *ParseError
+// with a line and a column (TestParseMalformed pins the messages).
+func TestParseTokenLimit(t *testing.T) {
+	doc := func(initial, weight string) string {
+		return `<pnml><net id="n" type="ptnet"><place id="p"><initialMarking><text>` + initial + `</text></initialMarking></place>` +
+			`<transition id="t"/><arc id="a" source="p" target="t"><inscription><text>` + weight + `</text></inscription></arc></net></pnml>`
+	}
+	for _, bad := range []string{doc("2147483648", "1"), doc("1", "2147483648")} {
+		_, err := ParseBytes([]byte(bad))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line < 1 || pe.Col < 1 {
+			t.Errorf("err = %v, want a *ParseError with a line and a column", err)
+		}
+	}
+	n, err := ParseBytes([]byte(doc("2147483647", "2147483647")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Places[0].Initial; got != petri.MaxTokens {
+		t.Errorf("initial marking = %d, want %d", got, petri.MaxTokens)
+	}
+	if got := n.Transitions[0].Weight(0); got != petri.MaxTokens {
+		t.Errorf("arc weight = %d, want %d", got, petri.MaxTokens)
+	}
+	if got := n.InitialMarking()[0]; got != petri.MaxTokens {
+		t.Errorf("initial token vector holds %d, want %d", got, petri.MaxTokens)
 	}
 }
 

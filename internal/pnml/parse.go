@@ -343,6 +343,9 @@ func (p *parser) parsePlace(se xml.StartElement) error {
 				if n < 0 {
 					return p.errf("place %q: negative initial marking %d", id, n)
 				}
+				if n > petri.MaxTokens {
+					return p.errf("place %q: initial marking %d above %d", id, n, petri.MaxTokens)
+				}
 				pl.initial = n
 			case "graphics", "toolspecific":
 				if err := p.skip(); err != nil {
@@ -451,6 +454,9 @@ func (p *parser) parseArc(se xml.StartElement) error {
 				}
 				if w < 1 {
 					return p.errf("arc %q: non-positive weight %d (ordinary arcs need weight >= 1)", id, w)
+				}
+				if w > petri.MaxTokens {
+					return p.errf("arc %q: weight %d above %d", id, w, petri.MaxTokens)
 				}
 				a.weight = w
 			case "type":
@@ -584,13 +590,19 @@ func (p *parser) build() (*petri.Net, error) {
 		if !ok {
 			return nil, &ParseError{Line: a.line, Col: a.col, Msg: fmt.Sprintf("arc references undeclared target %q", a.target)}
 		}
+		var w int
 		switch {
 		case src.kind == kindPlace && dst.kind == kindTrans:
 			n.AddArc(n.Places[src.index], n.Transitions[dst.index], a.weight)
+			w = n.Transitions[dst.index].Weight(src.index)
 		case src.kind == kindTrans && dst.kind == kindPlace:
 			n.AddArcTP(n.Transitions[src.index], n.Places[dst.index], a.weight)
+			w = n.Transitions[src.index].OutWeight(dst.index)
 		default:
 			return nil, &ParseError{Line: a.line, Col: a.col, Msg: fmt.Sprintf("arc connects a %s to a %s: arcs must alternate places and transitions", src.kind, dst.kind)}
+		}
+		if w > petri.MaxTokens {
+			return nil, &ParseError{Line: a.line, Col: a.col, Msg: fmt.Sprintf("arcs from %q to %q: repeated weights sum to %d, above %d", a.source, a.target, w, petri.MaxTokens)}
 		}
 	}
 	if err := n.Validate(); err != nil {

@@ -124,7 +124,8 @@ type engine struct {
 	part   []*petri.ECS
 	stats  SearchStats
 	nodes  int
-	over   bool // budget exhausted
+	over   bool  // budget exhausted, or err set: the search stops
+	err    error // a firing passed petri.MaxTokens (ErrTokenOverflow)
 
 	store   *petri.MarkingStore
 	scratch petri.Marking // firing buffer reused across the search
@@ -188,7 +189,10 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 		e.stats.UsedTInv = true
 	}
 	root := e.newNode(nil, -1, n.InitialMarking())
-	child := e.newNode(root, source, root.marking.Fire(st))
+	if !e.fire(root.marking, source) {
+		return nil, fmt.Errorf("sched: source %s: %w", st.Name, e.err)
+	}
+	child := e.newNode(root, source, e.scratch)
 	// The root is on the path of every node below it: account for its
 	// marking, enabled set and the source firing before descending into
 	// EP (ep derives the child's set from the stack top, so the root's
@@ -199,6 +203,9 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 	root.chosenECS = e.part[e.ft.ECSOf(source)]
 	root.kids = map[int][]*treeNode{root.chosenECS.Index: {child}}
 	got := e.ep(child, root)
+	if e.err != nil {
+		return nil, fmt.Errorf("sched: source %s: %w", st.Name, e.err)
+	}
 	if e.over {
 		return nil, fmt.Errorf("sched: source %s: %w (created %d nodes)", st.Name, ErrBudget, e.nodes)
 	}
@@ -232,6 +239,18 @@ func FindAll(n *petri.Net, opt *Options) ([]*Schedule, error) {
 		return nil, fmt.Errorf("sched: net %s has no uncontrollable source transitions", n.Name)
 	}
 	return out, nil
+}
+
+// fire fires transition tid at m into the scratch buffer. The tree
+// engines cap no place, so a count past petri.MaxTokens cannot be
+// vetoed: it stops the search with e.err, and fire reports false.
+func (e *engine) fire(m petri.Marking, tid int) bool {
+	e.scratch = e.ft.Fire(e.scratch, m, tid)
+	if e.err = e.ft.Overflow(nil, e.scratch, tid); e.err != nil {
+		e.over = true
+		return false
+	}
+	return true
 }
 
 // newNode creates a tree node for marking m, hash-consing the vector:
@@ -382,7 +401,9 @@ func (e *engine) epECS(E *petri.ECS, v, target *treeNode) *treeNode {
 	curTarget := target
 	var kids []*treeNode
 	for _, tid := range E.Trans {
-		e.scratch = e.ft.Fire(e.scratch, v.marking, tid)
+		if !e.fire(v.marking, tid) {
+			return nil
+		}
 		w := e.newNode(v, tid, e.scratch)
 		if e.over {
 			return nil

@@ -224,7 +224,7 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 	ge := newGraphEngine(n, source, opt)
 	st := n.Transitions[source]
 	if err := ge.drive(opt.Strategy); err != nil {
-		return nil, fmt.Errorf("sched: source %s: distributed exploration: %w", st.Name, err)
+		return nil, fmt.Errorf("sched: source %s: exploration: %w", st.Name, err)
 	}
 	if ge.over {
 		return nil, fmt.Errorf("sched: source %s: %w (graph engine, %d states)", st.Name, ErrBudget, len(ge.states))
@@ -568,7 +568,7 @@ func (ge *graphEngine) occupancy(m petri.Marking) int {
 	for i, v := range m {
 		switch ge.net.Places[i].Kind {
 		case petri.PlaceChannel, petri.PlacePort:
-			total += v
+			total += int(v)
 		}
 	}
 	return total

@@ -74,6 +74,27 @@ func TestGraphEngineBudget(t *testing.T) {
 	}
 }
 
+// TestTokenOverflow: a source that would carry place p from
+// MaxTokens-1 past petri.MaxTokens. The tree engines cap no place, so
+// the search stops with ErrTokenOverflow naming p; the graph engine
+// caps p at its initial count and vetoes the firing, so it finds no
+// schedule.
+func TestTokenOverflow(t *testing.T) {
+	n := petri.New("overflow")
+	p := n.AddPlace("p", petri.PlaceChannel, petri.MaxTokens-1)
+	src := n.AddTransition("src", petri.TransSourceUnc)
+	n.AddArcTP(src, p, 2)
+	for _, eng := range []Engine{EngineTreeGreedy, EngineTreeExhaustive} {
+		_, err := FindSchedule(n, src.ID, &Options{Engine: eng})
+		if !errors.Is(err, petri.ErrTokenOverflow) || !strings.Contains(err.Error(), "place p:") {
+			t.Errorf("engine %d: err = %v, want ErrTokenOverflow at p", eng, err)
+		}
+	}
+	if _, err := FindSchedule(n, src.ID, nil); !errors.Is(err, ErrNoSchedule) {
+		t.Errorf("graph engine: err = %v, want ErrNoSchedule", err)
+	}
+}
+
 func TestUserBoundsTermination(t *testing.T) {
 	// fig4a needs two tokens in p1; a user bound of 1 forbids it.
 	n := fig4aNet(t)

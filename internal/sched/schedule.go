@@ -157,9 +157,7 @@ func (s *Schedule) PlaceBounds() []int {
 	bounds := make([]int, len(s.Net.Places))
 	for _, n := range s.Nodes {
 		for p, v := range n.Marking {
-			if v > bounds[p] {
-				bounds[p] = v
-			}
+			bounds[p] = max(bounds[p], int(v))
 		}
 	}
 	return bounds

@@ -75,7 +75,7 @@ func UserBounds(n *petri.Net) *PlaceBounds {
 // Prune implements Termination.
 func (pb *PlaceBounds) Prune(m petri.Marking, _ []petri.Marking) bool {
 	for i, v := range m {
-		if pb.Bounds[i] > 0 && v > pb.Bounds[i] {
+		if pb.Bounds[i] > 0 && int(v) > pb.Bounds[i] {
 			return true
 		}
 	}

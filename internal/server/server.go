@@ -409,9 +409,10 @@ func classifyError(ctx context.Context, err error) (int, string) {
 
 // isRequestFault reports whether the error is attributable to the
 // submitted system rather than the server: parse/check/link failures,
-// exhausted budgets, and search spaces with no schedule.
+// exhausted budgets, search spaces with no schedule, and token counts
+// the search would carry past petri.MaxTokens.
 func isRequestFault(err error) bool {
-	if errors.Is(err, sched.ErrNoSchedule) || errors.Is(err, sched.ErrBudget) {
+	if errors.Is(err, sched.ErrNoSchedule) || errors.Is(err, sched.ErrBudget) || errors.Is(err, petri.ErrTokenOverflow) {
 		return true
 	}
 	msg := err.Error()

@@ -447,6 +447,38 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTokenCountLimit: an item count of 2^31, one past petri.MaxTokens,
+// is the request's fault — the FlowC checker rejects it, so the answer
+// is a 422 naming the limit, and nothing panics.
+func TestTokenCountLimit(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status, _, errResp := postSynth(t, ts.URL, &synthesizeRequest{
+		FlowC: "PROCESS p (In DPORT a) { int x[2147483647]; while (1) { READ_DATA(a, x, 2147483648); } }",
+		Net:   "system x\ninput a -> p.a uncontrollable",
+	})
+	if status != http.StatusUnprocessableEntity || !strings.Contains(errResp.Error, "item count 2147483648 above 2147483647") {
+		t.Fatalf("item count 2^31: status %d (%+v), want 422 naming the limit", status, errResp)
+	}
+	// Counts at the limit check, but a second burst of 2^31-1 items on
+	// a channel whose structural degree is above the limit overflows
+	// in the schedule search: the request's fault too.
+	status, _, errResp = postSynth(t, ts.URL, &synthesizeRequest{
+		FlowC: "PROCESS prod (In DPORT trig, Out DPORT o) { int t; int b[2147483647]; while (1) { READ_DATA(trig, &t, 1); WRITE_DATA(o, b, 2147483647); } }\n" +
+			"PROCESS cons (In DPORT i) { int b[2147483647]; while (1) { READ_DATA(i, b, 2147483647); } }",
+		Net: "system x\ninput trig -> prod.trig uncontrollable\nchannel c prod.o -> cons.i",
+	})
+	if status != http.StatusUnprocessableEntity || !strings.Contains(errResp.Error, "token count exceeds MaxTokens") {
+		t.Fatalf("overflowing search: status %d (%+v), want 422 naming the overflow", status, errResp)
+	}
+	_, metricsBody := getBody(t, ts.URL+"/metrics")
+	if v, ok := scrapeGauge(metricsBody, "qss_panics_total"); !ok || v != 0 {
+		t.Fatalf("qss_panics_total = %v (found %v), want 0", v, ok)
+	}
+}
+
 // TestRequestBodyBudgetEdge pins the request-body budget at its edge:
 // a valid request padded with JSON whitespace to exactly
 // maxRequestBody bytes is synthesized, and one byte more is refused

@@ -65,7 +65,7 @@ func TestStoreFrozenGate(t *testing.T) {
 	// Exact machine-independent hot-byte accounting. Both runs intern
 	// the identical marking sequence, so they share one probe-table
 	// size; the all-hot store additionally holds every token vector
-	// (want x places x 8B), the frozen store instead holds one segment
+	// (want x places x petri.TokenBytes), the frozen store instead holds one segment
 	// offset per state (want x 8B) and zero hot vectors.
 	hotMem := hot.Store.Mem()
 	frozenMem := frozen.Store.Mem()
@@ -73,7 +73,7 @@ func TestStoreFrozenGate(t *testing.T) {
 		t.Fatalf("all-hot run reports %d frozen bytes", hotMem.FrozenBytes)
 	}
 	places := len(hot.MarkingAt(0))
-	tableBytes := hotMem.HotBytes - int64(want*places)*8 - int64(want)*8
+	tableBytes := hotMem.HotBytes - int64(want*places)*petri.TokenBytes - int64(want)*8
 	if tableBytes <= 0 {
 		t.Fatalf("derived probe-table bytes %d; accounting drifted (hot=%d)", tableBytes, hotMem.HotBytes)
 	}
