@@ -2,7 +2,8 @@
 #
 #   make ci          — everything below through fuzz-smoke, in order
 #   make build       — compile all packages
-#   make vet         — static analysis
+#   make vet         — static analysis, and fails on (and names) any file
+#                      gofmt would rewrite
 #   make test        — unit, property and determinism tests under -race
 #   make dist-matrix — the cross-process determinism matrix alone, with
 #                      real spawned worker processes (also part of the
@@ -101,6 +102,9 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test -race ./...

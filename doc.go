@@ -94,8 +94,8 @@
 // In-process concurrency has one level: the per-source schedule
 // searches of one system run on a bounded worker pool
 // (core.Options.Workers) with deterministic result ordering and
-// first-error cancellation via context (core.SynthesizeContext,
-// core.SynthesizeSystemContext). Each search itself is serial:
+// first-error cancellation via context (core.SynthesizeContext).
+// Each search itself is serial:
 // petri.Drive, the one level-synchronous exploration driver, expands a
 // state and merges each successor at once — fire into a scratch
 // buffer, hash once, probe the search's own petri.MarkingStore, intern

@@ -93,16 +93,6 @@ input go -> producer.go uncontrollable
 output consumer.out -> sums
 `
 
-// SynthesizePixelPipe runs the full flow on the pixel pipeline.
-func SynthesizePixelPipe() (*core.Result, error) {
-	return core.Synthesize(PixelPipe, PixelPipeSpec, nil)
-}
-
-// SynthesizeDivisors runs the full flow on the divisors system.
-func SynthesizeDivisors() (*core.Result, error) {
-	return core.Synthesize(Divisors, DivisorsSpec, nil)
-}
-
 // FalsePathPlain is the unschedulable pair of Section 7.2: the loop
 // bounds of A and B match (10 writes / 10 reads, then 2 / 2 the other
 // way), but the Petri net abstraction loses the data correlation, so

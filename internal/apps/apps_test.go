@@ -10,7 +10,7 @@ import (
 )
 
 func TestDivisorsSynthesis(t *testing.T) {
-	r, err := SynthesizeDivisors()
+	r, err := core.Synthesize(Divisors, DivisorsSpec, nil)
 	if err != nil {
 		t.Fatalf("divisors: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestDivisorsSynthesis(t *testing.T) {
 }
 
 func TestPixelPipeSynthesis(t *testing.T) {
-	r, err := SynthesizePixelPipe()
+	r, err := core.Synthesize(PixelPipe, PixelPipeSpec, nil)
 	if err != nil {
 		t.Fatalf("pixelpipe: %v", err)
 	}

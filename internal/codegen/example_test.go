@@ -46,11 +46,32 @@ func fig8Task(t *testing.T) *Task {
 	return task
 }
 
+// nodeCount returns the total number of SegNodes across all segments
+// of a task — the paper's code-size proxy: each distinct ECS appears
+// exactly once (Figure 14).
+func nodeCount(t *Task) int {
+	total := 0
+	for _, seg := range t.Segments {
+		var count func(n *SegNode) int
+		count = func(n *SegNode) int {
+			c := 1
+			for _, e := range n.Edges {
+				if e.Child != nil {
+					c += count(e.Child)
+				}
+			}
+			return c
+		}
+		total += count(seg.Root)
+	}
+	return total
+}
+
 func TestFig14CodeSegments(t *testing.T) {
 	task := fig8Task(t)
 	// Figure 14(c): three code segments — cs1 rooted at {a}, cs2 rooted
 	// at {e}, cs3 rooted at {b,c} containing {d}.
-	if got := task.SegmentCount(); got != 3 {
+	if got := len(task.Segments); got != 3 {
 		t.Fatalf("segments = %d, want 3 per Figure 14(c)", got)
 	}
 	// cs1 (entry) is rooted at the source ECS.
@@ -58,7 +79,7 @@ func TestFig14CodeSegments(t *testing.T) {
 		t.Errorf("segment 0 is not rooted at the source ECS")
 	}
 	// Total SegNodes: one per distinct ECS = 4 ({a},{b,c},{d},{e}).
-	if got := task.NodeCount(); got != 4 {
+	if got := nodeCount(task); got != 4 {
 		t.Errorf("segment nodes = %d, want 4 (one per distinct ECS)", got)
 	}
 	labels := map[string]bool{}

@@ -4,10 +4,11 @@
 // discriminate the residual marking, and a sequential C task (the ISR)
 // is synthesized with goto chaining between segments.
 //
-// Generate is the structural half: it walks a sched.Schedule, splits it
-// into threads at await nodes (thread.go), merges shared tails into
-// reusable code segments (segment.go) and returns a Task. Synthesize is
-// the textual half: it renders a Task into a single C source —
+// Generate is the structural half: it walks a sched.Schedule, merges
+// shared tails into reusable code segments (segment.go) and returns a
+// Task; the threads a reaction runs through from each await node are
+// the paths between await nodes (Figure 15, checked in the tests).
+// Synthesize is the textual half: it renders a Task into a single C source —
 // deterministic byte-for-byte output, which is what the golden files,
 // the dist determinism matrix and the server smoke test all pin.
 package codegen
@@ -419,27 +420,4 @@ func sanitizeLabel(s string) string {
 		}
 	}
 	return string(out)
-}
-
-// SegmentCount returns the number of code segments.
-func (t *Task) SegmentCount() int { return len(t.Segments) }
-
-// NodeCount returns the total number of SegNodes across all segments —
-// the paper's code-size proxy: each distinct ECS appears exactly once.
-func (t *Task) NodeCount() int {
-	total := 0
-	for _, seg := range t.Segments {
-		var count func(n *SegNode) int
-		count = func(n *SegNode) int {
-			c := 1
-			for _, e := range n.Edges {
-				if e.Child != nil {
-					c += count(e.Child)
-				}
-			}
-			return c
-		}
-		total += count(seg.Root)
-	}
-	return total
 }

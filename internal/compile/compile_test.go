@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestDivisorsNetStructure(t *testing.T) {
 		t.Errorf("marked internal places = %d, want 1", marked)
 	}
 	// The net is unique choice (Section 3.1).
-	if !n.IsUniqueChoice() {
+	if !isUniqueChoice(n) {
 		t.Error("compiled process should be a UCPN")
 	}
 	// Two data choices: while(i>1) and if(n%i==0).
@@ -347,7 +348,10 @@ PROCESS p (In DPORT i) {
 		t.Fatal(err)
 	}
 	frag := cp.Net.Transitions[0].Code.(*Fragment)
-	src := frag.Source()
+	var src string
+	for _, st := range frag.Stmts {
+		src += flowc.FormatStmt(st, 0)
+	}
 	if !strings.Contains(src, "READ_DATA(i, v, 1);") || !strings.Contains(src, "v = (v + 1);") {
 		t.Errorf("fragment source:\n%s", src)
 	}
@@ -357,5 +361,176 @@ PROCESS p (In DPORT i) {
 	var nilFrag *Fragment
 	if !nilFrag.IsSilent() {
 		t.Error("nil fragment should be silent")
+	}
+}
+
+// Unique-choice Petri nets (Section 3.1): every choice place is equal
+// choice or unique choice. FlowC processes without SELECT compile to
+// them; TestDivisorsNetStructure checks it with the structural test
+// below.
+
+// choiceClass classifies a choice place (a place with more than one
+// successor transition).
+type choiceClass int
+
+const (
+	// choiceNone means the place has at most one successor.
+	choiceNone choiceClass = iota
+	// choiceEqual means all successors belong to the same ECS (a
+	// generalization of free choice): a data-dependent control.
+	choiceEqual
+	// choiceUnique means no two successors can be simultaneously
+	// enabled in any reachable marking (e.g. a port read from several
+	// program points of one sequential process).
+	choiceUnique
+	// choiceOther is a choice place that is neither equal nor provably
+	// unique; its presence makes the net non-UCPN (e.g. SELECT).
+	choiceOther
+)
+
+func (c choiceClass) String() string {
+	switch c {
+	case choiceNone:
+		return "none"
+	case choiceEqual:
+		return "equal"
+	case choiceUnique:
+		return "unique"
+	case choiceOther:
+		return "other"
+	}
+	return fmt.Sprintf("choiceClass(%d)", int(c))
+}
+
+// classifyChoice classifies place p. The uniqueness test is structural
+// and conservative: the successors are pairwise non-co-enableable if
+// each pair consumes from two distinct internal (program-counter) places
+// of the same sequential process — a process has exactly one marked
+// internal place at any reachable marking by construction of the
+// compiler.
+func classifyChoice(n *petri.Net, p *petri.Place) choiceClass {
+	succ := n.Successors(p.ID)
+	if len(succ) <= 1 {
+		return choiceNone
+	}
+	idx := petri.ECSIndex(n.ECSPartition(), len(n.Transitions))
+	same := true
+	for _, t := range succ[1:] {
+		if idx[t] != idx[succ[0]] {
+			same = false
+			break
+		}
+	}
+	if same {
+		return choiceEqual
+	}
+	for i := 0; i < len(succ); i++ {
+		for j := i + 1; j < len(succ); j++ {
+			if !exclusivePair(n, n.Transitions[succ[i]], n.Transitions[succ[j]]) {
+				return choiceOther
+			}
+		}
+	}
+	return choiceUnique
+}
+
+// exclusivePair reports whether a and b consume from distinct internal
+// places of one sequential process, which makes simultaneous enabling
+// impossible.
+func exclusivePair(n *petri.Net, a, b *petri.Transition) bool {
+	for _, aa := range a.In {
+		pa := n.Places[aa.Place]
+		if pa.Kind != petri.PlaceInternal {
+			continue
+		}
+		for _, ba := range b.In {
+			pb := n.Places[ba.Place]
+			if pb.Kind != petri.PlaceInternal {
+				continue
+			}
+			if pa.Process != "" && pa.Process == pb.Process && pa.ID != pb.ID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isUniqueChoice reports whether every choice place of the net is equal
+// choice or unique choice.
+func isUniqueChoice(n *petri.Net) bool {
+	for _, p := range n.Places {
+		switch classifyChoice(n, p) {
+		case choiceNone, choiceEqual, choiceUnique:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// choiceNet: place c feeds t1 and t2 with the same weight (equal
+// choice); place u feeds r1 and r2 which also consume distinct internal
+// places of one process (unique choice).
+func choiceNet() *petri.Net {
+	n := petri.New("choice")
+	c := n.AddPlace("c", petri.PlaceInternal, 1)
+	u := n.AddPlace("u", petri.PlacePort, 1)
+	pc1 := n.AddPlace("pc1", petri.PlaceInternal, 1)
+	pc2 := n.AddPlace("pc2", petri.PlaceInternal, 0)
+	pc1.Process, pc2.Process = "P", "P"
+	t1 := n.AddTransition("t1", petri.TransNormal)
+	t2 := n.AddTransition("t2", petri.TransNormal)
+	n.AddArc(c, t1, 1)
+	n.AddArc(c, t2, 1)
+	r1 := n.AddTransition("r1", petri.TransNormal)
+	r2 := n.AddTransition("r2", petri.TransNormal)
+	n.AddArc(u, r1, 1)
+	n.AddArc(pc1, r1, 1)
+	n.AddArc(u, r2, 1)
+	n.AddArc(pc2, r2, 1)
+	return n
+}
+
+func TestClassifyChoice(t *testing.T) {
+	n := choiceNet()
+	if got := classifyChoice(n, n.Places[0]); got != choiceEqual {
+		t.Errorf("c classified %v, want equal", got)
+	}
+	if got := classifyChoice(n, n.Places[1]); got != choiceUnique {
+		t.Errorf("u classified %v, want unique", got)
+	}
+	if got := classifyChoice(n, n.Places[2]); got != choiceNone {
+		t.Errorf("pc1 classified %v, want none", got)
+	}
+	if !isUniqueChoice(n) {
+		t.Error("net should be UCPN")
+	}
+}
+
+func TestClassifyChoiceOther(t *testing.T) {
+	// Two successors with different presets not separated by internal
+	// places of one process: choiceOther (the SELECT situation).
+	n := petri.New("other")
+	p := n.AddPlace("p", petri.PlaceChannel, 0)
+	q := n.AddPlace("q", petri.PlaceChannel, 0)
+	t1 := n.AddTransition("t1", petri.TransNormal)
+	t2 := n.AddTransition("t2", petri.TransNormal)
+	n.AddArc(p, t1, 1)
+	n.AddArc(p, t2, 1)
+	n.AddArc(q, t2, 1)
+	if got := classifyChoice(n, p); got != choiceOther {
+		t.Errorf("classified %v, want other", got)
+	}
+	if isUniqueChoice(n) {
+		t.Error("net should not be UCPN")
+	}
+}
+
+func TestChoiceClassString(t *testing.T) {
+	for _, c := range []choiceClass{choiceNone, choiceEqual, choiceUnique, choiceOther} {
+		if strings.Contains(c.String(), "choiceClass(") {
+			t.Errorf("missing String for %d", int(c))
+		}
 	}
 }

@@ -13,11 +13,7 @@
 // task reproduces the user's computations verbatim.
 package compile
 
-import (
-	"strings"
-
-	"repro/internal/flowc"
-)
+import "repro/internal/flowc"
 
 // Fragment is the payload attached to a transition: the portion of
 // sequential code executed when the transition fires. READ_DATA and
@@ -30,18 +26,6 @@ type Fragment struct {
 
 // IsSilent reports whether the fragment carries no code (an ε transition).
 func (f *Fragment) IsSilent() bool { return f == nil || len(f.Stmts) == 0 }
-
-// Source renders the fragment as C-like source.
-func (f *Fragment) Source() string {
-	if f == nil {
-		return ""
-	}
-	var sb strings.Builder
-	for _, s := range f.Stmts {
-		sb.WriteString(flowc.FormatStmt(s, 0))
-	}
-	return sb.String()
-}
 
 // ChoiceKind distinguishes the two kinds of choice place the compiler
 // introduces.

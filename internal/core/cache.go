@@ -122,7 +122,6 @@ func cacheKey(flowcSrc, specSrc string, opt *Options) (key [32]byte, cacheable b
 	}
 	writeStr(flowcSrc)
 	writeStr(specSrc)
-	writeBool(opt.SkipIndependence)
 	so := opt.Sched
 	if so == nil {
 		so = &sched.Options{}

@@ -41,13 +41,13 @@ func TestCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SkipIndependence changes the key.
-	r2, err := Synthesize(flowcSrc, specSrc, &Options{SkipIndependence: true})
+	// The state budget changes the key.
+	r2, err := Synthesize(flowcSrc, specSrc, &Options{Sched: &sched.Options{MaxNodes: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 == r2 {
-		t.Error("SkipIndependence must not share a cache entry with the default")
+		t.Error("Sched.MaxNodes must not share a cache entry with the default")
 	}
 	// Workers does not: the parallel path hits the serial path's entry.
 	r3, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 4})

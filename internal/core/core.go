@@ -26,10 +26,6 @@ type Options struct {
 	// every search unchanged; nil uses the paper's defaults
 	// (irrelevance criterion + T-invariant ordering), explored inline.
 	Sched *sched.Options
-	// SkipIndependence disables the independence verification of the
-	// schedule set (Prop. 4.3 makes it redundant for FlowC-derived
-	// UCPNs, but SELECT voids the guarantee, so the default is to check).
-	SkipIndependence bool
 	// Workers bounds the number of concurrent per-source schedule
 	// searches. 0 uses GOMAXPROCS, 1 forces the serial path. Every
 	// search is deterministic and independent of the others, so the
@@ -124,7 +120,7 @@ func SynthesizeCachedContext(ctx context.Context, flowcSrc, specSrc string, opt 
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := SynthesizeSystemContext(ctx, f, spec, opt)
+	res, err := synthesizeSystem(ctx, f, spec, opt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -184,14 +180,12 @@ func linkSystem(f *flowc.File, spec *link.Spec) ([]*compile.CompiledProcess, *li
 	return procs, sys, nil
 }
 
-// SynthesizeSystemContext runs the flow on parsed inputs with
-// cancellation. The per-source schedule searches run on a bounded
-// worker pool (see Options.Workers); the first search error cancels the
-// remaining work.
-func SynthesizeSystemContext(ctx context.Context, f *flowc.File, spec *link.Spec, opt *Options) (*Result, error) {
-	if opt == nil {
-		opt = &Options{}
-	}
+// synthesizeSystem runs the flow on parsed inputs with cancellation.
+// The per-source schedule searches run on a bounded worker pool (see
+// Options.Workers); the first search error cancels the remaining work.
+// Independence of the schedule set is always verified: Prop. 4.3 makes
+// it redundant for FlowC-derived UCPNs, but SELECT voids the guarantee.
+func synthesizeSystem(ctx context.Context, f *flowc.File, spec *link.Spec, opt *Options) (*Result, error) {
 	procs, sys, err := linkSystem(f, spec)
 	if err != nil {
 		return nil, err
@@ -206,10 +200,8 @@ func SynthesizeSystemContext(ctx context.Context, f *flowc.File, spec *link.Spec
 	if err != nil {
 		return nil, err
 	}
-	if !opt.SkipIndependence {
-		if err := sched.CheckIndependence(res.Schedules); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	if err := sched.CheckIndependence(res.Schedules); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	res.Bounds = sched.CombinedPlaceBounds(res.Schedules)
 	res.SharedChannels = sharedChannels(sys, res.Schedules)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"strconv"
@@ -272,4 +273,74 @@ func TestChaosPipeMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// Fault injection for the failover tests. chaosConn wraps a net.Conn
+// with seeded, reproducible faults on the write path: per-write jitter
+// delays, fragmented writes, and a hard sever after a configured byte
+// budget. Severing truncates the in-flight frame and then closes the
+// transport — the framing layer has no checksum, so "corrupt/drop a
+// frame" and "sever mid-frame" are the same observable fault: the peer
+// sees a short or impossible frame followed by EOF and declares the
+// link dead. Read-side behaviour (deadlines, blocking) passes through
+// the embedded Conn untouched so the heartbeat machinery under test
+// sees real transport semantics.
+type chaosConn struct {
+	net.Conn // deadlines, reads and addrs pass through
+
+	mu      sync.Mutex
+	rng     *rand.Rand
+	delay   time.Duration // max extra latency injected per write
+	severAt int64         // byte budget; <= 0 means never sever
+	written int64
+	severed bool
+}
+
+// chaosOpts configures one chaosConn. The zero value injects nothing.
+type chaosOpts struct {
+	seed    int64         // rng seed; faults are deterministic per seed
+	delay   time.Duration // up to this much extra latency per write
+	severAt int64         // sever the conn after this many bytes written
+}
+
+func newChaosConn(c net.Conn, o chaosOpts) *chaosConn {
+	return &chaosConn{Conn: c, rng: rand.New(rand.NewSource(o.seed)), delay: o.delay, severAt: o.severAt}
+}
+
+// Write delivers b through the wrapped conn in randomly sized
+// fragments with seeded delays, stopping — truncating mid-frame — and
+// closing the transport once the sever budget is spent.
+func (c *chaosConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.severed {
+		return 0, fmt.Errorf("chaos: conn severed after %d bytes", c.written)
+	}
+	done := 0
+	for done < len(b) {
+		if c.delay > 0 {
+			time.Sleep(time.Duration(c.rng.Int63n(int64(c.delay))))
+		}
+		frag := b[done:]
+		// Fragment roughly half the writes so frames routinely arrive
+		// split across multiple reads on the far side.
+		if len(frag) > 1 && c.rng.Intn(2) == 0 {
+			frag = frag[:1+c.rng.Intn(len(frag))]
+		}
+		if c.severAt > 0 && c.written+int64(len(frag)) > c.severAt {
+			frag = frag[:c.severAt-c.written]
+			n, _ := c.Conn.Write(frag)
+			c.written += int64(n)
+			c.severed = true
+			c.Conn.Close()
+			return done + n, fmt.Errorf("chaos: conn severed after %d bytes", c.written)
+		}
+		n, err := c.Conn.Write(frag)
+		done += n
+		c.written += int64(n)
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
 }

@@ -45,15 +45,6 @@ func (v Vector) Scale(k int) Vector {
 	return c
 }
 
-// Dot returns the inner product of v and o.
-func (v Vector) Dot(o Vector) int {
-	s := 0
-	for i := range v {
-		s += v[i] * o[i]
-	}
-	return s
-}
-
 // Support returns the indices of the non-zero components, ascending.
 func (v Vector) Support() []int {
 	var out []int
@@ -92,20 +83,6 @@ func (v Vector) Normalize() Vector {
 		}
 	}
 	return v
-}
-
-// MulMatVec returns C·x for a dense matrix C (rows × cols) and x of
-// length cols.
-func MulMatVec(c [][]int, x Vector) Vector {
-	out := make(Vector, len(c))
-	for i, row := range c {
-		s := 0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // TInvariantBasis computes the set of minimal-support non-negative

@@ -20,9 +20,6 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Scale(2); got[2] != 12 {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := v.Dot(Vector{1, 0, 1}); got != 8 {
-		t.Errorf("Dot = %d, want 8", got)
-	}
 	if got := v.Clone().Normalize(); got[0] != 1 || got[1] != -2 || got[2] != 3 {
 		t.Errorf("Normalize = %v", got)
 	}
@@ -58,7 +55,7 @@ func TestTInvariantBasisFig8(t *testing.T) {
 		t.Fatal("no invariants found")
 	}
 	for _, b := range basis {
-		if !MulMatVec(c, b).IsZero() {
+		if !mulMatVec(c, b).IsZero() {
 			t.Errorf("C·%v != 0", b)
 		}
 		nonneg := true
@@ -116,7 +113,7 @@ func TestTInvariantProperty(t *testing.T) {
 			}
 		}
 		for _, b := range TInvariantBasis(c) {
-			if b.IsZero() || !MulMatVec(c, b).IsZero() {
+			if b.IsZero() || !mulMatVec(c, b).IsZero() {
 				return false
 			}
 			for _, x := range b {
@@ -226,4 +223,18 @@ func TestBinateCoverProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mulMatVec returns C·x for a dense matrix C (rows × cols) and x of
+// length cols: the check that x is a T-invariant, C·x = 0.
+func mulMatVec(c [][]int, x Vector) Vector {
+	out := make(Vector, len(c))
+	for i, row := range c {
+		s := 0
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
 }

@@ -1,9 +1,6 @@
 package petri
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // equalChoiceNet: place c feeds t1 and t2 with the same weight (equal
 // choice); place u feeds r1 and r2 which also consume distinct internal
@@ -83,41 +80,6 @@ func TestSourceECSSingleton(t *testing.T) {
 	}
 }
 
-func TestClassifyChoice(t *testing.T) {
-	n := choiceNet(t)
-	if got := n.ClassifyChoice(n.Places[0]); got != ChoiceEqual {
-		t.Errorf("c classified %v, want equal", got)
-	}
-	if got := n.ClassifyChoice(n.Places[1]); got != ChoiceUnique {
-		t.Errorf("u classified %v, want unique", got)
-	}
-	if got := n.ClassifyChoice(n.Places[2]); got != ChoiceNone {
-		t.Errorf("pc1 classified %v, want none", got)
-	}
-	if !n.IsUniqueChoice() {
-		t.Error("net should be UCPN")
-	}
-}
-
-func TestClassifyChoiceOther(t *testing.T) {
-	// Two successors with different presets not separated by internal
-	// places of one process: ChoiceOther (the SELECT situation).
-	n := New("other")
-	p := n.AddPlace("p", PlaceChannel, 0)
-	q := n.AddPlace("q", PlaceChannel, 0)
-	t1 := n.AddTransition("t1", TransNormal)
-	t2 := n.AddTransition("t2", TransNormal)
-	n.AddArc(p, t1, 1)
-	n.AddArc(p, t2, 1)
-	n.AddArc(q, t2, 1)
-	if got := n.ClassifyChoice(p); got != ChoiceOther {
-		t.Errorf("classified %v, want other", got)
-	}
-	if n.IsUniqueChoice() {
-		t.Error("net should not be UCPN")
-	}
-}
-
 func TestIncidenceMatrix(t *testing.T) {
 	n := simpleNet(t)
 	c := n.IncidenceMatrix()
@@ -133,29 +95,10 @@ func TestIncidenceMatrix(t *testing.T) {
 	}
 }
 
-func TestBackwardReachableTransitions(t *testing.T) {
-	n := simpleNet(t)
-	b := n.TransitionByName("b")
-	got := n.BackwardReachableTransitions([]int{b.ID})
-	// a produces into p1 which b consumes; b produces into p0 which b
-	// consumes (cycle) — both transitions reachable.
-	if !got[0] || !got[1] {
-		t.Errorf("backward reachable = %v, want both", got)
-	}
-}
-
 func TestUncontrollableSources(t *testing.T) {
 	n := simpleNet(t)
 	got := n.UncontrollableSources()
 	if len(got) != 1 || n.Transitions[got[0]].Name != "a" {
 		t.Errorf("UncontrollableSources = %v", got)
-	}
-}
-
-func TestChoiceClassString(t *testing.T) {
-	for _, c := range []ChoiceClass{ChoiceNone, ChoiceEqual, ChoiceUnique, ChoiceOther} {
-		if strings.Contains(c.String(), "ChoiceClass(") {
-			t.Errorf("missing String for %d", int(c))
-		}
 	}
 }

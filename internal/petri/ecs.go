@@ -134,23 +134,3 @@ func ECSIndex(part []*ECS, numTrans int) []int {
 	}
 	return idx
 }
-
-// EnabledECSInto appends the ECSs of the partition enabled at m to dst
-// (typically dst[:0] of a caller-owned scratch slice, keeping per-state
-// enabled-set computation allocation-free) and returns the extended
-// slice, in partition order.
-func EnabledECSInto(dst []*ECS, n *Net, part []*ECS, m Marking) []*ECS {
-	for _, e := range part {
-		if e.Enabled(n, m) {
-			dst = append(dst, e)
-		}
-	}
-	return dst
-}
-
-// EnabledECS returns the ECSs of the partition enabled at m, in
-// partition order. Hot loops use EnabledECSInto with a scratch slice,
-// or a FiringTable's bitsets to skip the full scan entirely.
-func EnabledECS(n *Net, part []*ECS, m Marking) []*ECS {
-	return EnabledECSInto(nil, n, part, m)
-}

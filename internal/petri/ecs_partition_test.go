@@ -118,26 +118,6 @@ func TestECSPartitionMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestEnabledECSInto: the scratch-slice variant matches EnabledECS and
-// reuses the caller's buffer without allocating.
-func TestEnabledECSInto(t *testing.T) {
-	n := paperChoiceNet()
-	part := n.ECSPartition()
-	m := n.InitialMarking()
-	want := EnabledECS(n, part, m)
-	scratch := make([]*ECS, 0, len(part))
-	got := EnabledECSInto(scratch[:0], n, part, m)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("EnabledECSInto = %v, want %v", got, want)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		scratch = EnabledECSInto(scratch[:0], n, part, m)
-	})
-	if allocs != 0 {
-		t.Fatalf("EnabledECSInto allocated %.1f times per run with a warm scratch slice", allocs)
-	}
-}
-
 // TestECSPartitionAllocs: partition construction must not allocate per
 // transition beyond the handful of result slices — the old
 // implementation built one key string per non-source transition plus a

@@ -5,22 +5,20 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
-// Textual exchange format for nets, used by the command-line tools and
-// the test suite. The format is line oriented:
+// Format renders the net as line-oriented text, for people to read
+// (flowcc and examples/divisors print it); nothing parses it back.
+// The lines are:
 //
 //	net <name>
-//	place <name> [init=N] [bound=N] [kind=internal|port|channel|complement] [process=NAME]
-//	trans <name> [kind=normal|source-unc|source-ctl|sink] [process=NAME] [label=L]
+//	place <name> [init=N] [bound=N] [kind=port|channel|complement] [process=NAME]
+//	trans <name> [kind=source-unc|source-ctl|sink] [process=NAME] [label=L]
 //	arc <place> -> <trans> [w=N]
 //	arc <trans> -> <place> [w=N]
 //
-// '#' starts a comment; blank lines are ignored.
-
-// Format renders the net in the textual exchange format.
+// Attributes at their default (zero, internal, normal, weight 1) are
+// left out.
 func (n *Net) Format(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "net %s\n", n.Name)
@@ -74,163 +72,6 @@ func (n *Net) Format(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Parse reads a net in the textual exchange format.
-func Parse(r io.Reader) (*Net, error) {
-	sc := bufio.NewScanner(r)
-	n := New("")
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "net":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("line %d: net requires a name", lineno)
-			}
-			n.Name = fields[1]
-		case "place":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("line %d: place requires a name", lineno)
-			}
-			p := n.AddPlace(fields[1], PlaceInternal, 0)
-			for _, kv := range fields[2:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("line %d: malformed attribute %q", lineno, kv)
-				}
-				switch k {
-				case "init":
-					iv, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, fmt.Errorf("line %d: init: %v", lineno, err)
-					}
-					p.Initial = iv
-				case "bound":
-					iv, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, fmt.Errorf("line %d: bound: %v", lineno, err)
-					}
-					p.Bound = iv
-				case "kind":
-					pk, err := parsePlaceKind(v)
-					if err != nil {
-						return nil, fmt.Errorf("line %d: %v", lineno, err)
-					}
-					p.Kind = pk
-				case "process":
-					p.Process = v
-				default:
-					return nil, fmt.Errorf("line %d: unknown place attribute %q", lineno, k)
-				}
-			}
-		case "trans":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("line %d: trans requires a name", lineno)
-			}
-			t := n.AddTransition(fields[1], TransNormal)
-			for _, kv := range fields[2:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("line %d: malformed attribute %q", lineno, kv)
-				}
-				switch k {
-				case "kind":
-					tk, err := parseTransKind(v)
-					if err != nil {
-						return nil, fmt.Errorf("line %d: %v", lineno, err)
-					}
-					t.Kind = tk
-				case "process":
-					t.Process = v
-				case "label":
-					t.Label = v
-				default:
-					return nil, fmt.Errorf("line %d: unknown trans attribute %q", lineno, k)
-				}
-			}
-		case "arc":
-			if len(fields) < 4 || fields[2] != "->" {
-				return nil, fmt.Errorf("line %d: arc syntax is 'arc A -> B [w=N]'", lineno)
-			}
-			w := 1
-			for _, kv := range fields[4:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok || k != "w" {
-					return nil, fmt.Errorf("line %d: unknown arc attribute %q", lineno, kv)
-				}
-				iv, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("line %d: w: %v", lineno, err)
-				}
-				if iv < 1 {
-					return nil, fmt.Errorf("line %d: w: non-positive weight %d", lineno, iv)
-				}
-				w = iv
-			}
-			from, to := fields[1], fields[3]
-			if p := n.PlaceByName(from); p != nil {
-				t := n.TransitionByName(to)
-				if t == nil {
-					return nil, fmt.Errorf("line %d: unknown transition %q", lineno, to)
-				}
-				n.AddArc(p, t, w)
-			} else if t := n.TransitionByName(from); t != nil {
-				p := n.PlaceByName(to)
-				if p == nil {
-					return nil, fmt.Errorf("line %d: unknown place %q", lineno, to)
-				}
-				n.AddArcTP(t, p, w)
-			} else {
-				return nil, fmt.Errorf("line %d: unknown arc source %q", lineno, from)
-			}
-		default:
-			return nil, fmt.Errorf("line %d: unknown directive %q", lineno, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-func parsePlaceKind(s string) (PlaceKind, error) {
-	switch s {
-	case "internal":
-		return PlaceInternal, nil
-	case "port":
-		return PlacePort, nil
-	case "channel":
-		return PlaceChannel, nil
-	case "complement":
-		return PlaceComplement, nil
-	}
-	return 0, fmt.Errorf("unknown place kind %q", s)
-}
-
-func parseTransKind(s string) (TransKind, error) {
-	switch s {
-	case "normal":
-		return TransNormal, nil
-	case "source-unc":
-		return TransSourceUnc, nil
-	case "source-ctl":
-		return TransSourceCtl, nil
-	case "sink":
-		return TransSink, nil
-	}
-	return 0, fmt.Errorf("unknown transition kind %q", s)
 }
 
 // Dot renders the net in Graphviz DOT format: places as circles (token

@@ -5,112 +5,73 @@ import (
 	"testing"
 )
 
-const sampleNet = `net demo
+// sampleNet builds a net with every attribute Format prints: an
+// initial marking, a bound, non-default place and transition kinds, a
+// process, a label and arc weights.
+func sampleNet() *Net {
+	n := New("demo")
+	p0 := n.AddPlace("p0", PlaceInternal, 1)
+	buf := n.AddPlace("buf", PlaceChannel, 0)
+	buf.Bound = 4
+	a := n.AddTransition("a", TransSourceUnc)
+	work := n.AddTransition("work", TransNormal)
+	work.Process, work.Label = "P", "T"
+	out := n.AddTransition("out", TransSink)
+	n.AddArcTP(a, buf, 2)
+	n.AddArc(buf, work, 2)
+	n.AddArc(p0, work, 1)
+	n.AddArcTP(work, p0, 1)
+	n.AddArc(buf, out, 1)
+	return n
+}
+
+// TestFormat pins the text Format prints: declarations in ID order,
+// then each transition's input and output arcs in place order, with
+// default attributes left out.
+func TestFormat(t *testing.T) {
+	var out strings.Builder
+	if err := sampleNet().Format(&out); err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	const want = `net demo
 place p0 init=1
-place buf kind=channel bound=4
+place buf bound=4 kind=channel
 trans a kind=source-unc
 trans work process=P label=T
 trans out kind=sink
 arc a -> buf w=2
-arc buf -> work w=2
 arc p0 -> work
+arc buf -> work w=2
 arc work -> p0
 arc buf -> out
 `
-
-func TestParseFormatRoundTrip(t *testing.T) {
-	n, err := Parse(strings.NewReader(sampleNet))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if n.Name != "demo" {
-		t.Errorf("name = %q", n.Name)
-	}
-	if p := n.PlaceByName("buf"); p == nil || p.Bound != 4 || p.Kind != PlaceChannel {
-		t.Errorf("buf parsed wrong: %+v", p)
-	}
-	if tr := n.TransitionByName("work"); tr == nil || tr.Process != "P" || tr.Label != "T" {
-		t.Errorf("work parsed wrong: %+v", tr)
-	}
-	var out strings.Builder
-	if err := n.Format(&out); err != nil {
-		t.Fatalf("Format: %v", err)
-	}
-	// Round trip: parse the formatted text and format again; fixed point.
-	n2, err := Parse(strings.NewReader(out.String()))
-	if err != nil {
-		t.Fatalf("Parse(Format): %v\n%s", err, out.String())
-	}
-	var out2 strings.Builder
-	if err := n2.Format(&out2); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != out2.String() {
-		t.Errorf("format not a fixed point:\n%s\nvs\n%s", out.String(), out2.String())
+	if out.String() != want {
+		t.Errorf("Format:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"place",                            // missing name
-		"arc a -> b",                       // unknown endpoints
-		"place p init=x",                   // bad integer
-		"trans t kind=bogus",               // bad kind
-		"wibble",                           // unknown directive
-		"place p\narc p -> p",              // place-to-place
-		"place p kind=nope",                // bad place kind
-		"place p init=1 extra=1",           // unknown attribute
-		"place p\ntrans t\narc p -> t w=0", // non-positive weight
-	}
-	for _, src := range cases {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
-			t.Errorf("Parse(%q) should fail", src)
-		}
-	}
-}
-
-// TestParseTokenLimit: init=, bound= and w= accept exactly MaxTokens
-// and reject one more, as do two arcs whose weights merge past it.
-func TestParseTokenLimit(t *testing.T) {
-	for _, c := range []struct{ ok, bad string }{
-		{"place p init=2147483647", "place p init=2147483648"},
-		{"place p bound=2147483647", "place p bound=2147483648"},
-		{"place p\ntrans t\narc p -> t w=2147483647", "place p\ntrans t\narc p -> t w=2147483648"},
-		{"place p\ntrans t\narc t -> p w=2147483646\narc t -> p", "place p\ntrans t\narc t -> p w=2147483647\narc t -> p"},
-	} {
-		if _, err := Parse(strings.NewReader(c.ok)); err != nil {
-			t.Errorf("Parse(%q): %v", c.ok, err)
-		}
-		if _, err := Parse(strings.NewReader(c.bad)); err == nil || !strings.Contains(err.Error(), "2147483647") {
-			t.Errorf("Parse(%q) = %v, want an error naming the limit", c.bad, err)
-		}
-	}
-}
-
-func TestParseComments(t *testing.T) {
-	src := "# a comment\nnet c # trailing\nplace p init=1 # note\n"
-	n, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if n.Name != "c" || len(n.Places) != 1 || n.Places[0].Initial != 1 {
-		t.Errorf("comment handling broken: %+v", n)
-	}
-}
-
+// TestDotOutput pins the DOT text: places as circles with their initial
+// marking, a source as cds, weights above 1 as edge labels.
 func TestDotOutput(t *testing.T) {
-	n, err := Parse(strings.NewReader(sampleNet))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := n.Dot(&sb); err != nil {
+	if err := sampleNet().Dot(&sb); err != nil {
 		t.Fatal(err)
 	}
-	dot := sb.String()
-	for _, want := range []string{"digraph", "shape=circle", "shape=cds", `label="2"`} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("dot output missing %q:\n%s", want, dot)
-		}
+	const want = `digraph "demo" {
+  rankdir=TB;
+  p0 [shape=circle label="p0\n1"];
+  p1 [shape=circle label="buf"];
+  t0 [shape=cds label="a"];
+  t1 [shape=box label="work"];
+  t2 [shape=box label="out"];
+  t0 -> p1 [label="2"];
+  p1 -> t1 [label="2"];
+  p0 -> t1;
+  t1 -> p0;
+  p1 -> t2;
+}
+`
+	if sb.String() != want {
+		t.Errorf("Dot:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }

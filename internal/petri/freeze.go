@@ -59,9 +59,6 @@ type StoreMem struct {
 	FrozenBytes int64
 }
 
-// Total is hot plus frozen bytes.
-func (m StoreMem) Total() int64 { return m.HotBytes + m.FrozenBytes }
-
 // Segment record tags.
 const (
 	frozenVerbatim = 0 // tag, then places token uvarints

@@ -94,7 +94,7 @@ func FuzzExplore(f *testing.F) {
 			t.Fatalf("retained %d markings, cap %d", res.Len(), limit)
 		}
 		m0 := n.InitialMarking()
-		if id, ok := res.Store.Lookup(m0); !ok || id != MarkID(0) {
+		if id, ok := res.Store.LookupHashed(m0, HashMarking(m0)); !ok || id != MarkID(0) {
 			t.Fatalf("initial marking not interned as MarkID 0 (id=%v ok=%v)", id, ok)
 		}
 		seen := map[string]bool{}
@@ -104,7 +104,7 @@ func FuzzExplore(f *testing.F) {
 				t.Fatalf("marking %q interned twice (hash-consing broken)", key)
 			}
 			seen[key] = true
-			if got, ok := res.Store.Lookup(m); !ok || got != id {
+			if got, ok := res.Store.LookupHashed(m, HashMarking(m)); !ok || got != id {
 				t.Fatalf("round-trip of interned marking %q failed: got %v ok %v", key, got, ok)
 			}
 			if opt.MaxTokensPerPlace > 0 && !m.Equal(m0) {

@@ -49,7 +49,7 @@ func TestMarkingFormat(t *testing.T) {
 
 func TestFirePanicsWhenDisabled(t *testing.T) {
 	n := simpleNet(t)
-	b := n.TransitionByName("b")
+	b := n.Transitions[1]
 	m := Marking{1, 0} // p1 lacks tokens
 	defer func() {
 		if recover() == nil {

@@ -40,7 +40,7 @@ const NoMark = MarkID(^uint32(0))
 // NewMarkingStore.
 //
 // Concurrency: interning and FreezeThrough mutate the store and must be
-// serialized by the caller. Read-only use (At, Lookup, Len, All) is
+// serialized by the caller. Read-only use (At, LookupHashed, Len, All) is
 // safe from any number of goroutines once no more mutations occur —
 // e.g. a ReachResult.Store may be read concurrently after Explore
 // returns; At on a frozen id memoizes thawed vectors behind the tier's
@@ -221,12 +221,9 @@ func probeHash(h uint64) uint32 {
 // never rehash the vector.
 func (s *MarkingStore) HashAt(id MarkID) uint64 { return s.hashes[id] }
 
-// Lookup returns the MarkID of m if it is interned. It never allocates.
-func (s *MarkingStore) Lookup(m Marking) (MarkID, bool) {
-	return s.LookupHashed(m, HashMarking(m))
-}
-
-// LookupHashed is Lookup with a caller-precomputed HashMarking value.
+// LookupHashed returns the MarkID of m if it is interned; h must be
+// HashMarking(m), which explorers derive from the parent's hash in O(1)
+// (see FiringTable). It never allocates.
 func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
 	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
@@ -241,7 +238,7 @@ func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
 }
 
 // LookupHash resolves a bare 64-bit HashMarking value to the interned
-// marking carrying it, without the vector compare Lookup performs — the
+// marking carrying it, without the vector compare LookupHashed performs — the
 // distributed coordinator's fast path for classifying a successor whose
 // hash a worker shipped (a dist candNew candidate), saving the re-fire
 // that producing the vector would cost. The probe trusts hash equality, so

@@ -44,7 +44,7 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d distinct", s.Len(), len(seen))
 	}
 	for _, m := range markings {
-		id, ok := s.Lookup(m)
+		id, ok := s.LookupHashed(m, HashMarking(m))
 		if !ok || id != seen[m.Key()] {
 			t.Fatalf("lookup %q = (%v, %v), want (%v, true)", m.Key(), id, ok, seen[m.Key()])
 		}
@@ -52,7 +52,8 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 			t.Fatalf("At(%d) = %v, want %v", id, s.At(id), m)
 		}
 	}
-	if _, ok := s.Lookup(Marking{9, 9, 9, 9, 9, 9, 9}); ok {
+	absent := Marking{9, 9, 9, 9, 9, 9, 9}
+	if _, ok := s.LookupHashed(absent, HashMarking(absent)); ok {
 		t.Fatal("lookup of never-interned marking succeeded")
 	}
 }
@@ -79,7 +80,7 @@ func TestMarkingStoreCollisions(t *testing.T) {
 		}
 	}
 	for i, m := range ms {
-		if id, ok := s.Lookup(m); !ok || int(id) != i {
+		if id, ok := s.LookupHashed(m, HashMarking(m)); !ok || int(id) != i {
 			t.Fatalf("lookup %v = (%d, %v), want (%d, true)", m, id, ok, i)
 		}
 		if !s.At(MarkID(i)).Equal(m) {
@@ -180,7 +181,7 @@ func TestMarkingStoreInternBytes(t *testing.T) {
 	}
 }
 
-// TestMarkingStoreConcurrentReads: once interning stops, At/Lookup/All
+// TestMarkingStoreConcurrentReads: once interning stops, At/LookupHashed/All
 // are safe from many goroutines — the contract the PR-1 worker pool
 // relies on. Run under -race (the Makefile does).
 func TestMarkingStoreConcurrentReads(t *testing.T) {
@@ -199,7 +200,7 @@ func TestMarkingStoreConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
 				i := (w*53 + r*17) % len(ms)
-				id, ok := s.Lookup(ms[i])
+				id, ok := s.LookupHashed(ms[i], HashMarking(ms[i]))
 				if !ok || int(id) != i {
 					t.Errorf("concurrent lookup %d = (%d, %v)", i, id, ok)
 					return
@@ -317,7 +318,7 @@ func TestZeroAllocFiringAndIntern(t *testing.T) {
 		if _, isNew := s.Intern(scratch); isNew {
 			t.Fatal("marking should already be interned")
 		}
-		if _, ok := s.Lookup(m); !ok {
+		if _, ok := s.LookupHashed(m, HashMarking(m)); !ok {
 			t.Fatal("lookup lost the initial marking")
 		}
 	})

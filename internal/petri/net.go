@@ -4,13 +4,12 @@
 //
 // A net is a bipartite graph of places and transitions with weighted arcs.
 // The package provides marking algebra (enabling, firing, covering),
-// equal-conflict-set (ECS) computation, choice-place classification
-// (equal / unique choice, the UCPN test), place degrees and the
+// equal-conflict-set (ECS) computation, place degrees and the
 // irrelevant-marking criterion of Section 4.4 of the paper, incidence
-// matrices, a textual exchange format and DOT export. A marking holds
-// one four-byte count per place, at most MaxTokens: Validate, the
-// parsers and the wire decoder reject larger counts, and an exploration
-// that would exceed it fails with ErrTokenOverflow.
+// matrices, and a text and a DOT rendering for people to read. A
+// marking holds one four-byte count per place, at most MaxTokens:
+// Validate and the wire decoder reject larger counts, and an
+// exploration that would exceed it fails with ErrTokenOverflow.
 //
 // The exploration substrate shared by the reachability utilities and
 // the scheduler's engines also lives here: MarkingStore hash-conses
@@ -264,16 +263,6 @@ func (n *Net) PlaceByName(name string) *Place {
 	return nil
 }
 
-// TransitionByName returns the first transition with the given name, or nil.
-func (n *Net) TransitionByName(name string) *Transition {
-	for _, t := range n.Transitions {
-		if t.Name == name {
-			return t
-		}
-	}
-	return nil
-}
-
 // InitialMarking returns the initial marking of the net.
 func (n *Net) InitialMarking() Marking {
 	m := make(Marking, len(n.Places))
@@ -311,10 +300,6 @@ func (t *Transition) OutWeight(place int) int {
 func (t *Transition) IsSource() bool {
 	return len(t.In) == 0
 }
-
-// IsUncontrollable reports whether t is an uncontrollable environment
-// source transition.
-func (t *Transition) IsUncontrollable() bool { return t.Kind == TransSourceUnc }
 
 // Validate checks structural invariants: arc endpoints in range, positive
 // weights, at most one arc each way between a place and a transition

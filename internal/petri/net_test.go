@@ -27,10 +27,7 @@ func TestNetConstruction(t *testing.T) {
 	if got := n.String(); !strings.Contains(got, "2 places, 2 transitions") {
 		t.Errorf("String() = %q", got)
 	}
-	b := n.TransitionByName("b")
-	if b == nil {
-		t.Fatal("TransitionByName(b) = nil")
-	}
+	b := n.Transitions[1]
 	if w := b.Weight(1); w != 2 {
 		t.Errorf("F(p1,b) = %d, want 2", w)
 	}
@@ -85,6 +82,43 @@ func TestValidateCatchesErrors(t *testing.T) {
 	n2.AddPlace("p", PlaceInternal, -1)
 	if err := n2.Validate(); err == nil {
 		t.Error("negative initial marking should fail validation")
+	}
+}
+
+// TestParseTokenLimit: an initial marking, a bound and an arc weight
+// of exactly MaxTokens are accepted and one more is rejected with an
+// error naming the limit, as are repeated arcs whose merged weight
+// passes it. Every reader of a net ends in Validate, so the check runs
+// on the built net and again on it read back through DecodeNet.
+func TestParseTokenLimit(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(n *Net, v int)
+	}{
+		{"initial marking", func(n *Net, v int) { n.AddPlace("p", PlaceInternal, v) }},
+		{"bound", func(n *Net, v int) { n.AddPlace("p", PlaceInternal, 0).Bound = v }},
+		{"arc weight", func(n *Net, v int) {
+			n.AddArc(n.AddPlace("p", PlaceInternal, 0), n.AddTransition("t", TransNormal), v)
+		}},
+		{"merged arcs", func(n *Net, v int) {
+			p, tr := n.AddPlace("p", PlaceInternal, 0), n.AddTransition("t", TransNormal)
+			n.AddArcTP(tr, p, v-1)
+			n.AddArcTP(tr, p, 1)
+		}},
+	} {
+		for _, v := range []int{MaxTokens, MaxTokens + 1} {
+			n := New("limit")
+			c.build(n, v)
+			_, _, decErr := DecodeNet(AppendNet(nil, n))
+			for _, err := range []error{n.Validate(), decErr} {
+				if v == MaxTokens && err != nil {
+					t.Errorf("%s %d: %v", c.name, v, err)
+				}
+				if v > MaxTokens && (err == nil || !strings.Contains(err.Error(), "2147483647")) {
+					t.Errorf("%s %d: error %v, want one naming the limit", c.name, v, err)
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package petri
 
-import "fmt"
-
 // Bounded-reachability utilities. The full reachability graph of a net
 // with source transitions is infinite; these helpers explore a finite
 // fragment for validation, testing and diagnostics.
@@ -227,20 +225,4 @@ func (r *ReachResult) DeadlockMarkings() []MarkID {
 		}
 	}
 	return out
-}
-
-// CoEnabled reports whether the two transitions are simultaneously
-// enabled in any marking visited by the exploration. This is the exact
-// (but bounded) version of the structural uniqueness test.
-func (n *Net) CoEnabled(r *ReachResult, a, b int) (bool, error) {
-	if a < 0 || a >= len(n.Transitions) || b < 0 || b >= len(n.Transitions) {
-		return false, fmt.Errorf("petri: transition index out of range (%d, %d)", a, b)
-	}
-	ta, tb := n.Transitions[a], n.Transitions[b]
-	for _, m := range r.Store.All() {
-		if m.Enabled(ta) && m.Enabled(tb) {
-			return true, nil
-		}
-	}
-	return false, nil
 }

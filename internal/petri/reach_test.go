@@ -56,24 +56,6 @@ func TestDeadlockMarkings(t *testing.T) {
 	}
 }
 
-func TestCoEnabled(t *testing.T) {
-	n := choiceNet(t)
-	r := n.Explore(ExploreOptions{})
-	// t1 and t2 share the equal-choice place: co-enabled.
-	co, err := n.CoEnabled(r, 0, 1)
-	if err != nil || !co {
-		t.Errorf("t1/t2 co-enabled = %v (%v), want true", co, err)
-	}
-	// r1 and r2 consume distinct internal places (only pc1 marked).
-	co, err = n.CoEnabled(r, 2, 3)
-	if err != nil || co {
-		t.Errorf("r1/r2 co-enabled = %v (%v), want false", co, err)
-	}
-	if _, err := n.CoEnabled(r, 0, 99); err == nil {
-		t.Error("out-of-range index should error")
-	}
-}
-
 func TestDeadlockMarkingsNotClipped(t *testing.T) {
 	// A budget of 2 markings clips the second marking's exploration:
 	// it has enabled transitions whose successors were never recorded,

@@ -221,8 +221,8 @@ func TestParseMalformed(t *testing.T) {
 			var pe *ParseError
 			if !errors.As(err, &pe) {
 				t.Errorf("error %T is not a *ParseError (no position)", err)
-			} else if pe.Line < 1 {
-				t.Errorf("ParseError line %d, want >= 1", pe.Line)
+			} else if pe.Line < 1 || pe.Col < 1 {
+				t.Errorf("ParseError at %d:%d, want line and column >= 1", pe.Line, pe.Col)
 			}
 			if !strings.Contains(err.Error(), "line ") {
 				t.Errorf("error %q carries no position", err)

@@ -123,7 +123,10 @@ func (p *parser) token() (xml.Token, error) {
 		return nil, io.EOF
 	}
 	if se, ok := err.(*xml.SyntaxError); ok {
-		return nil, &ParseError{Line: se.Line, Msg: se.Msg}
+		// SyntaxError carries only the line; the column is the
+		// decoder's, which stopped at the fault.
+		_, col := p.dec.InputPos()
+		return nil, &ParseError{Line: se.Line, Col: col, Msg: se.Msg}
 	}
 	if err == io.ErrUnexpectedEOF {
 		return nil, p.errf("unexpected end of document")

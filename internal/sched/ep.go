@@ -225,22 +225,6 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 	return s, nil
 }
 
-// FindAll computes one schedule per uncontrollable source transition.
-func FindAll(n *petri.Net, opt *Options) ([]*Schedule, error) {
-	var out []*Schedule
-	for _, src := range n.UncontrollableSources() {
-		s, err := FindSchedule(n, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("sched: net %s has no uncontrollable source transitions", n.Name)
-	}
-	return out, nil
-}
-
 // fire fires transition tid at m into the scratch buffer. The tree
 // engines cap no place, so a count past petri.MaxTokens cannot be
 // vetoed: it stops the search with e.err, and fire reports false.

@@ -79,29 +79,6 @@ func (pb *PlaceBounds) Caps(n *petri.Net) []int {
 	return caps
 }
 
-// Caps implements CapProvider: the elementwise minimum over members
-// that provide caps.
-func (a Any) Caps(n *petri.Net) []int {
-	var out []int
-	for _, t := range a {
-		cp, ok := t.(CapProvider)
-		if !ok {
-			continue
-		}
-		c := cp.Caps(n)
-		if out == nil {
-			out = c
-			continue
-		}
-		for i := range out {
-			if c[i] < out[i] {
-				out[i] = c[i]
-			}
-		}
-	}
-	return out
-}
-
 // gstate is the per-marking search state. Its index in graphEngine.states
 // IS its petri.MarkID in the engine's store: the store assigns dense IDs
 // in interning order, so no separate key map is needed. The allowed

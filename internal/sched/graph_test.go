@@ -113,40 +113,6 @@ func TestUserBoundsTermination(t *testing.T) {
 	}
 }
 
-func TestAnyTerminationCaps(t *testing.T) {
-	n := fig4aNet(t)
-	term := Any{NewIrrelevance(n), UniformBounds(n, 1)}
-	caps := term.Caps(n)
-	if caps[0] != 1 {
-		t.Errorf("Any caps should take the minimum, got %v", caps)
-	}
-	if _, err := FindSchedule(n, 0, &Options{Term: term}); err == nil {
-		t.Error("combined termination should inherit the tighter bound")
-	}
-	if !term.Prune(petri.Marking{2}, []petri.Marking{{0}}) {
-		t.Error("Any.Prune should trigger on the bounds member")
-	}
-	if term.Name() == "" {
-		t.Error("Any.Name empty")
-	}
-}
-
-func TestDepthLimitTermination(t *testing.T) {
-	n := fig8Net(t)
-	term := &DepthLimit{Max: 2}
-	if !term.Prune(petri.Marking{0, 0, 0}, []petri.Marking{{0, 0, 0}, {1, 0, 0}}) {
-		t.Error("depth 2 should prune with 2 ancestors")
-	}
-	// Too shallow for the e-cycle (needs depth ~5): tree search fails.
-	_, err := FindSchedule(n, 0, &Options{
-		Engine: EngineTreeExhaustive,
-		Term:   Any{NewIrrelevance(n), term},
-	})
-	if err == nil {
-		t.Error("depth limit 2 should defeat the fig8 search")
-	}
-}
-
 // TestDiagnose: the graph engine says why a net is unschedulable in
 // the error of the search that failed. For fig4b the root leaves the
 // fixpoint set, and the error carries the explored state count and
@@ -188,12 +154,12 @@ func TestScheduleAwaitResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := BuildRun([]*Schedule{s}, []int{0, 0}, nil)
+	seq, err := buildRun([]*Schedule{s}, []int{0, 0}, nil)
 	if err != nil {
-		t.Fatalf("BuildRun: %v", err)
+		t.Fatalf("buildRun: %v", err)
 	}
 	m := n.InitialMarking()
-	for _, tid := range run.Seq {
+	for _, tid := range seq {
 		if !m.Enabled(n.Transitions[tid]) {
 			t.Fatalf("run not fireable at %s", n.Transitions[tid].Name)
 		}
@@ -206,7 +172,7 @@ func TestScheduleAwaitResume(t *testing.T) {
 
 func TestMutuallyIndependentDiagnostics(t *testing.T) {
 	n := fig6Net(t)
-	set, err := FindAll(n, nil)
+	set, err := findAll(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

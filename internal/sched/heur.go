@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"repro/internal/compile"
 	"repro/internal/linalg"
 	"repro/internal/petri"
 )
@@ -263,58 +262,4 @@ func (o *TInvariantOrder) Sort(ctx *OrderContext, enabled []*petri.ECS) []*petri
 		out[i] = it.e
 	}
 	return out
-}
-
-// SelectPriorityOrder wraps another order and, among SELECT alternatives
-// of the same choice place, prefers the arm with the highest declared
-// priority (lowest arm index) — matching the run-time resolution rule of
-// Section 7.1.
-type SelectPriorityOrder struct {
-	Inner ECSOrder
-	Net   *petri.Net
-}
-
-// Sort implements ECSOrder.
-func (s *SelectPriorityOrder) Sort(ctx *OrderContext, enabled []*petri.ECS) []*petri.ECS {
-	out := s.Inner.Sort(ctx, enabled)
-	// Stable-reorder consecutive SELECT arms of the same choice place by
-	// arm index (transition label "selK" ordering equals ID ordering per
-	// construction, so sorting by first transition ID suffices).
-	sort.SliceStable(out, func(i, j int) bool {
-		pi, ai := s.selArm(out[i])
-		pj, aj := s.selArm(out[j])
-		if pi >= 0 && pi == pj {
-			return ai < aj
-		}
-		return false
-	})
-	return out
-}
-
-// selArm returns (choice place ID, arm index) when the ECS is a SELECT
-// arm entry, else (-1, -1).
-func (s *SelectPriorityOrder) selArm(E *petri.ECS) (int, int) {
-	if len(E.Trans) != 1 {
-		return -1, -1
-	}
-	t := s.Net.Transitions[E.Trans[0]]
-	for _, a := range t.In {
-		p := s.Net.Places[a.Place]
-		if ci, ok := p.Cond.(*compile.ChoiceInfo); ok && ci.Kind == compile.ChoiceSelect {
-			// Arm index from the label "selK".
-			idx := -1
-			if len(t.Label) > 3 && t.Label[:3] == "sel" {
-				idx = 0
-				for _, c := range t.Label[3:] {
-					if c < '0' || c > '9' {
-						idx = -1
-						break
-					}
-					idx = idx*10 + int(c-'0')
-				}
-			}
-			return p.ID, idx
-		}
-	}
-	return -1, -1
 }

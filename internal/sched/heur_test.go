@@ -66,16 +66,3 @@ func TestNaiveOrderIsIdentity(t *testing.T) {
 		}
 	}
 }
-
-func TestSelectPriorityOrderPassThrough(t *testing.T) {
-	// Without select places, the wrapper must preserve the inner order.
-	n := fig8Net(t)
-	part := n.ECSPartition()
-	w := &SelectPriorityOrder{Inner: NaiveOrder{}, Net: n}
-	got := w.Sort(&OrderContext{Net: n}, part)
-	for i := range part {
-		if got[i] != part[i] {
-			t.Fatal("wrapper reordered non-select ECSs")
-		}
-	}
-}

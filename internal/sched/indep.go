@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/petri"
-)
+import "fmt"
 
 // Independence of single-source schedules (Definition 4.3): two SS
 // schedules are mutually independent iff for every place involved in one,
@@ -71,90 +67,4 @@ func CombinedPlaceBounds(set []*Schedule) []int {
 		}
 	}
 	return out
-}
-
-// Run is a run of a schedule set (Definition 4.1): the concatenated
-// transition firing sequence produced by serving a sequence of
-// uncontrollable source occurrences.
-type Run struct {
-	// Seq is the full fired transition sequence.
-	Seq []int
-	// Final maps each schedule's source transition to the await node
-	// where its traversal stopped.
-	Final map[int]*Node
-}
-
-// ChoiceResolver decides which out-edge to take at a node whose ECS has
-// several transitions (a data-dependent choice). It receives the node
-// and must return an index into node.Edges.
-type ChoiceResolver func(s *Schedule, n *Node) int
-
-// FirstEdge always takes edge 0 — a deterministic default resolver.
-func FirstEdge(_ *Schedule, _ *Node) int { return 0 }
-
-// BuildRun traverses the schedule set for the given sequence of
-// uncontrollable source transition IDs, resolving data choices with the
-// given resolver, and returns the induced run. It reproduces the game of
-// Section 4.2: each occurrence is served by walking its schedule from the
-// current await node to the next one.
-func BuildRun(set []*Schedule, inputs []int, resolve ChoiceResolver) (*Run, error) {
-	if resolve == nil {
-		resolve = FirstEdge
-	}
-	bySource := map[int]*Schedule{}
-	cur := map[int]*Node{}
-	for _, s := range set {
-		if _, dup := bySource[s.Source]; dup {
-			return nil, fmt.Errorf("sched: duplicate schedule for source %d", s.Source)
-		}
-		bySource[s.Source] = s
-		cur[s.Source] = s.Root
-	}
-	run := &Run{Final: cur}
-	for pos, src := range inputs {
-		s := bySource[src]
-		if s == nil {
-			return nil, fmt.Errorf("sched: input %d (position %d) has no schedule", src, pos)
-		}
-		n := cur[src]
-		// The await node's single out-edge fires the source itself.
-		if !s.IsAwait(n) {
-			return nil, fmt.Errorf("sched: schedule of source %d resumed at non-await node %d", src, n.ID)
-		}
-		run.Seq = append(run.Seq, n.Edges[0].Trans)
-		n = n.Edges[0].To
-		// Continue until the next await node.
-		for !s.IsAwait(n) {
-			var k int
-			if len(n.Edges) > 1 {
-				k = resolve(s, n)
-				if k < 0 || k >= len(n.Edges) {
-					return nil, fmt.Errorf("sched: resolver returned invalid edge %d at node %d", k, n.ID)
-				}
-			}
-			run.Seq = append(run.Seq, n.Edges[k].Trans)
-			n = n.Edges[k].To
-		}
-		cur[src] = n
-	}
-	return run, nil
-}
-
-// Executable checks Definition 4.2 on one concrete input sequence: the
-// transition sequence of the run must be fireable from the initial
-// marking of the net. It returns the final marking.
-func Executable(net *petri.Net, set []*Schedule, inputs []int, resolve ChoiceResolver) (petri.Marking, error) {
-	run, err := BuildRun(set, inputs, resolve)
-	if err != nil {
-		return nil, err
-	}
-	m := net.InitialMarking()
-	for i, tid := range run.Seq {
-		t := net.Transitions[tid]
-		if !m.Enabled(t) {
-			return nil, fmt.Errorf("sched: run not fireable: transition %s disabled at position %d", t.Name, i)
-		}
-		m = m.Fire(t)
-	}
-	return m, nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -196,9 +197,9 @@ func fig5Net(t *testing.T) *petri.Net {
 
 func TestFig5NonInterferingSchedules(t *testing.T) {
 	n := fig5Net(t)
-	set, err := FindAll(n, nil)
+	set, err := findAll(n, nil)
 	if err != nil {
-		t.Fatalf("FindAll: %v", err)
+		t.Fatalf("findAll: %v", err)
 	}
 	if len(set) != 2 {
 		t.Fatalf("schedules = %d, want 2", len(set))
@@ -216,9 +217,9 @@ func TestFig5NonInterferingSchedules(t *testing.T) {
 	}
 	// Any interleaving of triggers is executable (Definition 4.2).
 	inputs := []int{0, 3, 0, 0, 3, 3, 0}
-	final, err := Executable(n, set, inputs, nil)
+	final, err := executable(n, set, inputs, nil)
 	if err != nil {
-		t.Fatalf("Executable: %v", err)
+		t.Fatalf("executable: %v", err)
 	}
 	if !final.Equal(n.InitialMarking()) {
 		t.Fatalf("final marking %v, want initial", final)
@@ -258,9 +259,9 @@ func fig6Net(t *testing.T) *petri.Net {
 
 func TestFig6InterferingSchedulesDetected(t *testing.T) {
 	n := fig6Net(t)
-	set, err := FindAll(n, nil)
+	set, err := findAll(n, nil)
 	if err != nil {
-		t.Fatalf("FindAll: %v", err)
+		t.Fatalf("findAll: %v", err)
 	}
 	if len(set) != 2 {
 		t.Fatalf("schedules = %d, want 2", len(set))
@@ -280,7 +281,7 @@ func TestFig6InterferingSchedulesDetected(t *testing.T) {
 	}
 	// And indeed the run for the sequence "a d" is not fireable further
 	// for "a a" — reproduce the paper's stuck scenario "a d a".
-	if _, err := Executable(n, set, []int{0, 3, 0}, nil); err == nil {
+	if _, err := executable(n, set, []int{0, 3, 0}, nil); err == nil {
 		t.Fatalf("run for sequence a,d,a should not be fireable (interference)")
 	}
 }
@@ -397,9 +398,9 @@ func TestBuildRunAcrossAwaitNodes(t *testing.T) {
 		}
 		return 0
 	}
-	final, err := Executable(n, set, []int{0, 0}, resolve)
+	final, err := executable(n, set, []int{0, 0}, resolve)
 	if err != nil {
-		t.Fatalf("Executable: %v", err)
+		t.Fatalf("executable: %v", err)
 	}
 	// a c (to await at p3), a: ... c path again joins e firing, ending
 	// back at a consistent marking; just require fireability and bounded
@@ -409,4 +410,91 @@ func TestBuildRunAcrossAwaitNodes(t *testing.T) {
 			t.Errorf("place %s accumulated %d tokens", n.Places[i].Name, v)
 		}
 	}
+}
+
+// findAll computes one schedule per uncontrollable source transition,
+// as core does for a linked system.
+func findAll(n *petri.Net, opt *Options) ([]*Schedule, error) {
+	var out []*Schedule
+	for _, src := range n.UncontrollableSources() {
+		s, err := FindSchedule(n, src, opt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("sched: net %s has no uncontrollable source transitions", n.Name)
+	}
+	return out, nil
+}
+
+// choiceResolver decides which out-edge to take at a node whose ECS has
+// several transitions (a data-dependent choice). It receives the node
+// and must return an index into node.Edges; nil always takes edge 0.
+type choiceResolver func(s *Schedule, n *Node) int
+
+// buildRun returns the run of a schedule set (Definition 4.1): the
+// concatenated transition sequence fired while serving the given
+// sequence of uncontrollable source transition IDs, resolving data
+// choices with resolve. It reproduces the game of Section 4.2: each
+// occurrence is served by walking its schedule from the current await
+// node to the next one.
+func buildRun(set []*Schedule, inputs []int, resolve choiceResolver) ([]int, error) {
+	bySource := map[int]*Schedule{}
+	cur := map[int]*Node{}
+	for _, s := range set {
+		if _, dup := bySource[s.Source]; dup {
+			return nil, fmt.Errorf("sched: duplicate schedule for source %d", s.Source)
+		}
+		bySource[s.Source] = s
+		cur[s.Source] = s.Root
+	}
+	var seq []int
+	for pos, src := range inputs {
+		s := bySource[src]
+		if s == nil {
+			return nil, fmt.Errorf("sched: input %d (position %d) has no schedule", src, pos)
+		}
+		n := cur[src]
+		// The await node's single out-edge fires the source itself.
+		if !s.IsAwait(n) {
+			return nil, fmt.Errorf("sched: schedule of source %d resumed at non-await node %d", src, n.ID)
+		}
+		seq = append(seq, n.Edges[0].Trans)
+		n = n.Edges[0].To
+		// Continue until the next await node.
+		for !s.IsAwait(n) {
+			var k int
+			if len(n.Edges) > 1 && resolve != nil {
+				k = resolve(s, n)
+				if k < 0 || k >= len(n.Edges) {
+					return nil, fmt.Errorf("sched: resolver returned invalid edge %d at node %d", k, n.ID)
+				}
+			}
+			seq = append(seq, n.Edges[k].Trans)
+			n = n.Edges[k].To
+		}
+		cur[src] = n
+	}
+	return seq, nil
+}
+
+// executable checks Definition 4.2 on one concrete input sequence: the
+// transition sequence of the run must be fireable from the initial
+// marking of the net. It returns the final marking.
+func executable(net *petri.Net, set []*Schedule, inputs []int, resolve choiceResolver) (petri.Marking, error) {
+	seq, err := buildRun(set, inputs, resolve)
+	if err != nil {
+		return nil, err
+	}
+	m := net.InitialMarking()
+	for i, tid := range seq {
+		t := net.Transitions[tid]
+		if !m.Enabled(t) {
+			return nil, fmt.Errorf("sched: run not fireable: transition %s disabled at position %d", t.Name, i)
+		}
+		m = m.Fire(t)
+	}
+	return m, nil
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/petri"
-)
+import "repro/internal/petri"
 
 // Termination is a pluggable condition θ that prunes the schedule search
 // (Section 4.4): when Prune returns true for a freshly created tree node,
@@ -42,9 +38,6 @@ func (ir *Irrelevance) Prune(m petri.Marking, ancestors []petri.Marking) bool {
 
 // Name implements Termination.
 func (ir *Irrelevance) Name() string { return "irrelevance" }
-
-// Degrees exposes the precomputed place degrees (for diagnostics).
-func (ir *Irrelevance) Degrees() []int { return ir.degrees }
 
 // PlaceBounds prunes any marking exceeding a per-place bound, the
 // termination condition of Strehl et al. the paper compares against.
@@ -84,43 +77,3 @@ func (pb *PlaceBounds) Prune(m petri.Marking, _ []petri.Marking) bool {
 
 // Name implements Termination.
 func (pb *PlaceBounds) Name() string { return "place-bounds" }
-
-// DepthLimit prunes below a maximum tree depth — a safety net for
-// pathological nets, not one of the paper's criteria.
-type DepthLimit struct {
-	Max   int
-	depth int // updated by the engine before each Prune call
-}
-
-// Prune implements Termination (the engine tracks depth via ancestors).
-func (d *DepthLimit) Prune(_ petri.Marking, ancestors []petri.Marking) bool {
-	return len(ancestors) >= d.Max
-}
-
-// Name implements Termination.
-func (d *DepthLimit) Name() string { return fmt.Sprintf("depth<=%d", d.Max) }
-
-// Any combines conditions disjunctively: prune when any member prunes.
-type Any []Termination
-
-// Prune implements Termination.
-func (a Any) Prune(m petri.Marking, ancestors []petri.Marking) bool {
-	for _, t := range a {
-		if t.Prune(m, ancestors) {
-			return true
-		}
-	}
-	return false
-}
-
-// Name implements Termination.
-func (a Any) Name() string {
-	s := "any("
-	for i, t := range a {
-		if i > 0 {
-			s += ","
-		}
-		s += t.Name()
-	}
-	return s + ")"
-}

@@ -370,8 +370,8 @@ func storeRead(sc *Scope, x *flowc.Read, vals []int64) error {
 	return nil
 }
 
-// loadWrite gathers the values to send.
-func (b *Baseline) loadWrite(sc *Scope, x *flowc.Write) ([]int64, error) {
+// loadWrite gathers the values a WRITE_DATA sends, for both executors.
+func (m *Machine) loadWrite(sc *Scope, x *flowc.Write) ([]int64, error) {
 	if id, ok := x.Src.(*flowc.Ident); ok {
 		cell := sc.Cell(id.Name)
 		if len(cell) >= x.NItems {
@@ -383,7 +383,7 @@ func (b *Baseline) loadWrite(sc *Scope, x *flowc.Write) ([]int64, error) {
 	if x.NItems != 1 {
 		return nil, fmt.Errorf("sim: WRITE_DATA of %d items requires an array source", x.NItems)
 	}
-	v, err := b.Machine.Eval(sc, x.Src)
+	v, err := m.Eval(sc, x.Src)
 	if err != nil {
 		return nil, err
 	}
@@ -395,11 +395,11 @@ func (b *Baseline) execWrite(r *runner, x *flowc.Write) error {
 	if bd == nil {
 		return fmt.Errorf("sim: %s.%s unbound", r.name, x.Port)
 	}
-	vals, err := b.loadWrite(r.scope, x)
+	m := b.Machine
+	vals, err := m.loadWrite(r.scope, x)
 	if err != nil {
 		return err
 	}
-	m := b.Machine
 	switch bd.Kind {
 	case link.BindChannel:
 		ch := b.Channels[bd.Channel.Spec.Name]

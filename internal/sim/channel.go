@@ -28,9 +28,6 @@ func NewChannel(name string, capacity int) *Channel {
 	return &Channel{Name: name, Capacity: capacity}
 }
 
-// Len returns the current occupancy.
-func (c *Channel) Len() int { return c.count }
-
 // Space returns the free space, or a large number for unbounded
 // channels.
 func (c *Channel) Space() int {
@@ -45,16 +42,6 @@ func (c *Channel) CanRead(n int) bool { return c.count >= n }
 
 // CanWrite reports whether n items fit.
 func (c *Channel) CanWrite(n int) bool { return c.Space() >= n }
-
-// Read removes n items into a fresh slice; the caller must have checked
-// CanRead. Hot paths that do not retain the values use ReadInto.
-func (c *Channel) Read(n int) ([]int64, error) {
-	out := make([]int64, n)
-	if err := c.ReadInto(out, n); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // ReadInto removes n items into dst[:n] without allocating; dst must
 // hold at least n items.

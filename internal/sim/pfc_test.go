@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/codegen"
 	"repro/internal/core"
 )
 
@@ -177,11 +178,7 @@ func TestPFCCodeSizeShape(t *testing.T) {
 
 func TestTaskIntraBuffersAreUnit(t *testing.T) {
 	r := pfcResult(t)
-	te, err := NewTaskExec(r.Sys, r.Tasks[0], PFC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := te.IntraBounds()
+	bounds := r.Tasks[0].IntraChannels(&codegen.SynthOptions{Sys: r.Sys})
 	if len(bounds) != len(r.Sys.Channels) {
 		t.Fatalf("intra channels = %d, want %d (single task absorbs all)", len(bounds), len(r.Sys.Channels))
 	}
@@ -234,7 +231,7 @@ func TestMultiRateEquivalence(t *testing.T) {
 		t.Errorf("first line wrong: %v", got[:10])
 	}
 	// The Line buffer carries a full burst.
-	for pid, sz := range te.IntraBounds() {
+	for pid, sz := range r.Tasks[0].IntraChannels(&codegen.SynthOptions{Sys: r.Sys}) {
 		if r.Sys.Net.Places[pid].Name == "Line" && sz != 10 {
 			t.Errorf("Line buffer = %d, want 10", sz)
 		}

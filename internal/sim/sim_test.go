@@ -26,8 +26,8 @@ func evalStr(t *testing.T, sc *Scope, expr string) int64 {
 
 func TestEvalArithmetic(t *testing.T) {
 	sc := NewScope()
-	sc.Set("x", 7)
-	sc.Set("y", -3)
+	sc.Cell("x")[0] = 7
+	sc.Cell("y")[0] = -3
 	cases := map[string]int64{
 		"1 + 2 * 3":        7,
 		"(1 + 2) * 3":      9,
@@ -149,9 +149,9 @@ func TestEvalMatchesGo(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b, c := int64(rng.Intn(100)-50), int64(rng.Intn(100)-50), int64(rng.Intn(50)+1)
 		sc := NewScope()
-		sc.Set("a", a)
-		sc.Set("b", b)
-		sc.Set("c", c)
+		sc.Cell("a")[0] = a
+		sc.Cell("b")[0] = b
+		sc.Cell("c")[0] = c
 		got := evalStr(t, sc, "a * b + a - b % c")
 		return got == a*b+a-b%c
 	}
@@ -174,11 +174,11 @@ func TestChannelFIFO(t *testing.T) {
 	if err := ch.Write([]int64{4}); err == nil {
 		t.Error("overfull write should fail")
 	}
-	got, err := ch.Read(2)
-	if err != nil || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Read = %v (%v)", got, err)
+	got := make([]int64, 2)
+	if err := ch.ReadInto(got, 2); err != nil || got[0] != 1 || got[1] != 2 {
+		t.Errorf("ReadInto = %v (%v)", got, err)
 	}
-	if _, err := ch.Read(2); err == nil {
+	if err := ch.ReadInto(got, 2); err == nil {
 		t.Error("underfull read should fail")
 	}
 	if ch.MaxOccupancy != 3 || ch.ItemsMoved != 5 {

@@ -29,10 +29,6 @@ type TaskExec struct {
 	// several tasks coexist; intra-task channels are internal.
 	Shared map[string]*Channel
 
-	// Resolve handles data choices for nets without compiler fragments
-	// (hand-built nets in tests); FlowC systems never need it.
-	Resolve sched.ChoiceResolver
-
 	// Triggers counts environment triggers served.
 	Triggers int64
 
@@ -87,12 +83,7 @@ func NewTaskExec(sys *link.System, task *codegen.Task, cost *CostModel) (*TaskEx
 	}
 	// Intra-task buffers sized by the schedule's place bounds; the
 	// capacity doubles as an assertion of the static bound.
-	bounds := task.Schedule.PlaceBounds()
-	for pid := range task.IntraChannels(&codegen.SynthOptions{Sys: sys}) {
-		sz := bounds[pid]
-		if sz < 1 {
-			sz = 1
-		}
+	for pid, sz := range task.IntraChannels(&codegen.SynthOptions{Sys: sys}) {
 		te.intra[pid] = NewChannel(task.Net.Places[pid].Name, sz)
 	}
 	// Map every ECS to its segment for Goto accounting.
@@ -118,18 +109,6 @@ func (te *TaskExec) Input(name string) *InputStream { return te.Inputs[name] }
 
 // Output returns the stream of the named environment output.
 func (te *TaskExec) Output(name string) *OutputStream { return te.Outputs[name] }
-
-// Scope exposes the variable scope of a process (for tests).
-func (te *TaskExec) Scope(proc string) *Scope { return te.scopes[proc] }
-
-// IntraBounds returns the local buffer sizes keyed by channel place ID.
-func (te *TaskExec) IntraBounds() map[int]int {
-	out := map[int]int{}
-	for pid, ch := range te.intra {
-		out[pid] = ch.Capacity
-	}
-	return out
-}
 
 // sourceInputName returns the environment input bound to the task's
 // uncontrollable source transition.
@@ -202,9 +181,6 @@ func (te *TaskExec) pickEdge(n *sched.Node) (int, error) {
 			}
 		}
 		return 0, fmt.Errorf("sim: node %d has no %s branch", n.ID, want)
-	}
-	if te.Resolve != nil {
-		return te.Resolve(te.Task.Schedule, n), nil
 	}
 	return 0, fmt.Errorf("sim: node %d: unresolvable %d-way choice", n.ID, len(n.Edges))
 }
@@ -294,7 +270,7 @@ func (te *TaskExec) execWrite(sc *Scope, proc string, x *flowc.Write) error {
 		return fmt.Errorf("sim: %s.%s unbound", proc, x.Port)
 	}
 	m := te.Machine
-	vals, err := te.loadWrite(sc, x)
+	vals, err := m.loadWrite(sc, x)
 	if err != nil {
 		return err
 	}
@@ -321,23 +297,4 @@ func (te *TaskExec) execWrite(sc *Scope, proc string, x *flowc.Write) error {
 		return fmt.Errorf("sim: WRITE_DATA on non-output binding %s.%s", proc, x.Port)
 	}
 	return nil
-}
-
-func (te *TaskExec) loadWrite(sc *Scope, x *flowc.Write) ([]int64, error) {
-	if id, ok := x.Src.(*flowc.Ident); ok {
-		cell := sc.Cell(id.Name)
-		if len(cell) >= x.NItems {
-			out := make([]int64, x.NItems)
-			copy(out, cell)
-			return out, nil
-		}
-	}
-	if x.NItems != 1 {
-		return nil, fmt.Errorf("sim: WRITE_DATA of %d items requires an array source", x.NItems)
-	}
-	v, err := te.Machine.Eval(sc, x.Src)
-	if err != nil {
-		return nil, err
-	}
-	return []int64{v}, nil
 }

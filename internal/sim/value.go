@@ -53,9 +53,6 @@ func (s *Scope) Cell(name string) Cell {
 // Get returns the scalar value of a variable.
 func (s *Scope) Get(name string) int64 { return s.Cell(name)[0] }
 
-// Set assigns the scalar value of a variable.
-func (s *Scope) Set(name string, v int64) { s.Cell(name)[0] = v }
-
 // lvalue is a resolved assignable location.
 type lvalue struct {
 	cell Cell
