@@ -56,7 +56,10 @@
 #                      five runs at GOMAXPROCS=1 (the baseline's
 #                      setting); fails on B/op or allocs/op beyond twice
 #                      the runs' spread (0.5% at least, 5% at most).
-#                      ns/op is written to BENCH_<date>.json, not gated.
+#                      ns/op is written to .bench_build/BENCH_<date>.json
+#                      (ignored), not gated. A performance change
+#                      commits its snapshot, written with
+#                      `go run ./cmd/benchdiff -out BENCH_<date>.json`.
 #                      Run it on the baseline's Go release
 #   make fuzz-smoke  — short-budget fuzz pass over all fuzz targets
 #   make coverage    — race tests with a coverage profile; prints

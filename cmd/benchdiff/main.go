@@ -7,6 +7,10 @@
 // regression beyond the tolerance fails the run (and with it `make
 // ci`).
 //
+// The snapshot goes to the ignored .bench_build/ directory, so a gate
+// run leaves the working tree clean. A performance change that commits
+// its snapshot writes it to the root with -out BENCH_<date>.json.
+//
 // Only the allocation dimensions gate. At a fixed GOMAXPROCS and Go
 // release they repeat to within a fraction of a percent on any
 // machine, so the tolerance is derived from the spread the runs
@@ -20,6 +24,7 @@
 //
 //	go run ./cmd/benchdiff          # gate against bench_baseline.json
 //	go run ./cmd/benchdiff -update  # rewrite the baseline in place
+//	go run ./cmd/benchdiff -out BENCH_2026-10-18.json  # gate; snapshot to commit
 //
 // Each dimension keeps its minimum over the runs. B/op can move
 // between Go releases, so compare on the baseline's go_version.
@@ -33,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -62,6 +68,9 @@ const (
 	minRuns      = 5
 )
 
+// snapshotDir holds the default snapshot; .gitignore lists it.
+const snapshotDir = ".bench_build"
+
 // Snapshot is the schema of BENCH_<date>.json and of the baseline.
 type Snapshot struct {
 	Date       string                 `json:"date"`
@@ -76,7 +85,7 @@ func main() {
 		count     = flag.Int("count", minRuns, fmt.Sprintf("runs per benchmark (at least %d); each dimension keeps its minimum", minRuns))
 		pkg       = flag.String("pkg", ".", "package holding the benchmarks")
 		baseline  = flag.String("baseline", "bench_baseline.json", "committed baseline JSON")
-		out       = flag.String("out", "", "snapshot path (default BENCH_<date>.json)")
+		out       = flag.String("out", "", "snapshot path (default "+snapshotDir+"/BENCH_<date>.json)")
 		update    = flag.Bool("update", false, "rewrite the baseline with this run instead of gating")
 	)
 	flag.Parse()
@@ -94,7 +103,10 @@ func main() {
 
 	outPath := *out
 	if outPath == "" {
-		outPath = "BENCH_" + cur.Date + ".json"
+		outPath = filepath.Join(snapshotDir, "BENCH_"+cur.Date+".json")
+	}
+	if err := os.MkdirAll(filepath.Dir(outPath), 0o755); err != nil {
+		fatal(err)
 	}
 	if err := writeJSON(outPath, cur); err != nil {
 		fatal(err)

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/strategyflag"
 )
@@ -52,7 +53,7 @@ func realMain() int {
 		listen         = flag.String("listen", "127.0.0.1:9090", "address to serve HTTP on (host:port; port 0 picks a free port)")
 		maxConcurrent  = flag.Int("max-concurrent", 0, "simultaneous syntheses (0 = GOMAXPROCS)")
 		maxQueue       = flag.Int("max-queue", 0, "admission queue length beyond the concurrent slots; overflow is answered 429 (0 = 4x max-concurrent)")
-		maxNodes       = flag.Int("max-nodes", 0, "cap on the per-request state budget (0 = the search default, 2000000)")
+		maxNodes       = flag.Int("max-nodes", 0, fmt.Sprintf("cap on the per-request state budget (0 = the search default, %d)", sched.DefaultMaxNodes))
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "synthesis deadline for requests naming none")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "cap on request-supplied timeouts")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")

@@ -1,9 +1,11 @@
 package apps
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -92,6 +94,19 @@ func TestPFCBudgetEdge(t *testing.T) {
 	_, err = SynthesizePFCWith(&core.Options{Sched: &sched.Options{MaxNodes: pfcStates - 1}, DisableCache: true})
 	if !errors.Is(err, sched.ErrBudget) {
 		t.Fatalf("MaxNodes %d: err = %v, want ErrBudget", pfcStates-1, err)
+	}
+}
+
+// TestPFCDeadline: PFC has one source, so its whole search runs on one
+// pool worker. A deadline that passes during that search still fails
+// synthesis once the search ends, as it does for a many-source system.
+// Nothing inside the search reads the context yet.
+func TestPFCDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, err := core.SynthesizeContext(ctx, PFC, PFCSpec, &core.Options{DisableCache: true})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("1 ms deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -23,6 +23,10 @@ type CompiledProcess struct {
 	// operation of the body: startup code executed once, outside the
 	// cyclic schedule (e.g. "c = 1;" before the main loop).
 	InitStmts []flowc.Stmt
+	// Body is the cyclic behaviour: the statements after the
+	// initialization prefix, which the net encodes and the process
+	// repeats forever.
+	Body []flowc.Stmt
 	// Arrays maps array variable names to their sizes.
 	Arrays map[string]int
 	// SelectArms lists SELECT arm entry transitions; arms on Out ports
@@ -54,31 +58,23 @@ func CompileProcess(p *flowc.Process) (*CompiledProcess, error) {
 	p0.Initial = 1
 	b.cur = p0
 
-	// Split the top-level initialization prefix: declarations and
-	// port-free statements before the first port operation are startup
-	// code, not schedule code (the paper schedules cyclic behaviour
-	// only; initialization runs once).
-	stmts := p.Body.Stmts
-	for len(stmts) > 0 {
-		if ds, ok := stmts[0].(*flowc.DeclStmt); ok {
-			for _, v := range ds.Vars {
-				cp.InitVars = append(cp.InitVars, v)
-				if v.ArraySize > 0 {
-					cp.Arrays[v.Name] = v.ArraySize
-				}
+	var prefix []flowc.Stmt
+	prefix, cp.Body = initPrefix(p.Body.Stmts)
+	for _, s := range prefix {
+		ds, ok := s.(*flowc.DeclStmt)
+		if !ok {
+			cp.InitStmts = append(cp.InitStmts, s)
+			continue
+		}
+		for _, v := range ds.Vars {
+			cp.InitVars = append(cp.InitVars, v)
+			if v.ArraySize > 0 {
+				cp.Arrays[v.Name] = v.ArraySize
 			}
-			stmts = stmts[1:]
-			continue
 		}
-		if !ContainsPortOp(stmts[0]) {
-			cp.InitStmts = append(cp.InitStmts, stmts[0])
-			stmts = stmts[1:]
-			continue
-		}
-		break
 	}
 
-	b.compileSeq(stmts)
+	b.compileSeq(cp.Body)
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -204,7 +200,7 @@ func (b *builder) compileSeq(stmts []flowc.Stmt) {
 }
 
 func (b *builder) compileStmt(s flowc.Stmt) {
-	if !ContainsPortOp(s) {
+	if !containsPortOp(s) {
 		// Declarations are hoisted; initializers become assignments.
 		if ds, ok := s.(*flowc.DeclStmt); ok {
 			b.hoistDecl(ds)

@@ -68,10 +68,10 @@ func TestLeadersFigure1(t *testing.T) {
 func TestContainsPortOp(t *testing.T) {
 	p := parse(t, divisorsSrc)
 	outer := p.Body.Stmts[1] // while(1)
-	if !ContainsPortOp(outer) {
+	if !containsPortOp(outer) {
 		t.Error("while(1) contains port ops")
 	}
-	if ContainsPortOp(p.Body.Stmts[0]) {
+	if containsPortOp(p.Body.Stmts[0]) {
 		t.Error("declaration contains no port ops")
 	}
 }
@@ -289,6 +289,12 @@ PROCESS p (In DPORT i) {
 	}
 	if len(cp.InitStmts) != 2 {
 		t.Fatalf("init statements = %d, want 2", len(cp.InitStmts))
+	}
+	if len(cp.InitVars) != 2 || len(cp.Body) != 1 {
+		t.Fatalf("%d init vars and %d cyclic statements, want 2 and 1", len(cp.InitVars), len(cp.Body))
+	}
+	if _, ok := cp.Body[0].(*flowc.While); !ok {
+		t.Errorf("cyclic body starts with %T, want the while loop", cp.Body[0])
 	}
 	// The cyclic net is a single read transition looping on p0.
 	if got := len(cp.Net.Transitions); got != 1 {

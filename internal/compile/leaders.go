@@ -15,10 +15,10 @@ import "repro/internal/flowc"
 // Every portion of code consists of a leader and all statements up to the
 // next leader; each portion compiles to one transition.
 
-// ContainsPortOp reports whether the statement (recursively) performs any
+// containsPortOp reports whether the statement (recursively) performs any
 // port operation — the condition under which control flow must be
 // represented explicitly in the Petri net.
-func ContainsPortOp(s flowc.Stmt) bool {
+func containsPortOp(s flowc.Stmt) bool {
 	switch x := s.(type) {
 	case nil:
 		return false
@@ -26,18 +26,30 @@ func ContainsPortOp(s flowc.Stmt) bool {
 		return true
 	case *flowc.Block:
 		for _, st := range x.Stmts {
-			if ContainsPortOp(st) {
+			if containsPortOp(st) {
 				return true
 			}
 		}
 	case *flowc.If:
-		return ContainsPortOp(x.Then) || ContainsPortOp(x.Else)
+		return containsPortOp(x.Then) || containsPortOp(x.Else)
 	case *flowc.While:
-		return ContainsPortOp(x.Body)
+		return containsPortOp(x.Body)
 	case *flowc.For:
-		return ContainsPortOp(x.Body) || ContainsPortOp(x.Init)
+		return containsPortOp(x.Body) || containsPortOp(x.Init)
 	}
 	return false
+}
+
+// initPrefix splits a process body into its initialization prefix —
+// the declarations and port-free statements before the first port
+// operation, which run once at startup — and the cyclic statements
+// after it. The paper schedules cyclic behaviour only (its footnote 1).
+func initPrefix(stmts []flowc.Stmt) (prefix, cyclic []flowc.Stmt) {
+	n := 0
+	for n < len(stmts) && !containsPortOp(stmts[n]) {
+		n++
+	}
+	return stmts[:n], stmts[n:]
 }
 
 // Leaders computes the set of leader statements of a process body,
@@ -59,7 +71,7 @@ func Leaders(p *flowc.Process) []flowc.Stmt {
 			// into net structure; the leaders are the first statements
 			// of their branches (rule 4), not the headers themselves.
 			// This matches the paper's enumeration for Figure 1.
-			if isControl(s) && ContainsPortOp(s) {
+			if isControl(s) && containsPortOp(s) {
 				isLeader = false
 			}
 			if isLeader && !mark[s] {
@@ -71,18 +83,18 @@ func Leaders(p *flowc.Process) []flowc.Stmt {
 			case *flowc.Write:
 				prevForcesLeader = true // rule 3
 			case *flowc.If:
-				if ContainsPortOp(s) {
+				if containsPortOp(s) {
 					walk(toList(x.Then), true) // rule 4
 					walk(toList(x.Else), true)
 					prevForcesLeader = true // rule 5
 				}
 			case *flowc.While:
-				if ContainsPortOp(s) {
+				if containsPortOp(s) {
 					walk(toList(x.Body), true) // rule 4
 					prevForcesLeader = true    // rule 5
 				}
 			case *flowc.For:
-				if ContainsPortOp(s) {
+				if containsPortOp(s) {
 					walk(toList(x.Body), true) // rule 4
 					prevForcesLeader = true    // rule 5
 				}
@@ -96,23 +108,10 @@ func Leaders(p *flowc.Process) []flowc.Stmt {
 			}
 		}
 	}
-	// The initialization prefix (declarations and port-free statements
-	// before the first port operation) runs once at startup and is not
-	// part of the cyclic code, so rule 1 applies to the first scheduled
-	// statement.
-	stmts := p.Body.Stmts
-	for len(stmts) > 0 {
-		if _, ok := stmts[0].(*flowc.DeclStmt); ok {
-			stmts = stmts[1:]
-			continue
-		}
-		if !ContainsPortOp(stmts[0]) {
-			stmts = stmts[1:]
-			continue
-		}
-		break
-	}
-	walk(stmts, true) // rule 1
+	// The initialization prefix is not part of the cyclic code, so rule
+	// 1 applies to the first scheduled statement.
+	_, cyclic := initPrefix(p.Body.Stmts)
+	walk(cyclic, true) // rule 1
 	return out
 }
 

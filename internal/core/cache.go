@@ -21,9 +21,9 @@ import (
 // interface value (its Name alone does not capture its parameters), so
 // calls carrying one bypass the cache entirely. Options.Workers and
 // Sched.Strategy are deliberately not part of the key — every execution
-// strategy (the source-level pool, worker processes, a frozen store)
-// produces Results byte-identical to the serial path, so a nil Sched
-// and one that differs from it only in Strategy share an entry.
+// strategy (any number of pool workers, worker processes, a frozen
+// store) produces byte-identical Results, so a nil Sched and one that
+// differs from it only in Strategy share an entry.
 
 // cacheLimit bounds the number of retained entries; eviction is FIFO in
 // insertion order, which is enough for the repeat-synthesis workloads

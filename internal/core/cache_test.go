@@ -49,7 +49,7 @@ func TestCacheKey(t *testing.T) {
 	if r1 == r2 {
 		t.Error("Sched.MaxNodes must not share a cache entry with the default")
 	}
-	// Workers does not: the parallel path hits the serial path's entry.
+	// Workers does not: a four-worker call hits the default call's entry.
 	r3, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

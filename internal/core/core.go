@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 
 	"repro/internal/codegen"
@@ -27,15 +28,16 @@ type Options struct {
 	// (irrelevance criterion + T-invariant ordering), explored inline.
 	Sched *sched.Options
 	// Workers bounds the number of concurrent per-source schedule
-	// searches. 0 uses GOMAXPROCS, 1 forces the serial path. Every
-	// search is deterministic and independent of the others, so the
-	// result is byte-identical regardless of Workers. This pool is the
-	// only in-process concurrency: each search itself runs serially on
-	// its pool goroutine, or on Sched.Strategy.Runner — a runner is a
-	// sequential resource, so the pool is kept serial while one is set.
-	// A custom Sched.Term or Sched.Order is shared across searches and
-	// must be safe for concurrent use when Workers > 1; the defaults
-	// are built fresh per search and always are.
+	// searches. 0 uses GOMAXPROCS; 1 runs them one at a time on one
+	// pool worker. Every search is deterministic and independent of the
+	// others, so the result is byte-identical regardless of Workers.
+	// This pool is the only in-process concurrency: each search itself
+	// runs serially on its pool goroutine, or on Sched.Strategy.Runner —
+	// a runner is a sequential resource, so the pool keeps one worker
+	// while one is set. A custom Sched.Term or Sched.Order is shared
+	// across searches and must be safe for concurrent use when
+	// Workers > 1; the defaults are built fresh per search and always
+	// are.
 	Workers int
 	// DisableCache bypasses the content-addressed synthesis cache for
 	// this call. Only the textual entry points (Synthesize,
@@ -224,14 +226,14 @@ func synthesizeSystem(ctx context.Context, f *flowc.File, spec *link.Spec, opt *
 // findSchedules runs one schedule search per uncontrollable source on a
 // bounded worker pool. Results are ordered by source index regardless of
 // completion order; the first error cancels the dispatch of pending
-// searches, and the lowest-index error is reported for determinism.
+// searches, and the lowest-index error is reported for determinism. A
+// context that ends, even during the last search, fails the call. A
+// search that panics is re-panicked on the caller's goroutine once the
+// pool has drained, so the caller's recovery sees it.
 func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Options) ([]*sched.Schedule, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sources) {
-		workers = len(sources)
 	}
 	if opt.Sched != nil && opt.Sched.Strategy.Runner != nil {
 		// The runner serializes sessions; concurrent searches would
@@ -239,24 +241,19 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 		workers = 1
 	}
 	out := make([]*sched.Schedule, len(sources))
-	if workers <= 1 {
-		for i, src := range sources {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			s, err := sched.FindSchedule(n, src, opt.Sched)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			out[i] = s
-		}
-		return out, nil
-	}
 	// The net's adjacency caches are built lazily and unsynchronized;
 	// build them before the read-only fan-out.
 	n.Warm()
 	errs := make([]error, len(sources))
+	panics := make([]any, len(sources))
 	pool.Run(ctx, len(sources), workers, func(i int, cancel context.CancelFunc) {
+		defer func() {
+			if v := recover(); v != nil {
+				panics[i] = fmt.Sprintf("core: schedule search for %s panicked: %v\n\n%s",
+					n.Transitions[sources[i]].Name, v, debug.Stack())
+				cancel()
+			}
+		}()
 		s, err := sched.FindSchedule(n, sources[i], opt.Sched)
 		if err != nil {
 			errs[i] = err
@@ -265,6 +262,11 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 		}
 		out[i] = s
 	})
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)

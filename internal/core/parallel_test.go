@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/petri"
+	"repro/internal/sched"
 )
 
 // manyTaskApp builds n independent trigger/worker pipelines in one
@@ -29,8 +32,8 @@ PROCESS w%d (In DPORT go, Out DPORT out) {
 }
 
 // TestParallelMatchesSerial checks the determinism contract of
-// Options.Workers: the parallel and serial paths must produce
-// byte-identical generated code and identical search statistics.
+// Options.Workers: one pool worker and six must produce byte-identical
+// generated code and identical search statistics.
 func TestParallelMatchesSerial(t *testing.T) {
 	flowcSrc, specSrc := manyTaskApp(6)
 	serial, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 1, DisableCache: true})
@@ -58,7 +61,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for name, code := range serial.Code {
 		if parallel.Code[name] != code {
-			t.Errorf("task %s: generated C differs between serial and parallel paths", name)
+			t.Errorf("task %s: generated C differs between 1 and 6 workers", name)
 		}
 	}
 }
@@ -89,10 +92,40 @@ func TestSynthesizeContextCancelled(t *testing.T) {
 	if !strings.Contains(err.Error(), "context canceled") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	// Parallel path as well.
+	// Any worker count fails the same way.
 	_, err = SynthesizeContext(ctx, flowcSrc, specSrc, &Options{Workers: 4, DisableCache: true})
 	if err == nil {
-		t.Fatal("cancelled context should fail parallel synthesis")
+		t.Fatal("cancelled context should fail synthesis with 4 workers")
+	}
+}
+
+// panicOrder is an ECS order that panics on first use.
+type panicOrder struct{}
+
+func (panicOrder) Sort(*sched.OrderContext, []*petri.ECS) []*petri.ECS {
+	panic("order exploded")
+}
+
+// TestSearchPanicReachesCaller: a search runs on a pool goroutine, but a
+// panic inside it comes back on the caller's goroutine, where a caller
+// that recovers (the server's middleware) sees it. One source and
+// several take the same path.
+func TestSearchPanicReachesCaller(t *testing.T) {
+	for _, sources := range []int{1, 3} {
+		flowcSrc, specSrc := manyTaskApp(sources)
+		opt := &Options{
+			Sched:        &sched.Options{Engine: sched.EngineTreeExhaustive, Order: panicOrder{}},
+			DisableCache: true,
+		}
+		func() {
+			defer func() {
+				if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "order exploded") {
+					t.Errorf("%d sources: recovered %v, want the search's panic", sources, v)
+				}
+			}()
+			_, err := SynthesizeContext(context.Background(), flowcSrc, specSrc, opt)
+			t.Errorf("%d sources: synthesis returned (%v) instead of panicking", sources, err)
+		}()
 	}
 }
 

@@ -104,16 +104,6 @@ func (s *System) PortBinding(proc, port string) *Binding {
 	return s.bindings[proc+"."+port]
 }
 
-// ProcByName returns the compiled process or nil.
-func (s *System) ProcByName(name string) *compile.CompiledProcess {
-	for _, cp := range s.Procs {
-		if cp.Proc.Name == name {
-			return cp
-		}
-	}
-	return nil
-}
-
 func splitRef(ref string) (proc, port string, err error) {
 	proc, port, ok := strings.Cut(ref, ".")
 	if !ok || proc == "" || port == "" {

@@ -29,8 +29,8 @@ type Options struct {
 	// independent for FlowC-derived nets (Prop. 4.3).
 	MultiSource bool
 	// MaxNodes bounds the number of tree nodes / graph states created
-	// (default 2000000; hash-consed states are compact enough that the
-	// budget is search time, not memory).
+	// (default DefaultMaxNodes; hash-consed states are compact enough
+	// that the budget is search time, not memory).
 	MaxNodes int
 	// ExploreWorkers is ignored.
 	//
@@ -80,6 +80,10 @@ const (
 	EngineTreeExhaustive
 )
 
+// DefaultMaxNodes is the state budget of a search whose
+// Options.MaxNodes is zero.
+const DefaultMaxNodes = 2_000_000
+
 func (o *Options) withDefaults(n *petri.Net, source int) Options {
 	out := Options{}
 	if o != nil {
@@ -94,7 +98,7 @@ func (o *Options) withDefaults(n *petri.Net, source int) Options {
 		out.Order = NewTInvariantOrder(n, source, out.Term)
 	}
 	if out.MaxNodes == 0 {
-		out.MaxNodes = 2000000
+		out.MaxNodes = DefaultMaxNodes
 	}
 	return out
 }

@@ -57,8 +57,8 @@ type Config struct {
 	// is answered 429 immediately. 0 = 4x MaxConcurrent.
 	MaxQueue int
 	// MaxNodes caps the per-request state budget. A request asking for
-	// more (or asking for nothing) gets this cap. 0 = the sched default
-	// (2,000,000).
+	// more (or asking for nothing) gets this cap. 0 =
+	// sched.DefaultMaxNodes.
 	MaxNodes int
 	// DefaultTimeout is the per-request synthesis deadline when the
 	// request names none; MaxTimeout caps request-supplied values.
@@ -90,7 +90,9 @@ func (c Config) withDefaults() Config {
 		c.MaxQueue = 4 * c.MaxConcurrent
 	}
 	if c.MaxNodes <= 0 {
-		c.MaxNodes = defaultMaxNodes
+		// A concrete number, so the response can report the budget a
+		// request actually ran under.
+		c.MaxNodes = sched.DefaultMaxNodes
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -106,11 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// defaultMaxNodes mirrors the sched package's MaxNodes default; the
-// server clamps against a concrete number so the response can report
-// the budget a request actually ran under.
-const defaultMaxNodes = 2000000
 
 // Server is the resident synthesis service. Create with New, serve its
 // Handler, and call Drain before process exit.

@@ -19,6 +19,8 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/petri"
+	"repro/internal/sched"
 )
 
 func TestMain(m *testing.M) {
@@ -407,6 +409,62 @@ func TestPanicRecovery(t *testing.T) {
 	status, res, _ := postSynth(t, ts.URL, &synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
 	if status != http.StatusOK || len(res.Code) == 0 {
 		t.Fatalf("request after panic: status %d", status)
+	}
+	_, metricsBody := getBody(t, ts.URL+"/metrics")
+	assertMetricMin(t, metricsBody, "qss_panics_total", 1)
+}
+
+// panicOrder is an ECS order that panics on first use.
+type panicOrder struct{}
+
+func (panicOrder) Sort(*sched.OrderContext, []*petri.ECS) []*petri.ECS {
+	panic("order exploded")
+}
+
+// twoSources is a system of two independent one-process pipelines, so
+// its two schedule searches run on pool goroutines.
+const twoSources = `
+PROCESS a (In DPORT go, Out DPORT out) {
+  int v;
+  while (1) {
+    READ_DATA(go, &v, 1);
+    WRITE_DATA(out, v, 1);
+  }
+}
+
+PROCESS b (In DPORT go, Out DPORT out) {
+  int v;
+  while (1) {
+    READ_DATA(go, &v, 1);
+    WRITE_DATA(out, v + 1, 1);
+  }
+}
+`
+
+const twoSourcesSpec = `
+system two
+input ga -> a.go uncontrollable
+output a.out -> oa
+input gb -> b.go uncontrollable
+output b.out -> ob
+`
+
+// TestSearchPanicRecovery: a panic inside a schedule search, which runs
+// on a pool goroutine rather than the handler's, also answers 500 and
+// is counted, instead of killing the server.
+func TestSearchPanicRecovery(t *testing.T) {
+	srv := New(Config{MaxConcurrent: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+		opt.Sched.Engine = sched.EngineTreeExhaustive
+		opt.Sched.Order = panicOrder{}
+		return defaultSynthesize(ctx, req, opt)
+	}
+	status, _, errResp := postSynth(t, ts.URL, &synthesizeRequest{FlowC: twoSources, Net: twoSourcesSpec})
+	if status != http.StatusInternalServerError {
+		t.Fatalf("panicking search: status %d (%+v), want 500", status, errResp)
 	}
 	_, metricsBody := getBody(t, ts.URL+"/metrics")
 	assertMetricMin(t, metricsBody, "qss_panics_total", 1)

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/compile"
 	"repro/internal/flowc"
@@ -20,10 +22,8 @@ type Baseline struct {
 	// Inline uses inlined communication primitives (the paper reports
 	// ~30% faster, larger code).
 	Inline bool
-	// Capacity is the uniform channel capacity (the x axis of Figure
-	// 20); individual channels can be overridden via CapacityOf.
-	Capacity int
-	// CapacityOf overrides capacities per channel name.
+	// CapacityOf overrides, per channel name, the uniform capacity
+	// NewBaseline gave every channel (the x axis of Figure 20).
 	CapacityOf map[string]int
 
 	Machine  *Machine
@@ -33,34 +33,34 @@ type Baseline struct {
 
 	// Switches counts context switches performed.
 	Switches int64
-
-	runners []*runner
 }
 
-type blockCond func() bool
-
-type runner struct {
-	name   string
-	scope  *Scope
-	resume chan struct{}
-	yield  chan struct{}
-	cond   blockCond // nil when runnable unconditionally
-	dead   bool      // permanently blocked (input exhausted) or crashed
-	err    error
-	// rbuf is the runner's channel-read scratch: READ_DATA copies the
+// process is one baseline process, run as a coroutine: it executes
+// until a port operation would block, then park hands control back to
+// Run's round-robin loop.
+type process struct {
+	b     *Baseline
+	cp    *compile.CompiledProcess
+	next  func() (struct{}, bool) // resumes the coroutine
+	yield func(struct{}) bool     // suspends it
+	ready func() bool             // nil when runnable unconditionally
+	err   error
+	// rbuf is the process's channel-read scratch: READ_DATA copies the
 	// received values straight into the destination cell, so the
 	// intermediate slice never escapes a step and is reused.
 	rbuf []int64
 }
 
-type quitPanic struct{}
+// errStopped unwinds a parked process once Run has returned.
+var errStopped = errors.New("sim: baseline stopped")
 
-// NewBaseline prepares a baseline execution of the system.
+// NewBaseline prepares a baseline execution of the system. Every
+// channel gets the given capacity (0 = unbounded), or its declared
+// bound where that is smaller.
 func NewBaseline(sys *link.System, cost *CostModel, capacity int) *Baseline {
 	b := &Baseline{
 		Sys:      sys,
 		Cost:     cost,
-		Capacity: capacity,
 		Machine:  NewMachine(cost),
 		Channels: map[string]*Channel{},
 		Inputs:   map[string]*InputStream{},
@@ -89,86 +89,34 @@ func (b *Baseline) Input(name string) *InputStream { return b.Inputs[name] }
 func (b *Baseline) Output(name string) *OutputStream { return b.Outputs[name] }
 
 // Run executes the system until no process can make progress (typically
-// because the environment input streams are exhausted). It returns the
-// total cycle count.
+// because the environment input streams are exhausted), or until one
+// fails. It returns the total cycle count. Every process has stopped
+// when Run returns; a process that never ran never starts.
 func (b *Baseline) Run() (int64, error) {
-	if b.CapacityOf != nil {
-		for name, cap := range b.CapacityOf {
-			if ch := b.Channels[name]; ch != nil {
-				ch.Capacity = cap
-			}
+	for name, cap := range b.CapacityOf {
+		if ch := b.Channels[name]; ch != nil {
+			ch.Capacity = cap
 		}
 	}
-	for _, cp := range b.Sys.Procs {
-		r := &runner{
-			name:   cp.Proc.Name,
-			scope:  NewScope(),
-			resume: make(chan struct{}),
-			yield:  make(chan struct{}),
-		}
-		// Hoisted declarations; startup initializers run once.
-		for _, v := range cp.InitVars {
-			r.scope.Declare(v.Name, v.ArraySize)
-		}
-		b.runners = append(b.runners, r)
-	}
+	procs := make([]*process, len(b.Sys.Procs))
 	for i, cp := range b.Sys.Procs {
-		r := b.runners[i]
-		proc := cp.Proc
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					if _, ok := p.(quitPanic); !ok {
-						r.err = fmt.Errorf("sim: process %s panicked: %v", r.name, p)
-					}
-				}
-				r.dead = true
-				r.yield <- struct{}{}
-			}()
-			<-r.resume
-			// Startup initializers.
-			cpi := b.Sys.ProcByName(r.name)
-			for _, v := range cpi.InitVars {
-				if v.Init != nil {
-					iv, err := b.Machine.Eval(r.scope, v.Init)
-					if err != nil {
-						r.err = err
-						panic(quitPanic{})
-					}
-					r.scope.Cell(v.Name)[0] = iv
-				}
-			}
-			for _, st := range cpi.InitStmts {
-				if err := b.Machine.ExecPlain(r.scope, st); err != nil {
-					r.err = err
-					panic(quitPanic{})
-				}
-			}
-			// Cyclic process semantics: the body repeats forever.
-			for {
-				for _, s := range bodyAfterInit(proc) {
-					if err := b.exec(r, s); err != nil {
-						r.err = err
-						panic(quitPanic{})
-					}
-				}
-			}
-		}()
+		p := &process{b: b, cp: cp}
+		var stop func()
+		p.next, stop = iter.Pull(p.run)
+		defer stop()
+		procs[i] = p
 	}
 	// Round-robin: run each runnable process until it blocks.
 	last := -1
 	for {
 		ran := false
-		for off := 0; off < len(b.runners); off++ {
-			i := (last + 1 + off) % len(b.runners)
-			r := b.runners[i]
-			if r.dead {
+		for off := range procs {
+			i := (last + 1 + off) % len(procs)
+			p := procs[i]
+			if p.ready != nil && !p.ready() {
 				continue
 			}
-			if r.cond != nil && !r.cond() {
-				continue
-			}
-			r.cond = nil
+			p.ready = nil
 			if last != i {
 				if last >= 0 {
 					b.Machine.Charge(b.Cost.CtxSwitch)
@@ -176,184 +124,95 @@ func (b *Baseline) Run() (int64, error) {
 				}
 				last = i
 			}
-			r.resume <- struct{}{}
-			<-r.yield
-			ran = true
-			if r.err != nil {
-				b.stopAll()
-				return b.Machine.Cycles, fmt.Errorf("sim: baseline: %v", r.err)
+			b.Machine.Steps = 0
+			if _, ok := p.next(); !ok {
+				// A process returns only when it fails.
+				return b.Machine.Cycles, fmt.Errorf("sim: baseline: %v", p.err)
 			}
+			ran = true
 			break
 		}
 		if !ran {
-			break
+			return b.Machine.Cycles, nil
 		}
 	}
-	b.stopAll()
-	return b.Machine.Cycles, nil
 }
 
-func (b *Baseline) stopAll() {
-	for _, r := range b.runners {
-		if r.dead {
-			continue
+// run is the process's coroutine: startup once, then the cyclic body
+// forever. It returns only on failure, or with errStopped once Run has
+// returned; a panic becomes the process's error. Every repetition of
+// the body counts a step, so a body that never yields (an empty one
+// included) exhausts the statement budget instead of spinning.
+func (p *process) run(yield func(struct{}) bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.err = fmt.Errorf("sim: process %s panicked: %v", p.cp.Proc.Name, v)
 		}
-		r.dead = true
-		// Wake the goroutine so it can unwind via quitPanic.
-		go func(rr *runner) {
-			defer func() { recover() }()
-			close(rr.resume)
-		}(r)
+	}()
+	p.yield = yield
+	m := p.b.Machine
+	sc, err := m.startProcess(p.cp)
+	for err == nil {
+		if err = m.step(); err == nil {
+			err = m.execSeq(sc, p.cp.Body, p)
+		}
 	}
+	p.err = err
 }
 
-// bodyAfterInit returns the process body minus the top-level
-// initialization prefix (declarations and port-free statements, handled
-// at startup).
-func bodyAfterInit(p *flowc.Process) []flowc.Stmt {
-	stmts := p.Body.Stmts
-	for len(stmts) > 0 {
-		if _, ok := stmts[0].(*flowc.DeclStmt); ok {
-			stmts = stmts[1:]
-			continue
-		}
-		if !compile.ContainsPortOp(stmts[0]) {
-			stmts = stmts[1:]
-			continue
-		}
-		break
+// park suspends the process until ready holds. It returns errStopped
+// when Run has returned instead of resuming it.
+func (p *process) park(ready func() bool) error {
+	p.ready = ready
+	if !p.yield(struct{}{}) {
+		return errStopped
 	}
-	return stmts
+	return nil
 }
 
-// park blocks the runner until cond holds; panics with quitPanic when the
-// simulation is being torn down.
-func (b *Baseline) park(r *runner, cond blockCond) {
-	r.cond = cond
-	r.yield <- struct{}{}
-	if _, ok := <-r.resume; !ok {
-		panic(quitPanic{})
-	}
-}
-
-// exec interprets one statement with full port semantics.
-func (b *Baseline) exec(r *runner, s flowc.Stmt) error {
-	m := b.Machine
-	switch x := s.(type) {
-	case nil:
-		return nil
-	case *flowc.Read:
-		return b.execRead(r, x)
-	case *flowc.Write:
-		return b.execWrite(r, x)
-	case *flowc.Select:
-		return b.execSelect(r, x)
-	case *flowc.Block:
-		for _, st := range x.Stmts {
-			if err := b.exec(r, st); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *flowc.If:
-		m.Charge(m.Cost.Branch)
-		c, err := m.EvalBool(r.scope, x.Cond)
-		if err != nil {
-			return err
-		}
-		if c {
-			return b.exec(r, x.Then)
-		}
-		return b.exec(r, x.Else)
-	case *flowc.While:
-		for {
-			m.Charge(m.Cost.Branch)
-			c, err := m.EvalBool(r.scope, x.Cond)
-			if err != nil {
-				return err
-			}
-			if !c {
-				return nil
-			}
-			if err := b.exec(r, x.Body); err != nil {
-				return err
-			}
-		}
-	case *flowc.For:
-		if x.Init != nil {
-			if err := b.exec(r, x.Init); err != nil {
-				return err
-			}
-		}
-		for {
-			if x.Cond != nil {
-				m.Charge(m.Cost.Branch)
-				c, err := m.EvalBool(r.scope, x.Cond)
-				if err != nil {
-					return err
-				}
-				if !c {
-					return nil
-				}
-			}
-			if err := b.exec(r, x.Body); err != nil {
-				return err
-			}
-			if x.Post != nil {
-				if _, err := m.Eval(r.scope, x.Post); err != nil {
-					return err
-				}
-			}
-		}
-	default:
-		// Plain statements (declarations, expressions) share the
-		// machine's executor.
-		return m.ExecPlain(r.scope, s)
-	}
-}
-
-func (b *Baseline) binding(proc, port string) *link.Binding {
-	return b.Sys.PortBinding(proc, port)
-}
-
-func (b *Baseline) execRead(r *runner, x *flowc.Read) error {
-	bd := b.binding(r.name, x.Port)
+// Read performs a blocking READ_DATA.
+func (p *process) Read(sc *Scope, x *flowc.Read) error {
+	b, m := p.b, p.b.Machine
+	bd := b.Sys.PortBinding(p.cp.Proc.Name, x.Port)
 	if bd == nil {
-		return fmt.Errorf("sim: %s.%s unbound", r.name, x.Port)
+		return fmt.Errorf("sim: %s.%s unbound", p.cp.Proc.Name, x.Port)
 	}
-	m := b.Machine
 	var vals []int64
+	var err error
 	switch bd.Kind {
 	case link.BindChannel:
 		ch := b.Channels[bd.Channel.Spec.Name]
 		if !ch.CanRead(x.NItems) {
 			ch.BlockedReads++
-			b.park(r, func() bool { return ch.CanRead(x.NItems) })
+			if err := p.park(func() bool { return ch.CanRead(x.NItems) }); err != nil {
+				return err
+			}
 		}
-		if cap(r.rbuf) < x.NItems {
-			r.rbuf = make([]int64, x.NItems)
+		if cap(p.rbuf) < x.NItems {
+			p.rbuf = make([]int64, x.NItems)
 		}
-		vals = r.rbuf[:x.NItems]
+		vals = p.rbuf[:x.NItems]
 		if err := ch.ReadInto(vals, x.NItems); err != nil {
 			return err
 		}
 	case link.BindEnvIn:
 		in := b.Inputs[bd.Input.Spec.Name]
 		if in.Len() < x.NItems {
-			b.park(r, func() bool { return in.Len() >= x.NItems })
+			if err := p.park(func() bool { return in.Len() >= x.NItems }); err != nil {
+				return err
+			}
 		}
-		var err error
 		vals, err = in.Pop(x.NItems)
 		if err != nil {
 			return err
 		}
 		m.Charge(m.Cost.EnvCall + m.Cost.EnvItem*int64(x.NItems))
-		return storeRead(r.scope, x, vals)
+		return storeRead(sc, x, vals)
 	default:
-		return fmt.Errorf("sim: READ_DATA on non-input binding %s.%s", r.name, x.Port)
+		return fmt.Errorf("sim: READ_DATA on non-input binding %s.%s", p.cp.Proc.Name, x.Port)
 	}
 	m.Charge(m.Cost.commCall(b.Inline) + m.Cost.CommItem*int64(x.NItems))
-	return storeRead(r.scope, x, vals)
+	return storeRead(sc, x, vals)
 }
 
 // storeRead writes received values into the destination variable.
@@ -390,13 +249,14 @@ func (m *Machine) loadWrite(sc *Scope, x *flowc.Write) ([]int64, error) {
 	return []int64{v}, nil
 }
 
-func (b *Baseline) execWrite(r *runner, x *flowc.Write) error {
-	bd := b.binding(r.name, x.Port)
+// Write performs a blocking WRITE_DATA.
+func (p *process) Write(sc *Scope, x *flowc.Write) error {
+	b, m := p.b, p.b.Machine
+	bd := b.Sys.PortBinding(p.cp.Proc.Name, x.Port)
 	if bd == nil {
-		return fmt.Errorf("sim: %s.%s unbound", r.name, x.Port)
+		return fmt.Errorf("sim: %s.%s unbound", p.cp.Proc.Name, x.Port)
 	}
-	m := b.Machine
-	vals, err := m.loadWrite(r.scope, x)
+	vals, err := m.loadWrite(sc, x)
 	if err != nil {
 		return err
 	}
@@ -405,7 +265,9 @@ func (b *Baseline) execWrite(r *runner, x *flowc.Write) error {
 		ch := b.Channels[bd.Channel.Spec.Name]
 		if !ch.CanWrite(len(vals)) {
 			ch.BlockedWrites++
-			b.park(r, func() bool { return ch.CanWrite(len(vals)) })
+			if err := p.park(func() bool { return ch.CanWrite(len(vals)) }); err != nil {
+				return err
+			}
 		}
 		if err := ch.Write(vals); err != nil {
 			return err
@@ -415,15 +277,42 @@ func (b *Baseline) execWrite(r *runner, x *flowc.Write) error {
 		m.Charge(m.Cost.EnvCall + m.Cost.EnvItem*int64(len(vals)))
 		return nil
 	default:
-		return fmt.Errorf("sim: WRITE_DATA on non-output binding %s.%s", r.name, x.Port)
+		return fmt.Errorf("sim: WRITE_DATA on non-output binding %s.%s", p.cp.Proc.Name, x.Port)
 	}
 	m.Charge(m.Cost.commCall(b.Inline) + m.Cost.CommItem*int64(len(vals)))
 	return nil
 }
 
+// Select picks the first ready arm in priority order, blocking until
+// one is ready.
+func (p *process) Select(x *flowc.Select) (int, error) {
+	if i := p.readyArm(x); i >= 0 {
+		return i, nil
+	}
+	if err := p.park(func() bool { return p.readyArm(x) >= 0 }); err != nil {
+		return 0, err
+	}
+	if i := p.readyArm(x); i >= 0 {
+		return i, nil
+	}
+	return 0, fmt.Errorf("sim: SELECT woke with no ready arm in %s", p.cp.Proc.Name)
+}
+
+// readyArm returns the first SELECT arm that can proceed without
+// blocking, or -1.
+func (p *process) readyArm(x *flowc.Select) int {
+	for i := range x.Arms {
+		if p.armReady(&x.Arms[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // armReady reports whether a SELECT arm can proceed without blocking.
-func (b *Baseline) armReady(proc string, a *flowc.SelectArm) bool {
-	bd := b.binding(proc, a.Port)
+func (p *process) armReady(a *flowc.SelectArm) bool {
+	b := p.b
+	bd := b.Sys.PortBinding(p.cp.Proc.Name, a.Port)
 	if bd == nil {
 		return false
 	}
@@ -431,7 +320,7 @@ func (b *Baseline) armReady(proc string, a *flowc.SelectArm) bool {
 	case link.BindChannel:
 		ch := b.Channels[bd.Channel.Spec.Name]
 		// Direction decides: readers need items, writers need space.
-		if pd := b.Sys.ProcByName(proc).Proc.PortByName(a.Port); pd != nil && pd.Dir == flowc.PortOut {
+		if pd := p.cp.Proc.PortByName(a.Port); pd != nil && pd.Dir == flowc.PortOut {
 			return ch.CanWrite(a.NItems)
 		}
 		return ch.CanRead(a.NItems)
@@ -441,40 +330,4 @@ func (b *Baseline) armReady(proc string, a *flowc.SelectArm) bool {
 		return true
 	}
 	return false
-}
-
-func (b *Baseline) execSelect(r *runner, x *flowc.Select) error {
-	b.Machine.Charge(b.Machine.Cost.Branch)
-	pick := -1
-	for i := range x.Arms {
-		if b.armReady(r.name, &x.Arms[i]) {
-			pick = i
-			break
-		}
-	}
-	if pick < 0 {
-		b.park(r, func() bool {
-			for i := range x.Arms {
-				if b.armReady(r.name, &x.Arms[i]) {
-					return true
-				}
-			}
-			return false
-		})
-		for i := range x.Arms {
-			if b.armReady(r.name, &x.Arms[i]) {
-				pick = i
-				break
-			}
-		}
-	}
-	if pick < 0 {
-		return fmt.Errorf("sim: SELECT woke with no ready arm in %s", r.name)
-	}
-	for _, st := range x.Arms[pick].Body {
-		if err := b.exec(r, st); err != nil {
-			return err
-		}
-	}
-	return nil
 }

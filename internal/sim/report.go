@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 )
 
@@ -38,8 +39,7 @@ func RunBaselinePFC(r *core.Result, w Workload, capacity int, cost *CostModel, i
 	if err != nil {
 		return 0, err
 	}
-	want := w.Frames * 100 // FramePixels; kept local to avoid an import cycle
-	if got := len(b.Output("display").Vals); got != want {
+	if got, want := len(b.Output("display").Vals), w.Frames*apps.FramePixels; got != want {
 		return 0, fmt.Errorf("sim: baseline produced %d pixels, want %d", got, want)
 	}
 	return cycles, nil

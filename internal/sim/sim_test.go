@@ -2,11 +2,16 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/apps"
+	"repro/internal/compile"
 	"repro/internal/flowc"
+	"repro/internal/link"
 )
 
 func evalStr(t *testing.T, sc *Scope, expr string) int64 {
@@ -98,7 +103,7 @@ func TestExecPlainControlFlow(t *testing.T) {
 	sc := NewScope()
 	m := NewMachine(PFC)
 	for _, s := range p.Body.Stmts {
-		if err := m.ExecPlain(sc, s); err != nil {
+		if err := m.Exec(sc, s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,6 +113,10 @@ func TestExecPlainControlFlow(t *testing.T) {
 	}
 	if m.Cycles <= 0 {
 		t.Error("execution should charge cycles")
+	}
+	// Without a port, a port operation is an error.
+	if err := m.Exec(sc, &flowc.Read{Port: "in", Dest: &flowc.Ident{Name: "sum"}, NItems: 1}, nil); err == nil {
+		t.Error("READ_DATA without a port should fail")
 	}
 }
 
@@ -120,7 +129,7 @@ func TestIncDecSemantics(t *testing.T) {
 	sc := NewScope()
 	m := NewMachine(PFC)
 	for _, s := range p.Body.Stmts {
-		if err := m.ExecPlain(sc, s); err != nil {
+		if err := m.Exec(sc, s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +145,7 @@ func TestStepBudget(t *testing.T) {
 	}
 	m := NewMachine(PFC)
 	m.MaxSteps = 1000
-	err = m.ExecPlain(NewScope(), p.Body.Stmts[1])
+	err = m.Exec(NewScope(), p.Body.Stmts[1], nil)
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("infinite loop should exhaust the budget, got %v", err)
 	}
@@ -244,6 +253,193 @@ func TestBaselineHonorsDeclaredBound(t *testing.T) {
 	}
 	if got := b.Channels["Pix"].MaxOccupancy; got > 2 {
 		t.Errorf("Pix occupancy %d exceeds override 2", got)
+	}
+}
+
+// settleGoroutines waits up to a second for the goroutine count to fall
+// to want and returns the last count it saw.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestBaselineRunLeavesNoGoroutines(t *testing.T) {
+	r := pfcResult(t)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		b := NewBaseline(r.Sys, PFC, 2)
+		b.Input("init").Push(int64(i))
+		b.Input("cin").Push(1)
+		if _, err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := settleGoroutines(before); after > before {
+		t.Errorf("goroutines: %d before 20 runs, %d after", before, after)
+	}
+}
+
+// linkSources parses, compiles and links a system without scheduling
+// it, for baseline runs of systems synthesis would reject.
+func linkSources(t *testing.T, flowcSrc, specSrc string) *link.System {
+	t.Helper()
+	f, err := flowc.ParseFile(flowcSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var procs []*compile.CompiledProcess
+	for _, p := range f.Processes {
+		cp, err := compile.CompileProcess(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, cp)
+	}
+	spec, err := link.ParseSpec(strings.NewReader(specSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := link.Link(procs, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestBaselineStopsOnStartupFailure: the first process divides by zero
+// at startup, before the second, which never blocks, has run. Run
+// returns the error, and the second process never starts: the cycle
+// count and the output stay as Run left them.
+func TestBaselineStopsOnStartupFailure(t *testing.T) {
+	sys := linkSources(t, `
+PROCESS failer (In DPORT x) {
+  int d, z;
+  d = 0;
+  z = 1 / d;
+  while (1) {
+    READ_DATA(x, &z, 1);
+  }
+}
+
+PROCESS spinner (Out DPORT y) {
+  int i;
+  i = 0;
+  while (1) {
+    WRITE_DATA(y, i, 1);
+    i++;
+  }
+}
+`, `
+system failing
+input x -> failer.x uncontrollable
+output spinner.y -> y
+`)
+	before := runtime.NumGoroutine()
+	b := NewBaseline(sys, PFC, 1)
+	b.Input("x").Push(1)
+	cycles, err := b.Run()
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("Run = %v, want a division by zero", err)
+	}
+	if cycles != b.Machine.Cycles {
+		t.Errorf("Run returned %d cycles, machine reads %d", cycles, b.Machine.Cycles)
+	}
+	out := len(b.Output("y").Vals)
+	if after := settleGoroutines(before); after > before {
+		t.Errorf("goroutines: %d before Run, %d after", before, after)
+	}
+	if b.Machine.Cycles != cycles || len(b.Output("y").Vals) != out {
+		t.Errorf("after Run: cycles %d -> %d, output %d -> %d items",
+			cycles, b.Machine.Cycles, out, len(b.Output("y").Vals))
+	}
+}
+
+// TestBaselineProcessPanic: a panic inside a process comes back as
+// Run's error naming the process.
+func TestBaselineProcessPanic(t *testing.T) {
+	r := pfcResult(t)
+	b := NewBaseline(r.Sys, PFC, 2)
+	b.Channels["Pix"] = nil // the producer's first write dereferences it
+	b.Input("init").Push(0)
+	b.Input("cin").Push(1)
+	_, err := b.Run()
+	if err == nil || !strings.Contains(err.Error(), "process producer panicked") {
+		t.Fatalf("Run = %v, want the producer's panic", err)
+	}
+}
+
+// TestStepBudgetPerResume: MaxSteps bounds the work between two yields,
+// not a whole run. Ten PFC frames execute about 15,000 statements in the
+// baseline and 7,000 in the task, both past a budget of 5,000 that no
+// single resume or trigger comes near.
+func TestStepBudgetPerResume(t *testing.T) {
+	r := pfcResult(t)
+	const frames, budget = 10, 5000
+	b := NewBaseline(r.Sys, PFC, 1)
+	b.Machine.MaxSteps = budget
+	Workload{Frames: frames}.feed(b)
+	if _, err := b.Run(); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	if got, want := len(b.Output("display").Vals), frames*apps.FramePixels; got != want {
+		t.Errorf("baseline displayed %d pixels, want %d", got, want)
+	}
+	te, err := NewTaskExec(r.Sys, r.Tasks[0], PFC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te.Machine.MaxSteps = budget
+	for f := 0; f < frames; f++ {
+		te.Input("cin").Push(int64(f%8 + 1))
+		if err := te.Trigger(int64(f)); err != nil {
+			t.Fatalf("task, trigger %d: %v", f, err)
+		}
+	}
+}
+
+// TestBaselineProcessWithoutPortOps: a process whose whole body is its
+// startup code has an empty cyclic body. It never yields, so Run ends
+// with the statement budget error instead of spinning.
+func TestBaselineProcessWithoutPortOps(t *testing.T) {
+	sys := linkSources(t, `
+PROCESS echo (In DPORT x, Out DPORT y) {
+  int v;
+  while (1) {
+    READ_DATA(x, &v, 1);
+    WRITE_DATA(y, v, 1);
+  }
+}
+
+PROCESS idle () {
+  int a;
+  a = 1;
+}
+`, `
+system idling
+input x -> echo.x uncontrollable
+output echo.y -> y
+`)
+	b := NewBaseline(sys, PFC, 1)
+	b.Machine.MaxSteps = 1000
+	b.Input("x").Push(7)
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Fatalf("Run = %v, want the statement budget error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still spinning after 10 s")
 	}
 }
 

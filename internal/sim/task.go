@@ -25,20 +25,26 @@ type TaskExec struct {
 	Machine *Machine
 	Inputs  map[string]*InputStream
 	Outputs map[string]*OutputStream
-	// Shared holds inter-task channels (keyed by channel name) when
-	// several tasks coexist; intra-task channels are internal.
-	Shared map[string]*Channel
 
 	// Triggers counts environment triggers served.
 	Triggers int64
 
-	scopes map[string]*Scope
+	procs  map[string]*taskProc
 	intra  map[int]*Channel // channel place ID -> local buffer
 	cur    *sched.Node
 	curSeg *codegen.Segment
 	segOf  map[int]*codegen.Segment // ECS index -> segment containing it
-	// rbuf is the channel-read scratch; see runner.rbuf in baseline.go.
+	// rbuf is the channel-read scratch; see process.rbuf in baseline.go.
 	rbuf []int64
+}
+
+// taskProc is one process inside the task: its variables, and the Port
+// through which its fragments' port operations reach the task's local
+// buffers and the environment.
+type taskProc struct {
+	te    *TaskExec
+	name  string
+	scope *Scope
 }
 
 // NewTaskExec prepares execution of a generated task within its system.
@@ -50,8 +56,7 @@ func NewTaskExec(sys *link.System, task *codegen.Task, cost *CostModel) (*TaskEx
 		Machine: NewMachine(cost),
 		Inputs:  map[string]*InputStream{},
 		Outputs: map[string]*OutputStream{},
-		Shared:  map[string]*Channel{},
-		scopes:  map[string]*Scope{},
+		procs:   map[string]*taskProc{},
 		intra:   map[int]*Channel{},
 		segOf:   map[int]*codegen.Segment{},
 	}
@@ -61,25 +66,12 @@ func NewTaskExec(sys *link.System, task *codegen.Task, cost *CostModel) (*TaskEx
 	for _, out := range sys.Outputs {
 		te.Outputs[out.Spec.Name] = &OutputStream{Name: out.Spec.Name}
 	}
-	// Per-process scopes with hoisted declarations and startup inits.
 	for _, cp := range sys.Procs {
-		sc := NewScope()
-		for _, v := range cp.InitVars {
-			sc.Declare(v.Name, v.ArraySize)
-			if v.Init != nil {
-				iv, err := te.Machine.Eval(sc, v.Init)
-				if err != nil {
-					return nil, err
-				}
-				sc.Cell(v.Name)[0] = iv
-			}
+		sc, err := te.Machine.startProcess(cp)
+		if err != nil {
+			return nil, err
 		}
-		for _, st := range cp.InitStmts {
-			if err := te.Machine.ExecPlain(sc, st); err != nil {
-				return nil, err
-			}
-		}
-		te.scopes[cp.Proc.Name] = sc
+		te.procs[cp.Proc.Name] = &taskProc{te: te, name: cp.Proc.Name, scope: sc}
 	}
 	// Intra-task buffers sized by the schedule's place bounds; the
 	// capacity doubles as an assertion of the static bound.
@@ -130,6 +122,7 @@ func (te *TaskExec) Trigger(vals ...int64) error {
 	}
 	te.Triggers++
 	m := te.Machine
+	m.Steps = 0
 	m.Charge(m.Cost.Dispatch)
 	s := te.Task.Schedule
 	n := te.cur
@@ -167,7 +160,7 @@ func (te *TaskExec) pickEdge(n *sched.Node) (int, error) {
 			continue
 		}
 		te.Machine.Charge(te.Machine.Cost.Branch)
-		v, err := te.Machine.EvalBool(te.scopes[t0.Process], ci.Cond)
+		v, err := te.Machine.EvalBool(te.procs[t0.Process].scope, ci.Cond)
 		if err != nil {
 			return 0, err
 		}
@@ -206,57 +199,38 @@ func (te *TaskExec) fire(tid int) error {
 	if !ok {
 		return nil // hand-built nets carry no code
 	}
-	sc := te.scopes[frag.Process]
-	for _, st := range frag.Stmts {
-		switch x := st.(type) {
-		case *flowc.Read:
-			if err := te.execRead(sc, frag.Process, x); err != nil {
-				return err
-			}
-		case *flowc.Write:
-			if err := te.execWrite(sc, frag.Process, x); err != nil {
-				return err
-			}
-		default:
-			if err := m.ExecPlain(sc, st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	p := te.procs[frag.Process]
+	return m.execSeq(p.scope, frag.Stmts, p)
 }
 
-func (te *TaskExec) execRead(sc *Scope, proc string, x *flowc.Read) error {
-	bd := te.Sys.PortBinding(proc, x.Port)
+// Read performs a READ_DATA from a local buffer or the environment.
+func (p *taskProc) Read(sc *Scope, x *flowc.Read) error {
+	te := p.te
+	bd := te.Sys.PortBinding(p.name, x.Port)
 	if bd == nil {
-		return fmt.Errorf("sim: %s.%s unbound", proc, x.Port)
+		return fmt.Errorf("sim: %s.%s unbound", p.name, x.Port)
 	}
 	m := te.Machine
 	var vals []int64
 	var err error
 	switch bd.Kind {
 	case link.BindChannel:
-		pid := bd.Channel.Place.ID
-		if cap(te.rbuf) < x.NItems {
-			te.rbuf = make([]int64, x.NItems)
-		}
-		if ch := te.intra[pid]; ch != nil {
+		if ch := te.intra[bd.Channel.Place.ID]; ch != nil {
+			if cap(te.rbuf) < x.NItems {
+				te.rbuf = make([]int64, x.NItems)
+			}
 			vals = te.rbuf[:x.NItems]
 			err = ch.ReadInto(vals, x.NItems)
 			m.Charge(m.Cost.LocalItem * int64(x.NItems))
-		} else if ch := te.Shared[bd.Channel.Spec.Name]; ch != nil {
-			vals = te.rbuf[:x.NItems]
-			err = ch.ReadInto(vals, x.NItems)
-			m.Charge(m.Cost.commCall(true) + m.Cost.CommItem*int64(x.NItems))
 		} else {
-			err = fmt.Errorf("sim: channel %s is neither intra-task nor shared", bd.Channel.Spec.Name)
+			err = fmt.Errorf("sim: channel %s is not local to the task", bd.Channel.Spec.Name)
 		}
 	case link.BindEnvIn:
 		in := te.Inputs[bd.Input.Spec.Name]
 		vals, err = in.Pop(x.NItems)
 		m.Charge(m.Cost.EnvCall + m.Cost.EnvItem*int64(x.NItems))
 	default:
-		err = fmt.Errorf("sim: READ_DATA on non-input binding %s.%s", proc, x.Port)
+		err = fmt.Errorf("sim: READ_DATA on non-input binding %s.%s", p.name, x.Port)
 	}
 	if err != nil {
 		return fmt.Errorf("sim: task %s: %v (schedule bound violated?)", te.Task.Name, err)
@@ -264,10 +238,12 @@ func (te *TaskExec) execRead(sc *Scope, proc string, x *flowc.Read) error {
 	return storeRead(sc, x, vals)
 }
 
-func (te *TaskExec) execWrite(sc *Scope, proc string, x *flowc.Write) error {
-	bd := te.Sys.PortBinding(proc, x.Port)
+// Write performs a WRITE_DATA to a local buffer or the environment.
+func (p *taskProc) Write(sc *Scope, x *flowc.Write) error {
+	te := p.te
+	bd := te.Sys.PortBinding(p.name, x.Port)
 	if bd == nil {
-		return fmt.Errorf("sim: %s.%s unbound", proc, x.Port)
+		return fmt.Errorf("sim: %s.%s unbound", p.name, x.Port)
 	}
 	m := te.Machine
 	vals, err := m.loadWrite(sc, x)
@@ -276,25 +252,25 @@ func (te *TaskExec) execWrite(sc *Scope, proc string, x *flowc.Write) error {
 	}
 	switch bd.Kind {
 	case link.BindChannel:
-		pid := bd.Channel.Place.ID
-		if ch := te.intra[pid]; ch != nil {
-			if err := ch.Write(vals); err != nil {
-				return fmt.Errorf("sim: task %s: %v (schedule bound violated?)", te.Task.Name, err)
-			}
-			m.Charge(m.Cost.LocalItem * int64(len(vals)))
-		} else if ch := te.Shared[bd.Channel.Spec.Name]; ch != nil {
-			if err := ch.Write(vals); err != nil {
-				return err
-			}
-			m.Charge(m.Cost.commCall(true) + m.Cost.CommItem*int64(len(vals)))
-		} else {
-			return fmt.Errorf("sim: channel %s is neither intra-task nor shared", bd.Channel.Spec.Name)
+		ch := te.intra[bd.Channel.Place.ID]
+		if ch == nil {
+			return fmt.Errorf("sim: channel %s is not local to the task", bd.Channel.Spec.Name)
 		}
+		if err := ch.Write(vals); err != nil {
+			return fmt.Errorf("sim: task %s: %v (schedule bound violated?)", te.Task.Name, err)
+		}
+		m.Charge(m.Cost.LocalItem * int64(len(vals)))
 	case link.BindEnvOut:
 		te.Outputs[bd.Output.Spec.Name].Append(vals...)
 		m.Charge(m.Cost.EnvCall + m.Cost.EnvItem*int64(len(vals)))
 	default:
-		return fmt.Errorf("sim: WRITE_DATA on non-output binding %s.%s", proc, x.Port)
+		return fmt.Errorf("sim: WRITE_DATA on non-output binding %s.%s", p.name, x.Port)
 	}
 	return nil
+}
+
+// Select fails: the compiler turns a SELECT into net structure, so no
+// fragment of a compiled process holds one.
+func (p *taskProc) Select(*flowc.Select) (int, error) {
+	return 0, fmt.Errorf("sim: task %s: SELECT inside a fragment of %s", p.te.Task.Name, p.name)
 }

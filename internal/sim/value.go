@@ -4,6 +4,12 @@
 // single-task executor — plus the cost-model presets and the code-size
 // estimator used to regenerate Figure 20 and Tables 1 and 2.
 //
+// Both executors run FlowC statements through one interpreter,
+// Machine.Exec, and differ only in the Port that carries out READ_DATA,
+// WRITE_DATA and SELECT. The baseline runs each process as a coroutine
+// that yields where a port operation would block; every process has
+// stopped when Baseline.Run returns.
+//
 // The paper measured a real R3000 board; this package substitutes a
 // calibrated cost model that exercises the same code paths (context
 // switches and channel traffic versus inlined sequential code), so the
@@ -14,6 +20,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/compile"
 	"repro/internal/flowc"
 )
 
@@ -63,18 +70,23 @@ func (l lvalue) get() int64 { return l.cell[l.idx] }
 
 func (l lvalue) set(v int64) { l.cell[l.idx] = v }
 
-// Machine evaluates expressions and plain (port-free) statements while
-// charging cycles to a cost model.
+// Machine evaluates expressions and executes statements while charging
+// cycles to a cost model. It is the one statement interpreter of both
+// executors; each supplies the Port its port operations go through.
 type Machine struct {
 	Cost   *CostModel
 	Cycles int64
-	// Steps counts executed statements (a loop-safety budget).
+	// Steps counts executed statements and loop iterations; it charges
+	// no cycles. MaxSteps bounds it, so a runaway loop fails instead of
+	// spinning. The executors reset Steps each time they resume a
+	// process or serve a trigger, so the budget bounds the work between
+	// two yields, not a whole run.
 	Steps    int64
 	MaxSteps int64
 }
 
 // NewMachine returns a machine with the given cost model and a default
-// step budget of 100 million statements.
+// step budget of 100 million statements per resume.
 func NewMachine(cost *CostModel) *Machine {
 	return &Machine{Cost: cost, MaxSteps: 100_000_000}
 }
@@ -252,9 +264,18 @@ func (m *Machine) EvalBool(sc *Scope, e flowc.Expr) (bool, error) {
 	return v != 0, err
 }
 
-// ExecPlain executes a statement that performs no port operations
-// (fragment bodies and plain control flow).
-func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
+// Port carries out the port operations of one process for Exec.
+type Port interface {
+	Read(sc *Scope, x *flowc.Read) error
+	Write(sc *Scope, x *flowc.Write) error
+	// Select returns the index of the arm to run, once one can proceed.
+	Select(x *flowc.Select) (int, error)
+}
+
+// Exec executes one statement, charging the cost model. Port
+// operations go to port; with a nil port they are an error. Every
+// statement and every loop iteration counts against MaxSteps.
+func (m *Machine) Exec(sc *Scope, s flowc.Stmt, port Port) error {
 	if err := m.step(); err != nil {
 		return err
 	}
@@ -278,12 +299,7 @@ func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
 		_, err := m.Eval(sc, x.X)
 		return err
 	case *flowc.Block:
-		for _, st := range x.Stmts {
-			if err := m.ExecPlain(sc, st); err != nil {
-				return err
-			}
-		}
-		return nil
+		return m.execSeq(sc, x.Stmts, port)
 	case *flowc.If:
 		m.Charge(m.Cost.Branch)
 		c, err := m.EvalBool(sc, x.Cond)
@@ -291,9 +307,9 @@ func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
 			return err
 		}
 		if c {
-			return m.ExecPlain(sc, x.Then)
+			return m.Exec(sc, x.Then, port)
 		}
-		return m.ExecPlain(sc, x.Else)
+		return m.Exec(sc, x.Else, port)
 	case *flowc.While:
 		for {
 			m.Charge(m.Cost.Branch)
@@ -304,7 +320,7 @@ func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
 			if !c {
 				return nil
 			}
-			if err := m.ExecPlain(sc, x.Body); err != nil {
+			if err := m.Exec(sc, x.Body, port); err != nil {
 				return err
 			}
 			if err := m.step(); err != nil {
@@ -313,7 +329,7 @@ func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
 		}
 	case *flowc.For:
 		if x.Init != nil {
-			if err := m.ExecPlain(sc, x.Init); err != nil {
+			if err := m.Exec(sc, x.Init, port); err != nil {
 				return err
 			}
 		}
@@ -328,7 +344,7 @@ func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
 					return nil
 				}
 			}
-			if err := m.ExecPlain(sc, x.Body); err != nil {
+			if err := m.Exec(sc, x.Body, port); err != nil {
 				return err
 			}
 			if x.Post != nil {
@@ -340,8 +356,56 @@ func (m *Machine) ExecPlain(sc *Scope, s flowc.Stmt) error {
 				return err
 			}
 		}
+	case *flowc.Read:
+		if port != nil {
+			return port.Read(sc, x)
+		}
+	case *flowc.Write:
+		if port != nil {
+			return port.Write(sc, x)
+		}
+	case *flowc.Select:
+		if port != nil {
+			m.Charge(m.Cost.Branch)
+			i, err := port.Select(x)
+			if err != nil {
+				return err
+			}
+			return m.execSeq(sc, x.Arms[i].Body, port)
+		}
 	}
-	return fmt.Errorf("sim: ExecPlain cannot execute %T (port operation in plain context?)", s)
+	return fmt.Errorf("sim: cannot execute %T here (a port operation needs a port)", s)
+}
+
+// execSeq executes statements in order, stopping at the first error.
+func (m *Machine) execSeq(sc *Scope, stmts []flowc.Stmt, port Port) error {
+	for _, st := range stmts {
+		if err := m.Exec(sc, st, port); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startProcess returns a new scope for one process of either executor:
+// its hoisted variables declared, their startup initializers evaluated
+// and its startup statements run.
+func (m *Machine) startProcess(cp *compile.CompiledProcess) (*Scope, error) {
+	sc := NewScope()
+	for _, v := range cp.InitVars {
+		sc.Declare(v.Name, v.ArraySize)
+		if v.Init != nil {
+			iv, err := m.Eval(sc, v.Init)
+			if err != nil {
+				return nil, err
+			}
+			sc.Cell(v.Name)[0] = iv
+		}
+	}
+	if err := m.execSeq(sc, cp.InitStmts, nil); err != nil {
+		return nil, err
+	}
+	return sc, nil
 }
 
 func b2i(b bool) int64 {
