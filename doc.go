@@ -77,17 +77,24 @@
 // interned state or per recorded edge: the driver's enabled-bit arena,
 // a ReachResult's Edges headers and Clipped flags, the graph engine's
 // state table and adjacency arenas, and a dist worker's gids and bits.
-// All of them grow by one rule, petri.Grow: capacity at least doubles
-// when it runs out, so a table allocates about twice its final
-// capacity in all, where append's ~1.25x growth of large slices costs
-// about five times. The graph engine's tables hold partition and state
-// indices, never pointers, so the garbage collector never scans them
-// and copying them needs no write barriers. Together the two cut a
-// cold PFC synthesis from 25.9 to 17.7 MB allocated and its CPU time
-// by over a fifth; `make bytes-gates` bounds what the PFC search and
-// serial ExploreLarge allocate at 3.3x and 1.85x their stores' hot
-// bytes (with four-byte tokens the stores are half as large, so these
-// ratios allow fewer bytes than the 2.5x and 1.6x of eight-byte ones).
+// All of them grow through petri.Push and petri.Extend, by one rule:
+// capacity at least doubles when it runs out, so a table allocates
+// about twice its final capacity in all, where append's ~1.25x growth
+// of large slices costs about five times. The graph engine's tables
+// hold partition and state indices, never pointers, so the garbage
+// collector never scans their contents and copying them on growth
+// needs no write barriers. A table's slice header is another matter:
+// it lives in a heap object (the engine, the driver, the result), and
+// storing a data pointer there pays a write barrier whenever the
+// collector is marking. Push and Extend store only the new length
+// while capacity lasts, so the header's pointer, and its barrier, is
+// written once per reallocation instead of once per successor. The
+// doubling rule and the pointer-free tables cut a cold PFC synthesis
+// from 25.9 to 17.7 MB allocated and its CPU time by over a fifth;
+// `make bytes-gates` bounds what the PFC search and serial
+// ExploreLarge allocate at 3.3x and 1.85x their stores' hot bytes (with
+// four-byte tokens the stores are half as large, so these ratios allow
+// fewer bytes than the 2.5x and 1.6x of eight-byte ones).
 //
 // # Concurrency and caching
 //
@@ -98,8 +105,9 @@
 // Each search itself is serial:
 // petri.Drive, the one level-synchronous exploration driver, expands a
 // state and merges each successor at once — fire into a scratch
-// buffer, hash once, probe the search's own petri.MarkingStore, intern
-// a new marking under the next dense MarkID — with no goroutines and
+// buffer, hash once, probe the search's own petri.MarkingStore once,
+// and intern a new marking at the slot that probe ended on, under the
+// next dense MarkID — with no goroutines and
 // no candidate buffers, so every explored marking's tokens are stored
 // once. There is no per-level goroutine fan-out: one lost to the serial
 // search in every measurement (CPU, wall time and bytes, at GOMAXPROCS

@@ -16,8 +16,8 @@ import (
 // marking once, the hash array grows with the probe table, the edge
 // rows are carved out of chunked arenas and the per-state tables (the
 // enabled-bit arena, the Edges headers, the Clipped flags) grow by
-// petri.Grow's doubling rule, so the store itself is most of what the
-// exploration allocates.
+// the doubling rule of petri.Push and petri.Extend, so the store itself
+// is most of what the exploration allocates.
 func TestExploreLargeBytes(t *testing.T) {
 	const pipes, stages = 5, 11
 	want := 1
@@ -45,9 +45,9 @@ func TestExploreLargeBytes(t *testing.T) {
 // TestPFCSearchBytes bounds what one cold synthesis of the paper's PFC
 // system allocates: at most 3.3x the exact hot bytes of the store its
 // 23,984-state schedule search builds (about 14.0 MB for the 4.26 MB
-// store of four-byte tokens; it allocates 13.0 MB). The search is
+// store of four-byte tokens; it allocates 12.8 MB). The search is
 // nearly all of the synthesis, and every per-state and per-edge table
-// of the graph engine grows by petri.Grow's doubling rule, so the bound
+// of the graph engine grows by petri.Push's doubling rule, so the bound
 // fails if a table falls back to append's ~1.25x growth, which
 // allocates about five times a table's final capacity.
 func TestPFCSearchBytes(t *testing.T) {

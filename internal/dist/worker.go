@@ -61,11 +61,11 @@ type replica struct {
 // interned records the global id g of the local state just interned
 // and returns its enabled-set words for the caller to fill with
 // fires.Init or Update. Every intern site calls it exactly once, in
-// intern order. gids and bits grow by petri.Grow's doubling rule.
+// intern order. gids and bits grow by petri.Push and petri.Extend.
 func (r *replica) interned(g petri.MarkID) []uint64 {
-	r.gids = append(petri.Grow(r.gids, 1), g)
+	petri.Push(&r.gids, g)
 	base := len(r.bits)
-	r.bits = petri.Grow(r.bits, r.stride)[:base+r.stride]
+	petri.Extend(&r.bits, r.stride)
 	return r.bits[base:]
 }
 

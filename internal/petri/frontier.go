@@ -20,8 +20,11 @@ import (
 // rerun. The caller's FiringTable fires every transition. Drive has
 // two modes:
 //
-//	inline: expand one state, then merge each of its edges at once —
-//	  fire, veto, hash, LookupHashed, Admit, InternChild, Edge. The
+//	inline: expand one state, then merge each of its edges at once.
+//	  The merge fires into one scratch marking, vetoes it, hashes it
+//	  and walks its probe run in the store once. A known successor is
+//	  an edge. A new one goes to Admit, and an admitted one is interned
+//	  at the empty slot that ended the walk, then becomes an edge. The
 //	  veto checks only the places the transition adds tokens to, and
 //	  the hash is the parent's plus the transition's constant
 //	  increment, so neither pass scans the marking.
@@ -194,8 +197,9 @@ type driver struct {
 	hooks MergeHooks
 	// Inline mode only: bits is the per-state enabled-ECS arena (state
 	// id's set is bits[id*stride : (id+1)*stride]), derived from the
-	// parent's set when a state is interned and grown by Grow's rule;
-	// scratch is the firing buffer reused across the whole exploration.
+	// parent's set when a state is interned and grown by Extend;
+	// scratch is the firing buffer, one marking long, that every
+	// successor of the exploration is fired into.
 	bits    []uint64
 	scratch Marking
 	// unbounded is set when spec leaves some place unbounded; the
@@ -237,6 +241,7 @@ func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
 // there on, which changes nothing the exploration computes.
 func (d *driver) runInline() bool {
 	d.bits = make([]uint64, d.ft.stride)
+	d.scratch = make(Marking, d.store.Places())
 	d.ft.Init(d.bits, d.store.At(0))
 	levelEnd := d.store.Len()
 	for id := 0; id < d.store.Len(); id++ {
@@ -283,22 +288,25 @@ func (d *driver) expand(id MarkID) bool {
 // or an edge to a newly interned one. full runs the whole cap scan
 // (see FiringTable.Veto).
 func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) bool {
-	d.scratch = d.ft.Fire(d.scratch, m, tid)
+	// scratch has len(m), so Fire fills it in place.
+	d.ft.Fire(d.scratch, m, tid)
 	if d.ft.Veto(&d.spec, d.scratch, tid, full) {
 		return d.hooks.Reject(parent, int32(tid), false)
 	}
 	h := d.ft.Hash(ph, tid)
-	if child, ok := d.store.LookupHashed(d.scratch, h); ok {
+	child, slot, alias := d.store.find(d.scratch, h)
+	if child != NoMark {
 		d.hooks.Edge(parent, int32(tid), child, false)
 		return true
 	}
 	if d.hooks.Admit != nil && !d.hooks.Admit() {
 		return d.hooks.Reject(parent, int32(tid), true)
 	}
-	child, _ := d.store.InternChild(d.scratch, h, parent, int32(tid))
+	// Admit interns nothing, so the probe run find ended is still open.
+	child = d.store.insert(d.scratch, h, slot, alias, parent, int32(tid))
 	// Update writes every word of the new state's set.
 	base, stride := len(d.bits), d.ft.stride
-	d.bits = Grow(d.bits, stride)[:base+stride]
+	Extend(&d.bits, stride)
 	d.ft.Update(d.bits[base:], d.bits[int(parent)*stride:(int(parent)+1)*stride], tid, d.scratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true

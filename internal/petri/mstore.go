@@ -225,14 +225,29 @@ func (s *MarkingStore) HashAt(id MarkID) uint64 { return s.hashes[id] }
 // HashMarking(m), which explorers derive from the parent's hash in O(1)
 // (see FiringTable). It never allocates.
 func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
+	id, _, _ := s.find(m, h)
+	return id, id != NoMark
+}
+
+// find walks m's probe run, h being HashMarking(m). It returns m's id
+// if m is interned; otherwise NoMark, the empty slot that ends the run,
+// and whether the run passed a different marking with hash h. That slot
+// and flag are what insert needs, so a caller that finds m absent
+// interns it without probing again, provided nothing interns in
+// between.
+func (s *MarkingStore) find(m Marking, h uint64) (MarkID, uint32, bool) {
+	alias := false
 	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
 		if e == 0 {
-			return NoMark, false
+			return NoMark, slot, alias
 		}
 		id := MarkID(e - 1)
-		if s.hashes[id] == h && s.At(id).Equal(m) {
-			return id, true
+		if s.hashes[id] == h {
+			if s.At(id).Equal(m) {
+				return id, slot, false
+			}
+			alias = true
 		}
 	}
 }
@@ -292,20 +307,18 @@ func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int
 	if len(m) != s.places {
 		panic("petri: marking length does not match store")
 	}
-	slot := probeHash(h) & s.mask
-	for ; ; slot = (slot + 1) & s.mask {
-		e := s.table[slot]
-		if e == 0 {
-			break
-		}
-		id := MarkID(e - 1)
-		if s.hashes[id] == h {
-			if s.At(id).Equal(m) {
-				return id, false
-			}
-			s.aliased = true
-		}
+	id, slot, alias := s.find(m, h)
+	if id != NoMark {
+		return id, false
 	}
+	return s.insert(m, h, slot, alias, parent, trans), true
+}
+
+// insert interns m, hashed h and absent from the store, as the child of
+// parent under trans (see InternChild): slot and alias are what find
+// returned for m, with no intern since. It returns m's new id.
+func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
+	s.aliased = s.aliased || alias
 	id := MarkID(len(s.hashes))
 	page, off := s.pageOf(int(id))
 	if off == 0 {
@@ -324,7 +337,7 @@ func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int
 	if len(s.hashes)*4 >= len(s.table)*3 {
 		s.grow()
 	}
-	return id, true
+	return id
 }
 
 // grow doubles the table and reinserts every id using the stored

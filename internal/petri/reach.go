@@ -198,10 +198,9 @@ func (e *reachExplorer) mergeHooks() MergeHooks {
 		Admit: func() bool { return e.res.Store.Len() < e.max },
 		Edge: func(parent MarkID, trans int32, child MarkID, isNew bool) {
 			if isNew {
-				// One row header and one flag per state, grown by Grow's
-				// doubling rule.
-				e.res.Edges = append(Grow(e.res.Edges, 1), nil)
-				e.res.Clipped = append(Grow(e.res.Clipped, 1), false)
+				// One row header and one flag per state.
+				Push(&e.res.Edges, nil)
+				Push(&e.res.Clipped, false)
 			}
 			e.addEdge(parent, ReachEdge{Trans: trans, To: child})
 		},

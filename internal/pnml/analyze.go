@@ -8,6 +8,7 @@ import (
 	"hash"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/petri"
 )
@@ -48,7 +49,8 @@ type Analysis struct {
 	// Edges counts the recorded reachability edges.
 	Edges int
 	// Fingerprint condenses the full ReachResult — markings in MarkID
-	// order, edges, clip flags, truncation — into a hex SHA-256.
+	// order, edges, clip flags, truncation — into a hex SHA-256 over
+	// their uvarint encoding (see the Fingerprint function).
 	Fingerprint string
 }
 
@@ -85,13 +87,16 @@ func countEdges(r *petri.ReachResult) int {
 	return total
 }
 
-// Fingerprint hashes everything a ReachResult determines: the marking
-// vectors in MarkID order, the edge lists (transition and successor),
-// the per-state clip flags and the truncation bit, each value as a
-// little-endian 64-bit word. Two explorations agree on the fingerprint
-// exactly when they produced byte-identical results — the conformance
-// matrix compares these across in-process, distributed and frozen
-// runs.
+// Fingerprint hashes everything a ReachResult determines: the state
+// count and the truncation bit, then per state in MarkID order its
+// marking vector, its clip flag, its edge count and its edges
+// (transition and successor). Each of these words goes into SHA-256 as
+// an unsigned varint (encoding/binary's uvarint), so a token count
+// below 128, the common case, is one byte. The encoding is prefix-free:
+// the byte stream decodes to exactly one word sequence. Two
+// explorations agree on the fingerprint exactly when they produced
+// byte-identical results — the conformance matrix compares these across
+// in-process, distributed and frozen runs.
 func Fingerprint(r *petri.ReachResult) string {
 	w := fingerprintWriter{h: sha256.New(), buf: make([]byte, 0, fingerprintBlock)}
 	w.reserve(2)
@@ -100,9 +105,7 @@ func Fingerprint(r *petri.ReachResult) string {
 	for id := 0; id < r.Len(); id++ {
 		m, es := r.MarkingAt(petri.MarkID(id)), r.Edges[id]
 		w.reserve(len(m) + 2 + 2*len(es))
-		for _, v := range m {
-			w.put(int(v))
-		}
+		w.putTokens(m)
 		w.putBool(r.Clipped[id])
 		w.put(len(es))
 		for _, e := range es {
@@ -116,7 +119,7 @@ func Fingerprint(r *petri.ReachResult) string {
 
 // fingerprintBlock is the byte count Fingerprint buffers between
 // SHA-256 Writes: the hashed byte stream is the same as with one Write
-// per word, without a Write call per 8 bytes.
+// per word, without a Write call per word.
 const fingerprintBlock = 4 << 10
 
 // fingerprintWriter serializes Fingerprint's words into one reused
@@ -127,17 +130,19 @@ type fingerprintWriter struct {
 }
 
 // reserve makes room for n more words, writing the buffered bytes to
-// the hash first if they would not fit.
+// the hash first if they might not fit, and growing the buffer if n
+// words of the longest encoding exceed it.
 func (w *fingerprintWriter) reserve(n int) {
-	if len(w.buf)+8*n > cap(w.buf) {
+	need := n * binary.MaxVarintLen64
+	if len(w.buf)+need > cap(w.buf) {
 		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
+		w.buf = slices.Grow(w.buf[:0], need)
 	}
 }
 
-// put appends one word as 8 little-endian bytes.
+// put appends one word as a uvarint of its 64-bit two's complement.
 func (w *fingerprintWriter) put(v int) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(int64(v)))
+	w.buf = binary.AppendUvarint(w.buf, uint64(int64(v)))
 }
 
 func (w *fingerprintWriter) putBool(b bool) {
@@ -146,6 +151,26 @@ func (w *fingerprintWriter) putBool(b bool) {
 	} else {
 		w.put(0)
 	}
+}
+
+// putTokens appends a marking's counts as put would. A count below
+// 128 is its own one-byte uvarint, so the loop copies those bytes
+// straight into the reserved buffer and falls back to put from the
+// first larger count on.
+func (w *fingerprintWriter) putTokens(m petri.Marking) {
+	n := len(w.buf)
+	dst := w.buf[n : n+len(m)]
+	for i, v := range m {
+		if uint32(v) >= 0x80 {
+			w.buf = w.buf[:n+i]
+			for _, v := range m[i:] {
+				w.put(int(v))
+			}
+			return
+		}
+		dst[i] = byte(v)
+	}
+	w.buf = w.buf[:n+len(m)]
 }
 
 // AnalyzeFile parses the PNML document at path and analyzes it.

@@ -2,6 +2,9 @@ package pnml_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,5 +190,91 @@ func TestPNMLRoundTrip(t *testing.T) {
 				t.Errorf("reimported net explores differently: %s vs %s", a2.Fingerprint, a1.Fingerprint)
 			}
 		})
+	}
+}
+
+// philosophersFingerprint is what `qssbatch -pnml` prints for
+// philosophers-4.pnml, and what docs/PNML.md shows.
+const philosophersFingerprint = "3a08a95dd14cacc06195ec52cf63f2b5240bb5b6660d3653a1e790bbc0329d11"
+
+// TestFingerprintPinned pins one fixture's fingerprint, so a change of
+// its encoding cannot pass unnoticed, and checks that the docs show it.
+func TestFingerprintPinned(t *testing.T) {
+	a, err := pnml.AnalyzeFile(filepath.Join("testdata", "suite", "philosophers-4.pnml"), pnml.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint != philosophersFingerprint {
+		t.Errorf("philosophers-4 fingerprint %s, want %s", a.Fingerprint, philosophersFingerprint)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "PNML.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), "fingerprint: "+philosophersFingerprint) {
+		t.Error("docs/PNML.md does not show philosophers-4's fingerprint")
+	}
+}
+
+// refFingerprint is Fingerprint's encoding written out word by word:
+// the SHA-256 of every word's uvarint, in Fingerprint's field order.
+func refFingerprint(r *petri.ReachResult) string {
+	var b []byte
+	word := func(v int) { b = binary.AppendUvarint(b, uint64(v)) }
+	flag := func(f bool) {
+		if f {
+			word(1)
+		} else {
+			word(0)
+		}
+	}
+	word(r.Len())
+	flag(r.Truncated)
+	for id := 0; id < r.Len(); id++ {
+		for _, v := range r.MarkingAt(petri.MarkID(id)) {
+			word(int(v))
+		}
+		flag(r.Clipped[id])
+		word(len(r.Edges[id]))
+		for _, e := range r.Edges[id] {
+			word(int(e.Trans))
+			word(int(e.To))
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFingerprintDistinguishes: results that differ only in one token
+// count, 127 against 128 (the last one-byte count and the first
+// two-byte one), or by one extra edge, get different fingerprints, and
+// each fingerprint is refFingerprint's.
+func TestFingerprintDistinguishes(t *testing.T) {
+	result := func(count int32, edges ...petri.ReachEdge) *petri.ReachResult {
+		s := petri.NewMarkingStore(3)
+		s.Intern(petri.Marking{1, count, 0})
+		s.Intern(petri.Marking{0, count, 1})
+		return &petri.ReachResult{
+			Store:   s,
+			Edges:   [][]petri.ReachEdge{edges, {{Trans: 1, To: 0}}},
+			Clipped: make([]bool, 2),
+		}
+	}
+	edge := petri.ReachEdge{Trans: 0, To: 1}
+	base := result(127, edge)
+	if got, want := pnml.Fingerprint(base), refFingerprint(base); got != want {
+		t.Errorf("base: fingerprint %s, reference encoding %s", got, want)
+	}
+	for name, r := range map[string]*petri.ReachResult{
+		"count 128":  result(128, edge),
+		"extra edge": result(127, edge, petri.ReachEdge{Trans: 2, To: 0}),
+	} {
+		got := pnml.Fingerprint(r)
+		if got == pnml.Fingerprint(base) {
+			t.Errorf("%s: fingerprint %s equals the base result's", name, got)
+		}
+		if want := refFingerprint(r); got != want {
+			t.Errorf("%s: fingerprint %s, reference encoding %s", name, got, want)
+		}
 	}
 }

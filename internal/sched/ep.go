@@ -29,8 +29,11 @@ type Options struct {
 	// independent for FlowC-derived nets (Prop. 4.3).
 	MultiSource bool
 	// MaxNodes bounds the number of tree nodes / graph states created
-	// (default DefaultMaxNodes; hash-consed states are compact enough
-	// that the budget is search time, not memory).
+	// (default DefaultMaxNodes). It bounds a search's memory only
+	// through the bytes each state costs, and those grow with the net's
+	// width: one search of a generated corpus app with 153 places
+	// allocates about 960 B per graph state, and synthesizing that app
+	// reaches 3.4 GB of RSS before the default budget stops it.
 	MaxNodes int
 	// ExploreWorkers is ignored.
 	//

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -89,19 +91,19 @@ func (pb *PlaceBounds) Caps(n *petri.Net) []int {
 // of the search's allocation bill.
 //
 // Every per-state and per-edge table (states, the three arenas, the
-// reverse CSR, usable, dist) holds indices, never pointers: an ECS is
-// its partition index, resolved through graphEngine.part. A pointer
-// per (state, ECS) pair would put one heap pointer per entry into a
-// table the garbage collector then marks on every cycle, and each copy
-// on growth would need write barriers. Pointer-free tables are never
-// scanned and are copied by a plain memmove. The tables the merge
-// appends to grow by petri.Grow's doubling rule.
+// reverse CSR, usable, dist and the rank queue's links) holds indices,
+// never pointers: an ECS is its partition index, resolved through
+// graphEngine.part. A pointer per (state, ECS) pair would put one heap
+// pointer per entry into a table the garbage collector then marks on
+// every cycle, and each copy on growth would need write barriers.
+// Pointer-free tables are never scanned and are copied by a plain
+// memmove. The tables the merge appends to grow by petri.Push, which
+// stores only a new length until a table reallocates.
 type gstate struct {
 	ecsStart, ecsEnd int32
 
-	occ  int32 // channel/port token occupancy, precomputed at intern
-	rank int32 // lfp stage of the reachability pass; -1 = unreached
-	inX  bool
+	occ int32 // channel/port token occupancy, precomputed at intern
+	inX bool
 }
 
 type graphEngine struct {
@@ -143,11 +145,16 @@ type graphEngine struct {
 	revSrc []int32
 	revECS []int32
 	// usable[k] caches, per fixpoint round, whether arena entry k keeps
-	// every successor inside X.
+	// every successor inside X. dist is the rank of each state, its
+	// weighted distance back to the root inside X (unreached if none),
+	// and queue orders the reverse Dijkstra that computes it.
 	usable []bool
 	dist   []int64
-	heap   rankHeap
+	queue  radixHeap
 }
+
+// unreached is the rank of a state that cannot reach the root inside X.
+const unreached = math.MaxInt64
 
 // stateECS returns the allowed enabled ECS entries of s as indexes into
 // the engine arenas.
@@ -237,7 +244,7 @@ func (ge *graphEngine) drive(st petri.Strategy) error {
 // new state instead of a marking scan.
 func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	ge.store, ge.over = store, false
-	ge.states = append(ge.states[:0], gstate{rank: -1, occ: int32(ge.occupancy(store.At(rootID)))})
+	ge.states = append(ge.states[:0], gstate{occ: int32(ge.occupancy(store.At(rootID)))})
 	ge.ecsArena, ge.succOff, ge.succArena = ge.ecsArena[:0], ge.succOff[:0], ge.succArena[:0]
 	members := 0 // size of the open ECS group
 	mi := 0      // members of the group recorded so far
@@ -245,10 +252,10 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 		if mi == 0 {
 			ei := ge.ft.ECSOf(int(trans))
 			members = len(ge.part[ei].Trans)
-			ge.ecsArena = append(petri.Grow(ge.ecsArena, 1), int32(ei))
-			ge.succOff = append(petri.Grow(ge.succOff, 1), int32(len(ge.succArena)))
+			petri.Push(&ge.ecsArena, int32(ei))
+			petri.Push(&ge.succOff, int32(len(ge.succArena)))
 		}
-		ge.succArena = append(petri.Grow(ge.succArena, 1), child)
+		petri.Push(&ge.succArena, child)
 		if mi++; mi == members {
 			mi = 0
 			ge.states[parent].ecsEnd = int32(len(ge.ecsArena))
@@ -263,7 +270,7 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 		Admit: func() bool { return ge.store.Len() < ge.opt.MaxNodes },
 		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
 			if isNew {
-				ge.states = append(petri.Grow(ge.states, 1), gstate{rank: -1, occ: ge.states[parent].occ + ge.occDelta[trans]})
+				petri.Push(&ge.states, gstate{occ: ge.states[parent].occ + ge.occDelta[trans]})
 			}
 			advance(parent, trans, int32(child))
 		},
@@ -326,6 +333,7 @@ func (ge *graphEngine) buildReverse() {
 	}
 	ge.usable = make([]bool, len(ge.ecsArena))
 	ge.dist = make([]int64, len(ge.states))
+	ge.queue.init(ge.dist)
 }
 
 // ecsUsable reports whether ECS i of state s keeps all successors inside
@@ -373,7 +381,7 @@ func (ge *graphEngine) solve(rootID int) bool {
 		ge.computeRanks(rootID)
 		for i := range ge.states {
 			s := &ge.states[i]
-			if s.inX && s.rank < 0 {
+			if s.inX && ge.dist[i] == unreached {
 				s.inX = false
 				changed = true
 			}
@@ -403,17 +411,16 @@ const occupancyWeight = 64
 
 // computeRanks runs a reverse Dijkstra from the root within X: rank(s) =
 // min over usable ECSs and successors t of w(s) + rank(t), with
-// w(s) = 1 + occupancyWeight * occupancy(s). A state with a finite rank
-// can reach the root inside X; following any rank-decreasing choice
-// yields property 5 of the schedule definition.
+// w(s) = 1 + occupancyWeight * occupancy(s), into ge.dist. A state with
+// a finite rank can reach the root inside X; following any
+// rank-decreasing choice yields property 5 of the schedule definition.
+// Ranks are int64 and unreached is their only sentinel, so a long
+// burst's distances, which pass 2³¹, stay exact.
 func (ge *graphEngine) computeRanks(rootID int) {
 	// Refresh the per-arena-entry usability cache for this round, then
 	// run the reverse Dijkstra over the prebuilt CSR adjacency. All
 	// buffers are engine-owned and reused, so fixpoint rounds after the
 	// first allocate nothing.
-	for i := range ge.states {
-		ge.states[i].rank = -1
-	}
 	for k := range ge.usable {
 		ge.usable[k] = false
 	}
@@ -428,18 +435,15 @@ func (ge *graphEngine) computeRanks(rootID int) {
 	}
 	dist := ge.dist
 	for i := range dist {
-		dist[i] = 1 << 30
+		dist[i] = unreached
 	}
 	dist[rootID] = 0
-	h := &ge.heap
-	h.items = h.items[:0]
-	h.push(rankItem{id: int32(rootID), d: 0})
-	for h.Len() > 0 {
-		it := h.pop()
-		if it.d > dist[it.id] {
-			continue
-		}
-		for e := ge.revOff[it.id]; e < ge.revOff[it.id+1]; e++ {
+	q := &ge.queue
+	q.reset()
+	q.push(int32(rootID))
+	for !q.empty() {
+		id := q.pop()
+		for e := ge.revOff[id]; e < ge.revOff[id+1]; e++ {
 			if !ge.usable[ge.revECS[e]] {
 				continue
 			}
@@ -448,69 +452,90 @@ func (ge *graphEngine) computeRanks(rootID int) {
 				continue
 			}
 			// Weight = 1 + occupancyWeight * occupancy, with occupancy
-			// precomputed per state at intern time.
-			cand := it.d + 1 + occupancyWeight*int64(ge.states[sid].occ)
-			if cand < dist[sid] {
+			// precomputed per state at intern time. It belongs to sid
+			// alone, and states pop in ascending rank, so the first
+			// relaxation that reaches sid is its rank: sid is queued
+			// once and never re-keyed.
+			if cand := dist[id] + 1 + occupancyWeight*int64(ge.states[sid].occ); cand < dist[sid] {
 				dist[sid] = cand
-				h.push(rankItem{id: sid, d: cand})
+				q.push(sid)
 			}
 		}
 	}
-	for i := range ge.states {
-		s := &ge.states[i]
-		if s.inX && dist[i] < 1<<30 {
-			s.rank = int32(dist[i])
+}
+
+// radixHeap is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
+// Tarjan, "Faster algorithms for the shortest path problem", JACM
+// 1990): a min-queue of ids 0..len(key)-1 ordered by key[id] ≥ 0, for
+// callers whose every push is at least the last key popped, as
+// Dijkstra's are. Bucket 0 holds the ids whose key equals last, the
+// last key popped, and bucket i ≥ 1 those whose key first differs from
+// last at bit i-1 (counting from bit 0). When bucket 0 runs empty, the
+// lowest non-empty bucket's smallest key becomes last, and that bucket's
+// ids all move to lower buckets. Every move lowers an id's bucket, so an
+// id moves at most 63 times while it is queued. Ties pop in no
+// particular order, which cannot change a shortest distance.
+//
+// The buckets are lists threaded through next, one link per id,
+// allocated once by init: an id may be queued once at a time, and
+// key[id] must not change while it is.
+type radixHeap struct {
+	key  []int64
+	next []int32
+	head [64]int32 // first id of each bucket; -1 = empty
+	used uint64    // bit i is set while bucket i is not empty
+	last int64
+}
+
+// init sizes the heap for the ids of key and empties it.
+func (h *radixHeap) init(key []int64) {
+	h.key = key
+	h.next = make([]int32, len(key))
+	h.reset()
+}
+
+// reset empties the heap.
+func (h *radixHeap) reset() {
+	for i := range h.head {
+		h.head[i] = -1
+	}
+	h.used, h.last = 0, 0
+}
+
+func (h *radixHeap) empty() bool { return h.used == 0 }
+
+// push queues id under key[id], which must be at least the last key
+// popped.
+func (h *radixHeap) push(id int32) {
+	b := bits.Len64(uint64(h.key[id] ^ h.last))
+	h.next[id] = h.head[b]
+	h.head[b] = id
+	h.used |= 1 << b
+}
+
+// pop removes and returns an id of smallest key; the heap must not be
+// empty.
+func (h *radixHeap) pop() int32 {
+	if h.used&1 == 0 {
+		b := bits.TrailingZeros64(h.used)
+		first := h.head[b]
+		h.head[b] = -1
+		h.used &^= 1 << b
+		h.last = math.MaxInt64
+		for id := first; id >= 0; id = h.next[id] {
+			h.last = min(h.last, h.key[id])
+		}
+		for id := first; id >= 0; {
+			next := h.next[id]
+			h.push(id)
+			id = next
 		}
 	}
-}
-
-type rankItem struct {
-	id int32
-	d  int64
-}
-
-// rankHeap is a minimal binary min-heap on d.
-type rankHeap struct {
-	items []rankItem
-}
-
-func (h *rankHeap) Len() int { return len(h.items) }
-
-func (h *rankHeap) push(it rankItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[p].d <= h.items[i].d {
-			break
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
+	id := h.head[0]
+	if h.head[0] = h.next[id]; h.head[0] < 0 {
+		h.used &^= 1
 	}
-}
-
-func (h *rankHeap) pop() rankItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.items) && h.items[l].d < h.items[small].d {
-			small = l
-		}
-		if r < len(h.items) && h.items[r].d < h.items[small].d {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-	return top
+	return id
 }
 
 // selArmIndex returns the SELECT arm priority of a singleton ECS, or a
@@ -556,33 +581,32 @@ func (ge *graphEngine) occupancy(m petri.Marking) int {
 // preferring internal activity over awaits, honoring SELECT arm
 // priorities, and keeping channel occupancy low so synthesized buffers
 // stay minimal (the paper's PFC result: all channels of unit size).
-func (ge *graphEngine) choose(s *gstate) int {
+func (ge *graphEngine) choose(id int) int {
 	type cand struct {
 		i   int
-		key [5]int
+		key [4]int64
 	}
 	var cands []cand
+	s := &ge.states[id]
 	for i := 0; i < ge.ecsCount(s); i++ {
 		E := ge.ecsAt(s, i)
 		if !ge.ecsUsable(s, i) {
 			continue
 		}
-		minSucc := int32(1 << 30)
+		minSucc := int64(unreached)
 		for _, t := range ge.succOf(s, i) {
-			if r := ge.states[t].rank; r >= 0 && r < minSucc {
-				minSucc = r
-			}
+			minSucc = min(minSucc, ge.dist[t])
 		}
-		if minSucc >= s.rank {
+		if minSucc >= ge.dist[id] {
 			continue // no progress toward the root via this ECS
 		}
-		var key [5]int
+		var key [4]int64
 		if E.IsSourceECS(ge.net) {
 			key[0] = 1
 		}
-		key[1] = ge.selArmIndex(E)
-		key[2] = int(minSucc)
-		key[3] = E.Index
+		key[1] = int64(ge.selArmIndex(E))
+		key[2] = minSucc
+		key[3] = int64(E.Index)
 		cands = append(cands, cand{i: i, key: key})
 	}
 	if len(cands) == 0 {
@@ -631,7 +655,7 @@ func (ge *graphEngine) build(rootID int) *Schedule {
 				}
 			}
 		} else {
-			ecsIdx = ge.choose(st)
+			ecsIdx = ge.choose(id)
 		}
 		if ecsIdx < 0 {
 			return n // defensive; solve() guarantees a choice

@@ -2,6 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -261,5 +264,217 @@ func TestTreeEngineAllocsPerNode(t *testing.T) {
 			t.Fatalf("%s: %.0f allocs for %d nodes (%.1f/node) — expansion is allocating per (node, ECS)",
 				eng.name, allocs, nodes, perNode)
 		}
+	}
+}
+
+// refItem and refHeap are the binary min-heap computeRanks ran on
+// before its radix heap: with lazy deletion, so a state may be queued
+// more than once.
+type refItem struct {
+	id int32
+	d  int64
+}
+
+type refHeap struct {
+	items []refItem
+}
+
+func (h *refHeap) Len() int { return len(h.items) }
+
+func (h *refHeap) push(it refItem) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.items[p].d <= h.items[i].d {
+			break
+		}
+		h.items[p], h.items[i] = h.items[i], h.items[p]
+		i = p
+	}
+}
+
+func (h *refHeap) pop() refItem {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(h.items) && h.items[l].d < h.items[small].d {
+			small = l
+		}
+		if r < len(h.items) && h.items[r].d < h.items[small].d {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h.items[i], h.items[small] = h.items[small], h.items[i]
+		i = small
+	}
+	return top
+}
+
+// refRanks is the reference for computeRanks: the textbook Dijkstra,
+// on refHeap, over the reverse edges of ge's current X set. It derives
+// ECS usability from X itself instead of reading ge.usable.
+func refRanks(ge *graphEngine) []int64 {
+	usable := make([]bool, len(ge.ecsArena))
+	for i := range ge.states {
+		s := &ge.states[i]
+		for j := 0; s.inX && j < ge.ecsCount(s); j++ {
+			usable[int(s.ecsStart)+j] = ge.ecsUsable(s, j)
+		}
+	}
+	dist := make([]int64, len(ge.states))
+	for i := range dist {
+		dist[i] = unreached
+	}
+	dist[rootID] = 0
+	var h refHeap
+	h.push(refItem{id: rootID})
+	for h.Len() > 0 {
+		it := h.pop()
+		if it.d > dist[it.id] {
+			continue
+		}
+		for e := ge.revOff[it.id]; e < ge.revOff[it.id+1]; e++ {
+			sid := ge.revSrc[e]
+			if !usable[ge.revECS[e]] || !ge.states[sid].inX {
+				continue
+			}
+			if cand := it.d + 1 + occupancyWeight*int64(ge.states[sid].occ); cand < dist[sid] {
+				dist[sid] = cand
+				h.push(refItem{id: sid, d: cand})
+			}
+		}
+	}
+	return dist
+}
+
+// CheckRanks is the rank oracle. It runs the graph engine's search for
+// source under opt through its fixpoint, ranks the final X set once
+// more, and compares every state's rank with refRanks. It returns the
+// number of states compared and the largest finite rank. It is
+// exported for the tests in package sched_test, which run it on nets
+// built by packages that import sched.
+func CheckRanks(n *petri.Net, source int, opt *Options) (states int, maxRank int64, err error) {
+	o := opt.withDefaults(n, source)
+	ge := newGraphEngine(n, source, o)
+	if err := ge.drive(o.Strategy); err != nil {
+		return 0, 0, err
+	}
+	if ge.over {
+		return 0, 0, ErrBudget
+	}
+	ge.solve(rootID)
+	ge.computeRanks(rootID)
+	want := refRanks(ge)
+	for id, d := range want {
+		if ge.dist[id] != d {
+			return 0, 0, fmt.Errorf("state %d of %d: rank %d, reference %d", id, len(want), ge.dist[id], d)
+		}
+		if d != unreached {
+			maxRank = max(maxRank, d)
+		}
+	}
+	return len(want), maxRank, nil
+}
+
+// TestRankOraclePaperNets runs the rank oracle on every uncontrollable
+// source of the paper figure nets.
+func TestRankOraclePaperNets(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *petri.Net
+	}{
+		{"fig4a", fig4aNet(t)},
+		{"fig4b-unc", fig4bNet(petri.TransSourceUnc)},
+		{"fig4b-ctl", fig4bNet(petri.TransSourceCtl)},
+		{"fig5", fig5Net(t)},
+		{"fig6", fig6Net(t)},
+		{"fig8", fig8Net(t)},
+		{"divider-k3", dividerNet(3)},
+		{"divider-k24", dividerNet(24)},
+	} {
+		for _, src := range c.net.UncontrollableSources() {
+			if _, _, err := CheckRanks(c.net, src, nil); err != nil {
+				t.Errorf("%s, source %s: %v", c.name, c.net.Transitions[src].Name, err)
+			}
+		}
+	}
+}
+
+// TestRadixHeap checks the rank queue against a sort: equal keys, keys
+// spread over 2⁴⁰, and pushes equal to the last key popped, with ids
+// re-pushed after they pop.
+func TestRadixHeap(t *testing.T) {
+	const ids = 512
+	key := make([]int64, ids)
+	var h radixHeap
+	h.init(key)
+
+	// Equal keys: every id pops once, all at the same key.
+	for id := range int32(ids) {
+		key[id] = 7
+		h.push(id)
+	}
+	seen := make([]bool, ids)
+	for range ids {
+		id := h.pop()
+		if key[id] != 7 || seen[id] {
+			t.Fatalf("equal keys: popped id %d (key %d, seen %v)", id, key[id], seen[id])
+		}
+		seen[id] = true
+	}
+	if !h.empty() {
+		t.Fatal("equal keys: heap not empty after popping every id")
+	}
+
+	// Keys spread over 2⁴⁰, interleaved with pushes at or above the
+	// last key popped, a third of them equal to it.
+	rng := rand.New(rand.NewPCG(1, 2))
+	h.reset()
+	var queued []int64 // the model: keys of the queued ids
+	free := make([]int32, 0, ids)
+	for id := range int32(ids) {
+		free = append(free, id)
+	}
+	push := func(k int64) {
+		id := free[len(free)-1]
+		free = free[:len(free)-1]
+		key[id] = k
+		h.push(id)
+		queued = append(queued, k)
+	}
+	for range ids / 2 {
+		push(rng.Int64N(1 << 40))
+	}
+	last := int64(0)
+	for pops := 0; len(queued) > 0; pops++ {
+		slices.Sort(queued)
+		id := h.pop()
+		if key[id] != queued[0] || key[id] < last {
+			t.Fatalf("pop %d: key %d, want %d (last %d)", pops, key[id], queued[0], last)
+		}
+		last, queued = key[id], queued[1:]
+		free = append(free, id)
+		if pops < 4*ids {
+			for range rng.IntN(3) {
+				switch {
+				case len(free) == 0:
+				case rng.IntN(3) == 0:
+					push(last)
+				default:
+					push(last + rng.Int64N(1<<40))
+				}
+			}
+		}
+	}
+	if !h.empty() {
+		t.Fatal("spread keys: heap not empty after the model drained")
 	}
 }
