@@ -5,10 +5,15 @@
 #   make vet         — static analysis, and fails on (and names) any file
 #                      gofmt would rewrite
 #   make test        — unit, property and determinism tests under -race
-#   make dist-matrix — the cross-process determinism matrix alone, with
-#                      real spawned worker processes (also part of the
-#                      race test suite; this target is the CI job's
-#                      entry point and a focused local repro command)
+#   make dist-matrix — the ExploreDist determinism matrix alone: every
+#                      example app's net and the reachability nets
+#                      explored on real spawned worker processes,
+#                      byte-identical to the inline exploration (also
+#                      part of the race test suite; this target is the
+#                      CI job's entry point and a focused local repro
+#                      command). Synthesis never runs on dist: its
+#                      frozen-against-all-hot matrix is
+#                      internal/core's TestDeterminismMatrix
 #   make dist-memory — the trimmed-replica memory gate: per-worker
 #                      store bytes at 2 workers <= 0.75x the replica
 #                      of a single worker holding every state, plus
@@ -31,9 +36,10 @@
 #                      fault-injection matrix: heartbeat death
 #                      detection, kill/sever/delay faults over
 #                      pipe pools, and a real spawned worker SIGKILLed
-#                      mid-session with respawn + re-init recovery (the
-#                      init reseeds the replica) — all asserting
-#                      byte-identical output vs serial.
+#                      mid-exploration with respawn + re-init recovery
+#                      (the init reseeds the replica) — every recovered
+#                      session byte-identical to the inline exploration,
+#                      an unrecoverable one an error.
 #                      QSS_CHAOS_SEED/QSS_CHAOS_ROUNDS widen the sweep
 #   make server-smoke— build the real qss-server binary, start it, and
 #                      exercise /healthz, /readyz, /metrics and a real
@@ -79,7 +85,7 @@ pnml-suite:
 	$(GO) test -race -count=1 -v -run 'TestCorpusExportReach' ./internal/corpus
 
 dist-matrix:
-	$(GO) test -race -count=1 -v -run 'TestDeterminismMatrix|TestReachMatrix|TestCorpusSweepDist|TestCorpusSweepFrozen' ./internal/dist
+	$(GO) test -race -count=1 -v -run 'TestDeterminismMatrix|TestReachMatrix|TestPFCBudgetEdgeDist' ./internal/dist
 
 dist-memory:
 	$(GO) test -race -count=1 -v -run 'TestDistTrimmedMemoryGate|TestDistTrimmedMemoryScaling' ./internal/dist

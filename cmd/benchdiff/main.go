@@ -8,8 +8,12 @@
 // ci`).
 //
 // The snapshot goes to the ignored .bench_build/ directory, so a gate
-// run leaves the working tree clean. A performance change that commits
-// its snapshot writes it to the root with -out BENCH_<date>.json.
+// run leaves the working tree clean, and a later run of the same day
+// overwrites it. A performance change that commits its snapshot writes
+// it to the root with -out BENCH_<date>.json. An -out that names an
+// existing file is refused before any benchmark runs, so a committed
+// snapshot is never replaced: a second one of the same day takes a
+// suffix, BENCH_<date>-2.json.
 //
 // Only the allocation dimensions gate. At a fixed GOMAXPROCS and Go
 // release they repeat to within a fraction of a percent on any
@@ -25,6 +29,7 @@
 //	go run ./cmd/benchdiff          # gate against bench_baseline.json
 //	go run ./cmd/benchdiff -update  # rewrite the baseline in place
 //	go run ./cmd/benchdiff -out BENCH_2026-10-18.json  # gate; snapshot to commit
+//	go run ./cmd/benchdiff -out BENCH_2026-10-18-2.json  # the same day's second
 //
 // Each dimension keeps its minimum over the runs. B/op can move
 // between Go releases, so compare on the baseline's go_version.
@@ -92,6 +97,9 @@ func main() {
 	if *count < minRuns {
 		fatal(fmt.Errorf("-count %d: the tolerance needs the spread of at least %d runs", *count, minRuns))
 	}
+	if err := checkOut(*out); err != nil {
+		fatal(err)
+	}
 
 	cur, err := runBenchmarks(*benchRe, *benchtime, *count, *pkg)
 	if err != nil {
@@ -128,6 +136,20 @@ func main() {
 	if failed := gate(base, cur); failed {
 		os.Exit(1)
 	}
+}
+
+// checkOut refuses an explicit snapshot path that names an existing
+// file: a snapshot never replaces another one.
+func checkOut(path string) error {
+	if path == "" {
+		return nil
+	}
+	if _, err := os.Lstat(path); err == nil {
+		return fmt.Errorf("-out %s: the file exists; name a new snapshot (a second one of the same day is BENCH_<date>-2.json)", path)
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("-out %s: %w", path, err)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -5,44 +5,32 @@
 // Usage:
 //
 //	pfcbench [-fig20] [-table1] [-table2] [-all] [-frames N]
-//	         [-dist-workers N] [-dist-endpoint ep] [-freeze-levels]
-//	         [-cpuprofile f] [-memprofile f]
+//	         [-freeze-levels] [-cpuprofile f] [-memprofile f]
 //
-// The schedule search explores serially in-process; -dist-workers
-// instead shards its state-space exploration across worker OS
-// processes (spawned locally, or awaited as external cmd/qssd
-// processes at -dist-endpoint), each holding only its owned hash
-// shards, and reruns it in-process if the pool fails. -freeze-levels
-// moves closed exploration levels to on-disk delta segments (the
-// workers' replicas follow). Results are byte-identical for every
-// value of either. -cpuprofile/-memprofile write pprof profiles, so
-// perf regressions can be diagnosed without editing source. PNML
-// interchange nets are analyzed by qssbatch -pnml.
+// The schedule search explores serially in-process. -freeze-levels
+// moves closed exploration levels to on-disk delta segments; results
+// are byte-identical either way. -cpuprofile/-memprofile write pprof
+// profiles, so perf regressions can be diagnosed without editing
+// source. PNML interchange nets are analyzed by qssbatch -pnml.
 //
-// Contradictory flag combinations (negative counts, -dist-endpoint
-// without -dist-workers) are rejected with a usage error rather than
-// silently clamped.
+// Contradictory flag combinations (no output asked for, a frame count
+// below 1) are rejected with a usage error rather than silently
+// clamped.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/profiling"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/strategyflag"
 )
 
 func main() {
-	// MaybeWorker first: children re-executed by dist.SpawnLocal must
-	// become workers, not rerun the benchmark.
-	dist.MaybeWorker()
 	// realMain so the profiling defers run before the process exits.
 	os.Exit(realMain())
 }
@@ -72,7 +60,7 @@ func realMain() (code int) {
 	table2 := flag.Bool("table2", false, "regenerate Table 2 (code size)")
 	all := flag.Bool("all", false, "regenerate everything")
 	flag.IntVar(&bf.frames, "frames", 10, "frames for Figure 20")
-	sf := strategyflag.Register(flag.CommandLine)
+	freeze := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -80,11 +68,7 @@ func realMain() (code int) {
 		*fig20, *table1, *table2 = true, true, true
 	}
 	bf.anyOutput = *fig20 || *table1 || *table2
-	err := sf.Validate()
-	if err == nil {
-		err = bf.validate()
-	}
-	if err != nil {
+	if err := bf.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "pfcbench:", err)
 		flag.Usage()
 		return 2
@@ -100,15 +84,8 @@ func realMain() (code int) {
 			}
 		}
 	}()
-	pool, st, err := sf.Open(log.New(os.Stderr, "pfcbench: ", 0).Printf)
-	if err != nil {
-		return fatal(err)
-	}
-	if pool != nil {
-		defer pool.Close()
-	}
 	res, err := apps.SynthesizePFCWith(&core.Options{
-		Sched:        &sched.Options{Strategy: st},
+		Sched:        &sched.Options{Freeze: *freeze},
 		DisableCache: true,
 	})
 	if err != nil {

@@ -4,8 +4,7 @@ import "testing"
 
 // TestPFCBenchFlagValidation: contradictory or out-of-range flag
 // combinations are rejected with a descriptive error instead of being
-// silently clamped. The strategy flags are validated by
-// internal/strategyflag.
+// silently clamped.
 func TestPFCBenchFlagValidation(t *testing.T) {
 	cases := []struct {
 		name    string

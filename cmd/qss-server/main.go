@@ -1,7 +1,6 @@
 // Command qss-server is the resident synthesis service: one warm
 // process serving POST /v1/synthesize over HTTP, with the shared
-// content-addressed result cache and an optional persistent
-// distributed-exploration pool surviving across requests — the warm
+// content-addressed result cache surviving across requests — the warm
 // path of repeat synthesis (~10µs vs ~46ms cold on the PFC example)
 // only pays off if the process does.
 //
@@ -9,16 +8,16 @@
 //
 //	qss-server [-listen :9090] [-max-concurrent N] [-max-queue N]
 //	           [-max-nodes N] [-default-timeout 30s] [-max-timeout 2m]
-//	           [-drain-timeout 30s] [-dist-workers N]
-//	           [-dist-endpoint EP] [-freeze-levels]
+//	           [-drain-timeout 30s] [-freeze-levels]
 //
 // Endpoints: POST /v1/synthesize (JSON in/out), GET /healthz
 // (liveness), GET /readyz (admission readiness; 503 while draining),
 // GET /metrics (Prometheus text). SIGTERM or SIGINT begins a graceful
 // drain: readiness flips off, new synthesis requests are refused,
-// in-flight requests finish under -drain-timeout, the dist pool closes
-// once, and the process exits. See docs/SERVER.md for the operations
-// guide and JSON schemas.
+// in-flight requests finish under -drain-timeout, and the process
+// exits. -freeze-levels moves every search's closed exploration levels
+// to on-disk delta segments; responses are byte-identical either way.
+// See docs/SERVER.md for the operations guide and JSON schemas.
 package main
 
 import (
@@ -34,17 +33,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/sched"
 	"repro/internal/server"
-	"repro/internal/strategyflag"
 )
 
 func main() {
-	// A -dist-workers pool re-executes this binary for its local worker
-	// processes; they must become workers before flag parsing or main
-	// logic runs.
-	dist.MaybeWorker()
 	os.Exit(realMain())
 }
 
@@ -57,7 +50,7 @@ func realMain() int {
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "synthesis deadline for requests naming none")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "cap on request-supplied timeouts")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
-		sf             = strategyflag.Register(flag.CommandLine)
+		freeze         = flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
@@ -66,35 +59,17 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
-	if err := sf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "qss-server:", err)
-		flag.Usage()
-		return 2
-	}
 
-	cfg := server.Config{
+	srv := server.New(server.Config{
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,
 		MaxNodes:       *maxNodes,
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		DrainTimeout:   *drainTimeout,
-		FreezeLevels:   sf.Freeze,
+		FreezeLevels:   *freeze,
 		Log:            logger,
-	}
-	// The server owns the pool (Drain closes it) and builds each
-	// request's strategy from Pool and FreezeLevels itself.
-	pool, _, err := sf.Open(func(format string, v ...any) { logger.Printf("qss-server: "+format, v...) })
-	if err != nil {
-		logger.Printf("qss-server: %v", err)
-		return 1
-	}
-	if pool != nil {
-		logger.Printf("qss-server: dist pool ready (%d workers)", pool.NumWorkers())
-		cfg.Pool = pool
-	}
-
-	srv := server.New(cfg)
+	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		logger.Printf("qss-server: listen: %v", err)
@@ -132,8 +107,6 @@ func realMain() int {
 	case err := <-serveErr:
 		if !errors.Is(err, http.ErrServerClosed) {
 			logger.Printf("qss-server: serve: %v", err)
-			// Serve failed underneath us; still drain so the pool closes.
-			srv.Drain(context.Background())
 			return 1
 		}
 	}

@@ -4,27 +4,20 @@
 //
 // Usage:
 //
-//	qssbatch [-n apps] [-seed N] [-workers N]
-//	         [-dist-workers N] [-dist-endpoint ep] [-freeze-levels]
+//	qssbatch [-n apps] [-seed N] [-workers N] [-freeze-levels]
 //	         [-compare] [-cpuprofile f] [-memprofile f] [shape flags] [-v]
 //	qssbatch -pnml net.pnml [-pnml ...] [-pnml-max-markings N]
-//	         [-pnml-max-tokens N] [exploration flags] [-v]
+//	         [-pnml-max-tokens N] [-freeze-levels] [-v]
 //	qssbatch -emit-pnml dir [-n apps] [-seed N] [shape flags]
 //
 // -workers bounds the number of concurrent app syntheses (0 =
 // GOMAXPROCS); each schedule search explores serially on its app's
-// goroutine. -dist-workers instead shards each exploration across that
-// many worker OS processes — spawned locally, or awaited as external
-// cmd/qssd processes at -dist-endpoint — over one shared pool for the
-// whole batch; results are byte-identical either way.
-// Workers hold only their owned hash shards (per-worker memory ~1/N
-// of the state space).
+// goroutine, so results are byte-identical for every value.
 // -freeze-levels moves closed exploration levels to on-disk delta
-// segments (and, with -dist-workers, the workers' replicas follow),
-// trading thaw reads for a hot store that no longer scales with
-// marking width — results are byte-identical. If the pool fails, the
-// exploration reruns in-process. -compare additionally runs the
-// serial baseline and prints the speedup. -cpuprofile/-memprofile
+// segments, trading thaw reads for a hot store that no longer scales
+// with marking width — results are byte-identical.
+// -compare additionally runs the serial baseline and prints the
+// speedup. -cpuprofile/-memprofile
 // write pprof profiles, so perf regressions can be diagnosed without
 // editing source. Shape flags mirror corpus.Config; see
 // internal/corpus.
@@ -33,10 +26,9 @@
 // (ISO/IEC 15909-2 P/T subset, see internal/pnml and docs/PNML.md) is
 // imported and explored — reachable states, deadlocks, place bounds
 // and a fingerprint for cross-configuration comparison — instead of
-// generating a corpus. The exploration flags (-dist-workers,
-// -dist-endpoint, -freeze-levels) compose with -pnml exactly as they
-// do with synthesis; corpus-shape and synthesis flags do not and are
-// rejected. -pnml-max-markings and -pnml-max-tokens bound the
+// generating a corpus. -freeze-levels composes with -pnml exactly as
+// it does with synthesis; corpus-shape and synthesis flags do not and
+// are rejected. -pnml-max-markings and -pnml-max-tokens bound the
 // exploration (imported nets may be unbounded; a truncated report is
 // the unboundedness witness).
 //
@@ -44,16 +36,15 @@
 // net as a PNML document into the given directory — the interchange
 // producer side — without synthesizing schedules.
 //
-// Contradictory flag combinations (negative counts, -dist-endpoint
-// without -dist-workers, -pnml with corpus flags) are rejected with a
-// usage error rather than silently clamped.
+// Contradictory flag combinations (negative counts, -pnml with corpus
+// flags, -emit-pnml with exploration flags) are rejected with a usage
+// error rather than silently clamped.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,18 +52,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/dist"
-	"repro/internal/petri"
 	"repro/internal/pnml"
 	"repro/internal/profiling"
 	"repro/internal/sched"
-	"repro/internal/strategyflag"
 )
 
 func main() {
-	// MaybeWorker first: children re-executed by dist.SpawnLocal must
-	// become workers, not run another batch.
-	dist.MaybeWorker()
 	// realMain so the profiling defers run before the process exits.
 	os.Exit(realMain())
 }
@@ -97,6 +82,7 @@ type batchFlags struct {
 	pnmlMaxMarkings int
 	pnmlMaxTokens   int
 	emitPNML        string
+	freeze          bool
 	explicit        map[string]bool
 }
 
@@ -110,9 +96,7 @@ var corpusOnlyFlags = []string{
 
 // exploreFlags configure state-space exploration; -emit-pnml never
 // explores, so combining them is a mistake worth flagging.
-var exploreFlags = []string{
-	"compare", "dist-workers", "dist-endpoint", "freeze-levels",
-}
+var exploreFlags = []string{"compare", "freeze-levels"}
 
 // validate rejects contradictory or out-of-range combinations with a
 // descriptive error instead of silently clamping.
@@ -155,7 +139,7 @@ func realMain() (code int) {
 	flag.IntVar(&bf.n, "n", 20, "number of corpus apps to generate")
 	seed := flag.Int64("seed", 1, "master corpus seed")
 	flag.IntVar(&bf.workers, "workers", 0, "concurrent app syntheses (0 = GOMAXPROCS)")
-	sf := strategyflag.Register(flag.CommandLine)
+	flag.BoolVar(&bf.freeze, "freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	compare := flag.Bool("compare", false, "also run the serial baseline and report the speedup")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -178,11 +162,7 @@ func realMain() (code int) {
 
 	bf.explicit = map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { bf.explicit[f.Name] = true })
-	err := sf.Validate()
-	if err == nil {
-		err = bf.validate()
-	}
-	if err != nil {
+	if err := bf.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "qssbatch:", err)
 		flag.Usage()
 		return 2
@@ -215,24 +195,12 @@ func realMain() (code int) {
 		}
 	}()
 
-	// One pool amortized over the whole batch or every -pnml file (a
-	// dist pool is a sequential resource, so the batch itself stays
-	// serial too).
-	pool, st, err := sf.Open(log.New(os.Stdout, "", 0).Printf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qssbatch:", err)
-		return 1
-	}
-	if pool != nil {
-		defer pool.Close()
-		bf.workers = 1
-	}
 	if len(bf.pnml) > 0 {
-		return runPNML(&bf, st, *verbose)
+		return runPNML(&bf, *verbose)
 	}
 	// The batch scales out over apps; the per-app source pool stays
 	// serial so the app pool is the only one contending for cores.
-	copt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Strategy: st}}
+	copt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Freeze: bf.freeze}}
 
 	run := func(w int, o *core.Options) *corpus.BatchResult {
 		return corpus.RunBatch(context.Background(), apps, corpus.BatchOptions{Workers: w, Core: o})
@@ -240,17 +208,12 @@ func realMain() (code int) {
 
 	var serial *corpus.BatchResult
 	if *compare {
-		// The -compare baseline is fully serial: no app pool, no dist
-		// pool.
+		// The -compare baseline is fully serial: no app pool.
 		serial = run(1, &core.Options{Workers: 1, DisableCache: true})
 		report("serial", serial, *verbose)
 	}
 	br := run(bf.workers, copt)
-	name := fmt.Sprintf("workers=%d", effectiveWorkers(bf.workers))
-	if pool != nil {
-		name = fmt.Sprintf("dist-workers=%d", sf.Workers)
-	}
-	report(name, br, *verbose)
+	report(fmt.Sprintf("workers=%d", effectiveWorkers(bf.workers)), br, *verbose)
 	if serial != nil && br.Elapsed > 0 {
 		fmt.Printf("speedup: %.2fx\n", serial.Elapsed.Seconds()/br.Elapsed.Seconds())
 	}
@@ -292,13 +255,11 @@ func sumNodes(r *core.Result) int {
 
 // runPNML analyzes each named interchange net: reachable states,
 // deadlocks, place bounds and the cross-configuration fingerprint.
-// All files run under one strategy, sharing its dist pool (when
-// requested) like the corpus batch shares its pool across apps.
-func runPNML(bf *batchFlags, st petri.Strategy, verbose bool) int {
+func runPNML(bf *batchFlags, verbose bool) int {
 	opt := pnml.AnalyzeOptions{
 		MaxMarkings:       bf.pnmlMaxMarkings,
 		MaxTokensPerPlace: bf.pnmlMaxTokens,
-		Strategy:          st,
+		Freeze:            bf.freeze,
 	}
 	code := 0
 	for i, path := range bf.pnml {

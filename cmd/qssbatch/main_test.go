@@ -4,8 +4,7 @@ import "testing"
 
 // TestBatchFlagValidation: contradictory or out-of-range flag
 // combinations are rejected with a descriptive error instead of being
-// silently clamped. The strategy flags are validated by
-// internal/strategyflag.
+// silently clamped.
 func TestBatchFlagValidation(t *testing.T) {
 	ok := func(f batchFlags) bool { return f.validate() == nil }
 	valid := []batchFlags{
@@ -50,8 +49,6 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 		{name: "pnml-two-files", f: batchFlags{pnml: multiFlag{"a.pnml", "b.pnml"}, explicit: set("pnml")}},
 		{name: "pnml-with-caps", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxMarkings: 5000, pnmlMaxTokens: 4,
 			explicit: set("pnml", "pnml-max-markings", "pnml-max-tokens")}},
-		{name: "pnml-with-dist", f: batchFlags{pnml: multiFlag{"net.pnml"},
-			explicit: set("pnml", "dist-workers")}},
 		{name: "pnml-with-freeze", f: batchFlags{pnml: multiFlag{"net.pnml"},
 			explicit: set("pnml", "freeze-levels")}},
 		{name: "emit-pnml", f: batchFlags{n: 10, emitPNML: "/tmp/out", explicit: set("n", "emit-pnml")}},
@@ -74,8 +71,8 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 			explicit: set("pnml", "pnml-max-markings")}, wantErr: true},
 		{name: "negative-max-tokens", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxTokens: -1,
 			explicit: set("pnml", "pnml-max-tokens")}, wantErr: true},
-		{name: "emit-pnml-vs-dist", f: batchFlags{emitPNML: "/tmp/out",
-			explicit: set("emit-pnml", "dist-workers")}, wantErr: true},
+		{name: "emit-pnml-vs-freeze", f: batchFlags{emitPNML: "/tmp/out", freeze: true,
+			explicit: set("emit-pnml", "freeze-levels")}, wantErr: true},
 		{name: "emit-pnml-vs-compare", f: batchFlags{emitPNML: "/tmp/out",
 			explicit: set("emit-pnml", "compare")}, wantErr: true},
 	}

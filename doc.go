@@ -117,88 +117,47 @@
 // costs a hash and a map lookup (core.Stats reports hit rates;
 // core.ResetCache empties it).
 //
-// # Execution strategy
+// # One execution setting
 //
-// Where the frontier expands (inline or on a dist worker pool),
-// whether a failed pool reruns inline, and whether closed levels freeze
-// to disk are one value, petri.Strategy, decided once by the caller.
-// sched.Options, petri.ExploreOptions and pnml.AnalyzeOptions carry it
-// as their Strategy field, and every layer hands it unchanged to
-// petri.Drive; the determinism contract makes the result the same
-// under every strategy, so it is not part of the synthesis cache key.
-// The command-line tools build it from -dist-workers, -dist-endpoint
-// and -freeze-levels through internal/strategyflag; the server builds
-// each request's from its Config.Pool and Config.FreezeLevels. Whoever
-// expands, every new state enters the store through one call,
-// petri.MarkingStore.InternChild, which names its parent and
-// transition, and every level commit is one FreezeThrough on that
-// store: inline, Drive makes both calls; on a pool, the dist
-// coordinator makes them in its own merge.
+// Synthesis runs one way: every exploration, the schedule search's
+// included, runs inline through petri.Drive on its caller's goroutine.
+// The one setting is whether closed levels freeze to disk: the Freeze
+// field of sched.Options, petri.ExploreOptions and pnml.AnalyzeOptions,
+// set by the tools' -freeze-levels and the server's
+// Config.FreezeLevels. The result is the same either way, so it is not
+// part of the synthesis cache key. Every new state enters the store
+// through one call, petri.MarkingStore.InternChild, which names its
+// parent and transition, and every level commit is one FreezeThrough on
+// that store.
 //
 // # Distributed exploration
 //
-// The other execution strategy takes the frontier across process
-// boundaries (internal/dist): a deterministic coordinator in the
-// synthesizing process drives worker OS processes — spawned locally by
-// re-executing the current binary (dist.SpawnLocal + dist.MaybeWorker)
-// or started anywhere as cmd/qssd and dialed in over unix sockets or
-// TCP (dist.Listen) — through a
-// length-prefixed binary protocol. Workers own contiguous ranges of
-// marking-hash shards (petri.ShardOfHash/ShardOwner: the top bits of
-// the marking hash, while the store's probe table takes its slots from
-// a finalizer of the whole hash; every process routes a marking the
-// same way).
-// Replicas are TRIMMED: a worker holds vectors, hashes and
-// enabled bitsets only for its owned shards — per-worker memory scales
-// ~1/N with the pool, which is what takes state spaces beyond one
-// machine's RAM — and the coordinator sends it just the per-level
-// petri.VecDelta records whose child it owns, attaching the parent's
-// token vector when the parent lives in another worker's shards
-// (deduplicated by a bounded LRU both sides run in lockstep, so a hot
-// boundary parent ships once per residency). Successors routing to
-// foreign shards are reported as new and resolved by the coordinator.
-// Workers answer with candidate streams classifying each successor as
-// vetoed, known (dense global MarkID) or new — a new candidate also
-// carries the successor's 64-bit marking hash, which lets the
-// coordinator resolve duplicates by a hash-only store probe instead of
-// re-firing the transition itself (it fires exactly once per state it
-// actually materializes). Coordinator and workers speak one wire
-// protocol; a worker built from another tree is refused at hello. The
-// session is pipelined rather than barriered: workers push their
-// candidate streams in bounded ack'd chunks as they expand, the
-// coordinator merges each worker's slice of a level while later
-// slices are still in flight, and intra-level record batches plus an
-// explicit level-commit message let workers start expanding level L+1
-// while the coordinator is still merging the tail of L. None of this
-// moves the determinism contract: the coordinator's merge
-// is petri.Drive's sequential merge verbatim (one shared
-// petri.MergeHooks definition), walking states in MarkID order and
-// candidates in the serial emit order, so dense MarkID assignment —
-// and therefore ReachResult ordering, schedules and generated C — is
-// byte-identical for every process count and the in-process search,
-// no matter how late any worker's stream arrives. Exploration semantics travel as a
-// self-contained petri.ExpandSpec (fireable-ECS mask + place caps) and
-// the net itself crosses the wire through petri.AppendNet/DecodeNet,
-// which round-trips exactly the structure firing, ECS partitioning and
-// the firing table depend on. The matrix test
-// (internal/dist, `make dist-matrix`, its own CI job) pins generated C
-// across {serial, frozen store, worker processes 1/2/4} plus a
-// 50-app corpus sweep with real spawned processes under -race;
-// `make dist-memory` gates per-worker store bytes at <= 0.75x the
-// single-worker replica for 2 workers (exact live counts,
-// machine-independent); BenchmarkExploreDist documents the session
-// overhead on a small net, and BenchmarkExploreDistPipelined the
-// streaming session on the 161k-state net (coordinator fire counts,
-// chunk counts, received bytes per level and the ~1/N per-worker
-// memory curve).
+// internal/dist shards one reachability exploration across worker OS
+// processes: petri.Net.ExploreDist, the only caller that hands
+// petri.Drive a petri.FrontierRunner, runs on a dist.Pool of workers
+// spawned by re-executing the current binary (dist.SpawnLocal +
+// dist.MaybeWorker). The coordinator's merge is Drive's sequential
+// merge, so the ReachResult is byte-identical for every process count,
+// frozen or not. Nothing in the synthesis flow uses it: measured, the
+// coordinator alone spent more CPU than a whole inline search, and its
+// process held the whole store as an inline one does. It remains as the
+// library of the repository benchmark's dist workload (qssbench); its
+// package doc describes the wire protocol, the trimmed replicas and
+// the failover (a dead worker is respawned or its shards
+// redistributed; when recovery runs out, ExploreDist returns the error
+// and nothing reruns inline). `make dist-matrix` pins ReachResults
+// across worker counts and frozen stores, `make dist-memory` gates
+// per-worker store bytes at <= 0.75x the single-worker replica for 2
+// workers, and `make dist-chaos` drives kill/sever/delay faults and
+// real SIGKILLed workers.
 //
 // # Frozen store tier (beyond-RAM exploration)
 //
 // Level-synchronous exploration gives marking lifetimes a shape the
 // store can exploit: once a BFS level has been merged, its states can
 // be rediscovered (a dedup probe) but never re-expanded, so their
-// token vectors are cold from that moment on. With petri.Strategy's
-// Freeze (-freeze-levels on the cmd tools) the store freezes each
+// token vectors are cold from that moment on. With Freeze
+// (-freeze-levels on the cmd tools) the store freezes each
 // closed level out of the hot arena into an append-only on-disk
 // segment of delta records — parent MarkID + fired transition
 // reconstructs a vector from its parent, the same insight the dist
@@ -224,51 +183,18 @@
 // for sched.SearchStats.StoreHotBytes/StoreFrozenBytes,
 // dist.WorkerMem and the server's qss_store_hot_bytes /
 // qss_store_frozen_bytes gauges). petri.Drive freezes at each level
-// commit inline, and a dist coordinator at its own level commits;
-// dist workers, told by each session
-// init whether the coordinator's store freezes, freeze their replicas
-// below each committed level, and the whole thing composes with
-// trimmed replicas — per-worker hot memory scales ~1/N AND sheds its
-// vectors. Freezing never changes results: `make store-frozen` (its
-// own CI step) pins byte-identical reachability on the 161k-state
-// ExploreLarge net with hot residency gated at <= 0.35x the all-hot
-// store by exact byte accounting, the determinism matrix and a 50-app
-// corpus sweep run frozen configurations, and a nightly beyond-RAM
-// sweep freezes the heavy corpus end to end. Failures are handled in
+// commit inline, and a dist coordinator at its own level commits (its
+// workers freeze their replicas when it does). Freezing never changes
+// results: `make store-frozen` (its own CI step) pins byte-identical
+// reachability on the 161k-state ExploreLarge net with hot residency
+// gated at <= 0.35x the all-hot store by exact byte accounting, core's
+// determinism matrix and 50-app corpus sweep synthesize frozen, and a
+// nightly sweep freezes the heavy corpus end to end. Failures are handled in
 // one place, the store: without a temp file it never freezes, and a
 // segment write failure stops it freezing for good while the levels
 // frozen before stay readable — identical results, larger residency.
 // Tree engines (EP/EP_ECS) are not
 // level-synchronous and ignore the option.
-//
-// # Failure model
-//
-// Determinism is also what makes worker failure survivable: any
-// correct re-execution produces the same bytes, so the coordinator may
-// freely restart, replace or abandon workers mid-session. Liveness is
-// heartbeat-probed (msgPing/msgPong plus read/write deadlines), so a
-// silently dead or wedged worker is unmasked within a bounded interval
-// even while its TCP connection looks healthy. On a death the coordinator pauses at the last
-// committed BFS level, quiesces the survivors, respawns a replacement
-// process when it can (SpawnLocal pools; bounded retries with
-// exponential backoff and jitter) or redistributes the dead worker's
-// shards across the survivors, re-inits the pool — each init seeds a
-// trimmed replica with the worker's owned states from the interrupted
-// level on, the same message that seeds a fresh session with its
-// roots — then replays the
-// interrupted level discarding already-merged candidates by count.
-// ReachResult, schedules and generated C stay byte-identical to a
-// fault-free run. When recovery is exhausted the failure degrades
-// rather than propagates: a petri.Strategy with Fallback set reruns
-// the exploration in-process (the cmd tools and the server set it), and
-// dist.SessionStats/Pool.RecoveryStats report restarts, redistributed
-// shards and degradation — surfaced by the server as
-// qss_dist_worker_restarts_total and qss_dist_pool_degraded. The
-// fault-injection matrix (`make dist-chaos`, its own CI job, a
-// randomized-seed nightly sweep) drives kill/sever/delay faults
-// through a seeded chaos conn shim and real SIGKILLed workers,
-// asserting byte-identical output against serial for every fault
-// point.
 //
 // # Resident service
 //
@@ -276,20 +202,18 @@
 // cold on the PFC example) only pays off if the process holding it
 // survives the request, so cmd/qss-server keeps one warm:
 // internal/server multiplexes HTTP synthesis requests onto a single
-// resident process where all requests share the one cache and,
-// optionally, one persistent dist.Pool of worker processes reused
-// session after session. Admission is bounded — a fixed number of
+// resident process where all requests share the one cache. Admission
+// is bounded — a fixed number of
 // concurrent synthesis slots plus a fixed-length waiting queue, with
 // overflow answered 429 immediately — and every request runs under its
 // own budgets (state-count cap and deadline, clamped to server
 // configuration). POST /v1/synthesize returns the generated C
 // byte-for-byte as the CLI would write it (golden-checked by the
 // server smoke test, `make server-smoke`); GET /metrics exposes the
-// cache, admission, latency and per-worker dist memory series in
-// Prometheus text format; SIGTERM begins a graceful drain — readiness
-// (GET /readyz) flips off, new work is refused, in-flight requests
-// finish under a deadline, the pool closes once. docs/SERVER.md is the
-// operations guide.
+// cache, admission, latency and store-residency series in Prometheus
+// text format; SIGTERM begins a graceful drain — readiness (GET
+// /readyz) flips off, new work is refused, in-flight requests finish
+// under a deadline. docs/SERVER.md is the operations guide.
 //
 // # Scenario corpus
 //

@@ -20,10 +20,10 @@ import (
 // cacheable: a custom sched.Termination or sched.ECSOrder is an opaque
 // interface value (its Name alone does not capture its parameters), so
 // calls carrying one bypass the cache entirely. Options.Workers and
-// Sched.Strategy are deliberately not part of the key — every execution
-// strategy (any number of pool workers, worker processes, a frozen
-// store) produces byte-identical Results, so a nil Sched and one that
-// differs from it only in Strategy share an entry.
+// Sched.Freeze are deliberately not part of the key — any number of
+// pool workers and a frozen store alike produce byte-identical Results,
+// so a nil Sched and one that differs from it only in Freeze share an
+// entry.
 
 // cacheLimit bounds the number of retained entries; eviction is FIFO in
 // insertion order, which is enough for the repeat-synthesis workloads

@@ -23,21 +23,19 @@ import (
 // Options configures the pipeline.
 type Options struct {
 	// Sched configures the schedule search (termination condition,
-	// heuristics, state budget, execution strategy) and is handed to
+	// heuristics, state budget, frozen store tier) and is handed to
 	// every search unchanged; nil uses the paper's defaults
-	// (irrelevance criterion + T-invariant ordering), explored inline.
+	// (irrelevance criterion + T-invariant ordering), all-hot.
 	Sched *sched.Options
 	// Workers bounds the number of concurrent per-source schedule
 	// searches. 0 uses GOMAXPROCS; 1 runs them one at a time on one
 	// pool worker. Every search is deterministic and independent of the
 	// others, so the result is byte-identical regardless of Workers.
-	// This pool is the only in-process concurrency: each search itself
-	// runs serially on its pool goroutine, or on Sched.Strategy.Runner —
-	// a runner is a sequential resource, so the pool keeps one worker
-	// while one is set. A custom Sched.Term or Sched.Order is shared
-	// across searches and must be safe for concurrent use when
-	// Workers > 1; the defaults are built fresh per search and always
-	// are.
+	// This pool is the only concurrency: each search itself runs
+	// serially on its pool goroutine. A custom Sched.Term or
+	// Sched.Order is shared across searches and must be safe for
+	// concurrent use when Workers > 1; the defaults are built fresh per
+	// search and always are.
 	Workers int
 	// DisableCache bypasses the content-addressed synthesis cache for
 	// this call. Only the textual entry points (Synthesize,
@@ -234,11 +232,6 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Sched != nil && opt.Sched.Strategy.Runner != nil {
-		// The runner serializes sessions; concurrent searches would
-		// only queue on it, so keep the source level serial.
-		workers = 1
 	}
 	out := make([]*sched.Schedule, len(sources))
 	// The net's adjacency caches are built lazily and unsynchronized;

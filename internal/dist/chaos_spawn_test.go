@@ -8,17 +8,13 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/petri"
-	"repro/internal/sched"
 )
 
 // Process-level chaos: kill a real spawned worker at a randomized
 // level commit and require the coordinator to respawn it, reseed its
-// replica with the re-init, and finish with generated C byte-identical
-// to the serial run. The pipe-pool matrix (package dist) covers the
+// replica with the re-init, and finish with a ReachResult
+// byte-identical to the inline exploration. The pipe-pool matrix (package dist) covers the
 // redistribution path; this test is the respawn path end to end —
 // SIGKILL, re-exec, handshake, re-init, resume.
 
@@ -45,11 +41,8 @@ func spawnChaosRounds() int {
 
 func TestChaosSpawnedKill(t *testing.T) {
 	seed, rounds := spawnChaosSeed(), spawnChaosRounds()
-	serial, err := core.Synthesize(apps.PFC, apps.PFCSpec, &core.Options{Workers: 1, DisableCache: true})
-	if err != nil {
-		t.Fatalf("serial baseline: %v", err)
-	}
-	want := fingerprint(t, serial)
+	n := linkedPFCNet(t)
+	want := n.Explore(matrixOpt)
 
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(seed + int64(round)))
@@ -62,7 +55,7 @@ func TestChaosSpawnedKill(t *testing.T) {
 				}
 				defer pool.Close()
 				// SIGKILL the victim at the killAt-th level commit of
-				// the synthesis — mid-session, with the next frontier
+				// the exploration — mid-session, with the next frontier
 				// already streaming.
 				var fired int
 				var once sync.Once
@@ -76,19 +69,13 @@ func TestChaosSpawnedKill(t *testing.T) {
 						})
 					}
 				})
-				opt := &core.Options{Workers: 1, DisableCache: true,
-					Sched: &sched.Options{Strategy: petri.Strategy{Runner: pool, Fallback: true}}}
-				r, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt)
+				got, err := n.ExploreDist(pool, matrixOpt)
 				if err != nil {
-					t.Fatalf("synthesize with worker %d killed at level commit %d: %v", victim, killAt, err)
+					t.Fatalf("explore with worker %d killed at level commit %d: %v", victim, killAt, err)
 				}
-				if got := fingerprint(t, r); got != want {
-					t.Errorf("kill worker %d at commit %d: output differs from serial\n%s",
-						victim, killAt, firstDiff(want, got))
-				}
-				restarts, _ := pool.RecoveryStats()
-				if restarts < 1 {
-					t.Fatalf("killed worker %d at commit %d but the pool reports no restarts", victim, killAt)
+				assertSameReach(t, fmt.Sprintf("kill worker %d at commit %d", victim, killAt), want, got)
+				if st := pool.LastSessionStats(); st.Restarts < 1 || st.Degraded {
+					t.Fatalf("killed worker %d at commit %d: session stats %+v, want a restart and no degradation", victim, killAt, st)
 				}
 			})
 		}

@@ -197,15 +197,15 @@ func TestHeartbeatTimeout(t *testing.T) {
 // TestChaosPipeMatrix: the chaos determinism matrix over pipe pools.
 // For worker counts {1, 2, 4} and faults {kill a worker mid-level,
 // sever its conn mid-frame, delay+fragment every write}, exploration
-// through the pool — falling back in-process when recovery is
-// impossible — yields results byte-identical to the serial run.
+// through the pool yields results byte-identical to the serial run
+// whenever recovery is possible. When it is not — the only worker died
+// and a pipe pool cannot respawn — ExploreDist returns the recovery
+// error and the session reports Degraded: nothing reruns it inline.
 func TestChaosPipeMatrix(t *testing.T) {
 	seed := chaosSeed()
 	n := ringNet(3, 5)
-	base := petri.ExploreOptions{MaxMarkings: 2000}
-	want := n.Explore(base)
-	opt := base
-	opt.Strategy.Fallback = true
+	opt := petri.ExploreOptions{MaxMarkings: 2000}
+	want := n.Explore(opt)
 
 	for _, W := range []int{1, 2, 4} {
 		for _, mode := range []string{"kill", "sever", "delay"} {
@@ -243,21 +243,23 @@ func TestChaosPipeMatrix(t *testing.T) {
 					})
 				}
 				got, err := n.ExploreDist(cp.Pool, opt)
+				st := cp.LastSessionStats()
+				if mode != "delay" && W == 1 {
+					// The only worker died and pipes cannot respawn:
+					// the session fails, degraded, with no result.
+					if err == nil || got != nil || !st.Degraded {
+						t.Fatalf("single-worker %s: got %v, %v, %+v; want the recovery error and Degraded", mode, got, err, st)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatalf("ExploreDist under %s: %v", mode, err)
 				}
 				requireSameReach(t, mode, want, got)
-				st := cp.LastSessionStats()
 				switch {
 				case mode == "delay":
 					if st.Restarts != 0 || st.Degraded {
 						t.Fatalf("delay-only session reported recovery: %+v", st)
-					}
-				case W == 1:
-					// The only worker died and pipes cannot respawn:
-					// the pool must degrade and the fallback answer.
-					if !st.Degraded {
-						t.Fatalf("single-worker %s did not degrade: %+v", mode, st)
 					}
 				default:
 					if st.Restarts < 1 {

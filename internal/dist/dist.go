@@ -1,18 +1,26 @@
-// Package dist shards the level-synchronous frontier exploration
-// across OS processes: a deterministic coordinator in the synthesizing
-// process drives a pool of worker processes, each owning a contiguous
-// range of marking-hash shards (the top bits of the additive marking
-// hash petri.HashMarking, petri.ShardOfHash), over a length-prefixed
-// binary protocol on unix sockets or TCP.
+// Package dist shards one level-synchronous reachability exploration
+// (petri.Net.ExploreDist) across OS processes: a deterministic
+// coordinator in the calling process drives a pool of worker
+// processes, each owning a contiguous range of marking-hash shards (the
+// top bits of the additive marking hash petri.HashMarking,
+// petri.ShardOfHash), over a length-prefixed binary protocol on unix
+// sockets.
+//
+// Synthesis never runs on it: the schedule search, the command-line
+// tools and the server explore inline, because on every measurement the
+// coordinator's merge alone cost more CPU than a whole inline search,
+// and its process held the whole store as an inline one does. The
+// package remains as the library of the repository benchmark's dist
+// workload (qssbench) and goes when that workload is retired.
 //
 // # Determinism contract
 //
 // The coordinator performs the exact sequential first-discovery merge
 // of petri.Drive's inline mode: frontier states are walked in dense
 // MarkID order and each state's candidate edges in the inline emit
-// order, so dense MarkID assignment — and with it state numbering,
-// schedules and generated C — is byte-identical for every
-// worker-process count and the in-process search. Workers only ever
+// order, so dense MarkID assignment — and with it the ReachResult — is
+// byte-identical for every worker-process count and the in-process
+// search. Workers only ever
 // move the expansion work (firing, hashing, known-state resolution)
 // out of the coordinator; they never influence ordering.
 //
@@ -79,8 +87,8 @@
 // coordinator's merge against the authoritative store.
 //
 // Orthogonally, the frozen tier follows the coordinator. When the
-// caller's petri.Strategy sets Freeze, petri.Drive hands the session a
-// store with a frozen tier. The coordinator interns every new state
+// caller's petri.ExploreOptions set Freeze, petri.Drive hands the
+// session a store with a frozen tier. The coordinator interns every new state
 // with its parent and transition (petri.MarkingStore.InternChild) and
 // freezes the store at its own level commits (FreezeThrough), and
 // every session init (resumes included) carries the store's
@@ -98,12 +106,9 @@
 // SpawnLocal re-executes the current binary as worker processes; any
 // binary (or test binary) that may act as a coordinator must call
 // MaybeWorker first thing in main (or TestMain), which hijacks the
-// process when the QSS_DIST_WORKER environment variable is set.
-// Externally managed workers (other machines, containers) run the
-// cmd/qssd binary and dial the endpoint the coordinator listens on via
-// Listen. Set QSS_DIST_LOGDIR to make coordinator and workers write
-// per-process log files (CI uploads them when the determinism matrix
-// fails).
+// process when the QSS_DIST_WORKER environment variable is set. Set
+// QSS_DIST_LOGDIR to make coordinator and workers write per-process log
+// files (CI uploads them when the determinism matrix fails).
 //
 // # Failure model
 //
@@ -112,7 +117,7 @@
 // (sendTimeout) plus a generous worker-side read deadline, and while
 // the coordinator's merge awaits a frame it pings the awaited worker
 // every heartbeatInterval — a worker from which no frame at all
-// arrives within heartbeatTimeout is declared dead even if its TCP
+// arrives within heartbeatTimeout is declared dead even if its
 // connection looks healthy. Any frame (a pong
 // included) counts as life; a worker grinding through a huge level is
 // never misdeclared as long as it keeps draining pings.
@@ -122,20 +127,18 @@
 // re-execs a replacement process (bounded retries, exponential backoff
 // with jitter), and the re-init seeds every trimmed replica with its
 // owned slice of the store from the replayed level on; a pool that
-// cannot respawn
-// (external workers) redistributes the dead worker's shards across the
-// survivors instead. The session then replays the interrupted level
-// against the authoritative store — replayed candidates are discarded
-// by count, so ReachResult, schedules and generated C stay
+// cannot respawn (a replacement fails to start, or a pool without a
+// spawner, like the tests' in-memory pipe pools) redistributes the dead
+// worker's shards across the survivors instead. The session then
+// replays the interrupted level against the authoritative store —
+// replayed candidates are discarded by count, so the ReachResult stays
 // byte-identical to a fault-free run. Recovery is bounded
 // (maxSessionRestarts rounds per session); when it is exhausted, or no
-// worker survives, the session error poisons the pool
-// (Pool.Err) and callers fall back: a petri.Strategy with Fallback set
-// reruns the exploration in-process (the command-line tools and the
-// server set it), so synthesis degrades to local execution rather than
-// failing. SessionStats (Restarts, Redistributed, Degraded) and
-// Pool.RecoveryStats surface what happened; the qss-server exports them
-// as metrics.
+// worker survives, the session fails with SessionStats.Degraded set,
+// ExploreDist returns its error, and the pool is poisoned: every later
+// session fails fast with the same cause. Nothing reruns the
+// exploration inline. SessionStats (Restarts, Redistributed, Degraded)
+// report what happened.
 package dist
 
 import (
@@ -155,10 +158,10 @@ const (
 	EnvLogDir   = "QSS_DIST_LOGDIR"
 )
 
-// ParseEndpoint splits an endpoint of the form "unix:/path/to.sock",
+// parseEndpoint splits an endpoint of the form "unix:/path/to.sock",
 // "tcp:host:port" or a bare filesystem path (treated as a unix socket)
 // into a (network, address) pair for package net.
-func ParseEndpoint(ep string) (network, addr string, err error) {
+func parseEndpoint(ep string) (network, addr string, err error) {
 	switch {
 	case strings.HasPrefix(ep, "unix:"):
 		return "unix", ep[len("unix:"):], nil
@@ -173,25 +176,19 @@ func ParseEndpoint(ep string) (network, addr string, err error) {
 
 // dialRetry dials the endpoint with exponential backoff and jitter: a
 // spawned worker may race the coordinator's listener setup by
-// milliseconds, while an externally started qssd may come up long
-// before its coordinator — short retries first, then progressively
-// patient ones that do not stampede a coordinator accepting a whole
-// pool at once. maxAttempts > 0 additionally caps the number of dials
-// (cmd/qssd -dial-attempts); 0 retries until the budget expires.
-func dialRetry(ep string, budget time.Duration, maxAttempts int) (net.Conn, error) {
-	network, addr, err := ParseEndpoint(ep)
+// milliseconds, and a whole pool dials at once, so retries start short
+// and grow without stampeding the coordinator's accept loop.
+func dialRetry(ep string, budget time.Duration) (net.Conn, error) {
+	network, addr, err := parseEndpoint(ep)
 	if err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(budget)
 	backoff := 25 * time.Millisecond
-	for attempt := 1; ; attempt++ {
+	for {
 		c, err := net.Dial(network, addr)
 		if err == nil {
 			return c, nil
-		}
-		if maxAttempts > 0 && attempt >= maxAttempts {
-			return nil, fmt.Errorf("dist: dial %s: %w (after %d attempts)", ep, err, attempt)
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("dist: dial %s: %w", ep, err)
@@ -201,19 +198,6 @@ func dialRetry(ep string, budget time.Duration, maxAttempts int) (net.Conn, erro
 			backoff *= 2
 		}
 	}
-}
-
-// Serve dials the coordinator at the endpoint (retrying for up to
-// dialBudget) and serves exploration sessions until the coordinator
-// closes the connection — the body of the cmd/qssd worker binary.
-func Serve(endpoint string, dialBudget time.Duration, opt WorkerOptions) error {
-	logw := newLogWriterTo("worker", os.Stderr)
-	conn, err := dialRetry(endpoint, dialBudget, opt.DialAttempts)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return ServeConn(conn, logw)
 }
 
 // MaybeWorker turns the current process into a dist worker when the
@@ -230,7 +214,7 @@ func MaybeWorker() {
 	}
 	logw := newLogWriter("worker")
 	ep := os.Getenv(EnvEndpoint)
-	conn, err := dialRetry(ep, 10*time.Second, 0)
+	conn, err := dialRetry(ep, 10*time.Second)
 	if err != nil {
 		logw.printf("%v", err)
 		os.Exit(1)

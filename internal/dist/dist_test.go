@@ -21,10 +21,6 @@ func pipePool(t *testing.T, n int) *Pool {
 	return pipePoolWrapped(t, n, nil)
 }
 
-// PipePool is pipePool for the external test package, whose
-// end-to-end tests reach the pool through package core.
-func PipePool(t *testing.T, n int) *Pool { return pipePool(t, n) }
-
 // pipePoolWrapped is pipePool with a worker-side conn wrapper (latency
 // injection); wrap may return nil to leave worker i's conn alone. Every
 // worker must exit cleanly when the test closes its pipe.

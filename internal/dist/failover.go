@@ -24,9 +24,8 @@ package dist
 //     candidates whose hooks already ran (resume counts them), and
 //     continues.
 //   - exhaustion: after maxSessionRestarts failed recoveries the
-//     session errors with SessionStats.Degraded set; the pool is
-//     poisoned as before and callers fall back to in-process
-//     exploration (petri.Strategy.Fallback).
+//     session errors with SessionStats.Degraded set, and the pool is
+//     poisoned as after any other session error.
 
 import (
 	"errors"
@@ -118,7 +117,6 @@ func (p *Pool) runSession(ft *petri.FiringTable, store *petri.MarkingStore, spec
 			return false, fmt.Errorf("dist: recovery failed: %v (after %w)", rerr, err)
 		}
 		p.stats.Restarts++
-		p.restartsTotal++
 	}
 }
 
@@ -175,7 +173,6 @@ func (p *Pool) recoverSession(a *attempt, wd *workerDeath) error {
 	for _, i := range gone {
 		lo, hi := petri.OwnedShardRange(i, a.S, a.W)
 		p.stats.Redistributed += hi - lo
-		p.redistributedTotal += int64(hi - lo)
 	}
 	p.removeWorkers(gone)
 	p.logw.printf("dropped %d dead workers; %d survivors take over their shards", len(gone), len(p.workers))
@@ -254,15 +251,6 @@ func (p *Pool) removeWorkers(gone []int) {
 	if p.procs != nil {
 		p.procs = procs
 	}
-}
-
-// RecoveryStats returns the pool's cumulative failover counters across
-// all sessions: worker restarts and shards redistributed off dead
-// workers.
-func (p *Pool) RecoveryStats() (restarts, redistributed int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.restartsTotal, p.redistributedTotal
 }
 
 // SetLevelHook installs fn to run at the start of every level's merge

@@ -1,55 +1,28 @@
 package dist_test
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/petri"
-	"repro/internal/sched"
 )
 
-// The determinism matrix: every execution strategy of the exploration —
-// in-process, with the frozen store tier, and real spawned worker
-// processes — must produce byte-identical schedules, generated C and
-// reachability results. These tests spawn actual OS processes
-// (dist.SpawnLocal re-executes this test binary; TestMain routes the
-// children into dist.MaybeWorker), so they cover the wire protocol,
-// replica reconstruction and coordinator merge end to end, under -race
-// when the harness runs with it.
+// The determinism matrix of dist exploration: petri.Net.ExploreDist on
+// real spawned worker processes must produce ReachResults
+// byte-identical to the inline exploration, all-hot and with the frozen
+// store tier. These tests spawn actual OS processes (dist.SpawnLocal
+// re-executes this test binary; TestMain routes the children into
+// dist.MaybeWorker), so they cover the wire protocol, replica
+// reconstruction and coordinator merge end to end, under -race when the
+// harness runs with it.
 
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
 	os.Exit(m.Run())
-}
-
-// fingerprint renders everything downstream consumers depend on: task
-// names, generated C, guaranteed bounds and the full schedule text.
-func fingerprint(t *testing.T, r *core.Result) string {
-	t.Helper()
-	var sb strings.Builder
-	names := make([]string, 0, len(r.Code))
-	for name := range r.Code {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&sb, "== task %s ==\n%s", name, r.Code[name])
-	}
-	fmt.Fprintf(&sb, "bounds %v\n", r.Bounds)
-	for _, s := range r.Schedules {
-		if err := s.Format(&sb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sb.String()
 }
 
 var matrixApps = []struct {
@@ -64,66 +37,54 @@ var matrixApps = []struct {
 	{"pfc", apps.PFC, apps.PFCSpec},
 }
 
-// matrixConfig is one execution strategy. procs > 0 spawns that many
-// worker processes; otherwise the search runs in-process. freeze turns
-// on the frozen store tier through petri.Strategy.Freeze — on the
-// coordinator, and in the workers, which learn it from the session
-// init.
-type matrixConfig struct {
+// matrixOpt bounds the exploration of each example app's linked net:
+// sources fire, and a cap of two tokens per place keeps it finite.
+var matrixOpt = petri.ExploreOptions{MaxMarkings: 5000, MaxTokensPerPlace: 2, FireSources: true}
+
+// matrixConfigs are the worker-process counts, and whether the
+// exploration freezes — on the coordinator, and in the workers, which
+// learn it from the session init.
+var matrixConfigs = []struct {
 	name   string
 	procs  int
 	freeze bool
-}
-
-var matrixConfigs = []matrixConfig{
-	{name: "serial"},
-	{name: "serial-frozen", freeze: true},
+}{
 	{name: "dist-procs-1", procs: 1},
 	{name: "dist-procs-2", procs: 2},
 	{name: "dist-procs-4", procs: 4},
 	{name: "dist-procs-2-frozen", procs: 2, freeze: true},
 }
 
-// TestDeterminismMatrix: byte-identical generated C and schedules for
-// every example app across {serial, frozen store, worker processes in
-// {1,2,4}}. The workers must freeze exactly when the coordinator does:
-// after each dist cell (PFC runs last) every worker's replica holds
+// TestDeterminismMatrix: byte-identical ReachResults for the linked
+// net of every example app across worker processes in {1,2,4}, and
+// frozen on 2. The workers must freeze exactly when the coordinator
+// does: after each cell (PFC runs last) every worker's replica holds
 // frozen bytes in the frozen cell and none in the others.
 func TestDeterminismMatrix(t *testing.T) {
-	want := make(map[string]string, len(matrixApps))
-	for _, app := range matrixApps {
-		r, err := core.Synthesize(app.flowc, app.spec, &core.Options{Workers: 1, DisableCache: true})
+	nets := make([]*petri.Net, len(matrixApps))
+	want := make([]*petri.ReachResult, len(matrixApps))
+	for i, app := range matrixApps {
+		n, err := core.SystemNet(app.flowc, app.spec)
 		if err != nil {
-			t.Fatalf("serial %s: %v", app.name, err)
+			t.Fatalf("link %s: %v", app.name, err)
 		}
-		want[app.name] = fingerprint(t, r)
+		nets[i], want[i] = n, n.Explore(matrixOpt)
 	}
-	for _, cfg := range matrixConfigs[1:] {
+	for _, cfg := range matrixConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			so := &sched.Options{Strategy: petri.Strategy{Freeze: cfg.freeze}}
-			opt := &core.Options{Workers: 1, DisableCache: true, Sched: so}
-			var pool *dist.Pool
-			if cfg.procs > 0 {
-				var err error
-				pool, err = dist.SpawnLocal(cfg.procs)
-				if err != nil {
-					t.Fatalf("spawn %d workers: %v", cfg.procs, err)
-				}
-				defer pool.Close()
-				so.Strategy.Runner = pool
+			pool, err := dist.SpawnLocal(cfg.procs)
+			if err != nil {
+				t.Fatalf("spawn %d workers: %v", cfg.procs, err)
 			}
-			for _, app := range matrixApps {
-				r, err := core.Synthesize(app.flowc, app.spec, opt)
+			defer pool.Close()
+			opt := matrixOpt
+			opt.Freeze = cfg.freeze
+			for i, app := range matrixApps {
+				got, err := nets[i].ExploreDist(pool, opt)
 				if err != nil {
 					t.Fatalf("%s under %s: %v", app.name, cfg.name, err)
 				}
-				if got := fingerprint(t, r); got != want[app.name] {
-					t.Errorf("%s under %s: output differs from serial\n%s",
-						app.name, cfg.name, firstDiff(want[app.name], got))
-				}
-			}
-			if pool == nil {
-				return
+				assertSameReach(t, app.name+" under "+cfg.name, want[i], got)
 			}
 			for i, wm := range pool.LastSessionStats().Workers {
 				t.Logf("worker %d: store %d B, frozen %d B", i, wm.StoreBytes, wm.FrozenBytes)
@@ -135,38 +96,35 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestPFCBudgetEdgeDist: the search budget binds at the same edge when
-// a worker pool expands the search — MaxNodes one below PFC's state
-// count fails with ErrBudget, MaxNodes equal to it succeeds — and an
-// over-budget session leaves the pool usable.
+// TestPFCBudgetEdgeDist: the marking budget binds at the same edge when
+// a worker pool expands the exploration of PFC's linked net —
+// MaxMarkings one below the full count truncates, MaxMarkings equal to
+// it completes — and an over-budget session leaves the pool usable.
 func TestPFCBudgetEdgeDist(t *testing.T) {
-	const states = 23984 // PFC's single search
-	pool := dist.PipePool(t, 2)
-	opt := func(maxNodes int) *core.Options {
-		return &core.Options{Workers: 1, DisableCache: true,
-			Sched: &sched.Options{MaxNodes: maxNodes, Strategy: petri.Strategy{Runner: pool}}}
+	n := linkedPFCNet(t)
+	opt := petri.ExploreOptions{MaxMarkings: 1 << 20, MaxTokensPerPlace: 1, FireSources: true}
+	full := n.Explore(opt)
+	states := full.Len() // 23,984
+	if states == opt.MaxMarkings {
+		t.Fatalf("the reference exploration hit its budget at %d states", states)
 	}
-	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt(states-1)); !errors.Is(err, sched.ErrBudget) {
-		t.Fatalf("MaxNodes %d: err = %v, want ErrBudget", states-1, err)
-	}
-	r, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt(states))
+	pool, err := dist.SpawnLocal(2)
 	if err != nil {
-		t.Fatalf("MaxNodes %d: %v", states, err)
+		t.Fatalf("spawn workers: %v", err)
 	}
-	if got := r.Schedules[0].Stats.NodesCreated; got != states {
-		t.Fatalf("explored %d states, want %d", got, states)
+	defer pool.Close()
+	opt.MaxMarkings = states - 1
+	r, err := n.ExploreDist(pool, opt)
+	if err != nil || !r.Truncated || r.Len() != states-1 {
+		t.Fatalf("MaxMarkings %d: %v, err %v; want %d states, truncated", states-1, r, err, states-1)
 	}
-}
-
-// firstDiff locates the first differing line for a readable failure.
-func firstDiff(want, got string) string {
-	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(wl) && i < len(gl); i++ {
-		if wl[i] != gl[i] {
-			return fmt.Sprintf("line %d:\n  serial: %q\n  this:   %q", i+1, wl[i], gl[i])
-		}
+	assertSameReach(t, "budget-1", n.Explore(opt), r)
+	opt.MaxMarkings = states
+	r, err = n.ExploreDist(pool, opt)
+	if err != nil {
+		t.Fatalf("MaxMarkings %d: %v", states, err)
 	}
-	return fmt.Sprintf("lengths differ: %d vs %d lines", len(wl), len(gl))
+	assertSameReach(t, "budget", full, r)
 }
 
 // TestReachMatrix: petri-level ReachResult ordering — markings, edges,
@@ -274,78 +232,9 @@ func overCapRootNet() *petri.Net {
 // structure for the reachability matrix.
 func linkedPFCNet(t *testing.T) *petri.Net {
 	t.Helper()
-	r, err := apps.SynthesizePFC()
+	n, err := core.SystemNet(apps.PFC, apps.PFCSpec)
 	if err != nil {
-		t.Fatalf("synthesize pfc: %v", err)
+		t.Fatalf("link pfc: %v", err)
 	}
-	return r.Sys.Net
-}
-
-// sweepConfig keeps the 50-app corpus sweep light enough for -race on
-// a small container while still covering every generator pattern.
-func sweepConfig() corpus.Config {
-	cfg := corpus.DefaultConfig()
-	cfg.MaxPipelines = 2
-	cfg.MaxStages = 2
-	cfg.MaxOps = 2
-	cfg.MaxWidth = 2
-	return cfg
-}
-
-// TestCorpusSweepDist: a 50-app randomized corpus synthesizes to
-// byte-identical code under serial and cross-process exploration (the
-// acceptance sweep; the named-app matrix above covers the full config
-// cross product).
-func TestCorpusSweepDist(t *testing.T) {
-	appsList := corpus.GenerateCorpus(1234, 50, sweepConfig())
-	pool, err := dist.SpawnLocal(2)
-	if err != nil {
-		t.Fatalf("spawn workers: %v", err)
-	}
-	defer pool.Close()
-	serialOpt := &core.Options{Workers: 1, DisableCache: true}
-	distOpt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Strategy: petri.Strategy{Runner: pool}}}
-	for i, app := range appsList {
-		want, serr := core.Synthesize(app.FlowC, app.Spec, serialOpt)
-		got, derr := core.Synthesize(app.FlowC, app.Spec, distOpt)
-		if (serr == nil) != (derr == nil) {
-			t.Fatalf("app %d (%s): serial err %v, dist err %v", i, app.Name, serr, derr)
-		}
-		if serr != nil {
-			// Both failed: the failure itself must be deterministic.
-			if serr.Error() != derr.Error() {
-				t.Fatalf("app %d (%s): divergent errors\n serial: %v\n dist:   %v", i, app.Name, serr, derr)
-			}
-			continue
-		}
-		if fw, fg := fingerprint(t, want), fingerprint(t, got); fw != fg {
-			t.Errorf("app %d (%s): dist output differs from serial\n%s", i, app.Name, firstDiff(fw, fg))
-		}
-	}
-}
-
-// TestCorpusSweepFrozen: the freeze/thaw property sweep — the same
-// 50-app corpus synthesizes to byte-identical code with the frozen
-// store tier on, every level frozen to disk and thawed on demand,
-// versus the all-hot serial baseline.
-func TestCorpusSweepFrozen(t *testing.T) {
-	appsList := corpus.GenerateCorpus(1234, 50, sweepConfig())
-	serialOpt := &core.Options{Workers: 1, DisableCache: true}
-	frozenOpt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Strategy: petri.Strategy{Freeze: true}}}
-	for i, app := range appsList {
-		want, serr := core.Synthesize(app.FlowC, app.Spec, serialOpt)
-		got, ferr := core.Synthesize(app.FlowC, app.Spec, frozenOpt)
-		if (serr == nil) != (ferr == nil) {
-			t.Fatalf("app %d (%s): all-hot err %v, frozen err %v", i, app.Name, serr, ferr)
-		}
-		if serr != nil {
-			if serr.Error() != ferr.Error() {
-				t.Fatalf("app %d (%s): divergent errors\n all-hot: %v\n frozen:  %v", i, app.Name, serr, ferr)
-			}
-			continue
-		}
-		if fw, fg := fingerprint(t, want), fingerprint(t, got); fw != fg {
-			t.Errorf("app %d (%s): frozen output differs from all-hot\n%s", i, app.Name, firstDiff(fw, fg))
-		}
-	}
+	return n
 }

@@ -21,8 +21,8 @@ import (
 type Pool struct {
 	mu       sync.Mutex
 	workers  []*conn
-	cmds     []*exec.Cmd        // every process ever spawned (reaped at Close); empty for Listen pools
-	procs    []*exec.Cmd        // per worker: the process behind the connection (nil entries for external workers)
+	cmds     []*exec.Cmd        // every process ever spawned (reaped at Close)
+	procs    []*exec.Cmd        // per worker: the process behind the connection (nil for the tests' pipe workers)
 	deadCmds map[*exec.Cmd]bool // processes retired mid-session; their exit status is not an error
 	dir      string             // socket tempdir of a SpawnLocal pool
 	ln       net.Listener       // retained SpawnLocal listener, for respawning replacements
@@ -32,11 +32,6 @@ type Pool struct {
 	closed   bool
 	logw     *logWriter
 	stats    SessionStats
-
-	// Cumulative failover accounting across the pool's lifetime (the
-	// per-session view lives in SessionStats).
-	restartsTotal      int64
-	redistributedTotal int64
 
 	// levelHook, when set, is invoked at the start of each level's
 	// merge — the fault-injection point the chaos tests use to kill
@@ -64,8 +59,7 @@ type SessionStats struct {
 	// Failover accounting. Restarts counts recovery rounds the session
 	// needed, Redistributed the shards moved from dead workers onto
 	// survivors when no replacement could be spawned, and Degraded
-	// reports that the session ultimately failed — recovery exhausted —
-	// and the caller should fall back to in-process exploration.
+	// reports that the session ultimately failed — recovery exhausted.
 	Restarts      int
 	Redistributed int
 	Degraded      bool
@@ -78,11 +72,6 @@ type SessionStats struct {
 // spawned worker to connect and greet. Its main job is failing fast
 // when the re-executed binary does not call MaybeWorker.
 const spawnHandshakeTimeout = 30 * time.Second
-
-// listenHandshakeTimeout is the per-worker accept deadline for
-// externally started workers (cmd/qssd): humans start those by hand,
-// possibly compiling first, so the window is generous.
-const listenHandshakeTimeout = 5 * time.Minute
 
 // SpawnLocal starts n worker processes by re-executing the current
 // binary (which must call MaybeWorker early; see its doc) connected
@@ -153,32 +142,6 @@ func (p *Pool) spawnProc() (*exec.Cmd, error) {
 	return cmd, nil
 }
 
-// Listen awaits n externally started workers (cmd/qssd -connect) at the
-// endpoint ("unix:/path", "tcp:host:port", or a bare unix path) and
-// returns the ready pool. The workers' lifecycle belongs to whoever
-// started them; Close only drops the connections.
-func Listen(endpoint string, n int) (*Pool, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dist: Listen needs >= 1 worker, got %d", n)
-	}
-	network, addr, err := ParseEndpoint(endpoint)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	p := &Pool{logw: newLogWriter("coord")}
-	if _, err := p.accept(ln, n, listenHandshakeTimeout); err != nil {
-		p.Close()
-		return nil, err
-	}
-	p.logw.printf("accepted %d workers at %s", n, endpoint)
-	return p, nil
-}
-
 // acceptOne accepts a single worker from the listener and runs the
 // hello handshake under the given deadline.
 func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, pid int, err error) {
@@ -213,8 +176,8 @@ func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, pid int, err er
 
 // accept gathers n hello-ing workers from the listener and returns
 // their self-reported pids. The deadline applies per worker (reset
-// before each Accept), so a slowly assembled external pool is not cut
-// off by the earlier arrivals' wait.
+// before each Accept), so a slow start of one worker is not cut off by
+// the earlier arrivals' wait.
 func (p *Pool) accept(ln net.Listener, n int, timeout time.Duration) ([]int, error) {
 	var pids []int
 	for len(p.workers) < n {
@@ -233,18 +196,6 @@ func (p *Pool) NumWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.workers)
-}
-
-// Err reports the infrastructure failure that poisoned the pool, or
-// nil while the pool is healthy. A session error is fatal to the pool
-// (every later RunFrontier fails fast with the same cause), so
-// long-lived owners amortizing one pool across many sessions — the
-// resident server — probe Err after a failed synthesis to decide
-// between retiring the pool and blaming the request.
-func (p *Pool) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.broken
 }
 
 // LastSessionStats returns the protocol accounting of the most recently

@@ -108,7 +108,7 @@ var (
 	// workerIdleTimeout is the worker-side read deadline within a
 	// session — generous, because a coordinator merging a
 	// huge level may legitimately go quiet toward a parked worker. It
-	// is cleared at session end so an idle qssd worker survives
+	// is cleared at session end so an idle worker survives
 	// arbitrarily long gaps between sessions.
 	workerIdleTimeout = 10 * time.Minute
 )
@@ -512,9 +512,8 @@ func decodeUvarint(buf []byte) (uint64, []byte, error) {
 // logWriter is the shared, optionally file-backed logger: when
 // QSS_DIST_LOGDIR is set, each process writes its own
 // <role>-<pid>.log there (the CI determinism job uploads the directory
-// on failure); otherwise output goes to the fallback writer — discard
-// for coordinators and SpawnLocal workers (whose stderr is the
-// parent's), stderr for the standalone qssd worker. File-backed logs
+// on failure); otherwise output is discarded (a spawned worker's stderr
+// is its coordinator's). File-backed logs
 // are size-capped: a long test run (the determinism matrix reuses pids
 // across hundreds of sessions) rotates <name>.log to <name>.log.1 at
 // logFileCap bytes instead of growing without bound, keeping at most
@@ -579,10 +578,8 @@ func (r *rotatingFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func newLogWriter(role string) *logWriter { return newLogWriterTo(role, io.Discard) }
-
-func newLogWriterTo(role string, fallback io.Writer) *logWriter {
-	w := fallback
+func newLogWriter(role string) *logWriter {
+	w := io.Writer(io.Discard)
 	if dir := os.Getenv(EnvLogDir); dir != "" {
 		f, err := logFileFor(filepath.Join(dir, fmt.Sprintf("%s-%d.log", role, os.Getpid())))
 		if err == nil {

@@ -29,14 +29,6 @@ import (
 // coordinator's merge; ordering decisions stay with the coordinator, so
 // results are byte-identical across worker counts.
 
-// WorkerOptions configures a worker's serve loop.
-type WorkerOptions struct {
-	// DialAttempts caps the initial-dial retries of Serve (cmd/qssd
-	// -dial-attempts): 0 retries until the dial budget expires, n > 0
-	// gives up after n attempts even with budget left.
-	DialAttempts int
-}
-
 // replica is one session's worker-side state.
 type replica struct {
 	net     *petri.Net
@@ -324,16 +316,15 @@ func transportErr(err error) error {
 
 // ServeConn runs the worker side of a coordinator connection: hello,
 // then exploration sessions until the coordinator closes the
-// connection. It is the body of both spawned workers (MaybeWorker) and
-// the standalone cmd/qssd binary.
+// connection. It is the body of a spawned worker (MaybeWorker).
 //
 // Failures are two-tier. A transport failure (the link itself broke)
 // ends the serve loop: the process has nothing left to serve. A
 // session-scoped failure — a malformed init, a batch that does not
 // extend the replica, a coordinator bug — reports one msgError, then
 // drains the remainder of the doomed session quietly and keeps serving:
-// an externally started cmd/qssd worker stays available for the next
-// session instead of dying on the first bad one.
+// the worker stays available for the pool's next session instead of
+// dying on the first bad one.
 func ServeConn(nc net.Conn, logw *logWriter) error {
 	c := newConn(nc)
 	if err := c.send(msgHello, appendHello(os.Getpid())); err != nil {
@@ -393,7 +384,7 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 	}
 	// Liveness deadlines live for the session only: a coordinator that
 	// goes silent mid-session is dead (it would at least ping), but a
-	// qssd worker idling between sessions must keep waiting.
+	// worker idling between sessions must keep waiting.
 	c.readTimeout = workerIdleTimeout
 	c.writeTimeout = sendTimeout
 	defer c.clearRead()

@@ -103,8 +103,8 @@ type frozenTier struct {
 }
 
 // release closes the tier's OS resources; registered as a finalizer so
-// an abandoned store (e.g. the pre-fallback store of a failed dist
-// session) cleans up without explicit Close plumbing.
+// an abandoned store (e.g. the store of a failed dist session) cleans
+// up without explicit Close plumbing.
 func (fz *frozenTier) release() {
 	if fz.data != nil {
 		munmapSegment(fz.data)

@@ -236,7 +236,7 @@ func TestFreezeConcurrentThaw(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExploreFreezeLevelsDeterminism: Strategy.Freeze must not change a
+// TestExploreFreezeLevelsDeterminism: ExploreOptions.Freeze must not change a
 // single byte of the ReachResult — state numbering, edges, clip flags —
 // for full and budget/cap-clipped explorations; and the frozen run must
 // actually have frozen everything.
@@ -254,7 +254,7 @@ func TestExploreFreezeLevelsDeterminism(t *testing.T) {
 	for _, c := range cases {
 		baseline := c.net.Explore(c.opt)
 		opt := c.opt
-		opt.Strategy.Freeze = true
+		opt.Freeze = true
 		got := c.net.Explore(opt)
 		assertSameReach(t, c.name+"/frozen", baseline, got)
 		if !got.Store.FreezeEnabled() {
@@ -321,7 +321,7 @@ func TestFreezeThroughWriteFailure(t *testing.T) {
 // the all-hot run.
 func TestFreezeWriteFailureReverts(t *testing.T) {
 	n := ringsNet(3, 4)
-	opt := ExploreOptions{MaxMarkings: 1000, Strategy: Strategy{Freeze: true}}
+	opt := ExploreOptions{MaxMarkings: 1000, Freeze: true}
 	allHot := n.Explore(ExploreOptions{MaxMarkings: opt.MaxMarkings})
 	ft := NewFiringTable(n, n.ECSPartition())
 	var (
@@ -330,7 +330,7 @@ func TestFreezeWriteFailureReverts(t *testing.T) {
 		commits   int
 		frozenEnd int
 	)
-	ok, err := Drive(ft, reachSpec(n, ft.part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
+	ok, err := Drive(ft, reachSpec(n, ft.part, opt), nil, opt.Freeze, func(s *MarkingStore) MergeHooks {
 		store = s
 		e = newReachExplorer(s, opt.MaxMarkings)
 		h := e.mergeHooks()

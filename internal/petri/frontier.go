@@ -16,9 +16,8 @@ import (
 // Drive owns everything the explorers share: the MarkingStore
 // (with its frozen tier, which records each state's provenance as it
 // is interned), the enabled-ECS bitset arena, expansion of an
-// ExpandSpec, level-boundary detection and the Strategy's fallback
-// rerun. The caller's FiringTable fires every transition. Drive has
-// two modes:
+// ExpandSpec and level-boundary detection. The caller's FiringTable
+// fires every transition. Drive has two modes:
 //
 //	inline: expand one state, then merge each of its edges at once.
 //	  The merge fires into one scratch marking, vetoes it, hashes it
@@ -29,8 +28,9 @@ import (
 //	  the hash is the parent's plus the transition's constant
 //	  increment, so neither pass scans the marking.
 //	  No goroutines and no candidate buffers.
-//	runner: a FrontierRunner (the worker processes of internal/dist)
-//	  expands under the same ExpandSpec and calls the same MergeHooks.
+//	runner: a FrontierRunner (the worker processes of internal/dist,
+//	  reached only through Net.ExploreDist) expands under the same
+//	  ExpandSpec and calls the same MergeHooks.
 //
 // Dense MarkIDs are assigned only in the merge, in first-discovery
 // order, so the numbering, the edges and everything derived from them
@@ -39,8 +39,8 @@ import (
 // MergeHooks are the sequential hooks of an exploration: they run in
 // the deterministic merge order — states ascending, edges in expansion
 // order within a state — whichever mode or runner expands, which is
-// what makes state numbering byte-identical across every execution
-// strategy.
+// what makes state numbering byte-identical in both modes, frozen or
+// not.
 type MergeHooks struct {
 	// BeginState is called for every frontier state in MarkID order,
 	// before any of its Edge/Reject calls. May be nil.
@@ -127,65 +127,56 @@ type FrontierRunner interface {
 	RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error)
 }
 
-// Strategy is how an exploration executes: where the frontier
-// expands, whether a failed runner reruns inline, and whether closed
-// levels freeze. None of it changes what is explored or in what order —
-// the result is byte-identical under every strategy — so callers set it
-// once and every layer hands it unchanged to Drive. The zero value
-// explores inline, all-hot.
-type Strategy struct {
-	// Runner expands the frontier (the worker processes of
-	// internal/dist); nil expands it inline on the calling goroutine.
-	Runner FrontierRunner
-	// Fallback reruns the exploration inline when Runner fails — worker
-	// death with recovery exhausted, protocol corruption. Determinism
-	// makes the rerun's result identical to what the runner would have
-	// produced, so a failed pool degrades to local exploration instead
-	// of a lost request. Off, the runner's error is returned, which is
-	// what tests and pool health probes want to observe.
-	Fallback bool
-	// Freeze evicts the token vectors of closed levels into the store's
-	// frozen tier (see MarkingStore.FreezeThrough), trading
-	// reconstruction on later reads for a hot footprint that no longer
-	// grows with the vectors of the explored space. A runner's workers
-	// freeze their replicas exactly when the store it is handed does.
-	// If the segment cannot be created or written, the store stops
-	// freezing and the exploration silently continues all-hot; levels
-	// frozen before a write failure stay readable.
-	Freeze bool
-}
-
 // Drive explores ft's net breadth-first from its initial marking under
-// spec, whose Mask indexes ft's partition, executing as st says.
-// start is called with a fresh store holding only the root, MarkID 0,
-// and returns the hooks that record the exploration; Drive interns
-// every admitted successor into that store.
+// spec, whose Mask indexes ft's partition. start is called once with a
+// fresh store holding only the root, MarkID 0, and returns the hooks
+// that record the exploration; Drive interns every admitted successor
+// into that store.
 //
-// With a nil st.Runner the exploration runs inline on the calling
-// goroutine. Otherwise the runner expands it; if it fails and
-// st.Fallback is set, Drive calls start again with a new store and
-// reruns the exploration inline, and the error is swallowed.
+// With a nil r the exploration runs inline on the calling goroutine;
+// otherwise r expands it (only Net.ExploreDist passes a runner), and a
+// runner failure is returned as the error. freeze evicts the token
+// vectors of closed levels into the store's frozen tier (see
+// MarkingStore.FreezeThrough), trading reconstruction on later reads
+// for a hot footprint that no longer grows with the vectors of the
+// explored space; a runner's workers freeze their replicas exactly when
+// the store it is handed does. If the segment cannot be created or
+// written, the store stops freezing and the exploration silently
+// continues all-hot; levels frozen before a write failure stay
+// readable. None of this changes what is explored or in what order.
 //
 // A successor over the MaxTokens ceiling of a place spec leaves
 // unbounded is not a veto: it ends the exploration, which then returns
 // false and an error wrapping ErrTokenOverflow that names the place.
 //
 // The bool is false when a Reject hook aborted the exploration; the
-// error reports a runner failure that was not recovered, or an
-// overflow.
-func Drive(ft *FiringTable, spec ExpandSpec, st Strategy, start func(*MarkingStore) MergeHooks) (bool, error) {
-	d := &driver{ft: ft, spec: spec}
+// error reports a runner failure or an overflow.
+func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, freeze bool, start func(*MarkingStore) MergeHooks) (bool, error) {
+	d := &driver{ft: ft, spec: spec, store: NewMarkingStore(len(ft.net.Places))}
 	for p := range spec.Caps {
 		d.unbounded = d.unbounded || spec.unbounded(p)
 	}
-	if st.Runner != nil {
-		d.begin(st.Freeze, start)
-		ok, err := st.Runner.RunFrontier(ft, d.store, spec, d.hooks)
-		if err == nil || !st.Fallback {
-			return ok, cmp.Or(err, d.overflow)
+	if freeze {
+		// Without a segment file the exploration runs all-hot.
+		_ = d.store.EnableFreeze(ft)
+	}
+	d.store.Intern(ft.net.InitialMarking())
+	d.hooks = start(d.store)
+	if reject := d.hooks.Reject; d.unbounded {
+		d.hooks.Reject = func(parent MarkID, trans int32, budget bool) bool {
+			if !budget {
+				d.refire = ft.Fire(d.refire, d.store.At(parent), int(trans))
+				if d.overflow = ft.Overflow(&d.spec, d.refire, int(trans)); d.overflow != nil {
+					return false
+				}
+			}
+			return reject(parent, trans, budget)
 		}
 	}
-	d.begin(st.Freeze, start)
+	if r != nil {
+		ok, err := r.RunFrontier(ft, d.store, spec, d.hooks)
+		return ok, cmp.Or(err, d.overflow)
+	}
 	return d.runInline(), d.overflow
 }
 
@@ -204,34 +195,10 @@ type driver struct {
 	scratch Marking
 	// unbounded is set when spec leaves some place unbounded; the
 	// Reject hook then tells an overflow from a veto, re-firing into
-	// refire, and overflow is the error that ended the attempt.
+	// refire, and overflow is the error that ended the exploration.
 	unbounded bool
 	refire    Marking
 	overflow  error
-}
-
-// begin starts one attempt: a store holding only the root, its frozen
-// tier when asked for, and the caller's hooks for that store.
-func (d *driver) begin(freeze bool, start func(*MarkingStore) MergeHooks) {
-	d.store = NewMarkingStore(len(d.ft.net.Places))
-	if freeze {
-		// Without a segment file the exploration runs all-hot.
-		_ = d.store.EnableFreeze(d.ft)
-	}
-	d.store.Intern(d.ft.net.InitialMarking())
-	d.hooks = start(d.store)
-	d.overflow = nil
-	if reject := d.hooks.Reject; d.unbounded {
-		d.hooks.Reject = func(parent MarkID, trans int32, budget bool) bool {
-			if !budget {
-				d.refire = d.ft.Fire(d.refire, d.store.At(parent), int(trans))
-				if d.overflow = d.ft.Overflow(&d.spec, d.refire, int(trans)); d.overflow != nil {
-					return false
-				}
-			}
-			return reject(parent, trans, budget)
-		}
-	}
 }
 
 // runInline is the inline mode. The queue crosses a level boundary

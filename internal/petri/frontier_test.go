@@ -7,51 +7,35 @@ import (
 )
 
 // dyingRunner stands in for a worker pool that fails mid-session: it
-// merges one bogus rejection, which marks the attempt truncated, and
-// then reports an infrastructure failure.
-type dyingRunner struct{}
+// merges one bogus rejection, which marks the exploration truncated,
+// and then reports an infrastructure failure. It records whether the
+// store it was handed freezes.
+type dyingRunner struct{ froze *bool }
 
 var errWorkerDied = errors.New("worker died")
 
-func (dyingRunner) RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
+func (r dyingRunner) RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
+	*r.froze = store.FreezeEnabled()
 	hooks.Reject(0, 0, false)
 	return false, errWorkerDied
 }
 
-// TestExploreRunnerFallback: a runner failure surfaces as an error unless
-// Strategy.Fallback is set; then the exploration reruns inline from a fresh
-// store and hooks, and the result equals the in-process one.
+// TestExploreRunnerFallback: there is no inline fallback. A runner's
+// failure is ExploreDist's error and no result comes back, frozen or
+// all-hot; the runner is handed a store that freezes exactly when
+// Freeze is set.
 func TestExploreRunnerFallback(t *testing.T) {
 	n := ringsNet(3, 4)
 	for _, freeze := range []bool{false, true} {
-		opt := ExploreOptions{MaxMarkings: 1000, Strategy: Strategy{Freeze: freeze}}
-		want := n.Explore(opt)
-		if _, err := n.ExploreDist(dyingRunner{}, opt); !errors.Is(err, errWorkerDied) {
-			t.Fatalf("freeze=%v: err = %v, want the runner's failure", freeze, err)
+		var froze bool
+		r, err := n.ExploreDist(dyingRunner{&froze}, ExploreOptions{MaxMarkings: 1000, Freeze: freeze})
+		if !errors.Is(err, errWorkerDied) || r != nil {
+			t.Fatalf("freeze=%v: got %v, %v; want no result and the runner's failure", freeze, r, err)
 		}
-		opt.Strategy.Fallback = true
-		got, err := n.ExploreDist(dyingRunner{}, opt)
-		if err != nil {
-			t.Fatalf("freeze=%v: fallback returned %v", freeze, err)
-		}
-		assertSameReach(t, "fallback", want, got)
-		if freeze && got.Store.FrozenLen() != got.Len() {
-			t.Fatalf("fallback froze %d of %d states", got.Store.FrozenLen(), got.Len())
+		if froze != freeze {
+			t.Fatalf("freeze=%v: the runner's store froze: %v", freeze, froze)
 		}
 	}
-}
-
-// TestExploreRejectsRunner: Explore has no error return to report a
-// runner's failure with, so a Strategy carrying a Runner is a caller
-// bug it refuses loudly instead of exploring inline behind the
-// caller's back.
-func TestExploreRejectsRunner(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Explore accepted a Strategy with a Runner")
-		}
-	}()
-	ringsNet(2, 3).Explore(ExploreOptions{Strategy: Strategy{Runner: dyingRunner{}}})
 }
 
 // overflowNet feeds place p, which starts at MaxTokens-1, one token
@@ -79,7 +63,7 @@ func overflowNet(fuel, w int) *Net {
 // instead, even when its count wrapped.
 func TestExploreTokenOverflow(t *testing.T) {
 	for _, freeze := range []bool{false, true} {
-		opt := ExploreOptions{Strategy: Strategy{Freeze: freeze}}
+		opt := ExploreOptions{Freeze: freeze}
 		r, err := overflowNet(1, 1).ExploreDist(nil, opt)
 		if err != nil {
 			t.Fatalf("freeze=%v: one firing to MaxTokens: %v", freeze, err)

@@ -62,7 +62,7 @@ func netFromBytes(data []byte) *Net {
 // MaxTokensPerPlace, records edges only between retained markings,
 // stores every marking's HashMarking value, and matches the reference
 // explorer exactly. The high bit of maxTokens, which the cap does not
-// read, runs the exploration with Strategy.Freeze: the frozen store
+// read, runs the exploration with Freeze set: the frozen store
 // must meet the same contract, read back through thawing, and end with
 // every state frozen.
 func FuzzExplore(f *testing.F) {
@@ -80,10 +80,10 @@ func FuzzExplore(f *testing.F) {
 			MaxMarkings:       int(maxMarkings % 128),
 			MaxTokensPerPlace: int(maxTokens % 8),
 			FireSources:       fireSources,
-			Strategy:          Strategy{Freeze: maxTokens&0x80 != 0},
+			Freeze:            maxTokens&0x80 != 0,
 		}
 		res := n.Explore(opt)
-		if opt.Strategy.Freeze && (!res.Store.FreezeEnabled() || res.Store.FrozenLen() != res.Len()) {
+		if opt.Freeze && (!res.Store.FreezeEnabled() || res.Store.FrozenLen() != res.Len()) {
 			t.Fatalf("frozen run froze %d of %d states (freezing on: %v)", res.Store.FrozenLen(), res.Len(), res.Store.FreezeEnabled())
 		}
 		limit := opt.MaxMarkings

@@ -8,7 +8,7 @@ package petri
 // hash-consed: Store assigns each distinct visited marking a dense
 // MarkID, and Edges is indexed by it. The numbering, edges and flags
 // are byte-identical whether Explore runs the search in-process or
-// ExploreDist hands it to a runner, under every Strategy.
+// ExploreDist hands it to a runner, frozen or all-hot.
 type ReachResult struct {
 	// Store interns every distinct marking visited; MarkID 0 is the
 	// initial marking.
@@ -52,9 +52,9 @@ type ExploreOptions struct {
 	// FireSources includes source transitions in the exploration when
 	// true; otherwise only internal behaviour is explored.
 	FireSources bool
-	// Strategy executes the exploration (see Strategy). Explore
-	// rejects a Runner; ExploreDist supplies its own.
-	Strategy Strategy
+	// Freeze moves closed levels to the store's frozen tier (see
+	// Drive); the result is the same either way.
+	Freeze bool
 }
 
 // Explore performs a breadth-first bounded exploration from the initial
@@ -64,14 +64,11 @@ type ExploreOptions struct {
 // successors are hash-consed through the result store, and the inner
 // loop reuses one scratch vector, so firing a transition allocates only
 // when it discovers a new marking. Explore has no error return, so it
-// panics when opt.Strategy.Runner is set and when a count of a place
-// MaxTokensPerPlace leaves unbounded would exceed MaxTokens
-// (ErrTokenOverflow); ExploreDist with a nil runner returns that error.
+// panics when a count of a place MaxTokensPerPlace leaves unbounded
+// would exceed MaxTokens (ErrTokenOverflow); ExploreDist with a nil
+// runner returns that error.
 func (n *Net) Explore(opt ExploreOptions) *ReachResult {
-	if opt.Strategy.Runner != nil {
-		panic("petri: Explore cannot run on a FrontierRunner; use ExploreDist")
-	}
-	res, err := n.explore(opt)
+	res, err := n.ExploreDist(nil, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -80,28 +77,20 @@ func (n *Net) Explore(opt ExploreOptions) *ReachResult {
 
 // ExploreDist is Explore with the frontier expansion delegated to r —
 // typically a pool of worker processes owning hash ranges of the
-// marking space (internal/dist) — under the rest of opt.Strategy. The
-// runner feeds the same sequential merge, so the ReachResult —
-// numbering, edges, flags — is byte-identical to Explore's for every
-// worker-process count. The error reports an infrastructure failure
-// (worker death, protocol corruption) — unless opt.Strategy.Fallback is
-// set, in which case the exploration reruns in-process and the error is
-// swallowed — or a count of an unbounded place that would exceed
-// MaxTokens (ErrTokenOverflow); no other exploration outcome is an
-// error. A nil r explores inline.
+// marking space (internal/dist). The runner feeds the same sequential
+// merge, so the ReachResult — numbering, edges, flags — is
+// byte-identical to Explore's for every worker-process count. The error
+// reports an infrastructure failure (worker death, protocol
+// corruption), which nothing reruns inline, or a count of an unbounded
+// place that would exceed MaxTokens (ErrTokenOverflow); no other
+// exploration outcome is an error. A nil r explores inline.
 func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, error) {
-	opt.Strategy.Runner = r
-	return n.explore(opt)
-}
-
-// explore runs Drive with a reachExplorer's hooks under opt.Strategy.
-func (n *Net) explore(opt ExploreOptions) (*ReachResult, error) {
 	if opt.MaxMarkings == 0 {
 		opt.MaxMarkings = 10000
 	}
 	ft := NewFiringTable(n, n.ECSPartition())
 	var e *reachExplorer
-	_, err := Drive(ft, reachSpec(n, ft.part, opt), opt.Strategy, func(s *MarkingStore) MergeHooks {
+	_, err := Drive(ft, reachSpec(n, ft.part, opt), r, opt.Freeze, func(s *MarkingStore) MergeHooks {
 		e = newReachExplorer(s, opt.MaxMarkings)
 		return e.mergeHooks()
 	})

@@ -172,7 +172,7 @@ func TestExploreMatchesReference(t *testing.T) {
 		want := referenceExplore(c.net, c.opt)
 		for _, freeze := range []bool{false, true} {
 			opt := c.opt
-			opt.Strategy.Freeze = freeze
+			opt.Freeze = freeze
 			assertSameSnapshot(t, fmt.Sprintf("%s/freeze=%v", c.name, freeze), want, snapshotReach(c.net.Explore(opt)))
 		}
 	}
@@ -193,7 +193,7 @@ func TestExploreRandomNetsMatchReference(t *testing.T) {
 		}
 		want := referenceExplore(n, opt)
 		for _, freeze := range []bool{false, true} {
-			opt.Strategy.Freeze = freeze
+			opt.Freeze = freeze
 			name := fmt.Sprintf("random-%d/freeze=%v", i, freeze)
 			got := n.Explore(opt)
 			assertSameSnapshot(t, name, want, snapshotReach(got))

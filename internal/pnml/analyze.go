@@ -13,9 +13,8 @@ import (
 	"repro/internal/petri"
 )
 
-// AnalyzeOptions bounds the exploration of an imported net and picks
-// where it runs. The zero value explores in-process with the
-// explorer's default budget.
+// AnalyzeOptions bounds the exploration of an imported net. The zero
+// value explores all-hot with the explorer's default budget.
 type AnalyzeOptions struct {
 	// MaxMarkings bounds the number of distinct markings explored
 	// (0 = the explorer's default).
@@ -25,18 +24,15 @@ type AnalyzeOptions struct {
 	// so unbounded nets need the cap to terminate; a truncated result
 	// reports the place that grew as a witness of unboundedness.
 	MaxTokensPerPlace int
-	// Strategy executes the exploration: a Runner (an
-	// *internal/dist.Pool) shards it across worker processes, Fallback
-	// reruns it inline if the runner fails, and Freeze moves closed BFS
-	// levels to on-disk delta segments. The Analysis is the same under
-	// every strategy.
-	Strategy petri.Strategy
+	// Freeze moves closed BFS levels to on-disk delta segments. The
+	// Analysis is the same either way.
+	Freeze bool
 }
 
 // Analysis is the reachability and bound report for one imported net.
 // Every field is a deterministic function of the net and the options —
-// independent of the execution strategy — which is what the
-// pnml-conformance matrix pins.
+// independent of Freeze — which is what the pnml-conformance matrix
+// pins.
 type Analysis struct {
 	Net   *petri.Net
 	Reach *petri.ReachResult
@@ -63,9 +59,9 @@ func Analyze(n *petri.Net, opt AnalyzeOptions) (*Analysis, error) {
 		MaxMarkings:       opt.MaxMarkings,
 		MaxTokensPerPlace: opt.MaxTokensPerPlace,
 		FireSources:       true,
-		Strategy:          opt.Strategy,
+		Freeze:            opt.Freeze,
 	}
-	r, err := n.ExploreDist(opt.Strategy.Runner, eopt)
+	r, err := n.ExploreDist(nil, eopt)
 	if err != nil {
 		return nil, fmt.Errorf("pnml: exploration: %w", err)
 	}
@@ -96,7 +92,7 @@ func countEdges(r *petri.ReachResult) int {
 // the byte stream decodes to exactly one word sequence. Two
 // explorations agree on the fingerprint exactly when they produced
 // byte-identical results — the conformance matrix compares these across
-// in-process, distributed and frozen runs.
+// inline, worker-process and frozen runs.
 func Fingerprint(r *petri.ReachResult) string {
 	w := fingerprintWriter{h: sha256.New(), buf: make([]byte, 0, fingerprintBlock)}
 	w.reserve(2)

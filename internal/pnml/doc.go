@@ -16,9 +16,9 @@
 // pair), and Export renders any petri.Net as deterministic canonical
 // PNML, with the round-trip property that export → import → export is a
 // byte-for-byte fixed point. Analyze runs the reachability and
-// place-bound analysis the qssbatch/pfcbench -pnml modes expose,
-// through the same in-process / distributed / frozen exploration paths
-// as the FlowC flow, and Fingerprint condenses a
-// ReachResult into the hash the pnml-conformance CI job compares across
-// execution strategies.
+// place-bound analysis the qssbatch -pnml mode exposes, inline and
+// all-hot or frozen like the FlowC flow's searches, and Fingerprint
+// condenses a ReachResult into the hash the pnml-conformance CI job
+// compares across inline, frozen and worker-process explorations
+// (petri.Net.ExploreDist).
 package pnml

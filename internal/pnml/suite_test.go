@@ -17,11 +17,12 @@ import (
 
 // The PNML conformance suite: every vendored interchange net must
 // produce a byte-identical ReachResult — same marking order, edges,
-// clip flags, truncation — under every execution strategy. This is the
-// same determinism contract the dist matrix pins for FlowC-born nets,
-// extended to imported ones. The dist configurations spawn real worker
-// processes (dist.SpawnLocal re-executes this test binary; TestMain
-// routes the children into dist.MaybeWorker).
+// clip flags, truncation — inline, frozen and on worker processes. This
+// is the same determinism contract the dist matrix pins for FlowC-born
+// nets, extended to imported ones. The dist configurations explore
+// through petri.Net.ExploreDist on real worker processes
+// (dist.SpawnLocal re-executes this test binary; TestMain routes the
+// children into dist.MaybeWorker).
 
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
@@ -52,18 +53,20 @@ func suiteFixtures(t *testing.T) []string {
 }
 
 // TestPNMLSuite is the conformance matrix `make pnml-suite` runs in CI:
-// serial is the baseline; spawned worker processes and the frozen
-// store tier must reproduce its fingerprint exactly, fixture by
-// fixture.
+// serial Analyze is the baseline; the frozen store tier and spawned
+// worker processes (ExploreDist, fingerprinted with pnml.Fingerprint)
+// must reproduce its fingerprint exactly, fixture by fixture.
 func TestPNMLSuite(t *testing.T) {
 	files := suiteFixtures(t)
+	optOf := func(f string) pnml.AnalyzeOptions {
+		if opt, ok := suiteOpts[filepath.Base(f)]; ok {
+			return opt
+		}
+		return defaultSuiteOpts
+	}
 	want := make(map[string]string, len(files))
 	for _, f := range files {
-		opt := suiteOpts[filepath.Base(f)]
-		if opt.MaxMarkings == 0 {
-			opt = defaultSuiteOpts
-		}
-		a, err := pnml.AnalyzeFile(f, opt)
+		a, err := pnml.AnalyzeFile(f, optOf(f))
 		if err != nil {
 			t.Fatalf("serial %s: %v", filepath.Base(f), err)
 		}
@@ -91,57 +94,46 @@ func TestPNMLSuite(t *testing.T) {
 				defer pool.Close()
 			}
 			for _, f := range files {
-				opt := suiteOpts[filepath.Base(f)]
-				if opt.MaxMarkings == 0 {
-					opt = defaultSuiteOpts
-				}
-				opt.Strategy.Freeze = cfg.freeze
-				if pool != nil {
-					opt.Strategy.Runner = pool
-				}
-				a, err := pnml.AnalyzeFile(f, opt)
+				opt := optOf(f)
+				opt.Freeze = cfg.freeze
+				got, err := fingerprintOn(pool, f, opt)
 				if err != nil {
 					t.Fatalf("%s under %s: %v", filepath.Base(f), cfg.name, err)
 				}
-				if a.Fingerprint != want[f] {
+				if got != want[f] {
 					t.Errorf("%s under %s: fingerprint %s, serial %s — ReachResult diverged",
-						filepath.Base(f), cfg.name, a.Fingerprint, want[f])
+						filepath.Base(f), cfg.name, got, want[f])
 				}
 			}
 		})
 	}
 }
 
-// TestAnalyzeFallback: PNML analysis follows its Strategy's fallback
-// policy like synthesis does. On a closed pool, Analyze without
-// Fallback reports the pool's error; with Fallback it reruns inline and
-// returns the serial fingerprint.
-func TestAnalyzeFallback(t *testing.T) {
-	f := filepath.Join("testdata", "suite", "philosophers-4.pnml")
-	want, err := pnml.AnalyzeFile(f, defaultSuiteOpts)
+// fingerprintOn is the fixture's fingerprint under opt: through Analyze
+// without a pool, and through ExploreDist with Analyze's exploration
+// options on one.
+func fingerprintOn(pool *dist.Pool, f string, opt pnml.AnalyzeOptions) (string, error) {
+	if pool == nil {
+		a, err := pnml.AnalyzeFile(f, opt)
+		if err != nil {
+			return "", err
+		}
+		return a.Fingerprint, nil
+	}
+	src, err := os.ReadFile(f)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	pool, err := dist.SpawnLocal(1)
+	n, err := pnml.ParseBytes(src)
 	if err != nil {
-		t.Fatalf("spawn worker: %v", err)
+		return "", err
 	}
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	opt := defaultSuiteOpts
-	opt.Strategy = petri.Strategy{Runner: pool}
-	if _, err := pnml.AnalyzeFile(f, opt); err == nil || !strings.Contains(err.Error(), "pool is closed") {
-		t.Fatalf("closed pool without Fallback: err = %v, want the pool-is-closed error", err)
-	}
-	opt.Strategy.Fallback = true
-	got, err := pnml.AnalyzeFile(f, opt)
+	r, err := n.ExploreDist(pool, petri.ExploreOptions{MaxMarkings: opt.MaxMarkings,
+		MaxTokensPerPlace: opt.MaxTokensPerPlace, FireSources: true, Freeze: opt.Freeze})
 	if err != nil {
-		t.Fatalf("closed pool with Fallback: %v", err)
+		return "", err
 	}
-	if got.Fingerprint != want.Fingerprint {
-		t.Fatalf("fallback fingerprint %s, serial %s", got.Fingerprint, want.Fingerprint)
-	}
+	return pnml.Fingerprint(r), nil
 }
 
 // TestPNMLRoundTrip: export -> import -> export is a byte-for-byte

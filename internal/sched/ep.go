@@ -37,23 +37,18 @@ type Options struct {
 	MaxNodes int
 	// ExploreWorkers is ignored.
 	//
-	// Deprecated: the graph engine explores on the calling goroutine,
-	// or on Strategy.Runner. Its in-process goroutine fan-out lost to
-	// the serial search in every measurement and was removed. The field
-	// stays only because the repository benchmark (qssbench) still sets
-	// it; it goes when that benchmark is next updated.
+	// Deprecated: the graph engine explores on the calling goroutine.
+	// Its in-process goroutine fan-out lost to the serial search in
+	// every measurement and was removed. The field stays only because
+	// the repository benchmark (qssbench) still sets it; it goes when
+	// that benchmark is next updated.
 	ExploreWorkers int
-	// Strategy executes the graph engine's exploration: inline or on a
-	// runner — worker processes owning hash ranges of the marking space
-	// (internal/dist) — with or without an inline fallback, all-hot or
-	// with closed levels frozen to disk. The engine hands it to
-	// petri.Drive unchanged. Schedules and generated code are
-	// byte-identical under every strategy; freezing costs
-	// reconstruction on later reads (schedule extraction). Runners
-	// serialize explorations internally, so a shared runner is safe (if
-	// sequential) across the concurrent searches of core's source-level
-	// pool. Tree engines ignore it: their DFS is not level-synchronous.
-	Strategy petri.Strategy
+	// Freeze moves the graph engine's closed exploration levels to the
+	// store's frozen tier on disk (see petri.Drive). Schedules and
+	// generated code are byte-identical either way; freezing costs
+	// reconstruction on later reads (schedule extraction). Tree engines
+	// ignore it: their DFS is not level-synchronous.
+	Freeze bool
 	// Engine selects the search engine (default EngineGraph).
 	Engine Engine
 	// NoFallback disables the automatic exhaustive-tree retry after a

@@ -36,11 +36,11 @@ import (
 //     the distance-to-root ranking) and emits the induced sub-graph as
 //     the schedule.
 //
-// Step 1 is petri.Drive under the engine's ExpandSpec (allowed ECSs,
-// place caps) and Options.Strategy. The engine only
+// Step 1 is petri.Drive, inline, under the engine's ExpandSpec (allowed
+// ECSs, place caps), frozen when Options.Freeze is set. The engine only
 // supplies the merge hooks that write its arenas, and the merge runs in
-// the same order either way, so schedules are byte-identical for every
-// execution strategy.
+// the same order either way, so schedules are byte-identical frozen or
+// all-hot.
 
 // CapProvider is implemented by termination conditions that can bound
 // the token count of each place for the graph engine.
@@ -207,7 +207,7 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error) {
 	ge := newGraphEngine(n, source, opt)
 	st := n.Transitions[source]
-	if err := ge.drive(opt.Strategy); err != nil {
+	if err := ge.drive(opt.Freeze); err != nil {
 		return nil, fmt.Errorf("sched: source %s: exploration: %w", st.Name, err)
 	}
 	if ge.over {
@@ -226,26 +226,25 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 // rootID is the initial marking's state: petri.Drive interns it first.
 const rootID = 0
 
-// drive runs the bounded forward BFS (step 1) through petri.Drive
-// under st; the error is a runner failure st did not fall back from.
-// Budget exhaustion is an exploration outcome and lands in ge.over.
-func (ge *graphEngine) drive(st petri.Strategy) error {
+// drive runs the bounded forward BFS (step 1) through petri.Drive; the
+// error is a token overflow. Budget exhaustion is an exploration
+// outcome and lands in ge.over.
+func (ge *graphEngine) drive(freeze bool) error {
 	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
-	_, err := petri.Drive(ge.ft, spec, st, ge.start)
+	_, err := petri.Drive(ge.ft, spec, nil, freeze, ge.start)
 	return err
 }
 
-// start resets the engine for one exploration attempt over store,
-// which holds only the root, and returns the merge hooks that write the
-// engine arenas. Each state's successors arrive ECS by ECS (allowed
+// start readies the engine for the exploration of store, which holds
+// only the root, and returns the merge hooks that write the engine
+// arenas. Each state's successors arrive ECS by ECS (allowed
 // enabled ECSs in partition order, members ascending), one Edge or
 // Reject per member, so the first member of a group names its ECS and
 // the last one closes it. Occupancy is a delta off the parent: O(1) per
 // new state instead of a marking scan.
 func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
-	ge.store, ge.over = store, false
-	ge.states = append(ge.states[:0], gstate{occ: int32(ge.occupancy(store.At(rootID)))})
-	ge.ecsArena, ge.succOff, ge.succArena = ge.ecsArena[:0], ge.succOff[:0], ge.succArena[:0]
+	ge.store = store
+	ge.states = append(ge.states, gstate{occ: int32(ge.occupancy(store.At(rootID)))})
 	members := 0 // size of the open ECS group
 	mi := 0      // members of the group recorded so far
 	advance := func(parent petri.MarkID, trans int32, child int32) {

@@ -9,11 +9,11 @@
 // transitions and keeps per-state enabled-ECS bitsets incrementally
 // across firings, so no engine scans the partition. The default graph
 // engine's exploration is petri.Drive: a serial level-synchronous
-// search on the calling goroutine, or the same search expanded by
-// worker processes (Options.Strategy) with state numbering — and
-// therefore the schedule and generated code — byte-identical either
-// way. Concurrency lives one level up: package core runs one search
-// per uncontrollable input on a pool.
+// search on the calling goroutine, all-hot or with closed levels frozen
+// to disk (Options.Freeze), with state numbering — and therefore the
+// schedule and generated code — byte-identical either way. Concurrency
+// lives one level up: package core runs one search per uncontrollable
+// input on a pool.
 //
 // # Completeness of the graph engine
 //
@@ -88,7 +88,7 @@ type SearchStats struct {
 	// StoreHotBytes/StoreFrozenBytes split the search store's exact live
 	// footprint (petri.MarkingStore.Mem) between resident memory and the
 	// frozen on-disk delta segment. FrozenBytes is 0 unless
-	// Options.Strategy.Freeze was active; both are pure functions of the
+	// Options.Freeze was set; both are pure functions of the
 	// interned marking sequence, so they compare across machines.
 	StoreHotBytes    int64
 	StoreFrozenBytes int64

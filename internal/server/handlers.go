@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 )
 
 // synthesizeRequest is the POST /v1/synthesize body. FlowC and Net are
@@ -109,7 +108,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opt, pool, timeout := s.requestOptions(&req)
+	opt, timeout := s.requestOptions(&req)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
@@ -117,7 +116,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	res, hit, err := s.synthesize(ctx, &req, opt)
 	elapsed := time.Since(start)
 	s.metrics.observe(s.metrics.latency, elapsed.Seconds())
-	s.checkPool(pool)
 	s.recordCacheState()
 	if err != nil {
 		status, outcome := classifyError(ctx, err)
@@ -132,7 +130,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			s.metrics.addCounter(&s.metrics.cacheMisses, 1)
 		}
 	}
-	s.recordWork(res, pool)
+	s.recordWork(res)
 	s.metrics.incOutcome(outcomeOK)
 	writeJSON(w, http.StatusOK, buildResponse(res, opt, hit, elapsed))
 }
@@ -188,10 +186,9 @@ func buildResponse(res *core.Result, opt *core.Options, hit bool, elapsed time.D
 }
 
 // recordWork folds a successful synthesis into the work metrics:
-// distinct markings explored, the hot/frozen store residency of the
-// request's searches, and — when the request ran on the dist pool —
-// the per-worker replica bytes of the session.
-func (s *Server) recordWork(res *core.Result, pool *dist.Pool) {
+// distinct markings explored and the hot/frozen store residency of the
+// request's searches.
+func (s *Server) recordWork(res *core.Result) {
 	states := 0
 	var hot, frozen int64
 	for _, sc := range res.Schedules {
@@ -202,14 +199,6 @@ func (s *Server) recordWork(res *core.Result, pool *dist.Pool) {
 	s.metrics.addCounter(&s.metrics.statesExplored, float64(states))
 	s.metrics.setGauge(&s.metrics.storeHotBytes, float64(hot))
 	s.metrics.setGauge(&s.metrics.storeFrozenBytes, float64(frozen))
-	if pool != nil {
-		for i, wm := range pool.LastSessionStats().Workers {
-			s.metrics.setLabeledGauge(s.metrics.distWorkerMem, fmt.Sprintf("%d", i),
-				float64(wm.StoreBytes+wm.BitsBytes+wm.CacheBytes))
-		}
-		restarts, _ := pool.RecoveryStats()
-		s.metrics.setCounter(&s.metrics.distRestarts, float64(restarts))
-	}
 }
 
 // recordCacheState refreshes the cache-entries gauge from the process

@@ -53,16 +53,6 @@ type metrics struct {
 
 	// panics answered 500 by the recovery middleware
 	panics counter
-
-	// dist pool, when the server owns one
-	distWorkers   gauge
-	distWorkerMem *labeledGauge // per worker: replica bytes after the last session
-	// distRestarts mirrors the pool's cumulative respawn count
-	// (Pool.RecoveryStats) and keeps its last value after the pool is
-	// retired; distDegraded flips to 1 when an unrecoverable failure
-	// makes the server drop the pool and continue in-process.
-	distRestarts counter
-	distDegraded gauge
 }
 
 func newMetrics() *metrics {
@@ -72,8 +62,6 @@ func newMetrics() *metrics {
 		latency: newHistogram("qss_synthesis_seconds",
 			"Server-side synthesis latency (cache hits included).",
 			[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}),
-		distWorkerMem: newLabeledGauge("qss_dist_worker_mem_bytes",
-			"Per-worker replica bytes (store+bits+cache) after the last dist session.", "worker"),
 	}
 }
 
@@ -114,13 +102,6 @@ func (m *metrics) render(sb *strings.Builder) {
 		"Marking-store bytes frozen to on-disk delta segments after the last successful synthesis.", m.storeFrozenBytes.v)
 	renderSimple(sb, "qss_panics_total", "counter",
 		"Requests that panicked and were answered 500 by the recovery middleware.", m.panics.v)
-	renderSimple(sb, "qss_dist_workers", "gauge",
-		"Connected dist worker processes (0 when the server runs in-process only).", m.distWorkers.v)
-	renderSimple(sb, "qss_dist_worker_restarts_total", "counter",
-		"Dist worker processes respawned after mid-session death, cumulative over the pool's life.", m.distRestarts.v)
-	renderSimple(sb, "qss_dist_pool_degraded", "gauge",
-		"1 once an unrecoverable pool failure made the server continue in-process.", m.distDegraded.v)
-	m.distWorkerMem.render(sb)
 	m.latency.render(sb)
 }
 
@@ -132,17 +113,6 @@ type gauge struct{ v float64 }
 func (m *metrics) addCounter(c *counter, d float64) {
 	m.mu.Lock()
 	c.v += d
-	m.mu.Unlock()
-}
-
-// setCounter pins a counter cell to an externally accumulated total
-// (the dist pool counts its own restarts; the cell just mirrors it,
-// and keeps the last value once the pool is gone).
-func (m *metrics) setCounter(c *counter, v float64) {
-	m.mu.Lock()
-	if v > c.v {
-		c.v = v
-	}
 	m.mu.Unlock()
 }
 
@@ -178,29 +148,6 @@ func (c *labeledCounter) render(sb *strings.Builder) {
 	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
 	for _, k := range sortedKeys(c.vals) {
 		fmt.Fprintf(sb, "%s{%s=%q} %s\n", c.name, c.label, k, formatFloat(c.vals[k]))
-	}
-}
-
-// labeledGauge is a gauge family over one label dimension.
-type labeledGauge struct {
-	name, help, label string
-	vals              map[string]float64
-}
-
-func newLabeledGauge(name, help, label string) *labeledGauge {
-	return &labeledGauge{name: name, help: help, label: label, vals: map[string]float64{}}
-}
-
-func (m *metrics) setLabeledGauge(g *labeledGauge, key string, v float64) {
-	m.mu.Lock()
-	g.vals[key] = v
-	m.mu.Unlock()
-}
-
-func (g *labeledGauge) render(sb *strings.Builder) {
-	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
-	for _, k := range sortedKeys(g.vals) {
-		fmt.Fprintf(sb, "%s{%s=%q} %s\n", g.name, g.label, k, formatFloat(g.vals[k]))
 	}
 }
 

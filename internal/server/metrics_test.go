@@ -22,7 +22,6 @@ func TestMetricsTextFormat(t *testing.T) {
 	// Touch every instrument kind so labelled families render samples.
 	m.incOutcome(outcomeOK)
 	m.incOutcome(outcomeRejected)
-	m.setLabeledGauge(m.distWorkerMem, "0", 12345)
 	m.observe(m.latency, 0.0042)
 	m.observe(m.latency, 2.5)
 
@@ -82,10 +81,6 @@ func TestMetricsTextFormat(t *testing.T) {
 		"qss_store_hot_bytes 0",
 		"qss_store_frozen_bytes 0",
 		"qss_panics_total 0",
-		"qss_dist_workers 0",
-		"qss_dist_worker_restarts_total 0",
-		"qss_dist_pool_degraded 0",
-		`qss_dist_worker_mem_bytes{worker="0"} 12345`,
 		"qss_synthesis_seconds_count 2",
 	} {
 		if !strings.Contains(body, want+"\n") {

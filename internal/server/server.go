@@ -1,8 +1,8 @@
 // Package server implements the resident synthesis service behind
 // cmd/qss-server: one warm process multiplexing synthesis requests onto
-// the shared content-addressed core cache and an optional persistent
-// dist.Pool, so the ~25,000x warm-path win of repeat synthesis survives
-// across requests instead of dying with each CLI invocation.
+// the shared content-addressed core cache, so the ~25,000x warm-path
+// win of repeat synthesis survives across requests instead of dying
+// with each CLI invocation.
 //
 // The package supplies four pieces and keeps them separable:
 //
@@ -17,15 +17,12 @@
 //   - Budgets: each request may name a MaxNodes state budget and a
 //     timeout, both clamped to server-configured caps, so one huge net
 //     degrades into one bounded failure instead of starving the pool.
-//   - Lifecycle: Drain flips readiness off, refuses new synthesis work,
-//     waits for in-flight requests under a deadline, and closes the
-//     dist pool exactly once. cmd/qss-server wires it to SIGTERM.
+//   - Lifecycle: Drain flips readiness off, refuses new synthesis work
+//     and waits for in-flight requests under a deadline.
+//     cmd/qss-server wires it to SIGTERM.
 //
 // Synthesis outcomes are request-scoped; the only process state the
-// handlers share is the core cache (by design) and the dist pool (one
-// session at a time, serialized by the pool itself; a pool poisoned by
-// an infrastructure failure is retired and the server degrades to
-// in-process exploration rather than failing every later request).
+// handlers share is the core cache (by design).
 package server
 
 import (
@@ -41,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/petri"
 	"repro/internal/sched"
 )
@@ -50,8 +46,7 @@ import (
 // is usable: every field has a serving default.
 type Config struct {
 	// MaxConcurrent bounds simultaneously executing syntheses (slot
-	// count). 0 = GOMAXPROCS. With a dist pool the slots still apply;
-	// the pool additionally serializes its own sessions.
+	// count). 0 = GOMAXPROCS.
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for a slot; an arrival beyond it
 	// is answered 429 immediately. 0 = 4x MaxConcurrent.
@@ -68,14 +63,10 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight requests.
 	// 0 = 30s.
 	DrainTimeout time.Duration
-	// Pool is an optional pre-connected dist worker pool. The Server
-	// takes ownership: requests reuse it session after session, and
-	// Drain closes it exactly once.
-	Pool *dist.Pool
 	// FreezeLevels freezes closed exploration levels to on-disk delta
-	// segments for every request (petri.Strategy.Freeze), on the Pool's
-	// workers too, bounding the hot store's growth at the price of thaw
-	// reads. Results are byte-identical either way.
+	// segments for every request (sched.Options.Freeze), bounding the
+	// hot store's growth at the price of thaw reads. Results are
+	// byte-identical either way.
 	FreezeLevels bool
 	// Log receives operational one-liners; nil uses the stdlib default
 	// logger.
@@ -122,7 +113,6 @@ type Server struct {
 
 	mu        sync.Mutex
 	draining  bool
-	pool      *dist.Pool // nil once retired or drained
 	inflight  sync.WaitGroup
 	drainOnce sync.Once
 
@@ -142,13 +132,9 @@ func New(cfg Config) *Server {
 		slots:      make(chan struct{}, cfg.MaxConcurrent),
 		queued:     make(chan struct{}, cfg.MaxQueue),
 		drainCh:    make(chan struct{}),
-		pool:       cfg.Pool,
 		synthesize: defaultSynthesize,
 	}
 	s.metrics.setGauge(&s.metrics.ready, 1)
-	if cfg.Pool != nil {
-		s.metrics.setGauge(&s.metrics.distWorkers, float64(cfg.Pool.NumWorkers()))
-	}
 	s.mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -216,8 +202,8 @@ func (s *Server) Draining() bool {
 // Drain performs the graceful-shutdown sequence: flip readiness off
 // (readyz goes 503, new synthesis requests are refused), wait for
 // in-flight requests to finish under the configured DrainTimeout (or
-// ctx, whichever ends first), then close the dist pool exactly once.
-// Safe to call multiple times; later calls wait on the same sequence.
+// ctx, whichever ends first). Safe to call multiple times; later calls
+// wait on the same sequence.
 // The caller still owns the http.Server and should Shutdown it after
 // Drain returns so health probes stay answerable during the wait.
 func (s *Server) Drain(ctx context.Context) error {
@@ -247,60 +233,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("server: drain: %w", ctx.Err())
 	}
-	s.closePool("drain")
 	return err
-}
-
-// closePool retires the dist pool (idempotent). Requests already
-// holding a reference finish their session; the pool's own Close is
-// safe against that because sessions hold its lock.
-func (s *Server) closePool(why string) {
-	s.mu.Lock()
-	p := s.pool
-	s.pool = nil
-	s.mu.Unlock()
-	if p == nil {
-		return
-	}
-	s.metrics.setGauge(&s.metrics.distWorkers, 0)
-	if err := p.Close(); err != nil {
-		s.cfg.Log.Printf("qss-server: dist pool close (%s): %v", why, err)
-	} else {
-		s.cfg.Log.Printf("qss-server: dist pool closed (%s)", why)
-	}
-}
-
-// acquirePool hands out the shared dist pool, or nil when the server
-// runs in-process.
-func (s *Server) acquirePool() *dist.Pool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pool
-}
-
-// checkPool retires a pool that a failed session has poisoned: every
-// later session would fail with the same infrastructure error, so the
-// resident server degrades to in-process exploration instead.
-func (s *Server) checkPool(p *dist.Pool) {
-	if p == nil || p.Err() == nil {
-		return
-	}
-	s.mu.Lock()
-	mine := s.pool == p
-	if mine {
-		s.pool = nil
-	}
-	s.mu.Unlock()
-	if mine {
-		s.cfg.Log.Printf("qss-server: dist pool poisoned (%v); continuing in-process", p.Err())
-		restarts, _ := p.RecoveryStats()
-		s.metrics.setCounter(&s.metrics.distRestarts, float64(restarts))
-		s.metrics.setGauge(&s.metrics.distDegraded, 1)
-		s.metrics.setGauge(&s.metrics.distWorkers, 0)
-		if err := p.Close(); err != nil {
-			s.cfg.Log.Printf("qss-server: dist pool close (poisoned): %v", err)
-		}
-	}
 }
 
 // admit runs the bounded admission protocol: take a free synthesis slot
@@ -367,12 +300,10 @@ func defaultSynthesize(ctx context.Context, req *synthesizeRequest, opt *core.Op
 }
 
 // requestOptions translates one request's budgets into core options,
-// clamping against the server caps, and builds the request's execution
-// strategy from the deployment's: the shared pool when one is live
-// (falling back in-process if it fails) and the freeze setting. pool is
-// the Runner, or nil when the request explores in-process.
-func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, pool *dist.Pool, timeout time.Duration) {
-	so := &sched.Options{MaxNodes: s.cfg.MaxNodes, Strategy: petri.Strategy{Fallback: true, Freeze: s.cfg.FreezeLevels}}
+// clamping against the server caps, under the deployment's freeze
+// setting.
+func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, timeout time.Duration) {
+	so := &sched.Options{MaxNodes: s.cfg.MaxNodes, Freeze: s.cfg.FreezeLevels}
 	if req.MaxNodes > 0 && req.MaxNodes < so.MaxNodes {
 		so.MaxNodes = req.MaxNodes
 	}
@@ -383,10 +314,7 @@ func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, pool
 			timeout = s.cfg.MaxTimeout
 		}
 	}
-	if pool = s.acquirePool(); pool != nil {
-		so.Strategy.Runner = pool
-	}
-	return &core.Options{DisableCache: req.DisableCache, Sched: so}, pool, timeout
+	return &core.Options{DisableCache: req.DisableCache, Sched: so}, timeout
 }
 
 // classifyError maps a synthesis failure to an HTTP status and an

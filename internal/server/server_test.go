@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -18,17 +17,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/petri"
 	"repro/internal/sched"
 )
-
-func TestMain(m *testing.M) {
-	// A Config.Pool spawned by dist.SpawnLocal re-executes this test
-	// binary as its worker processes.
-	dist.MaybeWorker()
-	os.Exit(m.Run())
-}
 
 // postSynth sends one synthesis request and decodes the response.
 func postSynth(t *testing.T, url string, req *synthesizeRequest) (int, *synthesizeResponse, *errorResponse) {
@@ -628,9 +619,7 @@ func TestStalledBodyFreesSlot(t *testing.T) {
 
 // TestResponseMatchesCLI pins the service contract the smoke test
 // checks end to end: the code map and bounds of a /v1/synthesize
-// response are byte-identical to what the library path produces, both
-// in-process and on a frozen dist pool — where /metrics must then show
-// the worker's replica bytes.
+// response are byte-identical to what the library path produces.
 func TestResponseMatchesCLI(t *testing.T) {
 	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, &core.Options{DisableCache: true})
 	if err != nil {
@@ -642,20 +631,6 @@ func TestResponseMatchesCLI(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		assertResponseMatches(t, ts.URL, want)
-	})
-	t.Run("dist-pool-frozen", func(t *testing.T) {
-		core.ResetCache()
-		pool, err := dist.SpawnLocal(1)
-		if err != nil {
-			t.Fatalf("spawn worker: %v", err)
-		}
-		srv := New(Config{Pool: pool, FreezeLevels: true})
-		defer srv.Drain(context.Background())
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		assertResponseMatches(t, ts.URL, want)
-		_, body := getBody(t, ts.URL+"/metrics")
-		assertMetricMin(t, body, `qss_dist_worker_mem_bytes{worker="0"}`, 1)
 	})
 }
 
