@@ -27,8 +27,8 @@
 #                      the freeze/thaw unit and determinism suite
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
-#                      allocates <= 1.85x its store's hot bytes, and one
-#                      cold PFC synthesis <= 3.3x its search store's hot
+#                      allocates <= 3.5x its store's hot bytes, and one
+#                      cold PFC synthesis <= 7.7x its search store's hot
 #                      bytes (exact, machine-independent counts; -v prints
 #                      both ratios)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of

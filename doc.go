@@ -29,18 +29,31 @@
 // cap check looks only at the places the transition adds tokens to
 // (petri.FiringTable). A MarkID
 // is meaningful only relative to the store that issued it and is valid
-// for the store's lifetime; markings returned by MarkingStore.At are
-// read-only views that survive later interning. Replacing the previous
+// for the store's lifetime; a marking returned by MarkingStore.At is
+// read-only and survives later interning (a view into a four-byte
+// page, or a decoded copy), and MarkingStore.Load decodes into the
+// caller's buffer for readers that visit every state. Replacing the previous
 // string-keyed maps cut cold PFC synthesis from ~249ms/1.04M allocs to
 // ~49ms/4k allocs per run on the reference container (5.1x / 253x) and
 // is what allows the corpus generator to double its per-edge burst cap.
 //
 // # Token width
 //
-// A token count is four bytes: petri.Marking is a []int32, so a store
-// page, a thawed vector and the dist vector cache hold
-// petri.TokenBytes per place, and petri.MaxTokens (2,147,483,647) is
-// the largest count a place holds. Every way a count enters is
+// A token count in a petri.Marking is four bytes (petri.TokenBytes): it
+// is a []int32, as are a thawed vector and the dist vector cache, and
+// petri.MaxTokens (2,147,483,647) is the largest count a place holds.
+// A store holds one byte per place until a count passes 255. The store
+// of every inline exploration (petri.Drive without a runner: every
+// schedule search's graph engine, Net.Explore, pnml.Analyze) starts
+// with one-byte pages, and the merge fires, vetoes, probes and interns
+// successors on those bytes. The first count above 255 it interns
+// widens the store, once and in place, to four-byte pages; a successor
+// a cap vetoes widens nothing. The counts a schedule search keeps are
+// tiny (every cap of the PFC search is 1), so its vectors take a
+// quarter of the bytes: a cold PFC synthesis allocates 9.2 MB instead
+// of 12.8 MB. The stores of a dist runner's coordinator and workers
+// and of the EP tree engines, which hold At views per state, stay four
+// bytes wide. Every way a count enters is
 // range-checked: Net.Validate (initial markings, bounds and arc weights,
 // after AddArc has merged repeated arcs; compile, link, the text
 // format, PNML and DecodeNet all call it), the FlowC checker (item
@@ -52,8 +65,8 @@
 // and a place no cap bounds (Net.Explore without MaxTokensPerPlace,
 // the EP tree engines) ends the search with an error wrapping
 // petri.ErrTokenOverflow that names the place. Hashes, MarkIDs, wire
-// bytes, frozen segments and PNML fingerprints did not change with the
-// width: each encodes a count by value.
+// bytes, frozen segments and PNML fingerprints do not change with
+// either width: each encodes a count by value.
 //
 // # Incremental enablement
 //
@@ -92,9 +105,10 @@
 // doubling rule and the pointer-free tables cut a cold PFC synthesis
 // from 25.9 to 17.7 MB allocated and its CPU time by over a fifth;
 // `make bytes-gates` bounds what the PFC search and serial
-// ExploreLarge allocate at 3.3x and 1.85x their stores' hot bytes (with
-// four-byte tokens the stores are half as large, so these ratios allow
-// fewer bytes than the 2.5x and 1.6x of eight-byte ones).
+// ExploreLarge allocate at 7.7x and 3.5x their stores' hot bytes (with
+// one-byte counts the stores hold about a third of the hot bytes of
+// four-byte ones, so these ratios allow fewer bytes than the 3.3x and
+// 1.85x before them).
 //
 // # Concurrency and caching
 //
@@ -170,8 +184,8 @@
 // segment lives in an unlinked temp file and is read back by mmap
 // (with a pread fallback where mmap is unavailable); only the hashes,
 // the open-addressing probe table and one segment offset per state
-// stay resident, so the hot store no longer scales with the marking
-// width. MarkingStore.At is unchanged for callers: an id below the
+// stay resident, so the hot store no longer scales with the number of
+// places. MarkingStore.At is unchanged for callers: an id below the
 // frozen boundary thaws transparently — the parent chain is walked
 // back to a hot, cached or verbatim base and the deltas are replayed
 // forward, with a bounded FIFO cache memoizing thawed vectors and

@@ -10,9 +10,9 @@ import (
 )
 
 // TestExploreLargeBytes bounds what serial reachability of the
-// 161,051-state ExploreLarge net allocates: at most 1.85x the exact hot
-// bytes of the store it builds (about 75.8 MB for the 41.0 MB store of
-// four-byte tokens; it allocates 70.3 MB). The token pages hold each
+// 161,051-state ExploreLarge net allocates: at most 3.5x the exact hot
+// bytes of the store it builds (about 42.0 MB for the 12.0 MB store of
+// one-byte counts; it allocates 39.4 MB). The token pages hold each
 // marking once, the hash array grows with the probe table, the edge
 // rows are carved out of chunked arenas and the per-state tables (the
 // enabled-bit arena, the Edges headers, the Clipped flags) grow by
@@ -37,15 +37,15 @@ func TestExploreLargeBytes(t *testing.T) {
 	hot := r.Store.Mem().HotBytes
 	t.Logf("serial Explore allocated %dB for %dB hot (%.2fx), %d objects for %d states",
 		alloc, hot, float64(alloc)/float64(hot), after.Mallocs-before.Mallocs, r.Len())
-	if float64(alloc) > 1.85*float64(hot) {
-		t.Fatalf("serial Explore allocated %dB, more than 1.85x the store's %d hot bytes", alloc, hot)
+	if float64(alloc) > 3.5*float64(hot) {
+		t.Fatalf("serial Explore allocated %dB, more than 3.5x the store's %d hot bytes", alloc, hot)
 	}
 }
 
 // TestPFCSearchBytes bounds what one cold synthesis of the paper's PFC
-// system allocates: at most 3.3x the exact hot bytes of the store its
-// 23,984-state schedule search builds (about 14.0 MB for the 4.26 MB
-// store of four-byte tokens; it allocates 12.8 MB). The search is
+// system allocates: at most 7.7x the exact hot bytes of the store its
+// 23,984-state schedule search builds (about 10.1 MB for the 1.31 MB
+// store of one-byte counts; it allocates 9.19 MB). The search is
 // nearly all of the synthesis, and every per-state and per-edge table
 // of the graph engine grows by petri.Push's doubling rule, so the bound
 // fails if a table falls back to append's ~1.25x growth, which
@@ -69,7 +69,7 @@ func TestPFCSearchBytes(t *testing.T) {
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("cold PFC synthesis allocated %dB for %dB hot (%.2fx), %d objects for %d states",
 		alloc, st.StoreHotBytes, float64(alloc)/float64(st.StoreHotBytes), after.Mallocs-before.Mallocs, st.NodesCreated)
-	if float64(alloc) > 3.3*float64(st.StoreHotBytes) {
-		t.Fatalf("cold PFC synthesis allocated %dB, more than 3.3x the search store's %d hot bytes", alloc, st.StoreHotBytes)
+	if float64(alloc) > 7.7*float64(st.StoreHotBytes) {
+		t.Fatalf("cold PFC synthesis allocated %dB, more than 7.7x the search store's %d hot bytes", alloc, st.StoreHotBytes)
 	}
 }

@@ -28,7 +28,9 @@ func (n *Net) IncidenceMatrix() [][]int {
 // transparently through the store.
 func (r *ReachResult) PlaceBounds() []int {
 	bounds := make([]int, r.Store.Places())
-	for _, m := range r.Store.All() {
+	var m Marking
+	for id := range r.Store.Len() {
+		m = r.Store.Load(m, MarkID(id))
 		for p, v := range m {
 			bounds[p] = max(bounds[p], int(v))
 		}

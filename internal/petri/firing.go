@@ -152,6 +152,27 @@ func (f *FiringTable) Fire(dst, m Marking, t int) Marking {
 	return dst
 }
 
+// fireBytes is Fire on the one-byte counts of a narrow store's page: it
+// writes the successor of m under transition t into dst, which has
+// len(m). It reports false, leaving dst partly written, when a count of
+// t's rise list would pass maxNarrow; a count t lowers cannot go below
+// zero, since t is enabled at m.
+func (f *FiringTable) fireBytes(dst, m []uint8, t int) bool {
+	copy(dst, m)
+	e := &f.trans[t]
+	for _, d := range f.deltas[e.lo:e.rise] {
+		v := int(dst[d.Place]) + d.Delta
+		if v > maxNarrow {
+			return false
+		}
+		dst[d.Place] = uint8(v)
+	}
+	for _, d := range f.deltas[e.rise:e.hi] {
+		dst[d.Place] = uint8(int(dst[d.Place]) + d.Delta)
+	}
+	return true
+}
+
 // Hash returns the HashMarking value of the successor of firing
 // transition t at a marking whose HashMarking value is h.
 func (f *FiringTable) Hash(h uint64, t int) uint64 { return h + f.trans[t].hash }
@@ -166,6 +187,11 @@ func (f *FiringTable) Veto(spec *ExpandSpec, child Marking, t int, full bool) bo
 	if full {
 		return spec.Veto(child)
 	}
+	return riseVeto(f, spec, child, t)
+}
+
+// riseVeto is Veto's check of t's rise list, on either count encoding.
+func riseVeto[E token](f *FiringTable, spec *ExpandSpec, child []E, t int) bool {
 	e := &f.trans[t]
 	for _, d := range f.deltas[e.lo:e.rise] {
 		if uint32(child[d.Place]) > ceiling(spec.Caps[d.Place]) {
@@ -209,11 +235,17 @@ func (f *FiringTable) Init(bits []uint64, m Marking) {
 // touches are re-evaluated, and the result equals Init's. dst and src
 // must not overlap.
 func (f *FiringTable) Update(dst, src []uint64, t int, m Marking) {
+	update(f, dst, src, t, m)
+}
+
+// update is Update on either count encoding.
+func update[E token](f *FiringTable, dst, src []uint64, t int, m []E) {
 	copy(dst[:f.stride], src[:f.stride])
 	e := &f.trans[t]
 	for _, ei := range f.touched[e.tlo:e.thi] {
 		w, b := ei>>6, uint64(1)<<(uint(ei)&63)
-		if f.part[ei].Enabled(f.net, m) {
+		// Equal conflict: one member's preset is every member's.
+		if enabled(f.net.Transitions[f.part[ei].Trans[0]], m) {
 			dst[w] |= b
 		} else {
 			dst[w] &^= b

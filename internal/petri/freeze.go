@@ -187,8 +187,10 @@ func (s *MarkingStore) FreezeThrough(end int) error {
 			continue
 		}
 		buf = append(buf, frozenVerbatim)
-		for _, v := range s.hot(id) {
-			buf = binary.AppendUvarint(buf, uint64(v))
+		if s.narrow {
+			buf = appendCounts(buf, s.hotBytes(id))
+		} else {
+			buf = appendCounts(buf, s.hot(id))
 		}
 	}
 	fz.wbuf = buf[:0]
@@ -199,17 +201,29 @@ func (s *MarkingStore) FreezeThrough(end int) error {
 	}
 	fz.size += int64(len(buf))
 	fz.prov = append([]prov(nil), fz.prov[end-s.frozenEnd:]...)
-	// Release every token page wholly below the new boundary; a page
-	// that still holds hot ids stays until a later call frees it.
-	// Outstanding views into a released page stay valid — its contents
-	// never change — and the page is collected once the last view is
-	// dropped.
-	endPage, _ := s.pageOf(end)
-	clear(s.pages[:endPage])
+	// Release every token page wholly below the new boundary, in the
+	// live encoding; a page that still holds hot ids stays until a later
+	// call frees it. Outstanding views into a released page stay valid —
+	// its contents never change — and the page is collected once the
+	// last view is dropped.
+	if endPage, _ := s.pageOf(end); s.narrow {
+		clear(s.bytePages[:endPage])
+	} else {
+		clear(s.pages[:endPage])
+	}
 	s.frozenEnd = end
 	fz.end = end
 	fz.remap()
 	return nil
+}
+
+// appendCounts appends a verbatim record's counts to buf, one uvarint
+// each, whichever encoding holds them.
+func appendCounts[E token](buf []byte, m []E) []byte {
+	for _, v := range m {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return buf
 }
 
 // remap re-mmaps the grown segment; on the first failure (or on
@@ -289,15 +303,15 @@ func (fz *frozenTier) thaw(s *MarkingStore, id MarkID) Marking {
 		return v
 	}
 	var chain []thawLink
-	var base Marking
+	var buf Marking // a copy of the walk's base, then the replay buffer
 	cur := id
 	for {
 		if int(cur) >= fz.end {
-			base = s.hot(int(cur))
+			buf = s.loadHot(make(Marking, s.places), int(cur))
 			break
 		}
 		if v, ok := fz.cache[cur]; ok {
-			base = v
+			buf = v.Clone()
 			break
 		}
 		rec := fz.record(cur)
@@ -318,7 +332,7 @@ func (fz *frozenTier) thaw(s *MarkingStore, id MarkID) Marking {
 			if cur == id {
 				return v
 			}
-			base = v
+			buf = v.Clone()
 			break
 		}
 		b := rec[1:]
@@ -333,7 +347,6 @@ func (fz *frozenTier) thaw(s *MarkingStore, id MarkID) Marking {
 		chain = append(chain, thawLink{id: cur, trans: int32(trans)})
 		cur -= MarkID(gap)
 	}
-	buf := base.Clone()
 	for i := len(chain) - 1; i >= 0; i-- {
 		buf = fz.ft.Fire(buf, buf, int(chain[i].trans))
 		if depth := len(chain) - 1 - i; i == 0 || depth%thawCacheStride == thawCacheStride-1 {

@@ -162,7 +162,7 @@ func TestFreezeMemAccounting(t *testing.T) {
 // vector-exact LookupHashed must reconstruct the frozen vector instead
 // of reading a hot-arena view.
 func TestFreezeAliasAfterFreeze(t *testing.T) {
-	s := newMarkingStoreCap(3, 2) // tiny table: forces probe runs through the alias
+	s := newMarkingStoreCap(3, 2, false) // tiny table: forces probe runs through the alias
 	// A net without transitions: every record freezes verbatim.
 	if err := s.EnableFreeze(NewFiringTable(New("none"), nil)); err != nil {
 		t.Fatalf("EnableFreeze: %v", err)

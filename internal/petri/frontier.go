@@ -27,7 +27,13 @@ import (
 //	  veto checks only the places the transition adds tokens to, and
 //	  the hash is the parent's plus the transition's constant
 //	  increment, so neither pass scans the marking.
-//	  No goroutines and no candidate buffers.
+//	  No goroutines and no candidate buffers. The store starts narrow
+//	  (one byte per count, see MarkingStore), and the merge runs on
+//	  bytes: it fires the parent's page bytes into a byte scratch,
+//	  probes with a memory compare and copies the bytes in. The int32
+//	  merge takes over for the root, a frozen parent, a successor with
+//	  a count above 255 (whose intern widens the store) and every state
+//	  of a store that has widened.
 //	runner: a FrontierRunner (the worker processes of internal/dist,
 //	  reached only through Net.ExploreDist) expands under the same
 //	  ExpandSpec and calls the same MergeHooks.
@@ -152,7 +158,9 @@ type FrontierRunner interface {
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure or an overflow.
 func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, freeze bool, start func(*MarkingStore) MergeHooks) (bool, error) {
-	d := &driver{ft: ft, spec: spec, store: NewMarkingStore(len(ft.net.Places))}
+	// Only the inline merge writes narrow pages; a runner's workers and
+	// coordinator read At views per state.
+	d := &driver{ft: ft, spec: spec, store: newMarkingStoreCap(len(ft.net.Places), 1<<10, r == nil)}
 	for p := range spec.Caps {
 		d.unbounded = d.unbounded || spec.unbounded(p)
 	}
@@ -165,7 +173,8 @@ func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, freeze bool, star
 	if reject := d.hooks.Reject; d.unbounded {
 		d.hooks.Reject = func(parent MarkID, trans int32, budget bool) bool {
 			if !budget {
-				d.refire = ft.Fire(d.refire, d.store.At(parent), int(trans))
+				d.refire = d.store.Load(d.refire, parent)
+				d.refire = ft.Fire(d.refire, d.refire, int(trans))
 				if d.overflow = ft.Overflow(&d.spec, d.refire, int(trans)); d.overflow != nil {
 					return false
 				}
@@ -189,10 +198,14 @@ type driver struct {
 	// Inline mode only: bits is the per-state enabled-ECS arena (state
 	// id's set is bits[id*stride : (id+1)*stride]), derived from the
 	// parent's set when a state is interned and grown by Extend;
-	// scratch is the firing buffer, one marking long, that every
-	// successor of the exploration is fired into.
-	bits    []uint64
-	scratch Marking
+	// scratch and byteScratch are the firing buffers, one marking long,
+	// that every successor of the exploration is fired into, and parent
+	// holds the decoded counts of a narrow parent whose successor takes
+	// the int32 merge.
+	bits        []uint64
+	scratch     Marking
+	byteScratch []uint8
+	parent      Marking
 	// unbounded is set when spec leaves some place unbounded; the
 	// Reject hook then tells an overflow from a veto, re-firing into
 	// refire, and overflow is the error that ended the exploration.
@@ -207,9 +220,12 @@ type driver struct {
 // and freezes. A segment write failure leaves the store all-hot from
 // there on, which changes nothing the exploration computes.
 func (d *driver) runInline() bool {
+	places := d.store.Places()
 	d.bits = make([]uint64, d.ft.stride)
-	d.scratch = make(Marking, d.store.Places())
-	d.ft.Init(d.bits, d.store.At(0))
+	buf := make(Marking, 2*places)
+	d.scratch, d.parent = buf[:places:places], buf[places:]
+	d.byteScratch = make([]uint8, places)
+	d.ft.Init(d.bits, d.store.Load(d.parent, 0))
 	levelEnd := d.store.Len()
 	for id := 0; id < d.store.Len(); id++ {
 		if id == levelEnd {
@@ -232,8 +248,19 @@ func (d *driver) expand(id MarkID) bool {
 	if d.hooks.BeginState != nil {
 		d.hooks.BeginState(id)
 	}
-	m := d.store.At(id)
 	h := d.store.HashAt(id)
+	// b views a narrow parent's page bytes; m holds the parent's counts
+	// for the int32 merge, decoded on first use.
+	var b []uint8
+	var m Marking
+	switch {
+	case !d.store.narrow:
+		m = d.store.At(id)
+	case id != 0 && int(id) >= d.store.FrozenLen():
+		b = d.store.hotBytes(int(id))
+	default:
+		m = d.store.Load(d.parent, id)
+	}
 	// Only the root can be over a cap: every later state passed a veto.
 	full := id == 0 && d.spec.Veto(m)
 	ok := true
@@ -242,7 +269,14 @@ func (d *driver) expand(id MarkID) bool {
 	stride := d.ft.stride
 	ForEachMaskedBit(d.bits[int(id)*stride:(int(id)+1)*stride], d.spec.Mask, func(ei int) {
 		for _, tid := range d.ft.part[ei].Trans {
-			if ok {
+			switch {
+			case !ok:
+			case b != nil && d.store.narrow && d.ft.fireBytes(d.byteScratch, b, tid):
+				ok = d.mergeBytes(id, h, tid)
+			default:
+				if m == nil {
+					m = d.store.Load(d.parent, id)
+				}
 				ok = d.merge(id, m, h, tid, full)
 			}
 		}
@@ -271,10 +305,37 @@ func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) 
 	}
 	// Admit interns nothing, so the probe run find ended is still open.
 	child = d.store.insert(d.scratch, h, slot, alias, parent, int32(tid))
-	// Update writes every word of the new state's set.
-	base, stride := len(d.bits), d.ft.stride
-	Extend(&d.bits, stride)
-	d.ft.Update(d.bits[base:], d.bits[int(parent)*stride:(int(parent)+1)*stride], tid, d.scratch)
+	addBits(d, parent, tid, d.scratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true
+}
+
+// mergeBytes is merge on a narrow store, for the successor that
+// fireBytes wrote into byteScratch from a parent within every cap.
+func (d *driver) mergeBytes(parent MarkID, ph uint64, tid int) bool {
+	if riseVeto(d.ft, &d.spec, d.byteScratch, tid) {
+		return d.hooks.Reject(parent, int32(tid), false)
+	}
+	h := d.ft.Hash(ph, tid)
+	child, slot, alias := d.store.findBytes(d.byteScratch, h)
+	if child != NoMark {
+		d.hooks.Edge(parent, int32(tid), child, false)
+		return true
+	}
+	if d.hooks.Admit != nil && !d.hooks.Admit() {
+		return d.hooks.Reject(parent, int32(tid), true)
+	}
+	child = d.store.insertBytes(d.byteScratch, h, slot, alias, parent, int32(tid))
+	addBits(d, parent, tid, d.byteScratch)
+	d.hooks.Edge(parent, int32(tid), child, true)
+	return true
+}
+
+// addBits appends the enabled-ECS set of the state just interned as
+// parent's successor under tid, whose counts are m.
+func addBits[E token](d *driver, parent MarkID, tid int, m []E) {
+	base, stride := len(d.bits), d.ft.stride
+	Extend(&d.bits, stride)
+	// update writes every word of the new state's set.
+	update(d.ft, d.bits[base:], d.bits[int(parent)*stride:(int(parent)+1)*stride], tid, m)
 }

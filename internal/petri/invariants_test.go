@@ -70,8 +70,8 @@ func TestPInvariantConservation(t *testing.T) {
 	m0 := n.InitialMarking()
 	want := InvariantValue(cons, m0)
 	res := n.Explore(ExploreOptions{FireSources: true, MaxMarkings: 200})
-	for _, m := range res.Store.All() {
-		if InvariantValue(cons, m) != want {
+	for id := range res.Len() {
+		if m := res.MarkingAt(MarkID(id)); InvariantValue(cons, m) != want {
 			t.Errorf("marking %s violates the invariant", m.Key())
 		}
 	}

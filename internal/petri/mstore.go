@@ -1,7 +1,7 @@
 package petri
 
 import (
-	"iter"
+	"math"
 	"math/bits"
 )
 
@@ -19,12 +19,25 @@ import (
 // linear-probe home slot from a 64-bit finalizer of the hash
 // (probeHash), never from the raw low bits.
 //
-// Token vectors live in fixed pages of TokenBytes-wide counts, allocated
-// once and never moved or rewritten: each marking's tokens are copied
-// in exactly once, at intern, and every At view points straight into
-// its page. Page sizes double from a small first page up to a fixed
-// byte cap, so a 100-state search stays small and a large exploration
-// allocates each token byte about once.
+// Token vectors live in fixed pages, allocated once and never moved or
+// rewritten: each marking's tokens are copied in exactly once, at
+// intern. Page sizes double from a small first page up to a fixed byte
+// cap of TokenBytes-wide counts, so a 100-state search stays small and
+// a large exploration allocates each token byte about once.
+//
+// A page holds a count in one of two encodings. NewMarkingStore's pages
+// hold a Marking's int32 counts, and an At view points straight into
+// its page. The store of an inline exploration (Drive without a runner)
+// starts narrow, one uint8 per place: the counts a schedule search keeps
+// are tiny (every cap of the PFC search is 1), so the vectors take a
+// quarter of the bytes. The first time such a store has to intern a
+// count above 255, it widens, once and in place: every live page is
+// decoded into an int32 page of the same geometry, and the store stays
+// wide. Nothing outside the package sees the encoding. At decodes a
+// narrow id into a fresh copy, Load decodes into the caller's buffer,
+// and hashes, MarkIDs and the frozen tier's records do not depend on
+// it: each sees a count by value. Only Mem does, since it counts each
+// hot vector at the width its page holds.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -40,18 +53,23 @@ const NoMark = MarkID(^uint32(0))
 // NewMarkingStore.
 //
 // Concurrency: interning and FreezeThrough mutate the store and must be
-// serialized by the caller. Read-only use (At, LookupHashed, Len, All) is
-// safe from any number of goroutines once no more mutations occur —
+// serialized by the caller. Read-only use (At, Load, LookupHashed, Len)
+// is safe from any number of goroutines once no more mutations occur —
 // e.g. a ReachResult.Store may be read concurrently after Explore
 // returns; At on a frozen id memoizes thawed vectors behind the tier's
-// own lock. The schedule-search engines keep one private store per
-// search, so the concurrent per-source searches of the PR-1 worker pool
-// never contend on one.
+// own lock, and the store keeps no decode buffer of its own. The
+// schedule-search engines keep one private store per search, so the
+// concurrent per-source searches of core's worker pool never contend
+// on one.
 type MarkingStore struct {
 	places int
-	// pages hold the token vectors of hot ids (see pageOf for the
-	// layout); a page wholly below frozenEnd is released to nil.
+	// The token vectors of hot ids, in pages (see pageOf for the
+	// layout): bytePages while narrow is set, pages otherwise. Only the
+	// live encoding's page list is used; a page wholly below frozenEnd
+	// is released to nil.
 	pages      [][]int32
+	bytePages  [][]uint8
+	narrow     bool
 	firstShift uint     // page 0 holds 1<<firstShift markings
 	capShift   uint     // pages stop doubling at 1<<capShift markings
 	hashes     []uint64 // hash per interned marking, reused on growth; never frozen
@@ -64,21 +82,29 @@ type MarkingStore struct {
 
 // Page geometry: the first page holds up to 1<<firstPageShift markings
 // and later pages double until one would exceed pageCapBytes of
-// TokenBytes-wide counts.
+// TokenBytes-wide counts. A narrow store keeps the same ids per page,
+// so widening converts one page at a time.
 const (
 	firstPageShift = 6
 	pageCapBytes   = 64 << 10
 )
 
+// maxNarrow is the largest count a narrow store's pages hold.
+const maxNarrow = math.MaxUint8
+
+// token is the count type of either page encoding.
+type token interface{ uint8 | int32 }
+
 // NewMarkingStore returns an empty store for markings over the given
-// number of places.
+// number of places, holding TokenBytes per count.
 func NewMarkingStore(places int) *MarkingStore {
-	return newMarkingStoreCap(places, 1<<10)
+	return newMarkingStoreCap(places, 1<<10, false)
 }
 
 // newMarkingStoreCap builds a store with an explicit initial table size
-// (a power of two). Tests use tiny tables to force probe collisions.
-func newMarkingStoreCap(places, tableSize int) *MarkingStore {
+// (a power of two), narrow or not. Tests use tiny tables to force probe
+// collisions.
+func newMarkingStoreCap(places, tableSize int, narrow bool) *MarkingStore {
 	if tableSize < 2 || tableSize&(tableSize-1) != 0 {
 		panic("petri: marking store table size must be a power of two >= 2")
 	}
@@ -88,6 +114,7 @@ func newMarkingStoreCap(places, tableSize int) *MarkingStore {
 	}
 	return &MarkingStore{
 		places:     places,
+		narrow:     narrow,
 		firstShift: min(firstPageShift, capShift),
 		capShift:   capShift,
 		table:      make([]uint32, tableSize),
@@ -119,11 +146,57 @@ func (s *MarkingStore) pageLen(k int) int {
 	return 1 << min(s.firstShift+uint(k)-1, s.capShift)
 }
 
-// hot returns the page view of an id at or above frozenEnd.
+// width returns the bytes a page spends per count.
+func (s *MarkingStore) width() int64 {
+	if s.narrow {
+		return 1
+	}
+	return TokenBytes
+}
+
+// hot returns the page view of an id at or above frozenEnd of a wide
+// store.
 func (s *MarkingStore) hot(id int) Marking {
 	page, off := s.pageOf(id)
 	i := off * s.places
 	return Marking(s.pages[page][i : i+s.places : i+s.places])
+}
+
+// hotBytes returns the page view of an id at or above frozenEnd of a
+// narrow store.
+func (s *MarkingStore) hotBytes(id int) []uint8 {
+	page, off := s.pageOf(id)
+	i := off * s.places
+	return s.bytePages[page][i : i+s.places : i+s.places]
+}
+
+// loadHot copies the counts of an id at or above frozenEnd into dst,
+// which holds one count per place, and returns it.
+func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
+	if !s.narrow {
+		copy(dst, s.hot(id))
+		return dst
+	}
+	for p, v := range s.hotBytes(id) {
+		dst[p] = int32(v)
+	}
+	return dst
+}
+
+// widen converts a narrow store to int32 pages of the same geometry,
+// once: pages the frozen tier released stay released.
+func (s *MarkingStore) widen() {
+	s.pages = make([][]int32, len(s.bytePages))
+	for k, b := range s.bytePages {
+		if b != nil {
+			w := make([]int32, len(b))
+			for i, v := range b {
+				w[i] = int32(v)
+			}
+			s.pages[k] = w
+		}
+	}
+	s.bytePages, s.narrow = nil, false
 }
 
 // Len returns the number of distinct markings interned.
@@ -132,19 +205,39 @@ func (s *MarkingStore) Len() int { return len(s.hashes) }
 // Places returns the token-vector length the store was built for.
 func (s *MarkingStore) Places() int { return s.places }
 
-// At returns the interned marking as a read-only view: callers must not
-// mutate it. Hot ids resolve to a view into the marking's token page;
-// frozen ids (below FrozenLen) are reconstructed on demand from the
-// delta segment, memoized by the tier's thaw cache. Either way the view
-// stays valid across later Intern and FreezeThrough calls — a page is
-// never written again after its markings are interned, and freezing
-// only drops the store's reference to it — so it is safe to hold one
-// across further interning.
+// At returns the interned marking, which callers must not mutate. It
+// stays valid across later Intern and FreezeThrough calls, so it is
+// safe to hold one across further interning. A hot id of a wide store
+// resolves to a view into the marking's token page: a page is never
+// written again after its markings are interned, and freezing or
+// widening only drops the store's reference to it. A hot id of a narrow
+// store is decoded into a fresh copy, and a frozen id (below FrozenLen)
+// is reconstructed from the delta segment, memoized by the tier's thaw
+// cache. A reader that visits every state decodes with Load instead.
 func (s *MarkingStore) At(id MarkID) Marking {
-	if int(id) < s.frozenEnd {
+	switch {
+	case int(id) < s.frozenEnd:
 		return s.frozen.thaw(s, id)
+	case s.narrow:
+		return s.loadHot(make(Marking, s.places), int(id))
 	}
 	return s.hot(int(id))
+}
+
+// Load copies the interned marking id into dst, reallocating it only
+// when its capacity is short of Places(), and returns it. Unlike At it
+// never allocates on a store's hot ids, so a reader that visits every
+// state passes one buffer to each call.
+func (s *MarkingStore) Load(dst Marking, id MarkID) Marking {
+	if cap(dst) < s.places {
+		dst = make(Marking, s.places)
+	}
+	dst = dst[:s.places]
+	if int(id) < s.frozenEnd {
+		copy(dst, s.frozen.thaw(s, id))
+		return dst
+	}
+	return s.loadHot(dst, int(id))
 }
 
 // HashMarking is the hash every marking store keys on: the additive
@@ -244,12 +337,56 @@ func (s *MarkingStore) find(m Marking, h uint64) (MarkID, uint32, bool) {
 		}
 		id := MarkID(e - 1)
 		if s.hashes[id] == h {
-			if s.At(id).Equal(m) {
+			if s.holds(id, m) {
 				return id, slot, false
 			}
 			alias = true
 		}
 	}
+}
+
+// holds reports whether id's vector equals m, reading a narrow page
+// in place.
+func (s *MarkingStore) holds(id MarkID, m Marking) bool {
+	if s.narrow && int(id) >= s.frozenEnd {
+		return sameCounts(s.hotBytes(int(id)), m)
+	}
+	return s.At(id).Equal(m)
+}
+
+// findBytes is find for a narrow store and a vector b of one-byte
+// counts: a hot candidate is compared with its page bytes in one
+// memory compare, a frozen one thawed and compared by value.
+func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
+	alias := false
+	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
+		e := s.table[slot]
+		if e == 0 {
+			return NoMark, slot, alias
+		}
+		id := MarkID(e - 1)
+		if s.hashes[id] == h {
+			if int(id) < s.frozenEnd && sameCounts(b, s.frozen.thaw(s, id)) ||
+				int(id) >= s.frozenEnd && string(s.hotBytes(int(id))) == string(b) {
+				return id, slot, false
+			}
+			alias = true
+		}
+	}
+}
+
+// sameCounts reports whether two vectors, of one encoding or the
+// other, hold the same counts.
+func sameCounts[A, B token](a []A, b []B) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if int64(v) != int64(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // LookupHash resolves a bare 64-bit HashMarking value to the interned
@@ -316,15 +453,50 @@ func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int
 
 // insert interns m, hashed h and absent from the store, as the child of
 // parent under trans (see InternChild): slot and alias are what find
-// returned for m, with no intern since. It returns m's new id.
+// returned for m, with no intern since. It returns m's new id. A narrow
+// store checks each count as it copies it in, and widens at the first
+// one above maxNarrow.
 func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
+	id := s.claim(h, slot, alias, parent, trans)
+	page, off := s.pageOf(int(id))
+	if s.narrow {
+		row := s.bytePages[page][off*s.places:]
+		for p, v := range m {
+			if uint32(v) > maxNarrow {
+				s.widen()
+				break
+			}
+			row[p] = uint8(v)
+		}
+	}
+	if !s.narrow {
+		copy(s.pages[page][off*s.places:], m)
+	}
+	return id
+}
+
+// insertBytes is insert for a narrow store and a vector b of one-byte
+// counts.
+func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
+	id := s.claim(h, slot, alias, parent, trans)
+	page, off := s.pageOf(int(id))
+	copy(s.bytePages[page][off*s.places:], b)
+	return id
+}
+
+// claim takes the next id for a marking hashed h at the probe slot find
+// ended on, and records everything of it but its counts: the hash, the
+// table entry, the provenance, and the page its counts go to.
+func (s *MarkingStore) claim(h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
 	s.aliased = s.aliased || alias
 	id := MarkID(len(s.hashes))
-	page, off := s.pageOf(int(id))
-	if off == 0 {
-		s.pages = append(s.pages, make([]int32, s.pageLen(page)*s.places))
+	if page, off := s.pageOf(int(id)); off == 0 {
+		if n := s.pageLen(page) * s.places; s.narrow {
+			s.bytePages = append(s.bytePages, make([]uint8, n))
+		} else {
+			s.pages = append(s.pages, make([]int32, n))
+		}
 	}
-	copy(s.pages[page][off*s.places:], m)
 	s.hashes = append(s.hashes, h)
 	s.table[slot] = uint32(id) + 1
 	if s.FreezeEnabled() {
@@ -361,21 +533,11 @@ func (s *MarkingStore) grow() {
 	s.mask = mask
 }
 
-// All iterates over (MarkID, Marking) pairs in interning order. The
-// yielded markings are read-only views (see At).
-func (s *MarkingStore) All() iter.Seq2[MarkID, Marking] {
-	return func(yield func(MarkID, Marking) bool) {
-		for id := 0; id < s.Len(); id++ {
-			if !yield(MarkID(id), s.At(MarkID(id))) {
-				return
-			}
-		}
-	}
-}
-
 // Mem is THE store-memory accounting: exact live byte counts at slice
-// lengths, independent of append growth policy. Both figures are pure
-// functions of the interned marking sequence and the frozen boundary,
+// lengths, independent of append growth policy, with each hot vector
+// counted at the width its pages hold (one byte per place in a narrow
+// store). Both figures are pure functions of the interned marking
+// sequence, the encoding the store started in and the frozen boundary,
 // so distributed memory accounting (the per-worker replica-size and
 // frozen-store gates in CI) can compare values across processes and
 // machines byte-for-byte. Every other store-size figure in the tree
@@ -383,7 +545,7 @@ func (s *MarkingStore) All() iter.Seq2[MarkID, Marking] {
 // stats) derives from this one method.
 func (s *MarkingStore) Mem() StoreMem {
 	m := StoreMem{
-		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*TokenBytes + int64(len(s.hashes))*8 + int64(len(s.table))*4,
+		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*s.width() + int64(len(s.hashes))*8 + int64(len(s.table))*4,
 	}
 	if s.frozen != nil {
 		m.HotBytes += int64(len(s.frozen.offs))*8 + int64(len(s.frozen.prov))*8

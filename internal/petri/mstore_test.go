@@ -8,11 +8,30 @@ import (
 	"testing"
 )
 
+// encodings are the two page encodings every store test runs on: the
+// int32 pages of NewMarkingStore, and the one-byte pages an inline
+// exploration's store starts with.
+var encodings = []struct {
+	name   string
+	narrow bool
+}{{"wide", false}, {"narrow", true}}
+
+// newTestStore returns an empty store in the given encoding.
+func newTestStore(places int, narrow bool) *MarkingStore {
+	return newMarkingStoreCap(places, 1<<10, narrow)
+}
+
 // TestMarkingStoreRoundTrip: intern assigns dense IDs in order, lookup
-// finds them again, and At returns the exact vector.
+// finds them again, and At and Load return the exact vector.
 func TestMarkingStoreRoundTrip(t *testing.T) {
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) { testMarkingStoreRoundTrip(t, enc.narrow) })
+	}
+}
+
+func testMarkingStoreRoundTrip(t *testing.T, narrow bool) {
 	const places = 7
-	s := NewMarkingStore(places)
+	s := newTestStore(places, narrow)
 	rng := rand.New(rand.NewSource(1))
 	var markings []Marking
 	seen := map[string]MarkID{}
@@ -51,6 +70,9 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 		if !s.At(id).Equal(m) {
 			t.Fatalf("At(%d) = %v, want %v", id, s.At(id), m)
 		}
+		if got := s.Load(nil, id); !got.Equal(m) {
+			t.Fatalf("Load(%d) = %v, want %v", id, got, m)
+		}
 	}
 	absent := Marking{9, 9, 9, 9, 9, 9, 9}
 	if _, ok := s.LookupHashed(absent, HashMarking(absent)); ok {
@@ -64,7 +86,7 @@ func TestMarkingStoreRoundTrip(t *testing.T) {
 // must survive.
 func TestMarkingStoreCollisions(t *testing.T) {
 	const places = 3
-	s := newMarkingStoreCap(places, 2)
+	s := newMarkingStoreCap(places, 2, false)
 	var ms []Marking
 	for i := 0; i < 64; i++ {
 		m := Marking{int32(i), int32(i % 5), int32(i / 3)}
@@ -90,20 +112,123 @@ func TestMarkingStoreCollisions(t *testing.T) {
 }
 
 // TestMarkingStoreViewStability: views taken before arena growth stay
-// readable and equal to the interned vector afterwards.
+// readable and equal to the interned vector afterwards. Counts run up
+// to 10,002, so a narrow store widens in the middle, after the views
+// of its narrow pages were taken.
 func TestMarkingStoreViewStability(t *testing.T) {
-	s := NewMarkingStore(4)
-	first := Marking{1, 2, 3, 4}
-	id, _ := s.Intern(first)
-	view := s.At(id)
-	for i := 0; i < 10000; i++ {
-		s.Intern(Marking{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)})
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) {
+			s := newTestStore(4, enc.narrow)
+			first := Marking{1, 2, 3, 4}
+			id, _ := s.Intern(first)
+			view := s.At(id)
+			var views []Marking
+			for i := 0; i < 10000; i++ {
+				mid, _ := s.Intern(Marking{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)})
+				if i%50 == 0 {
+					views = append(views, s.At(mid))
+				}
+			}
+			if s.narrow {
+				t.Fatal("a store holding counts above 255 did not widen")
+			}
+			if !view.Equal(first) {
+				t.Fatalf("early view corrupted after growth: %v", view)
+			}
+			if !s.At(id).Equal(first) {
+				t.Fatalf("At(%d) corrupted after growth: %v", id, s.At(id))
+			}
+			for k, v := range views {
+				i := int32(k * 50)
+				if want := (Marking{i, i + 1, i + 2, i + 3}); !v.Equal(want) {
+					t.Fatalf("view of marking %v reads %v after growth", want, v)
+				}
+			}
+		})
 	}
-	if !view.Equal(first) {
-		t.Fatalf("early view corrupted after growth: %v", view)
-	}
-	if !s.At(id).Equal(first) {
-		t.Fatalf("At(%d) corrupted after growth: %v", id, s.At(id))
+}
+
+// TestMarkingStoreWiden: a narrow store holding byte-sized markings
+// widens, once and in place, when it interns a count of 256. Every
+// earlier id reads the same through At, Load, LookupHashed and HashAt
+// before and after, views taken before the widen still read
+// correctly, and Mem counts one byte per hot count before and
+// TokenBytes after. The frozen leg freezes the first ids first, so the
+// widen skips the pages that freezing released.
+func TestMarkingStoreWiden(t *testing.T) {
+	const places, count = 5, 300
+	for _, freeze := range []bool{false, true} {
+		t.Run(fmt.Sprintf("freeze=%v", freeze), func(t *testing.T) {
+			s := newTestStore(places, true)
+			if freeze {
+				// A net without transitions: every record freezes verbatim.
+				if err := s.EnableFreeze(NewFiringTable(New("none"), nil)); err != nil {
+					t.Fatalf("EnableFreeze: %v", err)
+				}
+			}
+			var ms []Marking
+			for i := range count {
+				m := Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)}
+				if id, isNew := s.Intern(m); !isNew || int(id) != i {
+					t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
+				}
+				ms = append(ms, m)
+			}
+			if freeze {
+				if err := s.FreezeThrough(200); err != nil || s.FrozenLen() != 200 {
+					t.Fatalf("FreezeThrough(200) = %v, %d frozen", err, s.FrozenLen())
+				}
+			}
+			views := make([]Marking, len(ms))
+			check := func(stage string) {
+				t.Helper()
+				var buf Marking
+				for i, m := range ms {
+					id := MarkID(i)
+					if !s.At(id).Equal(m) || !views[i].Equal(m) {
+						t.Fatalf("%s: At(%d) = %v, view %v, want %v", stage, id, s.At(id), views[i], m)
+					}
+					if buf = s.Load(buf, id); !buf.Equal(m) {
+						t.Fatalf("%s: Load(%d) = %v, want %v", stage, id, buf, m)
+					}
+					if got, ok := s.LookupHashed(m, HashMarking(m)); !ok || got != id {
+						t.Fatalf("%s: LookupHashed(%v) = (%d, %v), want (%d, true)", stage, m, got, ok, id)
+					}
+					if s.HashAt(id) != HashMarking(m) {
+						t.Fatalf("%s: HashAt(%d) = %#x, want %#x", stage, id, s.HashAt(id), HashMarking(m))
+					}
+				}
+			}
+			for i := range ms {
+				views[i] = s.At(MarkID(i))
+			}
+			check("narrow")
+			// Mem's hot bytes, less the vectors at the store's width.
+			rest := func(width int64) int64 {
+				return s.Mem().HotBytes - int64(s.Len()-s.FrozenLen())*places*width
+			}
+			if !s.narrow {
+				t.Fatal("byte-sized counts widened the store")
+			}
+			before := rest(1)
+			big := Marking{256, 0, 0, 0, 0}
+			id, isNew := s.Intern(big)
+			if !isNew || int(id) != count || s.narrow {
+				t.Fatalf("intern %v = (%d, %v), narrow %v; want (%d, true), wide", big, id, isNew, s.narrow, count)
+			}
+			check("wide")
+			if !s.At(id).Equal(big) {
+				t.Fatalf("At(%d) = %v, want %v", id, s.At(id), big)
+			}
+			// One more hash, and one more provenance record when freezing.
+			want := before + 8
+			if freeze {
+				want += 8
+			}
+			if got := rest(TokenBytes); got != want {
+				t.Fatalf("hot bytes less vectors: %d after the widen, want %d", got, want)
+			}
+		})
 	}
 }
 
@@ -112,8 +237,16 @@ func TestMarkingStoreViewStability(t *testing.T) {
 // no page exceeds the byte cap unless one marking does, and every
 // marking round-trips across page boundaries.
 func TestMarkingStorePages(t *testing.T) {
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) { testMarkingStorePages(t, enc.narrow) })
+	}
+}
+
+// testMarkingStorePages runs TestMarkingStorePages on one encoding. Its
+// counts are the ids, so a narrow store widens at id 256.
+func testMarkingStorePages(t *testing.T, narrow bool) {
 	for _, places := range []int{1, 7, 60, pageCapBytes/TokenBytes + 1} {
-		s := NewMarkingStore(places)
+		s := newTestStore(places, narrow)
 		count := 3000
 		if places > 1000 {
 			count = 40 // one marking per page; keep the test small
@@ -128,8 +261,8 @@ func TestMarkingStorePages(t *testing.T) {
 				t.Fatalf("places=%d: id %d at (%d, %d) does not follow (%d, %d) (page len %d)",
 					places, id, page, off, prevPage, prevOff, s.pageLen(prevPage))
 			}
-			if bytes := s.pageLen(page) * places * TokenBytes; bytes > max(pageCapBytes, places*TokenBytes) {
-				t.Fatalf("places=%d: page %d is %d bytes", places, page, bytes)
+			if w := int(s.width()); s.pageLen(page)*places*w > max(pageCapBytes, places*w) {
+				t.Fatalf("places=%d: page %d is %d bytes", places, page, s.pageLen(page)*places*w)
 			}
 			prevPage, prevOff = page, off
 			m := make(Marking, places)
@@ -160,8 +293,8 @@ func TestMarkingStoreInternBytes(t *testing.T) {
 		t.Fatalf("ring net explored %d states (truncated=%v)", r.Len(), r.Truncated)
 	}
 	ms := make([]Marking, 0, r.Len())
-	for _, m := range r.Store.All() {
-		ms = append(ms, m)
+	for id := range r.Len() {
+		ms = append(ms, r.MarkingAt(MarkID(id)))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -181,12 +314,18 @@ func TestMarkingStoreInternBytes(t *testing.T) {
 	}
 }
 
-// TestMarkingStoreConcurrentReads: once interning stops, At/LookupHashed/All
-// are safe from many goroutines — the contract the PR-1 worker pool
-// relies on. Run under -race (the Makefile does).
+// TestMarkingStoreConcurrentReads: once interning stops, At, Load and
+// LookupHashed are safe from many goroutines — the contract of a
+// finished ReachResult's store. Run under -race (the Makefile does).
 func TestMarkingStoreConcurrentReads(t *testing.T) {
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) { testMarkingStoreConcurrentReads(t, enc.narrow) })
+	}
+}
+
+func testMarkingStoreConcurrentReads(t *testing.T, narrow bool) {
 	const places = 5
-	s := NewMarkingStore(places)
+	s := newTestStore(places, narrow)
 	var ms []Marking
 	for i := 0; i < 200; i++ {
 		m := Marking{int32(i), int32(i % 7), int32(i % 3), int32(i % 11), int32(i % 2)}
@@ -198,6 +337,7 @@ func TestMarkingStoreConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var buf Marking
 			for r := 0; r < 50; r++ {
 				i := (w*53 + r*17) % len(ms)
 				id, ok := s.LookupHashed(ms[i], HashMarking(ms[i]))
@@ -209,13 +349,11 @@ func TestMarkingStoreConcurrentReads(t *testing.T) {
 					t.Errorf("concurrent At(%d) mismatch", id)
 					return
 				}
-				n := 0
-				for range s.All() {
-					n++
-				}
-				if n != s.Len() {
-					t.Errorf("concurrent All yielded %d of %d", n, s.Len())
-					return
+				for id := range s.Len() {
+					if buf = s.Load(buf, MarkID(id)); !buf.Equal(ms[id]) {
+						t.Errorf("concurrent Load(%d) = %v, want %v", id, buf, ms[id])
+						return
+					}
 				}
 			}
 		}(w)
@@ -226,9 +364,17 @@ func TestMarkingStoreConcurrentReads(t *testing.T) {
 // TestLookupHashAliased: the hash-only probe backing the dist
 // candNew fast path resolves interned markings by bare hash,
 // and interning two distinct vectors under one hash flips HashAliased —
-// the signal that callers must fall back to vector-exact lookups.
+// the signal that callers must fall back to vector-exact lookups. The
+// alias differs from its twin in the last place only, so every vector
+// compare, the narrow store's byte probe included, must read it.
 func TestLookupHashAliased(t *testing.T) {
-	s := newMarkingStoreCap(3, 2) // tiny table: forces probe runs and growth
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) { testLookupHashAliased(t, enc.narrow) })
+	}
+}
+
+func testLookupHashAliased(t *testing.T, narrow bool) {
+	s := newMarkingStoreCap(3, 2, narrow) // tiny table: forces probe runs and growth
 	var ms []Marking
 	for i := 0; i < 40; i++ {
 		m := Marking{int32(i), int32(i % 4), int32(i / 7)}
@@ -250,7 +396,7 @@ func TestLookupHashAliased(t *testing.T) {
 	// Force an alias: a second vector interned under the first one's
 	// hash (InternHashed trusts the caller's hash).
 	h0 := HashMarking(ms[0])
-	alias := Marking{77, 0, 0}
+	alias := Marking{0, 0, 77}
 	id, isNew := s.InternHashed(alias, h0)
 	if !isNew || int(id) != len(ms) {
 		t.Fatalf("aliased intern = (%d, %v), want (%d, true)", id, isNew, len(ms))
@@ -267,6 +413,19 @@ func TestLookupHashAliased(t *testing.T) {
 	}
 	if got, ok := s.LookupHashed(alias, h0); !ok || got != id {
 		t.Fatalf("exact lookup of alias = (%d, %v), want (%d, true)", got, ok, id)
+	}
+	if !narrow {
+		return
+	}
+	// The byte probe of the inline explorer resolves both sides too, and
+	// a third vector under the same hash is absent.
+	for _, c := range []struct {
+		b    []uint8
+		want MarkID
+	}{{[]uint8{0, 0, 0}, 0}, {[]uint8{0, 0, 77}, id}, {[]uint8{0, 0, 78}, NoMark}} {
+		if got, _, alias := s.findBytes(c.b, h0); got != c.want || alias != (c.want == NoMark) {
+			t.Fatalf("findBytes(%v) = (%d, alias %v), want %d", c.b, got, alias, c.want)
+		}
 	}
 }
 
@@ -299,8 +458,15 @@ func TestFireInto(t *testing.T) {
 
 // TestZeroAllocFiringAndIntern pins the hot pair of the schedule-search
 // inner loop: firing into a scratch buffer and interning an
-// already-seen marking must not allocate at all.
+// already-seen marking must not allocate at all, nor must loading a
+// stored marking into a buffer.
 func TestZeroAllocFiringAndIntern(t *testing.T) {
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) { testZeroAllocFiringAndIntern(t, enc.narrow) })
+	}
+}
+
+func testZeroAllocFiringAndIntern(t *testing.T, narrow bool) {
 	n := New("hot")
 	p := n.AddPlace("p", PlaceChannel, 1)
 	q := n.AddPlace("q", PlaceChannel, 0)
@@ -308,11 +474,12 @@ func TestZeroAllocFiringAndIntern(t *testing.T) {
 	n.AddArc(p, tr, 1)
 	n.AddArcTP(tr, q, 1)
 	m := n.InitialMarking()
-	s := NewMarkingStore(len(n.Places))
+	s := newTestStore(len(n.Places), narrow)
 	scratch := make(Marking, len(n.Places))
 	scratch = m.FireInto(scratch, tr)
 	s.Intern(m)
 	s.Intern(scratch)
+	buf := make(Marking, len(n.Places))
 	allocs := testing.AllocsPerRun(200, func() {
 		scratch = m.FireInto(scratch, tr)
 		if _, isNew := s.Intern(scratch); isNew {
@@ -320,6 +487,9 @@ func TestZeroAllocFiringAndIntern(t *testing.T) {
 		}
 		if _, ok := s.LookupHashed(m, HashMarking(m)); !ok {
 			t.Fatal("lookup lost the initial marking")
+		}
+		if buf = s.Load(buf, 1); !buf.Equal(scratch) {
+			t.Fatal("Load lost the fired marking")
 		}
 	})
 	if allocs != 0 {

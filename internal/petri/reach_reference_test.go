@@ -41,8 +41,8 @@ type reachSnapshot struct {
 
 func snapshotReach(r *ReachResult) reachSnapshot {
 	s := reachSnapshot{edges: r.Edges, clipped: r.Clipped, truncated: r.Truncated}
-	for _, m := range r.Store.All() {
-		s.markings = append(s.markings, m.Clone())
+	for id := range r.Len() {
+		s.markings = append(s.markings, r.Store.Load(nil, MarkID(id)))
 	}
 	return s
 }
@@ -119,8 +119,8 @@ func assertSameSnapshot(t *testing.T, name string, want, got reachSnapshot) {
 // on the stored values when it compares worker-shipped hashes with them.
 func assertStoredHashes(t *testing.T, name string, r *ReachResult) {
 	t.Helper()
-	for id, m := range r.Store.All() {
-		if got, want := r.Store.HashAt(id), HashMarking(m); got != want {
+	for id := range MarkID(r.Len()) {
+		if got, want := r.Store.HashAt(id), HashMarking(r.MarkingAt(id)); got != want {
 			t.Fatalf("%s: state %d stores hash %#x, HashMarking gives %#x", name, id, got, want)
 		}
 	}
@@ -146,6 +146,29 @@ func overCapRootNet() *Net {
 	return n
 }
 
+// burstNet carries a count past 255 in the middle of an exploration:
+// place p starts at init tokens, the source fill adds 3 and drain takes
+// 2, while one token walks a ring of 4 places beside them. Under
+// MaxTokensPerPlace 300, p takes every count from 0 to 300.
+func burstNet(init int) *Net {
+	n := New("burst")
+	p := n.AddPlace("p", PlaceChannel, init)
+	fill := n.AddTransition("fill", TransSourceCtl)
+	n.AddArcTP(fill, p, 3)
+	drain := n.AddTransition("drain", TransSink)
+	n.AddArc(p, drain, 2)
+	var ring []*Place
+	for i := range 4 {
+		ring = append(ring, n.AddPlace(fmt.Sprintf("r%d", i), PlaceInternal, max(0, 1-i)))
+	}
+	for i, r := range ring {
+		step := n.AddTransition(fmt.Sprintf("step%d", i), TransNormal)
+		n.AddArc(r, step, 1)
+		n.AddArcTP(step, ring[(i+1)%len(ring)], 1)
+	}
+	return n
+}
+
 func assertSameReach(t *testing.T, name string, want, got *ReachResult) {
 	t.Helper()
 	assertSameSnapshot(t, name, snapshotReach(want), snapshotReach(got))
@@ -155,25 +178,35 @@ func assertSameReach(t *testing.T, name string, want, got *ReachResult) {
 // explorer exactly — same state numbering, same edges, same clip
 // flags — on full explorations, budget-clipped ones and token-capped
 // ones (one whose root starts over its cap), with and without frozen
-// levels.
+// levels. In burst-300 a count passes 255 in the middle of the
+// exploration, so the store widens there; in burst-255 a cap vetoes
+// every successor that would, and the store stays narrow.
 func TestExploreMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
 		net  *Net
 		opt  ExploreOptions
+		wide bool // the store ends wide
 	}{
-		{"rings-full", ringsNet(3, 4), ExploreOptions{MaxMarkings: 1000}},
-		{"rings-budget", ringsNet(3, 5), ExploreOptions{MaxMarkings: 60}},
-		{"simple-capped", simpleNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 4}},
-		{"choice", choiceNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 3}},
-		{"root-over-cap", overCapRootNet(), ExploreOptions{MaxTokensPerPlace: 2}},
+		{"rings-full", ringsNet(3, 4), ExploreOptions{MaxMarkings: 1000}, false},
+		{"rings-budget", ringsNet(3, 5), ExploreOptions{MaxMarkings: 60}, false},
+		{"simple-capped", simpleNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 4}, false},
+		{"choice", choiceNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 3}, false},
+		{"root-over-cap", overCapRootNet(), ExploreOptions{MaxTokensPerPlace: 2}, false},
+		{"burst-300", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 300}, true},
+		{"burst-255", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 255}, false},
 	}
 	for _, c := range cases {
 		want := referenceExplore(c.net, c.opt)
 		for _, freeze := range []bool{false, true} {
 			opt := c.opt
 			opt.Freeze = freeze
-			assertSameSnapshot(t, fmt.Sprintf("%s/freeze=%v", c.name, freeze), want, snapshotReach(c.net.Explore(opt)))
+			name := fmt.Sprintf("%s/freeze=%v", c.name, freeze)
+			got := c.net.Explore(opt)
+			assertSameSnapshot(t, name, want, snapshotReach(got))
+			if got.Store.narrow == c.wide {
+				t.Errorf("%s: store narrow = %v at the end", name, got.Store.narrow)
+			}
 		}
 	}
 }

@@ -98,8 +98,10 @@ func Fingerprint(r *petri.ReachResult) string {
 	w.reserve(2)
 	w.put(r.Len())
 	w.putBool(r.Truncated)
+	var m petri.Marking
 	for id := 0; id < r.Len(); id++ {
-		m, es := r.MarkingAt(petri.MarkID(id)), r.Edges[id]
+		m = r.Store.Load(m, petri.MarkID(id))
+		es := r.Edges[id]
 		w.reserve(len(m) + 2 + 2*len(es))
 		w.putTokens(m)
 		w.putBool(r.Clipped[id])

@@ -284,9 +284,9 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	}
 }
 
-// marking returns the (read-only) token vector of state id.
+// marking returns a copy of the token vector of state id.
 func (ge *graphEngine) marking(id int) petri.Marking {
-	return ge.store.At(petri.MarkID(id))
+	return ge.store.Load(nil, petri.MarkID(id))
 }
 
 // allowed reports whether the ECS may appear in this schedule.
@@ -639,8 +639,8 @@ func (ge *graphEngine) build(rootID int) *Schedule {
 			return n
 		}
 		st := &ge.states[id]
-		// Schedule nodes outlive the engine: clone out of the store arena.
-		n := &Node{ID: len(s.Nodes), Marking: ge.marking(id).Clone()}
+		// Schedule nodes outlive the engine: copy out of the store.
+		n := &Node{ID: len(s.Nodes), Marking: ge.marking(id)}
 		nodeOf[id] = n
 		s.Nodes = append(s.Nodes, n)
 		var ecsIdx int
@@ -713,7 +713,7 @@ func (ge *graphEngine) noSchedule() *NoScheduleError {
 	}
 	sample := func(list *[]petri.Marking, id int) {
 		if len(*list) < maxSamples {
-			*list = append(*list, ge.marking(id).Clone())
+			*list = append(*list, ge.marking(id))
 		}
 	}
 	for id := range ge.states {

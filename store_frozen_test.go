@@ -7,7 +7,8 @@ import (
 )
 
 // TestStoreFrozenGate is the CI gate for the frozen store tier on the
-// full 161k-state ExploreLarge net (11^5 markings, 56 places): the
+// full 161k-state ExploreLarge net (11^5 markings, 60 places: five
+// rings of 11 places and five fuel places): the
 // frozen exploration must be byte-identical to the all-hot serial
 // baseline, every state must end up frozen, and the hot residency must
 // obey exact, machine-independent byte counts — the frozen run keeps
@@ -65,15 +66,18 @@ func TestStoreFrozenGate(t *testing.T) {
 	// Exact machine-independent hot-byte accounting. Both runs intern
 	// the identical marking sequence, so they share one probe-table
 	// size; the all-hot store additionally holds every token vector
-	// (want x places x petri.TokenBytes), the frozen store instead holds one segment
-	// offset per state (want x 8B) and zero hot vectors.
+	// (want x places x countBytes), the frozen store instead holds one
+	// segment offset per state (want x 8B) and zero hot vectors. An
+	// inline exploration's store holds one byte per count while no
+	// count passes 255, and every count of this net is 0 or 1.
+	const countBytes = 1
 	hotMem := hot.Store.Mem()
 	frozenMem := frozen.Store.Mem()
 	if hotMem.FrozenBytes != 0 {
 		t.Fatalf("all-hot run reports %d frozen bytes", hotMem.FrozenBytes)
 	}
 	places := len(hot.MarkingAt(0))
-	tableBytes := hotMem.HotBytes - int64(want*places)*petri.TokenBytes - int64(want)*8
+	tableBytes := hotMem.HotBytes - int64(want*places)*countBytes - int64(want)*8
 	if tableBytes <= 0 {
 		t.Fatalf("derived probe-table bytes %d; accounting drifted (hot=%d)", tableBytes, hotMem.HotBytes)
 	}
@@ -86,7 +90,7 @@ func TestStoreFrozenGate(t *testing.T) {
 	}
 
 	// The headline gate: hot residency at or below 0.35x the all-hot
-	// store (it lands far below — the vectors dominate at 56 places).
+	// store (it reads 0.302x: one-byte vectors no longer dominate it).
 	if frozenMem.HotBytes*100 > hotMem.HotBytes*35 {
 		t.Fatalf("frozen hot bytes %d > 0.35x all-hot %d", frozenMem.HotBytes, hotMem.HotBytes)
 	}
