@@ -12,19 +12,13 @@
 #                      part of the race test suite; this target is the
 #                      CI job's entry point and a focused local repro
 #                      command). Synthesis never runs on dist: its
-#                      frozen-against-all-hot matrix is
-#                      internal/core's TestDeterminismMatrix
+#                      source-worker matrix is internal/core's
+#                      TestDeterminismMatrix
 #   make dist-memory — the trimmed-replica memory gate: per-worker
 #                      store bytes at 2 workers <= 0.75x the replica
 #                      of a single worker holding every state, plus
 #                      the ~1/N scaling curve (exact live byte counts,
 #                      machine-independent)
-#   make store-frozen— the frozen store tier gate: the 161k-state
-#                      ExploreLarge net byte-identical with closed
-#                      levels frozen to on-disk delta segments, exact
-#                      machine-independent hot-byte accounting with
-#                      hot residency <= 0.35x the all-hot store, plus
-#                      the freeze/thaw unit and determinism suite
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
 #                      allocates <= 3.5x its store's hot bytes, and one
@@ -47,9 +41,8 @@
 #                      byte-identical to the golden files
 #   make pnml-suite  — the PNML conformance matrix: every vendored
 #                      interchange net under internal/pnml/testdata
-#                      explored serial / spawned worker processes /
-#                      frozen store / frozen worker processes, asserting
-#                      byte-identical ReachResult fingerprints, plus
+#                      explored serial and on spawned worker processes,
+#                      asserting byte-identical ReachResult fingerprints, plus
 #                      the round-trip fixed point and the corpus
 #                      export-reach property
 #   make qssbench-selftest
@@ -76,9 +69,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci build vet test dist-matrix dist-memory dist-chaos store-frozen bytes-gates server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
+.PHONY: ci build vet test dist-matrix dist-memory dist-chaos bytes-gates server-smoke pnml-suite qssbench-selftest bench benchgate baseline fuzz-smoke coverage
 
-ci: build vet test dist-matrix dist-memory store-frozen bytes-gates dist-chaos server-smoke pnml-suite qssbench-selftest bench benchgate fuzz-smoke
+ci: build vet test dist-matrix dist-memory bytes-gates dist-chaos server-smoke pnml-suite qssbench-selftest bench benchgate fuzz-smoke
 
 pnml-suite:
 	$(GO) test -race -count=1 -v -run 'TestPNMLSuite|TestPNMLRoundTrip' ./internal/pnml
@@ -89,10 +82,6 @@ dist-matrix:
 
 dist-memory:
 	$(GO) test -race -count=1 -v -run 'TestDistTrimmedMemoryGate|TestDistTrimmedMemoryScaling' ./internal/dist
-
-store-frozen:
-	$(GO) test -race -count=1 -v -run 'TestStoreFrozenGate' .
-	$(GO) test -race -count=1 -v -run 'TestAppendDeltas|TestFreeze|TestExploreFreezeLevelsDeterminism' ./internal/petri
 
 bytes-gates:
 	$(GO) test -count=1 -v -run 'TestExploreLargeBytes|TestPFCSearchBytes' .

@@ -5,13 +5,12 @@
 // Usage:
 //
 //	pfcbench [-fig20] [-table1] [-table2] [-all] [-frames N]
-//	         [-freeze-levels] [-cpuprofile f] [-memprofile f]
+//	         [-cpuprofile f] [-memprofile f]
 //
-// The schedule search explores serially in-process. -freeze-levels
-// moves closed exploration levels to on-disk delta segments; results
-// are byte-identical either way. -cpuprofile/-memprofile write pprof
-// profiles, so perf regressions can be diagnosed without editing
-// source. PNML interchange nets are analyzed by qssbatch -pnml.
+// The schedule search explores serially in-process. -cpuprofile and
+// -memprofile write pprof profiles, so perf regressions can be
+// diagnosed without editing source. PNML interchange nets are analyzed
+// by qssbatch -pnml.
 //
 // Contradictory flag combinations (no output asked for, a frame count
 // below 1) are rejected with a usage error rather than silently
@@ -26,7 +25,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/profiling"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -60,7 +58,6 @@ func realMain() (code int) {
 	table2 := flag.Bool("table2", false, "regenerate Table 2 (code size)")
 	all := flag.Bool("all", false, "regenerate everything")
 	flag.IntVar(&bf.frames, "frames", 10, "frames for Figure 20")
-	freeze := flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -84,10 +81,7 @@ func realMain() (code int) {
 			}
 		}
 	}()
-	res, err := apps.SynthesizePFCWith(&core.Options{
-		Sched:        &sched.Options{Freeze: *freeze},
-		DisableCache: true,
-	})
+	res, err := apps.SynthesizePFCWith(&core.Options{DisableCache: true})
 	if err != nil {
 		return fatal(err)
 	}

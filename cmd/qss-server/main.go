@@ -8,16 +8,14 @@
 //
 //	qss-server [-listen :9090] [-max-concurrent N] [-max-queue N]
 //	           [-max-nodes N] [-default-timeout 30s] [-max-timeout 2m]
-//	           [-drain-timeout 30s] [-freeze-levels]
+//	           [-drain-timeout 30s]
 //
 // Endpoints: POST /v1/synthesize (JSON in/out), GET /healthz
 // (liveness), GET /readyz (admission readiness; 503 while draining),
 // GET /metrics (Prometheus text). SIGTERM or SIGINT begins a graceful
 // drain: readiness flips off, new synthesis requests are refused,
 // in-flight requests finish under -drain-timeout, and the process
-// exits. -freeze-levels moves every search's closed exploration levels
-// to on-disk delta segments; responses are byte-identical either way.
-// See docs/SERVER.md for the operations guide and JSON schemas.
+// exits. See docs/SERVER.md for the operations guide and JSON schemas.
 package main
 
 import (
@@ -50,7 +48,6 @@ func realMain() int {
 		defaultTimeout = flag.Duration("default-timeout", 30*time.Second, "synthesis deadline for requests naming none")
 		maxTimeout     = flag.Duration("max-timeout", 2*time.Minute, "cap on request-supplied timeouts")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
-		freeze         = flag.Bool("freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
@@ -67,7 +64,6 @@ func realMain() int {
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		DrainTimeout:   *drainTimeout,
-		FreezeLevels:   *freeze,
 		Log:            logger,
 	})
 	ln, err := net.Listen("tcp", *listen)

@@ -4,18 +4,15 @@
 //
 // Usage:
 //
-//	qssbatch [-n apps] [-seed N] [-workers N] [-freeze-levels]
+//	qssbatch [-n apps] [-seed N] [-workers N]
 //	         [-compare] [-cpuprofile f] [-memprofile f] [shape flags] [-v]
 //	qssbatch -pnml net.pnml [-pnml ...] [-pnml-max-markings N]
-//	         [-pnml-max-tokens N] [-freeze-levels] [-v]
+//	         [-pnml-max-tokens N] [-v]
 //	qssbatch -emit-pnml dir [-n apps] [-seed N] [shape flags]
 //
 // -workers bounds the number of concurrent app syntheses (0 =
 // GOMAXPROCS); each schedule search explores serially on its app's
 // goroutine, so results are byte-identical for every value.
-// -freeze-levels moves closed exploration levels to on-disk delta
-// segments, trading thaw reads for a hot store that no longer scales
-// with marking width — results are byte-identical.
 // -compare additionally runs the serial baseline and prints the
 // speedup. -cpuprofile/-memprofile
 // write pprof profiles, so perf regressions can be diagnosed without
@@ -26,9 +23,8 @@
 // (ISO/IEC 15909-2 P/T subset, see internal/pnml and docs/PNML.md) is
 // imported and explored — reachable states, deadlocks, place bounds
 // and a fingerprint for cross-configuration comparison — instead of
-// generating a corpus. -freeze-levels composes with -pnml exactly as
-// it does with synthesis; corpus-shape and synthesis flags do not and
-// are rejected. -pnml-max-markings and -pnml-max-tokens bound the
+// generating a corpus. Corpus-shape and synthesis flags do not apply
+// and are rejected. -pnml-max-markings and -pnml-max-tokens bound the
 // exploration (imported nets may be unbounded; a truncated report is
 // the unboundedness witness).
 //
@@ -54,7 +50,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/pnml"
 	"repro/internal/profiling"
-	"repro/internal/sched"
 )
 
 func main() {
@@ -82,7 +77,6 @@ type batchFlags struct {
 	pnmlMaxMarkings int
 	pnmlMaxTokens   int
 	emitPNML        string
-	freeze          bool
 	explicit        map[string]bool
 }
 
@@ -96,7 +90,7 @@ var corpusOnlyFlags = []string{
 
 // exploreFlags configure state-space exploration; -emit-pnml never
 // explores, so combining them is a mistake worth flagging.
-var exploreFlags = []string{"compare", "freeze-levels"}
+var exploreFlags = []string{"compare"}
 
 // validate rejects contradictory or out-of-range combinations with a
 // descriptive error instead of silently clamping.
@@ -139,7 +133,6 @@ func realMain() (code int) {
 	flag.IntVar(&bf.n, "n", 20, "number of corpus apps to generate")
 	seed := flag.Int64("seed", 1, "master corpus seed")
 	flag.IntVar(&bf.workers, "workers", 0, "concurrent app syntheses (0 = GOMAXPROCS)")
-	flag.BoolVar(&bf.freeze, "freeze-levels", false, "freeze closed exploration levels to on-disk delta segments")
 	compare := flag.Bool("compare", false, "also run the serial baseline and report the speedup")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -200,7 +193,7 @@ func realMain() (code int) {
 	}
 	// The batch scales out over apps; the per-app source pool stays
 	// serial so the app pool is the only one contending for cores.
-	copt := &core.Options{Workers: 1, DisableCache: true, Sched: &sched.Options{Freeze: bf.freeze}}
+	copt := &core.Options{Workers: 1, DisableCache: true}
 
 	run := func(w int, o *core.Options) *corpus.BatchResult {
 		return corpus.RunBatch(context.Background(), apps, corpus.BatchOptions{Workers: w, Core: o})
@@ -209,7 +202,7 @@ func realMain() (code int) {
 	var serial *corpus.BatchResult
 	if *compare {
 		// The -compare baseline is fully serial: no app pool.
-		serial = run(1, &core.Options{Workers: 1, DisableCache: true})
+		serial = run(1, copt)
 		report("serial", serial, *verbose)
 	}
 	br := run(bf.workers, copt)
@@ -259,7 +252,6 @@ func runPNML(bf *batchFlags, verbose bool) int {
 	opt := pnml.AnalyzeOptions{
 		MaxMarkings:       bf.pnmlMaxMarkings,
 		MaxTokensPerPlace: bf.pnmlMaxTokens,
-		Freeze:            bf.freeze,
 	}
 	code := 0
 	for i, path := range bf.pnml {

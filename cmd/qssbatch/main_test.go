@@ -49,8 +49,6 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 		{name: "pnml-two-files", f: batchFlags{pnml: multiFlag{"a.pnml", "b.pnml"}, explicit: set("pnml")}},
 		{name: "pnml-with-caps", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxMarkings: 5000, pnmlMaxTokens: 4,
 			explicit: set("pnml", "pnml-max-markings", "pnml-max-tokens")}},
-		{name: "pnml-with-freeze", f: batchFlags{pnml: multiFlag{"net.pnml"},
-			explicit: set("pnml", "freeze-levels")}},
 		{name: "emit-pnml", f: batchFlags{n: 10, emitPNML: "/tmp/out", explicit: set("n", "emit-pnml")}},
 
 		{name: "pnml-vs-n", f: batchFlags{pnml: multiFlag{"net.pnml"}, n: 5,
@@ -71,8 +69,6 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 			explicit: set("pnml", "pnml-max-markings")}, wantErr: true},
 		{name: "negative-max-tokens", f: batchFlags{pnml: multiFlag{"net.pnml"}, pnmlMaxTokens: -1,
 			explicit: set("pnml", "pnml-max-tokens")}, wantErr: true},
-		{name: "emit-pnml-vs-freeze", f: batchFlags{emitPNML: "/tmp/out", freeze: true,
-			explicit: set("emit-pnml", "freeze-levels")}, wantErr: true},
 		{name: "emit-pnml-vs-compare", f: batchFlags{emitPNML: "/tmp/out",
 			explicit: set("emit-pnml", "compare")}, wantErr: true},
 	}

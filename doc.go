@@ -40,7 +40,7 @@
 // # Token width
 //
 // A token count in a petri.Marking is four bytes (petri.TokenBytes): it
-// is a []int32, as are a thawed vector and the dist vector cache, and
+// is a []int32, as is the dist vector cache, and
 // petri.MaxTokens (2,147,483,647) is the largest count a place holds.
 // A store holds one byte per place until a count passes 255. The store
 // of every inline exploration (petri.Drive without a runner: every
@@ -65,8 +65,8 @@
 // and a place no cap bounds (Net.Explore without MaxTokensPerPlace,
 // the EP tree engines) ends the search with an error wrapping
 // petri.ErrTokenOverflow that names the place. Hashes, MarkIDs, wire
-// bytes, frozen segments and PNML fingerprints do not change with
-// either width: each encodes a count by value.
+// bytes and PNML fingerprints do not change with either width: each
+// encodes a count by value.
 //
 // # Incremental enablement
 //
@@ -79,8 +79,8 @@
 // each transition's token effect (petri.Transition.AppendDeltas, the
 // one definition of what a firing does) and passed down to whoever
 // fires: the exploration driver (petri.Drive, behind petri.Explore and
-// the scheduler's marking-graph engine), a dist coordinator, the
-// frozen store tier and the EP/EP_ECS tree engines. Each dist worker
+// the scheduler's marking-graph engine), a dist coordinator and the
+// EP/EP_ECS tree engines. Each dist worker
 // builds its own from the net it decodes. They all expand states by
 // iterating their enabled-set bits instead of scanning the partition.
 //
@@ -131,18 +131,18 @@
 // costs a hash and a map lookup (core.Stats reports hit rates;
 // core.ResetCache empties it).
 //
-// # One execution setting
+// # No execution setting
 //
 // Synthesis runs one way: every exploration, the schedule search's
-// included, runs inline through petri.Drive on its caller's goroutine.
-// The one setting is whether closed levels freeze to disk: the Freeze
-// field of sched.Options, petri.ExploreOptions and pnml.AnalyzeOptions,
-// set by the tools' -freeze-levels and the server's
-// Config.FreezeLevels. The result is the same either way, so it is not
-// part of the synthesis cache key. Every new state enters the store
-// through one call, petri.MarkingStore.InternChild, which names its
-// parent and transition, and every level commit is one FreezeThrough on
-// that store.
+// included, runs inline through petri.Drive on its caller's goroutine,
+// and its store keeps every explored marking in memory. There is no
+// execution setting: sched.Options, petri.ExploreOptions and
+// pnml.AnalyzeOptions hold only what changes the result (budgets,
+// caps, heuristics, the engine; sched.Options.ExploreWorkers is
+// ignored), and no tool flag or server field picks how a search runs.
+// An on-disk tier for closed BFS levels was tried and deleted: once
+// the store held one byte per count it raised peak RSS as well as time
+// on every search measured.
 //
 // # Distributed exploration
 //
@@ -151,8 +151,8 @@
 // petri.Drive a petri.FrontierRunner, runs on a dist.Pool of workers
 // spawned by re-executing the current binary (dist.SpawnLocal +
 // dist.MaybeWorker). The coordinator's merge is Drive's sequential
-// merge, so the ReachResult is byte-identical for every process count,
-// frozen or not. Nothing in the synthesis flow uses it: measured, the
+// merge, so the ReachResult is byte-identical for every process count.
+// Nothing in the synthesis flow uses it: measured, the
 // coordinator alone spent more CPU than a whole inline search, and its
 // process held the whole store as an inline one does. It remains as the
 // library of the repository benchmark's dist workload (qssbench); its
@@ -160,55 +160,10 @@
 // the failover (a dead worker is respawned or its shards
 // redistributed; when recovery runs out, ExploreDist returns the error
 // and nothing reruns inline). `make dist-matrix` pins ReachResults
-// across worker counts and frozen stores, `make dist-memory` gates
+// across worker counts, `make dist-memory` gates
 // per-worker store bytes at <= 0.75x the single-worker replica for 2
 // workers, and `make dist-chaos` drives kill/sever/delay faults and
 // real SIGKILLed workers.
-//
-// # Frozen store tier (beyond-RAM exploration)
-//
-// Level-synchronous exploration gives marking lifetimes a shape the
-// store can exploit: once a BFS level has been merged, its states can
-// be rediscovered (a dedup probe) but never re-expanded, so their
-// token vectors are cold from that moment on. With Freeze
-// (-freeze-levels on the cmd tools) the store freezes each
-// closed level out of the hot arena into an append-only on-disk
-// segment of delta records — parent MarkID + fired transition
-// reconstructs a vector from its parent, the same insight the dist
-// wire format exploits; roots and states whose
-// parent cannot serve as a delta base are stored verbatim. The tier
-// is the store's own business: it records each state's provenance
-// when the state is interned (InternChild), keeps it only until the
-// state freezes, and freezes through a callback-free
-// FreezeThrough(end). The
-// segment lives in an unlinked temp file and is read back by mmap
-// (with a pread fallback where mmap is unavailable); only the hashes,
-// the open-addressing probe table and one segment offset per state
-// stay resident, so the hot store no longer scales with the number of
-// places. MarkingStore.At is unchanged for callers: an id below the
-// frozen boundary thaws transparently — the parent chain is walked
-// back to a hot, cached or verbatim base and the deltas are replayed
-// forward, with a bounded FIFO cache memoizing thawed vectors and
-// every 16th chain ancestor so probe-heavy workloads do not replay
-// long chains repeatedly. Hash-alias handling is unaffected: the
-// vector-exact fallback reads frozen vectors through the same thawing
-// path. MarkingStore.Mem reports the split (StoreMem.HotBytes /
-// FrozenBytes — exact, machine-independent counts; the single source
-// for sched.SearchStats.StoreHotBytes/StoreFrozenBytes,
-// dist.WorkerMem and the server's qss_store_hot_bytes /
-// qss_store_frozen_bytes gauges). petri.Drive freezes at each level
-// commit inline, and a dist coordinator at its own level commits (its
-// workers freeze their replicas when it does). Freezing never changes
-// results: `make store-frozen` (its own CI step) pins byte-identical
-// reachability on the 161k-state ExploreLarge net with hot residency
-// gated at <= 0.35x the all-hot store by exact byte accounting, core's
-// determinism matrix and 50-app corpus sweep synthesize frozen, and a
-// nightly sweep freezes the heavy corpus end to end. Failures are handled in
-// one place, the store: without a temp file it never freezes, and a
-// segment write failure stops it freezing for good while the levels
-// frozen before stay readable — identical results, larger residency.
-// Tree engines (EP/EP_ECS) are not
-// level-synchronous and ignore the option.
 //
 // # Resident service
 //

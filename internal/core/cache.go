@@ -19,11 +19,9 @@ import (
 // Only options whose effect on the output can be fingerprinted are
 // cacheable: a custom sched.Termination or sched.ECSOrder is an opaque
 // interface value (its Name alone does not capture its parameters), so
-// calls carrying one bypass the cache entirely. Options.Workers and
-// Sched.Freeze are deliberately not part of the key — any number of
-// pool workers and a frozen store alike produce byte-identical Results,
-// so a nil Sched and one that differs from it only in Freeze share an
-// entry.
+// calls carrying one bypass the cache entirely. Options.Workers is
+// deliberately not part of the key: any number of pool workers produce
+// byte-identical Results.
 
 // cacheLimit bounds the number of retained entries; eviction is FIFO in
 // insertion order, which is enough for the repeat-synthesis workloads

@@ -56,15 +56,6 @@ func TestCacheKey(t *testing.T) {
 	if r1 != r3 {
 		t.Error("Workers must not be part of the cache key")
 	}
-	// Nor does the frozen tier: a Sched that differs from the default
-	// only in Freeze hits the nil-Sched entry.
-	r5, err := Synthesize(flowcSrc, specSrc, &Options{Sched: &sched.Options{Freeze: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r5 {
-		t.Error("Sched.Freeze must not be part of the cache key")
-	}
 	// Different source text misses.
 	other, otherSpec := manyTaskApp(3)
 	r4, err := Synthesize(other, otherSpec, nil)

@@ -23,9 +23,9 @@ import (
 // Options configures the pipeline.
 type Options struct {
 	// Sched configures the schedule search (termination condition,
-	// heuristics, state budget, frozen store tier) and is handed to
-	// every search unchanged; nil uses the paper's defaults
-	// (irrelevance criterion + T-invariant ordering), all-hot.
+	// heuristics, state budget) and is handed to every search
+	// unchanged; nil uses the paper's defaults (irrelevance criterion +
+	// T-invariant ordering).
 	Sched *sched.Options
 	// Workers bounds the number of concurrent per-source schedule
 	// searches. 0 uses GOMAXPROCS; 1 runs them one at a time on one

@@ -86,21 +86,6 @@
 // routing to foreign shards are reported as new and resolved by the
 // coordinator's merge against the authoritative store.
 //
-// Orthogonally, the frozen tier follows the coordinator. When the
-// caller's petri.ExploreOptions set Freeze, petri.Drive hands the
-// session a store with a frozen tier. The coordinator interns every new state
-// with its parent and transition (petri.MarkingStore.InternChild) and
-// freezes the store at its own level commits (FreezeThrough), and
-// every session init (resumes included) carries the store's
-// FreezeEnabled flag, so each replica does the same with its local
-// ids: once msgLevel commits a level, states below it can never again
-// be record parents or expansion sources, so only hashes, the probe
-// table and segment offsets stay resident — the remaining per-state
-// hot cost no longer scales with the marking width. Dedup probes
-// against old states thaw vectors on demand. Workers freeze exactly
-// when their coordinator does. Results stay byte-identical either
-// way.
-//
 // # Process management
 //
 // SpawnLocal re-executes the current binary as worker processes; any

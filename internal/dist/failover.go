@@ -447,7 +447,7 @@ func (a *attempt) run(ft *petri.FiringTable, store *petri.MarkingStore, spec pet
 	}
 	var payload []byte
 	for i, c := range p.workers {
-		init := &initMsg{index: i, workers: W, shards: S, freeze: store.FreezeEnabled(), lo: lo, hi: hi, net: n, spec: spec}
+		init := &initMsg{index: i, workers: W, shards: S, lo: lo, hi: hi, net: n, spec: spec}
 		for id := lo; id < store.Len() && !rs.aborted; id++ {
 			if g := petri.MarkID(id); a.owner(store, g) == i {
 				init.gids = append(init.gids, g)
@@ -517,9 +517,7 @@ func (a *attempt) run(ft *petri.FiringTable, store *petri.MarkingStore, spec pet
 			rs.levelDone = false
 		}
 		if levelStart == levelEnd {
-			// Exploration complete: every state is closed. Freeze the
-			// tail for parity with the inline mode.
-			a.freeze(store, levelEnd)
+			// Exploration complete: every state is closed.
 			return a.finish(n, store, true)
 		}
 		if levelStart > 0 && !first {
@@ -538,14 +536,6 @@ func (a *attempt) run(ft *petri.FiringTable, store *petri.MarkingStore, spec pet
 					return a.die(i, fmt.Errorf("level commit: %w", err))
 				}
 			}
-			// States below levelStart are closed: their expansion
-			// produced this level and the record flushes above were the
-			// last reads of their hot vectors (boundary-parent
-			// attachment). Freeze them now; the merge below touches only
-			// [levelStart, levelEnd) plus thaw-tolerant lookups. A
-			// replayed level skips this — the pre-failure attempt
-			// already froze it (FreezeThrough is idempotent anyway).
-			a.freeze(store, levelStart)
 		}
 		p.fireLevelHook(p.stats.Levels)
 		// Sequential first-discovery merge, exactly petri.Drive's —
@@ -638,7 +628,7 @@ func (a *attempt) run(ft *petri.FiringTable, store *petri.MarkingStore, spec pet
 						rs.cands++
 						continue
 					}
-					g, _ = store.InternChild(scratch, h, petri.MarkID(id), int32(trans))
+					g, _ = store.InternHashed(scratch, h)
 					// The record is buffered now but flushed only after the
 					// candidate completes (Edge + checkpoint): the flush is
 					// the one fallible step here, and a death between the
@@ -665,15 +655,6 @@ func (a *attempt) run(ft *petri.FiringTable, store *petri.MarkingStore, spec pet
 		}
 		rs.levelDone = true
 		levelStart = levelEnd
-	}
-}
-
-// freeze freezes the coordinator's store below end at a level commit.
-// After a segment write failure the store stays all-hot, and a later
-// re-init tells the workers to stop freezing too.
-func (a *attempt) freeze(store *petri.MarkingStore, end int) {
-	if err := store.FreezeThrough(end); err != nil {
-		a.p.logw.printf("%v; the store continues all-hot", err)
 	}
 }
 

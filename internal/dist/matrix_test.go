@@ -13,12 +13,11 @@ import (
 
 // The determinism matrix of dist exploration: petri.Net.ExploreDist on
 // real spawned worker processes must produce ReachResults
-// byte-identical to the inline exploration, all-hot and with the frozen
-// store tier. These tests spawn actual OS processes (dist.SpawnLocal
-// re-executes this test binary; TestMain routes the children into
-// dist.MaybeWorker), so they cover the wire protocol, replica
-// reconstruction and coordinator merge end to end, under -race when the
-// harness runs with it.
+// byte-identical to the inline exploration. These tests spawn actual
+// OS processes (dist.SpawnLocal re-executes this test binary; TestMain
+// routes the children into dist.MaybeWorker), so they cover the wire
+// protocol, replica reconstruction and coordinator merge end to end,
+// under -race when the harness runs with it.
 
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
@@ -41,25 +40,18 @@ var matrixApps = []struct {
 // sources fire, and a cap of two tokens per place keeps it finite.
 var matrixOpt = petri.ExploreOptions{MaxMarkings: 5000, MaxTokensPerPlace: 2, FireSources: true}
 
-// matrixConfigs are the worker-process counts, and whether the
-// exploration freezes — on the coordinator, and in the workers, which
-// learn it from the session init.
+// matrixConfigs are the worker-process counts.
 var matrixConfigs = []struct {
-	name   string
-	procs  int
-	freeze bool
+	name  string
+	procs int
 }{
 	{name: "dist-procs-1", procs: 1},
 	{name: "dist-procs-2", procs: 2},
 	{name: "dist-procs-4", procs: 4},
-	{name: "dist-procs-2-frozen", procs: 2, freeze: true},
 }
 
 // TestDeterminismMatrix: byte-identical ReachResults for the linked
-// net of every example app across worker processes in {1,2,4}, and
-// frozen on 2. The workers must freeze exactly when the coordinator
-// does: after each cell (PFC runs last) every worker's replica holds
-// frozen bytes in the frozen cell and none in the others.
+// net of every example app across worker processes in {1,2,4}.
 func TestDeterminismMatrix(t *testing.T) {
 	nets := make([]*petri.Net, len(matrixApps))
 	want := make([]*petri.ReachResult, len(matrixApps))
@@ -77,20 +69,15 @@ func TestDeterminismMatrix(t *testing.T) {
 				t.Fatalf("spawn %d workers: %v", cfg.procs, err)
 			}
 			defer pool.Close()
-			opt := matrixOpt
-			opt.Freeze = cfg.freeze
 			for i, app := range matrixApps {
-				got, err := nets[i].ExploreDist(pool, opt)
+				got, err := nets[i].ExploreDist(pool, matrixOpt)
 				if err != nil {
 					t.Fatalf("%s under %s: %v", app.name, cfg.name, err)
 				}
 				assertSameReach(t, app.name+" under "+cfg.name, want[i], got)
 			}
 			for i, wm := range pool.LastSessionStats().Workers {
-				t.Logf("worker %d: store %d B, frozen %d B", i, wm.StoreBytes, wm.FrozenBytes)
-				if frozen := wm.FrozenBytes > 0; frozen != cfg.freeze {
-					t.Errorf("worker %d under %s: %d frozen bytes, want frozen=%v", i, cfg.name, wm.FrozenBytes, cfg.freeze)
-				}
+				t.Logf("worker %d: store %d B", i, wm.StoreBytes)
 			}
 		})
 	}

@@ -39,12 +39,11 @@ const (
 	// is the one message that seeds a replica: it carries the bounds of
 	// the level the worker starts in and only the worker's owned
 	// (global id, vector) pairs — the roots of a fresh session, or the
-	// states from the replayed level on after a failover — and tells
-	// the worker whether to freeze its replica's committed levels.
+	// states from the replayed level on after a failover.
 	// candNew hashes and shard routing use petri.HashMarking, so a
 	// change of that hash is a protocol change too. Bump it with any
 	// change to a frame layout or to the hash.
-	protoVersion = 8
+	protoVersion = 9
 	// maxFrame bounds a single message payload; the init that reseeds a
 	// replica after a failover is the largest message and stays far
 	// below this for any exploration that fits in memory.
@@ -305,12 +304,9 @@ func checkHello(payload []byte) (pid int, err error) {
 // of a fresh session, or the level a failover replays. gids and vecs
 // are the worker's owned states from lo on, in ascending global id
 // order; after a failover they run past hi into the states the
-// interrupted merge had already interned. freeze is the coordinator
-// store's FreezeEnabled: the replica freezes committed levels exactly
-// when the coordinator does.
+// interrupted merge had already interned.
 type initMsg struct {
 	index, workers, shards int
-	freeze                 bool
 	lo, hi                 int
 	net                    *petri.Net
 	spec                   petri.ExpandSpec
@@ -319,11 +315,7 @@ type initMsg struct {
 }
 
 func appendInit(dst []byte, m *initMsg) []byte {
-	freeze := uint64(0)
-	if m.freeze {
-		freeze = 1
-	}
-	for _, v := range []uint64{uint64(m.index), uint64(m.workers), uint64(m.shards), freeze, uint64(m.lo), uint64(m.hi)} {
+	for _, v := range []uint64{uint64(m.index), uint64(m.workers), uint64(m.shards), uint64(m.lo), uint64(m.hi)} {
 		dst = binary.AppendUvarint(dst, v)
 	}
 	dst = petri.AppendNet(dst, m.net)
@@ -355,13 +347,12 @@ func decodeInit(buf []byte) (*initMsg, error) {
 		return v
 	}
 	m.index, m.workers, m.shards = int(u()), int(u()), int(u())
-	freeze := u()
-	m.freeze, m.lo, m.hi = freeze == 1, int(u()), int(u())
+	m.lo, m.hi = int(u()), int(u())
 	if err != nil {
 		return nil, fmt.Errorf("dist: init header: %w", err)
 	}
-	if m.workers < 1 || m.index < 0 || m.index >= m.workers || m.shards < 1 || freeze > 1 || m.lo < 0 || m.lo > m.hi {
-		return nil, fmt.Errorf("dist: init header out of range (index %d, workers %d, shards %d, freeze %d, level [%d,%d))", m.index, m.workers, m.shards, freeze, m.lo, m.hi)
+	if m.workers < 1 || m.index < 0 || m.index >= m.workers || m.shards < 1 || m.lo < 0 || m.lo > m.hi {
+		return nil, fmt.Errorf("dist: init header out of range (index %d, workers %d, shards %d, level [%d,%d))", m.index, m.workers, m.shards, m.lo, m.hi)
 	}
 	m.net, buf, err = petri.DecodeNet(buf)
 	if err != nil {
@@ -460,10 +451,6 @@ type WorkerMem struct {
 	BitsBytes  int64 // enabled-set arena (len * 8)
 	CacheBytes int64 // boundary-parent vector cache payload
 	HeapBytes  int64 // runtime.MemStats.HeapAlloc (informational)
-	// FrozenBytes is the worker store's on-disk delta segment
-	// (MarkingStore.Mem().FrozenBytes); 0 unless the session's
-	// coordinator freezes its own store.
-	FrozenBytes int64
 }
 
 func appendStats(dst []byte, m WorkerMem) []byte {
@@ -472,7 +459,6 @@ func appendStats(dst []byte, m WorkerMem) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.BitsBytes))
 	dst = binary.AppendUvarint(dst, uint64(m.CacheBytes))
 	dst = binary.AppendUvarint(dst, uint64(m.HeapBytes))
-	dst = binary.AppendUvarint(dst, uint64(m.FrozenBytes))
 	return dst
 }
 
@@ -491,7 +477,6 @@ func decodeStats(buf []byte) (WorkerMem, error) {
 	m.BitsBytes = int64(u())
 	m.CacheBytes = int64(u())
 	m.HeapBytes = int64(u())
-	m.FrozenBytes = int64(u())
 	if err != nil {
 		return WorkerMem{}, fmt.Errorf("dist: stats: %w", err)
 	}

@@ -20,7 +20,6 @@ func hugeMaskInit() []byte {
 	b := binary.AppendUvarint(nil, 0) // index
 	b = binary.AppendUvarint(b, 1)    // workers
 	b = binary.AppendUvarint(b, 1)    // shards
-	b = binary.AppendUvarint(b, 0)    // freeze
 	b = binary.AppendUvarint(b, 0)    // level start
 	b = binary.AppendUvarint(b, 1)    // level end
 	b = petri.AppendNet(b, ringNet(1, 2))

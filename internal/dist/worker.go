@@ -66,11 +66,6 @@ func (r *replica) interned(g petri.MarkID) []uint64 {
 // ascending global id order with their enabled sets computed from
 // scratch (fires.Init and the incremental Update agree bit for bit).
 // The replica builds its own FiringTable from the decoded net.
-// With the init's freeze flag set, the store's frozen tier is on: once
-// the coordinator commits a level, states below it can never again be
-// record parents or expansion sources, so only their hashes and segment
-// offsets stay resident — the per-worker footprint shrinks on top of
-// what trimming already saves.
 func newReplica(m *initMsg) (*replica, error) {
 	r := &replica{
 		net:     m.net,
@@ -90,10 +85,6 @@ func newReplica(m *initMsg) (*replica, error) {
 		return nil, fmt.Errorf("dist: spec caps cover %d places, net has %d", len(m.spec.Caps), len(r.net.Places))
 	}
 	r.vcache = newVecCache()
-	if m.freeze {
-		// Without a segment file the replica runs all-hot.
-		_ = r.store.EnableFreeze(r.fires)
-	}
 	for i, vec := range m.vecs {
 		g := m.gids[i]
 		if len(vec) != len(r.net.Places) {
@@ -113,7 +104,6 @@ func newReplica(m *initMsg) (*replica, error) {
 		if !isNew {
 			return nil, fmt.Errorf("dist: init state %d duplicates state %d", g, r.gids[id])
 		}
-		// Seeded states freeze verbatim.
 		r.fires.Init(r.interned(g), r.store.At(id))
 	}
 	return r, nil
@@ -177,9 +167,7 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	if !r.ownsHash(h) {
 		return fmt.Errorf("dist: record child %d routes outside this worker's shards", rec.Child)
 	}
-	// Provenance is in LOCAL ids: a non-owned parent (shipped or cached
-	// vector) has none (NoMark), so the child freezes verbatim.
-	id, isNew := r.store.InternChild(r.scratch, h, parentLocal, rec.Trans)
+	id, isNew := r.store.InternHashed(r.scratch, h)
 	if !isNew {
 		return fmt.Errorf("dist: record (%d, %s) re-discovers state %d", rec.Parent, t.Name, r.gids[id])
 	}
@@ -265,32 +253,17 @@ func (r *replica) classify(ph uint64, tid int, full bool) (petri.MarkID, uint64,
 	return petri.NoMark, h, true
 }
 
-// freezeCommitted evicts local states that are both already expanded
-// (below cursor) and below the just-committed level start — future
-// records can only name parents inside the committed level, and
-// expansion never revisits a state, so nothing hot-path reads their
-// vectors again (dedup probes and candKnown resolution thaw on
-// demand). No-op unless the session's init armed the store; a segment
-// write failure, reported once, leaves the replica all-hot from there
-// on.
-func (r *replica) freezeCommitted(start int, cursor petri.MarkID) error {
-	floor := sort.Search(len(r.gids), func(i int) bool { return int(r.gids[i]) >= start })
-	return r.store.FreezeThrough(min(floor, int(cursor)))
-}
-
 // memStats summarizes the replica's memory for the end-of-session
 // stats reply. Store accounting derives from the single
 // petri.MarkingStore.Mem helper — plus the gids translation table (4
-// bytes per owned state) — so this figure, the dist-memory CI gate and
-// the server's worker-memory gauge can never silently diverge.
+// bytes per owned state) — so this figure and the dist-memory CI gate
+// can never silently diverge.
 func (r *replica) memStats() WorkerMem {
-	sm := r.store.Mem()
 	m := WorkerMem{
-		States:      r.store.Len(),
-		StoreBytes:  sm.HotBytes + int64(len(r.gids))*4,
-		BitsBytes:   int64(len(r.bits)) * 8,
-		CacheBytes:  int64(r.vcache.bytes()),
-		FrozenBytes: sm.FrozenBytes,
+		States:     r.store.Len(),
+		StoreBytes: r.store.Mem().HotBytes + int64(len(r.gids))*4,
+		BitsBytes:  int64(len(r.bits)) * 8,
+		CacheBytes: int64(r.vcache.bytes()),
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -457,8 +430,8 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 			// Parked or buffered candidates are discarded: done mid-level
 			// means the merge aborted (a hook rejected the budget).
 			mem := r.memStats()
-			logw.printf("session end: %d levels, %d states held (%d frozen), %d chunks, %dB store, %dB frozen, %dB bits, %dB cache",
-				len(bounds)-1, mem.States, r.store.FrozenLen(), chunks, mem.StoreBytes, mem.FrozenBytes, mem.BitsBytes, mem.CacheBytes)
+			logw.printf("session end: %d levels, %d states held, %d chunks, %dB store, %dB bits, %dB cache",
+				len(bounds)-1, mem.States, chunks, mem.StoreBytes, mem.BitsBytes, mem.CacheBytes)
 			return transportErr(c.send(msgStats, appendStats(nil, mem)))
 		case msgPing:
 			if err := c.send(msgPong, nil); err != nil {
@@ -497,9 +470,6 @@ func serveSession(c *conn, init *initMsg, logw *logWriter) error {
 				return fmt.Errorf("dist: level commit [%d,%d) but record child %d already interned", start, end, r.gids[n-1])
 			}
 			bounds = append(bounds, end)
-			if err := r.freezeCommitted(start, cursor); err != nil {
-				logw.printf("%v; the replica continues all-hot", err)
-			}
 			if err := pump(); err != nil {
 				return err
 			}

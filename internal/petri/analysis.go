@@ -24,8 +24,7 @@ func (n *Net) IncidenceMatrix() [][]int {
 // to completion (r.Truncated false) these are the exact bounds of the
 // explored fragment — for a net explored from its initial marking with
 // all transitions fireable, the guaranteed place bounds; when it was
-// truncated they are lower bounds only. Frozen markings are thawed
-// transparently through the store.
+// truncated they are lower bounds only.
 func (r *ReachResult) PlaceBounds() []int {
 	bounds := make([]int, r.Store.Places())
 	var m Marking

@@ -38,8 +38,8 @@ func (t *Transition) AppendDeltas(dst []PlaceDelta) []PlaceDelta {
 // FiringTable is what a search needs per transition to fire it and to
 // classify the successor in time proportional to the firing rather than
 // to the net. It depends only on the net and its ECS partition: a
-// search builds one and passes it down, to Drive, to a FrontierRunner
-// and to the store's frozen tier. Per transition t it holds, in flat
+// search builds one and passes it down, to Drive and to a
+// FrontierRunner. Per transition t it holds, in flat
 // pointer-free arrays:
 //
 //   - the deltas of t (AppendDeltas), its positive ones first — the rise

@@ -13,11 +13,9 @@ import (
 // only one outside internal/dist; the explorers supply MergeHooks that
 // record what it finds.
 //
-// Drive owns everything the explorers share: the MarkingStore
-// (with its frozen tier, which records each state's provenance as it
-// is interned), the enabled-ECS bitset arena, expansion of an
-// ExpandSpec and level-boundary detection. The caller's FiringTable
-// fires every transition. Drive has two modes:
+// Drive owns everything the explorers share: the MarkingStore, the
+// enabled-ECS bitset arena and expansion of an ExpandSpec. The caller's
+// FiringTable fires every transition. Drive has two modes:
 //
 //	inline: expand one state, then merge each of its edges at once.
 //	  The merge fires into one scratch marking, vetoes it, hashes it
@@ -31,9 +29,9 @@ import (
 //	  (one byte per count, see MarkingStore), and the merge runs on
 //	  bytes: it fires the parent's page bytes into a byte scratch,
 //	  probes with a memory compare and copies the bytes in. The int32
-//	  merge takes over for the root, a frozen parent, a successor with
-//	  a count above 255 (whose intern widens the store) and every state
-//	  of a store that has widened.
+//	  merge takes over for the root, a successor with a count above 255
+//	  (whose intern widens the store) and every state of a store that
+//	  has widened.
 //	runner: a FrontierRunner (the worker processes of internal/dist,
 //	  reached only through Net.ExploreDist) expands under the same
 //	  ExpandSpec and calls the same MergeHooks.
@@ -45,8 +43,7 @@ import (
 // MergeHooks are the sequential hooks of an exploration: they run in
 // the deterministic merge order — states ascending, edges in expansion
 // order within a state — whichever mode or runner expands, which is
-// what makes state numbering byte-identical in both modes, frozen or
-// not.
+// what makes state numbering byte-identical in both modes.
 type MergeHooks struct {
 	// BeginState is called for every frontier state in MarkID order,
 	// before any of its Edge/Reject calls. May be nil.
@@ -121,11 +118,8 @@ func (s *ExpandSpec) Veto(m Marking) bool {
 // frontier is [0, store.Len())) and must invoke the MergeHooks in
 // exactly the serial discovery order (states ascending, emit order
 // within a state), so results are byte-identical to the inline mode.
-// Like the inline mode, they intern every admitted successor with
-// store.InternChild (naming its parent and transition) and call
-// store.FreezeThrough at each level commit with the start of the
-// level about to merge, and once more with store.Len() when the
-// exploration completes; both are no-ops unless the store freezes.
+// Like the inline mode, they intern every admitted successor into
+// store (InternHashed).
 // The returned bool is false when a Reject hook aborted the run; a
 // non-nil error reports an infrastructure failure (a worker died, the
 // protocol broke) rather than an exploration outcome.
@@ -141,15 +135,7 @@ type FrontierRunner interface {
 //
 // With a nil r the exploration runs inline on the calling goroutine;
 // otherwise r expands it (only Net.ExploreDist passes a runner), and a
-// runner failure is returned as the error. freeze evicts the token
-// vectors of closed levels into the store's frozen tier (see
-// MarkingStore.FreezeThrough), trading reconstruction on later reads
-// for a hot footprint that no longer grows with the vectors of the
-// explored space; a runner's workers freeze their replicas exactly when
-// the store it is handed does. If the segment cannot be created or
-// written, the store stops freezing and the exploration silently
-// continues all-hot; levels frozen before a write failure stay
-// readable. None of this changes what is explored or in what order.
+// runner failure is returned as the error.
 //
 // A successor over the MaxTokens ceiling of a place spec leaves
 // unbounded is not a veto: it ends the exploration, which then returns
@@ -157,16 +143,12 @@ type FrontierRunner interface {
 //
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure or an overflow.
-func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, freeze bool, start func(*MarkingStore) MergeHooks) (bool, error) {
+func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, start func(*MarkingStore) MergeHooks) (bool, error) {
 	// Only the inline merge writes narrow pages; a runner's workers and
 	// coordinator read At views per state.
 	d := &driver{ft: ft, spec: spec, store: newMarkingStoreCap(len(ft.net.Places), 1<<10, r == nil)}
 	for p := range spec.Caps {
 		d.unbounded = d.unbounded || spec.unbounded(p)
-	}
-	if freeze {
-		// Without a segment file the exploration runs all-hot.
-		_ = d.store.EnableFreeze(ft)
 	}
 	d.store.Intern(ft.net.InitialMarking())
 	d.hooks = start(d.store)
@@ -214,11 +196,8 @@ type driver struct {
 	overflow  error
 }
 
-// runInline is the inline mode. The queue crosses a level boundary
-// exactly when it reaches the store length observed at the previous
-// boundary: every state below it is then fully expanded, i.e. closed,
-// and freezes. A segment write failure leaves the store all-hot from
-// there on, which changes nothing the exploration computes.
+// runInline is the inline mode: the store is the BFS queue, each state
+// expanded in id order.
 func (d *driver) runInline() bool {
 	places := d.store.Places()
 	d.bits = make([]uint64, d.ft.stride)
@@ -226,17 +205,11 @@ func (d *driver) runInline() bool {
 	d.scratch, d.parent = buf[:places:places], buf[places:]
 	d.byteScratch = make([]uint8, places)
 	d.ft.Init(d.bits, d.store.Load(d.parent, 0))
-	levelEnd := d.store.Len()
 	for id := 0; id < d.store.Len(); id++ {
-		if id == levelEnd {
-			_ = d.store.FreezeThrough(levelEnd)
-			levelEnd = d.store.Len()
-		}
 		if !d.expand(MarkID(id)) {
 			return false
 		}
 	}
-	_ = d.store.FreezeThrough(d.store.Len())
 	return true
 }
 
@@ -256,7 +229,7 @@ func (d *driver) expand(id MarkID) bool {
 	switch {
 	case !d.store.narrow:
 		m = d.store.At(id)
-	case id != 0 && int(id) >= d.store.FrozenLen():
+	case id != 0:
 		b = d.store.hotBytes(int(id))
 	default:
 		m = d.store.Load(d.parent, id)
@@ -304,7 +277,7 @@ func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) 
 		return d.hooks.Reject(parent, int32(tid), true)
 	}
 	// Admit interns nothing, so the probe run find ended is still open.
-	child = d.store.insert(d.scratch, h, slot, alias, parent, int32(tid))
+	child = d.store.insert(d.scratch, h, slot, alias)
 	addBits(d, parent, tid, d.scratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true
@@ -325,7 +298,7 @@ func (d *driver) mergeBytes(parent MarkID, ph uint64, tid int) bool {
 	if d.hooks.Admit != nil && !d.hooks.Admit() {
 		return d.hooks.Reject(parent, int32(tid), true)
 	}
-	child = d.store.insertBytes(d.byteScratch, h, slot, alias, parent, int32(tid))
+	child = d.store.insertBytes(d.byteScratch, h, slot, alias)
 	addBits(d, parent, tid, d.byteScratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true

@@ -8,34 +8,51 @@ import (
 
 // dyingRunner stands in for a worker pool that fails mid-session: it
 // merges one bogus rejection, which marks the exploration truncated,
-// and then reports an infrastructure failure. It records whether the
-// store it was handed freezes.
-type dyingRunner struct{ froze *bool }
+// and then reports an infrastructure failure.
+type dyingRunner struct{}
 
 var errWorkerDied = errors.New("worker died")
 
-func (r dyingRunner) RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
-	*r.froze = store.FreezeEnabled()
+func (dyingRunner) RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
 	hooks.Reject(0, 0, false)
 	return false, errWorkerDied
 }
 
 // TestExploreRunnerFallback: there is no inline fallback. A runner's
-// failure is ExploreDist's error and no result comes back, frozen or
-// all-hot; the runner is handed a store that freezes exactly when
-// Freeze is set.
+// failure is ExploreDist's error and no result comes back.
 func TestExploreRunnerFallback(t *testing.T) {
-	n := ringsNet(3, 4)
-	for _, freeze := range []bool{false, true} {
-		var froze bool
-		r, err := n.ExploreDist(dyingRunner{&froze}, ExploreOptions{MaxMarkings: 1000, Freeze: freeze})
-		if !errors.Is(err, errWorkerDied) || r != nil {
-			t.Fatalf("freeze=%v: got %v, %v; want no result and the runner's failure", freeze, r, err)
-		}
-		if froze != freeze {
-			t.Fatalf("freeze=%v: the runner's store froze: %v", freeze, froze)
+	r, err := ringsNet(3, 4).ExploreDist(dyingRunner{}, ExploreOptions{MaxMarkings: 1000})
+	if !errors.Is(err, errWorkerDied) || r != nil {
+		t.Fatalf("got %v, %v; want no result and the runner's failure", r, err)
+	}
+}
+
+// TestExploreValidates: a net that Net.Validate rejects is not
+// explored. Place a starts at -1 and no transition touches it, while
+// t moves b's 3 tokens to c one at a time, so 4 markings would be
+// reachable: ExploreDist returns the validation error, which names a,
+// with or without a cap, and Explore panics with it.
+func TestExploreValidates(t *testing.T) {
+	n := New("negative-initial")
+	n.AddPlace("a", PlaceInternal, -1)
+	b := n.AddPlace("b", PlaceInternal, 3)
+	c := n.AddPlace("c", PlaceInternal, 0)
+	tr := n.AddTransition("t", TransNormal)
+	n.AddArc(b, tr, 1)
+	n.AddArcTP(tr, c, 1)
+	for _, limit := range []int{0, 5} {
+		r, err := n.ExploreDist(nil, ExploreOptions{MaxTokensPerPlace: limit})
+		if err == nil || !strings.Contains(err.Error(), "place a:") || r != nil {
+			t.Fatalf("cap %d: got %v, %v; want no result and an error naming place a", limit, r, err)
 		}
 	}
+	defer func() {
+		if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), "place a:") {
+			t.Fatalf("Explore recovered %v, want the error naming place a", err)
+		}
+	}()
+	n.Explore(ExploreOptions{})
+	t.Fatal("Explore returned on an invalid net")
 }
 
 // overflowNet feeds place p, which starts at MaxTokens-1, one token
@@ -58,42 +75,38 @@ func overflowNet(fuel, w int) *Net {
 
 // TestExploreTokenOverflow: a count may reach MaxTokens, and the firing
 // that would carry a place no cap bounds past it ends the exploration
-// with an error wrapping ErrTokenOverflow that names the place, all-hot
-// and frozen; Explore panics with it. A cap vetoes such a successor
-// instead, even when its count wrapped.
+// with an error wrapping ErrTokenOverflow that names the place; Explore
+// panics with it. A cap vetoes such a successor instead, even when its
+// count wrapped.
 func TestExploreTokenOverflow(t *testing.T) {
-	for _, freeze := range []bool{false, true} {
-		opt := ExploreOptions{Freeze: freeze}
-		r, err := overflowNet(1, 1).ExploreDist(nil, opt)
+	r, err := overflowNet(1, 1).ExploreDist(nil, ExploreOptions{})
+	if err != nil {
+		t.Fatalf("one firing to MaxTokens: %v", err)
+	}
+	if r.Len() != 4 || r.Truncated {
+		t.Fatalf("one firing to MaxTokens: %d states (truncated %v), want 4", r.Len(), r.Truncated)
+	}
+	if got := r.MarkingAt(3); got[1] != MaxTokens || got[3] != 4 {
+		t.Fatalf("last marking %v, want p at %d", got, MaxTokens)
+	}
+	for _, c := range []struct {
+		fuel, w int
+		place   string
+	}{{2, 1, "p"}, {1, MaxTokens, "q"}} {
+		r, err = overflowNet(c.fuel, c.w).ExploreDist(nil, ExploreOptions{})
+		if !errors.Is(err, ErrTokenOverflow) || !strings.Contains(err.Error(), "place "+c.place+":") || r != nil {
+			t.Fatalf("fuel=%d w=%d: got %v, %v; want ErrTokenOverflow at %s", c.fuel, c.w, r, err, c.place)
+		}
+	}
+	// Capped at MaxTokens, p vetoes its second firing; capped at
+	// MaxTokens-1, q vetoes 3+MaxTokens, a count that wrapped.
+	for _, c := range []struct{ fuel, w, limit, states int }{{2, 1, MaxTokens, 4}, {1, MaxTokens, MaxTokens - 1, 1}} {
+		r, err = overflowNet(c.fuel, c.w).ExploreDist(nil, ExploreOptions{MaxTokensPerPlace: c.limit})
 		if err != nil {
-			t.Fatalf("freeze=%v: one firing to MaxTokens: %v", freeze, err)
+			t.Fatalf("cap %d: %v, want a veto", c.limit, err)
 		}
-		if r.Len() != 4 || r.Truncated {
-			t.Fatalf("freeze=%v: one firing to MaxTokens: %d states (truncated %v), want 4", freeze, r.Len(), r.Truncated)
-		}
-		if got := r.MarkingAt(3); got[1] != MaxTokens || got[3] != 4 {
-			t.Fatalf("freeze=%v: last marking %v, want p at %d", freeze, got, MaxTokens)
-		}
-		for _, c := range []struct {
-			fuel, w int
-			place   string
-		}{{2, 1, "p"}, {1, MaxTokens, "q"}} {
-			r, err = overflowNet(c.fuel, c.w).ExploreDist(nil, opt)
-			if !errors.Is(err, ErrTokenOverflow) || !strings.Contains(err.Error(), "place "+c.place+":") || r != nil {
-				t.Fatalf("freeze=%v fuel=%d w=%d: got %v, %v; want ErrTokenOverflow at %s", freeze, c.fuel, c.w, r, err, c.place)
-			}
-		}
-		// Capped at MaxTokens, p vetoes its second firing; capped at
-		// MaxTokens-1, q vetoes 3+MaxTokens, a count that wrapped.
-		for _, c := range []struct{ fuel, w, limit, states int }{{2, 1, MaxTokens, 4}, {1, MaxTokens, MaxTokens - 1, 1}} {
-			opt.MaxTokensPerPlace = c.limit
-			r, err = overflowNet(c.fuel, c.w).ExploreDist(nil, opt)
-			if err != nil {
-				t.Fatalf("freeze=%v cap %d: %v, want a veto", freeze, c.limit, err)
-			}
-			if !r.Truncated || r.Len() != c.states {
-				t.Fatalf("freeze=%v cap %d: %d states (truncated %v), want %d and a veto", freeze, c.limit, r.Len(), r.Truncated, c.states)
-			}
+		if !r.Truncated || r.Len() != c.states {
+			t.Fatalf("cap %d: %d states (truncated %v), want %d and a veto", c.limit, r.Len(), r.Truncated, c.states)
 		}
 	}
 	defer func() {

@@ -61,13 +61,11 @@ func netFromBytes(data []byte) *Net {
 // than MaxMarkings, never retains a non-initial marking violating
 // MaxTokensPerPlace, records edges only between retained markings,
 // stores every marking's HashMarking value, and matches the reference
-// explorer exactly. The high bit of maxTokens, which the cap does not
-// read, runs the exploration with Freeze set: the frozen store
-// must meet the same contract, read back through thawing, and end with
-// every state frozen. The high bit of maxMarkings, which the budget
-// does not read, adds 253 tokens to the first place's initial marking,
-// so its counts cross 255, where the explorer's store widens from one
-// byte per count, or start above a small cap.
+// explorer exactly. The cap reads only maxTokens%8, so entries that
+// differ in its high bits explore alike. The high bit of maxMarkings,
+// which the budget does not read, adds 253 tokens to the first place's
+// initial marking, so its counts cross 255, where the explorer's store
+// widens from one byte per count, or start above a small cap.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
 	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(3), true)
@@ -86,12 +84,8 @@ func FuzzExplore(f *testing.F) {
 			MaxMarkings:       int(maxMarkings % 128),
 			MaxTokensPerPlace: int(maxTokens % 8),
 			FireSources:       fireSources,
-			Freeze:            maxTokens&0x80 != 0,
 		}
 		res := n.Explore(opt)
-		if opt.Freeze && (!res.Store.FreezeEnabled() || res.Store.FrozenLen() != res.Len()) {
-			t.Fatalf("frozen run froze %d of %d states (freezing on: %v)", res.Store.FrozenLen(), res.Len(), res.Store.FreezeEnabled())
-		}
 		limit := opt.MaxMarkings
 		if limit == 0 {
 			limit = 10000

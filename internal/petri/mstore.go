@@ -35,9 +35,9 @@ import (
 // decoded into an int32 page of the same geometry, and the store stays
 // wide. Nothing outside the package sees the encoding. At decodes a
 // narrow id into a fresh copy, Load decodes into the caller's buffer,
-// and hashes, MarkIDs and the frozen tier's records do not depend on
-// it: each sees a count by value. Only Mem does, since it counts each
-// hot vector at the width its page holds.
+// and hashes and MarkIDs do not depend on it: each sees a count by
+// value. Only Mem does, since it counts each vector at the width its
+// page holds.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -52,32 +52,27 @@ const NoMark = MarkID(^uint32(0))
 // place of the net). The zero value is not usable — construct with
 // NewMarkingStore.
 //
-// Concurrency: interning and FreezeThrough mutate the store and must be
-// serialized by the caller. Read-only use (At, Load, LookupHashed, Len)
-// is safe from any number of goroutines once no more mutations occur —
-// e.g. a ReachResult.Store may be read concurrently after Explore
-// returns; At on a frozen id memoizes thawed vectors behind the tier's
-// own lock, and the store keeps no decode buffer of its own. The
-// schedule-search engines keep one private store per search, so the
-// concurrent per-source searches of core's worker pool never contend
-// on one.
+// Concurrency: interning mutates the store and must be serialized by
+// the caller. Read-only use (At, Load, LookupHashed, Len) is safe from
+// any number of goroutines once no more mutations occur — e.g. a
+// ReachResult.Store may be read concurrently after Explore returns; the
+// store keeps no decode buffer of its own. The schedule-search engines
+// keep one private store per search, so the concurrent per-source
+// searches of core's worker pool never contend on one.
 type MarkingStore struct {
 	places int
-	// The token vectors of hot ids, in pages (see pageOf for the
-	// layout): bytePages while narrow is set, pages otherwise. Only the
-	// live encoding's page list is used; a page wholly below frozenEnd
-	// is released to nil.
+	// The token vectors, in pages (see pageOf for the layout):
+	// bytePages while narrow is set, pages otherwise. Only the live
+	// encoding's page list is used.
 	pages      [][]int32
 	bytePages  [][]uint8
 	narrow     bool
 	firstShift uint     // page 0 holds 1<<firstShift markings
 	capShift   uint     // pages stop doubling at 1<<capShift markings
-	hashes     []uint64 // hash per interned marking, reused on growth; never frozen
-	table      []uint32 // open addressing, entry = id+1, 0 = empty; never frozen
+	hashes     []uint64 // hash per interned marking, reused on growth
+	table      []uint32 // open addressing, entry = id+1, 0 = empty
 	mask       uint32
-	aliased    bool        // two distinct interned markings share a 64-bit hash
-	frozenEnd  int         // ids [0, frozenEnd) live in the frozen tier, not the pages
-	frozen     *frozenTier // nil until EnableFreeze (see freeze.go)
+	aliased    bool // two distinct interned markings share a 64-bit hash
 }
 
 // Page geometry: the first page holds up to 1<<firstPageShift markings
@@ -154,24 +149,22 @@ func (s *MarkingStore) width() int64 {
 	return TokenBytes
 }
 
-// hot returns the page view of an id at or above frozenEnd of a wide
-// store.
+// hot returns the page view of an id of a wide store.
 func (s *MarkingStore) hot(id int) Marking {
 	page, off := s.pageOf(id)
 	i := off * s.places
 	return Marking(s.pages[page][i : i+s.places : i+s.places])
 }
 
-// hotBytes returns the page view of an id at or above frozenEnd of a
-// narrow store.
+// hotBytes returns the page view of an id of a narrow store.
 func (s *MarkingStore) hotBytes(id int) []uint8 {
 	page, off := s.pageOf(id)
 	i := off * s.places
 	return s.bytePages[page][i : i+s.places : i+s.places]
 }
 
-// loadHot copies the counts of an id at or above frozenEnd into dst,
-// which holds one count per place, and returns it.
+// loadHot copies the counts of an id into dst, which holds one count
+// per place, and returns it.
 func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
 	if !s.narrow {
 		copy(dst, s.hot(id))
@@ -184,17 +177,15 @@ func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
 }
 
 // widen converts a narrow store to int32 pages of the same geometry,
-// once: pages the frozen tier released stay released.
+// once.
 func (s *MarkingStore) widen() {
 	s.pages = make([][]int32, len(s.bytePages))
 	for k, b := range s.bytePages {
-		if b != nil {
-			w := make([]int32, len(b))
-			for i, v := range b {
-				w[i] = int32(v)
-			}
-			s.pages[k] = w
+		w := make([]int32, len(b))
+		for i, v := range b {
+			w[i] = int32(v)
 		}
+		s.pages[k] = w
 	}
 	s.bytePages, s.narrow = nil, false
 }
@@ -206,19 +197,14 @@ func (s *MarkingStore) Len() int { return len(s.hashes) }
 func (s *MarkingStore) Places() int { return s.places }
 
 // At returns the interned marking, which callers must not mutate. It
-// stays valid across later Intern and FreezeThrough calls, so it is
-// safe to hold one across further interning. A hot id of a wide store
-// resolves to a view into the marking's token page: a page is never
-// written again after its markings are interned, and freezing or
-// widening only drops the store's reference to it. A hot id of a narrow
-// store is decoded into a fresh copy, and a frozen id (below FrozenLen)
-// is reconstructed from the delta segment, memoized by the tier's thaw
-// cache. A reader that visits every state decodes with Load instead.
+// stays valid across later Intern calls, so it is safe to hold one
+// across further interning. An id of a wide store resolves to a view
+// into the marking's token page: a page is never written again after
+// its markings are interned, and widening only drops the store's
+// reference to it. An id of a narrow store is decoded into a fresh
+// copy. A reader that visits every state decodes with Load instead.
 func (s *MarkingStore) At(id MarkID) Marking {
-	switch {
-	case int(id) < s.frozenEnd:
-		return s.frozen.thaw(s, id)
-	case s.narrow:
+	if s.narrow {
 		return s.loadHot(make(Marking, s.places), int(id))
 	}
 	return s.hot(int(id))
@@ -226,18 +212,13 @@ func (s *MarkingStore) At(id MarkID) Marking {
 
 // Load copies the interned marking id into dst, reallocating it only
 // when its capacity is short of Places(), and returns it. Unlike At it
-// never allocates on a store's hot ids, so a reader that visits every
-// state passes one buffer to each call.
+// never allocates, so a reader that visits every state passes one
+// buffer to each call.
 func (s *MarkingStore) Load(dst Marking, id MarkID) Marking {
 	if cap(dst) < s.places {
 		dst = make(Marking, s.places)
 	}
-	dst = dst[:s.places]
-	if int(id) < s.frozenEnd {
-		copy(dst, s.frozen.thaw(s, id))
-		return dst
-	}
-	return s.loadHot(dst, int(id))
+	return s.loadHot(dst[:s.places], int(id))
 }
 
 // HashMarking is the hash every marking store keys on: the additive
@@ -348,15 +329,15 @@ func (s *MarkingStore) find(m Marking, h uint64) (MarkID, uint32, bool) {
 // holds reports whether id's vector equals m, reading a narrow page
 // in place.
 func (s *MarkingStore) holds(id MarkID, m Marking) bool {
-	if s.narrow && int(id) >= s.frozenEnd {
+	if s.narrow {
 		return sameCounts(s.hotBytes(int(id)), m)
 	}
-	return s.At(id).Equal(m)
+	return s.hot(int(id)).Equal(m)
 }
 
 // findBytes is find for a narrow store and a vector b of one-byte
-// counts: a hot candidate is compared with its page bytes in one
-// memory compare, a frozen one thawed and compared by value.
+// counts: a candidate is compared with its page bytes in one memory
+// compare.
 func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
 	alias := false
 	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
@@ -366,8 +347,7 @@ func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
 		}
 		id := MarkID(e - 1)
 		if s.hashes[id] == h {
-			if int(id) < s.frozenEnd && sameCounts(b, s.frozen.thaw(s, id)) ||
-				int(id) >= s.frozenEnd && string(s.hotBytes(int(id))) == string(b) {
+			if string(s.hotBytes(int(id))) == string(b) {
 				return id, slot, false
 			}
 			alias = true
@@ -428,19 +408,10 @@ func (s *MarkingStore) Intern(m Marking) (MarkID, bool) {
 }
 
 // InternHashed is Intern with a caller-precomputed HashMarking value —
-// the batched exploration pipeline hashes each successor once on a
-// worker and interns it later without rehashing.
+// explorers derive a successor's hash from its parent's (FiringTable)
+// and the dist coordinator merges hashes its workers shipped, so
+// neither rehashes the vector.
 func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
-	return s.InternChild(m, h, NoMark, 0)
-}
-
-// InternChild is InternHashed for a successor: m, hashed h, is the
-// marking reached by firing transition trans at parent. Every explorer
-// interns its successors through it, so a store with a frozen tier
-// learns each new state's provenance here and keeps it until the state
-// freezes (see FreezeThrough). A parent of NoMark, or one that is not
-// an earlier id, freezes the vector verbatim.
-func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int32) (MarkID, bool) {
 	if len(m) != s.places {
 		panic("petri: marking length does not match store")
 	}
@@ -448,16 +419,15 @@ func (s *MarkingStore) InternChild(m Marking, h uint64, parent MarkID, trans int
 	if id != NoMark {
 		return id, false
 	}
-	return s.insert(m, h, slot, alias, parent, trans), true
+	return s.insert(m, h, slot, alias), true
 }
 
-// insert interns m, hashed h and absent from the store, as the child of
-// parent under trans (see InternChild): slot and alias are what find
-// returned for m, with no intern since. It returns m's new id. A narrow
-// store checks each count as it copies it in, and widens at the first
-// one above maxNarrow.
-func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
-	id := s.claim(h, slot, alias, parent, trans)
+// insert interns m, hashed h and absent from the store: slot and alias
+// are what find returned for m, with no intern since. It returns m's
+// new id. A narrow store checks each count as it copies it in, and
+// widens at the first one above maxNarrow.
+func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool) MarkID {
+	id := s.claim(h, slot, alias)
 	page, off := s.pageOf(int(id))
 	if s.narrow {
 		row := s.bytePages[page][off*s.places:]
@@ -477,8 +447,8 @@ func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool, pare
 
 // insertBytes is insert for a narrow store and a vector b of one-byte
 // counts.
-func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
-	id := s.claim(h, slot, alias, parent, trans)
+func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool) MarkID {
+	id := s.claim(h, slot, alias)
 	page, off := s.pageOf(int(id))
 	copy(s.bytePages[page][off*s.places:], b)
 	return id
@@ -486,8 +456,8 @@ func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool,
 
 // claim takes the next id for a marking hashed h at the probe slot find
 // ended on, and records everything of it but its counts: the hash, the
-// table entry, the provenance, and the page its counts go to.
-func (s *MarkingStore) claim(h uint64, slot uint32, alias bool, parent MarkID, trans int32) MarkID {
+// table entry, and the page its counts go to.
+func (s *MarkingStore) claim(h uint64, slot uint32, alias bool) MarkID {
 	s.aliased = s.aliased || alias
 	id := MarkID(len(s.hashes))
 	if page, off := s.pageOf(int(id)); off == 0 {
@@ -499,13 +469,6 @@ func (s *MarkingStore) claim(h uint64, slot uint32, alias bool, parent MarkID, t
 	}
 	s.hashes = append(s.hashes, h)
 	s.table[slot] = uint32(id) + 1
-	if s.FreezeEnabled() {
-		var p prov
-		if parent < id {
-			p = prov{gap: uint32(id - parent), trans: trans}
-		}
-		s.frozen.prov = append(s.frozen.prov, p)
-	}
 	if len(s.hashes)*4 >= len(s.table)*3 {
 		s.grow()
 	}
@@ -533,23 +496,25 @@ func (s *MarkingStore) grow() {
 	s.mask = mask
 }
 
+// StoreMem is the store-memory accounting of Mem.
+type StoreMem struct {
+	// HotBytes is everything resident: the token vectors, all hashes
+	// and the probe table.
+	HotBytes int64
+}
+
 // Mem is THE store-memory accounting: exact live byte counts at slice
-// lengths, independent of append growth policy, with each hot vector
+// lengths, independent of append growth policy, with each vector
 // counted at the width its pages hold (one byte per place in a narrow
-// store). Both figures are pure functions of the interned marking
-// sequence, the encoding the store started in and the frozen boundary,
-// so distributed memory accounting (the per-worker replica-size and
-// frozen-store gates in CI) can compare values across processes and
-// machines byte-for-byte. Every other store-size figure in the tree
-// (dist.WorkerMem.StoreBytes, the server's worker-memory gauge, search
-// stats) derives from this one method.
+// store). The figure is a pure function of the interned marking
+// sequence and the encoding the store started in, so distributed
+// memory accounting (the per-worker replica-size gates in CI) can
+// compare values across processes and machines byte-for-byte. Every
+// other store-size figure in the tree (dist.WorkerMem.StoreBytes,
+// sched.SearchStats.StoreHotBytes and the server's
+// qss_store_hot_bytes gauge built on it) derives from this one method.
 func (s *MarkingStore) Mem() StoreMem {
-	m := StoreMem{
-		HotBytes: int64(s.Len()-s.frozenEnd)*int64(s.places)*s.width() + int64(len(s.hashes))*8 + int64(len(s.table))*4,
+	return StoreMem{
+		HotBytes: int64(s.Len())*int64(s.places)*s.width() + int64(len(s.hashes))*8 + int64(len(s.table))*4,
 	}
-	if s.frozen != nil {
-		m.HotBytes += int64(len(s.frozen.offs))*8 + int64(len(s.frozen.prov))*8
-		m.FrozenBytes = s.frozen.size
-	}
-	return m
 }

@@ -152,84 +152,67 @@ func TestMarkingStoreViewStability(t *testing.T) {
 // widens, once and in place, when it interns a count of 256. Every
 // earlier id reads the same through At, Load, LookupHashed and HashAt
 // before and after, views taken before the widen still read
-// correctly, and Mem counts one byte per hot count before and
-// TokenBytes after. The frozen leg freezes the first ids first, so the
-// widen skips the pages that freezing released.
+// correctly, and Mem counts one byte per count before and TokenBytes
+// after. The subtest keeps the name it had when the store could also
+// freeze its first ids; every vector now stays in memory.
 func TestMarkingStoreWiden(t *testing.T) {
 	const places, count = 5, 300
-	for _, freeze := range []bool{false, true} {
-		t.Run(fmt.Sprintf("freeze=%v", freeze), func(t *testing.T) {
-			s := newTestStore(places, true)
-			if freeze {
-				// A net without transitions: every record freezes verbatim.
-				if err := s.EnableFreeze(NewFiringTable(New("none"), nil)); err != nil {
-					t.Fatalf("EnableFreeze: %v", err)
+	t.Run("freeze=false", func(t *testing.T) {
+		s := newTestStore(places, true)
+		var ms []Marking
+		for i := range count {
+			m := Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)}
+			if id, isNew := s.Intern(m); !isNew || int(id) != i {
+				t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
+			}
+			ms = append(ms, m)
+		}
+		views := make([]Marking, len(ms))
+		check := func(stage string) {
+			t.Helper()
+			var buf Marking
+			for i, m := range ms {
+				id := MarkID(i)
+				if !s.At(id).Equal(m) || !views[i].Equal(m) {
+					t.Fatalf("%s: At(%d) = %v, view %v, want %v", stage, id, s.At(id), views[i], m)
+				}
+				if buf = s.Load(buf, id); !buf.Equal(m) {
+					t.Fatalf("%s: Load(%d) = %v, want %v", stage, id, buf, m)
+				}
+				if got, ok := s.LookupHashed(m, HashMarking(m)); !ok || got != id {
+					t.Fatalf("%s: LookupHashed(%v) = (%d, %v), want (%d, true)", stage, m, got, ok, id)
+				}
+				if s.HashAt(id) != HashMarking(m) {
+					t.Fatalf("%s: HashAt(%d) = %#x, want %#x", stage, id, s.HashAt(id), HashMarking(m))
 				}
 			}
-			var ms []Marking
-			for i := range count {
-				m := Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)}
-				if id, isNew := s.Intern(m); !isNew || int(id) != i {
-					t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
-				}
-				ms = append(ms, m)
-			}
-			if freeze {
-				if err := s.FreezeThrough(200); err != nil || s.FrozenLen() != 200 {
-					t.Fatalf("FreezeThrough(200) = %v, %d frozen", err, s.FrozenLen())
-				}
-			}
-			views := make([]Marking, len(ms))
-			check := func(stage string) {
-				t.Helper()
-				var buf Marking
-				for i, m := range ms {
-					id := MarkID(i)
-					if !s.At(id).Equal(m) || !views[i].Equal(m) {
-						t.Fatalf("%s: At(%d) = %v, view %v, want %v", stage, id, s.At(id), views[i], m)
-					}
-					if buf = s.Load(buf, id); !buf.Equal(m) {
-						t.Fatalf("%s: Load(%d) = %v, want %v", stage, id, buf, m)
-					}
-					if got, ok := s.LookupHashed(m, HashMarking(m)); !ok || got != id {
-						t.Fatalf("%s: LookupHashed(%v) = (%d, %v), want (%d, true)", stage, m, got, ok, id)
-					}
-					if s.HashAt(id) != HashMarking(m) {
-						t.Fatalf("%s: HashAt(%d) = %#x, want %#x", stage, id, s.HashAt(id), HashMarking(m))
-					}
-				}
-			}
-			for i := range ms {
-				views[i] = s.At(MarkID(i))
-			}
-			check("narrow")
-			// Mem's hot bytes, less the vectors at the store's width.
-			rest := func(width int64) int64 {
-				return s.Mem().HotBytes - int64(s.Len()-s.FrozenLen())*places*width
-			}
-			if !s.narrow {
-				t.Fatal("byte-sized counts widened the store")
-			}
-			before := rest(1)
-			big := Marking{256, 0, 0, 0, 0}
-			id, isNew := s.Intern(big)
-			if !isNew || int(id) != count || s.narrow {
-				t.Fatalf("intern %v = (%d, %v), narrow %v; want (%d, true), wide", big, id, isNew, s.narrow, count)
-			}
-			check("wide")
-			if !s.At(id).Equal(big) {
-				t.Fatalf("At(%d) = %v, want %v", id, s.At(id), big)
-			}
-			// One more hash, and one more provenance record when freezing.
-			want := before + 8
-			if freeze {
-				want += 8
-			}
-			if got := rest(TokenBytes); got != want {
-				t.Fatalf("hot bytes less vectors: %d after the widen, want %d", got, want)
-			}
-		})
-	}
+		}
+		for i := range ms {
+			views[i] = s.At(MarkID(i))
+		}
+		check("narrow")
+		// Mem's hot bytes, less the vectors at the store's width.
+		rest := func(width int64) int64 {
+			return s.Mem().HotBytes - int64(s.Len())*places*width
+		}
+		if !s.narrow {
+			t.Fatal("byte-sized counts widened the store")
+		}
+		before := rest(1)
+		big := Marking{256, 0, 0, 0, 0}
+		id, isNew := s.Intern(big)
+		if !isNew || int(id) != count || s.narrow {
+			t.Fatalf("intern %v = (%d, %v), narrow %v; want (%d, true), wide", big, id, isNew, s.narrow, count)
+		}
+		check("wide")
+		if !s.At(id).Equal(big) {
+			t.Fatalf("At(%d) = %v, want %v", id, s.At(id), big)
+		}
+		// One more hash.
+		if got, want := rest(TokenBytes), before+8; got != want {
+			t.Fatalf("hot bytes less vectors: %d after the widen, want %d", got, want)
+		}
+	})
 }
 
 // TestMarkingStorePages: the page layout tiles the id space without

@@ -1,5 +1,7 @@
 package petri
 
+import "fmt"
+
 // Bounded-reachability utilities. The full reachability graph of a net
 // with source transitions is infinite; these helpers explore a finite
 // fragment for validation, testing and diagnostics.
@@ -8,7 +10,7 @@ package petri
 // hash-consed: Store assigns each distinct visited marking a dense
 // MarkID, and Edges is indexed by it. The numbering, edges and flags
 // are byte-identical whether Explore runs the search in-process or
-// ExploreDist hands it to a runner, frozen or all-hot.
+// ExploreDist hands it to a runner.
 type ReachResult struct {
 	// Store interns every distinct marking visited; MarkID 0 is the
 	// initial marking.
@@ -54,9 +56,6 @@ type ExploreOptions struct {
 	// FireSources includes source transitions in the exploration when
 	// true; otherwise only internal behaviour is explored.
 	FireSources bool
-	// Freeze moves closed levels to the store's frozen tier (see
-	// Drive); the result is the same either way.
-	Freeze bool
 }
 
 // Explore performs a breadth-first bounded exploration from the initial
@@ -66,9 +65,9 @@ type ExploreOptions struct {
 // successors are hash-consed through the result store, and the inner
 // loop reuses one scratch vector, so firing a transition allocates only
 // when it discovers a new marking. Explore has no error return, so it
-// panics when a count of a place MaxTokensPerPlace leaves unbounded
-// would exceed MaxTokens (ErrTokenOverflow); ExploreDist with a nil
-// runner returns that error.
+// panics with any error ExploreDist with a nil runner returns: a net
+// that Net.Validate rejects, or a count of a place MaxTokensPerPlace
+// leaves unbounded that would exceed MaxTokens (ErrTokenOverflow).
 func (n *Net) Explore(opt ExploreOptions) *ReachResult {
 	res, err := n.ExploreDist(nil, opt)
 	if err != nil {
@@ -82,17 +81,21 @@ func (n *Net) Explore(opt ExploreOptions) *ReachResult {
 // marking space (internal/dist). The runner feeds the same sequential
 // merge, so the ReachResult — numbering, edges, flags — is
 // byte-identical to Explore's for every worker-process count. The error
-// reports an infrastructure failure (worker death, protocol
-// corruption), which nothing reruns inline, or a count of an unbounded
-// place that would exceed MaxTokens (ErrTokenOverflow); no other
+// reports a net that Net.Validate rejects, before anything is
+// explored; an infrastructure failure (worker death, protocol
+// corruption), which nothing reruns inline; or a count of an unbounded
+// place that would exceed MaxTokens (ErrTokenOverflow). No other
 // exploration outcome is an error. A nil r explores inline.
 func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, error) {
+	if err := n.Validate(); err != nil {
+		return nil, fmt.Errorf("petri: explore %s: %w", n.Name, err)
+	}
 	if opt.MaxMarkings == 0 {
 		opt.MaxMarkings = 10000
 	}
 	ft := NewFiringTable(n, n.ECSPartition())
 	var e *reachExplorer
-	_, err := Drive(ft, reachSpec(n, ft.part, opt), r, opt.Freeze, func(s *MarkingStore) MergeHooks {
+	_, err := Drive(ft, reachSpec(n, ft.part, opt), r, func(s *MarkingStore) MergeHooks {
 		e = newReachExplorer(s, opt.MaxMarkings)
 		return e.mergeHooks()
 	})

@@ -169,16 +169,11 @@ func burstNet(init int) *Net {
 	return n
 }
 
-func assertSameReach(t *testing.T, name string, want, got *ReachResult) {
-	t.Helper()
-	assertSameSnapshot(t, name, snapshotReach(want), snapshotReach(got))
-}
-
 // TestExploreMatchesReference: Explore must reproduce the reference
 // explorer exactly — same state numbering, same edges, same clip
 // flags — on full explorations, budget-clipped ones and token-capped
-// ones (one whose root starts over its cap), with and without frozen
-// levels. In burst-300 a count passes 255 in the middle of the
+// ones (one whose root starts over its cap). In burst-300 a count
+// passes 255 in the middle of the
 // exploration, so the store widens there; in burst-255 a cap vetoes
 // every successor that would, and the store stays narrow.
 func TestExploreMatchesReference(t *testing.T) {
@@ -197,24 +192,18 @@ func TestExploreMatchesReference(t *testing.T) {
 		{"burst-255", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 255}, false},
 	}
 	for _, c := range cases {
-		want := referenceExplore(c.net, c.opt)
-		for _, freeze := range []bool{false, true} {
-			opt := c.opt
-			opt.Freeze = freeze
-			name := fmt.Sprintf("%s/freeze=%v", c.name, freeze)
-			got := c.net.Explore(opt)
-			assertSameSnapshot(t, name, want, snapshotReach(got))
-			if got.Store.narrow == c.wide {
-				t.Errorf("%s: store narrow = %v at the end", name, got.Store.narrow)
-			}
+		got := c.net.Explore(c.opt)
+		assertSameSnapshot(t, c.name, referenceExplore(c.net, c.opt), snapshotReach(got))
+		if got.Store.narrow == c.wide {
+			t.Errorf("%s: store narrow = %v at the end", c.name, got.Store.narrow)
 		}
 	}
 }
 
 // TestExploreRandomNetsMatchReference sweeps seeded random nets
 // (including source-driven infinite spaces under caps) against the
-// reference explorer, all-hot and with frozen levels, and checks every
-// stored hash against HashMarking.
+// reference explorer, and checks every stored hash against
+// HashMarking.
 func TestExploreRandomNetsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 120; i++ {
@@ -224,13 +213,9 @@ func TestExploreRandomNetsMatchReference(t *testing.T) {
 			MaxTokensPerPlace: 3 + i%3,
 			MaxMarkings:       200 + i%57,
 		}
-		want := referenceExplore(n, opt)
-		for _, freeze := range []bool{false, true} {
-			opt.Freeze = freeze
-			name := fmt.Sprintf("random-%d/freeze=%v", i, freeze)
-			got := n.Explore(opt)
-			assertSameSnapshot(t, name, want, snapshotReach(got))
-			assertStoredHashes(t, name, got)
-		}
+		name := fmt.Sprintf("random-%d", i)
+		got := n.Explore(opt)
+		assertSameSnapshot(t, name, referenceExplore(n, opt), snapshotReach(got))
+		assertStoredHashes(t, name, got)
 	}
 }

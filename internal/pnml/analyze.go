@@ -14,7 +14,7 @@ import (
 )
 
 // AnalyzeOptions bounds the exploration of an imported net. The zero
-// value explores all-hot with the explorer's default budget.
+// value explores with the explorer's default budget.
 type AnalyzeOptions struct {
 	// MaxMarkings bounds the number of distinct markings explored
 	// (0 = the explorer's default).
@@ -24,15 +24,11 @@ type AnalyzeOptions struct {
 	// so unbounded nets need the cap to terminate; a truncated result
 	// reports the place that grew as a witness of unboundedness.
 	MaxTokensPerPlace int
-	// Freeze moves closed BFS levels to on-disk delta segments. The
-	// Analysis is the same either way.
-	Freeze bool
 }
 
 // Analysis is the reachability and bound report for one imported net.
-// Every field is a deterministic function of the net and the options —
-// independent of Freeze — which is what the pnml-conformance matrix
-// pins.
+// Every field is a deterministic function of the net and the options,
+// which is what the pnml-conformance matrix pins.
 type Analysis struct {
 	Net   *petri.Net
 	Reach *petri.ReachResult
@@ -59,7 +55,6 @@ func Analyze(n *petri.Net, opt AnalyzeOptions) (*Analysis, error) {
 		MaxMarkings:       opt.MaxMarkings,
 		MaxTokensPerPlace: opt.MaxTokensPerPlace,
 		FireSources:       true,
-		Freeze:            opt.Freeze,
 	}
 	r, err := n.ExploreDist(nil, eopt)
 	if err != nil {
@@ -92,7 +87,7 @@ func countEdges(r *petri.ReachResult) int {
 // the byte stream decodes to exactly one word sequence. Two
 // explorations agree on the fingerprint exactly when they produced
 // byte-identical results — the conformance matrix compares these across
-// inline, worker-process and frozen runs.
+// inline and worker-process runs.
 func Fingerprint(r *petri.ReachResult) string {
 	w := fingerprintWriter{h: sha256.New(), buf: make([]byte, 0, fingerprintBlock)}
 	w.reserve(2)

@@ -17,7 +17,7 @@ import (
 
 // The PNML conformance suite: every vendored interchange net must
 // produce a byte-identical ReachResult — same marking order, edges,
-// clip flags, truncation — inline, frozen and on worker processes. This
+// clip flags, truncation — inline and on worker processes. This
 // is the same determinism contract the dist matrix pins for FlowC-born
 // nets, extended to imported ones. The dist configurations explore
 // through petri.Net.ExploreDist on real worker processes
@@ -53,9 +53,9 @@ func suiteFixtures(t *testing.T) []string {
 }
 
 // TestPNMLSuite is the conformance matrix `make pnml-suite` runs in CI:
-// serial Analyze is the baseline; the frozen store tier and spawned
-// worker processes (ExploreDist, fingerprinted with pnml.Fingerprint)
-// must reproduce its fingerprint exactly, fixture by fixture.
+// serial Analyze is the baseline; spawned worker processes
+// (ExploreDist, fingerprinted with pnml.Fingerprint) must reproduce its
+// fingerprint exactly, fixture by fixture.
 func TestPNMLSuite(t *testing.T) {
 	files := suiteFixtures(t)
 	optOf := func(f string) pnml.AnalyzeOptions {
@@ -73,53 +73,27 @@ func TestPNMLSuite(t *testing.T) {
 		want[f] = a.Fingerprint
 	}
 
-	configs := []struct {
-		name   string
-		procs  int
-		freeze bool
-	}{
-		{name: "dist-procs-2", procs: 2},
-		{name: "serial-frozen", freeze: true},
-		{name: "dist-procs-2-frozen", procs: 2, freeze: true},
-	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			var pool *dist.Pool
-			if cfg.procs > 0 {
-				var err error
-				pool, err = dist.SpawnLocal(cfg.procs)
-				if err != nil {
-					t.Fatalf("spawn %d workers: %v", cfg.procs, err)
-				}
-				defer pool.Close()
+	t.Run("dist-procs-2", func(t *testing.T) {
+		pool, err := dist.SpawnLocal(2)
+		if err != nil {
+			t.Fatalf("spawn 2 workers: %v", err)
+		}
+		defer pool.Close()
+		for _, f := range files {
+			got, err := fingerprintOn(pool, f, optOf(f))
+			if err != nil {
+				t.Fatalf("%s: %v", filepath.Base(f), err)
 			}
-			for _, f := range files {
-				opt := optOf(f)
-				opt.Freeze = cfg.freeze
-				got, err := fingerprintOn(pool, f, opt)
-				if err != nil {
-					t.Fatalf("%s under %s: %v", filepath.Base(f), cfg.name, err)
-				}
-				if got != want[f] {
-					t.Errorf("%s under %s: fingerprint %s, serial %s — ReachResult diverged",
-						filepath.Base(f), cfg.name, got, want[f])
-				}
+			if got != want[f] {
+				t.Errorf("%s: fingerprint %s, serial %s — ReachResult diverged", filepath.Base(f), got, want[f])
 			}
-		})
-	}
+		}
+	})
 }
 
-// fingerprintOn is the fixture's fingerprint under opt: through Analyze
-// without a pool, and through ExploreDist with Analyze's exploration
-// options on one.
+// fingerprintOn is the fixture's fingerprint explored through
+// ExploreDist on pool, with Analyze's exploration options.
 func fingerprintOn(pool *dist.Pool, f string, opt pnml.AnalyzeOptions) (string, error) {
-	if pool == nil {
-		a, err := pnml.AnalyzeFile(f, opt)
-		if err != nil {
-			return "", err
-		}
-		return a.Fingerprint, nil
-	}
 	src, err := os.ReadFile(f)
 	if err != nil {
 		return "", err
@@ -129,7 +103,7 @@ func fingerprintOn(pool *dist.Pool, f string, opt pnml.AnalyzeOptions) (string, 
 		return "", err
 	}
 	r, err := n.ExploreDist(pool, petri.ExploreOptions{MaxMarkings: opt.MaxMarkings,
-		MaxTokensPerPlace: opt.MaxTokensPerPlace, FireSources: true, Freeze: opt.Freeze})
+		MaxTokensPerPlace: opt.MaxTokensPerPlace, FireSources: true})
 	if err != nil {
 		return "", err
 	}

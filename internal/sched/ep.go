@@ -43,12 +43,6 @@ type Options struct {
 	// the repository benchmark (qssbench) still sets it; it goes when
 	// that benchmark is next updated.
 	ExploreWorkers int
-	// Freeze moves the graph engine's closed exploration levels to the
-	// store's frozen tier on disk (see petri.Drive). Schedules and
-	// generated code are byte-identical either way; freezing costs
-	// reconstruction on later reads (schedule extraction). Tree engines
-	// ignore it: their DFS is not level-synchronous.
-	Freeze bool
 	// Engine selects the search engine (default EngineGraph).
 	Engine Engine
 	// NoFallback disables the automatic exhaustive-tree retry after a
@@ -434,7 +428,7 @@ func (e *engine) enabledECS() []*petri.ECS {
 // retained leaf by merging it with the ancestor carrying its marking.
 func (e *engine) buildSchedule(root *treeNode) *Schedule {
 	e.stats.DistinctMarkings = e.store.Len()
-	e.stats.StoreHotBytes = e.store.Mem().HotBytes // tree stores never freeze
+	e.stats.StoreHotBytes = e.store.Mem().HotBytes
 	sched := &Schedule{Net: e.net, Source: e.source, Stats: e.stats}
 	nodeOf := map[*treeNode]*Node{}
 	var mk func(t *treeNode) *Node

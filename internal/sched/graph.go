@@ -37,10 +37,8 @@ import (
 //     the schedule.
 //
 // Step 1 is petri.Drive, inline, under the engine's ExpandSpec (allowed
-// ECSs, place caps), frozen when Options.Freeze is set. The engine only
-// supplies the merge hooks that write its arenas, and the merge runs in
-// the same order either way, so schedules are byte-identical frozen or
-// all-hot.
+// ECSs, place caps). The engine only supplies the merge hooks that
+// write its arenas.
 
 // CapProvider is implemented by termination conditions that can bound
 // the token count of each place for the graph engine.
@@ -207,7 +205,7 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error) {
 	ge := newGraphEngine(n, source, opt)
 	st := n.Transitions[source]
-	if err := ge.drive(opt.Freeze); err != nil {
+	if err := ge.drive(); err != nil {
 		return nil, fmt.Errorf("sched: source %s: exploration: %w", st.Name, err)
 	}
 	if ge.over {
@@ -229,9 +227,9 @@ const rootID = 0
 // drive runs the bounded forward BFS (step 1) through petri.Drive; the
 // error is a token overflow. Budget exhaustion is an exploration
 // outcome and lands in ge.over.
-func (ge *graphEngine) drive(freeze bool) error {
+func (ge *graphEngine) drive() error {
 	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
-	_, err := petri.Drive(ge.ft, spec, nil, freeze, ge.start)
+	_, err := petri.Drive(ge.ft, spec, nil, ge.start)
 	return err
 }
 
@@ -625,12 +623,10 @@ func (ge *graphEngine) choose(id int) int {
 // build emits the schedule induced by σ from the root.
 func (ge *graphEngine) build(rootID int) *Schedule {
 	s := &Schedule{Net: ge.net, Source: ge.source}
-	mem := ge.store.Mem()
 	s.Stats = SearchStats{
 		NodesCreated:     len(ge.states),
 		DistinctMarkings: ge.store.Len(),
-		StoreHotBytes:    mem.HotBytes,
-		StoreFrozenBytes: mem.FrozenBytes,
+		StoreHotBytes:    ge.store.Mem().HotBytes,
 	}
 	nodeOf := map[int]*Node{}
 	var mk func(id int) *Node

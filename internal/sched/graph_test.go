@@ -364,7 +364,7 @@ func refRanks(ge *graphEngine) []int64 {
 func CheckRanks(n *petri.Net, source int, opt *Options) (states int, maxRank int64, err error) {
 	o := opt.withDefaults(n, source)
 	ge := newGraphEngine(n, source, o)
-	if err := ge.drive(o.Freeze); err != nil {
+	if err := ge.drive(); err != nil {
 		return 0, 0, err
 	}
 	if ge.over {

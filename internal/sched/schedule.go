@@ -9,11 +9,10 @@
 // transitions and keeps per-state enabled-ECS bitsets incrementally
 // across firings, so no engine scans the partition. The default graph
 // engine's exploration is petri.Drive: a serial level-synchronous
-// search on the calling goroutine, all-hot or with closed levels frozen
-// to disk (Options.Freeze), with state numbering — and therefore the
-// schedule and generated code — byte-identical either way. Concurrency
-// lives one level up: package core runs one search per uncontrollable
-// input on a pool.
+// search on the calling goroutine, whose state numbering — and
+// therefore the schedule and generated code — depends only on the net
+// and the options. Concurrency lives one level up: package core runs
+// one search per uncontrollable input on a pool.
 //
 // # Completeness of the graph engine
 //
@@ -85,14 +84,11 @@ type SearchStats struct {
 	// for the tree engines the gap NodesCreated-DistinctMarkings measures
 	// how much interleaving re-exploration the graph engine avoids.
 	DistinctMarkings int
-	// StoreHotBytes/StoreFrozenBytes split the search store's exact live
-	// footprint (petri.MarkingStore.Mem) between resident memory and the
-	// frozen on-disk delta segment. FrozenBytes is 0 unless
-	// Options.Freeze was set; both are pure functions of the
-	// interned marking sequence, so they compare across machines.
-	StoreHotBytes    int64
-	StoreFrozenBytes int64
-	UsedTInv         bool // whether the T-invariant heuristic was active
+	// StoreHotBytes is the search store's exact live footprint
+	// (petri.MarkingStore.Mem), a pure function of the interned marking
+	// sequence, so it compares across machines.
+	StoreHotBytes int64
+	UsedTInv      bool // whether the T-invariant heuristic was active
 }
 
 // IsAwait reports whether the node awaits an environment trigger, i.e.

@@ -186,19 +186,17 @@ func buildResponse(res *core.Result, opt *core.Options, hit bool, elapsed time.D
 }
 
 // recordWork folds a successful synthesis into the work metrics:
-// distinct markings explored and the hot/frozen store residency of the
-// request's searches.
+// distinct markings explored and the store residency of the request's
+// searches.
 func (s *Server) recordWork(res *core.Result) {
 	states := 0
-	var hot, frozen int64
+	var hot int64
 	for _, sc := range res.Schedules {
 		states += sc.Stats.DistinctMarkings
 		hot += sc.Stats.StoreHotBytes
-		frozen += sc.Stats.StoreFrozenBytes
 	}
 	s.metrics.addCounter(&s.metrics.statesExplored, float64(states))
 	s.metrics.setGauge(&s.metrics.storeHotBytes, float64(hot))
-	s.metrics.setGauge(&s.metrics.storeFrozenBytes, float64(frozen))
 }
 
 // recordCacheState refreshes the cache-entries gauge from the process

@@ -45,11 +45,9 @@ type metrics struct {
 	latency        *histogram // server-side synthesis seconds
 	statesExplored counter    // distinct markings interned across searches
 	// store residency of the last successful synthesis: bytes the
-	// searches' marking stores kept hot in RAM vs frozen to on-disk
-	// delta segments (both 0 until a request completes; frozen stays 0
-	// unless Config.FreezeLevels is on).
-	storeHotBytes    gauge
-	storeFrozenBytes gauge
+	// searches' marking stores held in RAM (0 until a request
+	// completes).
+	storeHotBytes gauge
 
 	// panics answered 500 by the recovery middleware
 	panics counter
@@ -98,8 +96,6 @@ func (m *metrics) render(sb *strings.Builder) {
 		"Distinct markings interned across all schedule searches.", m.statesExplored.v)
 	renderSimple(sb, "qss_store_hot_bytes", "gauge",
 		"Marking-store bytes resident in RAM after the last successful synthesis.", m.storeHotBytes.v)
-	renderSimple(sb, "qss_store_frozen_bytes", "gauge",
-		"Marking-store bytes frozen to on-disk delta segments after the last successful synthesis.", m.storeFrozenBytes.v)
 	renderSimple(sb, "qss_panics_total", "counter",
 		"Requests that panicked and were answered 500 by the recovery middleware.", m.panics.v)
 	m.latency.render(sb)

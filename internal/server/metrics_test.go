@@ -79,7 +79,6 @@ func TestMetricsTextFormat(t *testing.T) {
 		"qss_ready 0",
 		"qss_states_explored_total 0",
 		"qss_store_hot_bytes 0",
-		"qss_store_frozen_bytes 0",
 		"qss_panics_total 0",
 		"qss_synthesis_seconds_count 2",
 	} {

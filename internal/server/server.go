@@ -63,11 +63,6 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight requests.
 	// 0 = 30s.
 	DrainTimeout time.Duration
-	// FreezeLevels freezes closed exploration levels to on-disk delta
-	// segments for every request (sched.Options.Freeze), bounding the
-	// hot store's growth at the price of thaw reads. Results are
-	// byte-identical either way.
-	FreezeLevels bool
 	// Log receives operational one-liners; nil uses the stdlib default
 	// logger.
 	Log *log.Logger
@@ -300,10 +295,9 @@ func defaultSynthesize(ctx context.Context, req *synthesizeRequest, opt *core.Op
 }
 
 // requestOptions translates one request's budgets into core options,
-// clamping against the server caps, under the deployment's freeze
-// setting.
+// clamping against the server caps.
 func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, timeout time.Duration) {
-	so := &sched.Options{MaxNodes: s.cfg.MaxNodes, Freeze: s.cfg.FreezeLevels}
+	so := &sched.Options{MaxNodes: s.cfg.MaxNodes}
 	if req.MaxNodes > 0 && req.MaxNodes < so.MaxNodes {
 		so.MaxNodes = req.MaxNodes
 	}

@@ -657,18 +657,18 @@ func assertResponseMatches(t *testing.T, url string, want *core.Result) {
 	}
 }
 
-// TestFreezeLevelsServer: a server configured with FreezeLevels
-// produces code byte-identical to an all-hot run and exports the
-// store-residency gauges — frozen bytes nonzero, hot bytes nonzero —
-// after a successful synthesis.
-func TestFreezeLevelsServer(t *testing.T) {
+// TestStoreHotBytesServer: after a real synthesis the server's code is
+// byte-identical to the library path, and the store-residency gauge
+// has moved: qss_store_hot_bytes is positive, and it is the only
+// qss_store_ series /metrics exports.
+func TestStoreHotBytesServer(t *testing.T) {
 	core.ResetCache()
 	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, &core.Options{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	srv := New(Config{FreezeLevels: true})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	status, got, _ := postSynth(t, ts.URL, &synthesizeRequest{FlowC: apps.MultiRate, Net: apps.MultiRateSpec, DisableCache: true})
@@ -677,7 +677,7 @@ func TestFreezeLevelsServer(t *testing.T) {
 	}
 	for name, code := range want.Code {
 		if got.Code[name] != code {
-			t.Errorf("task %s differs from the all-hot library path", name)
+			t.Errorf("task %s differs from the library path", name)
 		}
 	}
 
@@ -685,13 +685,12 @@ func TestFreezeLevelsServer(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("metrics status %d", status)
 	}
-	for _, g := range []string{"qss_store_hot_bytes", "qss_store_frozen_bytes"} {
-		v, ok := scrapeGauge(body, g)
-		if !ok {
-			t.Fatalf("metrics missing %s:\n%s", g, body)
-		}
-		if v <= 0 {
-			t.Errorf("%s = %v, want > 0 with FreezeLevels on", g, v)
+	if v, ok := scrapeGauge(body, "qss_store_hot_bytes"); !ok || v <= 0 {
+		t.Errorf("qss_store_hot_bytes = %v (present %v), want > 0 after a synthesis:\n%s", v, ok, body)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "qss_store_") && !strings.HasPrefix(line, "qss_store_hot_bytes ") {
+			t.Errorf("unexpected store series %q", line)
 		}
 	}
 }
