@@ -292,10 +292,9 @@ func emitCorpusPNML(dir string, seed int64, n int, cfg corpus.Config) int {
 			fmt.Fprintln(os.Stderr, "qssbatch:", err)
 			return 1
 		}
-		if err := pnml.Export(f, net); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
+		err = pnml.Export(f, net)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qssbatch: %s: %v\n", path, err)

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/corpus"
+)
 
 // TestBatchFlagValidation: contradictory or out-of-range flag
 // combinations are rejected with a descriptive error instead of being
@@ -77,5 +83,21 @@ func TestBatchPNMLFlagValidation(t *testing.T) {
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: validate() err = %v, wantErr %v", c.name, err, c.wantErr)
 		}
+	}
+}
+
+// TestEmitPNMLWriteError: a document that cannot be written fails the
+// export, which names the file and exits 1, instead of reporting every
+// net as exported.
+func TestEmitPNMLWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "app000.pnml")); err != nil {
+		t.Fatal(err)
+	}
+	if code := emitCorpusPNML(dir, 1, 2, corpus.DefaultConfig()); code != 1 {
+		t.Fatalf("emitCorpusPNML into /dev/full: exit code %d, want 1", code)
 	}
 }

@@ -116,6 +116,8 @@
 // searches of one system run on a bounded worker pool
 // (core.Options.Workers) with deterministic result ordering and
 // first-error cancellation via context (core.SynthesizeContext).
+// The searches share the system's petri.Net, which is plain data: once
+// built, any number of goroutines may read it.
 // Each search itself is serial:
 // petri.Drive, the one level-synchronous exploration driver, expands a
 // state and merges each successor at once — fire into a scratch

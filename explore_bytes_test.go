@@ -25,7 +25,6 @@ func TestExploreLargeBytes(t *testing.T) {
 		want *= stages
 	}
 	n := exploreLargeNet(pipes, stages)
-	n.Warm()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := n.Explore(petri.ExploreOptions{MaxMarkings: want + 1})

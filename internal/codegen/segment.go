@@ -72,14 +72,12 @@ type Task struct {
 	Segments  []*Segment       // Segments[0] is cs1 (contains the source ECS)
 	SegByECS  map[int]*Segment // ECS index -> segment whose root is that ECS
 	StateVars []int            // place IDs used as state variables, ascending
-	Part      []*petri.ECS     // the net's ECS partition
 	ECSIdx    []int            // transition -> ECS index
 }
 
 // quotient node bookkeeping during construction.
 type quotNode struct {
-	ecs  *petri.ECS
-	reps []*sched.Node // schedule nodes carrying this ECS
+	ecs *petri.ECS
 	// succ[t] = set of next ECS indices observed when firing t.
 	succ map[int]map[int]bool
 	// states[t] = ordered (marking, nextECS) pairs when firing t.
@@ -107,7 +105,6 @@ func Generate(s *sched.Schedule, name string) (*Task, error) {
 	for _, n := range s.Nodes {
 		e := idx[n.Edges[0].Trans]
 		q := getQ(e)
-		q.reps = append(q.reps, n)
 		for _, ed := range n.Edges {
 			nextE := idx[ed.To.Edges[0].Trans]
 			if q.succ[ed.Trans] == nil {
@@ -157,7 +154,6 @@ func Generate(s *sched.Schedule, name string) (*Task, error) {
 		Source:   s.Source,
 		Schedule: s,
 		SegByECS: map[int]*Segment{},
-		Part:     part,
 		ECSIdx:   idx,
 	}
 

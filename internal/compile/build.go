@@ -338,7 +338,7 @@ func (b *builder) compileFor(x *flowc.For) {
 func (b *builder) compileSelect(x *flowc.Select) {
 	b.flush()
 	choice := b.cur
-	choice.Cond = &ChoiceInfo{Kind: ChoiceSelect, Sel: x}
+	choice.Cond = &ChoiceInfo{Kind: ChoiceSelect}
 	join := b.newPlace()
 	for i := range x.Arms {
 		arm := &x.Arms[i]

@@ -46,9 +46,6 @@ type ChoiceInfo struct {
 	Kind ChoiceKind
 	// Cond is the boolean condition for ChoiceData.
 	Cond flowc.Expr
-	// Sel is the originating construct for ChoiceSelect; arm order is
-	// the run-time priority order.
-	Sel *flowc.Select
 }
 
 // SelectArmRef records that a transition is the entry of SELECT arm Index

@@ -234,9 +234,6 @@ func findSchedules(ctx context.Context, n *petri.Net, sources []int, opt *Option
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]*sched.Schedule, len(sources))
-	// The net's adjacency caches are built lazily and unsynchronized;
-	// build them before the read-only fan-out.
-	n.Warm()
 	errs := make([]error, len(sources))
 	panics := make([]any, len(sources))
 	pool.Run(ctx, len(sources), workers, func(i int, cancel context.CancelFunc) {

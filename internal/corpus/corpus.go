@@ -55,7 +55,6 @@ func DefaultConfig() Config {
 // oracle data the property tests check against.
 type App struct {
 	Name  string
-	Seed  int64 // per-app seed when produced by GenerateCorpus, else 0
 	FlowC string
 	Spec  string
 	// Triggers are the uncontrollable environment inputs, one per
@@ -79,10 +78,7 @@ func GenerateCorpus(seed int64, n int, cfg Config) []*App {
 	master := rand.New(rand.NewSource(seed))
 	apps := make([]*App, n)
 	for i := range apps {
-		appSeed := master.Int63()
-		app := Generate(rand.New(rand.NewSource(appSeed)), fmt.Sprintf("app%03d", i), cfg)
-		app.Seed = appSeed
-		apps[i] = app
+		apps[i] = Generate(rand.New(rand.NewSource(master.Int63())), fmt.Sprintf("app%03d", i), cfg)
 	}
 	return apps
 }

@@ -6,42 +6,29 @@ package petri
 // ancestor in the search tree and every strictly increased place is
 // already saturated (at or beyond its degree).
 
-// Degree returns the degree of place p:
+// Degrees returns the degree of every place, indexed by place ID. The
+// degree of place p is
 //
 //	max( maxInWeight(p) + maxOutWeight(p) - 1, M0(p) )
 //
 // Intuitively, once p holds maxOutWeight(p)-1 tokens it is one producer
 // firing away from enabling any successor; accumulating beyond
 // maxIn+maxOut-1 cannot enable anything new.
-func (n *Net) Degree(p *Place) int {
-	maxIn, maxOut := 0, 0
-	for _, tid := range n.Predecessors(p.ID) {
-		if w := n.Transitions[tid].OutWeight(p.ID); w > maxIn {
-			maxIn = w
-		}
-	}
-	for _, tid := range n.Successors(p.ID) {
-		if w := n.Transitions[tid].Weight(p.ID); w > maxOut {
-			maxOut = w
-		}
-	}
-	d := maxIn + maxOut - 1
-	if d < p.Initial {
-		d = p.Initial
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// Degrees returns the degree of every place, indexed by place ID.
 func (n *Net) Degrees() []int {
-	out := make([]int, len(n.Places))
-	for i, p := range n.Places {
-		out[i] = n.Degree(p)
+	maxIn := make([]int, len(n.Places))
+	maxOut := make([]int, len(n.Places))
+	for _, t := range n.Transitions {
+		for _, a := range t.Out {
+			maxIn[a.Place] = max(maxIn[a.Place], a.Weight)
+		}
+		for _, a := range t.In {
+			maxOut[a.Place] = max(maxOut[a.Place], a.Weight)
+		}
 	}
-	return out
+	for i, p := range n.Places { // maxIn[i] becomes the degree of p
+		maxIn[i] = max(maxIn[i]+maxOut[i]-1, p.Initial, 0)
+	}
+	return maxIn
 }
 
 // IrrelevantAgainst reports whether marking m is irrelevant with respect

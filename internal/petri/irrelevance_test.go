@@ -11,24 +11,21 @@ func TestDegreeDefinition(t *testing.T) {
 	n.AddArcTP(prod, p, 3) // max input weight 3
 	n.AddArc(p, cons, 2)   // max output weight 2
 	n.AddArc(q, cons, 1)
+	degs := n.Degrees()
 	// degree(p) = 3 + 2 - 1 = 4.
-	if got := n.Degree(p); got != 4 {
+	if got := degs[p.ID]; got != 4 {
 		t.Errorf("degree(p) = %d, want 4", got)
 	}
 	// degree(q) = max(0+1-1, 5) = 5.
-	if got := n.Degree(q); got != 5 {
+	if got := degs[q.ID]; got != 5 {
 		t.Errorf("degree(q) = %d, want 5", got)
-	}
-	degs := n.Degrees()
-	if degs[p.ID] != 4 || degs[q.ID] != 5 {
-		t.Errorf("Degrees() = %v", degs)
 	}
 }
 
 func TestDegreeIsolatedPlace(t *testing.T) {
 	n := New("iso")
 	p := n.AddPlace("p", PlaceChannel, 0)
-	if got := n.Degree(p); got != 0 {
+	if got := n.Degrees()[p.ID]; got != 0 {
 		t.Errorf("degree of isolated place = %d, want 0", got)
 	}
 }

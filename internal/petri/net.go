@@ -24,10 +24,7 @@
 // processes), with state numbering byte-identical either way.
 package petri
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // TransKind distinguishes ordinary transitions from the environment
 // source/sink transitions introduced by linking.
@@ -131,14 +128,13 @@ type Transition struct {
 }
 
 // Net is a weighted Petri net. Places and transitions are identified by
-// their slice index; arcs are stored on the transitions.
+// their slice index; arcs are stored on the transitions. A Net is plain
+// data: once built, any number of goroutines may read it at once, as
+// long as none mutates it.
 type Net struct {
 	Name        string
 	Places      []*Place
 	Transitions []*Transition
-
-	succCache map[int][]int // place -> successor transition IDs
-	predCache map[int][]int // place -> predecessor transition IDs
 }
 
 // New returns an empty net with the given name.
@@ -151,7 +147,6 @@ func New(name string) *Net {
 func (n *Net) AddPlace(name string, kind PlaceKind, initial int) *Place {
 	p := &Place{ID: len(n.Places), Name: name, Kind: kind, Initial: initial}
 	n.Places = append(n.Places, p)
-	n.invalidate()
 	return p
 }
 
@@ -159,7 +154,6 @@ func (n *Net) AddPlace(name string, kind PlaceKind, initial int) *Place {
 func (n *Net) AddTransition(name string, kind TransKind) *Transition {
 	t := &Transition{ID: len(n.Transitions), Name: name, Kind: kind}
 	n.Transitions = append(n.Transitions, t)
-	n.invalidate()
 	return t
 }
 
@@ -172,12 +166,10 @@ func (n *Net) AddArc(p *Place, t *Transition, w int) {
 	for i := range t.In {
 		if t.In[i].Place == p.ID {
 			t.In[i].Weight += w
-			n.invalidate()
 			return
 		}
 	}
 	t.In = append(t.In, Arc{Place: p.ID, Weight: w})
-	n.invalidate()
 }
 
 // AddArcTP adds a weighted arc from transition t to place p (production).
@@ -188,12 +180,10 @@ func (n *Net) AddArcTP(t *Transition, p *Place, w int) {
 	for i := range t.Out {
 		if t.Out[i].Place == p.ID {
 			t.Out[i].Weight += w
-			n.invalidate()
 			return
 		}
 	}
 	t.Out = append(t.Out, Arc{Place: p.ID, Weight: w})
-	n.invalidate()
 }
 
 // AddSelfLoop adds a read arc emulated as a consume/produce self loop of
@@ -204,53 +194,16 @@ func (n *Net) AddSelfLoop(p *Place, t *Transition, w int) {
 	n.AddArcTP(t, p, w)
 }
 
-func (n *Net) invalidate() {
-	n.succCache = nil
-	n.predCache = nil
-}
-
-// Warm eagerly builds the lazily-computed adjacency caches. The caches
-// are built on first use and are not synchronized, so callers that read
-// the net from multiple goroutines (e.g. concurrent schedule searches)
-// must call Warm once before fanning out. After Warm, all read-only
-// methods are safe for concurrent use as long as the net is not mutated.
-func (n *Net) Warm() {
-	n.buildCaches()
-}
-
-func (n *Net) buildCaches() {
-	if n.succCache != nil {
-		return
-	}
-	n.succCache = make(map[int][]int, len(n.Places))
-	n.predCache = make(map[int][]int, len(n.Places))
-	for _, t := range n.Transitions {
-		for _, a := range t.In {
-			n.succCache[a.Place] = append(n.succCache[a.Place], t.ID)
-		}
-		for _, a := range t.Out {
-			n.predCache[a.Place] = append(n.predCache[a.Place], t.ID)
-		}
-	}
-	for _, m := range []map[int][]int{n.succCache, n.predCache} {
-		for k := range m {
-			sort.Ints(m[k])
-		}
-	}
-}
-
 // Successors returns the IDs of transitions consuming from place id, in
 // ascending order.
 func (n *Net) Successors(id int) []int {
-	n.buildCaches()
-	return n.succCache[id]
-}
-
-// Predecessors returns the IDs of transitions producing into place id, in
-// ascending order.
-func (n *Net) Predecessors(id int) []int {
-	n.buildCaches()
-	return n.predCache[id]
+	var out []int
+	for _, t := range n.Transitions {
+		if t.Weight(id) > 0 {
+			out = append(out, t.ID)
+		}
+	}
+	return out
 }
 
 // PlaceByName returns the first place with the given name, or nil.

@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,19 +54,18 @@ func TestArcAccumulation(t *testing.T) {
 	}
 }
 
-func TestSuccessorsPredecessors(t *testing.T) {
+// TestSuccessors: Successors lists the transitions consuming from a
+// place in ascending order, from the arcs the net holds when it is
+// called.
+func TestSuccessors(t *testing.T) {
 	n := simpleNet(t)
 	if got := n.Successors(1); len(got) != 1 || n.Transitions[got[0]].Name != "b" {
 		t.Errorf("Successors(p1) = %v", got)
 	}
-	if got := n.Predecessors(1); len(got) != 1 || n.Transitions[got[0]].Name != "a" {
-		t.Errorf("Predecessors(p1) = %v", got)
-	}
-	// Cache invalidation on mutation.
 	c := n.AddTransition("c", TransNormal)
 	n.AddArc(n.Places[1], c, 1)
-	if got := n.Successors(1); len(got) != 2 {
-		t.Errorf("Successors(p1) after mutation = %v, want 2 entries", got)
+	if got, want := n.Successors(1), []int{1, c.ID}; !slices.Equal(got, want) {
+		t.Errorf("Successors(p1) after adding an arc = %v, want %v", got, want)
 	}
 }
 

@@ -101,7 +101,6 @@ func (o *Options) withDefaults(n *petri.Net, source int) Options {
 // compares and equal markings share one vector however many tree nodes
 // carry them.
 type treeNode struct {
-	id      int
 	parent  *treeNode
 	depth   int
 	inTrans int // transition fired on the edge from parent; -1 at root
@@ -175,15 +174,7 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 	}
 	e.ft = petri.NewFiringTable(n, e.part)
 	e.stride = e.ft.Stride()
-	e.allowedMask = make([]uint64, e.stride)
-	for _, E := range e.part {
-		if e.opt.MultiSource || !E.IsUncontrollable(n) || E.Trans[0] == source {
-			e.allowedMask[E.Index>>6] |= 1 << (uint(E.Index) & 63)
-		}
-	}
-	if _, ok := e.opt.Order.(*TInvariantOrder); ok {
-		e.stats.UsedTInv = true
-	}
+	e.allowedMask = allowedMask(n, e.part, source, e.opt.MultiSource)
 	root := e.newNode(nil, -1, n.InitialMarking())
 	if !e.fire(root.marking, source) {
 		return nil, fmt.Errorf("sched: source %s: %w", st.Name, e.err)
@@ -221,6 +212,19 @@ func FindSchedule(n *petri.Net, source int, opt *Options) (*Schedule, error) {
 	return s, nil
 }
 
+// allowedMask returns the ECSs of part that a schedule for source may
+// fire, one bit per ECS index: every ECS but, unless multi is set, the
+// uncontrollable sources other than source (single-source schedules).
+func allowedMask(n *petri.Net, part []*petri.ECS, source int, multi bool) []uint64 {
+	mask := make([]uint64, (len(part)+63)/64)
+	for _, E := range part {
+		if multi || !E.IsUncontrollable(n) || E.Trans[0] == source {
+			mask[E.Index>>6] |= 1 << (uint(E.Index) & 63)
+		}
+	}
+	return mask
+}
+
 // fire fires transition tid at m into the scratch buffer. The tree
 // engines cap no place, so a count past petri.MaxTokens cannot be
 // vetoed: it stops the search with e.err, and fire reports false.
@@ -242,12 +246,9 @@ func (e *engine) newNode(parent *treeNode, inTrans int, m petri.Marking) *treeNo
 		e.over = true
 	}
 	mid, _ := e.store.Intern(m)
-	n := &treeNode{id: e.nodes, parent: parent, inTrans: inTrans, mid: mid, marking: e.store.At(mid)}
+	n := &treeNode{parent: parent, inTrans: inTrans, mid: mid, marking: e.store.At(mid)}
 	if parent != nil {
 		n.depth = parent.depth + 1
-	}
-	if n.depth > e.stats.MaxDepth {
-		e.stats.MaxDepth = n.depth
 	}
 	e.stats.NodesCreated++
 	return n

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/compile"
@@ -183,12 +182,7 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 	} else {
 		ge.caps = NewIrrelevance(n).Caps(n)
 	}
-	ge.allowedMask = make([]uint64, (len(ge.part)+63)/64)
-	for _, E := range ge.part {
-		if ge.allowed(E) {
-			ge.allowedMask[E.Index>>6] |= 1 << (uint(E.Index) & 63)
-		}
-	}
+	ge.allowedMask = allowedMask(n, ge.part, source, opt.MultiSource)
 	ge.ft = petri.NewFiringTable(n, ge.part)
 	ge.occDelta = make([]int32, len(n.Transitions))
 	for t := range ge.occDelta {
@@ -212,7 +206,7 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 		return nil, fmt.Errorf("sched: source %s: %w (graph engine, %d states)", st.Name, ErrBudget, len(ge.states))
 	}
 	if !ge.solve(rootID) {
-		return nil, ge.noSchedule()
+		return nil, fmt.Errorf("sched: source %s under %s: %w (graph engine, %d states)", st.Name, opt.Term.Name(), ErrNoSchedule, len(ge.states))
 	}
 	s := ge.build(rootID)
 	if err := s.Validate(); err != nil {
@@ -285,14 +279,6 @@ func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 // marking returns a copy of the token vector of state id.
 func (ge *graphEngine) marking(id int) petri.Marking {
 	return ge.store.Load(nil, petri.MarkID(id))
-}
-
-// allowed reports whether the ECS may appear in this schedule.
-func (ge *graphEngine) allowed(E *petri.ECS) bool {
-	if !ge.opt.MultiSource && E.IsUncontrollable(ge.net) && E.Trans[0] != ge.source {
-		return false
-	}
-	return true
 }
 
 // buildReverse assembles the CSR reverse adjacency over every explored
@@ -666,73 +652,4 @@ func (ge *graphEngine) build(rootID int) *Schedule {
 	s.Root = mk(rootID)
 	s.Stats.NodesKept = len(s.Nodes)
 	return s
-}
-
-// NoScheduleError is the graph engine's "no schedule" verdict with the
-// evidence of the search that reached it: which markings deadlock (no
-// allowed ECS enabled), which are cap-dead (every enabled ECS has a
-// successor beyond the place caps), and which states the fixpoint
-// removed on top of those — the frontier of the poisoning cascade. It
-// is a debugging aid for specification authors chasing false paths
-// (Section 7.2). It wraps ErrNoSchedule.
-type NoScheduleError struct {
-	Source string // the uncontrollable source transition
-	Term   string // the termination condition's name
-	States int    // states the search explored
-	// RootInX reports whether the initial marking stayed in the
-	// fixpoint set: if so, it kept a closed, root-reaching ECS but not
-	// one that fires the source.
-	RootInX bool
-	// Up to maxSamples markings of each kind, in state order.
-	Deadlocks    []petri.Marking
-	CapDead      []petri.Marking
-	FirstRemoved []petri.Marking
-}
-
-func (e *NoScheduleError) Error() string {
-	return fmt.Sprintf("sched: source %s under %s: %v (graph engine, %d states)", e.Source, e.Term, ErrNoSchedule, e.States)
-}
-
-func (e *NoScheduleError) Unwrap() error { return ErrNoSchedule }
-
-// maxSamples bounds each sample list of a NoScheduleError.
-const maxSamples = 16
-
-// noSchedule builds the error of a search whose fixpoint just failed,
-// from the engine's own arenas and X set.
-func (ge *graphEngine) noSchedule() *NoScheduleError {
-	e := &NoScheduleError{
-		Source:  ge.net.Transitions[ge.source].Name,
-		Term:    ge.opt.Term.Name(),
-		States:  len(ge.states),
-		RootInX: ge.states[rootID].inX,
-	}
-	sample := func(list *[]petri.Marking, id int) {
-		if len(*list) < maxSamples {
-			*list = append(*list, ge.marking(id))
-		}
-	}
-	for id := range ge.states {
-		s := &ge.states[id]
-		switch {
-		case ge.ecsCount(s) == 0:
-			sample(&e.Deadlocks, id)
-		case !ge.anyInCaps(s):
-			sample(&e.CapDead, id)
-		case !s.inX:
-			sample(&e.FirstRemoved, id)
-		}
-	}
-	return e
-}
-
-// anyInCaps reports whether some allowed enabled ECS of s keeps every
-// successor within the place caps.
-func (ge *graphEngine) anyInCaps(s *gstate) bool {
-	for i := 0; i < ge.ecsCount(s); i++ {
-		if !slices.Contains(ge.succOf(s, i), -1) {
-			return true
-		}
-	}
-	return false
 }

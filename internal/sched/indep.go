@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Independence of single-source schedules (Definition 4.3): two SS
 // schedules are mutually independent iff for every place involved in one,
@@ -39,12 +42,16 @@ func onePlaceConst(user, other *Schedule) (bool, string) {
 	return true, ""
 }
 
+// ErrNotIndependent is wrapped by CheckIndependence when two schedules
+// of the set violate Definition 4.3.
+var ErrNotIndependent = errors.New("sched: schedules not independent")
+
 // CheckIndependence verifies pairwise independence of a schedule set.
 func CheckIndependence(set []*Schedule) error {
 	for i := 0; i < len(set); i++ {
 		for j := i + 1; j < len(set); j++ {
 			if ok, why := MutuallyIndependent(set[i], set[j]); !ok {
-				return fmt.Errorf("sched: schedules not independent: %s", why)
+				return fmt.Errorf("%w: %s", ErrNotIndependent, why)
 			}
 		}
 	}

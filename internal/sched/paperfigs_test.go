@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -276,8 +277,8 @@ func TestFig6InterferingSchedulesDetected(t *testing.T) {
 	}
 	// The independence check must reject the pair (the place p0 is
 	// shared and varies over await nodes).
-	if err := CheckIndependence(set); err == nil {
-		t.Fatalf("interfering schedules should fail the independence check")
+	if err := CheckIndependence(set); !errors.Is(err, ErrNotIndependent) {
+		t.Fatalf("interfering schedules should fail the independence check with ErrNotIndependent, got %v", err)
 	}
 	// And indeed the run for the sequence "a d" is not fireable further
 	// for "a a" — reproduce the paper's stuck scenario "a d a".

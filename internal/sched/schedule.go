@@ -77,7 +77,6 @@ type Schedule struct {
 type SearchStats struct {
 	NodesCreated int // tree nodes created by EP/EP_ECS, or graph states
 	NodesKept    int // schedule nodes after post-processing
-	MaxDepth     int // deepest tree node
 	Pruned       int // nodes cut by the termination condition
 	// DistinctMarkings counts the markings interned by the search's
 	// hash-consing store. For the graph engine it equals NodesCreated;
@@ -88,7 +87,6 @@ type SearchStats struct {
 	// (petri.MarkingStore.Mem), a pure function of the interned marking
 	// sequence, so it compares across machines.
 	StoreHotBytes int64
-	UsedTInv      bool // whether the T-invariant heuristic was active
 }
 
 // IsAwait reports whether the node awaits an environment trigger, i.e.

@@ -328,14 +328,16 @@ func classifyError(ctx context.Context, err error) (int, string) {
 
 // isRequestFault reports whether the error is attributable to the
 // submitted system rather than the server: parse/check/link failures,
-// exhausted budgets, search spaces with no schedule, and token counts
-// the search would carry past petri.MaxTokens.
+// exhausted budgets, search spaces with no schedule, schedule sets that
+// are not independent, and token counts the search would carry past
+// petri.MaxTokens.
 func isRequestFault(err error) bool {
-	if errors.Is(err, sched.ErrNoSchedule) || errors.Is(err, sched.ErrBudget) || errors.Is(err, petri.ErrTokenOverflow) {
+	if errors.Is(err, sched.ErrNoSchedule) || errors.Is(err, sched.ErrNotIndependent) ||
+		errors.Is(err, sched.ErrBudget) || errors.Is(err, petri.ErrTokenOverflow) {
 		return true
 	}
 	msg := err.Error()
-	for _, frag := range []string{"parse FlowC", "parse netlist", "core: check", "core: compile", "link:", "no uncontrollable inputs", "independence"} {
+	for _, frag := range []string{"parse FlowC", "parse netlist", "core: check", "core: compile", "link:", "no uncontrollable inputs"} {
 		if strings.Contains(msg, frag) {
 			return true
 		}

@@ -494,6 +494,15 @@ func TestBadRequests(t *testing.T) {
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("unschedulable system: status %d (%v), want 422", status, errResp)
 	}
+
+	// So is a schedule set that is not independent, as core wraps it.
+	srv.synthesize = func(context.Context, *synthesizeRequest, *core.Options) (*core.Result, bool, error) {
+		return nil, false, fmt.Errorf("core: %w", fmt.Errorf("%w: place p0 varies", sched.ErrNotIndependent))
+	}
+	status, _, errResp = postSynth(t, ts.URL, &synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("schedules not independent: status %d (%v), want 422", status, errResp)
+	}
 }
 
 // TestTokenCountLimit: an item count of 2^31, one past petri.MaxTokens,

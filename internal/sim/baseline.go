@@ -183,7 +183,6 @@ func (p *process) Read(sc *Scope, x *flowc.Read) error {
 	case link.BindChannel:
 		ch := b.Channels[bd.Channel.Spec.Name]
 		if !ch.CanRead(x.NItems) {
-			ch.BlockedReads++
 			if err := p.park(func() bool { return ch.CanRead(x.NItems) }); err != nil {
 				return err
 			}

@@ -16,11 +16,9 @@ type Channel struct {
 	count    int     // occupancy
 
 	// Stats.
-	Reads, Writes int64 // completed operations
 	ItemsMoved    int64
 	MaxOccupancy  int
-	BlockedReads  int64 // operations that had to wait at least once
-	BlockedWrites int64
+	BlockedWrites int64 // writes that had to wait at least once
 }
 
 // NewChannel creates a channel. capacity 0 = unbounded.
@@ -61,7 +59,6 @@ func (c *Channel) ReadInto(dst []int64, n int) error {
 	if c.count == 0 {
 		c.head = 0
 	}
-	c.Reads++
 	c.ItemsMoved += int64(n)
 	return nil
 }
@@ -84,7 +81,6 @@ func (c *Channel) Write(vals []int64) error {
 	if c.count > c.MaxOccupancy {
 		c.MaxOccupancy = c.count
 	}
-	c.Writes++
 	c.ItemsMoved += int64(len(vals))
 	return nil
 }
@@ -117,8 +113,6 @@ func (c *Channel) reserve(want int) {
 type InputStream struct {
 	Name string
 	vals []int64
-	// Consumed counts values delivered to the system.
-	Consumed int64
 }
 
 // NewInputStream creates a stream with the given initial values.
@@ -140,7 +134,6 @@ func (s *InputStream) Pop(n int) ([]int64, error) {
 	out := make([]int64, n)
 	copy(out, s.vals[:n])
 	s.vals = s.vals[n:]
-	s.Consumed += int64(n)
 	return out, nil
 }
 
