@@ -22,7 +22,7 @@
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
 #                      allocates <= 3.5x its store's hot bytes, and one
-#                      cold PFC synthesis <= 7.7x its search store's hot
+#                      cold PFC synthesis <= 5.6x its search store's hot
 #                      bytes (exact, machine-independent counts; -v prints
 #                      both ratios)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of

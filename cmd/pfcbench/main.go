@@ -18,9 +18,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -29,8 +32,7 @@ import (
 )
 
 func main() {
-	// realMain so the profiling defers run before the process exits.
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // benchFlags holds the flags that need cross-validation.
@@ -51,71 +53,97 @@ func (f *benchFlags) validate() error {
 	return nil
 }
 
-func realMain() (code int) {
+// run is the command on the given arguments and streams; it returns
+// the exit code: 2 for a usage error, 1 for a failed synthesis,
+// simulation or write. Profiles are flushed before it returns.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("pfcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var bf benchFlags
-	fig20 := flag.Bool("fig20", false, "regenerate Figure 20 (buffer-size sweep)")
-	table1 := flag.Bool("table1", false, "regenerate Table 1 (frame-count sweep)")
-	table2 := flag.Bool("table2", false, "regenerate Table 2 (code size)")
-	all := flag.Bool("all", false, "regenerate everything")
-	flag.IntVar(&bf.frames, "frames", 10, "frames for Figure 20")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	fig20 := fs.Bool("fig20", false, "regenerate Figure 20 (buffer-size sweep)")
+	table1 := fs.Bool("table1", false, "regenerate Table 1 (frame-count sweep)")
+	table2 := fs.Bool("table2", false, "regenerate Table 2 (code size)")
+	all := fs.Bool("all", false, "regenerate everything")
+	fs.IntVar(&bf.frames, "frames", 10, "frames for Figure 20")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *all {
 		*fig20, *table1, *table2 = true, true, true
 	}
 	bf.anyOutput = *fig20 || *table1 || *table2
 	if err := bf.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pfcbench:", err)
-		flag.Usage()
+		fmt.Fprintln(stderr, "pfcbench:", err)
+		fs.Usage()
 		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pfcbench:", err)
+		return 1
 	}
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		return fatal(err)
+		return fail(err)
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			if c := fatal(err); code == 0 {
+			if c := fail(err); code == 0 {
 				code = c
 			}
 		}
 	}()
 	res, err := apps.SynthesizePFCWith(&core.Options{DisableCache: true})
 	if err != nil {
-		return fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("synthesized pfc: schedule %d nodes, %d segments, all channel bounds = 1\n\n",
-		len(res.Schedules[0].Nodes), len(res.Tasks[0].Segments))
+	fmt.Fprintf(stdout, "synthesized pfc: schedule %d nodes, %d segments, %s\n\n",
+		len(res.Schedules[0].Nodes), len(res.Tasks[0].Segments), channelBounds(res))
 	if *fig20 {
 		pts, err := sim.Figure20(res, bf.frames, []int{1, 2, 5, 10, 20, 50, 100})
 		if err != nil {
-			return fatal(err)
+			return fail(err)
 		}
-		if err := sim.PrintFigure20(os.Stdout, pts); err != nil {
-			return fatal(err)
+		if err := sim.PrintFigure20(stdout, pts); err != nil {
+			return fail(err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *table1 {
 		rows, err := sim.Table1(res, []int{10, 50, 100, 500, 1000})
 		if err != nil {
-			return fatal(err)
+			return fail(err)
 		}
-		if err := sim.PrintTable1(os.Stdout, rows); err != nil {
-			return fatal(err)
+		if err := sim.PrintTable1(stdout, rows); err != nil {
+			return fail(err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *table2 {
-		if err := sim.PrintTable2(os.Stdout, sim.Table2(res)); err != nil {
-			return fatal(err)
+		if err := sim.PrintTable2(stdout, sim.Table2(res)); err != nil {
+			return fail(err)
 		}
 	}
 	return 0
 }
 
-func fatal(err error) int {
-	fmt.Fprintln(os.Stderr, "pfcbench:", err)
-	return 1
+// channelBounds describes the channel bounds the schedules guarantee:
+// "all channel bounds = 1" when every channel's bound is 1, as in the
+// paper's PFC result, and each channel's bound otherwise.
+func channelBounds(res *core.Result) string {
+	var each []string
+	same := true
+	for _, ch := range res.Sys.Channels {
+		b := res.Bounds[ch.Place.ID]
+		same = same && b == 1
+		each = append(each, fmt.Sprintf("%s=%d", ch.Spec.Name, b))
+	}
+	if same && len(each) > 0 {
+		return "all channel bounds = 1"
+	}
+	return "channel bounds " + strings.Join(each, " ")
 }

@@ -89,7 +89,7 @@
 // Beside the store, a search keeps flat tables that gain one entry per
 // interned state or per recorded edge: the driver's enabled-bit arena,
 // a ReachResult's Edges headers and Clipped flags, the graph engine's
-// state table and adjacency arenas, and a dist worker's gids and bits.
+// state table and adjacency arena, and a dist worker's gids and bits.
 // All of them grow through petri.Push and petri.Extend, by one rule:
 // capacity at least doubles when it runs out, so a table allocates
 // about twice its final capacity in all, where append's ~1.25x growth
@@ -105,7 +105,7 @@
 // doubling rule and the pointer-free tables cut a cold PFC synthesis
 // from 25.9 to 17.7 MB allocated and its CPU time by over a fifth;
 // `make bytes-gates` bounds what the PFC search and serial
-// ExploreLarge allocate at 7.7x and 3.5x their stores' hot bytes (with
+// ExploreLarge allocate at 5.6x and 3.5x their stores' hot bytes (with
 // one-byte counts the stores hold about a third of the hot bytes of
 // four-byte ones, so these ratios allow fewer bytes than the 3.3x and
 // 1.85x before them).

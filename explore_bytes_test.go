@@ -42,13 +42,15 @@ func TestExploreLargeBytes(t *testing.T) {
 }
 
 // TestPFCSearchBytes bounds what one cold synthesis of the paper's PFC
-// system allocates: at most 7.7x the exact hot bytes of the store its
-// 23,984-state schedule search builds (about 10.1 MB for the 1.31 MB
-// store of one-byte counts; it allocates 9.19 MB). The search is
-// nearly all of the synthesis, and every per-state and per-edge table
-// of the graph engine grows by petri.Push's doubling rule, so the bound
-// fails if a table falls back to append's ~1.25x growth, which
-// allocates about five times a table's final capacity.
+// system allocates: at most 5.6x the exact hot bytes of the store its
+// 23,984-state schedule search builds (about 7.32 MB for the 1.31 MB
+// store of one-byte counts; it allocates 6.69 MB). The search is
+// nearly all of the synthesis, and the graph engine's two growing
+// tables, its states and its adjacency, grow by petri.Push's doubling
+// rule. The bound fails if the adjacency falls back to append's ~1.25x
+// growth, which allocates about five times a table's final capacity
+// (the synthesis then allocates 7.5x); the states table, 12 bytes a
+// state, is too small for its growth rule to show here (5.4x).
 func TestPFCSearchBytes(t *testing.T) {
 	opt := &core.Options{DisableCache: true}
 	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt); err != nil {
@@ -68,7 +70,7 @@ func TestPFCSearchBytes(t *testing.T) {
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("cold PFC synthesis allocated %dB for %dB hot (%.2fx), %d objects for %d states",
 		alloc, st.StoreHotBytes, float64(alloc)/float64(st.StoreHotBytes), after.Mallocs-before.Mallocs, st.NodesCreated)
-	if float64(alloc) > 7.7*float64(st.StoreHotBytes) {
-		t.Fatalf("cold PFC synthesis allocated %dB, more than 7.7x the search store's %d hot bytes", alloc, st.StoreHotBytes)
+	if float64(alloc) > 5.6*float64(st.StoreHotBytes) {
+		t.Fatalf("cold PFC synthesis allocated %dB, more than 5.6x the search store's %d hot bytes", alloc, st.StoreHotBytes)
 	}
 }

@@ -32,7 +32,7 @@ type Options struct {
 	// (default DefaultMaxNodes). It bounds a search's memory only
 	// through the bytes each state costs, and those grow with the net's
 	// width: one search of a generated corpus app with 153 places
-	// allocates about 470 B per graph state, and peaks at about 340 MB
+	// allocates about 400 B per graph state, and peaks at about 310 MB
 	// of RSS when a budget of 1,000,000 states stops it.
 	MaxNodes int
 	// ExploreWorkers is ignored.

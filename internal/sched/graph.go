@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/petri"
@@ -80,27 +80,25 @@ func (pb *PlaceBounds) Caps(n *petri.Net) []int {
 
 // gstate is the per-marking search state. Its index in graphEngine.states
 // IS its petri.MarkID in the engine's store: the store assigns dense IDs
-// in interning order, so no separate key map is needed. The allowed
-// enabled ECSs of the state and their successor lists live in the
-// engine's flat arenas (ecsArena/succArena), addressed by [ecsStart,
-// ecsEnd) — per-state slice headers would be one allocation per
-// (state, ECS) pair, which at hundreds of thousands of states is most
-// of the search's allocation bill.
+// in interning order, so no separate key map is needed. The state's
+// groups (see graphEngine.adj) start at adj[start] and end where the
+// next state's begin — per-state slice headers would be one allocation
+// per (state, ECS) pair, which at hundreds of thousands of states is
+// most of the search's allocation bill.
 //
-// Every per-state and per-edge table (states, the three arenas, the
-// reverse CSR, usable, dist and the rank queue's links) holds indices,
-// never pointers: an ECS is its partition index, resolved through
-// graphEngine.part. A pointer per (state, ECS) pair would put one heap
-// pointer per entry into a table the garbage collector then marks on
-// every cycle, and each copy on growth would need write barriers.
-// Pointer-free tables are never scanned and are copied by a plain
-// memmove. The tables the merge appends to grow by petri.Push, which
-// stores only a new length until a table reallocates.
+// Every per-state and per-edge table (states, adj, the reverse CSR,
+// dist and the rank queue's links) holds indices, never pointers: an
+// ECS is its partition index, resolved through graphEngine.part. A
+// pointer per (state, ECS) pair would put one heap pointer per entry
+// into a table the garbage collector then marks on every cycle, and
+// each copy on growth would need write barriers. Pointer-free tables
+// are never scanned and are copied by a plain memmove. The tables the
+// merge appends to grow by petri.Push, which stores only a new length
+// until a table reallocates.
 type gstate struct {
-	ecsStart, ecsEnd int32
-
-	occ int32 // channel/port token occupancy, precomputed at intern
-	inX bool
+	start int32
+	occ   int32 // channel/port token occupancy, precomputed at intern
+	inX   bool
 }
 
 type graphEngine struct {
@@ -125,49 +123,55 @@ type graphEngine struct {
 	allowedMask []uint64
 	occDelta    []int32
 
-	// Flat adjacency. Entry k of ecsArena is one (state, allowed enabled
-	// ECS) pair, the ECS as its index into part; its successor states
-	// occupy succArena[succOff[k] : succOff[k]+len(part[ecsArena[k]].Trans)],
-	// with -1 marking a successor beyond the caps (making the ECS
-	// unusable).
-	ecsArena  []int32
-	succOff   []int32
-	succArena []int32
+	// adj is the forward adjacency, state after state: one group per
+	// allowed enabled ECS of the state, in partition order, made of the
+	// ECS's partition index and then one successor per member — a state
+	// index, or -1 for a successor beyond the caps (making the group
+	// unusable). A group is named by its position in adj.
+	adj []int32
 
-	// Reverse adjacency in CSR form, built once after exploration: edge e
-	// lands on target revTo-order with source revSrc[e] via arena entry
-	// revECS[e]. computeRanks filters by the current X set instead of
-	// rebuilding the adjacency every fixpoint round.
-	revOff []int32
-	revSrc []int32
-	revECS []int32
-	// usable[k] caches, per fixpoint round, whether arena entry k keeps
-	// every successor inside X. dist is the rank of each state, its
-	// weighted distance back to the root inside X (unreached if none),
-	// and queue orders the reverse Dijkstra that computes it.
-	usable []bool
-	dist   []int64
-	queue  radixHeap
+	// Reverse adjacency in CSR form, built once after exploration: the
+	// edges e into state t, revOff[t] <= e < revOff[t+1], come from state
+	// revSrc[e] by group revGroup[e]. computeRanks filters it by the
+	// current X set instead of rebuilding the adjacency every fixpoint
+	// round. dist is the rank of each state, its weighted distance back
+	// to the root inside X (unreached if none), and queue orders the
+	// reverse Dijkstra that computes it.
+	revOff   []int32
+	revSrc   []int32
+	revGroup []int32
+	dist     []int64
+	queue    radixHeap
 }
 
 // unreached is the rank of a state that cannot reach the root inside X.
 const unreached = math.MaxInt64
 
-// stateECS returns the allowed enabled ECS entries of s as indexes into
-// the engine arenas.
-func (ge *graphEngine) ecsCount(s *gstate) int { return int(s.ecsEnd - s.ecsStart) }
-
-// succOf returns the successor list of the i-th ECS of s (entries are
-// state indexes, -1 = beyond caps).
-func (ge *graphEngine) succOf(s *gstate, i int) []int32 {
-	k := int(s.ecsStart) + i
-	off := ge.succOff[k]
-	return ge.succArena[off : off+int32(len(ge.part[ge.ecsArena[k]].Trans))]
+// groups returns the bounds in adj of state id's groups.
+func (ge *graphEngine) groups(id int) (lo, hi int32) {
+	if id+1 < len(ge.states) {
+		return ge.states[id].start, ge.states[id+1].start
+	}
+	return ge.states[id].start, int32(len(ge.adj))
 }
 
-// ecsAt returns the i-th allowed enabled ECS of s.
-func (ge *graphEngine) ecsAt(s *gstate, i int) *petri.ECS {
-	return ge.part[ge.ecsArena[int(s.ecsStart)+i]]
+// succ returns the successors of group g, one per member of its ECS.
+func (ge *graphEngine) succ(g int32) []int32 { return ge.adj[g+1 : ge.next(g)] }
+
+// next returns the position of the group after g.
+func (ge *graphEngine) next(g int32) int32 {
+	return g + 1 + int32(len(ge.part[ge.adj[g]].Trans))
+}
+
+// usable reports whether group g keeps every successor inside the
+// current X set.
+func (ge *graphEngine) usable(g int32) bool {
+	for _, t := range ge.succ(g) {
+		if t < 0 || !ge.states[t].inX {
+			return false
+		}
+	}
+	return true
 }
 
 func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
@@ -205,10 +209,10 @@ func findScheduleGraph(n *petri.Net, source int, opt Options) (*Schedule, error)
 	if ge.over {
 		return nil, fmt.Errorf("sched: source %s: %w (graph engine, %d states)", st.Name, ErrBudget, len(ge.states))
 	}
-	if !ge.solve(rootID) {
+	if !ge.solve() {
 		return nil, fmt.Errorf("sched: source %s under %s: %w (graph engine, %d states)", st.Name, opt.Term.Name(), ErrNoSchedule, len(ge.states))
 	}
-	s := ge.build(rootID)
+	s := ge.build()
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: internal error: graph engine produced invalid schedule: %v", err)
 	}
@@ -228,49 +232,40 @@ func (ge *graphEngine) drive() error {
 }
 
 // start readies the engine for the exploration of store, which holds
-// only the root, and returns the merge hooks that write the engine
-// arenas. Each state's successors arrive ECS by ECS (allowed
-// enabled ECSs in partition order, members ascending), one Edge or
-// Reject per member, so the first member of a group names its ECS and
-// the last one closes it. Occupancy is a delta off the parent: O(1) per
+// only the root, and returns the merge hooks that write adj. Each
+// state's successors arrive ECS by ECS (allowed enabled ECSs in
+// partition order, members ascending), one Edge or Reject per member,
+// so a member that arrives while no group is open names its ECS and
+// opens the next group. Occupancy is a delta off the parent: O(1) per
 // new state instead of a marking scan.
 func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	ge.store = store
 	ge.states = append(ge.states, gstate{occ: int32(ge.occupancy(store.At(rootID)))})
-	members := 0 // size of the open ECS group
-	mi := 0      // members of the group recorded so far
-	advance := func(parent petri.MarkID, trans int32, child int32) {
-		if mi == 0 {
+	open := 0 // successors the open group still expects
+	advance := func(trans, child int32) {
+		if open == 0 {
 			ei := ge.ft.ECSOf(int(trans))
-			members = len(ge.part[ei].Trans)
-			petri.Push(&ge.ecsArena, int32(ei))
-			petri.Push(&ge.succOff, int32(len(ge.succArena)))
+			open = len(ge.part[ei].Trans)
+			petri.Push(&ge.adj, int32(ei))
 		}
-		petri.Push(&ge.succArena, child)
-		if mi++; mi == members {
-			mi = 0
-			ge.states[parent].ecsEnd = int32(len(ge.ecsArena))
-		}
+		petri.Push(&ge.adj, child)
+		open--
 	}
 	return petri.MergeHooks{
-		BeginState: func(id petri.MarkID) {
-			s := &ge.states[id]
-			s.ecsStart = int32(len(ge.ecsArena))
-			s.ecsEnd = s.ecsStart
-		},
-		Admit: func() bool { return ge.store.Len() < ge.opt.MaxNodes },
+		BeginState: func(id petri.MarkID) { ge.states[id].start = int32(len(ge.adj)) },
+		Admit:      func() bool { return ge.store.Len() < ge.opt.MaxNodes },
 		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
 			if isNew {
 				petri.Push(&ge.states, gstate{occ: ge.states[parent].occ + ge.occDelta[trans]})
 			}
-			advance(parent, trans, int32(child))
+			advance(trans, int32(child))
 		},
 		Reject: func(parent petri.MarkID, trans int32, budget bool) bool {
 			if budget {
 				ge.over = true
 				return false
 			}
-			advance(parent, trans, -1)
+			advance(trans, -1)
 			return true
 		},
 	}
@@ -286,9 +281,11 @@ func (ge *graphEngine) marking(id int) petri.Marking {
 // set instead of rebuilding it.
 func (ge *graphEngine) buildReverse() {
 	counts := make([]int32, len(ge.states)+1)
-	for _, t := range ge.succArena {
-		if t >= 0 {
-			counts[t+1]++
+	for g := int32(0); g < int32(len(ge.adj)); g = ge.next(g) {
+		for _, t := range ge.succ(g) {
+			if t >= 0 {
+				counts[t+1]++
+			}
 		}
 	}
 	for i := 1; i < len(counts); i++ {
@@ -297,42 +294,29 @@ func (ge *graphEngine) buildReverse() {
 	ge.revOff = counts
 	total := counts[len(counts)-1]
 	ge.revSrc = make([]int32, total)
-	ge.revECS = make([]int32, total)
+	ge.revGroup = make([]int32, total)
 	fill := make([]int32, len(ge.states))
 	for si := range ge.states {
-		s := &ge.states[si]
-		for i := 0; i < ge.ecsCount(s); i++ {
-			k := s.ecsStart + int32(i)
-			for _, t := range ge.succOf(s, i) {
+		lo, hi := ge.groups(si)
+		for g := lo; g < hi; g = ge.next(g) {
+			for _, t := range ge.succ(g) {
 				if t < 0 {
 					continue
 				}
 				e := ge.revOff[t] + fill[t]
 				fill[t]++
 				ge.revSrc[e] = int32(si)
-				ge.revECS[e] = k
+				ge.revGroup[e] = g
 			}
 		}
 	}
-	ge.usable = make([]bool, len(ge.ecsArena))
 	ge.dist = make([]int64, len(ge.states))
 	ge.queue.init(ge.dist)
 }
 
-// ecsUsable reports whether ECS i of state s keeps all successors inside
-// the current X set.
-func (ge *graphEngine) ecsUsable(s *gstate, i int) bool {
-	for _, t := range ge.succOf(s, i) {
-		if t < 0 || !ge.states[t].inX {
-			return false
-		}
-	}
-	return true
-}
-
 // solve runs the alternating fixpoint; it returns true when the initial
 // marking admits a schedule (the root's source successor stays in X).
-func (ge *graphEngine) solve(rootID int) bool {
+func (ge *graphEngine) solve() bool {
 	ge.buildReverse()
 	for i := range ge.states {
 		ge.states[i].inX = true
@@ -347,11 +331,9 @@ func (ge *graphEngine) solve(rootID int) bool {
 				continue
 			}
 			ok := false
-			for j := 0; j < ge.ecsCount(s); j++ {
-				if ge.ecsUsable(s, j) {
-					ok = true
-					break
-				}
+			lo, hi := ge.groups(i)
+			for g := lo; g < hi && !ok; g = ge.next(g) {
+				ok = ge.usable(g)
 			}
 			if !ok {
 				s.inX = false
@@ -361,7 +343,7 @@ func (ge *graphEngine) solve(rootID int) bool {
 		if !ge.states[rootID].inX {
 			return false
 		}
-		ge.computeRanks(rootID)
+		ge.computeRanks()
 		for i := range ge.states {
 			s := &ge.states[i]
 			if s.inX && ge.dist[i] == unreached {
@@ -377,14 +359,19 @@ func (ge *graphEngine) solve(rootID int) bool {
 		}
 	}
 	// The root must be able to fire the source and stay in X.
-	root := &ge.states[rootID]
-	for i := 0; i < ge.ecsCount(root); i++ {
-		E := ge.ecsAt(root, i)
-		if len(E.Trans) == 1 && E.Trans[0] == ge.source && ge.ecsUsable(root, i) {
-			return true
+	g := ge.sourceGroup()
+	return g >= 0 && ge.usable(g)
+}
+
+// sourceGroup returns the root's group of the source's ECS, or -1.
+func (ge *graphEngine) sourceGroup() int32 {
+	lo, hi := ge.groups(rootID)
+	for g := lo; g < hi; g = ge.next(g) {
+		if E := ge.part[ge.adj[g]]; len(E.Trans) == 1 && E.Trans[0] == ge.source {
+			return g
 		}
 	}
-	return false
+	return -1
 }
 
 // occupancyWeight is the rank penalty per buffered token: paths through
@@ -399,23 +386,11 @@ const occupancyWeight = 64
 // rank-decreasing choice yields property 5 of the schedule definition.
 // Ranks are int64 and unreached is their only sentinel, so a long
 // burst's distances, which pass 2³¹, stay exact.
-func (ge *graphEngine) computeRanks(rootID int) {
-	// Refresh the per-arena-entry usability cache for this round, then
-	// run the reverse Dijkstra over the prebuilt CSR adjacency. All
-	// buffers are engine-owned and reused, so fixpoint rounds after the
-	// first allocate nothing.
-	for k := range ge.usable {
-		ge.usable[k] = false
-	}
-	for i := range ge.states {
-		s := &ge.states[i]
-		if !s.inX {
-			continue
-		}
-		for j := 0; j < ge.ecsCount(s); j++ {
-			ge.usable[int(s.ecsStart)+j] = ge.ecsUsable(s, j)
-		}
-	}
+func (ge *graphEngine) computeRanks() {
+	// The reverse Dijkstra runs over the prebuilt CSR adjacency and
+	// checks a group's usability where it reads it: X does not change
+	// during the pass. All buffers are engine-owned and reused, so
+	// fixpoint rounds after the first allocate nothing.
 	dist := ge.dist
 	for i := range dist {
 		dist[i] = unreached
@@ -423,15 +398,12 @@ func (ge *graphEngine) computeRanks(rootID int) {
 	dist[rootID] = 0
 	q := &ge.queue
 	q.reset()
-	q.push(int32(rootID))
+	q.push(rootID)
 	for !q.empty() {
 		id := q.pop()
 		for e := ge.revOff[id]; e < ge.revOff[id+1]; e++ {
-			if !ge.usable[ge.revECS[e]] {
-				continue
-			}
 			sid := ge.revSrc[e]
-			if !ge.states[sid].inX {
+			if !ge.states[sid].inX || !ge.usable(ge.revGroup[e]) {
 				continue
 			}
 			// Weight = 1 + occupancyWeight * occupancy, with occupancy
@@ -559,55 +531,41 @@ func (ge *graphEngine) occupancy(m petri.Marking) int {
 	return total
 }
 
-// choose picks σ(s): a usable ECS that makes progress toward the root
-// (some successor with smaller rank — this alone guarantees property 5),
-// preferring internal activity over awaits, honoring SELECT arm
-// priorities, and keeping channel occupancy low so synthesized buffers
-// stay minimal (the paper's PFC result: all channels of unit size).
-func (ge *graphEngine) choose(id int) int {
-	type cand struct {
-		i   int
-		key [4]int64
-	}
-	var cands []cand
-	s := &ge.states[id]
-	for i := 0; i < ge.ecsCount(s); i++ {
-		E := ge.ecsAt(s, i)
-		if !ge.ecsUsable(s, i) {
+// choose picks σ(s) as a group of state id: a usable ECS that makes
+// progress toward the root (some successor with smaller rank — this
+// alone guarantees property 5), preferring internal activity over
+// awaits, honoring SELECT arm priorities, and keeping channel occupancy
+// low so synthesized buffers stay minimal (the paper's PFC result: all
+// channels of unit size). A key ends in the ECS's partition index,
+// which no other group of the state shares, so no two keys tie.
+func (ge *graphEngine) choose(id int) int32 {
+	best, bestKey := int32(-1), [4]int64{}
+	lo, hi := ge.groups(id)
+	for g := lo; g < hi; g = ge.next(g) {
+		if !ge.usable(g) {
 			continue
 		}
 		minSucc := int64(unreached)
-		for _, t := range ge.succOf(s, i) {
+		for _, t := range ge.succ(g) {
 			minSucc = min(minSucc, ge.dist[t])
 		}
 		if minSucc >= ge.dist[id] {
 			continue // no progress toward the root via this ECS
 		}
-		var key [4]int64
+		E := ge.part[ge.adj[g]]
+		key := [4]int64{0, int64(ge.selArmIndex(E)), minSucc, int64(E.Index)}
 		if E.IsSourceECS(ge.net) {
 			key[0] = 1
 		}
-		key[1] = int64(ge.selArmIndex(E))
-		key[2] = minSucc
-		key[3] = int64(E.Index)
-		cands = append(cands, cand{i: i, key: key})
-	}
-	if len(cands) == 0 {
-		return -1
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		for k := 0; k < len(cands[a].key); k++ {
-			if cands[a].key[k] != cands[b].key[k] {
-				return cands[a].key[k] < cands[b].key[k]
-			}
+		if best < 0 || slices.Compare(key[:], bestKey[:]) < 0 {
+			best, bestKey = g, key
 		}
-		return false
-	})
-	return cands[0].i
+	}
+	return best
 }
 
 // build emits the schedule induced by σ from the root.
-func (ge *graphEngine) build(rootID int) *Schedule {
+func (ge *graphEngine) build() *Schedule {
 	s := &Schedule{Net: ge.net, Source: ge.source}
 	s.Stats = SearchStats{
 		NodesCreated:     len(ge.states),
@@ -620,32 +578,22 @@ func (ge *graphEngine) build(rootID int) *Schedule {
 		if n, ok := nodeOf[id]; ok {
 			return n
 		}
-		st := &ge.states[id]
 		// Schedule nodes outlive the engine: copy out of the store.
 		n := &Node{ID: len(s.Nodes), Marking: ge.marking(id)}
 		nodeOf[id] = n
 		s.Nodes = append(s.Nodes, n)
-		var ecsIdx int
+		var g int32
 		if id == rootID {
-			// The root fires the source.
-			ecsIdx = -1
-			for i := 0; i < ge.ecsCount(st); i++ {
-				if E := ge.ecsAt(st, i); len(E.Trans) == 1 && E.Trans[0] == ge.source {
-					ecsIdx = i
-					break
-				}
-			}
+			g = ge.sourceGroup() // the root fires the source
 		} else {
-			ecsIdx = ge.choose(id)
+			g = ge.choose(id)
 		}
-		if ecsIdx < 0 {
+		if g < 0 {
 			return n // defensive; solve() guarantees a choice
 		}
-		E := ge.ecsAt(st, ecsIdx)
-		n.ECS = E
-		succ := ge.succOf(st, ecsIdx)
-		for j, tid := range E.Trans {
-			n.Edges = append(n.Edges, Edge{Trans: tid, To: mk(int(succ[j]))})
+		n.ECS = ge.part[ge.adj[g]]
+		for j, to := range ge.succ(g) {
+			n.Edges = append(n.Edges, Edge{Trans: n.ECS.Trans[j], To: mk(int(to))})
 		}
 		return n
 	}

@@ -302,16 +302,8 @@ func (h *refHeap) pop() refItem {
 }
 
 // refRanks is the reference for computeRanks: the textbook Dijkstra,
-// on refHeap, over the reverse edges of ge's current X set. It derives
-// ECS usability from X itself instead of reading ge.usable.
+// on refHeap, over the reverse edges of ge's current X set.
 func refRanks(ge *graphEngine) []int64 {
-	usable := make([]bool, len(ge.ecsArena))
-	for i := range ge.states {
-		s := &ge.states[i]
-		for j := 0; s.inX && j < ge.ecsCount(s); j++ {
-			usable[int(s.ecsStart)+j] = ge.ecsUsable(s, j)
-		}
-	}
 	dist := make([]int64, len(ge.states))
 	for i := range dist {
 		dist[i] = unreached
@@ -326,7 +318,7 @@ func refRanks(ge *graphEngine) []int64 {
 		}
 		for e := ge.revOff[it.id]; e < ge.revOff[it.id+1]; e++ {
 			sid := ge.revSrc[e]
-			if !usable[ge.revECS[e]] || !ge.states[sid].inX {
+			if !ge.states[sid].inX || !ge.usable(ge.revGroup[e]) {
 				continue
 			}
 			if cand := it.d + 1 + occupancyWeight*int64(ge.states[sid].occ); cand < dist[sid] {
@@ -338,13 +330,59 @@ func refRanks(ge *graphEngine) []int64 {
 	return dist
 }
 
+// checkAdjacency is the adjacency oracle. It rebuilds every state's
+// groups from the state's stored marking alone, without the merge hooks
+// that wrote ge.adj: one group per allowed ECS enabled there, in
+// partition order, and per member the marking it fires to — -1 if the
+// caps veto it, otherwise the id the store holds it under. The rebuilt
+// groups must tile ge.adj exactly.
+func checkAdjacency(ge *graphEngine) error {
+	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
+	var m, child petri.Marking
+	for id := range ge.states {
+		m = ge.store.Load(m, petri.MarkID(id))
+		g, hi := ge.groups(id)
+		if id == rootID && g != 0 {
+			return fmt.Errorf("state 0: groups start at %d, want 0", g)
+		}
+		for _, E := range ge.part {
+			if ge.allowedMask[E.Index/64]&(1<<(E.Index%64)) == 0 || !E.Enabled(ge.net, m) {
+				continue
+			}
+			if g >= hi || ge.adj[g] != int32(E.Index) || ge.next(g) > hi {
+				return fmt.Errorf("state %d: no group of ECS %d at %d", id, E.Index, g)
+			}
+			for j, t := range E.Trans {
+				child = m.FireInto(child, ge.net.Transitions[t])
+				want := int32(-1)
+				if !spec.Veto(child) {
+					sid, ok := ge.store.LookupHashed(child, petri.HashMarking(child))
+					if !ok {
+						return fmt.Errorf("state %d: successor by %s is not in the store", id, ge.net.Transitions[t].Name)
+					}
+					want = int32(sid)
+				}
+				if got := ge.adj[g+1+int32(j)]; got != want {
+					return fmt.Errorf("state %d: successor by %s is %d, want %d", id, ge.net.Transitions[t].Name, got, want)
+				}
+			}
+			g = ge.next(g)
+		}
+		if g != hi {
+			return fmt.Errorf("state %d: groups end at %d, want %d", id, hi, g)
+		}
+	}
+	return nil
+}
+
 // CheckRanks is the rank oracle. It runs the graph engine's search for
 // source under opt through its fixpoint, ranks the final X set once
-// more, and compares every state's rank with refRanks. It returns the
-// number of states compared and the largest finite rank. It is
-// exported for the tests in package sched_test, which run it on nets
-// built by packages that import sched.
-func CheckRanks(n *petri.Net, source int, opt *Options) (states int, maxRank int64, err error) {
+// more, and compares every state's rank with refRanks. With adjacency
+// set it first checks the explored graph with checkAdjacency. It
+// returns the number of states compared and the largest finite rank.
+// It is exported for the tests in package sched_test, which run it on
+// nets built by packages that import sched.
+func CheckRanks(n *petri.Net, source int, opt *Options, adjacency bool) (states int, maxRank int64, err error) {
 	o := opt.withDefaults(n, source)
 	ge := newGraphEngine(n, source, o)
 	if err := ge.drive(); err != nil {
@@ -353,8 +391,13 @@ func CheckRanks(n *petri.Net, source int, opt *Options) (states int, maxRank int
 	if ge.over {
 		return 0, 0, ErrBudget
 	}
-	ge.solve(rootID)
-	ge.computeRanks(rootID)
+	if adjacency {
+		if err := checkAdjacency(ge); err != nil {
+			return 0, 0, err
+		}
+	}
+	ge.solve()
+	ge.computeRanks()
 	want := refRanks(ge)
 	for id, d := range want {
 		if ge.dist[id] != d {
@@ -367,8 +410,8 @@ func CheckRanks(n *petri.Net, source int, opt *Options) (states int, maxRank int
 	return len(want), maxRank, nil
 }
 
-// TestRankOraclePaperNets runs the rank oracle on every uncontrollable
-// source of the paper figure nets.
+// TestRankOraclePaperNets runs the rank and adjacency oracles on every
+// uncontrollable source of the paper figure nets.
 func TestRankOraclePaperNets(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -384,7 +427,7 @@ func TestRankOraclePaperNets(t *testing.T) {
 		{"divider-k24", dividerNet(24)},
 	} {
 		for _, src := range c.net.UncontrollableSources() {
-			if _, _, err := CheckRanks(c.net, src, nil); err != nil {
+			if _, _, err := CheckRanks(c.net, src, nil, true); err != nil {
 				t.Errorf("%s, source %s: %v", c.name, c.net.Transitions[src].Name, err)
 			}
 		}

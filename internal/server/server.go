@@ -303,9 +303,11 @@ func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, time
 	}
 	timeout = s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Compare in milliseconds: a huge value would overflow the
+		// Duration before the clamp.
+		timeout = s.cfg.MaxTimeout
+		if int64(req.TimeoutMS) <= timeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 	return &core.Options{DisableCache: req.DisableCache, Sched: so}, timeout

@@ -341,9 +341,9 @@ func TestDrainDeadline(t *testing.T) {
 }
 
 // TestRequestBudgets pins the per-request budget clamps: a tiny
-// MaxNodes budget turns a schedulable system into a bounded 422, and a
-// tiny timeout into a 504 — either way the server survives to serve the
-// next request.
+// MaxNodes budget turns a schedulable system into a bounded 422, a
+// tiny timeout into a 504 and a huge one into MaxTimeout — either way
+// the server survives to serve the next request.
 func TestRequestBudgets(t *testing.T) {
 	core.ResetCache()
 	srv := New(Config{MaxConcurrent: 2})
@@ -368,6 +368,29 @@ func TestRequestBudgets(t *testing.T) {
 	})
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out request: status %d, want 504", status)
+	}
+
+	// A timeout too large for a Duration in nanoseconds is clamped to
+	// MaxTimeout, not wrapped into a deadline already past.
+	left := make(chan time.Duration, 1)
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+		deadline, _ := ctx.Deadline()
+		left <- time.Until(deadline)
+		return defaultSynthesize(ctx, req, opt)
+	}
+	status, _, errResp = postSynth(t, ts.URL, &synthesizeRequest{
+		FlowC: apps.Divisors, Net: apps.DivisorsSpec, TimeoutMS: 10_000_000_000_000,
+	})
+	select {
+	case d := <-left:
+		if d <= 0 || d > srv.cfg.MaxTimeout {
+			t.Errorf("timeout_ms 1e13: deadline %v away, want in (0, %v]", d, srv.cfg.MaxTimeout)
+		}
+	default:
+		t.Error("timeout_ms 1e13: the request never reached synthesis")
+	}
+	if status != http.StatusOK {
+		t.Fatalf("timeout_ms 1e13: status %d (%v), want 200", status, errResp)
 	}
 
 	// The server still works afterwards.

@@ -38,7 +38,8 @@ type CostModel struct {
 // results, not its absolute numbers: communication overhead dominates
 // the 4-task version, computation dominates the single task, and higher
 // optimization compresses computation more than communication, pushing
-// the speedup ratio from ~3.9 (pfc) to ~5.2 (pfc-O/-O2) as in Table 1.
+// the speedup ratio from 4.2 (pfc) to 5.2 (pfc-O) and 5.1 (pfc-O2) in
+// Table 1 as pfcbench -all prints it (cmd/pfcbench/testdata/all.golden).
 var (
 	// PFC models unoptimized compilation.
 	PFC = &CostModel{
