@@ -3,7 +3,9 @@
 #   make ci          — everything below through fuzz-smoke, in order
 #   make build       — compile all packages
 #   make vet         — static analysis, and fails on (and names) any file
-#                      gofmt would rewrite
+#                      gofmt would rewrite; also vets qssbench/, which
+#                      compiles the benchmark against the checkout (a
+#                      name it uses that goes fails here, in seconds)
 #   make test        — unit, property and determinism tests under -race
 #   make dist-matrix — the ExploreDist determinism matrix alone: every
 #                      example app's net and the reachability nets
@@ -100,6 +102,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd qssbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
 	fi

@@ -133,30 +133,11 @@ func BenchmarkTable2(b *testing.B) {
 
 // BenchmarkSynthesisPFC measures the full compile-link-schedule-codegen
 // flow on the video application (the paper reports "less than a minute";
-// the graph engine is far below that). The synthesis cache is disabled:
-// this benchmark measures the flow, not the memo lookup.
+// the graph engine is far below that). Core keeps no cache, so every
+// iteration runs the whole flow; the server's warm path is
+// internal/server's BenchmarkServerWarm.
 func BenchmarkSynthesisPFC(b *testing.B) {
 	b.ReportAllocs()
-	opt := &core.Options{DisableCache: true}
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSynthesisPFCWarm measures the cached path of the same call:
-// after one priming run, every iteration is a hash plus a map lookup.
-// Comparing against BenchmarkSynthesisPFC gives the cache speedup
-// (expected to be far beyond the 10x acceptance floor).
-func BenchmarkSynthesisPFCWarm(b *testing.B) {
-	b.ReportAllocs()
-	core.ResetCache()
-	defer core.ResetCache()
-	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, nil); err != nil {
 			b.Fatal(err)
@@ -176,7 +157,7 @@ func benchCorpus(b *testing.B, workers int) {
 	apps := corpusBenchApps()
 	// Per-app schedule searches stay serial: the batch scales over
 	// apps, and nesting both pools would contend for the same cores.
-	opt := corpus.BatchOptions{Workers: workers, Core: &core.Options{Workers: 1, DisableCache: true}}
+	opt := corpus.BatchOptions{Workers: workers, Core: &core.Options{Workers: 1}}
 	done, elapsed := 0, 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 	}()
-	res, err := apps.SynthesizePFCWith(&core.Options{DisableCache: true})
+	res, err := apps.SynthesizePFC()
 	if err != nil {
 		return fail(err)
 	}

@@ -20,7 +20,7 @@ import (
 func threeTaskApp(t *testing.T) (*corpus.App, *core.Result) {
 	t.Helper()
 	app := corpus.GenerateCorpus(1, 10, corpus.DefaultConfig())[3]
-	res, err := core.Synthesize(app.FlowC, app.Spec, &core.Options{DisableCache: true})
+	res, err := core.Synthesize(app.FlowC, app.Spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

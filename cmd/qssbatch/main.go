@@ -193,7 +193,7 @@ func realMain() (code int) {
 	}
 	// The batch scales out over apps; the per-app source pool stays
 	// serial so the app pool is the only one contending for cores.
-	copt := &core.Options{Workers: 1, DisableCache: true}
+	copt := &core.Options{Workers: 1}
 
 	run := func(w int, o *core.Options) *corpus.BatchResult {
 		return corpus.RunBatch(context.Background(), apps, corpus.BatchOptions{Workers: w, Core: o})

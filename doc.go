@@ -127,11 +127,13 @@
 // no candidate buffers, so every explored marking's tokens are stored
 // once. There is no per-level goroutine fan-out: one lost to the serial
 // search in every measurement (CPU, wall time and bytes, at GOMAXPROCS
-// 1 and 2). Results are memoized in a content-addressed cache keyed by
-// FlowC source, netlist and options (worker counts excluded — they
-// cannot change the result), so repeated synthesis of an unchanged app
-// costs a hash and a map lookup (core.Stats reports hit rates;
-// core.ResetCache empties it).
+// 1 and 2). Core keeps no state between calls: every
+// core.SynthesizeContext runs the whole flow and returns a Result of
+// its own. Caching is the resident server's: internal/server keeps, per
+// Server, up to 1,024 replies (system, task manifest, C code, channel
+// bounds, about 4 KB each), keyed by the FlowC text, the netlist and
+// the clamped state budget, so a repeat request costs a hash and a map
+// lookup.
 //
 // # No execution setting
 //
@@ -169,12 +171,12 @@
 //
 // # Resident service
 //
-// The warm path of the content-addressed cache (~10µs versus ~46ms
-// cold on the PFC example) only pays off if the process holding it
-// survives the request, so cmd/qss-server keeps one warm:
-// internal/server multiplexes HTTP synthesis requests onto a single
-// resident process where all requests share the one cache. Admission
-// is bounded — a fixed number of
+// The warm path of the server's reply cache (2–5µs of server-side time
+// versus 23–28ms cold on the PFC example, on a 2-vCPU Xeon VM) only
+// pays off if the process holding it survives the request, so
+// cmd/qss-server keeps one warm: internal/server multiplexes HTTP
+// synthesis requests onto a single resident process where all requests
+// share the one cache. Admission is bounded — a fixed number of
 // concurrent synthesis slots plus a fixed-length waiting queue, with
 // overflow answered 429 immediately — and every request runs under its
 // own budgets (state-count cap and deadline, clamped to server

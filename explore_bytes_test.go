@@ -52,13 +52,12 @@ func TestExploreLargeBytes(t *testing.T) {
 // (the synthesis then allocates 7.5x); the states table, 12 bytes a
 // state, is too small for its growth rule to show here (5.4x).
 func TestPFCSearchBytes(t *testing.T) {
-	opt := &core.Options{DisableCache: true}
-	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt); err != nil {
+	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, nil); err != nil {
 		t.Fatal(err) // warm-up: one-time set-up stays out of the count
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := core.Synthesize(apps.PFC, apps.PFCSpec, opt)
+	res, err := core.Synthesize(apps.PFC, apps.PFCSpec, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -314,13 +314,7 @@ const FramePixels = FrameLines * LinePixels
 
 // SynthesizePFC runs the full flow on the video application.
 func SynthesizePFC() (*core.Result, error) {
-	return SynthesizePFCWith(nil)
-}
-
-// SynthesizePFCWith runs the full flow on the video application under
-// explicit pipeline options (nil = defaults).
-func SynthesizePFCWith(opt *core.Options) (*core.Result, error) {
-	return core.Synthesize(PFC, PFCSpec, opt)
+	return core.Synthesize(PFC, PFCSpec, nil)
 }
 
 // MultiRate is a line-based pipeline exercising the paper's multi-rate

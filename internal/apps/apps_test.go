@@ -84,14 +84,14 @@ const pfcStates = 23984
 // TestPFCBudgetEdge pins the search budget at its edge: a MaxNodes
 // equal to PFC's state count succeeds, one less fails with ErrBudget.
 func TestPFCBudgetEdge(t *testing.T) {
-	r, err := SynthesizePFCWith(&core.Options{Sched: &sched.Options{MaxNodes: pfcStates}, DisableCache: true})
+	r, err := core.Synthesize(PFC, PFCSpec, &core.Options{Sched: &sched.Options{MaxNodes: pfcStates}})
 	if err != nil {
 		t.Fatalf("MaxNodes %d: %v", pfcStates, err)
 	}
 	if got := r.Schedules[0].Stats.NodesCreated; len(r.Schedules) != 1 || got != pfcStates {
 		t.Fatalf("%d searches, %d states; want 1 search of %d", len(r.Schedules), got, pfcStates)
 	}
-	_, err = SynthesizePFCWith(&core.Options{Sched: &sched.Options{MaxNodes: pfcStates - 1}, DisableCache: true})
+	_, err = core.Synthesize(PFC, PFCSpec, &core.Options{Sched: &sched.Options{MaxNodes: pfcStates - 1}})
 	if !errors.Is(err, sched.ErrBudget) {
 		t.Fatalf("MaxNodes %d: err = %v, want ErrBudget", pfcStates-1, err)
 	}
@@ -104,7 +104,7 @@ func TestPFCBudgetEdge(t *testing.T) {
 func TestPFCDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := core.SynthesizeContext(ctx, PFC, PFCSpec, &core.Options{DisableCache: true})
+	_, err := core.SynthesizeContext(ctx, PFC, PFCSpec, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("1 ms deadline: err = %v, want context.DeadlineExceeded", err)
 	}

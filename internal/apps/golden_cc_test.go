@@ -109,7 +109,7 @@ output snk.out -> out
 // moves its items — a plain assignment for one item of a scalar, an
 // indexed copy otherwise — and each form compiles.
 func TestReadWriteForms(t *testing.T) {
-	r, err := core.Synthesize(formsFlowC, formsSpec, &core.Options{DisableCache: true})
+	r, err := core.Synthesize(formsFlowC, formsSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

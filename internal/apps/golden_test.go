@@ -82,7 +82,7 @@ func taskIndex(r *core.Result, name string) int {
 func TestGoldenCode(t *testing.T) {
 	for _, app := range goldenApps {
 		t.Run(app.name, func(t *testing.T) {
-			r, err := core.Synthesize(app.flowc, app.spec, &core.Options{DisableCache: true})
+			r, err := core.Synthesize(app.flowc, app.spec, nil)
 			if err != nil {
 				t.Fatalf("synthesize %s: %v", app.name, err)
 			}

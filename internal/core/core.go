@@ -37,9 +37,12 @@ type Options struct {
 	// concurrent use when Workers > 1; the defaults are built fresh per
 	// search and always are.
 	Workers int
-	// DisableCache bypasses the content-addressed synthesis cache for
-	// this call. Only the textual entry points (Synthesize,
-	// SynthesizeContext) consult the cache; see cache.go.
+	// DisableCache is ignored.
+	//
+	// Deprecated: core keeps no cache; every call runs the whole flow.
+	// The resident server caches its replies itself. The field stays
+	// only because the repository benchmark (qssbench) still sets it;
+	// it goes when that benchmark is next updated.
 	DisableCache bool
 }
 
@@ -87,47 +90,18 @@ func Synthesize(flowcSrc, specSrc string, opt *Options) (*Result, error) {
 }
 
 // SynthesizeContext is Synthesize with cancellation: the schedule
-// searches stop dispatching as soon as ctx is done. It is also the
-// cached entry point — repeated synthesis of the same sources under the
-// same options returns the memoized Result (see cache.go). Cached
-// Results are shared; callers must treat them as read-only.
+// searches stop dispatching as soon as ctx is done, and a context that
+// ends before they finish fails the call. Core keeps no state between
+// calls: each one runs the whole flow and returns a Result of its own.
 func SynthesizeContext(ctx context.Context, flowcSrc, specSrc string, opt *Options) (*Result, error) {
-	r, _, err := SynthesizeCachedContext(ctx, flowcSrc, specSrc, opt)
-	return r, err
-}
-
-// SynthesizeCachedContext is SynthesizeContext that additionally
-// reports whether the Result came out of the content-addressed cache —
-// the per-call signal a multiplexing caller (the resident server's hit
-// counters and latency accounting) needs, which the process-global
-// Stats counters cannot provide under concurrency.
-func SynthesizeCachedContext(ctx context.Context, flowcSrc, specSrc string, opt *Options) (*Result, bool, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	// A cancelled call must fail even on a cache hit, or cancellation
-	// would depend on what happens to be cached.
-	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("core: %w", err)
-	}
-	key, cacheable := cacheKey(flowcSrc, specSrc, opt)
-	if cacheable {
-		if r, ok := synthCache.get(key); ok {
-			return r, true, nil
-		}
-	}
 	f, spec, err := parse(flowcSrc, specSrc)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	res, err := synthesizeSystem(ctx, f, spec, opt)
-	if err != nil {
-		return nil, false, err
-	}
-	if cacheable {
-		synthCache.put(key, res)
-	}
-	return res, false, nil
+	return synthesizeSystem(ctx, f, spec, opt)
 }
 
 // SystemNet parses, checks, compiles and links the sources and returns

@@ -64,14 +64,14 @@ var matrixApps = []struct {
 func TestDeterminismMatrix(t *testing.T) {
 	want := make(map[string]string, len(matrixApps))
 	for _, app := range matrixApps {
-		r, err := core.Synthesize(app.flowc, app.spec, &core.Options{Workers: 1, DisableCache: true})
+		r, err := core.Synthesize(app.flowc, app.spec, &core.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("serial %s: %v", app.name, err)
 		}
 		want[app.name] = fingerprint(t, r)
 	}
 	t.Run("workers-4", func(t *testing.T) {
-		opt := &core.Options{Workers: 4, DisableCache: true}
+		opt := &core.Options{Workers: 4}
 		for _, app := range matrixApps {
 			r, err := core.Synthesize(app.flowc, app.spec, opt)
 			if err != nil {

@@ -36,11 +36,11 @@ PROCESS w%d (In DPORT go, Out DPORT out) {
 // generated code and identical search statistics.
 func TestParallelMatchesSerial(t *testing.T) {
 	flowcSrc, specSrc := manyTaskApp(6)
-	serial, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 1, DisableCache: true})
+	serial, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	parallel, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 6, DisableCache: true})
+	parallel, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 6})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // must behave like a saturated pool, not break.
 func TestWorkersExceedSources(t *testing.T) {
 	flowcSrc, specSrc := manyTaskApp(2)
-	r, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 64, DisableCache: true})
+	r, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 64})
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestSynthesizeContextCancelled(t *testing.T) {
 	flowcSrc, specSrc := manyTaskApp(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SynthesizeContext(ctx, flowcSrc, specSrc, &Options{DisableCache: true})
+	_, err := SynthesizeContext(ctx, flowcSrc, specSrc, nil)
 	if err == nil {
 		t.Fatal("cancelled context should fail synthesis")
 	}
@@ -93,7 +93,7 @@ func TestSynthesizeContextCancelled(t *testing.T) {
 		t.Errorf("unexpected error: %v", err)
 	}
 	// Any worker count fails the same way.
-	_, err = SynthesizeContext(ctx, flowcSrc, specSrc, &Options{Workers: 4, DisableCache: true})
+	_, err = SynthesizeContext(ctx, flowcSrc, specSrc, &Options{Workers: 4})
 	if err == nil {
 		t.Fatal("cancelled context should fail synthesis with 4 workers")
 	}
@@ -114,8 +114,7 @@ func TestSearchPanicReachesCaller(t *testing.T) {
 	for _, sources := range []int{1, 3} {
 		flowcSrc, specSrc := manyTaskApp(sources)
 		opt := &Options{
-			Sched:        &sched.Options{Engine: sched.EngineTreeExhaustive, Order: panicOrder{}},
-			DisableCache: true,
+			Sched: &sched.Options{Engine: sched.EngineTreeExhaustive, Order: panicOrder{}},
 		}
 		func() {
 			defer func() {
@@ -143,11 +142,11 @@ input tick -> r.tick uncontrollable
 output r.res -> res
 `
 	serialErr := func() error {
-		_, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 1, DisableCache: true})
+		_, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 1})
 		return err
 	}()
 	parallelErr := func() error {
-		_, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 5, DisableCache: true})
+		_, err := Synthesize(flowcSrc, specSrc, &Options{Workers: 5})
 		return err
 	}()
 	if serialErr == nil || parallelErr == nil {

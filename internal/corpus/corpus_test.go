@@ -10,10 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// nocache disables the synthesis cache so every test run exercises the
-// full flow (corpus apps are distinct anyway, but explicit is safer).
-func nocache() *core.Options { return &core.Options{DisableCache: true} }
-
 // TestGenerateDeterministic: same seed, n and config produce
 // byte-identical apps.
 func TestGenerateDeterministic(t *testing.T) {
@@ -51,7 +47,7 @@ func TestCorpusProperties(t *testing.T) {
 	for _, app := range apps {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			res, err := core.Synthesize(app.FlowC, app.Spec, nocache())
+			res, err := core.Synthesize(app.FlowC, app.Spec, nil)
 			if err != nil {
 				t.Fatalf("corpus app must be schedulable: %v\n--- FlowC:\n%s\n--- spec:\n%s", err, app.FlowC, app.Spec)
 			}
@@ -136,11 +132,11 @@ func TestParallelSerialDeterminism(t *testing.T) {
 	cfg.MinPipelines, cfg.MaxPipelines = 3, 5
 	apps := GenerateCorpus(7, 6, cfg)
 	for _, app := range apps {
-		serial, err := core.Synthesize(app.FlowC, app.Spec, &core.Options{Workers: 1, DisableCache: true})
+		serial, err := core.Synthesize(app.FlowC, app.Spec, &core.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s serial: %v", app.Name, err)
 		}
-		parallel, err := core.Synthesize(app.FlowC, app.Spec, &core.Options{Workers: 8, DisableCache: true})
+		parallel, err := core.Synthesize(app.FlowC, app.Spec, &core.Options{Workers: 8})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", app.Name, err)
 		}
@@ -165,7 +161,7 @@ func TestParallelSerialDeterminism(t *testing.T) {
 // recorded per app, and the aggregate counters add up.
 func TestRunBatch(t *testing.T) {
 	apps := GenerateCorpus(11, 10, DefaultConfig())
-	br := RunBatch(context.Background(), apps, BatchOptions{Workers: 4, Core: nocache()})
+	br := RunBatch(context.Background(), apps, BatchOptions{Workers: 4, Core: nil})
 	if br.Failed != 0 {
 		for _, r := range br.Results {
 			if r.Err != nil {
@@ -195,7 +191,7 @@ func TestRunBatchCancelled(t *testing.T) {
 	apps := GenerateCorpus(13, 8, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br := RunBatch(ctx, apps, BatchOptions{Workers: 2, Core: nocache()})
+	br := RunBatch(ctx, apps, BatchOptions{Workers: 2, Core: nil})
 	if br.Failed != len(apps) {
 		t.Errorf("failed = %d, want all %d (pre-cancelled context)", br.Failed, len(apps))
 	}
@@ -212,7 +208,7 @@ func TestGenerateShapeKnobs(t *testing.T) {
 	if app.Procs != 1 {
 		t.Fatalf("procs = %d, want 1", app.Procs)
 	}
-	if _, err := core.Synthesize(app.FlowC, app.Spec, nocache()); err != nil {
+	if _, err := core.Synthesize(app.FlowC, app.Spec, nil); err != nil {
 		t.Fatalf("tiny app: %v", err)
 	}
 }

@@ -35,7 +35,7 @@ func multiRateBurst(n int) string {
 func TestBigBurstSchedules(t *testing.T) {
 	start := time.Now()
 	for _, n := range []int{3000, 4096} {
-		res, err := core.Synthesize(multiRateBurst(n), apps.MultiRateSpec, &core.Options{DisableCache: true})
+		res, err := core.Synthesize(multiRateBurst(n), apps.MultiRateSpec, nil)
 		if err != nil {
 			t.Errorf("burst %d: %v", n, err)
 			continue

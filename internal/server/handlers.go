@@ -26,25 +26,19 @@ type synthesizeRequest struct {
 	// TimeoutMS bounds server-side synthesis time; 0 uses the server
 	// default, larger values are clamped to the server max.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// DisableCache bypasses the shared result cache for this request
-	// (forces a cold run; the result is not stored either).
+	// DisableCache bypasses the server's reply cache for this request
+	// (forces a cold run; the reply is not stored either).
 	DisableCache bool `json:"disable_cache,omitempty"`
 }
 
-// synthesizeResponse is the success body of POST /v1/synthesize.
+// synthesizeResponse is the success body of POST /v1/synthesize: the
+// reply (system, tasks, code, bounds) and what is particular to this
+// request.
 type synthesizeResponse struct {
-	System string `json:"system"`
-	// Tasks is the manifest: one entry per generated task, in schedule
-	// order, mirroring the golden-file MANIFEST contract.
-	Tasks []taskInfo `json:"tasks"`
-	// Code maps task name to generated C source.
-	Code map[string]string `json:"code"`
-	// Bounds maps channel name to its statically guaranteed buffer
-	// size.
-	Bounds map[string]int `json:"bounds"`
-	// CacheHit reports whether this response came from the shared
-	// content-addressed cache; Cache is the process-wide counter
-	// snapshot after the request (core.Stats).
+	reply
+	// CacheHit reports whether the reply came from the server's
+	// content-addressed cache; Cache is the snapshot of that cache's
+	// counters after the request.
 	CacheHit bool          `json:"cache_hit"`
 	Cache    cacheSnapshot `json:"cache"`
 	// MaxNodes is the state budget the request effectively ran under
@@ -113,26 +107,50 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	res, hit, err := s.synthesize(ctx, &req, opt)
+	rep, hit, err := s.answer(ctx, &req, opt)
 	elapsed := time.Since(start)
 	s.metrics.observe(s.metrics.latency, elapsed.Seconds())
-	s.recordCacheState()
 	if err != nil {
 		status, outcome := classifyError(ctx, err)
 		s.metrics.incOutcome(outcome)
 		writeError(w, status, err.Error())
 		return
 	}
+	s.metrics.incOutcome(outcomeOK)
+	writeJSON(w, http.StatusOK, &synthesizeResponse{
+		reply:       *rep,
+		CacheHit:    hit,
+		Cache:       s.cache.stats(),
+		MaxNodes:    opt.Sched.MaxNodes,
+		SynthesisUS: elapsed.Microseconds(),
+	})
+}
+
+// answer serves one admitted request from the cache or, on a miss,
+// synthesizes it, records the work, and stores the reply. A request
+// whose context has already ended gets its error, not a cached reply:
+// otherwise cancellation would depend on what happens to be cached.
+func (s *Server) answer(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*reply, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, fmt.Errorf("server: %w", err)
+	}
+	var key [32]byte
 	if !req.DisableCache {
-		if hit {
-			s.metrics.addCounter(&s.metrics.cacheHits, 1)
-		} else {
-			s.metrics.addCounter(&s.metrics.cacheMisses, 1)
+		key = cacheKey(req.FlowC, req.Net, opt.Sched.MaxNodes)
+		if rep, ok := s.cache.get(key); ok {
+			return rep, true, nil
 		}
 	}
+	res, err := s.synthesize(ctx, req, opt)
+	if err != nil {
+		return nil, false, err
+	}
 	s.recordWork(res)
-	s.metrics.incOutcome(outcomeOK)
-	writeJSON(w, http.StatusOK, buildResponse(res, opt, hit, elapsed))
+	rep := newReply(res)
+	if !req.DisableCache {
+		s.cache.put(key, rep)
+	}
+	return rep, false, nil
 }
 
 // readBody reads at most maxRequestBody+1 bytes of the request body
@@ -154,40 +172,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, err
 }
 
-// buildResponse renders a Result into the wire shape. The generated C
-// is passed through byte-for-byte: the service contract is that a
-// /v1/synthesize response is indistinguishable from the CLI's output
-// files (golden-checked by the server smoke test).
-func buildResponse(res *core.Result, opt *core.Options, hit bool, elapsed time.Duration) *synthesizeResponse {
-	out := &synthesizeResponse{
-		System:      res.Sys.Name,
-		Code:        res.Code,
-		Bounds:      map[string]int{},
-		CacheHit:    hit,
-		MaxNodes:    opt.Sched.MaxNodes,
-		SynthesisUS: elapsed.Microseconds(),
-	}
-	for i, t := range res.Tasks {
-		st := res.Schedules[i].Stats
-		out.Tasks = append(out.Tasks, taskInfo{
-			Name:             t.Name,
-			Segments:         len(t.Segments),
-			ScheduleNodes:    len(res.Schedules[i].Nodes),
-			StatesExplored:   st.NodesCreated,
-			DistinctMarkings: st.DistinctMarkings,
-		})
-	}
-	for _, ch := range res.Sys.Channels {
-		out.Bounds[ch.Spec.Name] = res.Bounds[ch.Place.ID]
-	}
-	cs := core.Stats()
-	out.Cache = cacheSnapshot{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
-	return out
-}
-
 // recordWork folds a successful synthesis into the work metrics:
 // distinct markings explored and the store residency of the request's
-// searches.
+// searches. Only a run counts; a cache hit searched nothing.
 func (s *Server) recordWork(res *core.Result) {
 	states := 0
 	var hot int64
@@ -197,12 +184,6 @@ func (s *Server) recordWork(res *core.Result) {
 	}
 	s.metrics.addCounter(&s.metrics.statesExplored, float64(states))
 	s.metrics.setGauge(&s.metrics.storeHotBytes, float64(hot))
-}
-
-// recordCacheState refreshes the cache-entries gauge from the process
-// counters.
-func (s *Server) recordCacheState() {
-	s.metrics.setGauge(&s.metrics.cacheEntries, float64(core.Stats().Entries))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -224,9 +205,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.recordCacheState()
 	var sb strings.Builder
-	s.metrics.render(&sb)
+	s.metrics.render(&sb, s.cache.stats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, sb.String())

@@ -27,14 +27,6 @@ type metrics struct {
 	// requests by terminal outcome (ok, cache_hit folded into ok;
 	// rejections and failures keep their own labels).
 	requests *labeledCounter
-	// cache effectiveness, counted per synthesis request actually
-	// consulting the cache (process-global core.Stats would double-count
-	// other in-process users).
-	cacheHits   counter
-	cacheMisses counter
-	// cacheEntries mirrors core.Stats().Entries at scrape time; set by
-	// the handler after each request and on scrape.
-	cacheEntries gauge
 
 	// admission
 	queueDepth gauge // requests parked waiting for a slot
@@ -43,7 +35,7 @@ type metrics struct {
 
 	// work accounting
 	latency        *histogram // server-side synthesis seconds
-	statesExplored counter    // distinct markings interned across searches
+	statesExplored counter    // distinct markings interned across searches (misses only)
 	// store residency of the last successful synthesis: bytes the
 	// searches' marking stores held in RAM (0 until a request
 	// completes).
@@ -75,17 +67,18 @@ const (
 	outcomeCanceled   = "canceled" // client went away while queued
 )
 
-// render writes the whole registry in Prometheus text format.
-func (m *metrics) render(sb *strings.Builder) {
+// render writes the whole registry in Prometheus text format, with the
+// qss_cache_* series read from cs, the reply cache's own counters.
+func (m *metrics) render(sb *strings.Builder, cs cacheSnapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests.render(sb)
 	renderSimple(sb, "qss_cache_hits_total", "counter",
-		"Synthesis requests answered from the content-addressed cache.", m.cacheHits.v)
+		"Synthesis requests answered from the reply cache.", float64(cs.Hits))
 	renderSimple(sb, "qss_cache_misses_total", "counter",
-		"Synthesis requests that ran the full pipeline.", m.cacheMisses.v)
+		"Synthesis requests looked up in the reply cache and not found; each ran the full pipeline.", float64(cs.Misses))
 	renderSimple(sb, "qss_cache_entries", "gauge",
-		"Results currently held by the content-addressed cache.", m.cacheEntries.v)
+		"Replies currently held by the reply cache.", float64(cs.Entries))
 	renderSimple(sb, "qss_queue_depth", "gauge",
 		"Requests parked in the admission queue.", m.queueDepth.v)
 	renderSimple(sb, "qss_inflight", "gauge",
@@ -93,7 +86,7 @@ func (m *metrics) render(sb *strings.Builder) {
 	renderSimple(sb, "qss_ready", "gauge",
 		"1 while the server admits work, 0 once drain has begun.", m.ready.v)
 	renderSimple(sb, "qss_states_explored_total", "counter",
-		"Distinct markings interned across all schedule searches.", m.statesExplored.v)
+		"Distinct markings interned across all schedule searches (cache misses only).", m.statesExplored.v)
 	renderSimple(sb, "qss_store_hot_bytes", "gauge",
 		"Marking-store bytes resident in RAM after the last successful synthesis.", m.storeHotBytes.v)
 	renderSimple(sb, "qss_panics_total", "counter",

@@ -26,7 +26,7 @@ func TestMetricsTextFormat(t *testing.T) {
 	m.observe(m.latency, 2.5)
 
 	var sb strings.Builder
-	m.render(&sb)
+	m.render(&sb, cacheSnapshot{})
 	body := sb.String()
 
 	typed := map[string]string{} // family -> TYPE

@@ -1,8 +1,8 @@
 // Package server implements the resident synthesis service behind
 // cmd/qss-server: one warm process multiplexing synthesis requests onto
-// the shared content-addressed core cache, so the ~25,000x warm-path
-// win of repeat synthesis survives across requests instead of dying
-// with each CLI invocation.
+// its content-addressed reply cache, so a repeat request costs a hash
+// and a map lookup instead of a synthesis, for as long as the process
+// lives rather than for one CLI invocation.
 //
 // The package supplies four pieces and keeps them separable:
 //
@@ -21,8 +21,9 @@
 //     and waits for in-flight requests under a deadline.
 //     cmd/qss-server wires it to SIGTERM.
 //
-// Synthesis outcomes are request-scoped; the only process state the
-// handlers share is the core cache (by design).
+// Synthesis outcomes are request-scoped, and core keeps no state
+// between calls: the only state the handlers share is the Server's own
+// reply cache (cache.go), up to 1,024 replies of a few KB each.
 package server
 
 import (
@@ -101,6 +102,7 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	metrics *metrics
+	cache   *replyCache
 
 	slots   chan struct{} // admission slots; len == executing requests
 	queued  chan struct{} // queue tickets; cap bounds the waiting line
@@ -111,10 +113,10 @@ type Server struct {
 	inflight  sync.WaitGroup
 	drainOnce sync.Once
 
-	// synthesize runs one admitted request; a Server field so the
-	// lifecycle tests can substitute a controllable stub for the real
-	// core pipeline.
-	synthesize func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error)
+	// synthesize runs one admitted request that missed the cache; a
+	// Server field so the lifecycle tests can substitute a controllable
+	// stub for the real core pipeline.
+	synthesize func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error)
 }
 
 // New builds a Server from cfg (see Config for defaults).
@@ -124,6 +126,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
 		metrics:    newMetrics(),
+		cache:      &replyCache{m: map[[32]byte]*reply{}},
 		slots:      make(chan struct{}, cfg.MaxConcurrent),
 		queued:     make(chan struct{}, cfg.MaxQueue),
 		drainCh:    make(chan struct{}),
@@ -290,8 +293,8 @@ const statusClientGone = 499
 
 // defaultSynthesize is the production synthesis function: the core
 // pipeline under the request's options.
-func defaultSynthesize(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
-	return core.SynthesizeCachedContext(ctx, req.FlowC, req.Net, opt)
+func defaultSynthesize(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error) {
+	return core.SynthesizeContext(ctx, req.FlowC, req.Net, opt)
 }
 
 // requestOptions translates one request's budgets into core options,
@@ -310,7 +313,7 @@ func (s *Server) requestOptions(req *synthesizeRequest) (opt *core.Options, time
 			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
-	return &core.Options{DisableCache: req.DisableCache, Sched: so}, timeout
+	return &core.Options{Sched: so}, timeout
 }
 
 // classifyError maps a synthesis failure to an HTTP status and an

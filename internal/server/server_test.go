@@ -64,10 +64,11 @@ func getBody(t *testing.T, url string) (int, string) {
 // TestSynthesizeSharedCache proves the tentpole property: sequential
 // and concurrent requests against one server share one warm cache. The
 // second request of identical sources reports a cache hit, returns
-// byte-identical code, and is orders of magnitude faster; a concurrent
-// fan-in of the same sources after warmup is all hits.
+// byte-identical code, is orders of magnitude faster, and explores no
+// states; a concurrent fan-in of the same sources after warmup is all
+// hits, while requests under budgets of their own miss and store beside
+// them.
 func TestSynthesizeSharedCache(t *testing.T) {
-	core.ResetCache()
 	srv := New(Config{MaxConcurrent: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -82,6 +83,18 @@ func TestSynthesizeSharedCache(t *testing.T) {
 	}
 	if len(cold.Code) == 0 || cold.System != "divisors" {
 		t.Fatalf("cold response malformed: system=%q tasks=%d", cold.System, len(cold.Tasks))
+	}
+	statesExplored := func() float64 {
+		_, body := getBody(t, ts.URL+"/metrics")
+		v, ok := scrapeGauge(body, "qss_states_explored_total")
+		if !ok {
+			t.Fatal("qss_states_explored_total not exposed")
+		}
+		return v
+	}
+	coldStates := statesExplored()
+	if coldStates <= 0 {
+		t.Fatalf("qss_states_explored_total = %g after a cold synthesis, want > 0", coldStates)
 	}
 
 	status, warm, _ := postSynth(t, ts.URL, req)
@@ -101,40 +114,56 @@ func TestSynthesizeSharedCache(t *testing.T) {
 	if warm.SynthesisUS > 1000 {
 		t.Errorf("warm synthesis took %dµs, want < 1000µs", warm.SynthesisUS)
 	}
+	// A hit searched nothing, so it explored no states.
+	if got := statesExplored(); got != coldStates {
+		t.Errorf("qss_states_explored_total = %g after a cache hit, want %g as after the cold request", got, coldStates)
+	}
 
-	// Concurrent fan-in after warmup: every request is a hit, proving
+	// Concurrent fan-in after warmup: every repeat is a hit, proving
 	// the handlers consult one shared cache rather than per-request
-	// state.
+	// state. Beside the repeats, requests under budgets of their own
+	// miss and store concurrently.
 	const fan = 8
 	var wg sync.WaitGroup
-	hits := make([]bool, fan)
-	for i := 0; i < fan; i++ {
+	hits := make([]bool, 2*fan)
+	for i := 0; i < 2*fan; i++ {
+		r := *req
+		if i >= fan {
+			r = synthesizeRequest{FlowC: twoSources, Net: twoSourcesSpec, MaxNodes: 1000 + i}
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, _ := json.Marshal(req)
+			body, _ := json.Marshal(&r)
 			resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
 			if err != nil {
+				t.Errorf("concurrent request %d: %v", i, err)
 				return
 			}
 			defer resp.Body.Close()
 			var out synthesizeResponse
-			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&out) == nil {
-				hits[i] = out.CacheHit
+			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&out) != nil {
+				t.Errorf("concurrent request %d: status %d", i, resp.StatusCode)
+				return
 			}
+			hits[i] = out.CacheHit
 		}(i)
 	}
 	wg.Wait()
 	for i, h := range hits {
-		if !h {
-			t.Fatalf("concurrent request %d missed the warm cache", i)
+		if h != (i < fan) {
+			t.Fatalf("concurrent request %d: cache_hit %v, want %v", i, h, i < fan)
 		}
 	}
 
-	// The hit counters prove it too: 1 miss (cold), >= 9 hits.
+	// The counters prove it too: 9 misses (the cold request and the
+	// new budgets), 9 hits, 9 replies held.
 	_, metricsBody := getBody(t, ts.URL+"/metrics")
-	assertMetricMin(t, metricsBody, "qss_cache_hits_total", 9)
-	assertMetricMin(t, metricsBody, "qss_cache_misses_total", 1)
+	for _, name := range []string{"qss_cache_hits_total", "qss_cache_misses_total", "qss_cache_entries"} {
+		if v, ok := scrapeGauge(metricsBody, name); !ok || v != fan+1 {
+			t.Errorf("%s = %g (exposed %v), want %d", name, v, ok, fan+1)
+		}
+	}
 }
 
 // assertMetricMin finds an unlabelled sample line and asserts its value
@@ -163,7 +192,7 @@ func assertMetricMin(t *testing.T, body, name string, min float64) {
 // httptest.Server teardown behind a parked handler.
 func blockingServer(t *testing.T, cfg Config) (srv *Server, started chan struct{}, release func()) {
 	t.Helper()
-	res, err := core.Synthesize(apps.Divisors, apps.DivisorsSpec, &core.Options{DisableCache: true})
+	res, err := core.Synthesize(apps.Divisors, apps.DivisorsSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +202,13 @@ func blockingServer(t *testing.T, cfg Config) (srv *Server, started chan struct{
 	release = func() { once.Do(func() { close(releaseCh) }) }
 	t.Cleanup(release)
 	srv = New(cfg)
-	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error) {
 		started <- struct{}{}
 		select {
 		case <-releaseCh:
-			return res, false, nil
+			return res, nil
 		case <-ctx.Done():
-			return nil, false, fmt.Errorf("core: %w", ctx.Err())
+			return nil, fmt.Errorf("core: %w", ctx.Err())
 		}
 	}
 	return srv, started, release
@@ -345,7 +374,6 @@ func TestDrainDeadline(t *testing.T) {
 // tiny timeout into a 504 and a huge one into MaxTimeout — either way
 // the server survives to serve the next request.
 func TestRequestBudgets(t *testing.T) {
-	core.ResetCache()
 	srv := New(Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -359,9 +387,9 @@ func TestRequestBudgets(t *testing.T) {
 	}
 
 	// Deadline: park the synthesis via the stub until the context ends.
-	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error) {
 		<-ctx.Done()
-		return nil, false, fmt.Errorf("core: %w", ctx.Err())
+		return nil, fmt.Errorf("core: %w", ctx.Err())
 	}
 	status, _, _ = postSynth(t, ts.URL, &synthesizeRequest{
 		FlowC: apps.Divisors, Net: apps.DivisorsSpec, TimeoutMS: 1,
@@ -373,7 +401,7 @@ func TestRequestBudgets(t *testing.T) {
 	// A timeout too large for a Duration in nanoseconds is clamped to
 	// MaxTimeout, not wrapped into a deadline already past.
 	left := make(chan time.Duration, 1)
-	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error) {
 		deadline, _ := ctx.Deadline()
 		left <- time.Until(deadline)
 		return defaultSynthesize(ctx, req, opt)
@@ -404,12 +432,11 @@ func TestRequestBudgets(t *testing.T) {
 // TestPanicRecovery: a panicking synthesis is a bug, not an outage —
 // the middleware answers 500, counts it, and the server keeps serving.
 func TestPanicRecovery(t *testing.T) {
-	core.ResetCache()
 	srv := New(Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error) {
 		panic("synthesis exploded")
 	}
 	status, _, errResp := postSynth(t, ts.URL, &synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
@@ -471,7 +498,7 @@ func TestSearchPanicRecovery(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, bool, error) {
+	srv.synthesize = func(ctx context.Context, req *synthesizeRequest, opt *core.Options) (*core.Result, error) {
 		opt.Sched.Engine = sched.EngineTreeExhaustive
 		opt.Sched.Order = panicOrder{}
 		return defaultSynthesize(ctx, req, opt)
@@ -519,8 +546,8 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// So is a schedule set that is not independent, as core wraps it.
-	srv.synthesize = func(context.Context, *synthesizeRequest, *core.Options) (*core.Result, bool, error) {
-		return nil, false, fmt.Errorf("core: %w", fmt.Errorf("%w: place p0 varies", sched.ErrNotIndependent))
+	srv.synthesize = func(context.Context, *synthesizeRequest, *core.Options) (*core.Result, error) {
+		return nil, fmt.Errorf("core: %w", fmt.Errorf("%w: place p0 varies", sched.ErrNotIndependent))
 	}
 	status, _, errResp = postSynth(t, ts.URL, &synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
 	if status != http.StatusUnprocessableEntity {
@@ -653,12 +680,11 @@ func TestStalledBodyFreesSlot(t *testing.T) {
 // checks end to end: the code map and bounds of a /v1/synthesize
 // response are byte-identical to what the library path produces.
 func TestResponseMatchesCLI(t *testing.T) {
-	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, &core.Options{DisableCache: true})
+	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Run("in-process", func(t *testing.T) {
-		core.ResetCache()
 		srv := New(Config{})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
@@ -694,8 +720,7 @@ func assertResponseMatches(t *testing.T, url string, want *core.Result) {
 // has moved: qss_store_hot_bytes is positive, and it is the only
 // qss_store_ series /metrics exports.
 func TestStoreHotBytesServer(t *testing.T) {
-	core.ResetCache()
-	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, &core.Options{DisableCache: true})
+	want, err := core.Synthesize(apps.MultiRate, apps.MultiRateSpec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
