@@ -23,8 +23,8 @@
 #                      machine-independent)
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
-#                      allocates <= 3.5x its store's hot bytes, and one
-#                      cold PFC synthesis <= 5.6x its search store's hot
+#                      allocates <= 2.55x its store's hot bytes, and one
+#                      cold PFC synthesis <= 5.0x its search store's hot
 #                      bytes (exact, machine-independent counts; -v prints
 #                      both ratios)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of
@@ -55,7 +55,9 @@
 #   make bench       — every benchmark once (shape assertions, no timing)
 #   make benchgate   — benchmark-regression gate vs bench_baseline.json:
 #                      five runs at GOMAXPROCS=1 (the baseline's
-#                      setting); fails on B/op or allocs/op beyond twice
+#                      setting); fails on B/op or allocs/op above the
+#                      baseline (REGRESSION) or below it (STALE: record
+#                      the gain with `make baseline`) by more than twice
 #                      the runs' spread (0.5% at least, 5% at most).
 #                      ns/op is written to .bench_build/BENCH_<date>.json
 #                      (ignored), not gated. A performance change

@@ -5,7 +5,9 @@
 // allocs/op, their spreads and custom metrics such as corpus apps/s),
 // and gates B/op and allocs/op against the committed baseline JSON: a
 // regression beyond the tolerance fails the run (and with it `make
-// ci`).
+// ci`), and so does a gain beyond it that the baseline has not recorded
+// (STALE; `make baseline` records it), so the gate cannot loosen
+// silently after a gain.
 //
 // The snapshot goes to the ignored .bench_build/ directory, so a gate
 // run leaves the working tree clean, and a later run of the same day
@@ -41,11 +43,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -133,7 +138,7 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("%w (run with -update to create it)", err))
 	}
-	if failed := gate(base, cur); failed {
+	if failed := gate(os.Stdout, base, cur); failed {
 		os.Exit(1)
 	}
 }
@@ -280,20 +285,25 @@ func readBaseline(path string) (*Snapshot, error) {
 	return &s, nil
 }
 
-// gate prints a comparison table and reports whether any benchmark's
-// B/op or allocs/op regressed beyond its tolerance, or went missing.
-// ns/op and custom metrics are informational.
-func gate(base, cur *Snapshot) (failed bool) {
-	fmt.Printf("benchdiff: baseline %s (%s) vs current (%s); B/op and allocs/op gate at 2x the runs' spread, within %.1f%%..%.0f%%; ns/op is information\n",
+// gate writes a comparison table to w and reports whether the run
+// fails: a benchmark's B/op or allocs/op above the baseline by more
+// than its tolerance (REGRESSION), below it by more than that (STALE:
+// a gain the baseline has not recorded, which would otherwise let the
+// gate loosen silently), or a baseline benchmark missing from the run
+// (MISSING). ns/op and custom metrics are informational.
+func gate(w io.Writer, base, cur *Snapshot) (failed bool) {
+	fmt.Fprintf(w, "benchdiff: baseline %s (%s) vs current (%s); B/op and allocs/op gate both ways at 2x the runs' spread, within %.1f%%..%.0f%%; ns/op is information\n",
 		base.Date, base.GoVersion, cur.GoVersion, minTolerance*100, maxTolerance*100)
-	for name, b := range base.Benchmarks {
+	var regressed, stale bool
+	for _, name := range slices.Sorted(maps.Keys(base.Benchmarks)) {
+		b := base.Benchmarks[name]
 		c, ok := cur.Benchmarks[name]
 		if !ok {
-			fmt.Printf("  %-40s MISSING from current run\n", name)
+			fmt.Fprintf(w, "  %-40s MISSING from current run\n", name)
 			failed = true
 			continue
 		}
-		fmt.Printf("  %-40s %12.0f -> %12.0f ns/op      %+6.1f%%  info\n",
+		fmt.Fprintf(w, "  %-40s %12.0f -> %12.0f ns/op      %+6.1f%%  info\n",
 			name, b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp-b.NsPerOp)/b.NsPerOp)
 		for _, d := range []struct {
 			unit              string
@@ -308,18 +318,25 @@ func gate(base, cur *Snapshot) (failed bool) {
 			tol := min(max(2*d.spread, minTolerance), maxTolerance)
 			delta := (d.cur - d.base) / d.base
 			status := "ok"
-			if delta > tol {
-				status = "REGRESSION"
-				failed = true
+			switch {
+			case delta > tol:
+				status, regressed = "REGRESSION", true
+			case delta < -tol:
+				status, stale = "STALE", true
 			}
-			fmt.Printf("  %-40s %12.0f -> %12.0f %-9s %+6.2f%% (tolerance %.2f%%)  %s\n",
+			fmt.Fprintf(w, "  %-40s %12.0f -> %12.0f %-9s %+6.2f%% (tolerance %.2f%%)  %s\n",
 				"", d.base, d.cur, d.unit, delta*100, tol*100, status)
 		}
 	}
-	if failed {
-		fmt.Println("benchdiff: FAIL — B/op or allocs/op regressed beyond tolerance (compare on the baseline's Go release; refresh the baseline with -update if the change is intended)")
-	} else {
-		fmt.Println("benchdiff: PASS")
+	if regressed {
+		fmt.Fprintln(w, "benchdiff: FAIL — B/op or allocs/op regressed beyond tolerance (compare on the baseline's Go release; refresh the baseline with `make baseline` if the change is intended)")
+	}
+	if stale {
+		fmt.Fprintln(w, "benchdiff: FAIL — STALE baseline: B/op or allocs/op fell below it beyond tolerance; record the gain with `make baseline` so the gate does not loosen")
+	}
+	failed = failed || regressed || stale
+	if !failed {
+		fmt.Fprintln(w, "benchdiff: PASS")
 	}
 	return failed
 }

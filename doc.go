@@ -87,28 +87,37 @@
 // # Search tables
 //
 // Beside the store, a search keeps flat tables that gain one entry per
-// interned state or per recorded edge: the driver's enabled-bit arena,
-// a ReachResult's Edges headers and Clipped flags, the graph engine's
-// state table and adjacency arena, and a dist worker's gids and bits.
-// All of them grow through petri.Push and petri.Extend, by one rule:
-// capacity at least doubles when it runs out, so a table allocates
-// about twice its final capacity in all, where append's ~1.25x growth
-// of large slices costs about five times. The graph engine's tables
-// hold partition and state indices, never pointers, so the garbage
-// collector never scans their contents and copying them on growth
-// needs no write barriers. A table's slice header is another matter:
-// it lives in a heap object (the engine, the driver, the result), and
-// storing a data pointer there pays a write barrier whenever the
-// collector is marking. Push and Extend store only the new length
-// while capacity lasts, so the header's pointer, and its barrier, is
-// written once per reallocation instead of once per successor. The
-// doubling rule and the pointer-free tables cut a cold PFC synthesis
-// from 25.9 to 17.7 MB allocated and its CPU time by over a fifth;
-// `make bytes-gates` bounds what the PFC search and serial
-// ExploreLarge allocate at 5.6x and 3.5x their stores' hot bytes (with
-// one-byte counts the stores hold about a third of the hot bytes of
-// four-byte ones, so these ratios allow fewer bytes than the 3.3x and
-// 1.85x before them).
+// interned state or per recorded edge: a reachability exploration's row
+// records, the graph engine's state table and adjacency arena, and a
+// dist worker's gids and bits. All of them grow through petri.Push and
+// petri.Extend, by one rule: capacity at least doubles when it runs
+// out, so a table allocates about twice its final capacity in all,
+// where append's ~1.25x growth of large slices costs about five times.
+// Two tables are kept smaller than one entry per state. The driver's
+// enabled-ECS arena holds only a window of states, those interned but
+// not yet expanded: it drops the expanded prefix once that is half the
+// window, so it tracks the BFS frontier instead of the state count.
+// And a reachability exploration keeps 4 bytes per state while it runs,
+// each state's edge count and clip flag; it lays out the ReachResult's
+// Edges headers and Clipped flags once, at exactly one entry per state,
+// when the exploration ends, instead of regrowing 24-byte headers
+// through it. The graph engine's tables hold partition and state
+// indices, never pointers, so the garbage collector never scans their
+// contents and copying them on growth needs no write barriers. A
+// table's slice header is another matter: it lives in a heap object
+// (the engine, the driver, the explorer), and storing a data pointer
+// there pays a write barrier whenever the collector is marking. Push
+// and Extend store only the new length while capacity lasts, so the
+// header's pointer, and its barrier, is written once per reallocation
+// instead of once per successor. The doubling rule and the
+// pointer-free tables cut a cold PFC synthesis from 25.9 to 17.7 MB
+// allocated and its CPU time by over a fifth; the frontier window then
+// cut it from 6.69 to 6.23 MB, and the two smaller tables cut serial
+// ExploreLarge from 39.4 to 28.7 MB. `make bytes-gates` bounds what the
+// PFC search and serial ExploreLarge allocate at 5.0x and 2.55x their
+// stores' hot bytes (with one-byte counts the stores hold about a third
+// of the hot bytes of four-byte ones, so these ratios allow fewer bytes
+// than the 3.3x and 1.85x before them).
 //
 // # Concurrency and caching
 //

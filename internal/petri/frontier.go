@@ -14,7 +14,7 @@ import (
 // record what it finds.
 //
 // Drive owns everything the explorers share: the MarkingStore, the
-// enabled-ECS bitset arena and expansion of an ExpandSpec. The caller's
+// enabled-ECS bitsets and expansion of an ExpandSpec. The caller's
 // FiringTable fires every transition. Drive has two modes:
 //
 //	inline: expand one state, then merge each of its edges at once.
@@ -32,6 +32,13 @@ import (
 //	  merge takes over for the root, a successor with a count above 255
 //	  (whose intern widens the store) and every state of a store that
 //	  has widened.
+//	  A state's enabled set is derived from its parent's when the
+//	  state is interned and read only when it is expanded, so the
+//	  driver keeps the sets of a window of states: the interned ones
+//	  not yet expanded, plus those expanded since the window last
+//	  dropped its expanded prefix, which it does once that prefix is
+//	  half the window. Its memory tracks the BFS frontier, not the
+//	  number of states.
 //	runner: a FrontierRunner (the worker processes of internal/dist,
 //	  reached only through Net.ExploreDist) expands under the same
 //	  ExpandSpec and calls the same MergeHooks.
@@ -133,9 +140,11 @@ type FrontierRunner interface {
 // that record the exploration; Drive interns every admitted successor
 // into that store.
 //
-// With a nil r the exploration runs inline on the calling goroutine;
-// otherwise r expands it (only Net.ExploreDist passes a runner), and a
-// runner failure is returned as the error.
+// With a nil r the exploration runs inline on the calling goroutine,
+// keeping enabled sets only for its frontier; otherwise r expands it
+// (only Net.ExploreDist passes a runner), and a runner failure is
+// returned as the error. Either way the hooks run in the same order:
+// BeginState for each state, then its Edge and Reject calls.
 //
 // A successor over the MaxTokens ceiling of a place spec leaves
 // unbounded is not a veto: it ends the exploration, which then returns
@@ -177,14 +186,16 @@ type driver struct {
 	spec  ExpandSpec
 	store *MarkingStore
 	hooks MergeHooks
-	// Inline mode only: bits is the per-state enabled-ECS arena (state
-	// id's set is bits[id*stride : (id+1)*stride]), derived from the
-	// parent's set when a state is interned and grown by Extend;
+	// Inline mode only: bits holds the enabled-ECS sets of the states
+	// [base, store.Len()) (see set), each appended by Extend when its
+	// state is interned; runInline drops the expanded prefix once it is
+	// at least half the window, so bits holds about the BFS frontier.
 	// scratch and byteScratch are the firing buffers, one marking long,
 	// that every successor of the exploration is fired into, and parent
 	// holds the decoded counts of a narrow parent whose successor takes
 	// the int32 merge.
 	bits        []uint64
+	base        int
 	scratch     Marking
 	byteScratch []uint8
 	parent      Marking
@@ -206,6 +217,12 @@ func (d *driver) runInline() bool {
 	d.byteScratch = make([]uint8, places)
 	d.ft.Init(d.bits, d.store.Load(d.parent, 0))
 	for id := 0; id < d.store.Len(); id++ {
+		if done := id - d.base; done > 0 && 2*done >= d.store.Len()-d.base {
+			// Copying the unexpanded rest costs no more than the prefix
+			// it drops, so each state's set moves O(1) times on average.
+			d.bits = d.bits[:copy(d.bits, d.bits[done*d.ft.stride:])]
+			d.base = id
+		}
 		if !d.expand(MarkID(id)) {
 			return false
 		}
@@ -239,8 +256,7 @@ func (d *driver) expand(id MarkID) bool {
 	ok := true
 	// Interning appends to d.bits, possibly moving it; this view of the
 	// state's own words stays valid either way.
-	stride := d.ft.stride
-	ForEachMaskedBit(d.bits[int(id)*stride:(int(id)+1)*stride], d.spec.Mask, func(ei int) {
+	ForEachMaskedBit(d.set(id), d.spec.Mask, func(ei int) {
 		for _, tid := range d.ft.part[ei].Trans {
 			switch {
 			case !ok:
@@ -304,11 +320,18 @@ func (d *driver) mergeBytes(parent MarkID, ph uint64, tid int) bool {
 	return true
 }
 
+// set is the enabled-ECS set of state id, which must be in the window
+// [d.base, store.Len()).
+func (d *driver) set(id MarkID) []uint64 {
+	lo := (int(id) - d.base) * d.ft.stride
+	return d.bits[lo : lo+d.ft.stride]
+}
+
 // addBits appends the enabled-ECS set of the state just interned as
 // parent's successor under tid, whose counts are m.
 func addBits[E token](d *driver, parent MarkID, tid int, m []E) {
-	base, stride := len(d.bits), d.ft.stride
-	Extend(&d.bits, stride)
+	end := len(d.bits)
+	Extend(&d.bits, d.ft.stride)
 	// update writes every word of the new state's set.
-	update(d.ft, d.bits[base:], d.bits[int(parent)*stride:(int(parent)+1)*stride], tid, m)
+	update(d.ft, d.bits[end:], d.set(parent), tid, m)
 }

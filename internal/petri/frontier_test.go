@@ -7,13 +7,14 @@ import (
 )
 
 // dyingRunner stands in for a worker pool that fails mid-session: it
-// merges one bogus rejection, which marks the exploration truncated,
-// and then reports an infrastructure failure.
+// begins the root and merges one bogus rejection, which marks the
+// exploration truncated, and then reports an infrastructure failure.
 type dyingRunner struct{}
 
 var errWorkerDied = errors.New("worker died")
 
 func (dyingRunner) RunFrontier(ft *FiringTable, store *MarkingStore, spec ExpandSpec, hooks MergeHooks) (bool, error) {
+	hooks.BeginState(0)
 	hooks.Reject(0, 0, false)
 	return false, errWorkerDied
 }

@@ -2,11 +2,14 @@ package petri
 
 // Push and Extend are how every table an exploration extends by one
 // entry per interned state or per recorded edge grows: the driver's
-// enabled-bit arena, a ReachResult's Edges headers and Clipped flags,
-// the scheduler graph engine's state table and arenas, and a dist
+// enabled-bit window, a reachability exploration's row records, the
+// scheduler graph engine's state table and adjacency, and a dist
 // worker's gids and bits. Tables indexed by MarkID may instead reserve
 // ahead with the store's own probe-table doubling, as
-// MarkingStore.hashes does.
+// MarkingStore.hashes does. A ReachResult's Edges headers (24 bytes a
+// state) and Clipped flags do not grow at all: they are laid out once,
+// at their final length, when the exploration ends (see
+// reachExplorer.result).
 //
 // Both take the table by pointer and grow it in place. While capacity
 // lasts they store only the new length; the slice's data pointer is

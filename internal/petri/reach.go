@@ -16,7 +16,11 @@ type ReachResult struct {
 	// initial marking.
 	Store *MarkingStore
 	// Edges holds, for each visited marking, the (transition, successor)
-	// pairs explored. len(Edges) == Store.Len().
+	// pairs explored. len(Edges) == Store.Len(). Each row is a capped
+	// view into an edge arena the rows share, so appending to one
+	// copies it; a state without edges has a nil row. Edges and Clipped
+	// are laid out once, at exactly Store.Len() entries, when the
+	// exploration ends.
 	Edges [][]ReachEdge
 	// Clipped marks sources of dropped edges: Clipped[id] is true when
 	// some enabled firing at id was not recorded because the successor
@@ -102,8 +106,7 @@ func (n *Net) ExploreDist(r FrontierRunner, opt ExploreOptions) (*ReachResult, e
 	if err != nil {
 		return nil, err
 	}
-	e.closeRow()
-	return e.res, nil
+	return e.result(), nil
 }
 
 // reachSpec is the expansion rule of a bounded exploration: every ECS
@@ -128,23 +131,29 @@ func reachSpec(n *Net, part []*ECS, opt ExploreOptions) ExpandSpec {
 // newReachExplorer starts the result of one exploration attempt over a
 // store holding only the root.
 func newReachExplorer(s *MarkingStore, maxMarkings int) *reachExplorer {
-	return &reachExplorer{
-		max:     maxMarkings,
-		res:     &ReachResult{Store: s, Edges: make([][]ReachEdge, 1), Clipped: make([]bool, 1)},
-		rowOpen: NoMark,
-	}
+	return &reachExplorer{max: maxMarkings, res: &ReachResult{Store: s}}
 }
 
 // reachExplorer records one exploration into a ReachResult.
 type reachExplorer struct {
 	max int // MaxMarkings
 	res *ReachResult
-	// Edges rows are carved out of chunked arenas (see addEdge): the
-	// open row of state rowOpen is edgeChunk[rowLo:].
+	// rows is the only per-state table while the exploration runs: one
+	// record per state begun so far, its edge count with rowClipped set
+	// when the state is clipped. result lays out Edges and Clipped from
+	// it once the exploration ends.
+	rows []uint32
+	// The edges go into chunked arenas (see addEdge): chunks are the
+	// closed ones, each cut to the rows it holds, and the open row is
+	// edgeChunk[rowLo:].
+	chunks    [][]ReachEdge
 	edgeChunk []ReachEdge
 	rowLo     int
-	rowOpen   MarkID
 }
+
+// rowClipped flags a clipped state's row record; the low 31 bits count
+// its edges, at most one per transition.
+const rowClipped = 1 << 31
 
 // Edge arena chunks start at edgeChunkMin edges and double up to
 // edgeChunkMax (64 KiB of edges).
@@ -153,21 +162,19 @@ const (
 	edgeChunkMax = 4096
 )
 
-// addEdge appends one edge to parent's Edges row without a per-state
-// allocation: rows are capped subslices (a[lo:hi:hi]) of chunked edge
-// arenas, so a caller appending to a row copies instead of overwriting
-// a neighbour. Edges arrive grouped by parent in ascending order — the
-// merge walks states that way — so a row closes when the parent
-// changes, and closeRow closes the last one once the exploration ends.
-func (e *reachExplorer) addEdge(parent MarkID, edge ReachEdge) {
-	if parent != e.rowOpen {
-		e.closeRow()
-		e.rowOpen, e.rowLo = parent, len(e.edgeChunk)
-	}
+// addEdge appends one edge to the open row, the one of the state begun
+// last: the merge walks states in ascending order and calls BeginState
+// before any of a state's edges, so each row is one run of edges in the
+// arenas. A row never spans two chunks: when the open chunk is full,
+// the open row moves whole to a fresh one.
+func (e *reachExplorer) addEdge(edge ReachEdge) {
 	if len(e.edgeChunk) == cap(e.edgeChunk) {
-		// Move the open row to a fresh chunk; closed rows keep their
-		// views into the old one.
+		// The closed rows keep their place in the old chunk, which ends
+		// where the open row began.
 		row := e.edgeChunk[e.rowLo:]
+		if e.rowLo > 0 {
+			e.chunks = append(e.chunks, e.edgeChunk[:e.rowLo])
+		}
 		size := min(max(2*cap(e.edgeChunk), edgeChunkMin), edgeChunkMax)
 		e.edgeChunk = append(make([]ReachEdge, 0, max(size, 2*len(row))), row...)
 		e.rowLo = 0
@@ -175,32 +182,51 @@ func (e *reachExplorer) addEdge(parent MarkID, edge ReachEdge) {
 	e.edgeChunk = append(e.edgeChunk, edge)
 }
 
-// closeRow publishes the open row into ReachResult.Edges.
-func (e *reachExplorer) closeRow() {
-	if e.rowOpen == NoMark {
-		return
+// result lays out Edges and Clipped once the exploration has ended, at
+// exactly Store.Len() entries each. The chunks hold the rows in state
+// order, so each state's row is the next run of its record's count:
+// a capped view (a[lo:hi:hi]), so a caller appending to a row copies
+// instead of overwriting a neighbour. A state without edges keeps a nil
+// row.
+func (e *reachExplorer) result() *ReachResult {
+	r := e.res
+	r.Edges = make([][]ReachEdge, r.Store.Len())
+	r.Clipped = make([]bool, r.Store.Len())
+	chunks := append(e.chunks, e.edgeChunk)
+	k, lo := 0, 0
+	for id, rec := range e.rows {
+		r.Clipped[id] = rec&rowClipped != 0
+		n := int(rec &^ rowClipped)
+		if n == 0 {
+			continue
+		}
+		// A row that did not fit in chunk k moved to the next one.
+		for lo+n > len(chunks[k]) {
+			k, lo = k+1, 0
+		}
+		r.Edges[id] = chunks[k][lo : lo+n : lo+n]
+		lo += n
 	}
-	hi := len(e.edgeChunk)
-	e.res.Edges[e.rowOpen] = e.edgeChunk[e.rowLo:hi:hi]
-	e.rowOpen = NoMark
+	return r
 }
 
-// mergeHooks records the exploration: an edge row per state, and the
-// clip flags of states whose successors were vetoed or over budget.
+// mergeHooks records the exploration: a row record per state, its
+// edges in the arenas, and the clip flag of a state whose successors
+// were vetoed or over budget.
 func (e *reachExplorer) mergeHooks() MergeHooks {
 	return MergeHooks{
+		BeginState: func(MarkID) {
+			Push(&e.rows, 0)
+			e.rowLo = len(e.edgeChunk)
+		},
 		Admit: func() bool { return e.res.Store.Len() < e.max },
 		Edge: func(parent MarkID, trans int32, child MarkID, isNew bool) {
-			if isNew {
-				// One row header and one flag per state.
-				Push(&e.res.Edges, nil)
-				Push(&e.res.Clipped, false)
-			}
-			e.addEdge(parent, ReachEdge{Trans: trans, To: child})
+			e.addEdge(ReachEdge{Trans: trans, To: child})
+			e.rows[parent]++
 		},
 		Reject: func(parent MarkID, trans int32, budget bool) bool {
 			e.res.Truncated = true
-			e.res.Clipped[parent] = true
+			e.rows[parent] |= rowClipped
 			return true
 		},
 	}

@@ -175,7 +175,13 @@ func burstNet(init int) *Net {
 // ones (one whose root starts over its cap). In burst-300 a count
 // passes 255 in the middle of the
 // exploration, so the store widens there; in burst-255 a cap vetoes
-// every successor that would, and the store stays narrow.
+// every successor that would, and the store stays narrow. The wide
+// cases exercise the driver's window of enabled sets: their net has 75
+// ECSs, so a set is two words. wide-window explores all 15,625 states,
+// and the window drops its expanded prefix 70 times. wide-budget stops
+// interning at 300 states, in the middle of BFS level 11 (states 286 to
+// 363), and then expands the rest of the window, dropping its prefix 12
+// times in all, while every new successor is refused.
 func TestExploreMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -190,6 +196,8 @@ func TestExploreMatchesReference(t *testing.T) {
 		{"root-over-cap", overCapRootNet(), ExploreOptions{MaxTokensPerPlace: 2}, false},
 		{"burst-300", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 300}, true},
 		{"burst-255", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 255}, false},
+		{"wide-window", ringsNet(3, 25), ExploreOptions{MaxMarkings: 20000}, false},
+		{"wide-budget", ringsNet(3, 25), ExploreOptions{MaxMarkings: 300}, false},
 	}
 	for _, c := range cases {
 		got := c.net.Explore(c.opt)
