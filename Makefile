@@ -24,7 +24,7 @@
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
 #                      allocates <= 2.55x its store's hot bytes, and one
-#                      cold PFC synthesis <= 5.0x its search store's hot
+#                      cold PFC synthesis <= 3.85x its search store's hot
 #                      bytes (exact, machine-independent counts; -v prints
 #                      both ratios)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of

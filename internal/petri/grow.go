@@ -4,7 +4,10 @@ package petri
 // entry per interned state or per recorded edge grows: the driver's
 // enabled-bit window, a reachability exploration's row records, the
 // scheduler graph engine's state table and adjacency, and a dist
-// worker's gids and bits. Tables indexed by MarkID may instead reserve
+// worker's gids and bits. The adjacency gains an entry only per
+// successor of a group the caps do not veto: a veto rolls back the
+// group's earlier members by truncation, and the next Push writes over
+// the room they held. Tables indexed by MarkID may instead reserve
 // ahead with the store's own probe-table doubling, as
 // MarkingStore.hashes does. A ReachResult's Edges headers (24 bytes a
 // state) and Clipped flags do not grow at all: they are laid out once,

@@ -84,11 +84,13 @@ func (pb *PlaceBounds) Caps(n *petri.Net) []int {
 // groups (see graphEngine.adj) start at adj[start] and end where the
 // next state's begin — per-state slice headers would be one allocation
 // per (state, ECS) pair, which at hundreds of thousands of states is
-// most of the search's allocation bill.
+// most of the search's allocation bill. Membership of the fixpoint's X
+// set lives in graphEngine.inX instead, made at the exact state count
+// once the exploration is over, so this table, which grows by doubling
+// while the exploration runs, holds 8 bytes a state, not 12.
 //
 // Every per-state and per-edge table (states, adj, the reverse CSR,
-// dist and the rank queue's links) holds indices, never pointers: an
-// ECS is its partition index, resolved through graphEngine.part. A
+// dist and the rank queue's links) holds indices, never pointers. A
 // pointer per (state, ECS) pair would put one heap pointer per entry
 // into a table the garbage collector then marks on every cycle, and
 // each copy on growth would need write barriers. Pointer-free tables
@@ -98,37 +100,47 @@ func (pb *PlaceBounds) Caps(n *petri.Net) []int {
 type gstate struct {
 	start int32
 	occ   int32 // channel/port token occupancy, precomputed at intern
-	inX   bool
 }
 
+// graphEngine is one schedule search. Its tables hold only what the
+// fixpoint and build read: the fixpoint needs each group's successors
+// and nothing else, so adj stores no ECS, and choose and sourceGroup
+// recover a group's ECS from the state's marking (see groupECSs), which
+// they need only for the states the schedule keeps — 40 of PFC's
+// 23,984.
 type graphEngine struct {
 	net    *petri.Net
 	source int
 	opt    Options
 	part   []*petri.ECS
-	caps   []int
 
 	store  *petri.MarkingStore
 	states []gstate
 	over   bool
 
 	// ft fires the exploration and maps a transition to its ECS index,
-	// which is how the merge groups successors into ECSs. allowedMask
-	// is the ExpandSpec mask: the ECSs this schedule may fire
-	// (uncontrollable sources other than the schedule's own are
-	// excluded in single-source mode). occDelta is the per-transition
-	// channel/port occupancy delta, making the per-state occ field an
-	// O(1) increment.
-	ft          *petri.FiringTable
-	allowedMask []uint64
-	occDelta    []int32
+	// which is how the merge groups successors into ECSs. spec is what
+	// petri.Drive expands under: its Mask holds the ECSs this schedule
+	// may fire (uncontrollable sources other than the schedule's own
+	// are excluded in single-source mode), its Caps the place caps.
+	// occDelta is the per-transition channel/port occupancy delta,
+	// making the per-state occ field an O(1) increment.
+	ft       *petri.FiringTable
+	spec     petri.ExpandSpec
+	occDelta []int32
 
 	// adj is the forward adjacency, state after state: one group per
-	// allowed enabled ECS of the state, in partition order, made of the
-	// ECS's partition index and then one successor per member — a state
-	// index, or -1 for a successor beyond the caps (making the group
-	// unusable). A group is named by its position in adj.
+	// allowed enabled ECS of the state whose successors all stay within
+	// the caps, in partition order, made of one successor state per
+	// member, the last one flagged with endMark. A group with a
+	// successor beyond the caps is never stored: no set X can keep it,
+	// since a chosen ECS's successors must all be in X. A group is named
+	// by its position in adj, that of its first successor.
 	adj []int32
+
+	// inX marks the states of the fixpoint's current X set, one entry
+	// per state, made by solve.
+	inX []bool
 
 	// Reverse adjacency in CSR form, built once after exploration: the
 	// edges e into state t, revOff[t] <= e < revOff[t+1], come from state
@@ -142,7 +154,18 @@ type graphEngine struct {
 	revGroup []int32
 	dist     []int64
 	queue    radixHeap
+
+	// Scratch of groupECSs, reused for every state it expands: the
+	// state's marking, its enabled-ECS set, a successor marking and the
+	// resulting list of partition indices.
+	mark, child petri.Marking
+	bits        []uint64
+	ecss        []int32
 }
+
+// endMark flags the last successor of each group in adj; readers mask it
+// off with math.MaxInt32 (state ids are below 2³¹).
+const endMark = math.MinInt32
 
 // unreached is the rank of a state that cannot reach the root inside X.
 const unreached = math.MaxInt64
@@ -155,23 +178,30 @@ func (ge *graphEngine) groups(id int) (lo, hi int32) {
 	return ge.states[id].start, int32(len(ge.adj))
 }
 
-// succ returns the successors of group g, one per member of its ECS.
-func (ge *graphEngine) succ(g int32) []int32 { return ge.adj[g+1 : ge.next(g)] }
+// succ returns the successors of group g, one per member of its ECS;
+// the last carries endMark.
+func (ge *graphEngine) succ(g int32) []int32 { return ge.adj[g:ge.next(g)] }
 
 // next returns the position of the group after g.
 func (ge *graphEngine) next(g int32) int32 {
-	return g + 1 + int32(len(ge.part[ge.adj[g]].Trans))
+	for ge.adj[g] >= 0 {
+		g++
+	}
+	return g + 1
 }
 
 // usable reports whether group g keeps every successor inside the
 // current X set.
 func (ge *graphEngine) usable(g int32) bool {
-	for _, t := range ge.succ(g) {
-		if t < 0 || !ge.states[t].inX {
+	for ; ; g++ {
+		t := ge.adj[g]
+		if !ge.inX[t&math.MaxInt32] {
 			return false
 		}
+		if t < 0 {
+			return true
+		}
 	}
-	return true
 }
 
 func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
@@ -182,12 +212,13 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 		part:   n.ECSPartition(),
 	}
 	if cp, ok := opt.Term.(CapProvider); ok {
-		ge.caps = cp.Caps(n)
+		ge.spec.Caps = cp.Caps(n)
 	} else {
-		ge.caps = NewIrrelevance(n).Caps(n)
+		ge.spec.Caps = NewIrrelevance(n).Caps(n)
 	}
-	ge.allowedMask = allowedMask(n, ge.part, source, opt.MultiSource)
+	ge.spec.Mask = allowedMask(n, ge.part, source, opt.MultiSource)
 	ge.ft = petri.NewFiringTable(n, ge.part)
+	ge.bits = make([]uint64, ge.ft.Stride())
 	ge.occDelta = make([]int32, len(n.Transitions))
 	for t := range ge.occDelta {
 		for _, d := range ge.ft.Deltas(t) {
@@ -226,8 +257,7 @@ const rootID = 0
 // error is a token overflow. Budget exhaustion is an exploration
 // outcome and lands in ge.over.
 func (ge *graphEngine) drive() error {
-	spec := petri.ExpandSpec{Mask: ge.allowedMask, Caps: ge.caps}
-	_, err := petri.Drive(ge.ft, spec, nil, ge.start)
+	_, err := petri.Drive(ge.ft, ge.spec, nil, ge.start)
 	return err
 }
 
@@ -236,20 +266,33 @@ func (ge *graphEngine) drive() error {
 // state's successors arrive ECS by ECS (allowed enabled ECSs in
 // partition order, members ascending), one Edge or Reject per member,
 // so a member that arrives while no group is open names its ECS and
-// opens the next group. Occupancy is a delta off the parent: O(1) per
-// new state instead of a marking scan.
+// opens the next group. A vetoed member drops its whole group: the
+// members already written are rolled back and the rest are skipped. A
+// successor the dropped group interned keeps its state, so the
+// numbering does not depend on what adj keeps. Occupancy is a delta off
+// the parent: O(1) per new state instead of a marking scan.
 func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	ge.store = store
 	ge.states = append(ge.states, gstate{occ: int32(ge.occupancy(store.At(rootID)))})
-	open := 0 // successors the open group still expects
+	open := 0         // successors the open group still expects
+	first := int32(0) // where in adj the open group starts
+	dropped := false  // whether a member of the open group was vetoed
 	advance := func(trans, child int32) {
 		if open == 0 {
-			ei := ge.ft.ECSOf(int(trans))
-			open = len(ge.part[ei].Trans)
-			petri.Push(&ge.adj, int32(ei))
+			open = len(ge.part[ge.ft.ECSOf(int(trans))].Trans)
+			first, dropped = int32(len(ge.adj)), false
 		}
-		petri.Push(&ge.adj, child)
 		open--
+		switch {
+		case child < 0: // vetoed: drop the group and what it wrote
+			ge.adj = ge.adj[:first]
+			dropped = true
+		case dropped: // an earlier member was vetoed
+		case open == 0:
+			petri.Push(&ge.adj, child|endMark)
+		default:
+			petri.Push(&ge.adj, child)
+		}
 	}
 	return petri.MergeHooks{
 		BeginState: func(id petri.MarkID) { ge.states[id].start = int32(len(ge.adj)) },
@@ -276,40 +319,57 @@ func (ge *graphEngine) marking(id int) petri.Marking {
 	return ge.store.Load(nil, petri.MarkID(id))
 }
 
-// buildReverse assembles the CSR reverse adjacency over every explored
-// in-cap edge, once; the fixpoint rounds filter it by the shrinking X
-// set instead of rebuilding it.
-func (ge *graphEngine) buildReverse() {
-	counts := make([]int32, len(ge.states)+1)
-	for g := int32(0); g < int32(len(ge.adj)); g = ge.next(g) {
-		for _, t := range ge.succ(g) {
-			if t >= 0 {
-				counts[t+1]++
+// groupECSs returns the partition indices of state id's groups, in adj
+// order. adj does not store them, so they are recovered the way the
+// exploration emitted the groups (see petri.ExpandSpec): the allowed
+// ECSs enabled at the state's marking, in partition order, minus every
+// ECS with a member the caps veto. The result is valid until the next
+// call.
+func (ge *graphEngine) groupECSs(id int) []int32 {
+	ge.mark = ge.store.Load(ge.mark, petri.MarkID(id))
+	ge.ft.Init(ge.bits, ge.mark)
+	ge.ecss = ge.ecss[:0]
+	petri.ForEachMaskedBit(ge.bits, ge.spec.Mask, func(ei int) {
+		for _, t := range ge.part[ei].Trans {
+			ge.child = ge.ft.Fire(ge.child, ge.mark, t)
+			if ge.spec.Veto(ge.child) {
+				return
 			}
 		}
+		ge.ecss = append(ge.ecss, int32(ei))
+	})
+	return ge.ecss
+}
+
+// buildReverse assembles the CSR reverse adjacency over every stored
+// edge, once; the fixpoint rounds filter it by the shrinking X set
+// instead of rebuilding it. Each target's range fills from its end, with
+// the states walked in descending order, so the range lists its sources
+// ascending.
+func (ge *graphEngine) buildReverse() {
+	off := make([]int32, len(ge.states)+1)
+	for _, t := range ge.adj {
+		off[t&math.MaxInt32]++
 	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
-	ge.revOff = counts
-	total := counts[len(counts)-1]
-	ge.revSrc = make([]int32, total)
-	ge.revGroup = make([]int32, total)
-	fill := make([]int32, len(ge.states))
-	for si := range ge.states {
+	// off[t] is now the end of t's range, and off[len(states)] the
+	// total; filling moves each off[t] to the start of t's range.
+	ge.revSrc = make([]int32, len(ge.adj))
+	ge.revGroup = make([]int32, len(ge.adj))
+	for si := len(ge.states) - 1; si >= 0; si-- {
 		lo, hi := ge.groups(si)
 		for g := lo; g < hi; g = ge.next(g) {
 			for _, t := range ge.succ(g) {
-				if t < 0 {
-					continue
-				}
-				e := ge.revOff[t] + fill[t]
-				fill[t]++
-				ge.revSrc[e] = int32(si)
-				ge.revGroup[e] = g
+				t &= math.MaxInt32
+				off[t]--
+				ge.revSrc[off[t]] = int32(si)
+				ge.revGroup[off[t]] = g
 			}
 		}
 	}
+	ge.revOff = off
 	ge.dist = make([]int64, len(ge.states))
 	ge.queue.init(ge.dist)
 }
@@ -318,16 +378,16 @@ func (ge *graphEngine) buildReverse() {
 // marking admits a schedule (the root's source successor stays in X).
 func (ge *graphEngine) solve() bool {
 	ge.buildReverse()
-	for i := range ge.states {
-		ge.states[i].inX = true
+	ge.inX = make([]bool, len(ge.states))
+	for i := range ge.inX {
+		ge.inX[i] = true
 	}
 	for {
 		changed := false
 		// Closure: a state needs at least one usable ECS; removals
 		// cascade across outer rounds.
 		for i := range ge.states {
-			s := &ge.states[i]
-			if !s.inX {
+			if !ge.inX[i] {
 				continue
 			}
 			ok := false
@@ -336,22 +396,21 @@ func (ge *graphEngine) solve() bool {
 				ok = ge.usable(g)
 			}
 			if !ok {
-				s.inX = false
+				ge.inX[i] = false
 				changed = true
 			}
 		}
-		if !ge.states[rootID].inX {
+		if !ge.inX[rootID] {
 			return false
 		}
 		ge.computeRanks()
-		for i := range ge.states {
-			s := &ge.states[i]
-			if s.inX && ge.dist[i] == unreached {
-				s.inX = false
+		for i, in := range ge.inX {
+			if in && ge.dist[i] == unreached {
+				ge.inX[i] = false
 				changed = true
 			}
 		}
-		if !ge.states[rootID].inX {
+		if !ge.inX[rootID] {
 			return false
 		}
 		if !changed {
@@ -359,19 +418,21 @@ func (ge *graphEngine) solve() bool {
 		}
 	}
 	// The root must be able to fire the source and stay in X.
-	g := ge.sourceGroup()
+	g, _ := ge.sourceGroup()
 	return g >= 0 && ge.usable(g)
 }
 
-// sourceGroup returns the root's group of the source's ECS, or -1.
-func (ge *graphEngine) sourceGroup() int32 {
+// sourceGroup returns the root's group of the source's ECS and that ECS,
+// or -1 and nil.
+func (ge *graphEngine) sourceGroup() (int32, *petri.ECS) {
+	ecss := ge.groupECSs(rootID)
 	lo, hi := ge.groups(rootID)
-	for g := lo; g < hi; g = ge.next(g) {
-		if E := ge.part[ge.adj[g]]; len(E.Trans) == 1 && E.Trans[0] == ge.source {
-			return g
+	for i, g := 0, lo; g < hi; i, g = i+1, ge.next(g) {
+		if E := ge.part[ecss[i]]; len(E.Trans) == 1 && E.Trans[0] == ge.source {
+			return g, E
 		}
 	}
-	return -1
+	return -1, nil
 }
 
 // occupancyWeight is the rank penalty per buffered token: paths through
@@ -403,7 +464,7 @@ func (ge *graphEngine) computeRanks() {
 		id := q.pop()
 		for e := ge.revOff[id]; e < ge.revOff[id+1]; e++ {
 			sid := ge.revSrc[e]
-			if !ge.states[sid].inX || !ge.usable(ge.revGroup[e]) {
+			if !ge.inX[sid] || !ge.usable(ge.revGroup[e]) {
 				continue
 			}
 			// Weight = 1 + occupancyWeight * occupancy, with occupancy
@@ -531,40 +592,45 @@ func (ge *graphEngine) occupancy(m petri.Marking) int {
 	return total
 }
 
-// choose picks σ(s) as a group of state id: a usable ECS that makes
-// progress toward the root (some successor with smaller rank — this
-// alone guarantees property 5), preferring internal activity over
-// awaits, honoring SELECT arm priorities, and keeping channel occupancy
-// low so synthesized buffers stay minimal (the paper's PFC result: all
-// channels of unit size). A key ends in the ECS's partition index,
-// which no other group of the state shares, so no two keys tie.
-func (ge *graphEngine) choose(id int) int32 {
+// choose picks σ(s) as a group of state id, and returns it with its
+// ECS: a usable ECS that makes progress toward the root (some successor
+// with smaller rank — this alone guarantees property 5), preferring
+// internal activity over awaits, honoring SELECT arm priorities, and
+// keeping channel occupancy low so synthesized buffers stay minimal (the
+// paper's PFC result: all channels of unit size). A key ends in the
+// ECS's partition index, which no other group of the state shares, so
+// no two keys tie. It returns -1 and nil if no group qualifies.
+func (ge *graphEngine) choose(id int) (int32, *petri.ECS) {
 	best, bestKey := int32(-1), [4]int64{}
+	var bestE *petri.ECS
+	ecss := ge.groupECSs(id)
 	lo, hi := ge.groups(id)
-	for g := lo; g < hi; g = ge.next(g) {
+	for i, g := 0, lo; g < hi; i, g = i+1, ge.next(g) {
 		if !ge.usable(g) {
 			continue
 		}
 		minSucc := int64(unreached)
 		for _, t := range ge.succ(g) {
-			minSucc = min(minSucc, ge.dist[t])
+			minSucc = min(minSucc, ge.dist[t&math.MaxInt32])
 		}
 		if minSucc >= ge.dist[id] {
 			continue // no progress toward the root via this ECS
 		}
-		E := ge.part[ge.adj[g]]
+		E := ge.part[ecss[i]]
 		key := [4]int64{0, int64(ge.selArmIndex(E)), minSucc, int64(E.Index)}
 		if E.IsSourceECS(ge.net) {
 			key[0] = 1
 		}
 		if best < 0 || slices.Compare(key[:], bestKey[:]) < 0 {
-			best, bestKey = g, key
+			best, bestE, bestKey = g, E, key
 		}
 	}
-	return best
+	return best, bestE
 }
 
-// build emits the schedule induced by σ from the root.
+// build emits the schedule induced by σ from the root. Only the states
+// it visits need their groups' ECSs, which choose and sourceGroup
+// recover from the state's marking.
 func (ge *graphEngine) build() *Schedule {
 	s := &Schedule{Net: ge.net, Source: ge.source}
 	s.Stats = SearchStats{
@@ -584,16 +650,15 @@ func (ge *graphEngine) build() *Schedule {
 		s.Nodes = append(s.Nodes, n)
 		var g int32
 		if id == rootID {
-			g = ge.sourceGroup() // the root fires the source
+			g, n.ECS = ge.sourceGroup() // the root fires the source
 		} else {
-			g = ge.choose(id)
+			g, n.ECS = ge.choose(id)
 		}
 		if g < 0 {
 			return n // defensive; solve() guarantees a choice
 		}
-		n.ECS = ge.part[ge.adj[g]]
 		for j, to := range ge.succ(g) {
-			n.Edges = append(n.Edges, Edge{Trans: n.ECS.Trans[j], To: mk(int(to))})
+			n.Edges = append(n.Edges, Edge{Trans: n.ECS.Trans[j], To: mk(int(to & math.MaxInt32))})
 		}
 		return n
 	}
