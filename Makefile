@@ -24,9 +24,9 @@
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
 #                      allocates <= 2.55x its store's hot bytes, and one
-#                      cold PFC synthesis <= 3.85x its search store's hot
-#                      bytes (exact, machine-independent counts; -v prints
-#                      both ratios)
+#                      cold PFC synthesis <= 172 B per state its search
+#                      interns (exact, machine-independent counts; -v
+#                      prints both figures)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of
 #                      another protocol version) and the seeded
 #                      fault-injection matrix: heartbeat death
@@ -64,7 +64,10 @@
 #                      commits its snapshot, written with
 #                      `go run ./cmd/benchdiff -out BENCH_<date>.json`.
 #                      Run it on the baseline's Go release
-#   make fuzz-smoke  — short-budget fuzz pass over all fuzz targets
+#   make fuzz-smoke  — short-budget fuzz pass over all fuzz targets; each
+#                      leg minimizes a new input for at most 1s, so its
+#                      budget goes to executing inputs, not to Go's 60s
+#                      default minimization
 #   make coverage    — race tests with a coverage profile; prints
 #                      per-package totals and writes coverage.out
 #   make baseline    — refresh bench_baseline.json on this machine
@@ -122,11 +125,11 @@ baseline:
 	$(GO) run ./cmd/benchdiff -update
 
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/flowc
-	$(GO) test -run='^$$' -fuzz=FuzzExplore -fuzztime=$(FUZZTIME) ./internal/petri
-	$(GO) test -run='^$$' -fuzz=FuzzPNMLParse -fuzztime=$(FUZZTIME) ./internal/pnml
-	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/link
-	$(GO) test -run='^$$' -fuzz=FuzzDistFrames -fuzztime=$(FUZZTIME) ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/flowc
+	$(GO) test -run='^$$' -fuzz=FuzzExplore -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/petri
+	$(GO) test -run='^$$' -fuzz=FuzzPNMLParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/pnml
+	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/link
+	$(GO) test -run='^$$' -fuzz=FuzzDistFrames -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/dist
 
 coverage:
 	$(GO) test -race -coverprofile=coverage.out ./...

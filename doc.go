@@ -42,21 +42,27 @@
 // A token count in a petri.Marking is four bytes (petri.TokenBytes): it
 // is a []int32, as is the dist vector cache, and
 // petri.MaxTokens (2,147,483,647) is the largest count a place holds.
-// A store holds one byte per place until a count passes 255. The store
-// of every inline exploration (petri.Drive without a runner: every
-// schedule search's graph engine, Net.Explore, pnml.Analyze) starts
-// with one-byte pages, and the merge fires, vetoes, probes and interns
-// successors on those bytes. The first count above 255 it interns
-// widens the store, once and in place, to four-byte pages; a successor
-// a cap vetoes widens nothing. The counts a schedule search keeps are
-// tiny (every cap of the PFC search is 1), so its vectors take a
-// quarter of the bytes: a cold PFC synthesis allocates 9.2 MB instead
-// of 12.8 MB. The stores of a dist runner's coordinator and workers
-// and of the EP tree engines, which hold At views per state, stay four
-// bytes wide. Every way a count enters is
-// range-checked: Net.Validate (initial markings, bounds and arc weights,
-// after AddArc has merged repeated arcs; compile, link, the text
-// format, PNML and DecodeNet all call it), the FlowC checker (item
+// A store packs counts into rows narrower than that until one does not
+// fit. The store of every inline exploration (petri.Drive without a
+// runner: every schedule search's graph engine, Net.Explore,
+// pnml.Analyze) lays its rows out once per search from the caps of its
+// ExpandSpec and the initial marking: place p's count is a field of
+// min(8, bits.Len(max(cap, initial))) bits, no field straddles a byte,
+// and a place capped at 0 with no initial token takes no bits. An
+// uncapped exploration's fields are whole bytes, one per place. The
+// merge fires, vetoes, probes and interns successors on those rows,
+// checking each rising count against its cap first and then against
+// its field. The first count a field cannot hold widens the store,
+// once and in place, to four-byte pages; a successor a cap vetoes
+// widens nothing. The counts a schedule search keeps are tiny (every
+// cap of the PFC search is 0 or 1), so a PFC state's row is 5 bytes,
+// where one byte per place took 41: a cold PFC synthesis allocates
+// 3.94 MB instead of 4.85 MB. The stores of a dist runner's
+// coordinator and workers and of the EP tree engines, which hold At
+// views per state, stay four bytes wide. Every way a count enters is
+// range-checked: Net.Validate (initial markings, bounds and arc
+// weights, after AddArc has merged repeated arcs; compile, link, the
+// text format, PNML and DecodeNet all call it), the FlowC checker (item
 // counts and array sizes, so the server answers 422), the netlist's
 // bound= and rate=, PNML's initialMarking and inscription (a
 // *pnml.ParseError with line and column) and petri.DecodeMarking. No
@@ -64,9 +70,10 @@
 // uint32, so a capped place vetoes a successor whose count wrapped,
 // and a place no cap bounds (Net.Explore without MaxTokensPerPlace,
 // the EP tree engines) ends the search with an error wrapping
-// petri.ErrTokenOverflow that names the place. Hashes, MarkIDs, wire
-// bytes and PNML fingerprints do not change with either width: each
-// encodes a count by value.
+// petri.ErrTokenOverflow that names the place. Hashes, MarkIDs, edges,
+// schedules, wire bytes and PNML fingerprints do not change with a
+// store's width or row layout: each sees a count by value, and a
+// successor's hash is still its parent's plus Δ(t).
 //
 // # Incremental enablement
 //
@@ -122,12 +129,16 @@
 // pointer-free tables cut a cold PFC synthesis from 25.9 to 17.7 MB
 // allocated and its CPU time by over a fifth; the frontier window then
 // cut it from 6.69 to 6.23 MB, and the adjacency that keeps only usable
-// successors from 6.23 to 4.85 MB, while the two smaller reachability
-// tables cut serial ExploreLarge from 39.4 to 28.7 MB. `make bytes-gates`
-// bounds what the PFC search and serial ExploreLarge allocate at 3.85x
-// and 2.55x their stores' hot bytes (with one-byte counts the stores
-// hold about a third of the hot bytes of four-byte ones, so these
-// ratios allow fewer bytes than the 3.3x and 1.85x before them).
+// successors from 6.23 to 4.85 MB, and cap-width rows (see Token width)
+// from 4.85 to 3.94 MB, while the two smaller reachability tables cut
+// serial ExploreLarge from 39.4 to 28.7 MB. `make bytes-gates` bounds
+// what serial ExploreLarge allocates at 2.55x its store's hot bytes
+// (with one-byte counts the store holds about a third of the hot bytes
+// of four-byte ones, so the ratio allows fewer bytes than the 1.85x
+// before it), and what the PFC search allocates at 172 bytes per state
+// it interns: packed rows made its store the smallest of its tables,
+// so a multiple of the store's hot bytes no longer bounds the tables
+// that grow.
 //
 // # Concurrency and caching
 //

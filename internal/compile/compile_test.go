@@ -115,7 +115,7 @@ func TestDivisorsNetStructure(t *testing.T) {
 	// Every internal run stays deterministic: one marked place travels.
 	r := n.Explore(petri.ExploreOptions{FireSources: false, MaxTokensPerPlace: 8})
 	for id := range r.Len() {
-		m := r.MarkingAt(petri.MarkID(id))
+		m := r.Store.At(petri.MarkID(id))
 		count := 0
 		for i, pl := range n.Places {
 			if pl.Kind == petri.PlaceInternal && m[i] > 0 {

@@ -117,9 +117,9 @@ func requireSameReach(t *testing.T, label string, want, got *petri.ReachResult) 
 		t.Fatalf("%s: truncated %v, want %v", label, got.Truncated, want.Truncated)
 	}
 	for id := 0; id < want.Len(); id++ {
-		if !want.MarkingAt(petri.MarkID(id)).Equal(got.MarkingAt(petri.MarkID(id))) {
+		if !want.Store.At(petri.MarkID(id)).Equal(got.Store.At(petri.MarkID(id))) {
 			t.Fatalf("%s: marking %d differs: %v vs %v", label, id,
-				got.MarkingAt(petri.MarkID(id)), want.MarkingAt(petri.MarkID(id)))
+				got.Store.At(petri.MarkID(id)), want.Store.At(petri.MarkID(id)))
 		}
 		if want.Clipped[id] != got.Clipped[id] {
 			t.Fatalf("%s: clipped[%d] = %v, want %v", label, id, got.Clipped[id], want.Clipped[id])
@@ -197,7 +197,7 @@ func TestExploreDistTokenOverflow(t *testing.T) {
 		n.AddArcTP(tr, p, 1)
 		for _, workers := range []int{1, 2} {
 			r, err := n.ExploreDist(pipePool(t, workers), petri.ExploreOptions{})
-			if fuel == 1 && (err != nil || r.Len() != 2 || r.MarkingAt(1)[1] != petri.MaxTokens) {
+			if fuel == 1 && (err != nil || r.Len() != 2 || r.Store.At(1)[1] != petri.MaxTokens) {
 				t.Fatalf("%d workers, one firing: %v", workers, err)
 			}
 			if fuel == 2 && (!errors.Is(err, petri.ErrTokenOverflow) || !strings.Contains(err.Error(), "place p:")) {

@@ -154,7 +154,7 @@ func assertSameReach(t *testing.T, label string, want, got *petri.ReachResult) {
 		t.Fatalf("%s: %d states/truncated=%v, want %d/%v", label, got.Len(), got.Truncated, want.Len(), want.Truncated)
 	}
 	for id := 0; id < want.Len(); id++ {
-		if !want.MarkingAt(petri.MarkID(id)).Equal(got.MarkingAt(petri.MarkID(id))) {
+		if !want.Store.At(petri.MarkID(id)).Equal(got.Store.At(petri.MarkID(id))) {
 			t.Fatalf("%s: marking %d differs", label, id)
 		}
 		if want.Clipped[id] != got.Clipped[id] {

@@ -124,7 +124,7 @@ func TestLinkBoundedChannelComplement(t *testing.T) {
 	// Invariant: C + C~space == 3 in every reachable marking.
 	r := sys.Net.Explore(petri.ExploreOptions{FireSources: true, MaxTokensPerPlace: 5, MaxMarkings: 500})
 	for id := range r.Len() {
-		if m := r.MarkingAt(petri.MarkID(id)); m[ch.ID]+m[comp.ID] != 3 {
+		if m := r.Store.At(petri.MarkID(id)); m[ch.ID]+m[comp.ID] != 3 {
 			t.Errorf("marking %s violates the complement invariant", m.Key())
 		}
 	}

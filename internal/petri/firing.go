@@ -2,6 +2,7 @@ package petri
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"slices"
 )
@@ -152,25 +153,60 @@ func (f *FiringTable) Fire(dst, m Marking, t int) Marking {
 	return dst
 }
 
-// fireBytes is Fire on the one-byte counts of a narrow store's page: it
-// writes the successor of m under transition t into dst, which has
-// len(m). It reports false, leaving dst partly written, when a count of
-// t's rise list would pass maxNarrow; a count t lowers cannot go below
-// zero, since t is enabled at m.
-func (f *FiringTable) fireBytes(dst, m []uint8, t int) bool {
-	copy(dst, m)
+// byteFire is the outcome of fireBytes.
+type byteFire uint8
+
+const (
+	fireFits  byteFire = iota // the successor's row is written
+	fireVeto                  // a count passes its cap
+	fireSpill                 // a count within its cap passes its field
+)
+
+// fireBytes is Fire on a row of s, a narrow store: it writes the
+// successor of row under transition t into dst, which has len(row),
+// field by field. Each count of t's rise list is checked first against
+// its cap in caps (see ExpandSpec.Caps), past which the successor is
+// vetoed, and then against its field's max, past which it does not fit
+// the row and the int32 merge takes it over; either way dst is left
+// partly written. A count t lowers cannot go below zero, since t is
+// enabled at row, so it never borrows from a neighbouring field. row
+// must be within every cap. A whole-byte layout is fired byte by byte,
+// as fast as it was before rows were packed.
+func (f *FiringTable) fireBytes(dst, row []uint8, t int, s *MarkingStore, caps []int) byteFire {
+	copy(dst, row)
 	e := &f.trans[t]
-	for _, d := range f.deltas[e.lo:e.rise] {
-		v := int(dst[d.Place]) + d.Delta
-		if v > maxNarrow {
-			return false
+	if s.whole {
+		for _, d := range f.deltas[e.lo:e.rise] {
+			v := int(dst[d.Place]) + d.Delta
+			if v > int(ceiling(caps[d.Place])) {
+				return fireVeto
+			}
+			if v > math.MaxUint8 {
+				return fireSpill
+			}
+			dst[d.Place] = uint8(v)
 		}
-		dst[d.Place] = uint8(v)
+		for _, d := range f.deltas[e.rise:e.hi] {
+			dst[d.Place] = uint8(int(dst[d.Place]) + d.Delta)
+		}
+		return fireFits
+	}
+	for _, d := range f.deltas[e.lo:e.rise] {
+		fd := s.fields[d.Place]
+		v := int(dst[fd.off]>>fd.shift&fd.max) + d.Delta
+		if v > int(ceiling(caps[d.Place])) {
+			return fireVeto
+		}
+		if v > int(fd.max) {
+			return fireSpill
+		}
+		dst[fd.off] += uint8(d.Delta) << fd.shift
 	}
 	for _, d := range f.deltas[e.rise:e.hi] {
-		dst[d.Place] = uint8(int(dst[d.Place]) + d.Delta)
+		fd := s.fields[d.Place]
+		dst[fd.off] -= uint8(-d.Delta) << fd.shift
 	}
-	return true
+	return fireFits
 }
 
 // Hash returns the HashMarking value of the successor of firing
@@ -187,11 +223,6 @@ func (f *FiringTable) Veto(spec *ExpandSpec, child Marking, t int, full bool) bo
 	if full {
 		return spec.Veto(child)
 	}
-	return riseVeto(f, spec, child, t)
-}
-
-// riseVeto is Veto's check of t's rise list, on either count encoding.
-func riseVeto[E token](f *FiringTable, spec *ExpandSpec, child []E, t int) bool {
 	e := &f.trans[t]
 	for _, d := range f.deltas[e.lo:e.rise] {
 		if uint32(child[d.Place]) > ceiling(spec.Caps[d.Place]) {
@@ -235,17 +266,35 @@ func (f *FiringTable) Init(bits []uint64, m Marking) {
 // touches are re-evaluated, and the result equals Init's. dst and src
 // must not overlap.
 func (f *FiringTable) Update(dst, src []uint64, t int, m Marking) {
-	update(f, dst, src, t, m)
-}
-
-// update is Update on either count encoding.
-func update[E token](f *FiringTable, dst, src []uint64, t int, m []E) {
 	copy(dst[:f.stride], src[:f.stride])
 	e := &f.trans[t]
 	for _, ei := range f.touched[e.tlo:e.thi] {
 		w, b := ei>>6, uint64(1)<<(uint(ei)&63)
 		// Equal conflict: one member's preset is every member's.
-		if enabled(f.net.Transitions[f.part[ei].Trans[0]], m) {
+		if m.Enabled(f.net.Transitions[f.part[ei].Trans[0]]) {
+			dst[w] |= b
+		} else {
+			dst[w] &^= b
+		}
+	}
+}
+
+// updateBytes is Update for a successor held as a row of s, a narrow
+// store: it reads each preset count from its field.
+func (f *FiringTable) updateBytes(dst, src []uint64, t int, row []uint8, s *MarkingStore) {
+	copy(dst[:f.stride], src[:f.stride])
+	e := &f.trans[t]
+	for _, ei := range f.touched[e.tlo:e.thi] {
+		w, b := ei>>6, uint64(1)<<(uint(ei)&63)
+		// Equal conflict: one member's preset is every member's.
+		on := true
+		for _, a := range f.net.Transitions[f.part[ei].Trans[0]].In {
+			if s.count(row, a.Place) < a.Weight {
+				on = false
+				break
+			}
+		}
+		if on {
 			dst[w] |= b
 		} else {
 			dst[w] &^= b

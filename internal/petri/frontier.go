@@ -25,13 +25,16 @@ import (
 //	  veto checks only the places the transition adds tokens to, and
 //	  the hash is the parent's plus the transition's constant
 //	  increment, so neither pass scans the marking.
-//	  No goroutines and no candidate buffers. The store starts narrow
-//	  (one byte per count, see MarkingStore), and the merge runs on
-//	  bytes: it fires the parent's page bytes into a byte scratch,
-//	  probes with a memory compare and copies the bytes in. The int32
-//	  merge takes over for the root, a successor with a count above 255
-//	  (whose intern widens the store) and every state of a store that
-//	  has widened.
+//	  No goroutines and no candidate buffers. The store starts narrow,
+//	  each count a field of the bits its cap allows in a packed row
+//	  that Drive lays out once from spec.Caps and the initial marking
+//	  (see MarkingStore), and the merge runs on rows: it fires the
+//	  parent's row into a row scratch field by field, checking each
+//	  rising count against its cap (a veto) and then its field's max,
+//	  probes with a memory compare, copies the row in and derives the
+//	  enabled set by reading fields. The int32 merge takes over for the
+//	  root, a successor with a count past its field (whose intern widens
+//	  the store) and every state of a store that has widened.
 //	  A state's enabled set is derived from its parent's when the
 //	  state is interned and read only when it is expanded, so the
 //	  driver keeps the sets of a window of states: the interned ones
@@ -153,9 +156,14 @@ type FrontierRunner interface {
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure or an overflow.
 func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, start func(*MarkingStore) MergeHooks) (bool, error) {
-	// Only the inline merge writes narrow pages; a runner's workers and
-	// coordinator read At views per state.
-	d := &driver{ft: ft, spec: spec, store: newMarkingStoreCap(len(ft.net.Places), 1<<10, r == nil)}
+	// Only the inline merge writes narrow rows; a runner's workers and
+	// coordinator read At views per state. A row's field holds every
+	// count the caps admit, and the root's.
+	var limit func(p int) uint32
+	if r == nil {
+		limit = func(p int) uint32 { return max(ceiling(spec.Caps[p]), uint32(ft.net.Places[p].Initial)) }
+	}
+	d := &driver{ft: ft, spec: spec, store: newMarkingStoreCap(len(ft.net.Places), 1<<10, limit)}
 	for p := range spec.Caps {
 		d.unbounded = d.unbounded || spec.unbounded(p)
 	}
@@ -190,10 +198,10 @@ type driver struct {
 	// [base, store.Len()) (see set), each appended by Extend when its
 	// state is interned; runInline drops the expanded prefix once it is
 	// at least half the window, so bits holds about the BFS frontier.
-	// scratch and byteScratch are the firing buffers, one marking long,
-	// that every successor of the exploration is fired into, and parent
-	// holds the decoded counts of a narrow parent whose successor takes
-	// the int32 merge.
+	// scratch and byteScratch are the firing buffers, one marking and
+	// one row long, that every successor of the exploration is fired
+	// into, and parent holds the decoded counts of a narrow parent whose
+	// successor takes the int32 merge.
 	bits        []uint64
 	base        int
 	scratch     Marking
@@ -214,7 +222,7 @@ func (d *driver) runInline() bool {
 	d.bits = make([]uint64, d.ft.stride)
 	buf := make(Marking, 2*places)
 	d.scratch, d.parent = buf[:places:places], buf[places:]
-	d.byteScratch = make([]uint8, places)
+	d.byteScratch = make([]uint8, d.store.rowBytes)
 	d.ft.Init(d.bits, d.store.Load(d.parent, 0))
 	for id := 0; id < d.store.Len(); id++ {
 		if done := id - d.base; done > 0 && 2*done >= d.store.Len()-d.base {
@@ -239,15 +247,15 @@ func (d *driver) expand(id MarkID) bool {
 		d.hooks.BeginState(id)
 	}
 	h := d.store.HashAt(id)
-	// b views a narrow parent's page bytes; m holds the parent's counts
-	// for the int32 merge, decoded on first use.
-	var b []uint8
+	// row views a narrow parent's row; m holds the parent's counts for
+	// the int32 merge, decoded on first use.
+	var row []uint8
 	var m Marking
 	switch {
 	case !d.store.narrow:
 		m = d.store.At(id)
 	case id != 0:
-		b = d.store.hotBytes(int(id))
+		row = d.store.row(int(id))
 	default:
 		m = d.store.Load(d.parent, id)
 	}
@@ -258,16 +266,23 @@ func (d *driver) expand(id MarkID) bool {
 	// state's own words stays valid either way.
 	ForEachMaskedBit(d.set(id), d.spec.Mask, func(ei int) {
 		for _, tid := range d.ft.part[ei].Trans {
-			switch {
-			case !ok:
-			case b != nil && d.store.narrow && d.ft.fireBytes(d.byteScratch, b, tid):
-				ok = d.mergeBytes(id, h, tid)
-			default:
-				if m == nil {
-					m = d.store.Load(d.parent, id)
-				}
-				ok = d.merge(id, m, h, tid, full)
+			if !ok {
+				return
 			}
+			if row != nil && d.store.narrow {
+				switch d.ft.fireBytes(d.byteScratch, row, tid, d.store, d.spec.Caps) {
+				case fireVeto:
+					ok = d.hooks.Reject(id, int32(tid), false)
+					continue
+				case fireFits:
+					ok = d.mergeBytes(id, h, tid)
+					continue
+				}
+			}
+			if m == nil {
+				m = d.store.Load(d.parent, id)
+			}
+			ok = d.merge(id, m, h, tid, full)
 		}
 	})
 	return ok
@@ -294,17 +309,14 @@ func (d *driver) merge(parent MarkID, m Marking, ph uint64, tid int, full bool) 
 	}
 	// Admit interns nothing, so the probe run find ended is still open.
 	child = d.store.insert(d.scratch, h, slot, alias)
-	addBits(d, parent, tid, d.scratch)
+	d.ft.Update(d.addSet(), d.set(parent), tid, d.scratch)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true
 }
 
 // mergeBytes is merge on a narrow store, for the successor that
-// fireBytes wrote into byteScratch from a parent within every cap.
+// fireBytes wrote into byteScratch, within every cap and its row.
 func (d *driver) mergeBytes(parent MarkID, ph uint64, tid int) bool {
-	if riseVeto(d.ft, &d.spec, d.byteScratch, tid) {
-		return d.hooks.Reject(parent, int32(tid), false)
-	}
 	h := d.ft.Hash(ph, tid)
 	child, slot, alias := d.store.findBytes(d.byteScratch, h)
 	if child != NoMark {
@@ -315,7 +327,7 @@ func (d *driver) mergeBytes(parent MarkID, ph uint64, tid int) bool {
 		return d.hooks.Reject(parent, int32(tid), true)
 	}
 	child = d.store.insertBytes(d.byteScratch, h, slot, alias)
-	addBits(d, parent, tid, d.byteScratch)
+	d.ft.updateBytes(d.addSet(), d.set(parent), tid, d.byteScratch, d.store)
 	d.hooks.Edge(parent, int32(tid), child, true)
 	return true
 }
@@ -327,11 +339,12 @@ func (d *driver) set(id MarkID) []uint64 {
 	return d.bits[lo : lo+d.ft.stride]
 }
 
-// addBits appends the enabled-ECS set of the state just interned as
-// parent's successor under tid, whose counts are m.
-func addBits[E token](d *driver, parent MarkID, tid int, m []E) {
+// addSet extends the window by the enabled-ECS set of the state just
+// interned and returns it, for Update or updateBytes to write every
+// word of. Extend may move d.bits, so a view of another state's set is
+// taken after it.
+func (d *driver) addSet() []uint64 {
 	end := len(d.bits)
 	Extend(&d.bits, d.ft.stride)
-	// update writes every word of the new state's set.
-	update(d.ft, d.bits[end:], d.set(parent), tid, m)
+	return d.bits[end:]
 }

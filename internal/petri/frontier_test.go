@@ -2,6 +2,8 @@ package petri
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -87,7 +89,7 @@ func TestExploreTokenOverflow(t *testing.T) {
 	if r.Len() != 4 || r.Truncated {
 		t.Fatalf("one firing to MaxTokens: %d states (truncated %v), want 4", r.Len(), r.Truncated)
 	}
-	if got := r.MarkingAt(3); got[1] != MaxTokens || got[3] != 4 {
+	if got := r.Store.At(3); got[1] != MaxTokens || got[3] != 4 {
 		t.Fatalf("last marking %v, want p at %d", got, MaxTokens)
 	}
 	for _, c := range []struct {
@@ -117,4 +119,200 @@ func TestExploreTokenOverflow(t *testing.T) {
 	}()
 	overflowNet(2, 1).Explore(ExploreOptions{})
 	t.Fatal("Explore returned past an overflow")
+}
+
+// mixedCapsNet is a net for a spec whose caps lay out fields of every
+// kind, listed with each place's cap and field width. gate (cap 1, 1
+// bit) and a (cap 1, 1 bit) swap one token. z (cap 0, no bits) is fed
+// by toZ, which every state vetoes. b (cap 3, 2 bits) is filled one
+// token at a time by the source fillB, and moveBC takes 2 from it to
+// put 3 into c (cap 7, 3 bits). drainC moves one token from c to the
+// unbounded u (a whole byte), burning one of fuel's 5 tokens (cap 7,
+// 3 bits), so u ends at uInit+5. o (cap 1, 2 bits) starts at 3, over
+// its cap, so every successor of the root but drainO's, which takes 2
+// from it, is vetoed; feedO, enabled beside flip and toZ, would then
+// raise o to 2, which its field holds and its cap vetoes. A second
+// source, fillC, is outside the spec's mask.
+func mixedCapsNet(uInit int) (*Net, ExpandSpec) {
+	n := New("mixed-caps")
+	gate := n.AddPlace("gate", PlaceInternal, 1)
+	a := n.AddPlace("a", PlaceInternal, 0)
+	z := n.AddPlace("z", PlaceChannel, 0)
+	b := n.AddPlace("b", PlaceChannel, 0)
+	c := n.AddPlace("c", PlaceChannel, 0)
+	u := n.AddPlace("u", PlaceChannel, uInit)
+	o := n.AddPlace("o", PlaceChannel, 3)
+	fuel := n.AddPlace("fuel", PlaceInternal, 5)
+	caps := []int{1, 1, 0, 3, 7, -1, 1, 7}
+	flip := n.AddTransition("flip", TransNormal)
+	n.AddArc(gate, flip, 1)
+	n.AddArcTP(flip, a, 1)
+	toZ := n.AddTransition("toZ", TransNormal)
+	n.AddSelfLoop(gate, toZ, 1)
+	n.AddArcTP(toZ, z, 1)
+	feedO := n.AddTransition("feedO", TransNormal)
+	n.AddSelfLoop(gate, feedO, 1)
+	n.AddArcTP(feedO, o, 1)
+	flop := n.AddTransition("flop", TransNormal)
+	n.AddArc(a, flop, 1)
+	n.AddArcTP(flop, gate, 1)
+	fillB := n.AddTransition("fillB", TransSourceCtl)
+	n.AddArcTP(fillB, b, 1)
+	fillC := n.AddTransition("fillC", TransSourceCtl)
+	n.AddArcTP(fillC, c, 1)
+	moveBC := n.AddTransition("moveBC", TransNormal)
+	n.AddArc(b, moveBC, 2)
+	n.AddArcTP(moveBC, c, 3)
+	drainC := n.AddTransition("drainC", TransNormal)
+	n.AddArc(c, drainC, 1)
+	n.AddArc(fuel, drainC, 1)
+	n.AddArcTP(drainC, u, 1)
+	drainO := n.AddTransition("drainO", TransNormal)
+	n.AddArc(o, drainO, 2)
+	part := n.ECSPartition()
+	spec := ExpandSpec{Mask: make([]uint64, (len(part)+63)/64), Caps: caps}
+	for _, e := range part {
+		if e.Trans[0] != fillC.ID {
+			spec.Mask[e.Index>>6] |= 1 << (uint(e.Index) & 63)
+		}
+	}
+	return n, spec
+}
+
+// wholeCapsNet is a net whose caps give every place a whole byte
+// although one cap is small: p starts at 200 over its cap of 2, so its
+// field must hold 200, and q and fuel are unbounded. drain takes p to
+// 2; the source fill, which the root's cap vetoes, then raises p to 3,
+// which its byte holds and its cap vetoes; take moves one of p's
+// tokens to q while fuel's 5 tokens last.
+func wholeCapsNet() (*Net, ExpandSpec) {
+	n := New("whole-caps")
+	p := n.AddPlace("p", PlaceChannel, 200)
+	q := n.AddPlace("q", PlaceChannel, 0)
+	fuel := n.AddPlace("fuel", PlaceInternal, 5)
+	drain := n.AddTransition("drain", TransNormal)
+	n.AddArc(p, drain, 198)
+	fill := n.AddTransition("fill", TransSourceCtl)
+	n.AddArcTP(fill, p, 1)
+	take := n.AddTransition("take", TransNormal)
+	n.AddArc(p, take, 1)
+	n.AddArc(fuel, take, 1)
+	n.AddArcTP(take, q, 1)
+	spec := ExpandSpec{Mask: []uint64{1<<len(n.ECSPartition()) - 1}, Caps: []int{2, -1, -1}}
+	return n, spec
+}
+
+// referenceDrive is the oracle of TestDriveMixedCaps, kept independent
+// of the code under test: a map-keyed BFS (Marking.Key) under spec that
+// tests ECS.Enabled for the whole partition at every state and checks
+// every place of every successor against its cap. It admits at most
+// maxStates states and returns the hook calls Drive must make, in
+// order, and the markings in MarkID order.
+func referenceDrive(n *Net, spec ExpandSpec, maxStates int) ([]string, []Marking) {
+	var events []string
+	markings := []Marking{n.InitialMarking()}
+	ids := map[string]MarkID{markings[0].Key(): 0}
+	for qi := 0; qi < len(markings); qi++ {
+		m := markings[qi]
+		events = append(events, fmt.Sprintf("begin %d", qi))
+		for _, e := range n.ECSPartition() {
+			if spec.Mask[e.Index>>6]&(1<<(uint(e.Index)&63)) == 0 || !e.Enabled(n, m) {
+				continue
+			}
+			for _, tid := range e.Trans {
+				next := m.Fire(n.Transitions[tid])
+				veto := false
+				for p, v := range next {
+					veto = veto || spec.Caps[p] >= 0 && int(v) > spec.Caps[p]
+				}
+				id, seen := ids[next.Key()]
+				switch {
+				case veto:
+					events = append(events, fmt.Sprintf("reject %d %d budget=false", qi, tid))
+				case seen:
+					events = append(events, fmt.Sprintf("edge %d %d %d new=false", qi, tid, id))
+				case len(markings) == maxStates:
+					events = append(events, fmt.Sprintf("reject %d %d budget=true", qi, tid))
+				default:
+					id = MarkID(len(markings))
+					ids[next.Key()] = id
+					markings = append(markings, next)
+					events = append(events, fmt.Sprintf("edge %d %d %d new=true", qi, tid, id))
+				}
+			}
+		}
+	}
+	return events, markings
+}
+
+// TestDriveMixedCaps: Drive under a spec whose caps mix 0, 1, 3, 7 and
+// unbounded, with a root over one cap, makes the same hook calls, in the
+// same order, as the reference BFS, and its store holds the same
+// markings. The store lays its rows out from the caps and the root:
+// mixedCapsNet's eight places fit in 3 bytes. In "widens", u passes
+// 255, so the store widens from packed rows in the middle of the
+// exploration; in "budget", Admit refuses every state past the 40th. In
+// "whole", every field is a whole byte, so the merge fires byte by
+// byte, and a cap of 2 still vetoes what its byte would hold.
+func TestDriveMixedCaps(t *testing.T) {
+	mixed := func(uInit int) func() (*Net, ExpandSpec) {
+		return func() (*Net, ExpandSpec) { return mixedCapsNet(uInit) }
+	}
+	for _, c := range []struct {
+		name      string
+		net       func() (*Net, ExpandSpec)
+		maxStates int
+		whole     bool // every field is a whole byte
+		wide      bool // the store ends wide
+	}{
+		{"narrow", mixed(0), 1 << 20, false, false},
+		{"widens", mixed(252), 1 << 20, false, true},
+		{"budget", mixed(0), 40, false, false},
+		{"whole", wholeCapsNet, 1 << 20, true, false},
+	} {
+		n, spec := c.net()
+		wantEvents, wantMarkings := referenceDrive(n, spec, c.maxStates)
+		var events []string
+		var store *MarkingStore
+		ok, err := Drive(NewFiringTable(n, n.ECSPartition()), spec, nil, func(s *MarkingStore) MergeHooks {
+			store = s
+			if !s.narrow || s.rowBytes != 3 || s.whole != c.whole {
+				t.Fatalf("%s: rows of %d bytes (narrow %v, whole %v), want 3", c.name, s.rowBytes, s.narrow, s.whole)
+			}
+			return MergeHooks{
+				BeginState: func(id MarkID) { events = append(events, fmt.Sprintf("begin %d", id)) },
+				Admit:      func() bool { return s.Len() < c.maxStates },
+				Edge: func(parent MarkID, trans int32, child MarkID, isNew bool) {
+					events = append(events, fmt.Sprintf("edge %d %d %d new=%v", parent, trans, child, isNew))
+				},
+				Reject: func(parent MarkID, trans int32, budget bool) bool {
+					events = append(events, fmt.Sprintf("reject %d %d budget=%v", parent, trans, budget))
+					return true
+				},
+			}
+		})
+		if !ok || err != nil {
+			t.Fatalf("%s: Drive = %v, %v", c.name, ok, err)
+		}
+		if store.Len() != len(wantMarkings) {
+			t.Fatalf("%s: %d states, want %d", c.name, store.Len(), len(wantMarkings))
+		}
+		for id, want := range wantMarkings {
+			if got := store.Load(nil, MarkID(id)); !got.Equal(want) {
+				t.Fatalf("%s: state %d is %v, want %v", c.name, id, got, want)
+			}
+		}
+		if !reflect.DeepEqual(events, wantEvents) {
+			for i := range min(len(events), len(wantEvents)) {
+				if events[i] != wantEvents[i] {
+					t.Fatalf("%s: hook call %d is %q, want %q", c.name, i, events[i], wantEvents[i])
+				}
+			}
+			t.Fatalf("%s: %d hook calls, want %d", c.name, len(events), len(wantEvents))
+		}
+		if store.narrow == c.wide {
+			t.Errorf("%s: store narrow = %v at the end", c.name, store.narrow)
+		}
+		t.Logf("%s: %d states, %d hook calls", c.name, store.Len(), len(events))
+	}
 }

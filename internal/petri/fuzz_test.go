@@ -64,8 +64,10 @@ func netFromBytes(data []byte) *Net {
 // explorer exactly. The cap reads only maxTokens%8, so entries that
 // differ in its high bits explore alike. The high bit of maxMarkings,
 // which the budget does not read, adds 253 tokens to the first place's
-// initial marking, so its counts cross 255, where the explorer's store
-// widens from one byte per count, or start above a small cap.
+// initial marking, so its counts cross 255, where an uncapped
+// exploration's store widens from one byte per count, or start above a
+// small cap, whose field the store's row layout widens to hold the
+// root.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
 	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(3), true)
@@ -99,7 +101,7 @@ func FuzzExplore(f *testing.F) {
 		}
 		seen := map[string]bool{}
 		for id := range MarkID(res.Len()) {
-			m := res.MarkingAt(id)
+			m := res.Store.At(id)
 			key := m.Key()
 			if seen[key] {
 				t.Fatalf("marking %q interned twice (hash-consing broken)", key)
@@ -124,8 +126,8 @@ func FuzzExplore(f *testing.F) {
 				if int(e.To) >= res.Len() {
 					t.Fatalf("edge %d -> %d targets an unretained marking", from, e.To)
 				}
-				next := res.MarkingAt(MarkID(from)).Fire(n.Transitions[e.Trans])
-				if !next.Equal(res.MarkingAt(e.To)) {
+				next := res.Store.At(MarkID(from)).Fire(n.Transitions[e.Trans])
+				if !next.Equal(res.Store.At(e.To)) {
 					t.Fatalf("edge %d -%d-> %d is not a firing", from, e.Trans, e.To)
 				}
 			}

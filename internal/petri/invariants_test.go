@@ -71,7 +71,7 @@ func TestPInvariantConservation(t *testing.T) {
 	want := InvariantValue(cons, m0)
 	res := n.Explore(ExploreOptions{FireSources: true, MaxMarkings: 200})
 	for id := range res.Len() {
-		if m := res.MarkingAt(MarkID(id)); InvariantValue(cons, m) != want {
+		if m := res.Store.At(MarkID(id)); InvariantValue(cons, m) != want {
 			t.Errorf("marking %s violates the invariant", m.Key())
 		}
 	}

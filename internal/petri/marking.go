@@ -84,10 +84,7 @@ func (m Marking) Format(n *Net) string {
 
 // Enabled reports whether transition t is enabled at m: m(p) >= F(p,t)
 // for every place p. Source transitions are always enabled.
-func (m Marking) Enabled(t *Transition) bool { return enabled(t, m) }
-
-// enabled is Marking.Enabled on either count encoding.
-func enabled[E token](t *Transition, m []E) bool {
+func (m Marking) Enabled(t *Transition) bool {
 	for _, a := range t.In {
 		if int(m[a.Place]) < a.Weight {
 			return false

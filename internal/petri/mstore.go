@@ -1,9 +1,6 @@
 package petri
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Hash-consed marking storage. Every hot loop of the scheduler — the
 // marking-graph engine, the EP/EP_ECS tree searches and the bounded
@@ -28,16 +25,21 @@ import (
 // A page holds a count in one of two encodings. NewMarkingStore's pages
 // hold a Marking's int32 counts, and an At view points straight into
 // its page. The store of an inline exploration (Drive without a runner)
-// starts narrow, one uint8 per place: the counts a schedule search keeps
-// are tiny (every cap of the PFC search is 1), so the vectors take a
-// quarter of the bytes. The first time such a store has to intern a
-// count above 255, it widens, once and in place: every live page is
-// decoded into an int32 page of the same geometry, and the store stays
-// wide. Nothing outside the package sees the encoding. At decodes a
-// narrow id into a fresh copy, Load decodes into the caller's buffer,
-// and hashes and MarkIDs do not depend on it: each sees a count by
-// value. Only Mem does, since it counts each vector at the width its
-// page holds.
+// starts narrow: a marking is a packed row whose layout Drive fixes once
+// per search from the caps of its ExpandSpec and the initial marking.
+// Place p's count is a field of min(8, bits.Len(max(cap, initial)))
+// bits, no field straddles a byte, and a place capped at 0 with no
+// initial token takes no bits. The counts a schedule search keeps are
+// tiny (every cap of the PFC search is 0 or 1), so a PFC row is 5 bytes
+// where one byte per place would take 41; an exploration without caps
+// gives every field a whole byte, and its rows are one byte per place.
+// The first time a narrow store has to intern a count its field cannot
+// hold, it widens, once and in place: every live page is decoded into
+// an int32 page of the same geometry, and the store stays wide. Nothing
+// outside the package sees the encoding. At decodes a narrow id into a
+// fresh copy, Load decodes into the caller's buffer, and hashes and
+// MarkIDs do not depend on it: each sees a count by value. Only Mem
+// does, since it counts each vector at the bytes its page holds.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -64,15 +66,30 @@ type MarkingStore struct {
 	// The token vectors, in pages (see pageOf for the layout):
 	// bytePages while narrow is set, pages otherwise. Only the live
 	// encoding's page list is used.
-	pages      [][]int32
-	bytePages  [][]uint8
-	narrow     bool
+	pages     [][]int32
+	bytePages [][]uint8
+	narrow    bool
+	// A narrow store's layout (see layRows): place p's count is the
+	// field fields[p] of a row of rowBytes bytes, and whole is set when
+	// field p is all of byte p.
+	fields     []field
+	rowBytes   int
+	whole      bool
 	firstShift uint     // page 0 holds 1<<firstShift markings
 	capShift   uint     // pages stop doubling at 1<<capShift markings
 	hashes     []uint64 // hash per interned marking, reused on growth
 	table      []uint32 // open addressing, entry = id+1, 0 = empty
 	mask       uint32
 	aliased    bool // two distinct interned markings share a 64-bit hash
+}
+
+// field is where a narrow row keeps one place's count: the bits of byte
+// off from shift up, as many as max has. max is the largest count the
+// field holds, 2^width-1; a field of width 0 always reads 0.
+type field struct {
+	off   int32
+	shift uint8
+	max   uint8
 }
 
 // Page geometry: the first page holds up to 1<<firstPageShift markings
@@ -84,22 +101,17 @@ const (
 	pageCapBytes   = 64 << 10
 )
 
-// maxNarrow is the largest count a narrow store's pages hold.
-const maxNarrow = math.MaxUint8
-
-// token is the count type of either page encoding.
-type token interface{ uint8 | int32 }
-
 // NewMarkingStore returns an empty store for markings over the given
 // number of places, holding TokenBytes per count.
 func NewMarkingStore(places int) *MarkingStore {
-	return newMarkingStoreCap(places, 1<<10, false)
+	return newMarkingStoreCap(places, 1<<10, nil)
 }
 
 // newMarkingStoreCap builds a store with an explicit initial table size
-// (a power of two), narrow or not. Tests use tiny tables to force probe
-// collisions.
-func newMarkingStoreCap(places, tableSize int, narrow bool) *MarkingStore {
+// (a power of two). A nil limit gives int32 pages; otherwise the store
+// starts narrow, its rows laid out for counts up to limit(p) at place p
+// (see layRows). Tests use tiny tables to force probe collisions.
+func newMarkingStoreCap(places, tableSize int, limit func(p int) uint32) *MarkingStore {
 	if tableSize < 2 || tableSize&(tableSize-1) != 0 {
 		panic("petri: marking store table size must be a power of two >= 2")
 	}
@@ -107,13 +119,59 @@ func newMarkingStoreCap(places, tableSize int, narrow bool) *MarkingStore {
 	for (2<<capShift)*max(places, 1)*TokenBytes <= pageCapBytes {
 		capShift++
 	}
-	return &MarkingStore{
+	s := &MarkingStore{
 		places:     places,
-		narrow:     narrow,
 		firstShift: min(firstPageShift, capShift),
 		capShift:   capShift,
 		table:      make([]uint32, tableSize),
 		mask:       uint32(tableSize - 1),
+	}
+	if limit != nil {
+		s.layRows(limit)
+	}
+	return s
+}
+
+// layRows makes the store narrow, with rows that hold counts up to
+// limit(p) at each place p: its field takes min(8, bits.Len(limit(p)))
+// bits, so a limit past 255 gets a whole byte and one of 0 no bits.
+// Fields are placed widest first, each in the first byte with room for
+// it (first-fit decreasing), so none straddles a byte and whole-byte
+// fields take bytes 0, 1, ... in place order: a layout of whole bytes
+// only is one byte per place. A row is at least one byte, which the
+// fields of width 0 read.
+func (s *MarkingStore) layRows(limit func(p int) uint32) {
+	s.narrow = true
+	s.fields = make([]field, s.places)
+	s.whole = true
+	for p := range s.fields {
+		w := min(8, bits.Len32(limit(p)))
+		s.fields[p].max = uint8(1<<w - 1)
+		s.whole = s.whole && w == 8
+	}
+	// used[b] counts the bits of row byte b taken so far. Within one
+	// width, a byte that had no room for a field never gets room, so b
+	// only moves forward.
+	used := make([]uint8, 0, 64)
+	for w := 8; w > 0; w-- {
+		b := 0
+		for p, f := range s.fields {
+			if bits.Len8(f.max) != w {
+				continue
+			}
+			for b < len(used) && int(used[b])+w > 8 {
+				b++
+			}
+			if b == len(used) {
+				used = append(used, 0)
+			}
+			s.fields[p] = field{off: int32(b), shift: used[b], max: f.max}
+			used[b] += uint8(w)
+		}
+	}
+	s.rowBytes = len(used)
+	if s.places > 0 {
+		s.rowBytes = max(s.rowBytes, 1)
 	}
 }
 
@@ -141,12 +199,22 @@ func (s *MarkingStore) pageLen(k int) int {
 	return 1 << min(s.firstShift+uint(k)-1, s.capShift)
 }
 
-// width returns the bytes a page spends per count.
-func (s *MarkingStore) width() int64 {
-	if s.narrow {
-		return 1
+// count reads place p's count from a row of a narrow store. A
+// whole-byte layout's count p is byte p, read without the field table.
+func (s *MarkingStore) count(row []uint8, p int) int {
+	if s.whole {
+		return int(row[p])
 	}
-	return TokenBytes
+	f := s.fields[p]
+	return int(row[f.off] >> f.shift & f.max)
+}
+
+// rowSize returns the bytes a page spends per marking.
+func (s *MarkingStore) rowSize() int64 {
+	if s.narrow {
+		return int64(s.rowBytes)
+	}
+	return int64(s.places) * TokenBytes
 }
 
 // hot returns the page view of an id of a wide store.
@@ -156,22 +224,34 @@ func (s *MarkingStore) hot(id int) Marking {
 	return Marking(s.pages[page][i : i+s.places : i+s.places])
 }
 
-// hotBytes returns the page view of an id of a narrow store.
-func (s *MarkingStore) hotBytes(id int) []uint8 {
+// row returns the row of an id of a narrow store.
+func (s *MarkingStore) row(id int) []uint8 {
 	page, off := s.pageOf(id)
-	i := off * s.places
-	return s.bytePages[page][i : i+s.places : i+s.places]
+	i := off * s.rowBytes
+	return s.bytePages[page][i : i+s.rowBytes : i+s.rowBytes]
+}
+
+// decode writes the counts of a narrow row into dst, which holds one
+// count per place. A whole-byte layout is a plain byte loop.
+func (s *MarkingStore) decode(dst Marking, row []uint8) {
+	if s.whole {
+		for p, v := range row {
+			dst[p] = int32(v)
+		}
+		return
+	}
+	for p, f := range s.fields {
+		dst[p] = int32(row[f.off] >> f.shift & f.max)
+	}
 }
 
 // loadHot copies the counts of an id into dst, which holds one count
 // per place, and returns it.
 func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
-	if !s.narrow {
+	if s.narrow {
+		s.decode(dst, s.row(id))
+	} else {
 		copy(dst, s.hot(id))
-		return dst
-	}
-	for p, v := range s.hotBytes(id) {
-		dst[p] = int32(v)
 	}
 	return dst
 }
@@ -181,9 +261,9 @@ func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
 func (s *MarkingStore) widen() {
 	s.pages = make([][]int32, len(s.bytePages))
 	for k, b := range s.bytePages {
-		w := make([]int32, len(b))
-		for i, v := range b {
-			w[i] = int32(v)
+		w := make([]int32, s.pageLen(k)*s.places)
+		for i := range s.pageLen(k) {
+			s.decode(w[i*s.places:(i+1)*s.places], b[i*s.rowBytes:(i+1)*s.rowBytes])
 		}
 		s.pages[k] = w
 	}
@@ -326,18 +406,26 @@ func (s *MarkingStore) find(m Marking, h uint64) (MarkID, uint32, bool) {
 	}
 }
 
-// holds reports whether id's vector equals m, reading a narrow page
-// in place.
+// holds reports whether id's vector equals m, reading a narrow row in
+// place. A count that its field cannot hold differs from every row.
 func (s *MarkingStore) holds(id MarkID, m Marking) bool {
-	if s.narrow {
-		return sameCounts(s.hotBytes(int(id)), m)
+	if !s.narrow {
+		return s.hot(int(id)).Equal(m)
 	}
-	return s.hot(int(id)).Equal(m)
+	if len(m) != s.places {
+		return false
+	}
+	row := s.row(int(id))
+	for p, v := range m {
+		if uint32(v) != uint32(s.count(row, p)) {
+			return false
+		}
+	}
+	return true
 }
 
-// findBytes is find for a narrow store and a vector b of one-byte
-// counts: a candidate is compared with its page bytes in one memory
-// compare.
+// findBytes is find for a narrow store and a row b in its layout: a
+// candidate is compared with its row in one memory compare.
 func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
 	alias := false
 	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
@@ -347,26 +435,12 @@ func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
 		}
 		id := MarkID(e - 1)
 		if s.hashes[id] == h {
-			if string(s.hotBytes(int(id))) == string(b) {
+			if string(s.row(int(id))) == string(b) {
 				return id, slot, false
 			}
 			alias = true
 		}
 	}
-}
-
-// sameCounts reports whether two vectors, of one encoding or the
-// other, hold the same counts.
-func sameCounts[A, B token](a []A, b []B) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if int64(v) != int64(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // LookupHash resolves a bare 64-bit HashMarking value to the interned
@@ -424,33 +498,36 @@ func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 
 // insert interns m, hashed h and absent from the store: slot and alias
 // are what find returned for m, with no intern since. It returns m's
-// new id. A narrow store checks each count as it copies it in, and
-// widens at the first one above maxNarrow.
+// new id. A narrow store packs m into the row claim made, and widens
+// if a count does not fit its field.
 func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool) MarkID {
 	id := s.claim(h, slot, alias)
-	page, off := s.pageOf(int(id))
-	if s.narrow {
-		row := s.bytePages[page][off*s.places:]
-		for p, v := range m {
-			if uint32(v) > maxNarrow {
-				s.widen()
-				break
-			}
-			row[p] = uint8(v)
-		}
+	if s.narrow && !s.pack(s.row(int(id)), m) {
+		s.widen()
 	}
 	if !s.narrow {
-		copy(s.pages[page][off*s.places:], m)
+		copy(s.hot(int(id)), m)
 	}
 	return id
 }
 
-// insertBytes is insert for a narrow store and a vector b of one-byte
-// counts.
+// pack writes m into row, a zeroed row of a narrow store, field by
+// field. It reports false, with row partly written, at the first count
+// that its field cannot hold.
+func (s *MarkingStore) pack(row []uint8, m Marking) bool {
+	for p, f := range s.fields {
+		if uint32(m[p]) > uint32(f.max) {
+			return false
+		}
+		row[f.off] |= uint8(m[p]) << f.shift
+	}
+	return true
+}
+
+// insertBytes is insert for a narrow store and a row b in its layout.
 func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool) MarkID {
 	id := s.claim(h, slot, alias)
-	page, off := s.pageOf(int(id))
-	copy(s.bytePages[page][off*s.places:], b)
+	copy(s.row(int(id)), b)
 	return id
 }
 
@@ -461,10 +538,10 @@ func (s *MarkingStore) claim(h uint64, slot uint32, alias bool) MarkID {
 	s.aliased = s.aliased || alias
 	id := MarkID(len(s.hashes))
 	if page, off := s.pageOf(int(id)); off == 0 {
-		if n := s.pageLen(page) * s.places; s.narrow {
-			s.bytePages = append(s.bytePages, make([]uint8, n))
+		if n := s.pageLen(page); s.narrow {
+			s.bytePages = append(s.bytePages, make([]uint8, n*s.rowBytes))
 		} else {
-			s.pages = append(s.pages, make([]int32, n))
+			s.pages = append(s.pages, make([]int32, n*s.places))
 		}
 	}
 	s.hashes = append(s.hashes, h)
@@ -505,16 +582,16 @@ type StoreMem struct {
 
 // Mem is THE store-memory accounting: exact live byte counts at slice
 // lengths, independent of append growth policy, with each vector
-// counted at the width its pages hold (one byte per place in a narrow
-// store). The figure is a pure function of the interned marking
-// sequence and the encoding the store started in, so distributed
-// memory accounting (the per-worker replica-size gates in CI) can
+// counted at the bytes its page holds (a row in a narrow store). The
+// figure is a pure function of the interned marking sequence and the
+// encoding and layout the store started in, so distributed memory
+// accounting (the per-worker replica-size gates in CI) can
 // compare values across processes and machines byte-for-byte. Every
 // other store-size figure in the tree (dist.WorkerMem.StoreBytes,
 // sched.SearchStats.StoreHotBytes and the server's
 // qss_store_hot_bytes gauge built on it) derives from this one method.
 func (s *MarkingStore) Mem() StoreMem {
 	return StoreMem{
-		HotBytes: int64(s.Len())*int64(s.places)*s.width() + int64(len(s.hashes))*8 + int64(len(s.table))*4,
+		HotBytes: int64(s.Len())*s.rowSize() + int64(len(s.hashes))*8 + int64(len(s.table))*4,
 	}
 }

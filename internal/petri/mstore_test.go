@@ -2,36 +2,66 @@ package petri
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 )
 
-// encodings are the two page encodings every store test runs on: the
-// int32 pages of NewMarkingStore, and the one-byte pages an inline
-// exploration's store starts with.
-var encodings = []struct {
-	name   string
-	narrow bool
-}{{"wide", false}, {"narrow", true}}
+// encoding is a page encoding a store test runs on: the int32 pages of
+// NewMarkingStore (a nil limit), or narrow rows laid out for counts up
+// to limit(p) at place p.
+type encoding struct {
+	name  string
+	limit func(p int) uint32
+}
+
+// encodings are the encodings every store test runs on: int32 pages,
+// the one-byte rows of an uncapped inline exploration, and a mixed row
+// of 8-, 1-, 3- and 0-bit fields, in turn, as a capped search lays out.
+var encodings = []encoding{
+	{"wide", nil},
+	{"narrow", limits(math.MaxUint8)},
+	{"mixed", limits(math.MaxUint8, 1, 7, 0)},
+}
+
+// limits returns the limit function that gives place p the limit
+// l[p%len(l)].
+func limits(l ...uint32) func(p int) uint32 {
+	return func(p int) uint32 { return l[p%len(l)] }
+}
+
+// fit clamps each count of m to what its field holds under enc, so that
+// a narrow store keeps m narrow.
+func (enc encoding) fit(m Marking) Marking {
+	if enc.limit != nil {
+		for p, v := range m {
+			m[p] = min(v, int32(enc.limit(p)))
+		}
+	}
+	return m
+}
 
 // newTestStore returns an empty store in the given encoding.
-func newTestStore(places int, narrow bool) *MarkingStore {
-	return newMarkingStoreCap(places, 1<<10, narrow)
+func newTestStore(places int, enc encoding) *MarkingStore {
+	return newMarkingStoreCap(places, 1<<10, enc.limit)
 }
 
 // TestMarkingStoreRoundTrip: intern assigns dense IDs in order, lookup
 // finds them again, and At and Load return the exact vector.
 func TestMarkingStoreRoundTrip(t *testing.T) {
 	for _, enc := range encodings {
-		t.Run(enc.name, func(t *testing.T) { testMarkingStoreRoundTrip(t, enc.narrow) })
+		t.Run(enc.name, func(t *testing.T) { testMarkingStoreRoundTrip(t, enc) })
 	}
 }
 
-func testMarkingStoreRoundTrip(t *testing.T, narrow bool) {
+// testMarkingStoreRoundTrip runs TestMarkingStoreRoundTrip on one
+// encoding. Its counts fit the encoding's fields, so a narrow store
+// stays narrow.
+func testMarkingStoreRoundTrip(t *testing.T, enc encoding) {
 	const places = 7
-	s := newTestStore(places, narrow)
+	s := newTestStore(places, enc)
 	rng := rand.New(rand.NewSource(1))
 	var markings []Marking
 	seen := map[string]MarkID{}
@@ -40,7 +70,7 @@ func testMarkingStoreRoundTrip(t *testing.T, narrow bool) {
 		for j := range m {
 			m[j] = int32(rng.Intn(4))
 		}
-		id, isNew := s.Intern(m)
+		id, isNew := s.Intern(enc.fit(m))
 		if prev, ok := seen[m.Key()]; ok {
 			if isNew {
 				t.Fatalf("marking %q re-interned as new", m.Key())
@@ -61,6 +91,9 @@ func testMarkingStoreRoundTrip(t *testing.T, narrow bool) {
 	}
 	if s.Len() != len(seen) {
 		t.Fatalf("Len = %d, want %d distinct", s.Len(), len(seen))
+	}
+	if s.narrow != (enc.limit != nil) {
+		t.Fatalf("narrow = %v after interning counts that fit", s.narrow)
 	}
 	for _, m := range markings {
 		id, ok := s.LookupHashed(m, HashMarking(m))
@@ -86,7 +119,7 @@ func testMarkingStoreRoundTrip(t *testing.T, narrow bool) {
 // must survive.
 func TestMarkingStoreCollisions(t *testing.T) {
 	const places = 3
-	s := newMarkingStoreCap(places, 2, false)
+	s := newMarkingStoreCap(places, 2, nil)
 	var ms []Marking
 	for i := 0; i < 64; i++ {
 		m := Marking{int32(i), int32(i % 5), int32(i / 3)}
@@ -113,12 +146,13 @@ func TestMarkingStoreCollisions(t *testing.T) {
 
 // TestMarkingStoreViewStability: views taken before arena growth stay
 // readable and equal to the interned vector afterwards. Counts run up
-// to 10,002, so a narrow store widens in the middle, after the views
-// of its narrow pages were taken.
+// to 10,002, so a narrow store widens: the one-byte one in the middle,
+// after the views of its narrow pages were taken, and the mixed one at
+// its first marking.
 func TestMarkingStoreViewStability(t *testing.T) {
 	for _, enc := range encodings {
 		t.Run(enc.name, func(t *testing.T) {
-			s := newTestStore(4, enc.narrow)
+			s := newTestStore(4, enc)
 			first := Marking{1, 2, 3, 4}
 			id, _ := s.Intern(first)
 			view := s.At(id)
@@ -148,92 +182,108 @@ func TestMarkingStoreViewStability(t *testing.T) {
 	}
 }
 
-// TestMarkingStoreWiden: a narrow store holding byte-sized markings
-// widens, once and in place, when it interns a count of 256. Every
-// earlier id reads the same through At, Load, LookupHashed and HashAt
-// before and after, views taken before the widen still read
-// correctly, and Mem counts one byte per count before and TokenBytes
-// after. The subtest keeps the name it had when the store could also
-// freeze its first ids; every vector now stays in memory.
+// TestMarkingStoreWiden: a narrow store holding markings that fit its
+// rows widens, once and in place, when it interns a count of 256.
+// Every earlier id reads the same through At, Load, LookupHashed and
+// HashAt before and after, views taken before the widen still read
+// correctly, and Mem counts one row per marking before and TokenBytes
+// per count after. The rows are one byte per place ("freeze=false",
+// the name the subtest had when the store could also freeze its first
+// ids), or a mixed layout of 8-, 1-, 8-, 0- and 3-bit fields, in which
+// the widen decodes packed rows.
 func TestMarkingStoreWiden(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		limit    func(p int) uint32
+		rowBytes int64
+	}{
+		{"freeze=false", limits(math.MaxUint8), 5},
+		{"mixed", limits(math.MaxUint8, 1, math.MaxUint8, 0, 7), 3},
+	} {
+		t.Run(c.name, func(t *testing.T) { testMarkingStoreWiden(t, c.limit, c.rowBytes) })
+	}
+}
+
+func testMarkingStoreWiden(t *testing.T, limit func(p int) uint32, rowBytes int64) {
 	const places, count = 5, 300
-	t.Run("freeze=false", func(t *testing.T) {
-		s := newTestStore(places, true)
-		var ms []Marking
-		for i := range count {
-			m := Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)}
-			if id, isNew := s.Intern(m); !isNew || int(id) != i {
-				t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
-			}
-			ms = append(ms, m)
+	s := newMarkingStoreCap(places, 1<<10, limit)
+	var ms []Marking
+	for i := range count {
+		m := Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)}
+		if id, isNew := s.Intern(m); !isNew || int(id) != i {
+			t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
 		}
-		views := make([]Marking, len(ms))
-		check := func(stage string) {
-			t.Helper()
-			var buf Marking
-			for i, m := range ms {
-				id := MarkID(i)
-				if !s.At(id).Equal(m) || !views[i].Equal(m) {
-					t.Fatalf("%s: At(%d) = %v, view %v, want %v", stage, id, s.At(id), views[i], m)
-				}
-				if buf = s.Load(buf, id); !buf.Equal(m) {
-					t.Fatalf("%s: Load(%d) = %v, want %v", stage, id, buf, m)
-				}
-				if got, ok := s.LookupHashed(m, HashMarking(m)); !ok || got != id {
-					t.Fatalf("%s: LookupHashed(%v) = (%d, %v), want (%d, true)", stage, m, got, ok, id)
-				}
-				if s.HashAt(id) != HashMarking(m) {
-					t.Fatalf("%s: HashAt(%d) = %#x, want %#x", stage, id, s.HashAt(id), HashMarking(m))
-				}
+		ms = append(ms, m)
+	}
+	views := make([]Marking, len(ms))
+	check := func(stage string) {
+		t.Helper()
+		var buf Marking
+		for i, m := range ms {
+			id := MarkID(i)
+			if !s.At(id).Equal(m) || !views[i].Equal(m) {
+				t.Fatalf("%s: At(%d) = %v, view %v, want %v", stage, id, s.At(id), views[i], m)
+			}
+			if buf = s.Load(buf, id); !buf.Equal(m) {
+				t.Fatalf("%s: Load(%d) = %v, want %v", stage, id, buf, m)
+			}
+			if got, ok := s.LookupHashed(m, HashMarking(m)); !ok || got != id {
+				t.Fatalf("%s: LookupHashed(%v) = (%d, %v), want (%d, true)", stage, m, got, ok, id)
+			}
+			if s.HashAt(id) != HashMarking(m) {
+				t.Fatalf("%s: HashAt(%d) = %#x, want %#x", stage, id, s.HashAt(id), HashMarking(m))
 			}
 		}
-		for i := range ms {
-			views[i] = s.At(MarkID(i))
-		}
-		check("narrow")
-		// Mem's hot bytes, less the vectors at the store's width.
-		rest := func(width int64) int64 {
-			return s.Mem().HotBytes - int64(s.Len())*places*width
-		}
-		if !s.narrow {
-			t.Fatal("byte-sized counts widened the store")
-		}
-		before := rest(1)
-		big := Marking{256, 0, 0, 0, 0}
-		id, isNew := s.Intern(big)
-		if !isNew || int(id) != count || s.narrow {
-			t.Fatalf("intern %v = (%d, %v), narrow %v; want (%d, true), wide", big, id, isNew, s.narrow, count)
-		}
-		check("wide")
-		if !s.At(id).Equal(big) {
-			t.Fatalf("At(%d) = %v, want %v", id, s.At(id), big)
-		}
-		// One more hash.
-		if got, want := rest(TokenBytes), before+8; got != want {
-			t.Fatalf("hot bytes less vectors: %d after the widen, want %d", got, want)
-		}
-	})
+	}
+	for i := range ms {
+		views[i] = s.At(MarkID(i))
+	}
+	check("narrow")
+	// Mem's hot bytes, less the vectors at the store's row size.
+	rest := func() int64 { return s.Mem().HotBytes - int64(s.Len())*s.rowSize() }
+	if !s.narrow || s.rowSize() != rowBytes {
+		t.Fatalf("counts that fit widened the store, or rows are %d bytes (narrow %v), want %d", s.rowSize(), s.narrow, rowBytes)
+	}
+	before := rest()
+	big := Marking{256, 0, 0, 0, 0}
+	id, isNew := s.Intern(big)
+	if !isNew || int(id) != count || s.narrow {
+		t.Fatalf("intern %v = (%d, %v), narrow %v; want (%d, true), wide", big, id, isNew, s.narrow, count)
+	}
+	check("wide")
+	if !s.At(id).Equal(big) {
+		t.Fatalf("At(%d) = %v, want %v", id, s.At(id), big)
+	}
+	// One more hash.
+	if s.rowSize() != places*TokenBytes {
+		t.Fatalf("wide rows are %d bytes, want %d", s.rowSize(), places*TokenBytes)
+	}
+	if got, want := rest(), before+8; got != want {
+		t.Fatalf("hot bytes less vectors: %d after the widen, want %d", got, want)
+	}
 }
 
 // TestMarkingStorePages: the page layout tiles the id space without
 // gaps or overlaps for narrow, typical and wider-than-a-page markings,
-// no page exceeds the byte cap unless one marking does, and every
-// marking round-trips across page boundaries.
+// no page exceeds the byte cap unless one row does, and every marking
+// round-trips across page boundaries.
 func TestMarkingStorePages(t *testing.T) {
 	for _, enc := range encodings {
-		t.Run(enc.name, func(t *testing.T) { testMarkingStorePages(t, enc.narrow) })
+		t.Run(enc.name, func(t *testing.T) { testMarkingStorePages(t, enc) })
 	}
 }
 
-// testMarkingStorePages runs TestMarkingStorePages on one encoding. Its
-// counts are the ids, so a narrow store widens at id 256.
-func testMarkingStorePages(t *testing.T, narrow bool) {
+// testMarkingStorePages runs TestMarkingStorePages on one encoding. A
+// place's count is the id, masked to its field unless the field is a
+// whole byte, so a narrow store widens at id 256.
+func testMarkingStorePages(t *testing.T, enc encoding) {
 	for _, places := range []int{1, 7, 60, pageCapBytes/TokenBytes + 1} {
-		s := newTestStore(places, narrow)
+		s := newTestStore(places, enc)
 		count := 3000
 		if places > 1000 {
 			count = 40 // one marking per page; keep the test small
 		}
+		var ms []Marking
 		prevPage, prevOff := 0, -1
 		for id := 0; id < count; id++ {
 			page, off := s.pageOf(id)
@@ -244,22 +294,26 @@ func testMarkingStorePages(t *testing.T, narrow bool) {
 				t.Fatalf("places=%d: id %d at (%d, %d) does not follow (%d, %d) (page len %d)",
 					places, id, page, off, prevPage, prevOff, s.pageLen(prevPage))
 			}
-			if w := int(s.width()); s.pageLen(page)*places*w > max(pageCapBytes, places*w) {
-				t.Fatalf("places=%d: page %d is %d bytes", places, page, s.pageLen(page)*places*w)
+			if w := int(s.rowSize()); s.pageLen(page)*w > max(pageCapBytes, w) {
+				t.Fatalf("places=%d: page %d is %d bytes", places, page, s.pageLen(page)*w)
 			}
 			prevPage, prevOff = page, off
 			m := make(Marking, places)
 			for j := range m {
 				m[j] = int32(id)
+				if enc.limit != nil && enc.limit(j) < math.MaxUint8 {
+					m[j] &= int32(enc.limit(j))
+				}
 			}
 			if got, isNew := s.Intern(m); !isNew || int(got) != id {
 				t.Fatalf("places=%d: intern %d = (%d, %v)", places, id, got, isNew)
 			}
+			ms = append(ms, m)
 		}
-		for id := 0; id < count; id++ {
+		for id, want := range ms {
 			m := s.At(MarkID(id))
-			if len(m) != places || cap(m) != places || int(m[0]) != id || int(m[places-1]) != id {
-				t.Fatalf("places=%d: At(%d) = len %d cap %d [%d ... %d]", places, id, len(m), cap(m), m[0], m[places-1])
+			if cap(m) != places || !m.Equal(want) {
+				t.Fatalf("places=%d: At(%d) = len %d cap %d, want %d counts, first %d", places, id, len(m), cap(m), places, want[0])
 			}
 		}
 	}
@@ -277,7 +331,7 @@ func TestMarkingStoreInternBytes(t *testing.T) {
 	}
 	ms := make([]Marking, 0, r.Len())
 	for id := range r.Len() {
-		ms = append(ms, r.MarkingAt(MarkID(id)))
+		ms = append(ms, r.Store.At(MarkID(id)))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -302,13 +356,13 @@ func TestMarkingStoreInternBytes(t *testing.T) {
 // finished ReachResult's store. Run under -race (the Makefile does).
 func TestMarkingStoreConcurrentReads(t *testing.T) {
 	for _, enc := range encodings {
-		t.Run(enc.name, func(t *testing.T) { testMarkingStoreConcurrentReads(t, enc.narrow) })
+		t.Run(enc.name, func(t *testing.T) { testMarkingStoreConcurrentReads(t, enc) })
 	}
 }
 
-func testMarkingStoreConcurrentReads(t *testing.T, narrow bool) {
+func testMarkingStoreConcurrentReads(t *testing.T, enc encoding) {
 	const places = 5
-	s := newTestStore(places, narrow)
+	s := newTestStore(places, enc)
 	var ms []Marking
 	for i := 0; i < 200; i++ {
 		m := Marking{int32(i), int32(i % 7), int32(i % 3), int32(i % 11), int32(i % 2)}
@@ -349,18 +403,19 @@ func testMarkingStoreConcurrentReads(t *testing.T, narrow bool) {
 // and interning two distinct vectors under one hash flips HashAliased —
 // the signal that callers must fall back to vector-exact lookups. The
 // alias differs from its twin in the last place only, so every vector
-// compare, the narrow store's byte probe included, must read it.
+// compare, the narrow store's row probe included, must read it. Every
+// count fits the encoding's fields, so a narrow store stays narrow.
 func TestLookupHashAliased(t *testing.T) {
 	for _, enc := range encodings {
-		t.Run(enc.name, func(t *testing.T) { testLookupHashAliased(t, enc.narrow) })
+		t.Run(enc.name, func(t *testing.T) { testLookupHashAliased(t, enc) })
 	}
 }
 
-func testLookupHashAliased(t *testing.T, narrow bool) {
-	s := newMarkingStoreCap(3, 2, narrow) // tiny table: forces probe runs and growth
+func testLookupHashAliased(t *testing.T, enc encoding) {
+	s := newMarkingStoreCap(3, 2, enc.limit) // tiny table: forces probe runs and growth
 	var ms []Marking
 	for i := 0; i < 40; i++ {
-		m := Marking{int32(i), int32(i % 4), int32(i / 7)}
+		m := enc.fit(Marking{int32(i), int32(i % 4), int32(i / 7)})
 		ms = append(ms, m)
 		s.Intern(m)
 	}
@@ -379,7 +434,7 @@ func testLookupHashAliased(t *testing.T, narrow bool) {
 	// Force an alias: a second vector interned under the first one's
 	// hash (InternHashed trusts the caller's hash).
 	h0 := HashMarking(ms[0])
-	alias := Marking{0, 0, 77}
+	alias := enc.fit(Marking{0, 0, 77})
 	id, isNew := s.InternHashed(alias, h0)
 	if !isNew || int(id) != len(ms) {
 		t.Fatalf("aliased intern = (%d, %v), want (%d, true)", id, isNew, len(ms))
@@ -397,17 +452,24 @@ func testLookupHashAliased(t *testing.T, narrow bool) {
 	if got, ok := s.LookupHashed(alias, h0); !ok || got != id {
 		t.Fatalf("exact lookup of alias = (%d, %v), want (%d, true)", got, ok, id)
 	}
-	if !narrow {
+	if enc.limit == nil {
 		return
 	}
-	// The byte probe of the inline explorer resolves both sides too, and
+	if !s.narrow {
+		t.Fatal("counts that fit widened the store")
+	}
+	// The row probe of the inline explorer resolves both sides too, and
 	// a third vector under the same hash is absent.
 	for _, c := range []struct {
-		b    []uint8
+		m    Marking
 		want MarkID
-	}{{[]uint8{0, 0, 0}, 0}, {[]uint8{0, 0, 77}, id}, {[]uint8{0, 0, 78}, NoMark}} {
-		if got, _, alias := s.findBytes(c.b, h0); got != c.want || alias != (c.want == NoMark) {
-			t.Fatalf("findBytes(%v) = (%d, alias %v), want %d", c.b, got, alias, c.want)
+	}{{Marking{0, 0, 0}, 0}, {alias, id}, {Marking{1, 0, 0}, NoMark}} {
+		row := make([]uint8, s.rowBytes)
+		if !s.pack(row, c.m) {
+			t.Fatalf("%v does not fit the store's rows", c.m)
+		}
+		if got, _, alias := s.findBytes(row, h0); got != c.want || alias != (c.want == NoMark) {
+			t.Fatalf("findBytes(%v) = (%d, alias %v), want %d", c.m, got, alias, c.want)
 		}
 	}
 }
@@ -445,11 +507,11 @@ func TestFireInto(t *testing.T) {
 // stored marking into a buffer.
 func TestZeroAllocFiringAndIntern(t *testing.T) {
 	for _, enc := range encodings {
-		t.Run(enc.name, func(t *testing.T) { testZeroAllocFiringAndIntern(t, enc.narrow) })
+		t.Run(enc.name, func(t *testing.T) { testZeroAllocFiringAndIntern(t, enc) })
 	}
 }
 
-func testZeroAllocFiringAndIntern(t *testing.T, narrow bool) {
+func testZeroAllocFiringAndIntern(t *testing.T, enc encoding) {
 	n := New("hot")
 	p := n.AddPlace("p", PlaceChannel, 1)
 	q := n.AddPlace("q", PlaceChannel, 0)
@@ -457,7 +519,7 @@ func testZeroAllocFiringAndIntern(t *testing.T, narrow bool) {
 	n.AddArc(p, tr, 1)
 	n.AddArcTP(tr, q, 1)
 	m := n.InitialMarking()
-	s := newTestStore(len(n.Places), narrow)
+	s := newTestStore(len(n.Places), enc)
 	scratch := make(Marking, len(n.Places))
 	scratch = m.FireInto(scratch, tr)
 	s.Intern(m)

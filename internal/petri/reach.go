@@ -43,11 +43,6 @@ type ReachEdge struct {
 // Len returns the number of distinct markings retained.
 func (r *ReachResult) Len() int { return r.Store.Len() }
 
-// MarkingAt returns the marking behind id, which callers must not
-// mutate (see MarkingStore.At). A reader that visits every state
-// decodes into one buffer with Store.Load instead.
-func (r *ReachResult) MarkingAt(id MarkID) Marking { return r.Store.At(id) }
-
 // ExploreOptions bounds a reachability exploration.
 type ExploreOptions struct {
 	// MaxMarkings limits the number of distinct markings (default 10000).

@@ -120,7 +120,7 @@ func assertSameSnapshot(t *testing.T, name string, want, got reachSnapshot) {
 func assertStoredHashes(t *testing.T, name string, r *ReachResult) {
 	t.Helper()
 	for id := range MarkID(r.Len()) {
-		if got, want := r.Store.HashAt(id), HashMarking(r.MarkingAt(id)); got != want {
+		if got, want := r.Store.HashAt(id), HashMarking(r.Store.At(id)); got != want {
 			t.Fatalf("%s: state %d stores hash %#x, HashMarking gives %#x", name, id, got, want)
 		}
 	}

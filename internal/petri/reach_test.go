@@ -69,7 +69,7 @@ func TestDeadlockMarkingsNotClipped(t *testing.T) {
 		if r.Clipped[id] {
 			t.Fatalf("clipped marking %d reported as deadlock", id)
 		}
-		m := r.MarkingAt(id)
+		m := r.Store.At(id)
 		for _, tr := range n.Transitions {
 			if m.Enabled(tr) {
 				t.Fatalf("deadlock marking %d has enabled transition %s", id, tr.Name)

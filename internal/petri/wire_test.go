@@ -101,7 +101,7 @@ func TestNetWireRoundTrip(t *testing.T) {
 		t.Fatalf("explorations differ: %d/%v vs %d/%v", ro.Len(), ro.Truncated, rd.Len(), rd.Truncated)
 	}
 	for id := 0; id < ro.Len(); id++ {
-		if !ro.MarkingAt(MarkID(id)).Equal(rd.MarkingAt(MarkID(id))) {
+		if !ro.Store.At(MarkID(id)).Equal(rd.Store.At(MarkID(id))) {
 			t.Fatalf("marking %d differs", id)
 		}
 	}

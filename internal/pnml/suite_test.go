@@ -197,7 +197,7 @@ func refFingerprint(r *petri.ReachResult) string {
 	word(r.Len())
 	flag(r.Truncated)
 	for id := 0; id < r.Len(); id++ {
-		for _, v := range r.MarkingAt(petri.MarkID(id)) {
+		for _, v := range r.Store.At(petri.MarkID(id)) {
 			word(int(v))
 		}
 		flag(r.Clipped[id])
