@@ -23,10 +23,10 @@
 #                      machine-independent)
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
-#                      allocates <= 2.55x its store's hot bytes, and one
-#                      cold PFC synthesis <= 172 B per state its search
-#                      interns (exact, machine-independent counts; -v
-#                      prints both figures)
+#                      allocates <= 132 B per state, and one cold PFC
+#                      synthesis <= 172 B per state its search interns
+#                      (exact, machine-independent counts; -v prints
+#                      both figures)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of
 #                      another protocol version) and the seeded
 #                      fault-injection matrix: heartbeat death

@@ -47,9 +47,19 @@
 // runner: every schedule search's graph engine, Net.Explore,
 // pnml.Analyze) lays its rows out once per search from the caps of its
 // ExpandSpec and the initial marking: place p's count is a field of
-// min(8, bits.Len(max(cap, initial))) bits, no field straddles a byte,
-// and a place capped at 0 with no initial token takes no bits. An
-// uncapped exploration's fields are whole bytes, one per place. The
+// min(8, bits.Len(max(limit, initial))) bits, no field straddles a
+// byte, and a place capped at 0 with no initial token takes no bits.
+// A capped place's limit is its cap. A place without one takes its
+// limit from the net's structure: the minimal P-semiflows y of the
+// incidence matrix, restricted to the transitions the spec lets fire,
+// keep y·M = y·M0 at every reachable marking, so p holds at most
+// ⌊y·M0 / y(p)⌋ tokens. internal/linalg computes them with the same
+// Farkas procedure (Martínez and Silva) that gives the scheduling
+// heuristic its T-invariants, under a fixed work budget; past it, or on
+// a place no semiflow covers, the limit is MaxTokens and the field a
+// whole byte. Every place of the analyze workload's ring net and of the
+// vendored PNML nets is covered: a ring state is 8 bytes instead of 60,
+// and ExploreLarge's store holds 3.6 MB hot instead of 12.0 MB. The
 // merge fires, vetoes, probes and interns successors on those rows,
 // checking each rising count against its cap first and then against
 // its field. The first count a field cannot hold widens the store,
@@ -131,14 +141,12 @@
 // cut it from 6.69 to 6.23 MB, and the adjacency that keeps only usable
 // successors from 6.23 to 4.85 MB, and cap-width rows (see Token width)
 // from 4.85 to 3.94 MB, while the two smaller reachability tables cut
-// serial ExploreLarge from 39.4 to 28.7 MB. `make bytes-gates` bounds
-// what serial ExploreLarge allocates at 2.55x its store's hot bytes
-// (with one-byte counts the store holds about a third of the hot bytes
-// of four-byte ones, so the ratio allows fewer bytes than the 1.85x
-// before it), and what the PFC search allocates at 172 bytes per state
-// it interns: packed rows made its store the smallest of its tables,
-// so a multiple of the store's hot bytes no longer bounds the tables
-// that grow.
+// serial ExploreLarge from 39.4 to 28.7 MB, and semiflow-bounded rows
+// from 28.7 to 19.7 MB. `make bytes-gates` bounds what serial
+// ExploreLarge allocates at 132 bytes per state and what the PFC
+// search allocates at 172 bytes per state it interns: packed rows made
+// each store smaller than the tables beside it, so a multiple of the
+// store's hot bytes no longer bounds the tables that grow.
 //
 // # Concurrency and caching
 //

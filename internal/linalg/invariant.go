@@ -1,11 +1,18 @@
-// Package linalg provides the small integer linear-algebra kernel needed
-// by the scheduling heuristics: a Farkas-style generator of the
-// non-negative T-invariant basis of a Petri net incidence matrix, GCD
-// normalization, and a heuristic binate-covering solver used to pick the
-// candidate invariant of Section 5.5.2 of the paper.
+// Package linalg provides the small integer linear-algebra kernel of
+// the flow: one Farkas procedure (Martínez and Silva, 1982) that
+// generates the minimal-support non-negative semiflows of an integer
+// matrix, and a heuristic binate-covering solver. The scheduling
+// heuristics take the T-invariant basis of a net from it and pick the
+// candidate invariant of Section 5.5.2 of the paper by binate covering;
+// package petri takes a net's P-semiflows from it, which bound the
+// token counts of places no cap bounds.
 package linalg
 
-import "sort"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Vector is a dense integer vector.
 type Vector []int
@@ -36,28 +43,8 @@ func (v Vector) Add(o Vector) Vector {
 	return c
 }
 
-// Scale returns k*v.
-func (v Vector) Scale(k int) Vector {
-	c := v.Clone()
-	for i := range c {
-		c[i] *= k
-	}
-	return c
-}
-
-// Support returns the indices of the non-zero components, ascending.
-func (v Vector) Support() []int {
-	var out []int
-	for i, x := range v {
-		if x != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // GCD returns the greatest common divisor of a and b (non-negative).
-func GCD(a, b int) int {
+func GCD(a, b int64) int64 {
 	if a < 0 {
 		a = -a
 	}
@@ -70,30 +57,14 @@ func GCD(a, b int) int {
 	return a
 }
 
-// Normalize divides v by the GCD of its components (no-op for the zero
-// vector) and returns v.
-func (v Vector) Normalize() Vector {
-	g := 0
-	for _, x := range v {
-		g = GCD(g, x)
-	}
-	if g > 1 {
-		for i := range v {
-			v[i] /= g
-		}
-	}
-	return v
-}
-
 // TInvariantBasis computes the set of minimal-support non-negative
 // T-invariants of the incidence matrix C (rows = places, cols =
-// transitions): vectors x >= 0, x != 0 with C·x = 0. Every semi-positive
-// invariant is a non-negative rational combination of the result.
-//
-// The algorithm is the classical Farkas / Martinez-Silva procedure:
-// starting from [Cᵀ | I], rows are combined pairwise to cancel each
-// place column; rows whose support strictly contains another's are
-// discarded to keep only minimal-support generators.
+// transitions): vectors x >= 0, x != 0 with C·x = 0, each divided by
+// the GCD of its entries, in ascending lexicographic order. Every
+// semi-positive invariant is a non-negative rational combination of the
+// result. It runs the Farkas procedure of Semiflows on Cᵀ without a
+// work budget; a matrix whose combinations leave the int32 range has
+// no basis (nil).
 func TInvariantBasis(c [][]int) []Vector {
 	nPlaces := len(c)
 	nTrans := 0
@@ -103,142 +74,271 @@ func TInvariantBasis(c [][]int) []Vector {
 	if nTrans == 0 {
 		return nil
 	}
-	// farkasRow pairs the residual place-effect vector (a) with the
-	// combination coefficients accumulated so far (b).
-	rows := make([]farkasRow, nTrans)
-	for j := 0; j < nTrans; j++ {
-		a := make(Vector, nPlaces)
-		for i := 0; i < nPlaces; i++ {
-			a[i] = c[i][j]
-		}
-		b := make(Vector, nTrans)
-		b[j] = 1
-		rows[j] = farkasRow{a: a, b: b}
-	}
-	for col := 0; col < nPlaces; col++ {
-		var zero, pos, neg []farkasRow
-		for _, r := range rows {
-			switch {
-			case r.a[col] == 0:
-				zero = append(zero, r)
-			case r.a[col] > 0:
-				pos = append(pos, r)
-			default:
-				neg = append(neg, r)
+	var a []Entry
+	for i, row := range c {
+		for j, v := range row {
+			if v != 0 {
+				a = append(a, Entry{Row: j, Col: i, Val: v})
 			}
 		}
-		next := zero
-		for _, rp := range pos {
-			for _, rn := range neg {
-				// Combine with positive coefficients so rp.a[col] and
-				// rn.a[col] cancel.
-				kp := -rn.a[col] // > 0
-				kn := rp.a[col]  // > 0
-				g := GCD(kp, kn)
-				kp, kn = kp/g, kn/g
-				na := rp.a.Scale(kp).Add(rn.a.Scale(kn))
-				nb := rp.b.Scale(kp).Add(rn.b.Scale(kn))
-				nb2 := nb.Clone().Normalize()
-				// Rescale na consistently with nb's normalization.
-				gg := 0
-				for _, x := range nb {
-					gg = GCD(gg, x)
-				}
-				if gg > 1 {
-					for i := range na {
-						na[i] /= gg
-					}
-				}
-				next = append(next, farkasRow{a: na, b: nb2})
-			}
-		}
-		rows = pruneNonMinimal(next)
+	}
+	ys, ok := farkas(nTrans, nPlaces, a, -1)
+	if !ok {
+		return nil
 	}
 	var out []Vector
-	for _, r := range rows {
-		if !r.b.IsZero() {
-			out = append(out, r.b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return lessVec(out[i], out[j]) })
-	out = dedupVectors(out)
-	return out
-}
-
-func lessVec(a, b Vector) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func dedupVectors(vs []Vector) []Vector {
-	var out []Vector
-	for i, v := range vs {
-		if i > 0 && lessEq(out[len(out)-1], v) && lessEq(v, out[len(out)-1]) {
-			continue
+	for y := range slices.Chunk(ys, nTrans) {
+		v := make(Vector, nTrans)
+		for j, x := range y {
+			v[j] = int(x)
 		}
 		out = append(out, v)
 	}
-	return out
+	slices.SortFunc(out, slices.Compare)
+	return slices.CompactFunc(out, slices.Equal)
 }
 
-func lessEq(a, b Vector) bool { return !lessVec(b, a) }
+// Entry is a non-zero entry of a sparse matrix: Val at row Row and
+// column Col.
+type Entry struct{ Row, Col, Val int }
 
-type farkasRow struct {
-	a Vector
-	b Vector
+// Semiflows returns the minimal-support semiflows of the rows×cols
+// matrix whose non-zero entries are a, each cell at most once: the
+// vectors y >= 0, y != 0 with yᵀa = 0 whose support contains no
+// other's, each divided by the GCD of its entries. They come flat,
+// semiflow k at [k*rows, (k+1)*rows), and one may come more than once.
+// Of a net's incidence matrix C (rows = places) they are the minimal
+// P-semiflows: the weighted token sum y·M is the same at every marking
+// the net reaches.
+//
+// The procedure stops once it has spent semiflowWork units of work, or
+// when a combination leaves the int32 range; it then reports false and
+// returns nothing, so its cost on a net of any size stays bounded and
+// the same from run to run.
+func Semiflows(rows, cols int, a []Entry) ([]int32, bool) {
+	return farkas(rows, cols, a, semiflowWork)
 }
 
-// pruneNonMinimal removes rows whose invariant support strictly contains
-// the support of another row, bounding the combinatorial blowup.
-func pruneNonMinimal(rows []farkasRow) []farkasRow {
-	keep := make([]bool, len(rows))
-	for i := range keep {
-		keep[i] = true
+// semiflowWork is the work budget of Semiflows: one unit per cell of a
+// row written or moved and per word of a support compared. It covers
+// a ring of 250 places; a 20-stage fork-join chain, whose 2^20 minimal
+// semiflows are far past it, gives up after about 2 ms and 1.1 MB
+// allocated (2-vCPU Xeon, go1.24.0).
+const semiflowWork = 1 << 20
+
+// farkas runs the Farkas procedure on the rows×cols matrix of the
+// entries a: starting from [a | I], it cancels one column at a time,
+// replacing the rows that are non-zero in it by every positive
+// combination of a positive and a negative one that is zero there, and
+// drops each combination whose support (the non-zero coefficients of
+// the I part) strictly contains another row's. After the last column
+// the coefficient parts of the rows left are the minimal-support
+// semiflows. A negative budget is unlimited; otherwise the run gives
+// up, returning false, once the work would pass it. Every entry is kept
+// within ±MaxInt32, so a combination of two rows, computed in int64,
+// cannot overflow; one that leaves that range after division by its
+// GCD ends the run too.
+//
+// A run makes two allocations, one of int32 cells and one of support
+// words, from which it carves its tables, each the size of the matrix
+// (one row for the combinations of a column); a table outgrows its
+// share, doubling, only when a column makes more rows than that.
+func farkas(rows, cols int, a []Entry, budget int) ([]int32, bool) {
+	if rows == 0 {
+		return nil, true
+	}
+	f := farkasRun{cols: cols, stride: cols + rows, words: (rows + 63) / 64, budget: budget}
+	n, nw := rows*f.stride, rows*f.words
+	if !f.spend(n) {
+		return nil, false
+	}
+	buf := make([]int32, n+f.stride+3*rows)
+	f.rows, buf = buf[:n:n], buf[n:]
+	f.cand, buf = buf[:0:f.stride], buf[f.stride:]
+	f.pc, buf = buf[:rows:rows], buf[rows:]
+	f.cpc, f.idx = buf[:0:rows], buf[rows:rows]
+	sbuf := make([]uint64, 2*nw)
+	f.sup, f.csup = sbuf[:nw:nw], sbuf[nw:nw]
+	for _, e := range a {
+		if e.Val < -math.MaxInt32 || e.Val > math.MaxInt32 {
+			return nil, false
+		}
+		f.rows[e.Row*f.stride+e.Col] = int32(e.Val)
 	}
 	for i := range rows {
-		if !keep[i] {
-			continue
-		}
-		si := rows[i].b.Support()
-		for j := range rows {
-			if i == j || !keep[j] || !keep[i] {
-				continue
-			}
-			sj := rows[j].b.Support()
-			if len(sj) == 0 {
-				continue
-			}
-			if strictSuperset(si, sj) {
-				keep[i] = false
-			}
+		f.rows[i*f.stride+cols+i] = 1
+		f.sup[i*f.words+i>>6] = 1 << (uint(i) & 63)
+		f.pc[i] = 1
+	}
+	for c := range cols {
+		if !f.cancel(c) {
+			return nil, false
 		}
 	}
-	var out []farkasRow
-	for i, r := range rows {
-		if keep[i] {
-			out = append(out, r)
-		}
+	// Every residual is zero now: keep the coefficients, packed to the
+	// front of the arena.
+	k := len(f.pc)
+	for i := range k {
+		copy(f.rows[i*rows:], f.rows[i*f.stride+cols:(i+1)*f.stride])
 	}
-	return out
+	return f.rows[:k*rows], true
 }
 
-// strictSuperset reports whether sorted int set a strictly contains b.
-func strictSuperset(a, b []int) bool {
-	if len(a) <= len(b) {
+// farkasRun is the state of one run of farkas. The rows of the current
+// generation are stride cells each in rows, their residual (cols) then
+// their coefficients; sup holds each row's support in words bits and
+// pc its size. cand, csup and cpc hold the same for the combinations
+// of the column being cancelled, and idx its positive rows, then its
+// negative ones.
+type farkasRun struct {
+	cols, stride, words int
+	work, budget        int
+	rows, cand          []int32
+	sup, csup           []uint64
+	pc, cpc, idx        []int32
+}
+
+// spend charges n units of work and reports whether the budget holds
+// them.
+func (f *farkasRun) spend(n int) bool {
+	f.work += n
+	return f.budget < 0 || f.work <= f.budget
+}
+
+// cancel makes column c zero in every row. The rows zero in it stay;
+// each (positive, negative) pair becomes a candidate, whose support is
+// the union of the two. A candidate is dropped when a row that stays
+// or another candidate has a strictly smaller support inside its own.
+// A row that stays is never dropped: the support of a candidate
+// contains its positive row's, and that row survived the previous
+// column beside it. Nor does a dropped candidate have to be compared
+// with: a candidate of minimal support below it is kept. The rows
+// non-zero in c then leave, each replaced by the last row, and the kept
+// candidates follow the rows that stay.
+func (f *farkasRun) cancel(c int) bool {
+	s, w := f.stride, f.words
+	n := len(f.pc)
+	f.idx = f.idx[:0]
+	for i := range n {
+		if f.rows[i*s+c] > 0 {
+			f.idx = append(f.idx, int32(i))
+		}
+	}
+	np := len(f.idx)
+	for i := range n {
+		if f.rows[i*s+c] < 0 {
+			f.idx = append(f.idx, int32(i))
+		}
+	}
+	pos, neg := f.idx[:np], f.idx[np:]
+	cands := len(pos) * len(neg)
+	if !f.spend(n + cands*w) {
 		return false
 	}
-	i := 0
-	for _, x := range b {
-		for i < len(a) && a[i] < x {
-			i++
+	f.cand, f.csup, f.cpc = f.cand[:0], f.csup[:0], f.cpc[:0]
+	for _, p := range pos {
+		for _, q := range neg {
+			k := 0
+			for j := range w {
+				x := f.sup[int(p)*w+j] | f.sup[int(q)*w+j]
+				f.csup = append(f.csup, x)
+				k += bits.OnesCount64(x)
+			}
+			f.cpc = append(f.cpc, int32(k))
 		}
-		if i >= len(a) || a[i] != x {
+	}
+	// The kept candidates' supports and sizes move down as they are
+	// kept: [0, kept) are the kept ones and (i, cands) those still to
+	// judge.
+	kept := 0
+	for i := range cands {
+		if !f.spend((n + cands) * w) {
 			return false
 		}
+		if !f.minimal(c, i, kept) {
+			continue
+		}
+		p, q := pos[i/len(neg)], neg[i%len(neg)]
+		if !f.spend(2*s) || !f.combine(int(p), int(q), c) {
+			return false
+		}
+		copy(f.csup[kept*w:(kept+1)*w], f.csup[i*w:(i+1)*w])
+		f.cpc[kept] = f.cpc[i]
+		kept++
+	}
+	if !f.spend(len(f.idx) * s) {
+		return false
+	}
+	for i := n - 1; i >= 0; i-- {
+		if f.rows[i*s+c] == 0 {
+			continue
+		}
+		// Every row after i stays, so the last one moves into i.
+		last := len(f.pc) - 1
+		copy(f.rows[i*s:(i+1)*s], f.rows[last*s:])
+		copy(f.sup[i*w:(i+1)*w], f.sup[last*w:])
+		f.pc[i] = f.pc[last]
+		f.rows, f.sup, f.pc = f.rows[:last*s], f.sup[:last*w], f.pc[:last]
+	}
+	f.rows = append(f.rows, f.cand...)
+	f.sup = append(f.sup, f.csup[:kept*w]...)
+	f.pc = append(f.pc, f.cpc[:kept]...)
+	return true
+}
+
+// minimal reports whether candidate i's support strictly contains no
+// support of a row zero in column c, of a kept candidate, or of a
+// candidate after i.
+func (f *farkasRun) minimal(c, i, kept int) bool {
+	s, w := f.stride, f.words
+	si, ki := f.csup[i*w:(i+1)*w], f.cpc[i]
+	for j, k := range f.pc {
+		if k < ki && f.rows[j*s+c] == 0 && subset(f.sup[j*w:(j+1)*w], si) {
+			return false
+		}
+	}
+	for j := 0; j < len(f.cpc); j++ {
+		if j == kept {
+			j = i // skip the dropped candidates and i itself
+			continue
+		}
+		if f.cpc[j] < ki && subset(f.csup[j*w:(j+1)*w], si) {
+			return false
+		}
+	}
+	return true
+}
+
+// subset reports whether the bits of a are all in b.
+func subset(a, b []uint64) bool {
+	for k, x := range a {
+		if x&^b[k] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// combine appends to cand the positive combination of rows p (positive
+// in column c) and q (negative in it) that is zero in column c, divided
+// by the GCD of its coefficients. It reports false when an entry leaves
+// ±MaxInt32.
+func (f *farkasRun) combine(p, q, c int) bool {
+	s := f.stride
+	rp, rq := f.rows[p*s:(p+1)*s], f.rows[q*s:(q+1)*s]
+	kp, kq := -int64(rq[c]), int64(rp[c])
+	g := GCD(kp, kq)
+	kp, kq = kp/g, kq/g
+	g = 0
+	for j := f.cols; j < s && g != 1; j++ {
+		g = GCD(g, kp*int64(rp[j])+kq*int64(rq[j]))
+	}
+	for j := range s {
+		x := (kp*int64(rp[j]) + kq*int64(rq[j])) / g
+		if x < -math.MaxInt32 || x > math.MaxInt32 {
+			return false
+		}
+		f.cand = append(f.cand, int32(x))
 	}
 	return true
 }

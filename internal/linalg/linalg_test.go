@@ -1,9 +1,14 @@
 package linalg
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestVectorOps(t *testing.T) {
@@ -17,19 +22,13 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Add(Vector{1, 1, 1}); got[0] != 3 || got[1] != -3 || got[2] != 7 {
 		t.Errorf("Add = %v", got)
 	}
-	if got := v.Scale(2); got[2] != 12 {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := v.Clone().Normalize(); got[0] != 1 || got[1] != -2 || got[2] != 3 {
-		t.Errorf("Normalize = %v", got)
-	}
-	if got := v.Support(); len(got) != 3 {
-		t.Errorf("Support = %v", got)
+	if got := v.Clone(); !slices.Equal(got, v) || &got[0] == &v[0] {
+		t.Errorf("Clone = %v", got)
 	}
 }
 
 func TestGCD(t *testing.T) {
-	cases := [][3]int{{12, 18, 6}, {-12, 18, 6}, {0, 5, 5}, {7, 0, 7}, {1, 1, 1}, {0, 0, 0}}
+	cases := [][3]int64{{12, 18, 6}, {-12, 18, 6}, {0, 5, 5}, {7, 0, 7}, {1, 1, 1}, {0, 0, 0}}
 	for _, c := range cases {
 		if got := GCD(c[0], c[1]); got != c[2] {
 			t.Errorf("GCD(%d,%d) = %d, want %d", c[0], c[1], got, c[2])
@@ -237,4 +236,159 @@ func mulMatVec(c [][]int, x Vector) Vector {
 		out[i] = s
 	}
 	return out
+}
+
+// semiflowsOf runs Semiflows on a matrix given by rows and returns its
+// semiflows as vectors.
+func semiflowsOf(a [][]int) ([]Vector, bool) {
+	rows, cols := len(a), len(a[0])
+	var entries []Entry
+	for i, r := range a {
+		for j, v := range r {
+			if v != 0 {
+				entries = append(entries, Entry{i, j, v})
+			}
+		}
+	}
+	ys, ok := Semiflows(rows, cols, entries)
+	var out []Vector
+	for y := range slices.Chunk(ys, rows) {
+		v := make(Vector, rows)
+		for i, x := range y {
+			v[i] = int(x)
+		}
+		out = append(out, v)
+	}
+	return out, ok
+}
+
+// TestSemiflows: the P-semiflows of a 4-place ring are its one cycle,
+// and those of a place pair that trades one token of p for two of q
+// (split: p -> 2q, merge: 2q -> p) are the weighted sum 2p + q. A place
+// that a transition only feeds lies on none, and a place no transition
+// changes is a semiflow of its own.
+func TestSemiflows(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a    [][]int // rows = places, cols = transitions
+		want []Vector
+	}{
+		{"ring", [][]int{{-1, 0, 0, 1}, {1, -1, 0, 0}, {0, 1, -1, 0}, {0, 0, 1, -1}}, []Vector{{1, 1, 1, 1}}},
+		{"weighted", [][]int{{-1, 1}, {2, -2}}, []Vector{{2, 1}}},
+		{"no-semiflow", [][]int{{1}}, nil},
+		{"self-loop", [][]int{{0, 0}, {1, -1}}, []Vector{{1, 0}}},
+	} {
+		got, ok := semiflowsOf(c.a)
+		if !ok || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Semiflows = %v, %v; want %v", c.name, got, ok, c.want)
+		}
+	}
+}
+
+// forkJoinChain is the incidence matrix of a chain of stages: stage i
+// forks the token of s_i into a_i and b_i and joins them into s_{i+1}.
+// Each minimal P-semiflow picks a_i or b_i at every stage, so there
+// are 2^stages of them.
+func forkJoinChain(stages int) (int, int, []Entry) {
+	var a []Entry
+	for i := range stages {
+		s, x, y, next := 3*i, 3*i+1, 3*i+2, 3*i+3
+		fork, join := 2*i, 2*i+1
+		a = append(a, Entry{s, fork, -1}, Entry{x, fork, 1}, Entry{y, fork, 1},
+			Entry{x, join, -1}, Entry{y, join, -1}, Entry{next, join, 1})
+	}
+	return 3*stages + 1, 2 * stages, a
+}
+
+// ringMatrix is the incidence matrix of a ring of n places.
+func ringMatrix(n int) (int, int, []Entry) {
+	var a []Entry
+	for t := range n {
+		a = append(a, Entry{t, t, -1}, Entry{(t + 1) % n, t, 1})
+	}
+	return n, n, a
+}
+
+// TestSemiflowsBudget: Semiflows gives up, the same way on every run
+// and within 10 ms, on a 20-stage fork-join chain (2^20 minimal
+// semiflows) and on a 2,000-place ring, whose [C | I] matrix alone is
+// past the work budget; a 6-stage chain is within it and has all 64.
+func TestSemiflowsBudget(t *testing.T) {
+	rows, cols, a := forkJoinChain(6)
+	if ys, ok := Semiflows(rows, cols, a); !ok || len(ys) != 64*rows {
+		t.Fatalf("6-stage chain: %d semiflows, ok %v; want 64", len(ys)/rows, ok)
+	}
+	for _, c := range []struct {
+		name   string
+		matrix func(int) (int, int, []Entry)
+		size   int
+	}{
+		{"fork-join-20", forkJoinChain, 20},
+		{"ring-2000", ringMatrix, 2000},
+	} {
+		rows, cols, a := c.matrix(c.size)
+		fastest := time.Hour
+		for range 3 {
+			start := time.Now()
+			ys, ok := Semiflows(rows, cols, a)
+			fastest = min(fastest, time.Since(start))
+			if ok || ys != nil {
+				t.Fatalf("%s: Semiflows = %d entries, %v; want it to give up", c.name, len(ys), ok)
+			}
+		}
+		t.Logf("%s: gave up in %v", c.name, fastest)
+		if fastest > 10*time.Millisecond && !raceEnabled {
+			t.Errorf("%s: giving up took %v, more than 10ms", c.name, fastest)
+		}
+	}
+}
+
+// TestSemiflowsLargeWeights: weights near MaxInt32 either give exact
+// semiflows or make the procedure give up; no entry overflows. A chain
+// p0 -M-> p1 -M-> p2 conserves p0·M² + p1·M + p2 only with a weight
+// past int32, so Semiflows gives up; a single such step is exact.
+// Random matrices of large and small weights check yᵀa = 0 in exact
+// arithmetic for every semiflow returned.
+func TestSemiflowsLargeWeights(t *testing.T) {
+	const m = math.MaxInt32
+	if got, ok := semiflowsOf([][]int{{-1}, {m}}); !ok || !reflect.DeepEqual(got, []Vector{{m, 1}}) {
+		t.Errorf("one step: Semiflows = %v, %v; want [[%d 1]]", got, ok, m)
+	}
+	if got, ok := semiflowsOf([][]int{{-1, 0}, {m, -1}, {0, m}}); ok || got != nil {
+		t.Errorf("two steps: Semiflows = %v, %v; want it to give up", got, ok)
+	}
+	weights := []int{0, 1, -1, 2, -3, m, -m, m - 1, -(m - 1), 1 << 20, -(1 << 20)}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows, cols := 1+rng.Intn(5), 1+rng.Intn(4)
+		a := make([][]int, rows)
+		for i := range a {
+			a[i] = make([]int, cols)
+			for j := range a[i] {
+				a[i][j] = weights[rng.Intn(len(weights))]
+			}
+		}
+		ys, _ := semiflowsOf(a)
+		for _, y := range ys {
+			if y.IsZero() {
+				return false
+			}
+			for j := range cols {
+				sum := new(big.Int)
+				for i, w := range y {
+					if w < 0 {
+						return false
+					}
+					sum.Add(sum, new(big.Int).Mul(big.NewInt(int64(w)), big.NewInt(int64(a[i][j]))))
+				}
+				if sum.Sign() != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
 }

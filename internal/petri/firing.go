@@ -2,7 +2,6 @@ package petri
 
 import (
 	"fmt"
-	"math"
 	mathbits "math/bits"
 	"slices"
 )
@@ -170,27 +169,10 @@ const (
 // the row and the int32 merge takes it over; either way dst is left
 // partly written. A count t lowers cannot go below zero, since t is
 // enabled at row, so it never borrows from a neighbouring field. row
-// must be within every cap. A whole-byte layout is fired byte by byte,
-// as fast as it was before rows were packed.
+// must be within every cap.
 func (f *FiringTable) fireBytes(dst, row []uint8, t int, s *MarkingStore, caps []int) byteFire {
 	copy(dst, row)
 	e := &f.trans[t]
-	if s.whole {
-		for _, d := range f.deltas[e.lo:e.rise] {
-			v := int(dst[d.Place]) + d.Delta
-			if v > int(ceiling(caps[d.Place])) {
-				return fireVeto
-			}
-			if v > math.MaxUint8 {
-				return fireSpill
-			}
-			dst[d.Place] = uint8(v)
-		}
-		for _, d := range f.deltas[e.rise:e.hi] {
-			dst[d.Place] = uint8(int(dst[d.Place]) + d.Delta)
-		}
-		return fireFits
-	}
 	for _, d := range f.deltas[e.lo:e.rise] {
 		fd := s.fields[d.Place]
 		v := int(dst[fd.off]>>fd.shift&fd.max) + d.Delta

@@ -27,8 +27,9 @@ import (
 //	  increment, so neither pass scans the marking.
 //	  No goroutines and no candidate buffers. The store starts narrow,
 //	  each count a field of the bits its cap allows in a packed row
-//	  that Drive lays out once from spec.Caps and the initial marking
-//	  (see MarkingStore), and the merge runs on rows: it fires the
+//	  that Drive lays out once from spec.Caps, the P-semiflow bounds of
+//	  the places without a cap and the initial marking (see
+//	  MarkingStore), and the merge runs on rows: it fires the
 //	  parent's row into a row scratch field by field, checking each
 //	  rising count against its cap (a veto) and then its field's max,
 //	  probes with a memory compare, copies the row in and derives the
@@ -87,7 +88,10 @@ type ExpandSpec struct {
 	// place beyond its cap is vetoed. A negative cap, or one above
 	// MaxTokens, leaves the place unbounded: its ceiling is MaxTokens,
 	// and a successor beyond it ends the exploration with
-	// ErrTokenOverflow (see Drive).
+	// ErrTokenOverflow (see Drive). An inline exploration's store
+	// gives an unbounded place the bound of its P-semiflows instead
+	// where the net has one; that bound lays out rows and vetoes
+	// nothing.
 	Caps []int
 }
 
@@ -144,10 +148,15 @@ type FrontierRunner interface {
 // into that store.
 //
 // With a nil r the exploration runs inline on the calling goroutine,
-// keeping enabled sets only for its frontier; otherwise r expands it
-// (only Net.ExploreDist passes a runner), and a runner failure is
-// returned as the error. Either way the hooks run in the same order:
-// BeginState for each state, then its Edge and Reject calls.
+// keeping enabled sets only for its frontier, in a store whose rows it
+// lays out from spec.Caps and, when spec leaves some place without a
+// cap, from the minimal P-semiflows of the transitions spec lets fire
+// (see semiflowBounds), which the Farkas procedure of internal/linalg
+// computes within a fixed work budget. Otherwise r expands it (only
+// Net.ExploreDist passes a runner) into a store four bytes a count
+// wide, and a runner failure is returned as the error. Either way the
+// hooks run in the same order: BeginState for each state, then its
+// Edge and Reject calls.
 //
 // A successor over the MaxTokens ceiling of a place spec leaves
 // unbounded is not a veto: it ends the exploration, which then returns
@@ -156,18 +165,38 @@ type FrontierRunner interface {
 // The bool is false when a Reject hook aborted the exploration; the
 // error reports a runner failure or an overflow.
 func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, start func(*MarkingStore) MergeHooks) (bool, error) {
-	// Only the inline merge writes narrow rows; a runner's workers and
-	// coordinator read At views per state. A row's field holds every
-	// count the caps admit, and the root's.
-	var limit func(p int) uint32
-	if r == nil {
-		limit = func(p int) uint32 { return max(ceiling(spec.Caps[p]), uint32(ft.net.Places[p].Initial)) }
-	}
-	d := &driver{ft: ft, spec: spec, store: newMarkingStoreCap(len(ft.net.Places), 1<<10, limit)}
+	d := &driver{ft: ft, spec: spec}
 	for p := range spec.Caps {
 		d.unbounded = d.unbounded || spec.unbounded(p)
 	}
-	d.store.Intern(ft.net.InitialMarking())
+	// Only the inline merge writes narrow rows; a runner's workers and
+	// coordinator read At views per state. A row's field holds every
+	// count the caps admit, and the root's. A place without a cap has
+	// the bound of its P-semiflows instead of MaxTokens, where the net
+	// has one; the bound is sound, so the store widens (see
+	// MarkingStore) only when it passes 255, the most a field holds.
+	var limit func(p int) uint32
+	if r == nil {
+		var bound []uint32
+		if d.unbounded {
+			bound = semiflowBounds(ft, &spec)
+		}
+		limit = func(p int) uint32 {
+			l := ceiling(spec.Caps[p])
+			if bound != nil && spec.unbounded(p) {
+				l = bound[p]
+			}
+			return max(l, uint32(ft.net.Places[p].Initial))
+		}
+	}
+	d.store = newMarkingStoreCap(len(ft.net.Places), 1<<10, limit)
+	places := len(ft.net.Places)
+	buf := make(Marking, 2*places)
+	d.scratch, d.parent = buf[:places:places], buf[places:]
+	for p, pl := range ft.net.Places {
+		d.parent[p] = int32(pl.Initial)
+	}
+	d.store.Intern(d.parent)
 	d.hooks = start(d.store)
 	if reject := d.hooks.Reject; d.unbounded {
 		d.hooks.Reject = func(parent MarkID, trans int32, budget bool) bool {
@@ -200,8 +229,9 @@ type driver struct {
 	// at least half the window, so bits holds about the BFS frontier.
 	// scratch and byteScratch are the firing buffers, one marking and
 	// one row long, that every successor of the exploration is fired
-	// into, and parent holds the decoded counts of a narrow parent whose
-	// successor takes the int32 merge.
+	// into, and parent holds the root's counts, which Drive interns
+	// from it in either mode, then the decoded counts of a narrow
+	// parent whose successor takes the int32 merge.
 	bits        []uint64
 	base        int
 	scratch     Marking
@@ -218,12 +248,9 @@ type driver struct {
 // runInline is the inline mode: the store is the BFS queue, each state
 // expanded in id order.
 func (d *driver) runInline() bool {
-	places := d.store.Places()
 	d.bits = make([]uint64, d.ft.stride)
-	buf := make(Marking, 2*places)
-	d.scratch, d.parent = buf[:places:places], buf[places:]
 	d.byteScratch = make([]uint8, d.store.rowBytes)
-	d.ft.Init(d.bits, d.store.Load(d.parent, 0))
+	d.ft.Init(d.bits, d.parent)
 	for id := 0; id < d.store.Len(); id++ {
 		if done := id - d.base; done > 0 && 2*done >= d.store.Len()-d.base {
 			// Copying the unexpanded rest costs no more than the prefix

@@ -3,6 +3,7 @@ package petri
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,13 +127,15 @@ func TestExploreTokenOverflow(t *testing.T) {
 // bit) and a (cap 1, 1 bit) swap one token. z (cap 0, no bits) is fed
 // by toZ, which every state vetoes. b (cap 3, 2 bits) is filled one
 // token at a time by the source fillB, and moveBC takes 2 from it to
-// put 3 into c (cap 7, 3 bits). drainC moves one token from c to the
-// unbounded u (a whole byte), burning one of fuel's 5 tokens (cap 7,
-// 3 bits), so u ends at uInit+5. o (cap 1, 2 bits) starts at 3, over
-// its cap, so every successor of the root but drainO's, which takes 2
-// from it, is vetoed; feedO, enabled beside flip and toZ, would then
-// raise o to 2, which its field holds and its cap vetoes. A second
-// source, fillC, is outside the spec's mask.
+// put 3 into c (cap 7, 3 bits). drainC moves one token from c to u,
+// which has no cap, burning one of fuel's 5 tokens (cap 7, 3 bits), so
+// u ends at uInit+5. The source fillB feeds u through b and c, but
+// the P-semiflow u + fuel bounds it at uInit+5 all the same: 3 bits at
+// uInit 0, and a whole byte at 252, which u's count passes. o (cap 1,
+// 2 bits) starts at 3, over its cap, so every successor of the root but
+// drainO's, which takes 2 from it, is vetoed; feedO, enabled beside
+// flip and toZ, would then raise o to 2, which its field holds and its
+// cap vetoes. A second source, fillC, is outside the spec's mask.
 func mixedCapsNet(uInit int) (*Net, ExpandSpec) {
 	n := New("mixed-caps")
 	gate := n.AddPlace("gate", PlaceInternal, 1)
@@ -179,17 +182,18 @@ func mixedCapsNet(uInit int) (*Net, ExpandSpec) {
 	return n, spec
 }
 
-// wholeCapsNet is a net whose caps give every place a whole byte
+// wholeCapsNet is a net whose row gives every place a whole byte
 // although one cap is small: p starts at 200 over its cap of 2, so its
-// field must hold 200, and q and fuel are unbounded. drain takes p to
+// field must hold 200, and q and fuel have no cap, and the P-semiflow
+// q + fuel bounds each at fuel's 128 initial tokens. drain takes p to
 // 2; the source fill, which the root's cap vetoes, then raises p to 3,
 // which its byte holds and its cap vetoes; take moves one of p's
-// tokens to q while fuel's 5 tokens last.
+// tokens to q while fuel's tokens last.
 func wholeCapsNet() (*Net, ExpandSpec) {
 	n := New("whole-caps")
 	p := n.AddPlace("p", PlaceChannel, 200)
 	q := n.AddPlace("q", PlaceChannel, 0)
-	fuel := n.AddPlace("fuel", PlaceInternal, 5)
+	fuel := n.AddPlace("fuel", PlaceInternal, 128)
 	drain := n.AddTransition("drain", TransNormal)
 	n.AddArc(p, drain, 198)
 	fill := n.AddTransition("fill", TransSourceCtl)
@@ -248,12 +252,13 @@ func referenceDrive(n *Net, spec ExpandSpec, maxStates int) ([]string, []Marking
 // TestDriveMixedCaps: Drive under a spec whose caps mix 0, 1, 3, 7 and
 // unbounded, with a root over one cap, makes the same hook calls, in the
 // same order, as the reference BFS, and its store holds the same
-// markings. The store lays its rows out from the caps and the root:
-// mixedCapsNet's eight places fit in 3 bytes. In "widens", u passes
-// 255, so the store widens from packed rows in the middle of the
-// exploration; in "budget", Admit refuses every state past the 40th. In
-// "whole", every field is a whole byte, so the merge fires byte by
-// byte, and a cap of 2 still vetoes what its byte would hold.
+// markings. The store lays its rows out from the caps, the semiflow
+// bound of the uncapped u and the root: mixedCapsNet's eight places fit
+// in 2 bytes. In "widens", u's bound passes 255, so u takes a whole
+// byte, the rows 3, and the store widens from packed rows in the middle
+// of the exploration when u passes 255; in "budget", Admit refuses every
+// state past the 40th. In "whole", every field is a whole byte, and a
+// cap of 2 still vetoes what its byte would hold.
 func TestDriveMixedCaps(t *testing.T) {
 	mixed := func(uInit int) func() (*Net, ExpandSpec) {
 		return func() (*Net, ExpandSpec) { return mixedCapsNet(uInit) }
@@ -262,13 +267,14 @@ func TestDriveMixedCaps(t *testing.T) {
 		name      string
 		net       func() (*Net, ExpandSpec)
 		maxStates int
+		rowBytes  int
 		whole     bool // every field is a whole byte
 		wide      bool // the store ends wide
 	}{
-		{"narrow", mixed(0), 1 << 20, false, false},
-		{"widens", mixed(252), 1 << 20, false, true},
-		{"budget", mixed(0), 40, false, false},
-		{"whole", wholeCapsNet, 1 << 20, true, false},
+		{"narrow", mixed(0), 1 << 20, 2, false, false},
+		{"widens", mixed(252), 1 << 20, 3, false, true},
+		{"budget", mixed(0), 40, 2, false, false},
+		{"whole", wholeCapsNet, 1 << 20, 3, true, false},
 	} {
 		n, spec := c.net()
 		wantEvents, wantMarkings := referenceDrive(n, spec, c.maxStates)
@@ -276,8 +282,12 @@ func TestDriveMixedCaps(t *testing.T) {
 		var store *MarkingStore
 		ok, err := Drive(NewFiringTable(n, n.ECSPartition()), spec, nil, func(s *MarkingStore) MergeHooks {
 			store = s
-			if !s.narrow || s.rowBytes != 3 || s.whole != c.whole {
-				t.Fatalf("%s: rows of %d bytes (narrow %v, whole %v), want 3", c.name, s.rowBytes, s.narrow, s.whole)
+			whole := true
+			for _, f := range s.fields {
+				whole = whole && f.max == math.MaxUint8
+			}
+			if !s.narrow || s.rowBytes != c.rowBytes || whole != c.whole {
+				t.Fatalf("%s: rows of %d bytes (narrow %v, whole %v), want %d", c.name, s.rowBytes, s.narrow, whole, c.rowBytes)
 			}
 			return MergeHooks{
 				BeginState: func(id MarkID) { events = append(events, fmt.Sprintf("begin %d", id)) },

@@ -60,13 +60,14 @@ func netFromBytes(data []byte) *Net {
 // small nets: exploration never panics, never retains more markings
 // than MaxMarkings, never retains a non-initial marking violating
 // MaxTokensPerPlace, records edges only between retained markings,
-// stores every marking's HashMarking value, and matches the reference
-// explorer exactly. The cap reads only maxTokens%8, so entries that
-// differ in its high bits explore alike. The high bit of maxMarkings,
-// which the budget does not read, adds 253 tokens to the first place's
-// initial marking, so its counts cross 255, where an uncapped
-// exploration's store widens from one byte per count, or start above a
-// small cap, whose field the store's row layout widens to hold the
+// stores every marking's HashMarking value, keeps every count within
+// the bound the net's P-semiflows give its place, and matches the
+// reference explorer exactly. The cap reads only maxTokens%8, so
+// entries that differ in its high bits explore alike. The high bit of
+// maxMarkings, which the budget does not read, adds 253 tokens to the
+// first place's initial marking, so its counts cross 255, where an
+// uncapped exploration's store widens from packed rows, or start above
+// a small cap, whose field the store's row layout widens to hold the
 // root.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
@@ -99,9 +100,19 @@ func FuzzExplore(f *testing.F) {
 		if id, ok := res.Store.LookupHashed(m0, HashMarking(m0)); !ok || id != MarkID(0) {
 			t.Fatalf("initial marking not interned as MarkID 0 (id=%v ok=%v)", id, ok)
 		}
+		// The semiflows of the transitions the exploration fires bound
+		// every place, capped or not: caps only veto successors.
+		ft := NewFiringTable(n, n.ECSPartition())
+		spec := reachSpec(n, ft.part, opt)
+		bounds := semiflowBounds(ft, &spec)
 		seen := map[string]bool{}
 		for id := range MarkID(res.Len()) {
 			m := res.Store.At(id)
+			for p, v := range m {
+				if bounds != nil && uint32(v) > bounds[p] {
+					t.Fatalf("marking %d holds %d tokens at place %d, past its semiflow bound %d", id, v, p, bounds[p])
+				}
+			}
 			key := m.Key()
 			if seen[key] {
 				t.Fatalf("marking %q interned twice (hash-consing broken)", key)

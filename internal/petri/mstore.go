@@ -26,20 +26,24 @@ import "math/bits"
 // hold a Marking's int32 counts, and an At view points straight into
 // its page. The store of an inline exploration (Drive without a runner)
 // starts narrow: a marking is a packed row whose layout Drive fixes once
-// per search from the caps of its ExpandSpec and the initial marking.
-// Place p's count is a field of min(8, bits.Len(max(cap, initial)))
-// bits, no field straddles a byte, and a place capped at 0 with no
-// initial token takes no bits. The counts a schedule search keeps are
-// tiny (every cap of the PFC search is 0 or 1), so a PFC row is 5 bytes
-// where one byte per place would take 41; an exploration without caps
-// gives every field a whole byte, and its rows are one byte per place.
-// The first time a narrow store has to intern a count its field cannot
-// hold, it widens, once and in place: every live page is decoded into
-// an int32 page of the same geometry, and the store stays wide. Nothing
-// outside the package sees the encoding. At decodes a narrow id into a
-// fresh copy, Load decodes into the caller's buffer, and hashes and
-// MarkIDs do not depend on it: each sees a count by value. Only Mem
-// does, since it counts each vector at the bytes its page holds.
+// per search from the caps of its ExpandSpec, the bounds the net's
+// P-semiflows put on the places without a cap (see semiflowBounds), and
+// the initial marking. Place p's count is a field of
+// min(8, bits.Len(max(limit, initial))) bits, limit being p's cap or
+// its semiflow bound; no field straddles a byte, and a place capped at
+// 0 with no initial token takes no bits. The counts a schedule search
+// keeps are tiny (every cap of the PFC search is 0 or 1), so a PFC row
+// is 5 bytes where one byte per place would take 41; an exploration
+// without caps packs as tightly when semiflows cover its places (a
+// state of the 60-place ring net of qssbench's analyze workload is 8
+// bytes), and a place no semiflow covers gets a whole byte. The first
+// time a narrow store has to intern a count its field cannot hold, it
+// widens, once and in place: every live page is decoded into an int32
+// page of the same geometry, and the store stays wide. Nothing outside
+// the package sees the encoding. At decodes a narrow id into a fresh
+// copy, Load decodes into the caller's buffer, and hashes and MarkIDs
+// do not depend on it: each sees a count by value. Only Mem does, since
+// it counts each vector at the bytes its page holds.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -70,11 +74,9 @@ type MarkingStore struct {
 	bytePages [][]uint8
 	narrow    bool
 	// A narrow store's layout (see layRows): place p's count is the
-	// field fields[p] of a row of rowBytes bytes, and whole is set when
-	// field p is all of byte p.
+	// field fields[p] of a row of rowBytes bytes.
 	fields     []field
 	rowBytes   int
-	whole      bool
 	firstShift uint     // page 0 holds 1<<firstShift markings
 	capShift   uint     // pages stop doubling at 1<<capShift markings
 	hashes     []uint64 // hash per interned marking, reused on growth
@@ -136,18 +138,14 @@ func newMarkingStoreCap(places, tableSize int, limit func(p int) uint32) *Markin
 // limit(p) at each place p: its field takes min(8, bits.Len(limit(p)))
 // bits, so a limit past 255 gets a whole byte and one of 0 no bits.
 // Fields are placed widest first, each in the first byte with room for
-// it (first-fit decreasing), so none straddles a byte and whole-byte
-// fields take bytes 0, 1, ... in place order: a layout of whole bytes
-// only is one byte per place. A row is at least one byte, which the
-// fields of width 0 read.
+// it (first-fit decreasing), so none straddles a byte. A row is at
+// least one byte, which the fields of width 0 read.
 func (s *MarkingStore) layRows(limit func(p int) uint32) {
 	s.narrow = true
 	s.fields = make([]field, s.places)
-	s.whole = true
 	for p := range s.fields {
 		w := min(8, bits.Len32(limit(p)))
 		s.fields[p].max = uint8(1<<w - 1)
-		s.whole = s.whole && w == 8
 	}
 	// used[b] counts the bits of row byte b taken so far. Within one
 	// width, a byte that had no room for a field never gets room, so b
@@ -199,12 +197,8 @@ func (s *MarkingStore) pageLen(k int) int {
 	return 1 << min(s.firstShift+uint(k)-1, s.capShift)
 }
 
-// count reads place p's count from a row of a narrow store. A
-// whole-byte layout's count p is byte p, read without the field table.
+// count reads place p's count from a row of a narrow store.
 func (s *MarkingStore) count(row []uint8, p int) int {
-	if s.whole {
-		return int(row[p])
-	}
 	f := s.fields[p]
 	return int(row[f.off] >> f.shift & f.max)
 }
@@ -232,14 +226,8 @@ func (s *MarkingStore) row(id int) []uint8 {
 }
 
 // decode writes the counts of a narrow row into dst, which holds one
-// count per place. A whole-byte layout is a plain byte loop.
+// count per place.
 func (s *MarkingStore) decode(dst Marking, row []uint8) {
-	if s.whole {
-		for p, v := range row {
-			dst[p] = int32(v)
-		}
-		return
-	}
 	for p, f := range s.fields {
 		dst[p] = int32(row[f.off] >> f.shift & f.max)
 	}
@@ -254,6 +242,47 @@ func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
 		copy(dst, s.hot(id))
 	}
 	return dst
+}
+
+// maxCounts returns the largest count of each place over the stored
+// markings. A narrow store reads rows, and stops reading a place once
+// its count reaches its field's max, which no stored count can pass;
+// once every place has, it reads no further row. A store whose fields
+// the net's bounds fill (every place of a ring net holds its one token
+// in some early state) is done after a few rows.
+func (s *MarkingStore) maxCounts() []int {
+	bounds := make([]int, s.places)
+	if !s.narrow {
+		for id := range s.Len() {
+			for p, v := range s.hot(id) {
+				bounds[p] = max(bounds[p], int(v))
+			}
+		}
+		return bounds
+	}
+	// open holds the places still below their field's max.
+	open := make([]int32, 0, s.places)
+	for p, f := range s.fields {
+		if f.max > 0 {
+			open = append(open, int32(p))
+		}
+	}
+	for id := 0; id < s.Len() && len(open) > 0; id++ {
+		row := s.row(id)
+		for i := 0; i < len(open); {
+			p := open[i]
+			f := s.fields[p]
+			v := row[f.off] >> f.shift & f.max
+			bounds[p] = max(bounds[p], int(v))
+			if v == f.max {
+				open[i] = open[len(open)-1]
+				open = open[:len(open)-1]
+				continue
+			}
+			i++
+		}
+	}
+	return bounds
 }
 
 // widen converts a narrow store to int32 pages of the same geometry,

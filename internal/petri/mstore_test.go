@@ -18,8 +18,9 @@ type encoding struct {
 }
 
 // encodings are the encodings every store test runs on: int32 pages,
-// the one-byte rows of an uncapped inline exploration, and a mixed row
-// of 8-, 1-, 3- and 0-bit fields, in turn, as a capped search lays out.
+// the one-byte rows of an inline exploration whose places have neither
+// a cap nor a semiflow bound, and a mixed row of 8-, 1-, 3- and 0-bit
+// fields, in turn, as a capped search lays out.
 var encodings = []encoding{
 	{"wide", nil},
 	{"narrow", limits(math.MaxUint8)},

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/flowc"
+	"repro/internal/linalg"
 	"repro/internal/link"
 	"repro/internal/petri"
 	"repro/internal/sched"
@@ -118,5 +120,23 @@ func TestRankOracleApps(t *testing.T) {
 	}
 	if top := checkRanks(t, "burst-4096", multiRateBurst(4096), apps.MultiRateSpec, false); top <= 1<<31 {
 		t.Errorf("burst-4096: largest rank %d, want one past 2³¹", top)
+	}
+}
+
+// TestTInvariantBasisPFC pins the T-invariant basis of the PFC system
+// net, over its 32 transitions: the three minimal-support invariants
+// the Section 5.5.2 heuristic picks its candidate from.
+func TestTInvariantBasisPFC(t *testing.T) {
+	n, err := core.SystemNet(apps.PFC, apps.PFCSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []linalg.Vector{
+		{0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1},
+		{0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 2, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0},
+	}
+	if got := linalg.TInvariantBasis(n.IncidenceMatrix()); !reflect.DeepEqual(got, want) {
+		t.Errorf("PFC T-invariant basis %v, want %v", got, want)
 	}
 }

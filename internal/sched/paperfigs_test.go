@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/petri"
 )
 
@@ -498,4 +500,28 @@ func executable(net *petri.Net, set []*Schedule, inputs []int, resolve choiceRes
 		m = m.Fire(t)
 	}
 	return m, nil
+}
+
+// TestTInvariantBasisOfFigures pins the T-invariant basis the Section
+// 5.5.2 heuristic starts from on every figure net: its minimal-support
+// invariants, each divided by the GCD of its entries, in ascending
+// order.
+func TestTInvariantBasisOfFigures(t *testing.T) {
+	for _, c := range []struct {
+		net  *petri.Net
+		want []linalg.Vector
+	}{
+		{fig4aNet(t), []linalg.Vector{{2, 1}}},
+		{fig4bNet(petri.TransSourceUnc), []linalg.Vector{{1, 1, 1}}},
+		{fig4bNet(petri.TransSourceCtl), []linalg.Vector{{1, 1, 1}}},
+		{fig5Net(t), []linalg.Vector{{0, 0, 0, 1, 1, 1}, {1, 1, 1, 0, 0, 0}}},
+		{fig6Net(t), []linalg.Vector{{0, 0, 0, 2, 2, 1}, {2, 2, 1, 0, 0, 0}}},
+		{dividerNet(3), []linalg.Vector{{9, 3, 1, 1, 2}}},
+		{dividerNet(5), []linalg.Vector{{25, 5, 1, 1, 4}}},
+		{fig8Net(t), []linalg.Vector{{1, 0, 2, 0, 1}, {1, 1, 0, 1, 0}}},
+	} {
+		if got := linalg.TInvariantBasis(c.net.IncidenceMatrix()); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: T-invariant basis %v, want %v", c.net.Name, got, c.want)
+		}
+	}
 }
