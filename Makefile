@@ -24,7 +24,7 @@
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
 #                      allocates <= 132 B per state, and one cold PFC
-#                      synthesis <= 172 B per state its search interns
+#                      synthesis <= 130 B per state its search interns
 #                      (exact, machine-independent counts; -v prints
 #                      both figures)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of

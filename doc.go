@@ -105,11 +105,15 @@
 //
 // Beside the store, a search keeps flat tables that gain one entry per
 // interned state or per recorded edge: a reachability exploration's row
-// records, the graph engine's state table and adjacency arena, and a
-// dist worker's gids and bits. All of them grow through petri.Push and
-// petri.Extend, by one rule: capacity at least doubles when it runs
-// out, so a table allocates about twice its final capacity in all,
-// where append's ~1.25x growth of large slices costs about five times.
+// records, the graph engine's state table, and a dist worker's gids and
+// bits. All of them grow through petri.Push and petri.Extend, by one
+// rule: capacity at least doubles when it runs out, so a table
+// allocates about twice its final capacity in all, where append's
+// ~1.25x growth of large slices costs about five times. The per-edge
+// tables that fill while a search runs, a reachability exploration's
+// edge rows and the graph engine's adjacency, are never copied: they
+// fill pages, and a state's row or run that outgrows its page moves
+// whole to the next.
 // Three tables are kept smaller than one entry per state or edge. The
 // driver's enabled-ECS arena holds only a window of states, those
 // interned but not yet expanded: it drops the expanded prefix once that
@@ -125,28 +129,36 @@
 // only its successors, the last one flagged. The few states a schedule
 // keeps recover their groups' ECSs by expanding their marking once more
 // under the search's ExpandSpec; on PFC that drops the adjacency from
-// 261,376 entries to 103,836. The X set of the fixpoint is a table of
-// its own, made once the state count is known, so a state costs 8
-// bytes in the state table. The graph engine's tables hold partition
-// and state indices, never pointers, so the garbage collector never
-// scans their contents and copying them on growth needs no write
-// barriers. A table's slice header is another matter: it lives in a
-// heap object (the engine, the driver, the explorer), and storing a
-// data pointer there pays a write barrier whenever the collector is
-// marking. Push and Extend store only the new length while capacity
-// lasts, so the header's pointer, and its barrier, is written once per
-// reallocation instead of once per successor. The doubling rule and the
-// pointer-free tables cut a cold PFC synthesis from 25.9 to 17.7 MB
-// allocated and its CPU time by over a fifth; the frontier window then
-// cut it from 6.69 to 6.23 MB, and the adjacency that keeps only usable
-// successors from 6.23 to 4.85 MB, and cap-width rows (see Token width)
-// from 4.85 to 3.94 MB, while the two smaller reachability tables cut
-// serial ExploreLarge from 39.4 to 28.7 MB, and semiflow-bounded rows
-// from 28.7 to 19.7 MB. `make bytes-gates` bounds what serial
-// ExploreLarge allocates at 132 bytes per state and what the PFC
-// search allocates at 172 bytes per state it interns: packed rows made
-// each store smaller than the tables beside it, so a multiple of the
-// store's hot bytes no longer bounds the tables that grow.
+// 261,376 entries to 103,836. Its pages double from 64 entries up to
+// 64 KiB, or more if the net has more transitions than a page holds,
+// and a state's table entry names its run by page and offset, so
+// finding a run is a shift and a mask. The
+// fixpoint's reverse index is built once and holds one source per
+// stored successor and no group: X keeps one byte per state, out,
+// clean or dirty, and a state that leaves X marks the sources of its
+// reverse edges dirty. The rank pass trusts a clean source's groups and
+// re-reads a dirty one's run; on PFC every state stays in X, so no run
+// is re-read. The graph engine's tables hold partition and state
+// indices, never pointers, so the garbage collector never scans their
+// contents and copying them on growth needs no write barriers. A
+// table's slice header is another matter: it lives in a heap object
+// (the engine, the driver, the explorer), and storing a data pointer
+// there pays a write barrier whenever the collector is marking. Push
+// and Extend store only the new length while capacity lasts, so the
+// header's pointer, and its barrier, is written once per reallocation
+// instead of once per successor. The doubling rule and the pointer-free
+// tables cut a cold PFC synthesis from 25.9 to 17.7 MB allocated and
+// its CPU time by over a fifth; the frontier window then cut it from
+// 6.69 to 6.23 MB, the adjacency that keeps only usable successors from
+// 6.23 to 4.85 MB, cap-width rows (see Token width) from 4.85 to 3.94
+// MB, and the pages and the group-free reverse index from 3.94 to 2.94
+// MB, while the two smaller reachability tables cut serial ExploreLarge
+// from 39.4 to 28.7 MB, and semiflow-bounded rows from 28.7 to 19.7 MB.
+// `make bytes-gates` bounds what serial ExploreLarge allocates at 132
+// bytes per state and what the PFC search allocates at 130 bytes per
+// state it interns: packed rows made each store smaller than the
+// tables beside it, so a multiple of the store's hot bytes no longer
+// bounds the tables that grow.
 //
 // # Concurrency and caching
 //

@@ -50,17 +50,18 @@ func TestExploreLargeBytes(t *testing.T) {
 }
 
 // TestPFCSearchBytes bounds what one cold synthesis of the paper's PFC
-// system allocates: at most 172 bytes per state its schedule search
-// interns (about 4.13 MB for the 23,984 states; it allocates 3.94 MB,
-// 164.4 B a state, and 165.3 B under -race). The bound is per state,
-// not a multiple of the store's hot bytes, because the store's packed
-// rows (5 bytes for PFC's 41 places) made it the smallest table of the
-// search. The search is nearly all of the synthesis, and the graph
-// engine's two growing tables, its states and its adjacency, grow by
-// petri.Push's doubling rule. The bound fails if either falls back to
-// append's ~1.25x growth, which allocates about five times a table's
-// final capacity: the synthesis then allocates 179.4 B a state (states,
-// 8 bytes a state) or 202.8 B (adjacency).
+// system allocates: at most 130 bytes per state its schedule search
+// interns (about 3.12 MB for the 23,984 states; it allocates 2.94 MB,
+// 122.4 B a state). The bound is per state, not a multiple of the
+// store's hot bytes, because the store's packed rows (5 bytes for
+// PFC's 41 places) made it the smallest table of the search. The
+// search is nearly all of the synthesis. Its state table grows by
+// petri.Push's doubling rule, its adjacency lives in pages that are
+// never copied, and its reverse index holds one source per stored
+// successor and no group. The bound fails if any older layout comes
+// back: the adjacency in one table grown by Push (147.0 B a state), a
+// per-edge group table beside the reverse index's sources (139.8 B), or
+// the state table grown by append's ~1.25x rule (137.3 B).
 func TestPFCSearchBytes(t *testing.T) {
 	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, nil); err != nil {
 		t.Fatal(err) // warm-up: one-time set-up stays out of the count
@@ -80,7 +81,7 @@ func TestPFCSearchBytes(t *testing.T) {
 	perState := float64(alloc) / float64(st.DistinctMarkings)
 	t.Logf("cold PFC synthesis allocated %dB for %d states (%.1f B a state; store %dB hot), %d objects",
 		alloc, st.DistinctMarkings, perState, st.StoreHotBytes, after.Mallocs-before.Mallocs)
-	if perState > 172 {
-		t.Fatalf("cold PFC synthesis allocated %dB, %.1f B for each of %d states, more than 172", alloc, perState, st.DistinctMarkings)
+	if perState > 130 {
+		t.Fatalf("cold PFC synthesis allocated %dB, %.1f B for each of %d states, more than 130", alloc, perState, st.DistinctMarkings)
 	}
 }

@@ -80,31 +80,39 @@ func (pb *PlaceBounds) Caps(n *petri.Net) []int {
 
 // gstate is the per-marking search state. Its index in graphEngine.states
 // IS its petri.MarkID in the engine's store: the store assigns dense IDs
-// in interning order, so no separate key map is needed. The state's
-// groups (see graphEngine.adj) start at adj[start] and end where the
-// next state's begin — per-state slice headers would be one allocation
-// per (state, ECS) pair, which at hundreds of thousands of states is
-// most of the search's allocation bill. Membership of the fixpoint's X
-// set lives in graphEngine.inX instead, made at the exact state count
-// once the exploration is over, so this table, which grows by doubling
-// while the exploration runs, holds 8 bytes a state, not 12.
+// in interning order, so no separate key map is needed. start names
+// where the state's run of groups (see graphEngine.pages) begins: its
+// page in the high bits and its offset in the low pageBits, so finding
+// a run is a shift and a mask. The run ends where the next state's
+// begins or, if that is on a later page, with its page. Per-state
+// slice headers would be one allocation per (state, ECS) pair, which
+// at hundreds of thousands of states is most of the search's
+// allocation bill. The fixpoint's standing of each state lives in
+// graphEngine.inX instead, made at the exact state count once the
+// exploration is over, so this table, which grows by doubling while
+// the exploration runs, holds 8 bytes a state, not 12.
 //
-// Every per-state and per-edge table (states, adj, the reverse CSR,
-// dist and the rank queue's links) holds indices, never pointers. A
-// pointer per (state, ECS) pair would put one heap pointer per entry
+// Every per-state and per-edge table (states, the pages, the reverse
+// CSR, dist and the rank queue's links) holds indices, never pointers.
+// A pointer per (state, ECS) pair would put one heap pointer per entry
 // into a table the garbage collector then marks on every cycle, and
 // each copy on growth would need write barriers. Pointer-free tables
-// are never scanned and are copied by a plain memmove. The tables the
-// merge appends to grow by petri.Push, which stores only a new length
-// until a table reallocates.
+// are never scanned and are copied by a plain memmove. The state table
+// grows by petri.Push, which stores only a new length until the table
+// reallocates; the pages are never copied at all.
 type gstate struct {
 	start int32
 	occ   int32 // channel/port token occupancy, precomputed at intern
 }
 
+// transFacts is what the merge reads of a fired transition: its
+// channel/port occupancy delta, and its ECS's member count, the length
+// of a group it opens.
+type transFacts struct{ occ, members int32 }
+
 // graphEngine is one schedule search. Its tables hold only what the
 // fixpoint and build read: the fixpoint needs each group's successors
-// and nothing else, so adj stores no ECS, and choose and sourceGroup
+// and nothing else, so a run stores no ECS, and choose and sourceGroup
 // recover a group's ECS from the state's marking (see groupECSs), which
 // they need only for the states the schedule keeps — 40 of PFC's
 // 23,984.
@@ -118,42 +126,50 @@ type graphEngine struct {
 	states []gstate
 	over   bool
 
-	// ft fires the exploration and maps a transition to its ECS index,
-	// which is how the merge groups successors into ECSs. spec is what
-	// petri.Drive expands under: its Mask holds the ECSs this schedule
-	// may fire (uncontrollable sources other than the schedule's own
-	// are excluded in single-source mode), its Caps the place caps.
-	// occDelta is the per-transition channel/port occupancy delta,
-	// making the per-state occ field an O(1) increment.
+	// ft fires the exploration and maps a transition to its ECS index.
+	// spec is what petri.Drive expands under: its Mask holds the ECSs
+	// this schedule may fire (uncontrollable sources other than the
+	// schedule's own are excluded in single-source mode), its Caps the
+	// place caps. perTrans holds what the merge reads per transition.
 	ft       *petri.FiringTable
 	spec     petri.ExpandSpec
-	occDelta []int32
+	perTrans []transFacts
 
-	// adj is the forward adjacency, state after state: one group per
-	// allowed enabled ECS of the state whose successors all stay within
-	// the caps, in partition order, made of one successor state per
-	// member, the last one flagged with endMark. A group with a
-	// successor beyond the caps is never stored: no set X can keep it,
-	// since a chosen ECS's successors must all be in X. A group is named
-	// by its position in adj, that of its first successor.
-	adj []int32
+	// pages hold the forward adjacency, one run per state, in state
+	// order. A run holds one group per allowed enabled ECS of the state
+	// whose successors all stay within the caps, in partition order,
+	// made of one successor state per member, the last one flagged with
+	// endMark. A group with a successor beyond the caps is never stored:
+	// no set X can keep it, since a chosen ECS's successors must all be
+	// in X. A run never spans two pages (see turnPage), and no page is
+	// ever copied. Pages double from firstPage entries up to
+	// 1<<pageBits - 1, which holds the longest run, one successor per
+	// transition, and keeps the end of a full page, where an empty run
+	// may start, an offset. While the exploration runs, page is the open
+	// page, the last of pages, and the open run, that of the state begun
+	// last, starts at runLo in it.
+	pages     [][]int32
+	page      []int32
+	runLo     int
+	firstPage int
+	pageBits  uint
 
-	// inX marks the states of the fixpoint's current X set, one entry
-	// per state, made by solve.
-	inX []bool
+	// inX holds each state's standing in the fixpoint's current X set,
+	// one byte per state, made by solve: out of X, or in X and clean
+	// (no successor has left X, so every group is usable) or dirty.
+	inX []uint8
 
 	// Reverse adjacency in CSR form, built once after exploration: the
-	// edges e into state t, revOff[t] <= e < revOff[t+1], come from state
-	// revSrc[e] by group revGroup[e]. computeRanks filters it by the
-	// current X set instead of rebuilding the adjacency every fixpoint
-	// round. dist is the rank of each state, its weighted distance back
-	// to the root inside X (unreached if none), and queue orders the
-	// reverse Dijkstra that computes it.
-	revOff   []int32
-	revSrc   []int32
-	revGroup []int32
-	dist     []int64
-	queue    radixHeap
+	// edges into state t come from the states revSrc[revOff[t]:revOff[t+1]],
+	// one per stored successor. It names no group: computeRanks
+	// filters it by the current X set, and re-reads the run of a dirty
+	// source only. dist is the rank of each state, its weighted
+	// distance back to the root inside X (unreached if none), and queue
+	// orders the reverse Dijkstra that computes it.
+	revOff []int32
+	revSrc []int32
+	dist   []int64
+	queue  radixHeap
 
 	// Scratch of groupECSs, reused for every state it expands: the
 	// state's marking, its enabled-ECS set, a successor marking and the
@@ -163,45 +179,74 @@ type graphEngine struct {
 	ecss        []int32
 }
 
-// endMark flags the last successor of each group in adj; readers mask it
+// A state's standing in X, its graphEngine.inX byte.
+const (
+	xOut   uint8 = iota // not in X
+	xClean              // in X, and so is every successor
+	xDirty              // in X, with a successor that left it
+)
+
+// Adjacency pages start at firstPageLen entries and double up to 64
+// KiB, or to the longest possible run if that is longer.
+const firstPageLen, minPageBits = 64, 14
+
+// endMark flags the last successor of each group in a run; readers mask it
 // off with math.MaxInt32 (state ids are below 2³¹).
 const endMark = math.MinInt32
 
 // unreached is the rank of a state that cannot reach the root inside X.
 const unreached = math.MaxInt64
 
-// groups returns the bounds in adj of state id's groups.
-func (ge *graphEngine) groups(id int) (lo, hi int32) {
+// run returns state id's groups: a run inside one page, which ends
+// where the next state's begins or, if that is on a later page, with
+// the page.
+func (ge *graphEngine) run(id int) []int32 {
+	s, mask := ge.states[id].start, int32(1)<<ge.pageBits-1
+	p := ge.pages[s>>ge.pageBits]
+	hi := int32(len(p))
 	if id+1 < len(ge.states) {
-		return ge.states[id].start, ge.states[id+1].start
+		if n := ge.states[id+1].start; n>>ge.pageBits == s>>ge.pageBits {
+			hi = n & mask
+		}
 	}
-	return ge.states[id].start, int32(len(ge.adj))
+	return p[s&mask : hi]
 }
 
-// succ returns the successors of group g, one per member of its ECS;
-// the last carries endMark.
-func (ge *graphEngine) succ(g int32) []int32 { return ge.adj[g:ge.next(g)] }
-
-// next returns the position of the group after g.
-func (ge *graphEngine) next(g int32) int32 {
-	for ge.adj[g] >= 0 {
-		g++
+// group splits the groups r into the first one, whose last successor
+// carries endMark, and the rest.
+func group(r []int32) (g, rest []int32) {
+	i := 0
+	for r[i] >= 0 {
+		i++
 	}
-	return g + 1
+	return r[:i+1], r[i+1:]
 }
 
 // usable reports whether group g keeps every successor inside the
 // current X set.
-func (ge *graphEngine) usable(g int32) bool {
-	for ; ; g++ {
-		t := ge.adj[g]
-		if !ge.inX[t&math.MaxInt32] {
+func (ge *graphEngine) usable(g []int32) bool {
+	for _, t := range g {
+		if ge.inX[t&math.MaxInt32] == xOut {
 			return false
 		}
-		if t < 0 {
+	}
+	return true
+}
+
+// usableGroup reports whether state s has a usable group and, for t
+// >= 0, one that holds successor t.
+func (ge *graphEngine) usableGroup(s, t int32) bool {
+	for g, r := []int32(nil), ge.run(int(s)); len(r) > 0; {
+		g, r = group(r)
+		holds := t < 0
+		for _, u := range g {
+			holds = holds || u&math.MaxInt32 == t
+		}
+		if holds && ge.usable(g) {
 			return true
 		}
 	}
+	return false
 }
 
 func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
@@ -219,12 +264,16 @@ func newGraphEngine(n *petri.Net, source int, opt Options) *graphEngine {
 	ge.spec.Mask = allowedMask(n, ge.part, source, opt.MultiSource)
 	ge.ft = petri.NewFiringTable(n, ge.part)
 	ge.bits = make([]uint64, ge.ft.Stride())
-	ge.occDelta = make([]int32, len(n.Transitions))
-	for t := range ge.occDelta {
+	ge.firstPage = firstPageLen
+	ge.pageBits = uint(max(minPageBits, bits.Len(uint(len(n.Transitions)))))
+	ge.perTrans = make([]transFacts, len(n.Transitions))
+	for t := range ge.perTrans {
+		f := &ge.perTrans[t]
+		f.members = int32(len(ge.part[ge.ft.ECSOf(t)].Trans))
 		for _, d := range ge.ft.Deltas(t) {
 			switch n.Places[d.Place].Kind {
 			case petri.PlaceChannel, petri.PlacePort:
-				ge.occDelta[t] += int32(d.Delta)
+				f.occ += int32(d.Delta)
 			}
 		}
 	}
@@ -258,60 +307,90 @@ const rootID = 0
 // outcome and lands in ge.over.
 func (ge *graphEngine) drive() error {
 	_, err := petri.Drive(ge.ft, ge.spec, nil, ge.start)
+	ge.pages[len(ge.pages)-1] = ge.page
 	return err
 }
 
 // start readies the engine for the exploration of store, which holds
-// only the root, and returns the merge hooks that write adj. Each
+// only the root, and returns the merge hooks that write the runs. Each
 // state's successors arrive ECS by ECS (allowed enabled ECSs in
 // partition order, members ascending), one Edge or Reject per member,
 // so a member that arrives while no group is open names its ECS and
 // opens the next group. A vetoed member drops its whole group: the
 // members already written are rolled back and the rest are skipped. A
 // successor the dropped group interned keeps its state, so the
-// numbering does not depend on what adj keeps. Occupancy is a delta off
-// the parent: O(1) per new state instead of a marking scan.
+// numbering does not depend on what the runs keep. Occupancy is a delta
+// off the parent: O(1) per new state instead of a marking scan.
 func (ge *graphEngine) start(store *petri.MarkingStore) petri.MergeHooks {
 	ge.store = store
 	ge.states = append(ge.states, gstate{occ: int32(ge.occupancy(store.At(rootID)))})
-	open := 0         // successors the open group still expects
-	first := int32(0) // where in adj the open group starts
-	dropped := false  // whether a member of the open group was vetoed
-	advance := func(trans, child int32) {
+	// The nine doubling pages and seven full ones fit before the page
+	// table regrows; PFC's adjacency takes fourteen.
+	ge.page = make([]int32, 0, ge.firstPage)
+	ge.pages = append(make([][]int32, 0, 16), ge.page)
+	var open int32   // successors the open group still expects
+	first := 0       // where in the open run the open group starts
+	dropped := false // whether a member of the open group was vetoed
+	advance := func(parent petri.MarkID, trans, child int32) {
 		if open == 0 {
-			open = len(ge.part[ge.ft.ECSOf(int(trans))].Trans)
-			first, dropped = int32(len(ge.adj)), false
+			open = ge.perTrans[trans].members
+			first, dropped = len(ge.page)-ge.runLo, false
 		}
 		open--
 		switch {
 		case child < 0: // vetoed: drop the group and what it wrote
-			ge.adj = ge.adj[:first]
+			ge.page = ge.page[:ge.runLo+first]
 			dropped = true
 		case dropped: // an earlier member was vetoed
 		case open == 0:
-			petri.Push(&ge.adj, child|endMark)
+			ge.push(parent, child|endMark)
 		default:
-			petri.Push(&ge.adj, child)
+			ge.push(parent, child)
 		}
 	}
 	return petri.MergeHooks{
-		BeginState: func(id petri.MarkID) { ge.states[id].start = int32(len(ge.adj)) },
-		Admit:      func() bool { return ge.store.Len() < ge.opt.MaxNodes },
+		BeginState: func(id petri.MarkID) {
+			ge.runLo = len(ge.page)
+			ge.states[id].start = int32(len(ge.pages)-1)<<ge.pageBits | int32(ge.runLo)
+		},
+		Admit: func() bool { return ge.store.Len() < ge.opt.MaxNodes },
 		Edge: func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
 			if isNew {
-				petri.Push(&ge.states, gstate{occ: ge.states[parent].occ + ge.occDelta[trans]})
+				petri.Push(&ge.states, gstate{occ: ge.states[parent].occ + ge.perTrans[trans].occ})
 			}
-			advance(trans, int32(child))
+			advance(parent, trans, int32(child))
 		},
 		Reject: func(parent petri.MarkID, trans int32, budget bool) bool {
 			if budget {
 				ge.over = true
 				return false
 			}
-			advance(trans, -1)
+			advance(parent, trans, -1)
 			return true
 		},
 	}
+}
+
+// push appends v to the open run, state id's.
+func (ge *graphEngine) push(id petri.MarkID, v int32) {
+	if len(ge.page) == cap(ge.page) {
+		ge.turnPage(id)
+	}
+	ge.page = append(ge.page, v)
+}
+
+// turnPage moves the open run, state id's, whole to a fresh page. The
+// page it leaves ends where the run began. The fresh page is twice the
+// size of the last, up to 1<<pageBits - 1 entries, so it holds the run
+// and at least one more entry: a run has at most one entry per
+// transition.
+func (ge *graphEngine) turnPage(id petri.MarkID) {
+	run := ge.page[ge.runLo:]
+	ge.pages[len(ge.pages)-1] = ge.page[:ge.runLo]
+	ge.page = append(make([]int32, 0, min(2*cap(ge.page), 1<<ge.pageBits-1)), run...)
+	petri.Push(&ge.pages, ge.page)
+	ge.runLo = 0
+	ge.states[id].start = int32(len(ge.pages)-1) << ge.pageBits
 }
 
 // marking returns a copy of the token vector of state id.
@@ -319,8 +398,8 @@ func (ge *graphEngine) marking(id int) petri.Marking {
 	return ge.store.Load(nil, petri.MarkID(id))
 }
 
-// groupECSs returns the partition indices of state id's groups, in adj
-// order. adj does not store them, so they are recovered the way the
+// groupECSs returns the partition indices of state id's groups, in run
+// order. The run does not store them, so they are recovered the way the
 // exploration emitted the groups (see petri.ExpandSpec): the allowed
 // ECSs enabled at the state's marking, in partition order, minus every
 // ECS with a member the caps veto. The result is valid until the next
@@ -342,75 +421,79 @@ func (ge *graphEngine) groupECSs(id int) []int32 {
 }
 
 // buildReverse assembles the CSR reverse adjacency over every stored
-// edge, once; the fixpoint rounds filter it by the shrinking X set
-// instead of rebuilding it. Each target's range fills from its end, with
-// the states walked in descending order, so the range lists its sources
-// ascending.
+// successor, once; the fixpoint rounds filter it by the shrinking X set
+// instead of rebuilding it. The count walks the pages; the fill walks
+// the states in ascending order, so each target's range lists its
+// sources ascending.
 func (ge *graphEngine) buildReverse() {
-	off := make([]int32, len(ge.states)+1)
-	for _, t := range ge.adj {
-		off[t&math.MaxInt32]++
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	// off[t] is now the end of t's range, and off[len(states)] the
-	// total; filling moves each off[t] to the start of t's range.
-	ge.revSrc = make([]int32, len(ge.adj))
-	ge.revGroup = make([]int32, len(ge.adj))
-	for si := len(ge.states) - 1; si >= 0; si-- {
-		lo, hi := ge.groups(si)
-		for g := lo; g < hi; g = ge.next(g) {
-			for _, t := range ge.succ(g) {
-				t &= math.MaxInt32
-				off[t]--
-				ge.revSrc[off[t]] = int32(si)
-				ge.revGroup[off[t]] = g
-			}
+	n := len(ge.states)
+	off := make([]int32, n+1)
+	for _, p := range ge.pages {
+		for _, t := range p {
+			off[t&math.MaxInt32+1]++
 		}
 	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// off[t] is now the start of t's range; filling moves it to the
+	// start of t+1's, and the shift after it moves it back.
+	ge.revSrc = make([]int32, off[n])
+	for id := range ge.states {
+		for _, t := range ge.run(id) {
+			t &= math.MaxInt32
+			ge.revSrc[off[t]] = int32(id)
+			off[t]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
 	ge.revOff = off
-	ge.dist = make([]int64, len(ge.states))
+	ge.dist = make([]int64, n)
 	ge.queue.init(ge.dist)
+}
+
+// leave takes state id out of X: the sources of its reverse edges that
+// are still clean turn dirty.
+func (ge *graphEngine) leave(id int) {
+	ge.inX[id] = xOut
+	for _, s := range ge.revSrc[ge.revOff[id]:ge.revOff[id+1]] {
+		if ge.inX[s] == xClean {
+			ge.inX[s] = xDirty
+		}
+	}
 }
 
 // solve runs the alternating fixpoint; it returns true when the initial
 // marking admits a schedule (the root's source successor stays in X).
 func (ge *graphEngine) solve() bool {
 	ge.buildReverse()
-	ge.inX = make([]bool, len(ge.states))
+	ge.inX = make([]uint8, len(ge.states))
 	for i := range ge.inX {
-		ge.inX[i] = true
+		ge.inX[i] = xClean
 	}
 	for {
 		changed := false
-		// Closure: a state needs at least one usable ECS; removals
-		// cascade across outer rounds.
-		for i := range ge.states {
-			if !ge.inX[i] {
+		// Closure: a state needs at least one usable ECS, which a clean
+		// one with a group has; removals cascade across outer rounds.
+		for i, in := range ge.inX {
+			if in == xOut || in == xClean && len(ge.run(i)) > 0 || ge.usableGroup(int32(i), -1) {
 				continue
 			}
-			ok := false
-			lo, hi := ge.groups(i)
-			for g := lo; g < hi && !ok; g = ge.next(g) {
-				ok = ge.usable(g)
-			}
-			if !ok {
-				ge.inX[i] = false
-				changed = true
-			}
+			ge.leave(i)
+			changed = true
 		}
-		if !ge.inX[rootID] {
+		if ge.inX[rootID] == xOut {
 			return false
 		}
 		ge.computeRanks()
 		for i, in := range ge.inX {
-			if in && ge.dist[i] == unreached {
-				ge.inX[i] = false
+			if in != xOut && ge.dist[i] == unreached {
+				ge.leave(i)
 				changed = true
 			}
 		}
-		if !ge.inX[rootID] {
+		if ge.inX[rootID] == xOut {
 			return false
 		}
 		if !changed {
@@ -419,20 +502,20 @@ func (ge *graphEngine) solve() bool {
 	}
 	// The root must be able to fire the source and stay in X.
 	g, _ := ge.sourceGroup()
-	return g >= 0 && ge.usable(g)
+	return g != nil && ge.usable(g)
 }
 
 // sourceGroup returns the root's group of the source's ECS and that ECS,
-// or -1 and nil.
-func (ge *graphEngine) sourceGroup() (int32, *petri.ECS) {
+// or nil and nil.
+func (ge *graphEngine) sourceGroup() ([]int32, *petri.ECS) {
 	ecss := ge.groupECSs(rootID)
-	lo, hi := ge.groups(rootID)
-	for i, g := 0, lo; g < hi; i, g = i+1, ge.next(g) {
+	for i, g, r := 0, []int32(nil), ge.run(rootID); len(r) > 0; i++ {
+		g, r = group(r)
 		if E := ge.part[ecss[i]]; len(E.Trans) == 1 && E.Trans[0] == ge.source {
 			return g, E
 		}
 	}
-	return -1, nil
+	return nil, nil
 }
 
 // occupancyWeight is the rank penalty per buffered token: paths through
@@ -448,10 +531,11 @@ const occupancyWeight = 64
 // Ranks are int64 and unreached is their only sentinel, so a long
 // burst's distances, which pass 2³¹, stay exact.
 func (ge *graphEngine) computeRanks() {
-	// The reverse Dijkstra runs over the prebuilt CSR adjacency and
-	// checks a group's usability where it reads it: X does not change
-	// during the pass. All buffers are engine-owned and reused, so
-	// fixpoint rounds after the first allocate nothing.
+	// The reverse Dijkstra runs over the prebuilt CSR adjacency. A clean
+	// source's groups are all usable; a dirty one's run is re-read for a
+	// usable group that holds the popped state. X does not change during
+	// the pass. All buffers are engine-owned and reused, so fixpoint
+	// rounds after the first allocate nothing.
 	dist := ge.dist
 	for i := range dist {
 		dist[i] = unreached
@@ -462,20 +546,17 @@ func (ge *graphEngine) computeRanks() {
 	q.push(rootID)
 	for !q.empty() {
 		id := q.pop()
-		for e := ge.revOff[id]; e < ge.revOff[id+1]; e++ {
-			sid := ge.revSrc[e]
-			if !ge.inX[sid] || !ge.usable(ge.revGroup[e]) {
-				continue
-			}
+		for _, sid := range ge.revSrc[ge.revOff[id]:ge.revOff[id+1]] {
 			// Weight = 1 + occupancyWeight * occupancy, with occupancy
 			// precomputed per state at intern time. It belongs to sid
 			// alone, and states pop in ascending rank, so the first
 			// relaxation that reaches sid is its rank: sid is queued
 			// once and never re-keyed.
-			if cand := dist[id] + 1 + occupancyWeight*int64(ge.states[sid].occ); cand < dist[sid] {
-				dist[sid] = cand
-				q.push(sid)
+			if dist[sid] != unreached || ge.inX[sid] == xOut || ge.inX[sid] == xDirty && !ge.usableGroup(sid, id) {
+				continue
 			}
+			dist[sid] = dist[id] + 1 + occupancyWeight*int64(ge.states[sid].occ)
+			q.push(sid)
 		}
 	}
 }
@@ -599,18 +680,17 @@ func (ge *graphEngine) occupancy(m petri.Marking) int {
 // keeping channel occupancy low so synthesized buffers stay minimal (the
 // paper's PFC result: all channels of unit size). A key ends in the
 // ECS's partition index, which no other group of the state shares, so
-// no two keys tie. It returns -1 and nil if no group qualifies.
-func (ge *graphEngine) choose(id int) (int32, *petri.ECS) {
-	best, bestKey := int32(-1), [4]int64{}
+// no two keys tie. It returns nil and nil if no group qualifies.
+func (ge *graphEngine) choose(id int) ([]int32, *petri.ECS) {
+	best, bestKey := []int32(nil), [4]int64{}
 	var bestE *petri.ECS
 	ecss := ge.groupECSs(id)
-	lo, hi := ge.groups(id)
-	for i, g := 0, lo; g < hi; i, g = i+1, ge.next(g) {
-		if !ge.usable(g) {
+	for i, g, r := 0, []int32(nil), ge.run(id); len(r) > 0; i++ {
+		if g, r = group(r); !ge.usable(g) {
 			continue
 		}
 		minSucc := int64(unreached)
-		for _, t := range ge.succ(g) {
+		for _, t := range g {
 			minSucc = min(minSucc, ge.dist[t&math.MaxInt32])
 		}
 		if minSucc >= ge.dist[id] {
@@ -621,7 +701,7 @@ func (ge *graphEngine) choose(id int) (int32, *petri.ECS) {
 		if E.IsSourceECS(ge.net) {
 			key[0] = 1
 		}
-		if best < 0 || slices.Compare(key[:], bestKey[:]) < 0 {
+		if best == nil || slices.Compare(key[:], bestKey[:]) < 0 {
 			best, bestE, bestKey = g, E, key
 		}
 	}
@@ -648,16 +728,16 @@ func (ge *graphEngine) build() *Schedule {
 		n := &Node{ID: len(s.Nodes), Marking: ge.marking(id)}
 		nodeOf[id] = n
 		s.Nodes = append(s.Nodes, n)
-		var g int32
+		var g []int32
 		if id == rootID {
 			g, n.ECS = ge.sourceGroup() // the root fires the source
 		} else {
 			g, n.ECS = ge.choose(id)
 		}
-		if g < 0 {
+		if g == nil {
 			return n // defensive; solve() guarantees a choice
 		}
-		for j, to := range ge.succ(g) {
+		for j, to := range g {
 			n.Edges = append(n.Edges, Edge{Trans: n.ECS.Trans[j], To: mk(int(to & math.MaxInt32))})
 		}
 		return n

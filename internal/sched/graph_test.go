@@ -303,8 +303,27 @@ func (h *refHeap) pop() refItem {
 }
 
 // refRanks is the reference for computeRanks: the textbook Dijkstra,
-// on refHeap, over the reverse edges of ge's current X set.
+// on refHeap, over ge's current X set. It builds its own reverse edges
+// from the forward runs, one per successor of a group that keeps every
+// successor in X, so it shares neither the engine's reverse index nor
+// its clean/dirty shortcut.
 func refRanks(ge *graphEngine) []int64 {
+	in := func(t int32) bool { return ge.inX[t&math.MaxInt32] != xOut }
+	rev := make([][]int32, len(ge.states))
+	for id := range ge.states {
+		if !in(int32(id)) {
+			continue
+		}
+		for r := ge.run(id); len(r) > 0; {
+			end := slices.IndexFunc(r, func(t int32) bool { return t < 0 }) + 1
+			g := r[:end]
+			if r = r[end:]; !slices.ContainsFunc(g, func(t int32) bool { return !in(t) }) {
+				for _, t := range g {
+					rev[t&math.MaxInt32] = append(rev[t&math.MaxInt32], int32(id))
+				}
+			}
+		}
+	}
 	dist := make([]int64, len(ge.states))
 	for i := range dist {
 		dist[i] = unreached
@@ -317,11 +336,7 @@ func refRanks(ge *graphEngine) []int64 {
 		if it.d > dist[it.id] {
 			continue
 		}
-		for e := ge.revOff[it.id]; e < ge.revOff[it.id+1]; e++ {
-			sid := ge.revSrc[e]
-			if !ge.inX[sid] || !ge.usable(ge.revGroup[e]) {
-				continue
-			}
+		for _, sid := range rev[it.id] {
 			if cand := it.d + 1 + occupancyWeight*int64(ge.states[sid].occ); cand < dist[sid] {
 				dist[sid] = cand
 				h.push(refItem{id: sid, d: cand})
@@ -331,57 +346,82 @@ func refRanks(ge *graphEngine) []int64 {
 	return dist
 }
 
-// checkAdjacency is the adjacency oracle. It rebuilds every state's
-// groups from the state's stored marking alone, without the merge hooks
-// that wrote ge.adj: one group per allowed ECS enabled there, in
+// checkAdjacency is the adjacency oracle. It rebuilds every state's run
+// from the state's stored marking alone, without the merge hooks that
+// wrote the pages: one group per allowed ECS enabled there, in
 // partition order, unless the caps veto one of its members, and per
-// member the id the store holds its successor under. The rebuilt groups
-// must tile ge.adj exactly, each ending in the one successor that
-// carries endMark. The ECSs of the rebuilt groups must also be what
-// groupECSs recovers for the state, which is all that choose and
-// sourceGroup know of a group's ECS.
+// member the id the store holds its successor under, the last one
+// flagged with endMark. It decodes each state's start itself and walks
+// the runs in state order: a run must lie inside the page it starts in
+// and hold exactly the rebuilt groups, and it must end where the next
+// state's run starts or, if that is on a later page, with its page,
+// every page in between empty. The ECSs of the rebuilt groups must also
+// be what groupECSs recovers for the state, which is all that choose
+// and sourceGroup know of a group's ECS.
 func checkAdjacency(ge *graphEngine) error {
 	spec := ge.spec
+	mask := int32(1)<<ge.pageBits - 1
+	for pg, p := range ge.pages {
+		if cap(p) > int(mask) {
+			return fmt.Errorf("page %d holds %d entries, more than %d", pg, cap(p), mask)
+		}
+	}
+	// empty reports whether the pages from lo up to hi hold nothing.
+	empty := func(lo, hi int) bool {
+		return !slices.ContainsFunc(ge.pages[lo:hi], func(p []int32) bool { return len(p) > 0 })
+	}
 	var m, child petri.Marking
-	var succ, want []int32
+	var run, want []int32
 	for id := range ge.states {
 		m = ge.store.Load(m, petri.MarkID(id))
-		g, hi := ge.groups(id)
-		if id == rootID && g != 0 {
-			return fmt.Errorf("state 0: groups start at %d, want 0", g)
-		}
-		want = want[:0]
+		run, want = run[:0], want[:0]
 	ecs:
 		for _, E := range ge.part {
 			if spec.Mask[E.Index/64]&(1<<(E.Index%64)) == 0 || !E.Enabled(ge.net, m) {
 				continue
 			}
-			succ = succ[:0]
+			n := len(run)
 			for _, t := range E.Trans {
 				child = m.FireInto(child, ge.net.Transitions[t])
 				if spec.Veto(child) {
+					run = run[:n]
 					continue ecs // no group: the caps veto a member
 				}
 				sid, ok := ge.store.LookupHashed(child, petri.HashMarking(child))
 				if !ok {
 					return fmt.Errorf("state %d: successor by %s is not in the store", id, ge.net.Transitions[t].Name)
 				}
-				succ = append(succ, int32(sid))
+				run = append(run, int32(sid))
 			}
-			succ[len(succ)-1] |= endMark
+			run[len(run)-1] |= endMark
 			want = append(want, int32(E.Index))
-			if int(g)+len(succ) > int(hi) {
-				return fmt.Errorf("state %d: no group of ECS %d at %d", id, E.Index, g)
-			}
-			for j, t := range E.Trans {
-				if got := ge.adj[int(g)+j]; got != succ[j] {
-					return fmt.Errorf("state %d: successor by %s is %s, want %s", id, ge.net.Transitions[t].Name, succName(got), succName(succ[j]))
-				}
-			}
-			g += int32(len(succ))
 		}
-		if g != hi {
-			return fmt.Errorf("state %d: groups end at %d, want %d", id, hi, g)
+		s := ge.states[id].start
+		pg, lo := int(s>>ge.pageBits), int(s&mask)
+		if pg >= len(ge.pages) || lo > len(ge.pages[pg]) {
+			return fmt.Errorf("state %d: run starts at offset %d of page %d, past the pages", id, lo, pg)
+		}
+		if id == rootID && (lo != 0 || !empty(0, pg)) {
+			return fmt.Errorf("state 0: run starts at offset %d of page %d, want the first entry", lo, pg)
+		}
+		page := ge.pages[pg]
+		if lo+len(run) > len(page) {
+			return fmt.Errorf("state %d: run of %d entries at offset %d spans the end of page %d (%d entries)", id, len(run), lo, pg, len(page))
+		}
+		for j, t := range run {
+			if got := page[lo+j]; got != t {
+				return fmt.Errorf("state %d: run entry %d is %s, want %s", id, j, succName(got), succName(t))
+			}
+		}
+		end, npg, next := lo+len(run), len(ge.pages), 0
+		if id+1 < len(ge.states) {
+			npg, next = int(ge.states[id+1].start>>ge.pageBits), int(ge.states[id+1].start&mask)
+		}
+		switch {
+		case npg == pg && next != end:
+			return fmt.Errorf("state %d: run ends at offset %d of page %d, the next one starts at %d", id, end, pg, next)
+		case npg < pg || npg > pg && (end != len(page) || next != 0 || !empty(pg+1, min(npg, len(ge.pages)))):
+			return fmt.Errorf("state %d: run ends at offset %d of page %d (%d entries), the next one starts at offset %d of page %d", id, end, pg, len(page), next, npg)
 		}
 		if got := ge.groupECSs(id); !slices.Equal(got, want) {
 			return fmt.Errorf("state %d: groupECSs recovers ECSs %v, want %v", id, got, want)
@@ -390,7 +430,7 @@ func checkAdjacency(ge *graphEngine) error {
 	return nil
 }
 
-// succName formats an adj entry: the successor's state id, and whether
+// succName formats a run entry: the successor's state id, and whether
 // it carries endMark.
 func succName(t int32) string {
 	if t < 0 {
@@ -399,39 +439,132 @@ func succName(t int32) string {
 	return fmt.Sprint(t)
 }
 
-// CheckRanks is the rank oracle. It runs the graph engine's search for
-// source under opt through its fixpoint, ranks the final X set once
-// more, and compares every state's rank with refRanks. With adjacency
-// set it first checks the explored graph with checkAdjacency. It
-// returns the number of states compared and the largest finite rank.
-// It is exported for the tests in package sched_test, which run it on
-// nets built by packages that import sched.
-func CheckRanks(n *petri.Net, source int, opt *Options, adjacency bool) (states int, maxRank int64, err error) {
+// pageCases counts what one exploration's merge did at page turns: runs
+// that moved whole to a fresh page with entries in them, vetoed groups
+// rolled back after a page turn that came while the group was open, and
+// states without groups at a page boundary (their empty run starts a
+// page or ends one).
+type pageCases struct{ moved, rolledBack, emptyAtEdge int }
+
+// drivePaged runs ge's exploration like drive, with its first page
+// firstPage entries long (0 keeps the default), and counts its page
+// cases.
+func drivePaged(ge *graphEngine, firstPage int) (pageCases, error) {
+	if firstPage > 0 {
+		ge.firstPage = firstPage
+	}
+	var c pageCases
+	turned := false // whether a page turned while the open group was open
+	start := func(store *petri.MarkingStore) petri.MergeHooks {
+		h := ge.start(store)
+		edge, reject := h.Edge, h.Reject
+		// member is the position of trans in its ECS; 0 opens a group.
+		member := func(trans int32) int {
+			return slices.Index(ge.part[ge.ft.ECSOf(int(trans))].Trans, int(trans))
+		}
+		h.Edge = func(parent petri.MarkID, trans int32, child petri.MarkID, isNew bool) {
+			pages, run := len(ge.pages), len(ge.page)-ge.runLo
+			turned = turned && member(trans) > 0
+			edge(parent, trans, child, isNew)
+			if len(ge.pages) > pages {
+				turned = true
+				if run > 0 {
+					c.moved++
+				}
+			}
+		}
+		h.Reject = func(parent petri.MarkID, trans int32, budget bool) bool {
+			written := len(ge.page)
+			turned = turned && member(trans) > 0
+			ok := reject(parent, trans, budget)
+			if turned && len(ge.page) < written {
+				c.rolledBack++
+			}
+			return ok
+		}
+		return h
+	}
+	_, err := petri.Drive(ge.ft, ge.spec, nil, start)
+	ge.pages[len(ge.pages)-1] = ge.page
+	if err != nil || ge.over {
+		return c, err
+	}
+	for id := range ge.states {
+		if len(ge.run(id)) > 0 {
+			continue
+		}
+		s, mask := ge.states[id].start, int32(1)<<ge.pageBits-1
+		pg, lo := s>>ge.pageBits, int(s&mask)
+		last := id+1 == len(ge.states) || ge.states[id+1].start>>ge.pageBits > pg
+		if lo == 0 && pg > 0 || lo == len(ge.pages[pg]) && last {
+			c.emptyAtEdge++
+		}
+	}
+	return c, err
+}
+
+// checkEngine runs the graph engine's search for source under opt
+// through its fixpoint, with its first adjacency page firstPage entries
+// long (0 keeps the default), ranks the final X set once more, and
+// compares every state's rank with refRanks. With adjacency set it
+// first checks the explored graph with checkAdjacency. With a positive
+// firstPage, the schedule the engine builds must equal FindSchedule's,
+// which runs at the default page sizes. It returns the engine, its page
+// cases and the largest finite rank.
+func checkEngine(n *petri.Net, source int, opt *Options, adjacency bool, firstPage int) (*graphEngine, pageCases, int64, error) {
 	o := opt.withDefaults(n, source)
 	ge := newGraphEngine(n, source, o)
-	if err := ge.drive(); err != nil {
-		return 0, 0, err
+	cases, err := drivePaged(ge, firstPage)
+	if err != nil {
+		return nil, cases, 0, err
 	}
 	if ge.over {
-		return 0, 0, ErrBudget
+		return nil, cases, 0, ErrBudget
 	}
 	if adjacency {
 		if err := checkAdjacency(ge); err != nil {
-			return 0, 0, err
+			return nil, cases, 0, err
 		}
 	}
-	ge.solve()
+	ok := ge.solve()
 	ge.computeRanks()
 	want := refRanks(ge)
+	var maxRank int64
 	for id, d := range want {
 		if ge.dist[id] != d {
-			return 0, 0, fmt.Errorf("state %d of %d: rank %d, reference %d", id, len(want), ge.dist[id], d)
+			return nil, cases, 0, fmt.Errorf("state %d of %d: rank %d, reference %d", id, len(want), ge.dist[id], d)
 		}
 		if d != unreached {
 			maxRank = max(maxRank, d)
 		}
 	}
-	return len(want), maxRank, nil
+	if firstPage > 0 {
+		ref, err := FindSchedule(n, source, opt)
+		if (err == nil) != ok {
+			return nil, cases, 0, fmt.Errorf("first page %d: schedulable %v, at the default pages %v", firstPage, ok, err)
+		}
+		if ok {
+			var got, want strings.Builder
+			ge.build().Format(&got)
+			ref.Format(&want)
+			if got.String() != want.String() {
+				return nil, cases, 0, fmt.Errorf("first page %d: schedule\n%s\nat the default pages\n%s", firstPage, got.String(), want.String())
+			}
+		}
+	}
+	return ge, cases, maxRank, nil
+}
+
+// CheckRanks is the rank oracle (see checkEngine), exported for the
+// tests in package sched_test, which run it on nets built by packages
+// that import sched. It returns the number of states compared and the
+// largest finite rank.
+func CheckRanks(n *petri.Net, source int, opt *Options, adjacency bool, firstPage int) (states int, maxRank int64, err error) {
+	ge, _, maxRank, err := checkEngine(n, source, opt, adjacency, firstPage)
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(ge.states), maxRank, nil
 }
 
 // TestRankOraclePaperNets runs the rank and adjacency oracles on every
@@ -454,10 +587,35 @@ func TestRankOraclePaperNets(t *testing.T) {
 		{"divider-k24", dividerNet(24)},
 	} {
 		for _, src := range c.net.UncontrollableSources() {
-			if _, _, err := CheckRanks(c.net, src, nil, true); err != nil {
+			if _, _, err := CheckRanks(c.net, src, nil, true, 0); err != nil {
 				t.Errorf("%s, source %s: %v", c.name, c.net.Transitions[src].Name, err)
 			}
 		}
+	}
+}
+
+// TestAdjacencyPages runs fig. 8's search with first adjacency pages of
+// 1 to 16 entries, so that its runs cross page boundaries at every
+// offset its 18 entries allow. Both oracles must pass, and each
+// schedule must equal the one at the default page sizes. Over the
+// sweep, runs move whole to a fresh page, a vetoed group is rolled back
+// after its run moved (fig. 8's state [p1 p3 p3] writes b, then the
+// caps veto c), and a state without groups sits at a page boundary.
+// TestRankOracleApps runs PFC and corpus apps the same way.
+func TestAdjacencyPages(t *testing.T) {
+	n := fig8Net(t)
+	var all pageCases
+	for first := 1; first <= 16; first++ {
+		_, c, _, err := checkEngine(n, 0, nil, true, first)
+		if err != nil {
+			t.Fatalf("first page %d: %v", first, err)
+		}
+		all.moved += c.moved
+		all.rolledBack += c.rolledBack
+		all.emptyAtEdge += c.emptyAtEdge
+	}
+	if all.moved == 0 || all.rolledBack == 0 || all.emptyAtEdge == 0 {
+		t.Errorf("page cases %+v: want each one met", all)
 	}
 }
 

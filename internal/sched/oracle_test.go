@@ -91,13 +91,15 @@ func linkNet(t *testing.T, src, spec string) *petri.Net {
 
 // checkRanks runs the rank oracle, and with adjacency set the
 // adjacency oracle, on every search of an app and returns the largest
-// finite rank it saw.
-func checkRanks(t *testing.T, name, src, spec string, adjacency bool) int64 {
+// finite rank it saw. A positive firstPage runs each search with a
+// first adjacency page that many entries long, and its schedule must
+// equal the one at the default page sizes.
+func checkRanks(t *testing.T, name, src, spec string, adjacency bool, firstPage int) int64 {
 	t.Helper()
 	n := linkNet(t, src, spec)
 	var top int64
 	for _, source := range n.UncontrollableSources() {
-		states, maxRank, err := sched.CheckRanks(n, source, nil, adjacency)
+		states, maxRank, err := sched.CheckRanks(n, source, nil, adjacency, firstPage)
 		if err != nil {
 			t.Fatalf("%s, source %s: %v", name, n.Transitions[source].Name, err)
 		}
@@ -112,14 +114,25 @@ func checkRanks(t *testing.T, name, src, spec string, adjacency bool) int64 {
 // TestRankOracleApps compares every state's rank with the reference
 // Dijkstra on PFC, every search of the seed-1, 50-app corpus and a
 // 4096-pixel burst, whose ranks pass 2³¹. The adjacency oracle runs on
-// PFC only: on the corpus it would nearly triple the test's time.
+// PFC only: on the corpus it would nearly triple the test's time. Then
+// PFC and the first four apps run through both oracles with first
+// adjacency pages of 1 and 3 entries, so that runs move whole to fresh
+// pages at every doubling, and each schedule must equal the one at the
+// default page sizes; the page cases they lack are TestAdjacencyPages's.
 func TestRankOracleApps(t *testing.T) {
-	checkRanks(t, "pfc", apps.PFC, apps.PFCSpec, true)
-	for _, app := range corpus.GenerateCorpus(1, 50, corpus.DefaultConfig()) {
-		checkRanks(t, app.Name, app.FlowC, app.Spec, false)
+	checkRanks(t, "pfc", apps.PFC, apps.PFCSpec, true, 0)
+	corpusApps := corpus.GenerateCorpus(1, 50, corpus.DefaultConfig())
+	for _, app := range corpusApps {
+		checkRanks(t, app.Name, app.FlowC, app.Spec, false, 0)
 	}
-	if top := checkRanks(t, "burst-4096", multiRateBurst(4096), apps.MultiRateSpec, false); top <= 1<<31 {
+	if top := checkRanks(t, "burst-4096", multiRateBurst(4096), apps.MultiRateSpec, false, 0); top <= 1<<31 {
 		t.Errorf("burst-4096: largest rank %d, want one past 2³¹", top)
+	}
+	for _, first := range []int{1, 3} {
+		checkRanks(t, "pfc", apps.PFC, apps.PFCSpec, true, first)
+		for _, app := range corpusApps[:4] {
+			checkRanks(t, app.Name, app.FlowC, app.Spec, true, first)
+		}
 	}
 }
 
