@@ -23,8 +23,8 @@
 #                      machine-independent)
 #   make bytes-gates — the allocation gates of the two searches: serial
 #                      reachability of the 161k-state ExploreLarge net
-#                      allocates <= 132 B per state, and one cold PFC
-#                      synthesis <= 130 B per state its search interns
+#                      allocates <= 122 B per state, and one cold PFC
+#                      synthesis <= 124 B per state its search interns
 #                      (exact, machine-independent counts; -v prints
 #                      both figures)
 #   make dist-chaos  — the hello handshake (pid round trip, refusal of

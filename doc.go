@@ -20,7 +20,8 @@
 // token vector once behind a dense uint32 petri.MarkID (an additive
 // hash Σ m[p]·w(p) over the vector with fixed pseudo-random place
 // weights, and an open-addressing table probed from a finalizer of
-// that hash), and the engines fire transitions into a reused scratch
+// that hash, or of the row itself where a row fits one machine word),
+// and the engines fire transitions into a reused scratch
 // buffer (petri.FiringTable.Fire), so the inner loop of a search
 // performs zero allocations per fired transition — revisiting a known
 // marking costs a hash and a table probe. Because the hash is additive,
@@ -62,12 +63,19 @@
 // and ExploreLarge's store holds 3.6 MB hot instead of 12.0 MB. The
 // merge fires, vetoes, probes and interns successors on those rows,
 // checking each rising count against its cap first and then against
-// its field. The first count a field cannot hold widens the store,
-// once and in place, to four-byte pages; a successor a cap vetoes
-// widens nothing. The counts a schedule search keeps are tiny (every
-// cap of the PFC search is 0 or 1), so a PFC state's row is 5 bytes,
-// where one byte per place took 41: a cold PFC synthesis allocates
-// 3.94 MB instead of 4.85 MB. The stores of a dist runner's
+// its field. A row of at most 8 bytes, as in every search qssbench
+// runs, is one uint64: the store keeps it as its probe table's key,
+// with no page and no hash (the ExploreLarge store: 2.3 MB hot), and
+// the merge fires it in a register through terms Drive compiles once
+// per search, one addition applying all of a firing's deltas, and
+// tests the enabled ECSs' presets on it. A wider row keeps byte pages
+// beside its hash. The first count a field cannot hold widens the
+// store, once and in place, to four-byte pages (a one-word store also
+// computes its hashes then); a successor a cap vetoes widens nothing.
+// The counts a schedule search keeps are tiny (every cap of the PFC
+// search is 0 or 1), so a PFC state's row is 5 bytes, where one byte
+// per place took 41: a cold PFC synthesis allocates 3.94 MB instead of
+// 4.85 MB, and 2.80 MB with one-word rows. The stores of a dist runner's
 // coordinator and workers and of the EP tree engines, which hold At
 // views per state, stay four bytes wide. Every way a count enters is
 // range-checked: Net.Validate (initial markings, bounds and arc
@@ -151,14 +159,15 @@
 // its CPU time by over a fifth; the frontier window then cut it from
 // 6.69 to 6.23 MB, the adjacency that keeps only usable successors from
 // 6.23 to 4.85 MB, cap-width rows (see Token width) from 4.85 to 3.94
-// MB, and the pages and the group-free reverse index from 3.94 to 2.94
-// MB, while the two smaller reachability tables cut serial ExploreLarge
-// from 39.4 to 28.7 MB, and semiflow-bounded rows from 28.7 to 19.7 MB.
-// `make bytes-gates` bounds what serial ExploreLarge allocates at 132
-// bytes per state and what the PFC search allocates at 130 bytes per
-// state it interns: packed rows made each store smaller than the
-// tables beside it, so a multiple of the store's hot bytes no longer
-// bounds the tables that grow.
+// MB, the pages and the group-free reverse index from 3.94 to 2.94 MB,
+// and one-word rows from 2.94 to 2.80 MB, while the two smaller
+// reachability tables cut serial ExploreLarge from 39.4 to 28.7 MB,
+// semiflow-bounded rows from 28.7 to 19.7 MB, and one-word rows from
+// 19.7 to 18.4 MB. `make bytes-gates` bounds what serial ExploreLarge
+// allocates at 122 bytes per state and what the PFC search allocates
+// at 124 bytes per state it interns: packed rows made each store
+// smaller than the tables beside it, so a multiple of the store's hot
+// bytes no longer bounds the tables that grow.
 //
 // # Concurrency and caching
 //

@@ -10,22 +10,23 @@ import (
 )
 
 // TestExploreLargeBytes bounds what serial reachability of the
-// 161,051-state ExploreLarge net allocates: at most 132 bytes per state
-// (about 21.3 MB; it allocates 19.7 MB, 122.6 B a state). The bound is
+// 161,051-state ExploreLarge net allocates: at most 122 bytes per state
+// (about 19.6 MB; it allocates 18.4 MB, 114.4 B a state). The bound is
 // per state, not a multiple of the store's hot bytes, because the
 // net's P-semiflows bound each of its 60 places at one token, so a
-// state is an 8-byte row and the store (3.6 MB hot) is no longer the
-// largest table. The token pages hold each marking once, the hash array
-// grows with the probe table and the edge rows are carved out of
-// chunked arenas. The driver keeps enabled-ECS sets only for the states
-// it has not yet expanded, and the explorer's one table per state, a
-// 4-byte row record, grows by petri.Push's doubling rule; the Edges
-// headers and Clipped flags are laid out once, at one entry per state,
-// when the exploration ends. The bound fails if any older layout comes
-// back: Edges headers and Clipped flags grown by Push through the
-// exploration (179.6 B a state), an enabled-set arena that keeps every
-// state's set (146.0 B), or one byte per place, as before the semiflow
-// bounds (178.5 B).
+// state is an 8-byte row, one word, and the store (2.3 MB hot: the
+// words and the probe table, no hashes) is no longer the largest table.
+// The key array grows with the probe table and the edge rows are carved
+// out of chunked arenas. The driver keeps enabled-ECS sets only for the
+// states it has not yet expanded, and the explorer's one table per
+// state, a 4-byte row record, grows by petri.Push's doubling rule; the
+// Edges headers and Clipped flags are laid out once, at one entry per
+// state, when the exploration ends. The bound fails if any older layout
+// comes back: Edges headers and Clipped flags grown by Push through the
+// exploration (170.8 B a state), an enabled-set arena that keeps every
+// state's set (137.2 B), a one-word store that also keeps a hash per
+// state (134.0 B), or one byte per place, as before the semiflow bounds
+// (178.5 B).
 func TestExploreLargeBytes(t *testing.T) {
 	const pipes, stages = 5, 11
 	want := 1
@@ -44,24 +45,25 @@ func TestExploreLargeBytes(t *testing.T) {
 	perState := float64(alloc) / float64(r.Len())
 	t.Logf("serial Explore allocated %dB for %d states (%.1f B a state; store %dB hot), %d objects",
 		alloc, r.Len(), perState, r.Store.Mem().HotBytes, after.Mallocs-before.Mallocs)
-	if perState > 132 {
-		t.Fatalf("serial Explore allocated %dB, %.1f B for each of %d states, more than 132", alloc, perState, r.Len())
+	if perState > 122 {
+		t.Fatalf("serial Explore allocated %dB, %.1f B for each of %d states, more than 122", alloc, perState, r.Len())
 	}
 }
 
 // TestPFCSearchBytes bounds what one cold synthesis of the paper's PFC
-// system allocates: at most 130 bytes per state its schedule search
-// interns (about 3.12 MB for the 23,984 states; it allocates 2.94 MB,
-// 122.4 B a state). The bound is per state, not a multiple of the
+// system allocates: at most 124 bytes per state its schedule search
+// interns (about 2.97 MB for the 23,984 states; it allocates 2.81 MB,
+// 117.0 B a state). The bound is per state, not a multiple of the
 // store's hot bytes, because the store's packed rows (5 bytes for
-// PFC's 41 places) made it the smallest table of the search. The
-// search is nearly all of the synthesis. Its state table grows by
-// petri.Push's doubling rule, its adjacency lives in pages that are
-// never copied, and its reverse index holds one source per stored
-// successor and no group. The bound fails if any older layout comes
-// back: the adjacency in one table grown by Push (147.0 B a state), a
-// per-edge group table beside the reverse index's sources (139.8 B), or
-// the state table grown by append's ~1.25x rule (137.3 B).
+// PFC's 41 places, kept as one word with no hash) made it the smallest
+// table of the search. The search is nearly all of the synthesis. Its
+// state table grows by petri.Push's doubling rule, its adjacency lives
+// in pages that are never copied, and its reverse index holds one
+// source per stored successor and no group. The bound fails if any
+// older layout comes back: the adjacency in one table grown by Push
+// (141.5 B a state), a per-edge group table beside the reverse index's
+// sources (134.4 B), a one-word store that also keeps a hash per state
+// (133.4 B), or the state table grown by append's ~1.25x rule (131.9 B).
 func TestPFCSearchBytes(t *testing.T) {
 	if _, err := core.Synthesize(apps.PFC, apps.PFCSpec, nil); err != nil {
 		t.Fatal(err) // warm-up: one-time set-up stays out of the count
@@ -81,7 +83,7 @@ func TestPFCSearchBytes(t *testing.T) {
 	perState := float64(alloc) / float64(st.DistinctMarkings)
 	t.Logf("cold PFC synthesis allocated %dB for %d states (%.1f B a state; store %dB hot), %d objects",
 		alloc, st.DistinctMarkings, perState, st.StoreHotBytes, after.Mallocs-before.Mallocs)
-	if perState > 130 {
-		t.Fatalf("cold PFC synthesis allocated %dB, %.1f B for each of %d states, more than 130", alloc, perState, st.DistinctMarkings)
+	if perState > 124 {
+		t.Fatalf("cold PFC synthesis allocated %dB, %.1f B for each of %d states, more than 124", alloc, perState, st.DistinctMarkings)
 	}
 }

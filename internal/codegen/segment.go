@@ -88,7 +88,7 @@ type quotNode struct {
 // Generate builds the task for a schedule.
 func Generate(s *sched.Schedule, name string) (*Task, error) {
 	net := s.Net
-	part := net.ECSPartition()
+	part := s.Part
 	idx := petri.ECSIndex(part, len(net.Transitions))
 	srcECS := idx[s.Source]
 

@@ -191,6 +191,110 @@ func (f *FiringTable) fireBytes(dst, row []uint8, t int, s *MarkingStore, caps [
 	return fireFits
 }
 
+// wordFiring is a FiringTable compiled once per search for the words of
+// a one-word store under a spec's caps, so the inline merge fires,
+// vetoes and derives enabled sets in registers, with no field lookup.
+type wordFiring struct {
+	ft    *FiringTable
+	trans []wordTrans
+	rise  []wordRise
+	// ECS ei's preset arcs are arcs[ecs[ei]:ecs[ei+1]].
+	arcs []wordArc
+	ecs  []int32
+}
+
+// wordTrans is one transition's terms: its rising deltas rise[lo:hi],
+// and add, Σ delta·2^pos mod 2⁶⁴ over its deltas at their fields' first
+// bits. A firing that fits borrows or carries across no field, so one
+// addition applies every delta.
+type wordTrans struct {
+	add    uint64
+	lo, hi int32
+}
+
+// wordRise is one rising delta: its field (first bit and max), the
+// delta, its place's cap ceiling, and top, the largest count the delta
+// keeps within both, or -1.
+type wordRise struct {
+	shift, max uint8
+	top        int32
+	delta      uint32
+	ceil       uint32
+}
+
+// wordArc is one preset arc of an ECS: the ECS is enabled at a word w
+// when w&mask >= need for each of its arcs. An arc whose weight its
+// field cannot hold has mask 0 and need 1.
+type wordArc struct{ mask, need uint64 }
+
+// compileWord compiles f for s, a one-word store, under caps (see
+// ExpandSpec.Caps).
+func (f *FiringTable) compileWord(s *MarkingStore, caps []int) *wordFiring {
+	wf := &wordFiring{ft: f, trans: make([]wordTrans, len(f.trans)), ecs: make([]int32, len(f.part)+1)}
+	for t := range f.trans {
+		e, wt := &f.trans[t], &wf.trans[t]
+		wt.lo = int32(len(wf.rise))
+		for i, d := range f.deltas[e.lo:e.hi] {
+			fd := s.fields[d.Place]
+			wt.add += uint64(d.Delta) << fd.pos()
+			if int32(i) < e.rise-e.lo {
+				ceil := ceiling(caps[d.Place])
+				top := max(int64(min(ceil, uint32(fd.max)))-int64(d.Delta), -1)
+				wf.rise = append(wf.rise, wordRise{shift: uint8(fd.pos()), max: fd.max, top: int32(top), delta: uint32(d.Delta), ceil: ceil})
+			}
+		}
+		wt.hi = int32(len(wf.rise))
+	}
+	for ei, E := range f.part {
+		wf.ecs[ei] = int32(len(wf.arcs))
+		for _, a := range f.net.Transitions[E.Trans[0]].In {
+			fd, arc := s.fields[a.Place], wordArc{need: 1}
+			if uint(a.Weight) <= uint(fd.max) {
+				arc = wordArc{mask: uint64(fd.max) << fd.pos(), need: uint64(a.Weight) << fd.pos()}
+			}
+			wf.arcs = append(wf.arcs, arc)
+		}
+	}
+	wf.ecs[len(f.part)] = int32(len(wf.arcs))
+	return wf
+}
+
+// fire is fireBytes on a word: it returns the successor of w under
+// transition t, or, with fireVeto or fireSpill, why it did not write
+// one. Each rising count is checked against its cap first, then its
+// field. w must be within every cap, and t enabled at it.
+func (wf *wordFiring) fire(w uint64, t int) (uint64, byteFire) {
+	e := &wf.trans[t]
+	for _, r := range wf.rise[e.lo:e.hi] {
+		if v := int32(w >> r.shift & uint64(r.max)); v > r.top {
+			if uint64(v)+uint64(r.delta) > uint64(r.ceil) {
+				return 0, fireVeto
+			}
+			return 0, fireSpill
+		}
+	}
+	return w + e.add, fireFits
+}
+
+// update is Update for a successor held as a word w: it tests each
+// touched ECS's preset arcs on the word.
+func (wf *wordFiring) update(dst, src []uint64, t int, w uint64) {
+	f := wf.ft
+	copy(dst[:f.stride], src[:f.stride])
+	e := &f.trans[t]
+	for _, ei := range f.touched[e.tlo:e.thi] {
+		on := true
+		for _, a := range wf.arcs[wf.ecs[ei]:wf.ecs[ei+1]] {
+			on = on && w&a.mask >= a.need
+		}
+		if b := uint64(1) << (uint(ei) & 63); on {
+			dst[ei>>6] |= b
+		} else {
+			dst[ei>>6] &^= b
+		}
+	}
+}
+
 // Hash returns the HashMarking value of the successor of firing
 // transition t at a marking whose HashMarking value is h.
 func (f *FiringTable) Hash(h uint64, t int) uint64 { return h + f.trans[t].hash }

@@ -29,13 +29,17 @@ import (
 //	  each count a field of the bits its cap allows in a packed row
 //	  that Drive lays out once from spec.Caps, the P-semiflow bounds of
 //	  the places without a cap and the initial marking (see
-//	  MarkingStore), and the merge runs on rows: it fires the
-//	  parent's row into a row scratch field by field, checking each
-//	  rising count against its cap (a veto) and then its field's max,
-//	  probes with a memory compare, copies the row in and derives the
-//	  enabled set by reading fields. The int32 merge takes over for the
-//	  root, a successor with a count past its field (whose intern widens
-//	  the store) and every state of a store that has widened.
+//	  MarkingStore), and the merge runs on rows. A row of at most 8
+//	  bytes is one word, and Drive compiles the FiringTable's deltas
+//	  and ECS presets into terms on it once: the merge fires the
+//	  parent's word in a register, checking each rising count against
+//	  its cap (a veto) and then its field's max, probes with the word,
+//	  and derives the enabled set from it, with no hash. A wider row is
+//	  fired into a row scratch field by field, probed by hash and a
+//	  memory compare, copied in, and its enabled set read from fields.
+//	  The int32 merge takes over for the root, a successor with a count
+//	  past its field (whose intern widens the store) and every state of
+//	  a store that has widened.
 //	  A state's enabled set is derived from its parent's when the
 //	  state is interned and read only when it is expanded, so the
 //	  driver keeps the sets of a window of states: the interned ones
@@ -152,7 +156,8 @@ type FrontierRunner interface {
 // lays out from spec.Caps and, when spec leaves some place without a
 // cap, from the minimal P-semiflows of the transitions spec lets fire
 // (see semiflowBounds), which the Farkas procedure of internal/linalg
-// computes within a fixed work budget. Otherwise r expands it (only
+// computes within a fixed work budget; a row of at most 8 bytes is
+// stored, probed and fired as one word. Otherwise r expands it (only
 // Net.ExploreDist passes a runner) into a store four bytes a count
 // wide, and a runner failure is returned as the error. Either way the
 // hooks run in the same order: BeginState for each state, then its
@@ -190,6 +195,9 @@ func Drive(ft *FiringTable, spec ExpandSpec, r FrontierRunner, start func(*Marki
 		}
 	}
 	d.store = newMarkingStoreCap(len(ft.net.Places), 1<<10, limit)
+	if d.store.word {
+		d.wf = ft.compileWord(d.store, spec.Caps)
+	}
 	places := len(ft.net.Places)
 	buf := make(Marking, 2*places)
 	d.scratch, d.parent = buf[:places:places], buf[places:]
@@ -227,13 +235,15 @@ type driver struct {
 	// [base, store.Len()) (see set), each appended by Extend when its
 	// state is interned; runInline drops the expanded prefix once it is
 	// at least half the window, so bits holds about the BFS frontier.
-	// scratch and byteScratch are the firing buffers, one marking and
-	// one row long, that every successor of the exploration is fired
-	// into, and parent holds the root's counts, which Drive interns
-	// from it in either mode, then the decoded counts of a narrow
-	// parent whose successor takes the int32 merge.
+	// wf holds the terms of a one-word store. scratch and byteScratch
+	// are the firing buffers, one marking and, unless the store is one
+	// word, one row long, that successors are fired into, and parent
+	// holds the root's counts, which Drive interns from it in either
+	// mode, then the decoded counts of a narrow parent whose successor
+	// takes the int32 merge.
 	bits        []uint64
 	base        int
+	wf          *wordFiring
 	scratch     Marking
 	byteScratch []uint8
 	parent      Marking
@@ -249,7 +259,9 @@ type driver struct {
 // expanded in id order.
 func (d *driver) runInline() bool {
 	d.bits = make([]uint64, d.ft.stride)
-	d.byteScratch = make([]uint8, d.store.rowBytes)
+	if d.store.narrow && !d.store.word {
+		d.byteScratch = make([]uint8, d.store.rowBytes)
+	}
 	d.ft.Init(d.bits, d.parent)
 	for id := 0; id < d.store.Len(); id++ {
 		if done := id - d.base; done > 0 && 2*done >= d.store.Len()-d.base {
@@ -273,18 +285,23 @@ func (d *driver) expand(id MarkID) bool {
 	if d.hooks.BeginState != nil {
 		d.hooks.BeginState(id)
 	}
-	h := d.store.HashAt(id)
-	// row views a narrow parent's row; m holds the parent's counts for
-	// the int32 merge, decoded on first use.
+	st := d.store
+	// A narrow parent other than the root is fired as its word or its
+	// row. m holds the parent's counts and h its hash for the int32
+	// merge; a one-word parent decodes and hashes them on first use.
+	var w, h uint64
 	var row []uint8
 	var m Marking
+	word := id != 0 && st.word
 	switch {
-	case !d.store.narrow:
-		m = d.store.At(id)
+	case word:
+		w = st.keys[id]
+	case !st.narrow:
+		m, h = st.At(id), st.HashAt(id)
 	case id != 0:
-		row = d.store.row(int(id))
+		row, h = st.row(int(id)), st.HashAt(id)
 	default:
-		m = d.store.Load(d.parent, id)
+		m, h = st.Load(d.parent, id), st.HashAt(id)
 	}
 	// Only the root can be over a cap: every later state passed a veto.
 	full := id == 0 && d.spec.Veto(m)
@@ -296,8 +313,18 @@ func (d *driver) expand(id MarkID) bool {
 			if !ok {
 				return
 			}
-			if row != nil && d.store.narrow {
-				switch d.ft.fireBytes(d.byteScratch, row, tid, d.store, d.spec.Caps) {
+			switch {
+			case word && st.word:
+				switch next, r := d.wf.fire(w, tid); r {
+				case fireVeto:
+					ok = d.hooks.Reject(id, int32(tid), false)
+					continue
+				case fireFits:
+					ok = d.mergeWord(id, tid, next)
+					continue
+				}
+			case row != nil && st.narrow:
+				switch d.ft.fireBytes(d.byteScratch, row, tid, st, d.spec.Caps) {
 				case fireVeto:
 					ok = d.hooks.Reject(id, int32(tid), false)
 					continue
@@ -307,7 +334,7 @@ func (d *driver) expand(id MarkID) bool {
 				}
 			}
 			if m == nil {
-				m = d.store.Load(d.parent, id)
+				m, h = st.Load(d.parent, id), st.HashAt(id)
 			}
 			ok = d.merge(id, m, h, tid, full)
 		}
@@ -359,6 +386,23 @@ func (d *driver) mergeBytes(parent MarkID, ph uint64, tid int) bool {
 	return true
 }
 
+// mergeWord is merge on a one-word store, for w, the successor that
+// wordFiring.fire wrote, within every cap and its row.
+func (d *driver) mergeWord(parent MarkID, tid int, w uint64) bool {
+	child, slot := d.store.findWord(w)
+	if child != NoMark {
+		d.hooks.Edge(parent, int32(tid), child, false)
+		return true
+	}
+	if d.hooks.Admit != nil && !d.hooks.Admit() {
+		return d.hooks.Reject(parent, int32(tid), true)
+	}
+	child = d.store.claim(w, slot, false)
+	d.wf.update(d.addSet(), d.set(parent), tid, w)
+	d.hooks.Edge(parent, int32(tid), child, true)
+	return true
+}
+
 // set is the enabled-ECS set of state id, which must be in the window
 // [d.base, store.Len()).
 func (d *driver) set(id MarkID) []uint64 {
@@ -367,9 +411,9 @@ func (d *driver) set(id MarkID) []uint64 {
 }
 
 // addSet extends the window by the enabled-ECS set of the state just
-// interned and returns it, for Update or updateBytes to write every
-// word of. Extend may move d.bits, so a view of another state's set is
-// taken after it.
+// interned and returns it, for Update, updateBytes or wordFiring.update
+// to write every word of. Extend may move d.bits, so a view of another
+// state's set is taken after it.
 func (d *driver) addSet() []uint64 {
 	end := len(d.bits)
 	Extend(&d.bits, d.ft.stride)

@@ -3,10 +3,13 @@ package petri
 import "testing"
 
 // netFromBytes decodes an arbitrary byte string into a small valid net:
-// up to 5 places with initial tokens, up to 6 transitions of varying
-// kinds, and arcs with weights 1..3 drawn from the remaining bytes.
-// Every byte string decodes to something, so the fuzzer explores net
-// shapes freely without needing a structured corpus.
+// up to 5 places with initial tokens, or 9 to 13 when the first byte is
+// 0xF0 or more, up to 6 transitions of varying kinds, and arcs with
+// weights 1..3 drawn from the remaining bytes. Every byte string
+// decodes to something, so the fuzzer explores net shapes freely
+// without needing a structured corpus. A store lays out at most 5
+// places in one word; 9 or more that no semiflow or small cap bounds
+// take whole bytes, a row wider than a word.
 func netFromBytes(data []byte) *Net {
 	next := func() byte {
 		if len(data) == 0 {
@@ -17,7 +20,11 @@ func netFromBytes(data []byte) *Net {
 		return b
 	}
 	n := New("fuzz")
-	nPlaces := int(next()%5) + 1
+	b := next()
+	nPlaces := int(b%5) + 1
+	if b >= 0xF0 {
+		nPlaces += 8
+	}
 	for i := 0; i < nPlaces; i++ {
 		kind := PlaceInternal
 		if next()%3 == 0 {
@@ -68,7 +75,10 @@ func netFromBytes(data []byte) *Net {
 // first place's initial marking, so its counts cross 255, where an
 // uncapped exploration's store widens from packed rows, or start above
 // a small cap, whose field the store's row layout widens to hold the
-// root.
+// root. A store whose rows fit 8 bytes runs the one-word merge and a
+// wider one the byte merge: the checked-in entries one-word-8 and
+// byte-rows-9 lay out rows of 8 and 9 bytes, and their -widens twins
+// widen each path's store.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{}, uint8(10), uint8(2), true)
 	f.Add([]byte{3, 0, 1, 1, 2, 4, 0, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1}, uint8(50), uint8(3), true)
@@ -89,6 +99,9 @@ func FuzzExplore(f *testing.F) {
 			FireSources:       fireSources,
 		}
 		res := n.Explore(opt)
+		if s := res.Store; s.narrow && s.word != (s.rowBytes <= 8) {
+			t.Fatalf("rows of %d bytes, one word %v", s.rowBytes, s.word)
+		}
 		limit := opt.MaxMarkings
 		if limit == 0 {
 			limit = 10000

@@ -9,7 +9,7 @@ package petri
 // group's earlier members by truncation, and the next Push writes over
 // the room they held. Tables indexed by MarkID may instead reserve
 // ahead with the store's own probe-table doubling, as
-// MarkingStore.hashes does. A ReachResult's Edges headers (24 bytes a
+// MarkingStore.keys does. A ReachResult's Edges headers (24 bytes a
 // state) and Clipped flags do not grow at all: they are laid out once,
 // at their final length, when the exploration ends (see
 // reachExplorer.result).

@@ -1,6 +1,9 @@
 package petri
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Hash-consed marking storage. Every hot loop of the scheduler — the
 // marking-graph engine, the EP/EP_ECS tree searches and the bounded
@@ -36,14 +39,23 @@ import "math/bits"
 // is 5 bytes where one byte per place would take 41; an exploration
 // without caps packs as tightly when semiflows cover its places (a
 // state of the 60-place ring net of qssbench's analyze workload is 8
-// bytes), and a place no semiflow covers gets a whole byte. The first
-// time a narrow store has to intern a count its field cannot hold, it
-// widens, once and in place: every live page is decoded into an int32
-// page of the same geometry, and the store stays wide. Nothing outside
-// the package sees the encoding. At decodes a narrow id into a fresh
-// copy, Load decodes into the caller's buffer, and hashes and MarkIDs
-// do not depend on it: each sees a count by value. Only Mem does, since
-// it counts each vector at the bytes its page holds.
+// bytes), and a place no semiflow covers gets a whole byte.
+//
+// A row of at most 8 bytes is one word, its bytes read little-endian.
+// Such a one-word store keeps no pages and no hashes: its probe table is
+// keyed on the words, in one dense array, and a candidate matches when
+// its word is equal, so it never aliases. A wider row lives in byte
+// pages beside the markings' hashes, and its probe compares hashes,
+// then rows. The row width alone picks the path.
+//
+// The first time a narrow store has to intern a count its field cannot
+// hold, it widens, once and in place: every live row is decoded into an
+// int32 page of the same geometry, and the store stays wide. A one-word
+// store also computes each marking's hash and rebuilds its probe table
+// from them. Nothing outside the package sees the encoding. At decodes
+// a narrow id into a fresh copy, Load decodes into the caller's buffer,
+// and MarkIDs do not depend on it: each sees a count by value. Only Mem
+// does, since it counts each vector at the bytes its page or key holds.
 
 // MarkID identifies an interned marking within one MarkingStore. IDs are
 // dense: the store assigns 0, 1, 2, ... in interning order, so a MarkID
@@ -67,22 +79,28 @@ const NoMark = MarkID(^uint32(0))
 // searches of core's worker pool never contend on one.
 type MarkingStore struct {
 	places int
-	// The token vectors, in pages (see pageOf for the layout):
-	// bytePages while narrow is set, pages otherwise. Only the live
-	// encoding's page list is used.
+	// The token vectors, in pages (see pageOf for the layout): none in
+	// a one-word store, bytePages in another narrow one, pages
+	// otherwise. Only the live encoding's page list is used.
 	pages     [][]int32
 	bytePages [][]uint8
 	narrow    bool
+	word      bool // a narrow store whose rows are at most 8 bytes
 	// A narrow store's layout (see layRows): place p's count is the
-	// field fields[p] of a row of rowBytes bytes.
+	// field fields[p] of a row of rowBytes bytes. bitRows is set when
+	// every field is one bit wide and place p's is bit p of the row.
 	fields     []field
 	rowBytes   int
-	firstShift uint     // page 0 holds 1<<firstShift markings
-	capShift   uint     // pages stop doubling at 1<<capShift markings
-	hashes     []uint64 // hash per interned marking, reused on growth
-	table      []uint32 // open addressing, entry = id+1, 0 = empty
-	mask       uint32
-	aliased    bool // two distinct interned markings share a 64-bit hash
+	bitRows    bool
+	firstShift uint // page 0 holds 1<<firstShift markings
+	capShift   uint // pages stop doubling at 1<<capShift markings
+	// keys holds what the probe table is keyed on, per interned
+	// marking: its row in a one-word store, its HashMarking value
+	// otherwise. It is reserved with the table, reused on growth.
+	keys    []uint64
+	table   []uint32 // open addressing, entry = id+1, 0 = empty
+	mask    uint32
+	aliased bool // two distinct interned markings share a 64-bit hash
 }
 
 // field is where a narrow row keeps one place's count: the bits of byte
@@ -139,7 +157,8 @@ func newMarkingStoreCap(places, tableSize int, limit func(p int) uint32) *Markin
 // bits, so a limit past 255 gets a whole byte and one of 0 no bits.
 // Fields are placed widest first, each in the first byte with room for
 // it (first-fit decreasing), so none straddles a byte. A row is at
-// least one byte, which the fields of width 0 read.
+// least one byte, which the fields of width 0 read. A row of at most 8
+// bytes makes a one-word store.
 func (s *MarkingStore) layRows(limit func(p int) uint32) {
 	s.narrow = true
 	s.fields = make([]field, s.places)
@@ -170,6 +189,11 @@ func (s *MarkingStore) layRows(limit func(p int) uint32) {
 	s.rowBytes = len(used)
 	if s.places > 0 {
 		s.rowBytes = max(s.rowBytes, 1)
+	}
+	s.word = s.rowBytes <= 8
+	s.bitRows = true
+	for p, f := range s.fields {
+		s.bitRows = s.bitRows && f == field{off: int32(p >> 3), shift: uint8(p & 7), max: 1}
 	}
 }
 
@@ -203,9 +227,16 @@ func (s *MarkingStore) count(row []uint8, p int) int {
 	return int(row[f.off] >> f.shift & f.max)
 }
 
-// rowSize returns the bytes a page spends per marking.
+// pos is the field's first bit in a one-word store's word.
+func (f field) pos() uint { return uint(f.off)<<3 | uint(f.shift) }
+
+// rowSize returns the bytes a page spends per marking: none in a
+// one-word store, whose rows are its keys.
 func (s *MarkingStore) rowSize() int64 {
-	if s.narrow {
+	switch {
+	case s.word:
+		return 0
+	case s.narrow:
 		return int64(s.rowBytes)
 	}
 	return int64(s.places) * TokenBytes
@@ -218,11 +249,22 @@ func (s *MarkingStore) hot(id int) Marking {
 	return Marking(s.pages[page][i : i+s.places : i+s.places])
 }
 
-// row returns the row of an id of a narrow store.
+// row returns the row of an id of a narrow store that is not one
+// word.
 func (s *MarkingStore) row(id int) []uint8 {
 	page, off := s.pageOf(id)
 	i := off * s.rowBytes
 	return s.bytePages[page][i : i+s.rowBytes : i+s.rowBytes]
+}
+
+// rowOf returns the row of an id of any narrow store: a view into its
+// page, or the bytes of its word, written into buf.
+func (s *MarkingStore) rowOf(id int, buf *[8]byte) []uint8 {
+	if s.word {
+		binary.LittleEndian.PutUint64(buf[:], s.keys[id])
+		return buf[:s.rowBytes]
+	}
+	return s.row(id)
 }
 
 // decode writes the counts of a narrow row into dst, which holds one
@@ -237,7 +279,8 @@ func (s *MarkingStore) decode(dst Marking, row []uint8) {
 // per place, and returns it.
 func (s *MarkingStore) loadHot(dst Marking, id int) Marking {
 	if s.narrow {
-		s.decode(dst, s.row(id))
+		var buf [8]byte
+		s.decode(dst, s.rowOf(id, &buf))
 	} else {
 		copy(dst, s.hot(id))
 	}
@@ -267,8 +310,9 @@ func (s *MarkingStore) maxCounts() []int {
 			open = append(open, int32(p))
 		}
 	}
+	var buf [8]byte
 	for id := 0; id < s.Len() && len(open) > 0; id++ {
-		row := s.row(id)
+		row := s.rowOf(id, &buf)
 		for i := 0; i < len(open); {
 			p := open[i]
 			f := s.fields[p]
@@ -286,8 +330,25 @@ func (s *MarkingStore) maxCounts() []int {
 }
 
 // widen converts a narrow store to int32 pages of the same geometry,
-// once.
+// once. A one-word store also replaces each key by its marking's hash
+// and rebuilds its probe table from them, noting any two that alias.
 func (s *MarkingStore) widen() {
+	if s.word {
+		for id := range s.Len() {
+			if page, off := s.pageOf(id); off == 0 {
+				s.pages = append(s.pages, make([]int32, s.pageLen(page)*s.places))
+			}
+			s.keys[id] = HashMarking(s.loadHot(s.hot(id), id))
+		}
+		s.word, s.narrow = false, false
+		clear(s.table)
+		for id, h := range s.keys {
+			_, slot, alias := s.find(s.hot(id), h)
+			s.aliased = s.aliased || alias
+			s.table[slot] = uint32(id) + 1
+		}
+		return
+	}
 	s.pages = make([][]int32, len(s.bytePages))
 	for k, b := range s.bytePages {
 		w := make([]int32, s.pageLen(k)*s.places)
@@ -300,7 +361,7 @@ func (s *MarkingStore) widen() {
 }
 
 // Len returns the number of distinct markings interned.
-func (s *MarkingStore) Len() int { return len(s.hashes) }
+func (s *MarkingStore) Len() int { return len(s.keys) }
 
 // Places returns the token-vector length the store was built for.
 func (s *MarkingStore) Places() int { return s.places }
@@ -329,6 +390,41 @@ func (s *MarkingStore) Load(dst Marking, id MarkID) Marking {
 	}
 	return s.loadHot(dst[:s.places], int(id))
 }
+
+// AppendUvarints appends the counts of the interned marking id to dst
+// in place order, each as binary.AppendUvarint writes it, and returns
+// the extended slice. A narrow row is read in place: with bitRows set
+// (every place bounded at one token, as on a ring net) each row byte
+// expands to eight count bytes through bitCounts, and otherwise the
+// row is read field by field.
+func (s *MarkingStore) AppendUvarints(dst []byte, id MarkID) []byte {
+	if !s.narrow {
+		for _, v := range s.hot(int(id)) {
+			dst = binary.AppendUvarint(dst, uint64(int64(v)))
+		}
+		return dst
+	}
+	var buf [8]byte
+	row := s.rowOf(int(id), &buf)
+	if s.bitRows {
+		full := s.places >> 3
+		for _, b := range row[:full] {
+			dst = append(dst, bitCounts[b][:]...)
+		}
+		if rest := s.places & 7; rest > 0 {
+			dst = append(dst, bitCounts[row[full]][:rest]...)
+		}
+		return dst
+	}
+	for _, f := range s.fields {
+		dst = binary.AppendUvarint(dst, uint64(row[f.off]>>f.shift&f.max))
+	}
+	return dst
+}
+
+// bitCounts[b] holds the eight bits of b, lowest first, one byte each:
+// the uvarints of eight one-bit counts.
+var bitCounts [256][8]byte
 
 // HashMarking is the hash every marking store keys on: the additive
 // sum Σ m[p]·w(p) mod 2⁶⁴, with w(p) a fixed odd pseudo-random weight
@@ -364,6 +460,11 @@ func init() {
 	for p := range placeWeights {
 		placeWeights[p] = splitmix64(uint64(p)) | 1
 	}
+	for b := range bitCounts {
+		for i := range bitCounts[b] {
+			bitCounts[b][i] = byte(b >> i & 1)
+		}
+	}
 }
 
 // placeWeight returns the HashMarking weight of place p.
@@ -398,15 +499,26 @@ func probeHash(h uint64) uint32 {
 	return uint32(h)
 }
 
-// HashAt returns the stored HashMarking value of an interned marking —
-// the store keeps every hash for table growth, so shard-ownership
-// decisions over interned states (frontier partitioning across workers)
-// never rehash the vector.
-func (s *MarkingStore) HashAt(id MarkID) uint64 { return s.hashes[id] }
+// HashAt returns the HashMarking value of an interned marking: the
+// stored one, so that shard-ownership decisions over interned states
+// (frontier partitioning across workers) never rehash the vector, or,
+// in a one-word store, one computed from the counts.
+func (s *MarkingStore) HashAt(id MarkID) uint64 {
+	if !s.word {
+		return s.keys[id]
+	}
+	var h uint64
+	w := s.keys[id]
+	for p, f := range s.fields {
+		h += (w >> f.pos() & uint64(f.max)) * placeWeight(p)
+	}
+	return h
+}
 
 // LookupHashed returns the MarkID of m if it is interned; h must be
 // HashMarking(m), which explorers derive from the parent's hash in O(1)
-// (see FiringTable). It never allocates.
+// (see FiringTable), and a one-word store does not read it. It never
+// allocates.
 func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
 	id, _, _ := s.find(m, h)
 	return id, id != NoMark
@@ -417,8 +529,18 @@ func (s *MarkingStore) LookupHashed(m Marking, h uint64) (MarkID, bool) {
 // and whether the run passed a different marking with hash h. That slot
 // and flag are what insert needs, so a caller that finds m absent
 // interns it without probing again, provided nothing interns in
-// between.
+// between. A one-word store probes with m's word and reads no hash; a
+// marking with a count past its field is in no row, and insert widens
+// the store before it takes a slot.
 func (s *MarkingStore) find(m Marking, h uint64) (MarkID, uint32, bool) {
+	if s.word {
+		w, ok := s.packWord(m)
+		if !ok {
+			return NoMark, 0, false
+		}
+		id, slot := s.findWord(w)
+		return id, slot, false
+	}
 	alias := false
 	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
@@ -426,7 +548,7 @@ func (s *MarkingStore) find(m Marking, h uint64) (MarkID, uint32, bool) {
 			return NoMark, slot, alias
 		}
 		id := MarkID(e - 1)
-		if s.hashes[id] == h {
+		if s.keys[id] == h {
 			if s.holds(id, m) {
 				return id, slot, false
 			}
@@ -463,11 +585,25 @@ func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
 			return NoMark, slot, alias
 		}
 		id := MarkID(e - 1)
-		if s.hashes[id] == h {
+		if s.keys[id] == h {
 			if string(s.row(int(id))) == string(b) {
 				return id, slot, false
 			}
 			alias = true
+		}
+	}
+}
+
+// findWord is find for a one-word store and a word w in its layout:
+// a candidate matches when its key is w.
+func (s *MarkingStore) findWord(w uint64) (MarkID, uint32) {
+	for slot := probeHash(w) & s.mask; ; slot = (slot + 1) & s.mask {
+		e := s.table[slot]
+		if e == 0 {
+			return NoMark, slot
+		}
+		if s.keys[e-1] == w {
+			return MarkID(e - 1), slot
 		}
 	}
 }
@@ -482,14 +618,19 @@ func (s *MarkingStore) findBytes(b []uint8, h uint64) (MarkID, uint32, bool) {
 // distinct markings with one hash, and accept the ~len·2⁻⁶⁴ per-probe
 // chance, resting on HashMarking's pseudo-random place weights, that a
 // marking NOT in the store aliases one that is (the hash-compaction
-// caveat documented in package internal/dist).
+// caveat documented in package internal/dist). It panics on a one-word
+// store, which keys its table on rows: only dist's stores, four bytes
+// wide from birth, are probed by bare hash.
 func (s *MarkingStore) LookupHash(h uint64) (MarkID, bool) {
+	if s.word {
+		panic("petri: LookupHash on a store keyed by one-word rows")
+	}
 	for slot := probeHash(h) & s.mask; ; slot = (slot + 1) & s.mask {
 		e := s.table[slot]
 		if e == 0 {
 			return NoMark, false
 		}
-		if id := MarkID(e - 1); s.hashes[id] == h {
+		if id := MarkID(e - 1); s.keys[id] == h {
 			return id, true
 		}
 	}
@@ -500,7 +641,8 @@ func (s *MarkingStore) LookupHash(h uint64) (MarkID, bool) {
 // LookupHash is ambiguous. Detection is exact, not probabilistic: an
 // aliasing pair probes through the same table run (same home slot), so
 // the later Intern always walks past the earlier entry; grow()
-// reinserts from home slots and preserves the property.
+// reinserts from home slots and preserves the property. A one-word
+// store reports false until it widens and checks its new hashes.
 func (s *MarkingStore) HashAliased() bool { return s.aliased }
 
 // Intern returns the MarkID of m, interning a copy of the vector if it
@@ -513,7 +655,8 @@ func (s *MarkingStore) Intern(m Marking) (MarkID, bool) {
 // InternHashed is Intern with a caller-precomputed HashMarking value —
 // explorers derive a successor's hash from its parent's (FiringTable)
 // and the dist coordinator merges hashes its workers shipped, so
-// neither rehashes the vector.
+// neither rehashes the vector. The store trusts h, except a one-word
+// store, which keys m on its row and reads h only if m widens it.
 func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 	if len(m) != s.places {
 		panic("petri: marking length does not match store")
@@ -528,8 +671,16 @@ func (s *MarkingStore) InternHashed(m Marking, h uint64) (MarkID, bool) {
 // insert interns m, hashed h and absent from the store: slot and alias
 // are what find returned for m, with no intern since. It returns m's
 // new id. A narrow store packs m into the row claim made, and widens
-// if a count does not fit its field.
+// if a count does not fit its field; a one-word store widens first,
+// and probes again.
 func (s *MarkingStore) insert(m Marking, h uint64, slot uint32, alias bool) MarkID {
+	if s.word {
+		if w, ok := s.packWord(m); ok {
+			return s.claim(w, slot, false)
+		}
+		s.widen()
+		_, slot, alias = s.find(m, h)
+	}
 	id := s.claim(h, slot, alias)
 	if s.narrow && !s.pack(s.row(int(id)), m) {
 		s.widen()
@@ -553,6 +704,16 @@ func (s *MarkingStore) pack(row []uint8, m Marking) bool {
 	return true
 }
 
+// packWord returns m's row in a one-word store as its word, or false if
+// m does not fit the store's rows.
+func (s *MarkingStore) packWord(m Marking) (uint64, bool) {
+	var buf [8]byte
+	if len(m) != s.places || !s.pack(buf[:], m) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(buf[:]), true
+}
+
 // insertBytes is insert for a narrow store and a row b in its layout.
 func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool) MarkID {
 	id := s.claim(h, slot, alias)
@@ -560,39 +721,41 @@ func (s *MarkingStore) insertBytes(b []uint8, h uint64, slot uint32, alias bool)
 	return id
 }
 
-// claim takes the next id for a marking hashed h at the probe slot find
-// ended on, and records everything of it but its counts: the hash, the
-// table entry, and the page its counts go to.
-func (s *MarkingStore) claim(h uint64, slot uint32, alias bool) MarkID {
+// claim takes the next id for a marking keyed key (its word in a
+// one-word store, its hash otherwise) at the probe slot find ended on,
+// and records everything of it but its counts: the key, the table
+// entry, and the page its counts go to. A one-word store's key is all
+// of it.
+func (s *MarkingStore) claim(key uint64, slot uint32, alias bool) MarkID {
 	s.aliased = s.aliased || alias
-	id := MarkID(len(s.hashes))
-	if page, off := s.pageOf(int(id)); off == 0 {
+	id := MarkID(len(s.keys))
+	if page, off := s.pageOf(int(id)); off == 0 && !s.word {
 		if n := s.pageLen(page); s.narrow {
 			s.bytePages = append(s.bytePages, make([]uint8, n*s.rowBytes))
 		} else {
 			s.pages = append(s.pages, make([]int32, n*s.places))
 		}
 	}
-	s.hashes = append(s.hashes, h)
+	s.keys = append(s.keys, key)
 	s.table[slot] = uint32(id) + 1
-	if len(s.hashes)*4 >= len(s.table)*3 {
+	if len(s.keys)*4 >= len(s.table)*3 {
 		s.grow()
 	}
 	return id
 }
 
-// grow doubles the table and reinserts every id using the stored
-// hashes; the token pages are untouched. The hash array is reserved up
-// to the new table's load limit here, so it is reallocated once per
-// doubling instead of regrowing on append.
+// grow doubles the table and reinserts every id using the stored keys;
+// the token pages are untouched. The key array is reserved up to the
+// new table's load limit here, so it is reallocated once per doubling
+// instead of regrowing on append.
 func (s *MarkingStore) grow() {
 	nt := make([]uint32, len(s.table)*2)
 	mask := uint32(len(nt) - 1)
-	if limit := len(nt) / 4 * 3; cap(s.hashes) < limit {
-		s.hashes = append(make([]uint64, 0, limit), s.hashes...)
+	if limit := len(nt) / 4 * 3; cap(s.keys) < limit {
+		s.keys = append(make([]uint64, 0, limit), s.keys...)
 	}
-	for id, h := range s.hashes {
-		slot := probeHash(h) & mask
+	for id, k := range s.keys {
+		slot := probeHash(k) & mask
 		for nt[slot] != 0 {
 			slot = (slot + 1) & mask
 		}
@@ -604,14 +767,15 @@ func (s *MarkingStore) grow() {
 
 // StoreMem is the store-memory accounting of Mem.
 type StoreMem struct {
-	// HotBytes is everything resident: the token vectors, all hashes
-	// and the probe table.
+	// HotBytes is everything resident: the token vectors, all keys
+	// (a hash, or a one-word store's row) and the probe table.
 	HotBytes int64
 }
 
 // Mem is THE store-memory accounting: exact live byte counts at slice
 // lengths, independent of append growth policy, with each vector
-// counted at the bytes its page holds (a row in a narrow store). The
+// counted at the bytes its page holds (a row in a narrow store, none in
+// a one-word store, whose key is its row) and each key at 8 bytes. The
 // figure is a pure function of the interned marking sequence and the
 // encoding and layout the store started in, so distributed memory
 // accounting (the per-worker replica-size gates in CI) can
@@ -621,6 +785,6 @@ type StoreMem struct {
 // qss_store_hot_bytes gauge built on it) derives from this one method.
 func (s *MarkingStore) Mem() StoreMem {
 	return StoreMem{
-		HotBytes: int64(s.Len())*s.rowSize() + int64(len(s.hashes))*8 + int64(len(s.table))*4,
+		HotBytes: int64(s.Len())*s.rowSize() + int64(len(s.keys))*8 + int64(len(s.table))*4,
 	}
 }

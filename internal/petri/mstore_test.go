@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,20 +12,28 @@ import (
 
 // encoding is a page encoding a store test runs on: the int32 pages of
 // NewMarkingStore (a nil limit), or narrow rows laid out for counts up
-// to limit(p) at place p.
+// to limit(p) at place p. pad places, each holding no token, follow the
+// test's own places, so that the rows of a test with few places span
+// more than one word. word is set when the rows of a test with up to 7
+// places are one word.
 type encoding struct {
 	name  string
 	limit func(p int) uint32
+	pad   int
+	word  bool
 }
 
-// encodings are the encodings every store test runs on: int32 pages,
+// encodings are the encodings every store test runs on: int32 pages;
 // the one-byte rows of an inline exploration whose places have neither
 // a cap nor a semiflow bound, and a mixed row of 8-, 1-, 3- and 0-bit
-// fields, in turn, as a capped search lays out.
+// fields, in turn, as a capped search lays out, each padded past 8
+// bytes into byte pages ("narrow", "mixed") and unpadded, as one word.
 var encodings = []encoding{
-	{"wide", nil},
-	{"narrow", limits(math.MaxUint8)},
-	{"mixed", limits(math.MaxUint8, 1, 7, 0)},
+	{"wide", nil, 0, false},
+	{"narrow", limits(math.MaxUint8), 9, false},
+	{"mixed", limits(math.MaxUint8, 1, 7, 0), 24, false},
+	{"word", limits(math.MaxUint8), 0, true},
+	{"word-mixed", limits(math.MaxUint8, 1, 7, 0), 0, true},
 }
 
 // limits returns the limit function that gives place p the limit
@@ -33,9 +42,18 @@ func limits(l ...uint32) func(p int) uint32 {
 	return func(p int) uint32 { return l[p%len(l)] }
 }
 
-// fit clamps each count of m to what its field holds under enc, so that
-// a narrow store keeps m narrow.
+// marking returns the counts followed by the encoding's pad places.
+func (enc encoding) marking(counts ...int32) Marking {
+	m := make(Marking, len(counts)+enc.pad)
+	copy(m, counts)
+	return m
+}
+
+// fit returns the counts of m, each clamped to what its field holds
+// under enc, followed by the pad places, so that a narrow store keeps
+// them narrow.
 func (enc encoding) fit(m Marking) Marking {
+	m = enc.marking(m...)
 	if enc.limit != nil {
 		for p, v := range m {
 			m[p] = min(v, int32(enc.limit(p)))
@@ -44,9 +62,10 @@ func (enc encoding) fit(m Marking) Marking {
 	return m
 }
 
-// newTestStore returns an empty store in the given encoding.
+// newTestStore returns an empty store in the given encoding, for
+// markings of places counts and the encoding's pad places.
 func newTestStore(places int, enc encoding) *MarkingStore {
-	return newMarkingStoreCap(places, 1<<10, enc.limit)
+	return newMarkingStoreCap(places+enc.pad, 1<<10, enc.limit)
 }
 
 // TestMarkingStoreRoundTrip: intern assigns dense IDs in order, lookup
@@ -71,7 +90,8 @@ func testMarkingStoreRoundTrip(t *testing.T, enc encoding) {
 		for j := range m {
 			m[j] = int32(rng.Intn(4))
 		}
-		id, isNew := s.Intern(enc.fit(m))
+		m = enc.fit(m)
+		id, isNew := s.Intern(m)
 		if prev, ok := seen[m.Key()]; ok {
 			if isNew {
 				t.Fatalf("marking %q re-interned as new", m.Key())
@@ -93,8 +113,8 @@ func testMarkingStoreRoundTrip(t *testing.T, enc encoding) {
 	if s.Len() != len(seen) {
 		t.Fatalf("Len = %d, want %d distinct", s.Len(), len(seen))
 	}
-	if s.narrow != (enc.limit != nil) {
-		t.Fatalf("narrow = %v after interning counts that fit", s.narrow)
+	if s.narrow != (enc.limit != nil) || s.word != enc.word {
+		t.Fatalf("narrow = %v, word = %v after interning counts that fit", s.narrow, s.word)
 	}
 	for _, m := range markings {
 		id, ok := s.LookupHashed(m, HashMarking(m))
@@ -108,7 +128,7 @@ func testMarkingStoreRoundTrip(t *testing.T, enc encoding) {
 			t.Fatalf("Load(%d) = %v, want %v", id, got, m)
 		}
 	}
-	absent := Marking{9, 9, 9, 9, 9, 9, 9}
+	absent := enc.marking(9, 9, 9, 9, 9, 9, 9)
 	if _, ok := s.LookupHashed(absent, HashMarking(absent)); ok {
 		t.Fatal("lookup of never-interned marking succeeded")
 	}
@@ -147,19 +167,19 @@ func TestMarkingStoreCollisions(t *testing.T) {
 
 // TestMarkingStoreViewStability: views taken before arena growth stay
 // readable and equal to the interned vector afterwards. Counts run up
-// to 10,002, so a narrow store widens: the one-byte one in the middle,
-// after the views of its narrow pages were taken, and the mixed one at
-// its first marking.
+// to 10,002, so a narrow store widens: a one-byte one in the middle,
+// after the views of its narrow rows were taken, and a mixed one at its
+// first marking.
 func TestMarkingStoreViewStability(t *testing.T) {
 	for _, enc := range encodings {
 		t.Run(enc.name, func(t *testing.T) {
 			s := newTestStore(4, enc)
-			first := Marking{1, 2, 3, 4}
+			first := enc.marking(1, 2, 3, 4)
 			id, _ := s.Intern(first)
 			view := s.At(id)
 			var views []Marking
 			for i := 0; i < 10000; i++ {
-				mid, _ := s.Intern(Marking{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)})
+				mid, _ := s.Intern(enc.marking(int32(i), int32(i+1), int32(i+2), int32(i+3)))
 				if i%50 == 0 {
 					views = append(views, s.At(mid))
 				}
@@ -175,7 +195,7 @@ func TestMarkingStoreViewStability(t *testing.T) {
 			}
 			for k, v := range views {
 				i := int32(k * 50)
-				if want := (Marking{i, i + 1, i + 2, i + 3}); !v.Equal(want) {
+				if want := enc.marking(i, i+1, i+2, i+3); !v.Equal(want) {
 					t.Fatalf("view of marking %v reads %v after growth", want, v)
 				}
 			}
@@ -186,31 +206,38 @@ func TestMarkingStoreViewStability(t *testing.T) {
 // TestMarkingStoreWiden: a narrow store holding markings that fit its
 // rows widens, once and in place, when it interns a count of 256.
 // Every earlier id reads the same through At, Load, LookupHashed and
-// HashAt before and after, views taken before the widen still read
-// correctly, and Mem counts one row per marking before and TokenBytes
-// per count after. The rows are one byte per place ("freeze=false",
-// the name the subtest had when the store could also freeze its first
-// ids), or a mixed layout of 8-, 1-, 8-, 0- and 3-bit fields, in which
-// the widen decodes packed rows.
+// HashAt before and after, and views taken before the widen still read
+// correctly. Mem counts each marking at its row, none for a one-word
+// store, plus its 8-byte key, and the table at 4 bytes a slot, before;
+// and TokenBytes per count plus the key after. The rows are one byte
+// per place ("freeze=false", the name the subtest had when the store
+// could also freeze its first ids), or a mixed layout of 8-, 1-, 8-, 0-
+// and 3-bit fields, in which the widen decodes packed rows, each in
+// byte pages (20 more places pad them) and as one word.
 func TestMarkingStoreWiden(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		limit    func(p int) uint32
-		rowBytes int64
+		pad      int
+		rowBytes int
 	}{
-		{"freeze=false", limits(math.MaxUint8), 5},
-		{"mixed", limits(math.MaxUint8, 1, math.MaxUint8, 0, 7), 3},
+		{"freeze=false", limits(math.MaxUint8), 20, 25},
+		{"mixed", limits(math.MaxUint8, 1, math.MaxUint8, 0, 7), 20, 13},
+		{"word", limits(math.MaxUint8), 0, 5},
+		{"word-mixed", limits(math.MaxUint8, 1, math.MaxUint8, 0, 7), 0, 3},
 	} {
-		t.Run(c.name, func(t *testing.T) { testMarkingStoreWiden(t, c.limit, c.rowBytes) })
+		t.Run(c.name, func(t *testing.T) { testMarkingStoreWiden(t, c.limit, c.pad, c.rowBytes) })
 	}
 }
 
-func testMarkingStoreWiden(t *testing.T, limit func(p int) uint32, rowBytes int64) {
-	const places, count = 5, 300
+func testMarkingStoreWiden(t *testing.T, limit func(p int) uint32, pad, rowBytes int) {
+	const count = 300
+	places := 5 + pad
 	s := newMarkingStoreCap(places, 1<<10, limit)
 	var ms []Marking
 	for i := range count {
-		m := Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)}
+		m := make(Marking, places)
+		copy(m, Marking{int32(i % 256), int32(i / 256), 255, 0, int32(i % 7)})
 		if id, isNew := s.Intern(m); !isNew || int(id) != i {
 			t.Fatalf("intern %v = (%d, %v), want (%d, true)", m, id, isNew, i)
 		}
@@ -236,31 +263,139 @@ func testMarkingStoreWiden(t *testing.T, limit func(p int) uint32, rowBytes int6
 			}
 		}
 	}
+	// mem is what Mem must read with rows of row bytes.
+	mem := func(row int) int64 { return int64(s.Len())*int64(row+8) + int64(len(s.table))*4 }
 	for i := range ms {
 		views[i] = s.At(MarkID(i))
 	}
 	check("narrow")
-	// Mem's hot bytes, less the vectors at the store's row size.
-	rest := func() int64 { return s.Mem().HotBytes - int64(s.Len())*s.rowSize() }
-	if !s.narrow || s.rowSize() != rowBytes {
-		t.Fatalf("counts that fit widened the store, or rows are %d bytes (narrow %v), want %d", s.rowSize(), s.narrow, rowBytes)
+	if !s.narrow || s.rowBytes != rowBytes || s.word != (rowBytes <= 8) {
+		t.Fatalf("counts that fit widened the store, or rows are %d bytes (narrow %v, word %v), want %d", s.rowBytes, s.narrow, s.word, rowBytes)
 	}
-	before := rest()
-	big := Marking{256, 0, 0, 0, 0}
+	row := rowBytes
+	if s.word {
+		row = 0
+	}
+	if got, want := s.Mem().HotBytes, mem(row); got != want {
+		t.Fatalf("narrow: Mem reads %d hot bytes, want %d", got, want)
+	}
+	big := make(Marking, places)
+	big[0] = 256
 	id, isNew := s.Intern(big)
-	if !isNew || int(id) != count || s.narrow {
+	if !isNew || int(id) != count || s.narrow || s.word {
 		t.Fatalf("intern %v = (%d, %v), narrow %v; want (%d, true), wide", big, id, isNew, s.narrow, count)
 	}
 	check("wide")
 	if !s.At(id).Equal(big) {
 		t.Fatalf("At(%d) = %v, want %v", id, s.At(id), big)
 	}
-	// One more hash.
-	if s.rowSize() != places*TokenBytes {
-		t.Fatalf("wide rows are %d bytes, want %d", s.rowSize(), places*TokenBytes)
+	if got, want := s.Mem().HotBytes, mem(places*TokenBytes); got != want {
+		t.Fatalf("wide: Mem reads %d hot bytes, want %d", got, want)
 	}
-	if got, want := rest(), before+8; got != want {
-		t.Fatalf("hot bytes less vectors: %d after the widen, want %d", got, want)
+	if s.HashAliased() {
+		t.Fatal("the widen found an alias among distinct hashes")
+	}
+}
+
+// TestMarkingStoreWordWidth: the store picks its path from the width
+// of its rows. Eight one-byte fields make a one-word store and nine a
+// store of byte pages. Each round-trips markings whose counts reach
+// 255 in every field, the top byte of the word included, and Mem
+// counts 8 bytes a state plus the table in one word, and the 9-byte
+// row plus its hash in byte pages.
+func TestMarkingStoreWordWidth(t *testing.T) {
+	for _, places := range []int{8, 9} {
+		s := newMarkingStoreCap(places, 1<<10, limits(math.MaxUint8))
+		if s.rowBytes != places || s.word != (places == 8) {
+			t.Fatalf("%d one-byte places: rows of %d bytes, one word %v", places, s.rowBytes, s.word)
+		}
+		var ms []Marking
+		for i := range 600 {
+			m := make(Marking, places)
+			for p := range m {
+				m[p] = int32((i*(p+1) + p*37) % 256)
+			}
+			if i%100 == 0 {
+				for p := range m {
+					m[p] = math.MaxUint8
+				}
+			}
+			if _, isNew := s.Intern(m); isNew {
+				ms = append(ms, m)
+			}
+		}
+		for id, m := range ms {
+			if got := s.At(MarkID(id)); !got.Equal(m) {
+				t.Fatalf("%d places: At(%d) = %v, want %v", places, id, got, m)
+			}
+			if got, ok := s.LookupHashed(m, HashMarking(m)); !ok || got != MarkID(id) {
+				t.Fatalf("%d places: LookupHashed(%v) = (%d, %v), want %d", places, m, got, ok, id)
+			}
+		}
+		row := int64(places + 8)
+		if s.word {
+			row = 8
+		}
+		if got, want := s.Mem().HotBytes, int64(s.Len())*row+int64(len(s.table))*4; !s.narrow || got != want {
+			t.Fatalf("%d places: Mem reads %d hot bytes (narrow %v), want %d", places, got, s.narrow, want)
+		}
+	}
+}
+
+// TestAppendUvarints: AppendUvarints appends exactly what Load and
+// binary.AppendUvarint of each count do, on every state of a store in
+// each encoding. Besides the matrix, the stores hold one-bit fields in
+// place order (11 places in one word and 70 in byte pages, which
+// expand through bitCounts), and the counts reach 255 in the whole-byte
+// fields and 300 once a store has widened.
+func TestAppendUvarints(t *testing.T) {
+	type layout struct {
+		name    string
+		enc     encoding
+		places  int
+		bitRows bool
+	}
+	var layouts []layout
+	for _, enc := range encodings {
+		layouts = append(layouts, layout{enc.name, enc, 6, false})
+	}
+	layouts = append(layouts,
+		layout{"bits-word", encoding{limit: limits(1)}, 11, true},
+		layout{"bits", encoding{limit: limits(1)}, 70, true},
+		layout{"bits-widens", encoding{limit: limits(1)}, 11, true})
+	for _, l := range layouts {
+		s := newTestStore(l.places, l.enc)
+		if s.bitRows != l.bitRows {
+			t.Fatalf("%s: bitRows = %v, want %v", l.name, s.bitRows, l.bitRows)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for range 400 {
+			m := make(Marking, l.places)
+			for p := range m {
+				m[p] = int32(rng.Intn(256))
+			}
+			s.Intern(l.enc.fit(m))
+		}
+		if l.name == "bits-widens" {
+			big := make(Marking, l.places)
+			big[0] = 300
+			s.Intern(big)
+			if s.narrow {
+				t.Fatalf("%s: a count of 300 did not widen the store", l.name)
+			}
+		}
+		var m Marking
+		var got, want []byte
+		for id := range MarkID(s.Len()) {
+			m = s.Load(m, id)
+			want = want[:0]
+			for _, v := range m {
+				want = binary.AppendUvarint(want, uint64(v))
+			}
+			if got = s.AppendUvarints(got[:0], id); string(got) != string(want) {
+				t.Fatalf("%s: state %d (%v) appends % x, want % x", l.name, id, m, got, want)
+			}
+		}
 	}
 }
 
@@ -276,10 +411,12 @@ func TestMarkingStorePages(t *testing.T) {
 
 // testMarkingStorePages runs TestMarkingStorePages on one encoding. A
 // place's count is the id, masked to its field unless the field is a
-// whole byte, so a narrow store widens at id 256.
+// whole byte, so a narrow store widens at id 256. Under a word encoding
+// 1 and 7 places make one-word stores, and 60 or more byte pages.
 func testMarkingStorePages(t *testing.T, enc encoding) {
-	for _, places := range []int{1, 7, 60, pageCapBytes/TokenBytes + 1} {
-		s := newTestStore(places, enc)
+	for _, n := range []int{1, 7, 60, pageCapBytes/TokenBytes + 1} {
+		s := newTestStore(n, enc)
+		places := s.Places()
 		count := 3000
 		if places > 1000 {
 			count = 40 // one marking per page; keep the test small
@@ -300,7 +437,7 @@ func testMarkingStorePages(t *testing.T, enc encoding) {
 			}
 			prevPage, prevOff = page, off
 			m := make(Marking, places)
-			for j := range m {
+			for j := range m[:n] {
 				m[j] = int32(id)
 				if enc.limit != nil && enc.limit(j) < math.MaxUint8 {
 					m[j] &= int32(enc.limit(j))
@@ -366,7 +503,7 @@ func testMarkingStoreConcurrentReads(t *testing.T, enc encoding) {
 	s := newTestStore(places, enc)
 	var ms []Marking
 	for i := 0; i < 200; i++ {
-		m := Marking{int32(i), int32(i % 7), int32(i % 3), int32(i % 11), int32(i % 2)}
+		m := enc.marking(int32(i), int32(i%7), int32(i%3), int32(i%11), int32(i%2))
 		ms = append(ms, m)
 		s.Intern(m)
 	}
@@ -405,7 +542,10 @@ func testMarkingStoreConcurrentReads(t *testing.T, enc encoding) {
 // the signal that callers must fall back to vector-exact lookups. The
 // alias differs from its twin in the last place only, so every vector
 // compare, the narrow store's row probe included, must read it. Every
-// count fits the encoding's fields, so a narrow store stays narrow.
+// count fits the encoding's fields, so a narrow store stays narrow. A
+// one-word store keys its table on rows: it does not read the hash
+// InternHashed is given, so no hash aliases there and HashAt gives the
+// marking's own hash, and LookupHash panics.
 func TestLookupHashAliased(t *testing.T) {
 	for _, enc := range encodings {
 		t.Run(enc.name, func(t *testing.T) { testLookupHashAliased(t, enc) })
@@ -413,7 +553,7 @@ func TestLookupHashAliased(t *testing.T) {
 }
 
 func testLookupHashAliased(t *testing.T, enc encoding) {
-	s := newMarkingStoreCap(3, 2, enc.limit) // tiny table: forces probe runs and growth
+	s := newMarkingStoreCap(3+enc.pad, 2, enc.limit) // tiny table: forces probe runs and growth
 	var ms []Marking
 	for i := 0; i < 40; i++ {
 		m := enc.fit(Marking{int32(i), int32(i % 4), int32(i / 7)})
@@ -423,14 +563,19 @@ func testLookupHashAliased(t *testing.T, enc encoding) {
 	if s.HashAliased() {
 		t.Fatal("store reports aliasing without a colliding pair")
 	}
-	for i, m := range ms {
-		id, ok := s.LookupHash(HashMarking(m))
-		if !ok || int(id) != i {
-			t.Fatalf("LookupHash(%v) = (%d, %v), want (%d, true)", m, id, ok, i)
-		}
+	if s.word != enc.word {
+		t.Fatalf("word = %v, want %v", s.word, enc.word)
 	}
-	if _, ok := s.LookupHash(HashMarking(Marking{99, 99, 99})); ok {
-		t.Fatal("LookupHash resolved a never-interned hash")
+	if !s.word {
+		for i, m := range ms {
+			id, ok := s.LookupHash(HashMarking(m))
+			if !ok || int(id) != i {
+				t.Fatalf("LookupHash(%v) = (%d, %v), want (%d, true)", m, id, ok, i)
+			}
+		}
+		if _, ok := s.LookupHash(HashMarking(enc.marking(99, 99, 99))); ok {
+			t.Fatal("LookupHash resolved a never-interned hash")
+		}
 	}
 	// Force an alias: a second vector interned under the first one's
 	// hash (InternHashed trusts the caller's hash).
@@ -440,8 +585,8 @@ func testLookupHashAliased(t *testing.T, enc encoding) {
 	if !isNew || int(id) != len(ms) {
 		t.Fatalf("aliased intern = (%d, %v), want (%d, true)", id, isNew, len(ms))
 	}
-	if !s.HashAliased() {
-		t.Fatal("aliasing pair not detected at intern")
+	if s.HashAliased() != !s.word {
+		t.Fatalf("HashAliased = %v after interning under another's hash, one word %v", s.HashAliased(), s.word)
 	}
 	if again, isNew := s.InternHashed(alias, h0); isNew || again != id {
 		t.Fatalf("re-intern of aliased vector = (%d, %v), want (%d, false)", again, isNew, id)
@@ -459,12 +604,24 @@ func testLookupHashAliased(t *testing.T, enc encoding) {
 	if !s.narrow {
 		t.Fatal("counts that fit widened the store")
 	}
+	if s.word {
+		if got, want := s.HashAt(id), HashMarking(alias); got != want {
+			t.Fatalf("HashAt(%d) = %#x, want the alias's own hash %#x", id, got, want)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("LookupHash on a one-word store did not panic")
+			}
+		}()
+		s.LookupHash(h0)
+		return
+	}
 	// The row probe of the inline explorer resolves both sides too, and
 	// a third vector under the same hash is absent.
 	for _, c := range []struct {
 		m    Marking
 		want MarkID
-	}{{Marking{0, 0, 0}, 0}, {alias, id}, {Marking{1, 0, 0}, NoMark}} {
+	}{{enc.marking(0, 0, 0), 0}, {alias, id}, {enc.marking(1, 0, 0), NoMark}} {
 		row := make([]uint8, s.rowBytes)
 		if !s.pack(row, c.m) {
 			t.Fatalf("%v does not fit the store's rows", c.m)
@@ -519,8 +676,11 @@ func testZeroAllocFiringAndIntern(t *testing.T, enc encoding) {
 	tr := n.AddTransition("t", TransNormal)
 	n.AddArc(p, tr, 1)
 	n.AddArcTP(tr, q, 1)
+	for range enc.pad {
+		n.AddPlace("pad", PlaceChannel, 0)
+	}
 	m := n.InitialMarking()
-	s := newTestStore(len(n.Places), enc)
+	s := newMarkingStoreCap(len(n.Places), 1<<10, enc.limit)
 	scratch := make(Marking, len(n.Places))
 	scratch = m.FireInto(scratch, tr)
 	s.Intern(m)
@@ -543,10 +703,13 @@ func testZeroAllocFiringAndIntern(t *testing.T, enc encoding) {
 	}
 }
 
-// TestProbeSpread: HashMarking is a linear sum whose low bits are
-// structured, so the probe table takes its home slots from a finalizer
-// (probeHash). After exploring two structured nets — the 9⁵ ring
-// product and four counters capped at 14 (15⁴ states) — the mean
+// TestProbeSpread: the probe table takes its home slots from a
+// finalizer (probeHash) of each key, since both keys have structured
+// low bits: a one-word store's row packs each count into fixed bits,
+// and HashMarking is a linear sum. After exploring two structured nets
+// — the 9⁵ ring product and four counters capped at 14 (15⁴ states),
+// whose rows are one word (6 and 2 bytes) — and again after interning
+// the same markings into a store keyed by their hashes, the mean
 // linear-probe displacement of the interned states must stay within
 // 1.15x of uniform hashing's ½(1+1/(1−α))−1 at the table's load α.
 func TestProbeSpread(t *testing.T) {
@@ -567,21 +730,33 @@ func TestProbeSpread(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := c.net.Explore(c.opt).Store
-		if s.Len() != c.states {
-			t.Fatalf("%s: %d states, want %d", c.name, s.Len(), c.states)
+		if s.Len() != c.states || !s.word {
+			t.Fatalf("%s: %d states (one word %v), want %d in one word", c.name, s.Len(), s.word, c.states)
 		}
-		disp := 0
-		for slot, e := range s.table {
-			if e != 0 {
-				disp += int((uint32(slot) - probeHash(s.hashes[e-1])) & s.mask)
+		hashed := NewMarkingStore(s.Places())
+		var m Marking
+		for id := range s.Len() {
+			m = s.Load(m, MarkID(id))
+			hashed.Intern(m)
+		}
+		for _, st := range []struct {
+			key   string
+			store *MarkingStore
+		}{{"row", s}, {"hash", hashed}} {
+			s := st.store
+			disp := 0
+			for slot, e := range s.table {
+				if e != 0 {
+					disp += int((uint32(slot) - probeHash(s.keys[e-1])) & s.mask)
+				}
 			}
-		}
-		alpha := float64(s.Len()) / float64(len(s.table))
-		mean := float64(disp) / float64(s.Len())
-		uniform := (1+1/(1-alpha))/2 - 1
-		t.Logf("%s: load %.3f, mean displacement %.3f, uniform %.3f (%.2fx)", c.name, alpha, mean, uniform, mean/uniform)
-		if mean > 1.15*uniform {
-			t.Errorf("%s: mean probe displacement %.3f exceeds 1.15x uniform (%.3f)", c.name, mean, uniform)
+			alpha := float64(s.Len()) / float64(len(s.table))
+			mean := float64(disp) / float64(s.Len())
+			uniform := (1+1/(1-alpha))/2 - 1
+			t.Logf("%s, keyed by %s: load %.3f, mean displacement %.3f, uniform %.3f (%.2fx)", c.name, st.key, alpha, mean, uniform, mean/uniform)
+			if mean > 1.15*uniform {
+				t.Errorf("%s, keyed by %s: mean probe displacement %.3f exceeds 1.15x uniform (%.3f)", c.name, st.key, mean, uniform)
+			}
 		}
 	}
 }

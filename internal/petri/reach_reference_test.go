@@ -172,39 +172,50 @@ func burstNet(init int) *Net {
 // TestExploreMatchesReference: Explore must reproduce the reference
 // explorer exactly — same state numbering, same edges, same clip
 // flags — on full explorations, budget-clipped ones and token-capped
-// ones (one whose root starts over its cap). In burst-300 a count
-// passes 255 in the middle of the
+// ones (one whose root starts over its cap). Each store's rows take
+// rowBytes bytes, so every case but the wide ones runs the one-word
+// merge. In burst-300 a count passes 255 in the middle of the
 // exploration, so the store widens there; in burst-255 a cap vetoes
-// every successor that would, and the store stays narrow. The wide
-// cases exercise the driver's window of enabled sets: their net has 75
-// ECSs, so a set is two words. wide-window explores all 15,625 states,
-// and the window drops its expanded prefix 70 times. wide-budget stops
+// every successor that would, and the store stays narrow. burst-uncapped
+// has no cap: the semiflow of its ring gives each ring place one bit,
+// and the source-fed p, which no semiflow covers, a whole byte, which
+// its count passes in the middle of the search, widening the store from
+// one word. The wide cases run the byte merge on 10-byte rows and
+// exercise the driver's window of enabled sets: their net has 75 ECSs,
+// so a set is two words. wide-window explores all 15,625 states, and
+// the window drops its expanded prefix 70 times. wide-budget stops
 // interning at 300 states, in the middle of BFS level 11 (states 286 to
 // 363), and then expands the rest of the window, dropping its prefix 12
 // times in all, while every new successor is refused.
 func TestExploreMatchesReference(t *testing.T) {
 	cases := []struct {
-		name string
-		net  *Net
-		opt  ExploreOptions
-		wide bool // the store ends wide
+		name     string
+		net      *Net
+		opt      ExploreOptions
+		rowBytes int
+		wide     bool // the store ends wide
 	}{
-		{"rings-full", ringsNet(3, 4), ExploreOptions{MaxMarkings: 1000}, false},
-		{"rings-budget", ringsNet(3, 5), ExploreOptions{MaxMarkings: 60}, false},
-		{"simple-capped", simpleNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 4}, false},
-		{"choice", choiceNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 3}, false},
-		{"root-over-cap", overCapRootNet(), ExploreOptions{MaxTokensPerPlace: 2}, false},
-		{"burst-300", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 300}, true},
-		{"burst-255", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 255}, false},
-		{"wide-window", ringsNet(3, 25), ExploreOptions{MaxMarkings: 20000}, false},
-		{"wide-budget", ringsNet(3, 25), ExploreOptions{MaxMarkings: 300}, false},
+		{"rings-full", ringsNet(3, 4), ExploreOptions{MaxMarkings: 1000}, 2, false},
+		{"rings-budget", ringsNet(3, 5), ExploreOptions{MaxMarkings: 60}, 2, false},
+		{"simple-capped", simpleNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 4}, 1, false},
+		{"choice", choiceNet(t), ExploreOptions{FireSources: true, MaxTokensPerPlace: 3}, 1, false},
+		{"root-over-cap", overCapRootNet(), ExploreOptions{MaxTokensPerPlace: 2}, 2, false},
+		{"burst-300", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 300}, 5, true},
+		{"burst-255", burstNet(250), ExploreOptions{FireSources: true, MaxTokensPerPlace: 255}, 5, false},
+		{"burst-uncapped", burstNet(250), ExploreOptions{FireSources: true, MaxMarkings: 2000}, 2, true},
+		{"wide-window", ringsNet(3, 25), ExploreOptions{MaxMarkings: 20000}, 10, false},
+		{"wide-budget", ringsNet(3, 25), ExploreOptions{MaxMarkings: 300}, 10, false},
 	}
 	for _, c := range cases {
 		got := c.net.Explore(c.opt)
 		assertSameSnapshot(t, c.name, referenceExplore(c.net, c.opt), snapshotReach(got))
+		if s := got.Store; s.rowBytes != c.rowBytes || s.narrow && s.word != (s.rowBytes <= 8) {
+			t.Errorf("%s: rows of %d bytes, one word %v; want %d bytes", c.name, s.rowBytes, s.word, c.rowBytes)
+		}
 		if got.Store.narrow == c.wide {
 			t.Errorf("%s: store narrow = %v at the end", c.name, got.Store.narrow)
 		}
+		t.Logf("%s: %d states, rows of %d bytes, one word %v", c.name, got.Len(), got.Store.rowBytes, got.Store.word)
 	}
 }
 

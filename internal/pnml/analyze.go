@@ -93,12 +93,11 @@ func Fingerprint(r *petri.ReachResult) string {
 	w.reserve(2)
 	w.put(r.Len())
 	w.putBool(r.Truncated)
-	var m petri.Marking
+	places := r.Store.Places()
 	for id := 0; id < r.Len(); id++ {
-		m = r.Store.Load(m, petri.MarkID(id))
 		es := r.Edges[id]
-		w.reserve(len(m) + 2 + 2*len(es))
-		w.putTokens(m)
+		w.reserve(places + 2 + 2*len(es))
+		w.buf = r.Store.AppendUvarints(w.buf, petri.MarkID(id))
 		w.putBool(r.Clipped[id])
 		w.put(len(es))
 		for _, e := range es {
@@ -144,26 +143,6 @@ func (w *fingerprintWriter) putBool(b bool) {
 	} else {
 		w.put(0)
 	}
-}
-
-// putTokens appends a marking's counts as put would. A count below
-// 128 is its own one-byte uvarint, so the loop copies those bytes
-// straight into the reserved buffer and falls back to put from the
-// first larger count on.
-func (w *fingerprintWriter) putTokens(m petri.Marking) {
-	n := len(w.buf)
-	dst := w.buf[n : n+len(m)]
-	for i, v := range m {
-		if uint32(v) >= 0x80 {
-			w.buf = w.buf[:n+i]
-			for _, v := range m[i:] {
-				w.put(int(v))
-			}
-			return
-		}
-		dst[i] = byte(v)
-	}
-	w.buf = w.buf[:n+len(m)]
 }
 
 // AnalyzeFile parses the PNML document at path and analyzes it.

@@ -431,7 +431,7 @@ func (e *engine) enabledECS() []*petri.ECS {
 func (e *engine) buildSchedule(root *treeNode) *Schedule {
 	e.stats.DistinctMarkings = e.store.Len()
 	e.stats.StoreHotBytes = e.store.Mem().HotBytes
-	sched := &Schedule{Net: e.net, Source: e.source, Stats: e.stats}
+	sched := &Schedule{Net: e.net, Source: e.source, Part: e.part, Stats: e.stats}
 	nodeOf := map[*treeNode]*Node{}
 	var mk func(t *treeNode) *Node
 	mk = func(t *treeNode) *Node {

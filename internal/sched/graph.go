@@ -712,7 +712,7 @@ func (ge *graphEngine) choose(id int) ([]int32, *petri.ECS) {
 // it visits need their groups' ECSs, which choose and sourceGroup
 // recover from the state's marking.
 func (ge *graphEngine) build() *Schedule {
-	s := &Schedule{Net: ge.net, Source: ge.source}
+	s := &Schedule{Net: ge.net, Source: ge.source, Part: ge.part}
 	s.Stats = SearchStats{
 		NodesCreated:     len(ge.states),
 		DistinctMarkings: ge.store.Len(),

@@ -68,6 +68,9 @@ type Schedule struct {
 	Source int // the uncontrollable source transition
 	Root   *Node
 	Nodes  []*Node // all nodes, root first
+	// Part is the ECS partition (Net.ECSPartition) the search ran on;
+	// Validate and code generation read it instead of building another.
+	Part []*petri.ECS
 
 	// Stats describes the search that produced the schedule.
 	Stats SearchStats
@@ -178,7 +181,7 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("sched: root edge fires %s, want source %s",
 			s.Net.Transitions[s.Root.Edges[0].Trans].Name, s.Net.Transitions[s.Source].Name)
 	}
-	part := s.Net.ECSPartition()
+	part := s.Part
 	idx := petri.ECSIndex(part, len(s.Net.Transitions))
 	for _, n := range s.Nodes {
 		if len(n.Edges) == 0 {
